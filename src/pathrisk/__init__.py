@@ -31,5 +31,5 @@ from .holonorm import (DensityCheckConfig, HolonormModel,
                        forward, hn, inverse_hn,
                        matrix_determinant_lemma_check)
 from .game import (AgentSpec, GameState, MeanField, QuadraticTargetCost,
-                   SharedConstraints, SolverConfig, best_response,
-                   deployment_gate, solve_nash, stackelberg_loop)
+                   SharedConstraints, best_response, deployment_gate,
+                   solve_nash, stackelberg_loop)

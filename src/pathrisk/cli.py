@@ -9,7 +9,6 @@ seed, input digests, config hash) into --out. Exit codes: 0 success,
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -146,15 +145,12 @@ def _cmd_holonorm_verify(args):
     checks = []
     rng = np.random.default_rng(args.seed)
 
-    start = time.perf_counter()
     density = holonorm.density_transform_check(holonorm.DensityCheckConfig(
         dimension=args.dim, samples=args.samples, seed=args.seed,
         tolerance=args.tol))
     checks.append(("density_transform", density["passes"],
-                   density["mean_abs_rel_error"],
-                   time.perf_counter() - start))
+                   density["mean_abs_rel_error"]))
 
-    start = time.perf_counter()
     worst_rt = 0.0
     for _ in range(200):
         y = rng.uniform(-1.0, 1.0, size=args.dim)
@@ -163,10 +159,8 @@ def _cmd_holonorm_verify(args):
             y = y * (0.9 / norm)
         worst_rt = max(worst_rt, float(np.abs(
             holonorm.hn(holonorm.inverse_hn(y)) - y).max()))
-    checks.append(("inverse_round_trip", worst_rt <= 1e-12, worst_rt,
-                   time.perf_counter() - start))
+    checks.append(("inverse_round_trip", worst_rt <= 1e-12, worst_rt))
 
-    start = time.perf_counter()
     worst_det = 0.0
     for _ in range(200):
         y = rng.uniform(-1.0, 1.0, size=args.dim)
@@ -177,10 +171,8 @@ def _cmd_holonorm_verify(args):
         fd = holonorm.finite_difference_jacobian_det(holonorm.inverse_hn, y)
         worst_det = max(worst_det, abs(fd - closed) / abs(closed))
     checks.append(("jacobian_determinant_vs_finite_difference",
-                   worst_det <= 1e-5, worst_det,
-                   time.perf_counter() - start))
+                   worst_det <= 1e-5, worst_det))
 
-    start = time.perf_counter()
     worst_lemma = 0.0
     for _ in range(100):
         alpha = rng.uniform(0.5, 2.0)
@@ -189,9 +181,8 @@ def _cmd_holonorm_verify(args):
         lhs, rhs, _ = holonorm.matrix_determinant_lemma_check(alpha, beta, u)
         worst_lemma = max(worst_lemma, abs(lhs - rhs) / abs(rhs))
     checks.append(("matrix_determinant_lemma", worst_lemma <= 1e-8,
-                   worst_lemma, time.perf_counter() - start))
+                   worst_lemma))
 
-    start = time.perf_counter()
     dim = max(args.dim, 4)
     model = holonorm.HolonormModel.build(
         num_layers=1, model_dim=dim, num_heads=2 if dim % 2 == 0 else 1,
@@ -202,20 +193,18 @@ def _cmd_holonorm_verify(args):
               and degeneracy["live_mha_distinct"]
               and degeneracy["feedforward_pointwise_consistent"])
     checks.append(("constant_parameter_degeneracy", deg_ok,
-                   degeneracy["max_degenerate_mha_diff"],
-                   time.perf_counter() - start))
+                   degeneracy["max_degenerate_mha_diff"]))
 
     report = {"dim": args.dim, "samples": args.samples, "seed": args.seed,
               "tolerance": args.tol,
-              "passed": all(ok for _, ok, _, _ in checks),
+              "passed": all(ok for _, ok, _ in checks),
               "density": density,
               "degeneracy": degeneracy,
-              "checks": [{"name": n, "passed": ok, "statistic": stat,
-                          "runtime_s": rt} for n, ok, stat, rt in checks]}
+              "checks": [{"name": n, "passed": ok, "statistic": stat}
+                         for n, ok, stat in checks]}
     jsonio.write_json(out / "holonorm_report.json", report, force=args.force)
     jsonio.write_csv(out / "holonorm_checks.csv",
-                     ("check", "passed", "statistic"),
-                     [(n, ok, stat) for n, ok, stat, _ in checks],
+                     ("check", "passed", "statistic"), checks,
                      force=args.force)
     manifest = jsonio.build_manifest(
         "holonorm-verify", args.seed, {},
@@ -228,20 +217,19 @@ def _cmd_holonorm_verify(args):
 
 def _cmd_game(args):
     scenario = game.load_scenario(args.scenario)
-    state = game.solve_nash(scenario["specs"], scenario["mean_fields"],
-                            scenario["constraints"], scenario["cfg"])
-    result = {"equilibrium": state.to_json_dict(scenario["specs"]),
+    specs = scenario["specs"]
+    state = game.solve_nash(specs, scenario["mean_fields"],
+                            scenario["constraints"])
+    result = {"equilibrium": state.to_json_dict(specs),
               "seed": scenario["seed"]}
     if scenario["schedule"]:
-        loop = game.stackelberg_loop(
-            scenario["schedule"], scenario["specs"],
-            scenario["mean_fields"], scenario["constraints"],
-            scenario["cfg"], risks_override=scenario["risks"])
+        loop = game.stackelberg_loop(scenario["schedule"], specs, state,
+                                     risks_override=scenario["risks"])
         result["stackelberg"] = {
             "steps": [{"eps": step["eps"],
                        "accepted": step["gate"].accepted,
                        "gate": step["gate"].to_json_dict(),
-                       "residual": step["state"].residual}
+                       "residual": state.residual}
                       for step in loop["trace"]],
             "least_restrictive_accepted": loop["least_restrictive_accepted"],
         }

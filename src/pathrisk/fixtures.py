@@ -541,8 +541,7 @@ def coupled_game_scenario(num_agents=34, dim=3, seed=11, cloud_cap=None):
     return {"seed": seed, "kappa": 1.0, "cloud_cap": cap, "tau_data": 0.5,
             "lambda": 0.0,
             "agents": agents,
-            "mean_field": {a["pathology"]: {"quality": 0.9,
-                                            "samples": [[[0.0], [0.0]]]}
+            "mean_field": {a["pathology"]: {"quality": 0.9}
                            for a in agents},
             "epsilon_schedule": [{"default": 4.0}, {"default": 1.0}]}
 

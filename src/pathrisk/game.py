@@ -3,19 +3,23 @@ with the human-leader threshold loop and the deployment gate.
 
 Each agent i picks a parameter vector theta_i in a box, minimizing
 
-    J_i(theta_i) = mean over its data sample of
-                   [risk_i(theta_i, x, y) + lambda * kappa ||theta_i||^2]
+    J_i(theta_i) = ||theta_i - target_i||^2 + lambda * kappa ||theta_i||^2
 
 subject to the shared budget sum_i kappa ||theta_i||^2 <= cloud_cap. The
-coupling runs only through that budget; it is enforced by giving each
-agent a fixed share (equal by default, weights overridable), so a cyclic
-best-response sweep solves the game. Data quality Qual(mu_i) >= tau_data
-is checked, never computed.
+cap is split into fixed per-agent shares (equal by default, weights
+overridable), so no agent's cost or feasible set depends on another's
+choice: the agents decouple. Each agent's equilibrium strategy is its
+exact best response, the Euclidean projection of
+target_i / (1 + lambda kappa) onto its box intersected with the ball of
+radius sqrt(share_i / kappa), so the equilibrium is reached in one round
+with Nash residual 0 and there are no solver settings. Data quality
+Qual(mu_i) >= tau_data is checked, never computed.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,8 +36,9 @@ class InfeasibleGameError(GameError):
 @dataclass(eq=False)
 class QuadraticTargetCost:
     """Default surrogate: risk term ||theta - target||^2 plus the compute
-    penalty lambda * kappa ||theta||^2. Strongly convex, so the projected
-    gradient step with step 1/L lands on the constrained minimizer."""
+    penalty lambda * kappa ||theta||^2. Completing the square gives
+    (1 + lambda kappa) ||theta - target / (1 + lambda kappa)||^2 plus a
+    constant, so its minimizer over a convex set is a projection."""
 
     target: np.ndarray
     lam: float = 0.0
@@ -50,14 +55,6 @@ class QuadraticTargetCost:
     def value(self, theta):
         return self.risk_term(theta) + self.compute_term(theta)
 
-    def grad(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return 2.0 * (theta - self.target) + \
-            2.0 * self.lam * self.kappa * theta
-
-    def lipschitz(self):
-        return 2.0 * (1.0 + self.lam * self.kappa)
-
 
 @dataclass(eq=False)
 class AgentSpec:
@@ -67,6 +64,11 @@ class AgentSpec:
     cost: QuadraticTargetCost
 
     def __post_init__(self):
+        size = self.cost.target.size
+        if self.lo.shape != (size,) or self.hi.shape != (size,):
+            raise GameError(
+                f"{self.pathology}: lo/hi lengths {self.lo.size}/"
+                f"{self.hi.size} differ from target length {size}")
         if np.any(self.lo > self.hi):
             raise GameError(f"{self.pathology}: empty box")
 
@@ -77,14 +79,12 @@ class AgentSpec:
 
 @dataclass(eq=False)
 class MeanField:
-    """Per-agent empirical sample with its annotated quality score."""
+    """Per-agent data distribution, represented by its annotated quality
+    score: the data-quality floor is the only thing the game reads."""
 
-    samples: tuple    # ((x, y), ...) pairs
     quality: float
 
     def __post_init__(self):
-        if len(self.samples) == 0:
-            raise GameError("mean field sample is empty")
         if not (0.0 <= self.quality <= 1.0):
             raise GameError(f"quality {self.quality} outside [0,1]")
 
@@ -113,27 +113,19 @@ class SharedConstraints:
         return self.cloud_cap * w / w.sum()
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-6
-    max_rounds: int = 200
-    mode: str = "gauss-seidel"   # or "jacobi"
-    projection_sweeps: int = 200
-    projection_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.mode not in ("gauss-seidel", "jacobi"):
-            raise GameError(f"unknown sweep mode {self.mode!r}")
-
-
 @dataclass(eq=False)
 class GameState:
+    """Equilibrium strategies and their costs. Every theta is an exact best
+    response to a problem no other agent's choice enters, so the solve is
+    one round with Nash residual 0; the class constants carry that into
+    the report schema."""
+
     thetas: list
-    residual: float
-    rounds: int
-    feasible: bool
     costs: list
-    history: list   # (round, residual) pairs
+    rounds = 1
+    residual = 0.0
+    feasible = True
+    history = ((1, 0.0),)   # (round, residual) pairs
 
     def to_json_dict(self, specs):
         return {"rounds": self.rounds,
@@ -153,31 +145,34 @@ def project_box(theta, lo, hi):
     return np.minimum(np.maximum(theta, lo), hi)
 
 
-def project_ball(theta, radius):
-    norm = float(np.linalg.norm(theta))
-    if norm <= radius:
-        return theta
-    return theta * (radius / norm)
+def project_box_ball(point, lo, hi, radius):
+    """Euclidean projection of point onto the box [lo, hi] intersected with
+    the ball of the given radius around the origin.
 
+    By KKT the projection is clip(t * point, lo, hi) for the largest t in
+    [0, 1] whose image lies in the ball, with t = 1 / (1 + the ball's
+    multiplier). Every |clip(t * point, lo, hi)_j| is nondecreasing in t,
+    so bisection on the scalar t finds that t to adjacent floats. When the
+    box misses the ball the image at t = 0, the box point nearest the
+    origin, is returned; check_feasibility rejects that case first.
+    """
+    point = np.asarray(point, dtype=float)
+    limit = radius * radius
 
-def project_box_ball(theta, lo, hi, radius, sweeps=200, tol=1e-14):
-    """Dykstra's alternating projection onto box intersect centered ball."""
-    x = np.asarray(theta, dtype=float).copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(sweeps):
-        prev = x.copy()
-        y = project_box(x + p, lo, hi)
-        p = x + p - y
-        x = project_ball(y + q, radius)
-        q = y + q - x
-        if float(np.abs(x - prev).max()) <= tol:
-            break
-    return project_ball(project_box(x, lo, hi), radius)
+    def inside(t):
+        x = project_box(t * point, lo, hi)
+        return float(x @ x) <= limit
 
-
-def _budget_radius(budget, kappa):
-    return math.sqrt(budget / kappa)
+    if inside(1.0):
+        return project_box(point, lo, hi)
+    t_in, t_out, mid = 0.0, 1.0, 0.5
+    while t_in < mid < t_out:
+        if inside(mid):
+            t_in = mid
+        else:
+            t_out = mid
+        mid = 0.5 * (t_in + t_out)
+    return project_box(t_in * point, lo, hi)
 
 
 def check_feasibility(specs, mean_fields, constraints):
@@ -196,92 +191,30 @@ def check_feasibility(specs, mean_fields, constraints):
                 f"theta in the box")
 
 
-def best_response(spec, budget, constraints, cfg=SolverConfig(),
-                  theta0=None, max_steps=500):
-    """Projected gradient descent on J_i over box intersect budget ball.
-
-    With the default strongly convex quadratic cost and step 1/L the
-    gradient step lands on the unconstrained minimizer, so a handful of
-    projected steps reach the constrained optimum to projection accuracy.
-    """
-    radius = _budget_radius(budget, constraints.kappa)
-    theta = (np.zeros(spec.dim) if theta0 is None
-             else np.asarray(theta0, dtype=float).copy())
-    theta = project_box_ball(theta, spec.lo, spec.hi, radius,
-                             cfg.projection_sweeps, cfg.projection_tol)
-    step = 1.0 / spec.cost.lipschitz()
-    for _ in range(max_steps):
-        candidate = project_box_ball(theta - step * spec.cost.grad(theta),
-                                     spec.lo, spec.hi, radius,
-                                     cfg.projection_sweeps,
-                                     cfg.projection_tol)
-        if float(np.abs(candidate - theta).max()) <= 1e-14:
-            theta = candidate
-            break
-        theta = candidate
-    return theta
+def best_response(spec, budget, kappa):
+    """The minimizer of the agent's cost over its box intersected with the
+    budget ball kappa ||theta||^2 <= budget."""
+    center = spec.cost.target / (1.0 + spec.cost.lam * spec.cost.kappa)
+    return project_box_ball(center, spec.lo, spec.hi,
+                            math.sqrt(budget / kappa))
 
 
-def nash_residual(specs, thetas, budgets, constraints, cfg):
-    """Largest unilateral cost improvement any agent can realize."""
-    worst = 0.0
-    for spec, theta, budget in zip(specs, thetas, budgets):
-        best = best_response(spec, budget, constraints, cfg, theta0=theta)
-        improvement = spec.cost.value(theta) - spec.cost.value(best)
-        worst = max(worst, improvement)
-    return max(0.0, worst)
-
-
-def _total_compute(thetas, kappa):
-    return kappa * sum(float(t @ t) for t in thetas)
-
-
-def solve_nash(specs, mean_fields, constraints, cfg=SolverConfig()):
-    """Cyclic (or Jacobi) best-response iteration to a Nash equilibrium.
-
-    Terminates when the Nash residual drops to cfg.tol or max_rounds pass;
-    a residual that grows for 10 consecutive rounds aborts with the
-    trajectory attached. Every iterate respects both coupled constraints.
-    """
+def solve_nash(specs, mean_fields, constraints):
+    """Nash equilibrium: each agent's best response to its share of the
+    cap. Raises InfeasibleGameError when a share admits no theta in the
+    box or a data-quality floor fails, and GameError when the strategies
+    together exceed the shared cap."""
     if len(specs) != len(mean_fields):
         raise GameError("one mean field per agent required")
     check_feasibility(specs, mean_fields, constraints)
     budgets = constraints.budgets(len(specs))
-    thetas = [project_box_ball(np.zeros(s.dim), s.lo, s.hi,
-                               _budget_radius(b, constraints.kappa),
-                               cfg.projection_sweeps, cfg.projection_tol)
+    thetas = [best_response(s, b, constraints.kappa)
               for s, b in zip(specs, budgets)]
-    history = []
-    prev_residual = math.inf
-    rising = 0
-    rounds = 0
-    for round_no in range(1, cfg.max_rounds + 1):
-        rounds = round_no
-        if cfg.mode == "jacobi":
-            thetas = [best_response(s, b, constraints, cfg, theta0=t)
-                      for s, t, b in zip(specs, thetas, budgets)]
-        else:
-            for i, (s, b) in enumerate(zip(specs, budgets)):
-                thetas[i] = best_response(s, b, constraints, cfg,
-                                          theta0=thetas[i])
-        if _total_compute(thetas, constraints.kappa) > \
-                constraints.cloud_cap + 1e-9:
-            raise GameError("iterate violates the shared compute cap")
-        residual = nash_residual(specs, thetas, budgets, constraints, cfg)
-        history.append((round_no, residual))
-        if residual <= cfg.tol:
-            break
-        rising = rising + 1 if residual > prev_residual else 0
-        if rising >= 10:
-            raise GameError(
-                f"best-response iteration diverging; residual trajectory "
-                f"{[f'{r:.3e}' for _, r in history]}")
-        prev_residual = residual
-    final_residual = history[-1][1] if history else 0.0
-    return GameState(thetas=thetas, residual=final_residual, rounds=rounds,
-                     feasible=final_residual <= cfg.tol,
-                     costs=[s.cost.value(t) for s, t in zip(specs, thetas)],
-                     history=history)
+    if constraints.kappa * sum(float(t @ t) for t in thetas) > \
+            constraints.cloud_cap + 1e-9:
+        raise GameError("equilibrium violates the shared compute cap")
+    return GameState(thetas=thetas,
+                     costs=[s.cost.value(t) for s, t in zip(specs, thetas)])
 
 
 @dataclass(frozen=True)
@@ -327,24 +260,19 @@ def equilibrium_risks(specs, state):
             for s, t in zip(specs, state.thetas)}
 
 
-def stackelberg_loop(schedule, specs, mean_fields, constraints,
-                     cfg=SolverConfig(), risks_override=None):
-    """Leader loop: for each epsilon vector, recompute the followers'
-    equilibrium, gate it, and report the least-restrictive accepted
-    epsilon under the componentwise order when one exists."""
+def stackelberg_loop(schedule, specs, state, risks_override=None):
+    """Leader loop: gate the followers' equilibrium `state` against each
+    epsilon vector and report the least-restrictive accepted epsilon under
+    the componentwise order when one exists. No threshold enters an
+    agent's cost, so one equilibrium serves every step."""
     schedule = list(schedule)
     if not schedule:
         raise GameError("empty epsilon schedule")
-    trace = []
-    accepted = []
-    for eps in schedule:
-        state = solve_nash(specs, mean_fields, constraints, cfg)
-        risks = (dict(risks_override) if risks_override is not None
-                 else equilibrium_risks(specs, state))
-        gate = deployment_gate(risks, eps)
-        trace.append({"eps": dict(eps), "state": state, "gate": gate})
-        if gate.accepted:
-            accepted.append(eps)
+    risks = (dict(risks_override) if risks_override is not None
+             else equilibrium_risks(specs, state))
+    trace = [{"eps": dict(eps), "gate": deployment_gate(risks, eps)}
+             for eps in schedule]
+    accepted = [step["eps"] for step in trace if step["gate"].accepted]
 
     def leq(a, b):
         return all(a[k] <= b[k] for k in a)
@@ -363,6 +291,9 @@ def stackelberg_loop(schedule, specs, mean_fields, constraints,
 
 def _parse_eps_entry(entry, pathologies):
     if isinstance(entry, dict):
+        unknown = sorted(set(entry) - {"default"} - set(pathologies))
+        if unknown:
+            raise GameError(f"epsilon keys {unknown} name no agent")
         default = float(entry.get("default", math.inf))
         return {p: float(entry.get(p, default)) for p in pathologies}
     values = [float(v) for v in entry]
@@ -375,15 +306,22 @@ def _parse_eps_entry(entry, pathologies):
 def load_scenario(path):
     """Parse a scenario JSON file into solver inputs.
 
-    Layout: kappa, cloud_cap, tau_data, optional lambda/share_weights/
-    solver settings, an agents array ({pathology, lo, hi, target}), a
-    mean_field map ({pathology: {quality, samples}}), an optional
-    epsilon_schedule, and optional audit-derived risks.
+    Layout: kappa, cloud_cap, tau_data, optional lambda and share_weights,
+    a non-empty agents array ({pathology, lo, hi, target}, lo/hi scalars
+    or vectors of the target's length, pathologies distinct), a mean_field
+    map ({pathology: {quality}}), an optional epsilon_schedule (vectors,
+    or maps keyed by agent pathology with an optional default), and
+    optional audit-derived risks. The game has no solver settings: the
+    keys tol, max_rounds and mode and mean_field samples are ignored.
+    Malformed agents, and epsilon or mean_field keys that name no agent,
+    raise GameError.
     """
     with open(path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
     lam = float(obj.get("lambda", 0.0))
     kappa = float(obj.get("kappa", 1.0))
+    if not obj["agents"]:
+        raise GameError("scenario has no agents")
     specs = []
     for agent in obj["agents"]:
         dim = len(agent["target"])
@@ -398,31 +336,27 @@ def load_scenario(path):
             cost=QuadraticTargetCost(
                 target=np.asarray(agent["target"], dtype=float),
                 lam=float(agent.get("lambda", lam)), kappa=kappa)))
+    pathologies = [s.pathology for s in specs]
+    repeated = sorted(p for p, n in Counter(pathologies).items() if n > 1)
+    if repeated:
+        raise GameError(f"agents {repeated} appear more than once")
     mf_obj = obj.get("mean_field", {})
-    mean_fields = []
-    for spec in specs:
-        entry = mf_obj.get(spec.pathology,
-                           {"quality": 1.0, "samples": [[[0.0], [0.0]]]})
-        samples = tuple((np.asarray(x, dtype=float),
-                         np.asarray(y, dtype=float))
-                        for x, y in entry["samples"])
-        mean_fields.append(MeanField(samples=samples,
-                                     quality=float(entry["quality"])))
+    unknown = sorted(set(mf_obj) - set(pathologies))
+    if unknown:
+        raise GameError(f"mean_field keys {unknown} name no agent")
+    mean_fields = [MeanField(quality=float(
+        mf_obj.get(p, {"quality": 1.0})["quality"])) for p in pathologies]
     weights = obj.get("share_weights")
     constraints = SharedConstraints(
         cloud_cap=float(obj["cloud_cap"]),
         tau_data=float(obj.get("tau_data", 0.0)),
         kappa=kappa,
         share_weights=tuple(weights) if weights is not None else None)
-    cfg = SolverConfig(tol=float(obj.get("tol", 1e-6)),
-                       max_rounds=int(obj.get("max_rounds", 200)),
-                       mode=str(obj.get("mode", "gauss-seidel")))
-    pathologies = [s.pathology for s in specs]
     schedule = [_parse_eps_entry(e, pathologies)
                 for e in obj.get("epsilon_schedule", [])]
     risks = obj.get("risks")
     if risks is not None:
         risks = {str(k): float(v) for k, v in risks.items()}
     return {"specs": specs, "mean_fields": mean_fields,
-            "constraints": constraints, "cfg": cfg, "schedule": schedule,
+            "constraints": constraints, "schedule": schedule,
             "risks": risks, "seed": int(obj.get("seed", 0))}

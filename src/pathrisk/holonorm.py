@@ -13,7 +13,6 @@ map is permutation equivariant.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -344,7 +343,6 @@ def density_transform_check(cfg):
     at or below cfg.tolerance. If no bin reaches the count floor the bins
     are widened (halved per axis) and the report notes it.
     """
-    start = time.perf_counter()
     d = cfg.dimension
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((cfg.samples, d))
@@ -390,5 +388,4 @@ def density_transform_check(cfg):
             "tolerance": cfg.tolerance,
             "mass_inside_unit_ball": inside,
             "widened": widened,
-            "notes": notes,
-            "runtime_s": time.perf_counter() - start}
+            "notes": notes}
