@@ -1,12 +1,16 @@
 """Canonical report output: sorted keys, floats rounded to 12 decimal
 places, non-finite floats serialized as strings, no timestamps. Two runs
 with the same inputs and seed therefore produce byte-identical files.
+
+JSON is written in one streaming pass: each value is canonicalised as it
+is encoded and the text goes to the file piece by piece, so writing a
+report holds no copy of the document and no string of the whole file.
 """
 
 import hashlib
-import json
 import math
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -16,29 +20,69 @@ class OutputExistsError(FileExistsError):
     pass
 
 
-def _canon(obj):
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
+def _round(f):
+    """A float rounded to 12 decimal places with -0.0 made 0.0, or the
+    name of a non-finite float ("inf", "-inf", "nan")."""
+    if not math.isfinite(f):
+        return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
+    return round(f, 12) + 0.0
+
+
+def _scalar(obj):
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if not math.isfinite(f):
-            return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
-        r = round(f, 12)
-        return r + 0.0   # normalize -0.0
+        r = _round(float(obj))
+        return f'"{r}"' if isinstance(r, str) else repr(r)
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
+
+
+def _encode(obj, level=0):
+    """Yield the canonical JSON text of obj in pieces: indent 1, separators
+    (",", ": "), keys str(k) and sorted (the last of two keys with the same
+    string wins), tuples and arrays as lists."""
     if isinstance(obj, np.ndarray):
-        return _canon(obj.tolist())
-    return obj
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        if not all(type(k) is str for k in obj):
+            obj = {str(k): v for k, v in obj.items()}
+        items = ((k, obj[k]) for k in sorted(obj))
+        opener, closer = "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        items = ((None, v) for v in obj)
+        opener, closer = "[", "]"
+    else:
+        yield _scalar(obj)
+        return
+    inner = "\n" + " " * (level + 1)
+    head = opener + inner
+    for key, value in items:
+        if key is not None:
+            head += encode_basestring_ascii(key) + ": "
+        if isinstance(value, (dict, list, tuple, np.ndarray)):
+            yield head
+            yield from _encode(value, level + 1)
+        else:
+            yield head + _scalar(value)
+        head = "," + inner
+    yield "\n" + " " * level + closer
 
 
 def canonical_dumps(obj):
-    return json.dumps(_canon(obj), sort_keys=True, indent=1,
-                      separators=(",", ": "))
+    return "".join(_encode(obj))
 
 
 def write_json(path, obj, force=False):
@@ -46,17 +90,24 @@ def write_json(path, obj, force=False):
     if path.exists() and not force:
         raise OutputExistsError(f"{path} exists; pass --force to overwrite")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_dumps(obj) + "\n", encoding="utf-8")
+    # an object that cannot be encoded leaves no partial file behind and
+    # any earlier file at path untouched
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            handle.writelines(_encode(obj))
+            handle.write("\n")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _csv_cell(v):
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if not math.isfinite(f):
-            return "inf" if f > 0 else "-inf"
-        return f"{round(f, 12) + 0.0:.12g}"
+        r = _round(float(v))
+        return r if isinstance(r, str) else f"{r:.12g}"
     return str(v)
 
 

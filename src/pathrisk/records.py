@@ -347,29 +347,25 @@ class KnowledgeBase:
 
     entries: tuple
     source_tag: str = ""
+    entity_ids: frozenset = field(init=False, repr=False)
+    _vectors: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = [e for e, _ in self.entries]
-        if len(set(ids)) != len(ids):
+        self._vectors = dict(self.entries)
+        if len(self._vectors) != len(self.entries):
             raise CorpusError("knowledge base entity ids are not unique")
         dims = {vec.size for _, vec in self.entries}
         if len(dims) > 1:
             raise CorpusError(
                 f"knowledge base embeddings have mixed lengths {sorted(dims)}")
-
-    @property
-    def entity_ids(self):
-        return frozenset(e for e, _ in self.entries)
+        self.entity_ids = frozenset(self._vectors)
 
     def embedding_matrix(self, exclude=()):
         vecs = [v for e, v in self.entries if e not in exclude]
         return np.asarray(vecs, dtype=float)
 
     def lookup(self, entity_id):
-        for e, v in self.entries:
-            if e == entity_id:
-                return v
-        return None
+        return self._vectors.get(entity_id)
 
     def to_json_dict(self):
         return {"source_tag": self.source_tag,

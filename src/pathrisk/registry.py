@@ -284,11 +284,8 @@ class ValidationReport:
         return {
             "record_count": self.record_count,
             "detectors": {
-                name: {
-                    "available": list(self.available[name]),
-                    "missing": {rid: list(fields) for rid, fields
-                                in sorted(self.missing[name].items())},
-                }
+                name: {"available": self.available[name],
+                       "missing": self.missing[name]}
                 for name in REGISTRY
             },
         }
@@ -299,11 +296,14 @@ def validate_corpus(records):
     order-independent per record."""
     available = {name: [] for name in REGISTRY}
     missing = {name: {} for name in REGISTRY}
+    # one tuple per distinct set of missing fields, shared by every
+    # (record, detector) pair that lacks it
+    shared = {}
     for rec in records:
         for name, info in REGISTRY.items():
             lacking = missing_fields(rec, info)
             if lacking:
-                missing[name][rec.id] = lacking
+                missing[name][rec.id] = shared.setdefault(lacking, lacking)
             else:
                 available[name].append(rec.id)
     return ValidationReport(

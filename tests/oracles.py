@@ -3,8 +3,13 @@
 These deliberately avoid the package's solution paths: the expectile
 oracle evaluates the asymmetric quadratic objective on a dense grid, the
 pareto oracle is a naive double loop, and the projection oracles grid-walk
-the feasible set.
+the feasible set. The canonical JSON oracle is the two-pass encoder the
+package used before it streamed: a canonicalised deep copy handed to the
+standard library's json.dumps.
 """
+
+import json
+import math
 
 import numpy as np
 
@@ -82,3 +87,29 @@ def grid_best_response_on_ray(target, radius, steps=100001):
     costs = [(float(np.sum((t * direction - target) ** 2)), t) for t in ts]
     _, t_best = min(costs)
     return t_best * direction
+
+
+def _canon(obj):
+    if isinstance(obj, dict):
+        return {str(k): _canon(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canon(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        if not math.isfinite(f):
+            return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
+        r = round(f, 12)
+        return r + 0.0   # normalize -0.0
+    if isinstance(obj, np.ndarray):
+        return _canon(obj.tolist())
+    return obj
+
+
+def canonical_json(obj):
+    """Canonical JSON text of obj via a deep copy and json.dumps."""
+    return json.dumps(_canon(obj), sort_keys=True, indent=1,
+                      separators=(",", ": "))

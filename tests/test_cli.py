@@ -3,6 +3,8 @@ import json
 import pytest
 
 from pathrisk import cli, fixtures
+from pathrisk.records import save_trace_corpus
+from pathrisk.registry import pathology_ids
 
 
 def _outputs(directory):
@@ -10,22 +12,89 @@ def _outputs(directory):
             for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("subcommand", ["game", "holonorm-verify"])
-def test_reruns_are_byte_identical(tmp_path, subcommand):
+def _trace_audit(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    save_trace_corpus(corpus, fixtures.demo_trace_corpus())
+    kb = tmp_path / "kb.json"
+    kb.write_text(json.dumps(fixtures.standard_kb().to_json_dict()))
+    causal = tmp_path / "fixtures.json"
+    causal.write_text(json.dumps(
+        fixtures.demo_causal_fixture().to_json_dict()))
+    return ["audit", "--corpus", str(corpus), "--kb", str(kb),
+            "--fixtures", str(causal)]
+
+
+def _audited(tmp_path):
+    """outcomes.json of a trace audit run once in tmp_path."""
+    out = tmp_path / "audited"
+    assert cli.main(_trace_audit(tmp_path) + ["--out", str(out)]) == 0
+    return str(out / "outcomes.json")
+
+
+def _risked(tmp_path):
+    """(risk_report.json, outcomes.json) of a gated risk run once."""
+    outcomes = _audited(tmp_path)
+    out = tmp_path / "risked"
+    assert cli.main(["risk", "--outcomes", outcomes, "--gate",
+                     "--out", str(out)]) in (0, 3)
+    return str(out / "risk_report.json"), outcomes
+
+
+def _argv(tmp_path, subcommand):
     if subcommand == "game":
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(fixtures.coupled_game_scenario()))
-        argv = ["game", "--scenario", str(scenario)]
-    else:
-        argv = ["holonorm-verify", "--dim", "2", "--seed", "0"]
-    runs = []
+        return ["game", "--scenario", str(scenario)]
+    if subcommand == "holonorm-verify":
+        return ["holonorm-verify", "--dim", "2", "--seed", "0"]
+    if subcommand == "audit-trace":
+        return _trace_audit(tmp_path)
+    if subcommand == "audit-classification":
+        corpus = tmp_path / "corpus.jsonl"
+        save_trace_corpus(corpus, fixtures.demo_classification_corpus())
+        return ["audit", "--corpus", str(corpus),
+                "--schema", "classification"]
+    if subcommand == "risk-gate":
+        eps = tmp_path / "eps.json"
+        eps.write_text(json.dumps({"default": 0.5}))
+        return ["risk", "--outcomes", _audited(tmp_path), "--eps", str(eps),
+                "--gate"]
+    if subcommand == "report":
+        risk_report, outcomes = _risked(tmp_path)
+        return ["report", "--risk", risk_report, "--outcomes", outcomes]
+    return ["pareto", "--seed", "0"]
+
+
+@pytest.mark.parametrize("subcommand", [
+    "game", "holonorm-verify", "audit-trace", "audit-classification",
+    "risk-gate", "report", "pareto"])
+def test_reruns_are_byte_identical(tmp_path, subcommand):
+    argv = _argv(tmp_path, subcommand)
+    runs, codes = [], []
     for name in ("first", "second"):
         out = tmp_path / name
-        assert cli.main(argv + ["--out", str(out)]) == 0
+        codes.append(cli.main(argv + ["--out", str(out)]))
         runs.append(_outputs(out))
     first, second = runs
+    # at eps 0.5 the gate rejects the demo corpus: exit 3, outputs written
+    assert codes == ([3, 3] if subcommand == "risk-gate" else [0, 0])
     assert first == second
-    assert "manifest.json" in first and len(first) == 3
+    assert "manifest.json" in first
+    assert len(first) == (4 if subcommand.startswith("audit") else 3)
+
+
+@pytest.mark.parametrize("subcommand", ["audit-trace", "audit-classification"])
+def test_validation_covers_every_detector(tmp_path, subcommand):
+    out = tmp_path / "out"
+    assert cli.main(_argv(tmp_path, subcommand) + ["--out", str(out)]) == 0
+    validation = json.loads((out / "validation.json").read_text())
+    records = [json.loads(line) for line in
+               (tmp_path / "corpus.jsonl").read_text().splitlines()]
+    assert validation["record_count"] == len(records)
+    assert set(validation["detectors"]) == set(pathology_ids())
+    ids = sorted(r["id"] for r in records)
+    for entry in validation["detectors"].values():
+        assert sorted(entry["available"] + list(entry["missing"])) == ids
 
 
 def test_game_reports_one_exact_round(tmp_path):

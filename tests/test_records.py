@@ -143,6 +143,11 @@ def test_validation_matrix_wrong_record_kind():
     for detector in ("delusion", "hallucination", "bluffing"):
         assert report.available[detector] == ()
     assert len(report.available["calibration_failure"]) == len(recs)
+    # one shared tuple per distinct set of missing fields
+    lacking = [fields for detector in report.missing.values()
+               for fields in detector.values()]
+    assert len(lacking) >= 21 * len(recs)
+    assert len({id(fields) for fields in lacking}) == len(set(lacking))
 
 
 def test_validation_order_independent(rng):
@@ -164,6 +169,16 @@ def test_knowledge_base_invariants():
     with pytest.raises(CorpusError, match="mixed"):
         KnowledgeBase(entries=(("a", np.array([1.0])),
                                ("b", np.array([1.0, 2.0]))))
+
+
+def test_knowledge_base_lookup_and_ids():
+    a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    kb = KnowledgeBase(entries=(("b", b), ("a", a)))
+    assert kb.lookup("a") is a and kb.lookup("b") is b
+    assert kb.lookup("c") is None
+    assert kb.entity_ids == frozenset({"a", "b"})
+    assert [e for e, _ in kb.entries] == ["b", "a"]
+    assert np.array_equal(kb.embedding_matrix(), [b, a])
 
 
 def test_causal_fixture_row_sums():
