@@ -12,9 +12,9 @@ from .registry import (ALIAS_GROUPS, Arity, DetectorOutcome, Family,
                        PathologyId, REGISTRY, ValidationReport,
                        distinct_pathology_count, pathology_ids,
                        validate_corpus)
-from .metrics import (MIEstimatorConfig, SimilarityConfig,
-                      avg_pairwise_similarity, coherence, contextual_distance,
-                      fluency, mutual_information, semantic_entropy, sim)
+from .metrics import (MIEstimatorConfig, avg_pairwise_similarity, coherence,
+                      contextual_distance, fluency, mutual_information,
+                      semantic_entropy, sim, sim_matrix)
 from .generative import (AuditResult, DetectorError, GenerativeConfig,
                          audit_generative, score)
 from .discriminative import (DiscriminativeConfig, DriftWindow,

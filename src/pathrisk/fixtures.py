@@ -555,10 +555,9 @@ def pareto_sweep(num_candidates=9, records_per_candidate=40, seed=7,
     Returns (candidate labels, objective pairs); both objectives are
     expectile risks over per-record losses.
     """
-    from .metrics import SimilarityConfig, sim
+    from .metrics import sim
     from .risk import ExpectileConfig, expectile
     rng = np.random.default_rng(seed)
-    clamped = SimilarityConfig(clamp=True)
     cfg = ExpectileConfig(tau=tau)
     labels = []
     values = []
@@ -573,7 +572,7 @@ def pareto_sweep(num_candidates=9, records_per_candidate=40, seed=7,
             out = (1.0 - s) * inp + s * filler
             out = out / np.linalg.norm(out)
             disfluency_losses.append(1.0 - s)
-            grounding_losses.append(1.0 - sim(out, inp, clamped))
+            grounding_losses.append(1.0 - sim(out, inp))
         labels.append(f"fluency={s:.3f}")
         values.append((expectile(disfluency_losses, cfg),
                        expectile(grounding_losses, cfg)))

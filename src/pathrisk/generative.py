@@ -17,15 +17,11 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .metrics import (MIEstimatorConfig, SimilarityConfig, clamp01, coherence,
-                      fluency, sim)
+from .metrics import (MIEstimatorConfig, clamp01, coherence, fluency, sim,
+                      sim_matrix)
 from .records import CausalFixture, TraceRecord
 from .registry import (EXISTENTIAL_EPS, Arity, DetectorOutcome,
                        GENERATIVE_DETECTORS, missing_fields)
-
-_CLAMPED = SimilarityConfig(clamp=True)
-_RAW = SimilarityConfig(clamp=False)
-
 
 class DetectorError(ValueError):
     """Detector cannot run: wrong arity, missing fields, no eligible data."""
@@ -131,8 +127,7 @@ def _outputs_distinct(record):
     # are assumed distinct (they were scored separately)
     if record.truth_embedding is None:
         return True
-    return sim(record.output_embedding, record.truth_embedding,
-               _CLAMPED) < 1.0 - 1e-9
+    return sim(record.output_embedding, record.truth_embedding) < 1.0 - 1e-9
 
 
 # --- record-level detectors -------------------------------------------------
@@ -158,7 +153,7 @@ def _score_delusion(record, cfg):
 def _score_illusion(record, cfg):
     if record.in_real_manifold:
         return 0.0, {"note": "output lies on the real manifold"}
-    s = sim(record.output_embedding, record.truth_embedding, _CLAMPED)
+    s = sim(record.output_embedding, record.truth_embedding)
     return s, {"truth_similarity": _fmt(s)}
 
 
@@ -168,7 +163,7 @@ def _score_hallucination(record, cfg):
 
 
 def _score_confabulation(record, cfg, kb):
-    c = coherence(record.claim_embeddings, kb, _CLAMPED)
+    c = coherence(record.claim_embeddings, kb)
     return 1.0 - c, {"coherence": _fmt(c),
                      "argmax_probability": _fmt(record.prob_output_given_input)}
 
@@ -194,13 +189,13 @@ def _score_exaggeration(record, cfg):
 def _score_uncanny_valley(record, cfg):
     if record.discomfort_score < cfg.d_hi:
         return 0.0, {"note": "discomfort below d_hi"}
-    s = sim(record.output_embedding, record.truth_embedding, _CLAMPED)
+    s = sim(record.output_embedding, record.truth_embedding)
     return s, {"human_similarity": _fmt(s),
                "discomfort": _fmt(record.discomfort_score)}
 
 
 def _score_pragmatic_misunderstanding(record, cfg):
-    s = sim(record.output_embedding, record.intent_embedding, _CLAMPED)
+    s = sim(record.output_embedding, record.intent_embedding)
     return 1.0 - s, {"intent_similarity": _fmt(s)}
 
 
@@ -219,11 +214,11 @@ def _score_simulated_authority(record, cfg, kb):
         raise DetectorError(
             f"simulated_authority: knowledge base has no entry "
             f"{cfg.expert_style_id!r}")
-    style_sim = sim(record.style_embedding, centroid, _CLAMPED)
+    style_sim = sim(record.style_embedding, centroid)
     if style_sim < cfg.s_hi:
         return 0.0, {"style_similarity": _fmt(style_sim),
                      "note": "style not expert-like"}
-    c = coherence(record.claim_embeddings, kb, _CLAMPED)
+    c = coherence(record.claim_embeddings, kb)
     return 1.0 - c, {"style_similarity": _fmt(style_sim),
                      "quality_proxy_coherence": _fmt(c)}
 
@@ -264,12 +259,11 @@ def _score_referential_hallucination(record, cfg, kb):
 
 
 def _score_semiotic_frankenstein(record, cfg, kb):
-    matrix = kb.embedding_matrix()
-    best = [max(sim(claim, entry, _CLAMPED) for entry in matrix)
-            for claim in record.claim_embeddings]
+    best = sim_matrix(record.claim_embeddings,
+                      kb.embedding_matrix()).max(axis=1)
     n = len(best)
-    matched = sum(1 for b in best if b >= cfg.s_hi)
-    unmatched = sum(1 for b in best if b <= cfg.s_lo)
+    matched = int(np.count_nonzero(best >= cfg.s_hi))
+    unmatched = int(np.count_nonzero(best <= cfg.s_lo))
     severity = clamp01(2.0 * min(matched, unmatched) / n)
     return severity, {"matched_claims": str(matched),
                       "unmatched_claims": str(unmatched),
@@ -284,7 +278,7 @@ def _score_misattribution(pair, cfg):
         raise DetectorError("misattribution: pair does not share content_id")
     if a.annotations.get("source_id") == b.annotations.get("source_id"):
         raise DetectorError("misattribution: pair shares source_id")
-    s = sim(a.output_embedding, b.output_embedding, _CLAMPED)
+    s = sim(a.output_embedding, b.output_embedding)
     return s, {"output_similarity": _fmt(s),
                "content_id": a.annotations["content_id"]}
 
@@ -300,7 +294,7 @@ def _score_semantic_drift(records, cfg):
     if len(records) < 3:
         raise DetectorError("semantic_drift: needs >= 3 records in sequence")
     intent = _intent_vector(records)
-    series = [sim(r.output_embedding, intent, _CLAMPED) for r in records]
+    series = [sim(r.output_embedding, intent) for r in records]
     slope = metrics.windowed_slope(series, cfg.window)
     endpoint = series[-1]
     severity = (1.0 - endpoint) if slope < 0.0 else 0.0
@@ -319,46 +313,38 @@ def _score_bluffing(records, cfg):
                       "mean_fluency": _fmt(mean_fluency)}
 
 
-def _distinct_inputs(a, b):
-    return sim(a.input_embedding, b.input_embedding, _CLAMPED) < 1.0 - 1e-9
+def _extreme_output_pair(records, input_bound, none_message, lowest):
+    """Lowest (or highest) output similarity over pairs i < j with input
+    similarity below input_bound, and its witness ids; ties go to the
+    first pair in row-major (i, j) order."""
+    inputs = np.asarray([r.input_embedding for r in records], dtype=float)
+    excluded = sim_matrix(inputs, inputs) >= input_bound
+    excluded |= np.tri(len(records), dtype=bool)
+    if excluded.all():
+        raise DetectorError(none_message)
+    outputs = np.asarray([r.output_embedding for r in records], dtype=float)
+    s = sim_matrix(outputs, outputs)
+    s[excluded] = np.inf if lowest else -np.inf
+    i, j = divmod(int(s.argmin() if lowest else s.argmax()), len(records))
+    return float(s[i, j]), f"{records[i].id},{records[j].id}"
 
 
 def _score_cognitive_stereotypy(records, cfg):
-    worst = None
-    pair = None
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            if not _distinct_inputs(records[i], records[j]):
-                continue
-            s = sim(records[i].output_embedding, records[j].output_embedding,
-                    _CLAMPED)
-            if worst is None or s < worst:
-                worst, pair = s, (records[i].id, records[j].id)
-    if worst is None:
-        raise DetectorError("cognitive_stereotypy: no pair of records with "
-                            "distinct inputs")
+    worst, pair = _extreme_output_pair(
+        records, 1.0 - 1e-9,
+        "cognitive_stereotypy: no pair of records with distinct inputs",
+        lowest=True)
     return worst, {"min_output_similarity": _fmt(worst),
-                   "witness_pair": ",".join(pair)}
+                   "witness_pair": pair}
 
 
 def _score_hypersignification(records, cfg):
-    best = None
-    pair = None
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            in_sim = sim(records[i].input_embedding,
-                         records[j].input_embedding, _CLAMPED)
-            if in_sim >= cfg.s_lo:
-                continue
-            s = sim(records[i].output_embedding, records[j].output_embedding,
-                    _CLAMPED)
-            if best is None or s > best:
-                best, pair = s, (records[i].id, records[j].id)
-    if best is None:
-        raise DetectorError("hypersignification: no weakly related input "
-                            "pair in corpus")
+    best, pair = _extreme_output_pair(
+        records, cfg.s_lo,
+        "hypersignification: no weakly related input pair in corpus",
+        lowest=False)
     return best, {"max_output_similarity": _fmt(best),
-                  "witness_pair": ",".join(pair)}
+                  "witness_pair": pair}
 
 
 def _score_semantic_warming(records, cfg):
@@ -434,6 +420,20 @@ _GROUP_SCORERS = {
 }
 
 
+def _unit_ids(arity, data):
+    """The record ids of the outcome scored on one unit of that arity."""
+    if arity is Arity.FIXTURE:
+        return (f"{data.x_name}->{data.y_name}",)
+    if arity is Arity.RECORD:
+        return (data.id,)
+    if arity is Arity.PAIR:
+        return tuple(sorted(r.id for r in data))
+    if arity is Arity.SEQUENCE:
+        cid = data[0].annotations.get("conversation_id", "")
+        return (cid,) if cid else ()
+    return ()
+
+
 def score(pathology, data, cfg=GenerativeConfig(), kb=None):
     """Score one generative detector on data matching its arity.
 
@@ -451,7 +451,6 @@ def score(pathology, data, cfg=GenerativeConfig(), kb=None):
         if not isinstance(data, CausalFixture):
             raise DetectorError(f"{pathology}: expected a CausalFixture")
         severity, evidence = _score_causal_failure(data, c)
-        ids = (f"{data.x_name}->{data.y_name}",)
     elif info.arity is Arity.RECORD:
         if not isinstance(data, TraceRecord):
             raise DetectorError(f"{pathology}: expected a single TraceRecord")
@@ -462,32 +461,26 @@ def score(pathology, data, cfg=GenerativeConfig(), kb=None):
             severity, evidence = _RECORD_KB_SCORERS[pathology](data, c, kb)
         else:
             severity, evidence = _RECORD_SCORERS[pathology](data, c)
-        ids = (data.id,)
     elif info.arity is Arity.PAIR:
-        pair = tuple(data)
-        if len(pair) != 2 or not all(isinstance(r, TraceRecord)
-                                     for r in pair):
+        data = tuple(data)
+        if len(data) != 2 or not all(isinstance(r, TraceRecord)
+                                     for r in data):
             raise DetectorError(f"{pathology}: expected a pair of records")
-        for rec in pair:
+        for rec in data:
             _require(rec, pathology)
-        severity, evidence = _score_misattribution(pair, c)
-        ids = tuple(sorted(r.id for r in pair))
+        severity, evidence = _score_misattribution(data, c)
     else:
         if isinstance(data, TraceRecord):
             raise DetectorError(f"{pathology}: corpus detector needs a "
                                 f"record sequence, got a single record")
-        records = list(data)
-        if len(records) < 2:
+        data = list(data)
+        if len(data) < 2:
             raise DetectorError(f"{pathology}: needs >= 2 records")
-        for rec in records:
+        for rec in data:
             _require(rec, pathology)
-        severity, evidence = _GROUP_SCORERS[pathology](records, c)
-        if info.arity is Arity.SEQUENCE:
-            cid = records[0].annotations.get("conversation_id", "")
-            ids = (cid,) if cid else ()
-        else:
-            ids = ()
-    return DetectorOutcome(pathology=pathology, record_ids=ids,
+        severity, evidence = _GROUP_SCORERS[pathology](data, c)
+    return DetectorOutcome(pathology=pathology,
+                           record_ids=_unit_ids(info.arity, data),
                            severity=severity, threshold=threshold,
                            evidence=evidence)
 
@@ -496,6 +489,8 @@ def score(pathology, data, cfg=GenerativeConfig(), kb=None):
 class AuditResult:
     outcomes: tuple
     skipped: dict   # detector -> reason
+    # detector -> {unit ids: reason}; None where each detector has one unit
+    dropped: Optional[dict] = None
 
     def by_pathology(self):
         grouped = {}
@@ -504,8 +499,11 @@ class AuditResult:
         return grouped
 
     def to_json_dict(self):
-        return {"outcomes": [o.to_json_dict() for o in self.outcomes],
-                "skipped": dict(sorted(self.skipped.items()))}
+        out = {"outcomes": [o.to_json_dict() for o in self.outcomes],
+               "skipped": dict(sorted(self.skipped.items()))}
+        if self.dropped is not None:
+            out["dropped"] = self.dropped
+        return out
 
 
 def _conversations(records):
@@ -531,6 +529,21 @@ def _misattribution_pairs(records):
     return pairs
 
 
+def _units(arity, eligible, fixtures):
+    """The units a detector of that arity scores; the reason if none."""
+    if arity is Arity.RECORD:
+        return eligible, "no record carries the required fields"
+    if arity is Arity.PAIR:
+        return (_misattribution_pairs(eligible),
+                "no content-matched pair with distinct sources")
+    if arity is Arity.FIXTURE:
+        return list(fixtures), "no causal fixtures supplied"
+    if arity is Arity.SEQUENCE:
+        return _conversations(eligible), "no conversation long enough"
+    return ([eligible] if len(eligible) >= 2 else [],
+            "fewer than 2 eligible records")
+
+
 def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig()):
     """Run every generative detector that has the data it needs.
 
@@ -538,56 +551,33 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig()):
     sequence detectors score each conversation (annotation
     `conversation_id`, whole corpus when absent); misattribution scores
     every content-matched source-mismatched pair; the causal detector
-    scores each fixture. Detectors with nothing to score are reported as
-    skipped. Outcomes are sorted by (pathology, record ids).
+    scores each fixture. Each unit is scored on its own: one that fails is
+    listed in `dropped` with its reason, and the detector's other units are
+    still scored. A detector that scores nothing is reported as skipped.
+    Outcomes are sorted by (pathology, record ids).
     """
     outcomes = []
     skipped = {}
+    dropped = {}
     for pathology, info in GENERATIVE_DETECTORS.items():
-        needs_kb = info.needs_kb
-        if needs_kb and kb is None:
+        if info.needs_kb and kb is None:
             skipped[pathology] = "no knowledge base supplied"
             continue
         eligible = [r for r in corpus
                     if not missing_fields(r, info)]
-        try:
-            if info.arity is Arity.RECORD:
-                if not eligible:
-                    skipped[pathology] = "no record carries the required fields"
-                    continue
-                for rec in eligible:
-                    outcomes.append(score(pathology, rec, cfg, kb=kb))
-            elif info.arity is Arity.PAIR:
-                pairs = _misattribution_pairs(eligible)
-                if not pairs:
-                    skipped[pathology] = "no content-matched pair with " \
-                                         "distinct sources"
-                    continue
-                for pair in pairs:
-                    outcomes.append(score(pathology, pair, cfg, kb=kb))
-            elif info.arity is Arity.FIXTURE:
-                if not fixtures:
-                    skipped[pathology] = "no causal fixtures supplied"
-                    continue
-                for fixture in fixtures:
-                    outcomes.append(score(pathology, fixture, cfg, kb=kb))
-            elif info.arity is Arity.SEQUENCE:
-                scored_any = False
-                for conversation in _conversations(eligible):
-                    try:
-                        outcomes.append(score(pathology, conversation, cfg,
-                                              kb=kb))
-                        scored_any = True
-                    except (DetectorError, metrics.MetricError):
-                        continue
-                if not scored_any:
-                    skipped[pathology] = "no conversation long enough"
-            else:
-                if len(eligible) < 2:
-                    skipped[pathology] = "fewer than 2 eligible records"
-                    continue
-                outcomes.append(score(pathology, eligible, cfg, kb=kb))
-        except (DetectorError, metrics.MetricError) as exc:
-            skipped[pathology] = str(exc)
+        units, reason = _units(info.arity, eligible, fixtures)
+        scored = 0
+        lost = {}
+        for unit in units:
+            try:
+                outcomes.append(score(pathology, unit, cfg, kb=kb))
+                scored += 1
+            except (DetectorError, metrics.MetricError) as exc:
+                lost[",".join(_unit_ids(info.arity, unit))] = str(exc)
+        if lost:
+            dropped[pathology] = lost
+        if not scored:
+            skipped[pathology] = next(iter(lost.values()), reason)
     outcomes.sort(key=lambda o: o.sort_key())
-    return AuditResult(outcomes=tuple(outcomes), skipped=skipped)
+    return AuditResult(outcomes=tuple(outcomes), skipped=skipped,
+                       dropped=dropped)

@@ -6,6 +6,8 @@ parallel without coordination.
 
 Similarity is cosine. Detector thresholds operate on the clamped scale
 (1 + cos)/2 in [0, 1]: 0 antipodal, 0.5 orthogonal, 1 identical.
+`sim_matrix` is the one kernel for similarity over sets of embeddings
+(pairs of outputs, claims x KB entries); the scalar `sim` is its reference.
 """
 
 import math
@@ -22,16 +24,6 @@ class MetricError(ValueError):
 
 class InsufficientDataError(MetricError):
     """Too few samples for the requested estimate."""
-
-
-@dataclass(frozen=True)
-class SimilarityConfig:
-    kind: str = "cosine"
-    clamp: bool = True
-
-    def __post_init__(self):
-        if self.kind != "cosine":
-            raise MetricError(f"unsupported similarity kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +55,8 @@ def clamp01(x):
     return float(min(1.0, max(0.0, x)))
 
 
-def sim(a, b, cfg=SimilarityConfig()):
-    """Cosine similarity; clamped to [0,1] via (1+cos)/2 when cfg.clamp."""
+def sim(a, b, clamp=True):
+    """Cosine similarity; clamped to [0,1] via (1+cos)/2 when clamp."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -75,7 +67,31 @@ def sim(a, b, cfg=SimilarityConfig()):
         raise MetricError("similarity undefined for a zero vector")
     c = float(np.dot(a, b) / (na * nb))
     c = min(1.0, max(-1.0, c))
-    return (1.0 + c) / 2.0 if cfg.clamp else c
+    return (1.0 + c) / 2.0 if clamp else c
+
+
+def sim_matrix(a, b, clamp=True):
+    """`sim` of every row of a against every row of b, as a
+    (len(a), len(b)) array. Built in place on the one product a @ b.T."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise MetricError(f"shape mismatch {a.shape} vs {b.shape}")
+    if np.may_share_memory(a, b):
+        # a @ a.T runs syrk, whose blocks can round equal entries apart
+        b = b.copy()
+    na = np.sqrt(np.einsum("ij,ij->i", a, a))
+    nb = np.sqrt(np.einsum("ij,ij->i", b, b))
+    if not (na.all() and nb.all()):
+        raise MetricError("similarity undefined for a zero vector")
+    s = a @ b.T
+    for row, norm in zip(s, na):
+        row /= norm * nb   # as in sim: one division by the norm product
+    np.clip(s, -1.0, 1.0, out=s)
+    if clamp:
+        s += 1.0
+        s /= 2.0
+    return s
 
 
 def fluency(token_logprobs):
@@ -140,37 +156,29 @@ def mutual_information(xs, ys, cfg=MIEstimatorConfig()):
     return max(0.0, mi)
 
 
-def coherence(claim_embeddings, kb, cfg=SimilarityConfig()):
+def coherence(claim_embeddings, kb):
     """Mean over claims of the max clamped similarity to any KB entry.
 
-    Always computed on the clamped [0,1] scale so the score is a coherence
+    Computed on the clamped [0,1] scale so the score is a coherence
     fraction comparable to tau_C.
     """
-    claims = list(claim_embeddings)
-    if not claims:
+    if len(claim_embeddings) == 0:
         raise MetricError("coherence needs at least one claim")
     matrix = kb.embedding_matrix()
     if matrix.size == 0:
         raise MetricError("coherence against an empty knowledge base")
-    clamped = SimilarityConfig(kind=cfg.kind, clamp=True)
-    total = 0.0
-    for claim in claims:
-        total += max(sim(claim, entry, clamped) for entry in matrix)
-    return total / len(claims)
+    return float(sim_matrix(claim_embeddings, matrix).max(axis=1).mean())
 
 
 def avg_pairwise_similarity(vectors):
     """Mean raw cosine over all unordered pairs; needs >= 2 vectors."""
-    vecs = list(vectors)
-    t = len(vecs)
+    v = np.asarray(vectors, dtype=float)
+    t = len(v)
     if t < 2:
         raise MetricError("average pairwise similarity needs >= 2 vectors")
-    raw = SimilarityConfig(clamp=False)
-    total = 0.0
-    for i in range(t):
-        for j in range(i + 1, t):
-            total += sim(vecs[i], vecs[j], raw)
-    return total * 2.0 / (t * (t - 1))
+    s = sim_matrix(v, v, clamp=False)
+    s[np.tri(t, dtype=bool)] = 0.0   # keep the strict upper triangle
+    return float(s.sum()) * 2.0 / (t * (t - 1))
 
 
 def semantic_entropy(embeddings, ridge=0.0):

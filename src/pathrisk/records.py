@@ -113,6 +113,9 @@ class TraceRecord:
                         f"context vector length {c.size} != d_e {d_e}",
                         rid, "context_vectors", line)
         if self.claim_embeddings is not None:
+            if len(self.claim_embeddings) == 0:
+                raise RecordValidationError("empty claim list", rid,
+                                            "claim_embeddings", line)
             dims = {c.size for c in self.claim_embeddings}
             if len(dims) > 1:
                 raise RecordValidationError(
@@ -360,9 +363,8 @@ class KnowledgeBase:
                 f"knowledge base embeddings have mixed lengths {sorted(dims)}")
         self.entity_ids = frozenset(self._vectors)
 
-    def embedding_matrix(self, exclude=()):
-        vecs = [v for e, v in self.entries if e not in exclude]
-        return np.asarray(vecs, dtype=float)
+    def embedding_matrix(self):
+        return np.asarray([v for _, v in self.entries], dtype=float)
 
     def lookup(self, entity_id):
         return self._vectors.get(entity_id)

@@ -5,7 +5,9 @@ oracle evaluates the asymmetric quadratic objective on a dense grid, the
 pareto oracle is a naive double loop, and the projection oracles grid-walk
 the feasible set. The canonical JSON oracle is the two-pass encoder the
 package used before it streamed: a canonicalised deep copy handed to the
-standard library's json.dumps.
+standard library's json.dumps. The pair-detector oracles are the double
+loops over the scalar `sim` that cognitive stereotypy and
+hypersignification ran before the similarity kernel.
 """
 
 import json
@@ -113,3 +115,29 @@ def canonical_json(obj):
     """Canonical JSON text of obj via a deep copy and json.dumps."""
     return json.dumps(_canon(obj), sort_keys=True, indent=1,
                       separators=(",", ": "))
+
+
+def _loop_output_pair(records, input_bound, better):
+    from pathrisk.metrics import sim
+    found = None
+    for i in range(len(records)):
+        for j in range(i + 1, len(records)):
+            if sim(records[i].input_embedding,
+                   records[j].input_embedding) >= input_bound:
+                continue
+            s = sim(records[i].output_embedding, records[j].output_embedding)
+            if found is None or better(s, found[0]):
+                found = (s, f"{records[i].id},{records[j].id}")
+    return found
+
+
+def loop_cognitive_stereotypy(records):
+    """(min clamped output similarity over pairs with distinct inputs,
+    witness ids) or None; the first pair in (i, j) order wins a tie."""
+    return _loop_output_pair(records, 1.0 - 1e-9, lambda s, b: s < b)
+
+
+def loop_hypersignification(records, s_lo):
+    """(max clamped output similarity over pairs whose clamped input
+    similarity is below s_lo, witness ids) or None; first pair wins."""
+    return _loop_output_pair(records, s_lo, lambda s, b: s > b)

@@ -97,6 +97,18 @@ def test_validation_covers_every_detector(tmp_path, subcommand):
         assert sorted(entry["available"] + list(entry["missing"])) == ids
 
 
+def test_audit_rejects_an_empty_claim_list(tmp_path, capsys):
+    argv = _trace_audit(tmp_path)
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"id": "no-claims",
+                                 "input_embedding": [1.0, 0.0, 0.0, 0.0],
+                                 "output_embedding": [0.0, 1.0, 0.0, 0.0],
+                                 "claim_embeddings": []}) + "\n")
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "'no-claims', field 'claim_embeddings'" in capsys.readouterr().err
+
+
 def test_game_reports_one_exact_round(tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(fixtures.coupled_game_scenario()))

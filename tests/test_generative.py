@@ -14,6 +14,7 @@ from pathrisk.registry import (ALIAS_GROUPS, GENERATIVE_DETECTORS,
                                DISCRIMINATIVE_DETECTORS, alias_label,
                                distinct_pathology_count, pathology_ids)
 from conftest import random_orthogonal
+from oracles import loop_cognitive_stereotypy, loop_hypersignification
 
 GEN_IDS = sorted(GENERATIVE_DETECTORS)
 
@@ -101,6 +102,7 @@ class TestAudit:
         result = audit_generative([])
         assert result.outcomes == ()
         assert set(result.skipped) == set(GENERATIVE_DETECTORS)
+        assert result.to_json_dict()["dropped"] == {}
 
     def test_determinism(self):
         bundle = fixtures.generative_fixture("bluffing", True)
@@ -123,6 +125,107 @@ class TestAudit:
         assert "no knowledge base supplied" in result.skipped["confabulation"]
         assert "no causal fixtures supplied" in \
             result.skipped["causal_inference_failure"]
+
+
+    def test_failing_unit_does_not_stop_later_units(self):
+        # r1 has 2 context vectors, contextual_drift needs drift_k + 1 = 4
+        ctx = tuple(np.eye(4))
+        records = [TraceRecord(id=f"r{i}", input_embedding=np.eye(4)[0],
+                               output_embedding=np.eye(4)[1],
+                               context_vectors=ctx[:2] if i == 1 else ctx)
+                   for i in range(4)]
+        result = audit_generative(records)
+        scored = [o.record_ids for o in result.outcomes
+                  if o.pathology == "contextual_drift"]
+        assert scored == [("r0",), ("r2",), ("r3",)]
+        assert "contextual_drift" not in result.skipped
+        assert list(result.dropped["contextual_drift"]) == ["r1"]
+        assert "needs >= k+1 = 4" in result.dropped["contextual_drift"]["r1"]
+
+    def test_dropped_corpus_unit_is_listed_and_skipped(self):
+        # every demo record shares one input, so no pair qualifies
+        records = fixtures.demo_trace_corpus()
+        result = audit_generative(records, kb=fixtures.standard_kb(),
+                                  fixtures=[fixtures.demo_causal_fixture()])
+        dropped = result.to_json_dict()["dropped"]
+        assert sorted(dropped) == ["cognitive_stereotypy",
+                                   "hypersignification"]
+        for pathology, units in dropped.items():
+            assert units == {"": result.skipped[pathology]}
+
+    def test_detector_that_scores_nothing_is_skipped_and_dropped(self):
+        # one conversation of 3 records: semantic_warming needs 4
+        records = [TraceRecord(id=f"r{i}", input_embedding=np.eye(4)[0],
+                               output_embedding=np.eye(4)[1],
+                               style_embedding=np.eye(4)[i],
+                               output_token_logprobs=(-0.1,),
+                               annotations={"conversation_id": "c0"})
+                   for i in range(3)]
+        result = audit_generative(records)
+        reason = result.dropped["semantic_warming"]["c0"]
+        assert "needs >= 4 records" in reason
+        assert result.skipped["semantic_warming"] == reason
+
+
+def _pair_corpus(seed, kind):
+    """Records whose input/output pairs the pair detectors scan. "basis"
+    draws every embedding from +-e_k, so many similarities tie exactly;
+    "planted" copies some inputs (pairs the mask must exclude) and some
+    outputs (exact ties on the output side)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 14))
+    d = int(rng.integers(2, 6))
+    if kind == "basis":
+        signed = np.vstack([np.eye(d), -np.eye(d)])
+        inputs = signed[rng.integers(0, 2 * d, size=n)]
+        outputs = signed[rng.integers(0, 2 * d, size=n)]
+    else:
+        inputs = rng.standard_normal((n, d))
+        outputs = rng.standard_normal((n, d))
+        if kind == "planted":
+            inputs[rng.integers(0, n, size=n // 2)] = inputs[0]
+            outputs[rng.integers(0, n, size=n // 2)] = outputs[-1]
+    return [TraceRecord(id=f"r{i:02d}", input_embedding=x,
+                        output_embedding=y)
+            for i, (x, y) in enumerate(zip(inputs, outputs))]
+
+
+class TestPairDetectorsAgainstLoops:
+    @pytest.mark.parametrize("kind", ["random", "planted", "basis"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kernel_equals_double_loop(self, seed, kind):
+        records = _pair_corpus(seed, kind)
+        # s_lo above 1 lets every pair qualify, itself included, so only
+        # the strict upper triangle keeps a record from pairing with itself
+        cases = [("cognitive_stereotypy", GenerativeConfig(),
+                  loop_cognitive_stereotypy(records))]
+        cases += [("hypersignification", GenerativeConfig(s_lo=s_lo),
+                   loop_hypersignification(records, s_lo))
+                  for s_lo in (GenerativeConfig().s_lo, 1.01)]
+        for pathology, cfg, expected in cases:
+            if expected is None:
+                with pytest.raises(DetectorError, match=pathology):
+                    score(pathology, records, cfg)
+                continue
+            outcome = score(pathology, records, cfg)
+            assert outcome.severity == pytest.approx(expected[0], abs=1e-12)
+            assert outcome.evidence["witness_pair"] == expected[1]
+
+    def test_basis_corpora_exercise_ties_and_the_mask(self):
+        # guards the test above: some basis corpora must hold a tied
+        # extreme and an excluded pair, or the tie rule goes unchecked
+        ties = excluded = 0
+        for seed in range(40):
+            records = _pair_corpus(seed, "basis")
+            ins = np.array([r.input_embedding for r in records])
+            outs = np.array([r.output_embedding for r in records])
+            iu = np.triu_indices(len(records), 1)
+            in_sim = (ins @ ins.T)[iu]
+            out_sim = (outs @ outs.T)[iu][in_sim < 1.0]
+            excluded += int(np.any(in_sim == 1.0))
+            ties += int(out_sim.size > 1
+                        and np.sum(out_sim == out_sim.min()) > 1)
+        assert ties >= 10 and excluded >= 10
 
 
 class TestErrors:

@@ -6,18 +6,36 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pathrisk.metrics import (InsufficientDataError, LOG_2PI_E, MetricError,
-                              MIEstimatorConfig, SimilarityConfig,
+                              MIEstimatorConfig,
                               avg_pairwise_similarity, coherence,
                               contextual_distance, fluency,
                               mutual_information, semantic_entropy, sim,
-                              windowed_slope)
+                              sim_matrix, windowed_slope)
 from pathrisk.records import KnowledgeBase
 
-RAW = SimilarityConfig(clamp=False)
-CLAMPED = SimilarityConfig(clamp=True)
+RAW = False
+CLAMPED = True
 
 _vectors = st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=2, max_size=8)
+# entries are 0 or at least 1e-3 in magnitude, so no squared norm underflows
+_entries = st.one_of(st.just(0.0), st.floats(1e-3, 1e3),
+                     st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(a, b) with nonzero rows of one width; b also holds positive and
+    negative multiples of a's rows, near-parallel and antiparallel pairs
+    whose cosine the clip to [-1, 1] can bind on."""
+    d = draw(st.integers(1, 6))
+    row = st.lists(_entries, min_size=d, max_size=d).filter(
+        lambda r: any(x != 0.0 for x in r))
+    a = np.array(draw(st.lists(row, min_size=1, max_size=5)))
+    b = draw(st.lists(row, min_size=0, max_size=5))
+    scale = draw(st.floats(1e-2, 1e2))
+    b = np.array(b + [scale * r for r in a] + [-scale * r for r in a])
+    return a, b
 
 
 class TestSim:
@@ -58,6 +76,39 @@ class TestSim:
         if np.linalg.norm(a) == 0.0 or np.linalg.norm(b) == 0.0:
             return
         assert sim(a, b, RAW) == pytest.approx(sim(b, a, RAW), abs=1e-12)
+
+
+class TestSimMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(_kernel_inputs(), st.booleans())
+    def test_equals_scalar_sim(self, ab, clamp):
+        a, b = ab
+        for left, right in ((a, b), (a, a)):
+            matrix = sim_matrix(left, right, clamp=clamp)
+            assert matrix.shape == (len(left), len(right))
+            for i, x in enumerate(left):
+                for j, y in enumerate(right):
+                    assert matrix[i, j] == pytest.approx(
+                        sim(x, y, clamp), abs=1e-12)
+
+    def test_clip_binds_on_parallel_rows(self):
+        # unclipped, a . 3a / (|a| |3a|) rounds to just above 1 for this a
+        a = np.array([[0.1, 0.1, 1.3]])
+        b = np.vstack([3.0 * a, -3.0 * a])
+        assert sim_matrix(a, b, clamp=False).tolist() == [[1.0, -1.0]]
+        assert sim_matrix(a, b).tolist() == [[1.0, 0.0]]
+
+    def test_zero_row_error(self):
+        with pytest.raises(MetricError, match="zero vector"):
+            sim_matrix([[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0]])
+        with pytest.raises(MetricError, match="zero vector"):
+            sim_matrix([[1.0, 0.0]], [[0.0, 0.0]])
+
+    def test_width_mismatch_error(self):
+        with pytest.raises(MetricError, match="shape mismatch"):
+            sim_matrix([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+        with pytest.raises(MetricError, match="shape mismatch"):
+            sim_matrix([1.0, 0.0], [[1.0, 0.0]])
 
 
 class TestFluency:

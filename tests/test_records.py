@@ -100,6 +100,16 @@ def test_positive_logprob_rejected(tmp_path):
         load_trace_corpus(path, "trace")
 
 
+def test_empty_claim_list_rejected(tmp_path):
+    path = tmp_path / "claims.jsonl"
+    _write_jsonl(path, [{"id": "a", "input_embedding": [1.0, 0.0],
+                         "output_embedding": [0.0, 1.0],
+                         "claim_embeddings": []}])
+    with pytest.raises(RecordValidationError,
+                       match="record 'a', field 'claim_embeddings'"):
+        load_trace_corpus(path, "trace")
+
+
 def test_probability_range_enforced(tmp_path):
     path = tmp_path / "p.jsonl"
     _write_jsonl(path, [{"id": "a", "input_embedding": [1.0],
