@@ -350,7 +350,11 @@ def _score_hypersignification(records, cfg):
 def _score_semantic_warming(records, cfg):
     if len(records) < 4:
         raise DetectorError("semantic_warming: needs >= 4 records in sequence")
-    styles = [r.style_embedding for r in records]
+    lengths = sorted({r.style_embedding.size for r in records})
+    if len(lengths) > 1:
+        raise DetectorError(f"semantic_warming: style embeddings have "
+                            f"mixed lengths {lengths}")
+    styles = np.asarray([r.style_embedding for r in records], dtype=float)
     davg_series = [metrics.avg_pairwise_similarity(styles[:t])
                    for t in range(2, len(styles) + 1)]
     entropy_series = [metrics.semantic_entropy(styles[:t],

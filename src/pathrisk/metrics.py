@@ -184,7 +184,16 @@ def avg_pairwise_similarity(vectors):
 def semantic_entropy(embeddings, ridge=0.0):
     """Gaussian differential entropy 0.5 log((2 pi e)^d det(Sigma + ridge I))
     of the sample covariance. May be negative; callers that need a
-    monotone signal use its slope over time."""
+    monotone signal use its slope over time.
+
+    Sigma = Z'Z / m with m = max(n - 1, 1), where the n - 1 Helmert rows
+    Z_j = (x_1 + ... + x_j - j x_{j+1}) / sqrt(j (j + 1)) span the centred
+    samples orthonormally: Z'Z = X'X for the centred X, without the
+    all-ones null direction that rounding would perturb at a small ridge.
+    det(r I_d + Z'Z / m) = r^(d-k) det(r I_k + G), where G is the smaller
+    k x k Gram matrix: Z Z' / m when n - 1 <= d, else Z'Z / m. No d x d
+    array is formed when n <= d; memory is O(min(n, d)^2) beyond the input.
+    """
     E = _as_sample_matrix(embeddings)
     n, d = E.shape
     if ridge < 0.0:
@@ -193,14 +202,17 @@ def semantic_entropy(embeddings, ridge=0.0):
         raise InsufficientDataError(
             f"need >= d+1 = {d + 1} samples for a full-rank covariance "
             f"(got {n}); pass ridge > 0 otherwise")
-    if n < 2:
-        cov = np.zeros((d, d))
-    else:
-        cov = np.atleast_2d(np.cov(E, rowvar=False, ddof=1))
-    sigma = cov + ridge * np.eye(d)
-    sign, logdet = np.linalg.slogdet(sigma)
+    j = np.arange(1.0, n)[:, None]
+    Z = (np.cumsum(E[:-1], axis=0) - j * E[1:]) / np.sqrt(j * (j + 1.0))
+    gram = Z @ Z.T if n - 1 <= d else Z.T @ Z
+    k = len(gram)
+    gram /= max(n - 1, 1)
+    gram[np.diag_indices(k)] += ridge
+    sign, logdet = np.linalg.slogdet(gram)
     if sign <= 0 or not math.isfinite(logdet):
         raise MetricError("singular covariance; pass ridge > 0")
+    if d > k:   # ridge > 0 here: ridge == 0 needs n > d
+        logdet += (d - k) * math.log(ridge)
     return float(0.5 * (d * LOG_2PI_E + logdet))
 
 

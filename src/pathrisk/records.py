@@ -352,19 +352,25 @@ class KnowledgeBase:
     source_tag: str = ""
     entity_ids: frozenset = field(init=False, repr=False)
     _vectors: dict = field(init=False, repr=False)
+    _matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._vectors = dict(self.entries)
-        if len(self._vectors) != len(self.entries):
+        ids = [e for e, _ in self.entries]
+        if len(set(ids)) != len(ids):
             raise CorpusError("knowledge base entity ids are not unique")
         dims = {vec.size for _, vec in self.entries}
         if len(dims) > 1:
             raise CorpusError(
                 f"knowledge base embeddings have mixed lengths {sorted(dims)}")
-        self.entity_ids = frozenset(self._vectors)
+        # one read-only matrix; entries and lookup hand out its rows
+        self._matrix = np.array([v for _, v in self.entries], dtype=float)
+        self._matrix.flags.writeable = False
+        self.entries = tuple(zip(ids, self._matrix))
+        self._vectors = dict(self.entries)
+        self.entity_ids = frozenset(ids)
 
     def embedding_matrix(self):
-        return np.asarray([v for _, v in self.entries], dtype=float)
+        return self._matrix
 
     def lookup(self, entity_id):
         return self._vectors.get(entity_id)

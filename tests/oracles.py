@@ -7,7 +7,9 @@ the feasible set. The canonical JSON oracle is the two-pass encoder the
 package used before it streamed: a canonicalised deep copy handed to the
 standard library's json.dumps. The pair-detector oracles are the double
 loops over the scalar `sim` that cognitive stereotypy and
-hypersignification ran before the similarity kernel.
+hypersignification ran before the similarity kernel. The entropy oracle is
+the d x d covariance formula semantic_entropy used before it moved to the
+smaller Gram matrix.
 """
 
 import json
@@ -141,3 +143,17 @@ def loop_hypersignification(records, s_lo):
     """(max clamped output similarity over pairs whose clamped input
     similarity is below s_lo, witness ids) or None; first pair wins."""
     return _loop_output_pair(records, s_lo, lambda s, b: s > b)
+
+
+def cov_semantic_entropy(embeddings, ridge):
+    """0.5 log((2 pi e)^d det(Sigma + ridge I_d)) from the full d x d
+    sample covariance (ddof 1; the zero matrix for a single sample)."""
+    E = np.atleast_2d(np.asarray(embeddings, dtype=float))
+    n, d = E.shape
+    if n < 2:
+        cov = np.zeros((d, d))
+    else:
+        cov = np.atleast_2d(np.cov(E, rowvar=False, ddof=1))
+    sign, logdet = np.linalg.slogdet(cov + ridge * np.eye(d))
+    assert sign > 0
+    return 0.5 * (d * math.log(2.0 * math.pi * math.e) + logdet)

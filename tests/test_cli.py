@@ -109,6 +109,23 @@ def test_audit_rejects_an_empty_claim_list(tmp_path, capsys):
     assert "'no-claims', field 'claim_embeddings'" in capsys.readouterr().err
 
 
+def test_audit_drops_a_conversation_with_mixed_style_lengths(tmp_path):
+    argv = _trace_audit(tmp_path)
+    with open(tmp_path / "corpus.jsonl", "a", encoding="utf-8") as handle:
+        for i, dim in enumerate([4, 4, 5, 5]):
+            handle.write(json.dumps({
+                "id": f"mixed-{i}", "input_embedding": [1.0, 0.0, 0.0, 0.0],
+                "output_embedding": [0.0, 1.0, 0.0, 0.0],
+                "style_embedding": [1.0] + [0.5 * i] * (dim - 1),
+                "output_token_logprobs": [-0.1],
+                "annotations": {"conversation_id": "mixed"}}) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    outcomes = json.loads((out / "outcomes.json").read_text())
+    reason = "semantic_warming: style embeddings have mixed lengths [4, 5]"
+    assert outcomes["dropped"]["semantic_warming"] == {"mixed": reason}
+
+
 def test_game_reports_one_exact_round(tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(fixtures.coupled_game_scenario()))

@@ -166,6 +166,23 @@ class TestAudit:
         assert "needs >= 4 records" in reason
         assert result.skipped["semantic_warming"] == reason
 
+    def test_mixed_style_lengths_drop_only_that_conversation(self):
+        def record(i, conversation, dim):
+            return TraceRecord(id=f"{conversation}r{i}",
+                               input_embedding=np.eye(4)[0],
+                               output_embedding=np.eye(4)[1],
+                               style_embedding=np.eye(dim)[i % dim] + 0.1,
+                               output_token_logprobs=(-0.1,),
+                               annotations={"conversation_id": conversation})
+        records = ([record(i, "c0", 4 if i < 2 else 5) for i in range(4)]
+                   + [record(i, "c1", 4) for i in range(4)])
+        result = audit_generative(records)
+        reason = "semantic_warming: style embeddings have mixed lengths [4, 5]"
+        assert result.dropped["semantic_warming"] == {"c0": reason}
+        scored = [o.record_ids for o in result.outcomes
+                  if o.pathology == "semantic_warming"]
+        assert scored == [("c1",)]
+
 
 def _pair_corpus(seed, kind):
     """Records whose input/output pairs the pair detectors scan. "basis"

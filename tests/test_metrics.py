@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pathrisk.metrics import (InsufficientDataError, LOG_2PI_E, MetricError,
                               mutual_information, semantic_entropy, sim,
                               sim_matrix, windowed_slope)
 from pathrisk.records import KnowledgeBase
+from oracles import cov_semantic_entropy
 
 RAW = False
 CLAMPED = True
@@ -258,12 +260,68 @@ class TestSemanticEntropy:
         assert semantic_entropy(contracted) < semantic_entropy(samples)
 
     def test_singular_without_ridge(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match="singular"):
             semantic_entropy(np.tile([1.0, 2.0], (5, 1)), ridge=0.0)
 
     def test_needs_enough_samples(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError, match="d\\+1 = 5"):
             semantic_entropy(np.zeros((2, 4)), ridge=0.0)
+        with pytest.raises(InsufficientDataError):
+            semantic_entropy(np.ones((4, 4)), ridge=0.0)   # n = d
+
+    def test_negative_ridge(self):
+        with pytest.raises(MetricError, match="ridge must be >= 0"):
+            semantic_entropy(np.ones((3, 2)), ridge=-1e-9)
+
+    # (n, d, ridge): n < d, n = d, n > d and n = 1 with a ridge; n > d
+    # without one. Unit-scale samples keep det(Sigma + ridge I) well
+    # conditioned, so both formulas are accurate to a few ulps of logdet.
+    @pytest.mark.parametrize("n, d, ridge", [
+        (1, 6, 1e-3), (1, 768, 1.0), (2, 6, 0.05), (3, 6, 1.0),
+        (8, 64, 0.05), (8, 768, 0.05), (8, 768, 1.0), (6, 6, 0.05),
+        (6, 6, 1.0), (9, 6, 0.05), (40, 6, 1.0), (40, 6, 0.0),
+        (200, 64, 0.0)])
+    def test_matches_covariance_oracle(self, n, d, ridge):
+        rng = np.random.default_rng([n, d])
+        for _ in range(5):
+            samples = rng.standard_normal((n, d))
+            samples += 3.0 * rng.standard_normal(d)   # off the origin
+            expected = cov_semantic_entropy(samples, ridge)
+            assert abs(expected) > 1.0   # a relative error means something
+            got = semantic_entropy(samples, ridge=ridge)
+            assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("d", [64, 768])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_at_a_small_ridge(self, n, d):
+        # integer samples far from the origin, centred Gram known in closed
+        # form; cond(Sigma + ridge I) is 1e12 (d = 64) to 2e15 (d = 768)
+        ridge = 1e-6
+        offset = np.full(d, 1000.0)
+        offset[::2] = -3000.0
+        v, w = np.zeros(d), np.zeros(d)
+        v[:d // 2] = 7.0 * np.arange(1, d // 2 + 1)
+        w[d // 2:] = -5.0 * np.arange(1, d // 2 + 1)
+        vv, ww = v @ v, w @ w
+        if n == 2:   # centred rows +-v, m = 1
+            samples, det = [offset + v, offset - v], ridge + 2.0 * vv
+        else:        # centred rows v, w - v, -w, m = 2
+            samples = [offset + v, offset + w - v, offset - w]
+            det = ridge ** 2 + ridge * (vv + ww) + 0.75 * vv * ww
+        expected = 0.5 * (d * LOG_2PI_E + (d - n + 1) * math.log(ridge)
+                          + math.log(det))
+        got = semantic_entropy(np.array(samples), ridge=ridge)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    def test_no_d_by_d_matrix_when_n_below_d(self):
+        samples = np.random.default_rng(0).standard_normal((8, 768))
+        tracemalloc.start()
+        try:
+            semantic_entropy(samples, ridge=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000   # one 768 x 768 float array is 4.7 MB
 
 
 class TestContextualDistance:

@@ -184,11 +184,18 @@ def test_knowledge_base_invariants():
 def test_knowledge_base_lookup_and_ids():
     a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     kb = KnowledgeBase(entries=(("b", b), ("a", a)))
-    assert kb.lookup("a") is a and kb.lookup("b") is b
+    # entries and lookup hold rows of the one stored matrix, equal to a, b
+    assert kb.lookup("a") is kb.entries[1][1]
+    assert kb.lookup("b") is kb.entries[0][1]
+    assert np.array_equal(kb.lookup("a"), a)
+    assert np.array_equal(kb.lookup("b"), b)
     assert kb.lookup("c") is None
     assert kb.entity_ids == frozenset({"a", "b"})
     assert [e for e, _ in kb.entries] == ["b", "a"]
-    assert np.array_equal(kb.embedding_matrix(), [b, a])
+    matrix = kb.embedding_matrix()
+    assert np.array_equal(matrix, [b, a])
+    assert kb.embedding_matrix() is matrix and not matrix.flags.writeable
+    assert not kb.lookup("a").flags.writeable
 
 
 def test_causal_fixture_row_sums():
