@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import registry
 from .metrics import clamp01
 from .registry import (DISCRIMINATIVE_DETECTORS, DetectorOutcome,
                        missing_fields)
@@ -420,8 +421,12 @@ _SCORERS = {
 }
 
 
-def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig()):
-    """Fold a classification corpus into one outcome for `pathology`."""
+def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig(), *,
+                         _eligible=None):
+    """Fold a classification corpus into one outcome for `pathology`, over
+    the records that carry its fields. `_eligible` is for
+    `audit_discriminative`, which passes those records as its validation
+    report lists them."""
     info = DISCRIMINATIVE_DETECTORS.get(pathology)
     if info is None:
         raise DetectorError(f"unknown discriminative pathology {pathology!r}")
@@ -429,7 +434,9 @@ def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig()):
     if len(records) < cfg.n_min:
         raise DetectorError(f"{pathology}: needs >= n_min = {cfg.n_min} "
                             f"records, got {len(records)}")
-    eligible = [r for r in records if not missing_fields(r, info)]
+    eligible = _eligible
+    if eligible is None:
+        eligible = [r for r in records if not missing_fields(r, info)]
     if not eligible:
         first = records[0]
         raise FieldUnavailableError(pathology, first.id,
@@ -443,14 +450,22 @@ def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig()):
 
 
 def audit_discriminative(corpus, cfg=DiscriminativeConfig()):
-    """Run all 14 detectors, collecting outcomes and skip reasons."""
+    """Run all 14 detectors, collecting outcomes and skip reasons. The
+    corpus's `validate_corpus` report is built once, and each detector
+    takes the records it lists as available; the result carries the report
+    as `validation`."""
     from .generative import AuditResult
+    # looked up on its module, where the traced benchmark run rebinds it
+    validation = registry.validate_corpus(corpus)
     outcomes = []
     skipped = {}
     for pathology in DISCRIMINATIVE_DETECTORS:
         try:
-            outcomes.append(score_discriminative(pathology, corpus, cfg))
+            outcomes.append(score_discriminative(
+                pathology, corpus, cfg,
+                _eligible=validation.eligible(pathology, corpus)))
         except DetectorError as exc:
             skipped[pathology] = str(exc)
     outcomes.sort(key=lambda o: o.sort_key())
-    return AuditResult(outcomes=tuple(outcomes), skipped=skipped)
+    return AuditResult(outcomes=tuple(outcomes), skipped=skipped,
+                       validation=validation)

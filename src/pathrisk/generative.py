@@ -20,8 +20,9 @@ from . import metrics
 from .metrics import (MIEstimatorConfig, clamp01, coherence, fluency, sim,
                       sim_matrix)
 from .records import CausalFixture, TraceRecord
+from . import registry
 from .registry import (EXISTENTIAL_EPS, Arity, DetectorOutcome,
-                       GENERATIVE_DETECTORS, missing_fields)
+                       GENERATIVE_DETECTORS, ValidationReport, missing_fields)
 
 class DetectorError(ValueError):
     """Detector cannot run: wrong arity, missing fields, no eligible data."""
@@ -495,6 +496,8 @@ class AuditResult:
     skipped: dict   # detector -> reason
     # detector -> {unit ids: reason}; None where each detector has one unit
     dropped: Optional[dict] = None
+    # which records each detector could score; written as validation.json
+    validation: Optional[ValidationReport] = None
 
     def by_pathology(self):
         grouped = {}
@@ -551,8 +554,10 @@ def _units(arity, eligible, fixtures):
 def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig()):
     """Run every generative detector that has the data it needs.
 
-    Record-level detectors score each record carrying their fields; the
-    sequence detectors score each conversation (annotation
+    The corpus's `validate_corpus` report is built once, and each detector
+    takes the records it lists as available; the result carries the report
+    as `validation`. Record-level detectors score each record carrying their
+    fields; the sequence detectors score each conversation (annotation
     `conversation_id`, whole corpus when absent); misattribution scores
     every content-matched source-mismatched pair; the causal detector
     scores each fixture. Each unit is scored on its own: one that fails is
@@ -560,6 +565,8 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig()):
     still scored. A detector that scores nothing is reported as skipped.
     Outcomes are sorted by (pathology, record ids).
     """
+    # looked up on its module, where the traced benchmark run rebinds it
+    validation = registry.validate_corpus(corpus)
     outcomes = []
     skipped = {}
     dropped = {}
@@ -567,8 +574,7 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig()):
         if info.needs_kb and kb is None:
             skipped[pathology] = "no knowledge base supplied"
             continue
-        eligible = [r for r in corpus
-                    if not missing_fields(r, info)]
+        eligible = validation.eligible(pathology, corpus)
         units, reason = _units(info.arity, eligible, fixtures)
         scored = 0
         lost = {}
@@ -584,4 +590,4 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig()):
             skipped[pathology] = next(iter(lost.values()), reason)
     outcomes.sort(key=lambda o: o.sort_key())
     return AuditResult(outcomes=tuple(outcomes), skipped=skipped,
-                       dropped=dropped)
+                       dropped=dropped, validation=validation)

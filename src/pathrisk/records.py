@@ -8,10 +8,13 @@ and causal fixtures live in plain JSON files.
 All records are validated on load; a record that violates an invariant
 aborts the load with the offending line number, record id, and field.
 Loaded records are never mutated, so they are safe to share across threads.
+Annotation keys and values and subgroup tags are interned on load: records
+of one corpus share one string object for each distinct value.
 """
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -48,6 +51,12 @@ def _as_vector(value, name, record_id):
     if not np.all(np.isfinite(arr)):
         raise RecordValidationError("non-finite entries", record_id, name)
     return arr
+
+
+def _interned_annotations(annotations):
+    # the decoder gives every line its own copy of each repeated string
+    return {sys.intern(str(k)): sys.intern(str(v))
+            for k, v in annotations.items()}
 
 
 def _check_prob(value, name, record_id):
@@ -213,8 +222,7 @@ class TraceRecord:
             if obj.get(name) is not None:
                 kwargs[name] = bool(obj[name])
         if obj.get("annotations") is not None:
-            kwargs["annotations"] = {str(k): str(v)
-                                     for k, v in obj["annotations"].items()}
+            kwargs["annotations"] = _interned_annotations(obj["annotations"])
         rec = cls(**kwargs)
         rec.validate(line=line)
         return rec
@@ -320,7 +328,7 @@ class ClassificationRecord:
             raise RecordValidationError("missing mandatory field", rid,
                                         exc.args[0], line) from None
         if obj.get("group") is not None:
-            kwargs["group"] = str(obj["group"])
+            kwargs["group"] = sys.intern(str(obj["group"]))
         if obj.get("timestamp_index") is not None:
             kwargs["timestamp_index"] = int(obj["timestamp_index"])
         if obj.get("is_ood") is not None:
@@ -336,8 +344,7 @@ class ClassificationRecord:
             kwargs["plausible_labels"] = frozenset(
                 int(x) for x in obj["plausible_labels"])
         if obj.get("annotations") is not None:
-            kwargs["annotations"] = {str(k): str(v)
-                                     for k, v in obj["annotations"].items()}
+            kwargs["annotations"] = _interned_annotations(obj["annotations"])
         rec = cls(**kwargs)
         rec.validate(line=line)
         return rec

@@ -255,6 +255,14 @@ def record_kind(record):
     raise TypeError(f"not a record: {type(record).__name__}")
 
 
+# the record kind each family's detectors read
+_KIND = {Family.GENERATIVE: "trace", Family.DISCRIMINATIVE: "classification"}
+
+
+def _wrong_kind(kind):
+    return f"<requires a {kind} record>"
+
+
 def record_has_field(record, field_name):
     if field_name.startswith("annotations."):
         return field_name.split(".", 1)[1] in record.annotations
@@ -262,51 +270,92 @@ def record_has_field(record, field_name):
 
 
 def missing_fields(record, info):
-    expected = "trace" if info.family is Family.GENERATIVE else "classification"
+    expected = _KIND[info.family]
     if record_kind(record) != expected:
-        return (f"<requires a {expected} record>",)
+        return (_wrong_kind(expected),)
     return tuple(f for f in info.required_fields
                  if not record_has_field(record, f))
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Field-availability matrix: which records each detector can score."""
+    """Which records each detector can score, and why it cannot score the
+    others.
 
-    available: dict     # detector -> tuple of record ids
-    missing: dict       # detector -> {record id: tuple of missing fields}
+    `available[d]` holds the ids of the records detector d can score, in
+    corpus order. `missing[d]` maps each distinct tuple of fields that
+    records lack for d to the ids of the records lacking exactly those
+    fields, in corpus order; a record of the other kind lacks
+    ("<requires a trace record>",) or ("<requires a classification
+    record>",). Every record is in exactly one of the two. A detector that
+    reads a record kind the corpus does not hold at all is in
+    `not_applicable` instead, with that reason, and has no per-record list.
+
+    `to_json_dict` is the content of validation.json:
+    {"record_count": N, "detectors": {d: entry}} for all 35 detectors,
+    where entry is either
+    {"available": [ids], "available_count": n,
+     "missing": {"field,field": {"count": m, "ids": [ids]}}}
+    with the missing fields joined by commas, or
+    {"not_applicable": "<requires a trace record>", "count": N}.
+    """
+
+    available: dict       # detector -> tuple of record ids
+    missing: dict         # detector -> {missing-field tuple: tuple of ids}
+    not_applicable: dict  # detector -> reason; no record is of its kind
     record_count: int
 
     def is_available(self, detector, record_id):
         return record_id in self.available.get(detector, ())
 
+    def eligible(self, detector, records):
+        """The records the detector can score, in their order; `records`
+        is the corpus the report was built from."""
+        ids = frozenset(self.available[detector])
+        return [r for r in records if r.id in ids]
+
     def to_json_dict(self):
-        return {
-            "record_count": self.record_count,
-            "detectors": {
-                name: {"available": self.available[name],
-                       "missing": self.missing[name]}
-                for name in REGISTRY
-            },
-        }
+        detectors = {}
+        for name in REGISTRY:
+            if name in self.not_applicable:
+                detectors[name] = {"not_applicable": self.not_applicable[name],
+                                   "count": self.record_count}
+                continue
+            detectors[name] = {
+                "available": self.available[name],
+                "available_count": len(self.available[name]),
+                "missing": {",".join(fields): {"count": len(ids), "ids": ids}
+                            for fields, ids in self.missing[name].items()}}
+        return {"record_count": self.record_count, "detectors": detectors}
 
 
 def validate_corpus(records):
-    """Pure report of per-detector field availability; deterministic and
-    order-independent per record."""
-    available = {name: [] for name in REGISTRY}
-    missing = {name: {} for name in REGISTRY}
-    # one tuple per distinct set of missing fields, shared by every
-    # (record, detector) pair that lacks it
-    shared = {}
+    """Field availability of every detector on a corpus, grouped by the
+    missing fields; deterministic, with ids in corpus order. A detector
+    that reads a record kind the corpus does not hold at all is not
+    applicable, and its fields are not checked record by record. Record
+    ids must be unique, as the report names each record by its id."""
+    seen = set()
     for rec in records:
-        for name, info in REGISTRY.items():
-            lacking = missing_fields(rec, info)
-            if lacking:
-                missing[name][rec.id] = shared.setdefault(lacking, lacking)
-            else:
-                available[name].append(rec.id)
-    return ValidationReport(
-        available={k: tuple(v) for k, v in available.items()},
-        missing=missing,
-        record_count=len(records))
+        if rec.id in seen:
+            raise ValueError(f"duplicate record id {rec.id!r}")
+        seen.add(rec.id)
+    kinds = {record_kind(rec) for rec in records}
+    available, missing, not_applicable = {}, {}, {}
+    for name, info in REGISTRY.items():
+        kind = _KIND[info.family]
+        ok, groups = [], {}
+        if records and kind not in kinds:
+            not_applicable[name] = _wrong_kind(kind)
+        else:
+            for rec in records:
+                lacking = missing_fields(rec, info)
+                if lacking:
+                    groups.setdefault(lacking, []).append(rec.id)
+                else:
+                    ok.append(rec.id)
+        available[name] = tuple(ok)
+        missing[name] = {fields: tuple(ids) for fields, ids in groups.items()}
+    return ValidationReport(available=available, missing=missing,
+                            not_applicable=not_applicable,
+                            record_count=len(records))

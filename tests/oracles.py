@@ -9,7 +9,9 @@ standard library's json.dumps. The pair-detector oracles are the double
 loops over the scalar `sim` that cognitive stereotypy and
 hypersignification ran before the similarity kernel. The entropy oracle is
 the d x d covariance formula semantic_entropy used before it moved to the
-smaller Gram matrix.
+smaller Gram matrix. The validation oracle is the loop over every
+(record, detector) pair that validate_corpus ran before it grouped records
+by their missing fields.
 """
 
 import json
@@ -157,3 +159,12 @@ def cov_semantic_entropy(embeddings, ridge):
     sign, logdet = np.linalg.slogdet(cov + ridge * np.eye(d))
     assert sign > 0
     return 0.5 * (d * math.log(2.0 * math.pi * math.e) + logdet)
+
+
+def loop_validation(records):
+    """{detector: {record id: fields the record lacks for it}}, with ()
+    for a record the detector can score, from one `missing_fields` call
+    per (record, detector) pair."""
+    from pathrisk.registry import REGISTRY, missing_fields
+    return {name: {rec.id: missing_fields(rec, info) for rec in records}
+            for name, info in REGISTRY.items()}

@@ -4,7 +4,8 @@ import pytest
 
 from pathrisk import cli, fixtures
 from pathrisk.records import save_trace_corpus
-from pathrisk.registry import pathology_ids
+from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
+                               pathology_ids)
 
 
 def _outputs(directory):
@@ -93,8 +94,21 @@ def test_validation_covers_every_detector(tmp_path, subcommand):
     assert validation["record_count"] == len(records)
     assert set(validation["detectors"]) == set(pathology_ids())
     ids = sorted(r["id"] for r in records)
-    for entry in validation["detectors"].values():
-        assert sorted(entry["available"] + list(entry["missing"])) == ids
+    # the other family's detectors: no record is of their kind
+    other = (DISCRIMINATIVE_DETECTORS if subcommand == "audit-trace"
+             else GENERATIVE_DETECTORS)
+    for name, entry in validation["detectors"].items():
+        if name in other:
+            assert entry["count"] == len(records)
+            assert entry["not_applicable"].startswith("<requires a ")
+            continue
+        assert "not_applicable" not in entry
+        assert entry["available_count"] == len(entry["available"])
+        listed = list(entry["available"])
+        for group in entry["missing"].values():
+            assert group["count"] == len(group["ids"]) > 0
+            listed += group["ids"]
+        assert sorted(listed) == ids
 
 
 def test_audit_rejects_an_empty_claim_list(tmp_path, capsys):

@@ -8,7 +8,8 @@ from pathrisk.discriminative import (DiscriminativeConfig, DriftWindow,
                                      firing_threshold, score_discriminative)
 from pathrisk.generative import DetectorError
 from pathrisk.records import ClassificationRecord
-from pathrisk.registry import DISCRIMINATIVE_DETECTORS
+from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, missing_fields,
+                               validate_corpus)
 
 DIS_IDS = sorted(DISCRIMINATIVE_DETECTORS)
 
@@ -43,6 +44,21 @@ class TestFixturePolarity:
             assert o.fired == (o.severity >= o.threshold)
             assert 0.0 <= o.severity <= 1.0
             assert o.loss == o.severity
+
+
+class TestEligibility:
+    # every detector except calibration_failure, whose one field a bare
+    # record carries
+    @pytest.mark.parametrize("pathology", [
+        p for p in DIS_IDS
+        if missing_fields(_cls("bare", 1, 0), DISCRIMINATIVE_DETECTORS[p])])
+    def test_records_lacking_fields_leave_the_outcome_unchanged(
+            self, pathology):
+        recs = fixtures.discriminative_fixture(pathology, True)
+        bare = [_cls(f"bare-{i:02d}", 1, 0) for i in range(len(recs))]
+        outcome = score_discriminative(pathology, recs + bare)
+        assert outcome.to_json_dict() == \
+            score_discriminative(pathology, recs).to_json_dict()
 
 
 class TestCalibration:
@@ -191,6 +207,34 @@ class TestAudit:
         scored = {o.pathology for o in result.outcomes}
         assert "calibration_failure" in scored
         assert set(result.skipped) | scored == set(DISCRIMINATIVE_DETECTORS)
+
+    def test_result_carries_the_validation_report(self):
+        recs = fixtures.discriminative_fixture("calibration_failure", True)
+        result = audit_discriminative(recs)
+        assert result.validation == validate_corpus(recs)
+        assert "validation" not in result.to_json_dict()
+
+    def test_records_lacking_fields_leave_the_audit_unchanged(self):
+        recs = fixtures.discriminative_fixture("bias_amplification", True)
+        recs += fixtures.discriminative_fixture("adversarial_vulnerability",
+                                                True)
+        bare = [_cls(f"bare-{i:02d}", 1, 0) for i in range(len(recs))]
+        full = audit_discriminative(recs + bare)
+        assert {"bias_amplification", "adversarial_vulnerability"} <= \
+            {o.pathology for o in full.outcomes}
+
+        # detectors that read a field bare records carry score them too
+        def lacking(outcomes):
+            return [o.to_json_dict() for o in outcomes if missing_fields(
+                bare[0], DISCRIMINATIVE_DETECTORS[o.pathology])]
+
+        assert lacking(full.outcomes) == \
+            lacking(audit_discriminative(recs).outcomes)
+
+    def test_duplicate_ids_are_rejected(self):
+        recs = fixtures.discriminative_fixture("calibration_failure", True)
+        with pytest.raises(ValueError, match="duplicate record id"):
+            audit_discriminative(recs + recs[:1])
 
     def test_config_override_threshold(self):
         cfg = DiscriminativeConfig(

@@ -12,7 +12,8 @@ from pathrisk.generative import (DetectorError, FieldUnavailableError,
 from pathrisk.records import KnowledgeBase, TraceRecord
 from pathrisk.registry import (ALIAS_GROUPS, GENERATIVE_DETECTORS,
                                DISCRIMINATIVE_DETECTORS, alias_label,
-                               distinct_pathology_count, pathology_ids)
+                               distinct_pathology_count, pathology_ids,
+                               validate_corpus)
 from conftest import random_orthogonal
 from oracles import loop_cognitive_stereotypy, loop_hypersignification
 
@@ -111,6 +112,22 @@ class TestAudit:
         b = audit_generative(bundle["records"], **kwargs)
         assert [o.to_json_dict() for o in a.outcomes] == \
             [o.to_json_dict() for o in b.outcomes]
+
+    def test_result_carries_the_validation_report(self):
+        records = fixtures.demo_trace_corpus()
+        result = audit_generative(records, kb=fixtures.standard_kb(),
+                                  fixtures=[fixtures.demo_causal_fixture()])
+        assert result.validation == validate_corpus(records)
+        assert "validation" not in result.to_json_dict()
+
+    def test_duplicate_ids_are_rejected(self):
+        # the report names records by id, so an id must name one record
+        records = fixtures.demo_trace_corpus()
+        bare = TraceRecord(id=records[0].id,
+                           input_embedding=records[0].input_embedding,
+                           output_embedding=records[0].output_embedding)
+        with pytest.raises(ValueError, match="duplicate record id"):
+            audit_generative(records + [bare])
 
     def test_outcomes_sorted(self):
         records = fixtures.demo_trace_corpus()

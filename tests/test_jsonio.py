@@ -82,8 +82,8 @@ def test_existing_output_needs_force(tmp_path):
 
 
 def test_write_holds_no_copy_of_the_document(tmp_path):
-    # shaped like the audit's validation.json: one shared missing-field
-    # tuple per record and detector
+    # a large document of long id lists and a shared tuple per key, as
+    # validation.json was when it listed every (record, detector) pair
     ids = tuple(f"rec-{i:06d}" for i in range(55_000))
     lacking = ("<requires a trace record>",)
     doc = {"record_count": len(ids),

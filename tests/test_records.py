@@ -1,14 +1,20 @@
+import dataclasses
+import gc
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import loop_validation
 from pathrisk.records import (CausalFixture, ClassificationRecord,
                               CorpusError, KnowledgeBase,
                               RecordValidationError, TraceRecord,
                               load_trace_corpus, save_trace_corpus)
-from pathrisk.registry import validate_corpus
+from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
+                               REGISTRY, missing_fields, validate_corpus)
 from pathrisk import fixtures
 
 
@@ -136,7 +142,7 @@ def test_validation_matrix_missing_field():
                       prob_output_given_input=0.9)
     report = validate_corpus([rec])
     assert not report.is_available("delusion", "a")
-    assert "prob_truth_given_input" in report.missing["delusion"]["a"]
+    assert report.missing["delusion"] == {("prob_truth_given_input",): ("a",)}
 
 
 def test_validation_matrix_full_record():
@@ -152,12 +158,24 @@ def test_validation_matrix_wrong_record_kind():
     report = validate_corpus(recs)
     for detector in ("delusion", "hallucination", "bluffing"):
         assert report.available[detector] == ()
+        assert report.missing[detector] == {}
+        assert report.not_applicable[detector] == \
+            "<requires a trace record>"
+    assert set(report.not_applicable) == set(GENERATIVE_DETECTORS)
     assert len(report.available["calibration_failure"]) == len(recs)
-    # one shared tuple per distinct set of missing fields
-    lacking = [fields for detector in report.missing.values()
-               for fields in detector.values()]
-    assert len(lacking) >= 21 * len(recs)
-    assert len({id(fields) for fields in lacking}) == len(set(lacking))
+    # one group per distinct set of missing fields
+    for name, info in DISCRIMINATIVE_DETECTORS.items():
+        distinct = {missing_fields(r, info) for r in recs} - {()}
+        assert set(report.missing[name]) == distinct
+
+
+def test_validation_rejects_duplicate_ids():
+    # a report names records by id, so an id must name one record
+    full = fixtures.generative_fixture("delusion", True)["records"][0]
+    bare = TraceRecord(id=full.id, input_embedding=full.input_embedding,
+                       output_embedding=full.output_embedding)
+    with pytest.raises(ValueError, match="duplicate record id"):
+        validate_corpus([full, bare])
 
 
 def test_validation_order_independent(rng):
@@ -166,10 +184,225 @@ def test_validation_order_independent(rng):
     shuffled = list(records)
     rng.shuffle(shuffled)
     report_b = validate_corpus(shuffled)
+    assert report_a.not_applicable == report_b.not_applicable
     for detector in report_a.available:
         assert set(report_a.available[detector]) == \
             set(report_b.available[detector])
-        assert report_a.missing[detector] == report_b.missing[detector]
+        assert {k: set(v) for k, v in report_a.missing[detector].items()} \
+            == {k: set(v) for k, v in report_b.missing[detector].items()}
+
+
+_PAIR_LAYOUTS = ("perturbation", "noise", "latency", "spurious", "span",
+                 "content")
+
+
+def _gate_shaped_rows(n, seed=0):
+    """JSON rows shaped like the classify_gate benchmark corpus: 16
+    features, 4 classes, 4 subgroups, and consecutive records 2j, 2j+1
+    paired by a layout that rotates through every pair detector's fields."""
+    rng = np.random.default_rng(seed)
+    features = np.round(rng.standard_normal((n, 16)), 6)
+    logits = rng.standard_normal((n, 4))
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    rows = []
+    for i in range(n):
+        pred = int(np.argmax(probs[i]))
+        j, second = divmod(i, 2)
+        row = {"id": f"x{i:06d}", "features": features[i].tolist(),
+               "predicted_label": pred,
+               "true_label": pred if i % 5 else (pred + 1) % 4,
+               "class_probabilities": probs[i].tolist(),
+               "group": f"g{i % 4}", "timestamp_index": i,
+               "is_ood": i % 10 == 3}
+        ann = {"in_train_set": "false" if second else "true"}
+        layout = _PAIR_LAYOUTS[j % len(_PAIR_LAYOUTS)]
+        if layout in ("perturbation", "noise", "latency"):
+            row[f"{layout}_pair_id"] = f"{layout[0]}{j}"
+        if layout == "noise":
+            ann["noise_role"] = "noisy" if second else "clean"
+        elif layout == "spurious":
+            ann["spurious_pair_id"] = f"s{j}"
+            ann["spurious_role"] = "resampled" if second else "clean"
+        elif layout == "span":
+            ann["span_pair_id"] = f"w{j}"
+            ann["span_role"] = "narrow" if second else "wide"
+            row["segment_bounds"] = [40, 60] if second else [0, 100]
+        elif layout == "content":
+            ann["content_id"] = f"c{j}"
+            ann["prosody"] = "flat" if second else "rising"
+        if layout != "span" and i % 5 == 0:
+            row["segment_bounds"] = [i % 50, i % 50 + 10]
+            row["ref_segment_bounds"] = [i % 50 + 1, i % 50 + 10]
+        if i % 5 == 1:
+            row["plausible_labels"] = sorted({pred, (pred + 1) % 4})
+        row["annotations"] = ann
+        rows.append(row)
+    return rows
+
+
+def _gate_shaped_records(n):
+    return [ClassificationRecord.from_json_dict(row)
+            for row in _gate_shaped_rows(n)]
+
+
+def _partly_missing(records, seed):
+    """The records with a random subset of their optional fields unset."""
+    rng = np.random.default_rng(seed)
+    optional = [f.name for f in dataclasses.fields(records[0])
+                if f.default is None]
+    out = []
+    for rec in records:
+        unset = {name: None for name in optional if rng.random() < 0.3}
+        if rng.random() < 0.3:
+            unset["annotations"] = {}
+        out.append(dataclasses.replace(rec, **unset))
+    return out
+
+
+def _regrouped(report, records):
+    """The report as {detector: {record id: lacking fields}}, checking on
+    the way that it accounts for every record exactly once."""
+    ids = [r.id for r in records]
+    out = {}
+    for name, info in REGISTRY.items():
+        if name in report.not_applicable:
+            kind = "trace" if name in GENERATIVE_DETECTORS \
+                else "classification"
+            assert report.not_applicable[name] == f"<requires a {kind} record>"
+            assert report.available[name] == () and not report.missing[name]
+            out[name] = {rid: (report.not_applicable[name],) for rid in ids}
+            continue
+        table = dict.fromkeys(report.available[name], ())
+        # ids keep corpus order within each list
+        for group in (report.available[name], *report.missing[name].values()):
+            members = set(group)
+            assert list(group) == [rid for rid in ids if rid in members]
+        for fields, group in report.missing[name].items():
+            assert fields and group
+            table.update(dict.fromkeys(group, fields))
+        assert len(report.available[name]) + sum(
+            map(len, report.missing[name].values())) == len(ids)
+        assert set(table) == set(ids)
+        out[name] = table
+    return out
+
+
+@pytest.mark.parametrize("corpus", [
+    "trace", "classification", "mixed", "partly-missing-trace",
+    "partly-missing-classification", "empty"])
+def test_grouped_report_equals_the_per_pair_loop(corpus):
+    # every generative fixture: records that carry different field sets
+    trace = fixtures.demo_trace_corpus() + [
+        rec for name in sorted(GENERATIVE_DETECTORS)
+        for positive in (True, False)
+        for rec in fixtures.generative_fixture(name, positive)["records"]]
+    classification = _gate_shaped_records(120)
+    records = {"trace": trace, "classification": classification,
+               "mixed": trace + classification,
+               "partly-missing-trace": _partly_missing(trace, 0),
+               "partly-missing-classification":
+                   _partly_missing(classification, 1),
+               "empty": []}[corpus]
+    report = validate_corpus(records)
+    expected = loop_validation(records)
+    assert report.record_count == len(records)
+    assert _regrouped(report, records) == expected
+    for name in REGISTRY:
+        for rid, fields in expected[name].items():
+            assert report.is_available(name, rid) == (fields == ())
+    # not applicable exactly when no record is of the detector's kind
+    kinds = {type(r) for r in records}
+    assert set(report.not_applicable) == (
+        set() if not records
+        else set(GENERATIVE_DETECTORS) if TraceRecord not in kinds
+        else set(DISCRIMINATIVE_DETECTORS) if ClassificationRecord not in kinds
+        else set())
+
+
+def test_report_json_lists_counts_and_ids():
+    records = _partly_missing(_gate_shaped_records(60), 2)
+    report = validate_corpus(records)
+    doc = report.to_json_dict()
+    assert doc["record_count"] == 60
+    assert list(doc["detectors"]) == list(REGISTRY)
+    for name, entry in doc["detectors"].items():
+        if name in GENERATIVE_DETECTORS:
+            assert entry == {"not_applicable": "<requires a trace record>",
+                             "count": 60}
+            continue
+        assert entry["available"] == report.available[name]
+        assert entry["available_count"] == len(entry["available"])
+        assert entry["missing"] == {
+            ",".join(fields): {"count": len(ids), "ids": ids}
+            for fields, ids in report.missing[name].items()}
+
+
+def _retained(build):
+    """(result of build(), bytes it still holds once built)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def gate_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("gate") / "corpus.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n"
+                            for row in _gate_shaped_rows(5000)))
+    return path
+
+
+def test_validation_report_memory(gate_corpus):
+    records = load_trace_corpus(gate_corpus, "classification")
+    report, held = _retained(lambda: validate_corpus(records))
+    # no per-record entries for the 21 generative detectors, and one id
+    # list per group for the 14 discriminative ones
+    assert held < 1_500_000
+    assert len(report.not_applicable) == 21
+
+
+def test_loaded_corpus_memory(gate_corpus, monkeypatch):
+    def load():
+        return load_trace_corpus(gate_corpus, "classification")
+
+    records, held = _retained(load)
+    assert len(records) == 5000
+    del records
+    # the same load with every string kept as the decoder made it
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "intern", lambda s: s)
+        _, held_unshared = _retained(load)
+    # about 1.3 MB of repeated annotation and group strings
+    assert held < held_unshared - 1_000_000
+
+
+def test_loaded_records_share_repeated_strings(tmp_path):
+    path = tmp_path / "gate.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n"
+                            for row in _gate_shaped_rows(24)))
+    records = load_trace_corpus(path, "classification")
+    a, b = records[0], records[12]    # same group, layout and train flag
+    assert a.group == b.group and a.group is b.group
+    for key, value in a.annotations.items():
+        [other_key] = [k for k in b.annotations if k == key]
+        assert other_key is key
+        if b.annotations[key] == value:
+            assert b.annotations[key] is value
+    trace = tmp_path / "trace.jsonl"
+    save_trace_corpus(trace, fixtures.demo_trace_corpus()
+                      + fixtures.generative_fixture("semantic_drift",
+                                                    True)["records"])
+    shared = {}
+    for rec in load_trace_corpus(trace, "trace"):
+        for key, value in rec.annotations.items():
+            assert shared.setdefault(key, key) is key
+            assert shared.setdefault(("value", value), value) is value
 
 
 def test_knowledge_base_invariants():
