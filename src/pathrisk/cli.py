@@ -237,20 +237,16 @@ def _cmd_game(args):
         result["stackelberg"] = {
             "steps": [{"eps": step["eps"],
                        "accepted": step["gate"].accepted,
-                       "gate": step["gate"].to_json_dict(),
-                       "residual": state.residual}
+                       "gate": step["gate"].to_json_dict()}
                       for step in loop["trace"]],
             "least_restrictive_accepted": loop["least_restrictive_accepted"],
         }
     out = Path(args.out)
     jsonio.write_json(out / "equilibrium.json", result, force=args.force)
-    jsonio.write_csv(out / "iterations.csv", ("round", "residual"),
-                     state.history, force=args.force)
     manifest = jsonio.build_manifest("game", scenario["seed"],
                                      {"scenario": args.scenario}, {})
     jsonio.write_json(out / "manifest.json", manifest, force=args.force)
-    print(f"game: residual {state.residual:.3e} after {state.rounds} "
-          f"rounds -> {out}")
+    print(f"game: price {state.price:.6g} on the compute cap -> {out}")
     return 0
 
 

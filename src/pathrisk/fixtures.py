@@ -555,7 +555,7 @@ def pareto_sweep(num_candidates=9, records_per_candidate=40, seed=7,
     Returns (candidate labels, objective pairs); both objectives are
     expectile risks over per-record losses.
     """
-    from .metrics import sim
+    from .metrics import sim_matrix
     from .risk import ExpectileConfig, expectile
     rng = np.random.default_rng(seed)
     cfg = ExpectileConfig(tau=tau)
@@ -563,17 +563,14 @@ def pareto_sweep(num_candidates=9, records_per_candidate=40, seed=7,
     values = []
     levels = np.linspace(0.1, 0.9, num_candidates)
     filler = _E[3]
-    for j, s in enumerate(levels):
-        disfluency_losses = []
-        grounding_losses = []
-        for _ in range(records_per_candidate):
-            raw = rng.standard_normal(D_E)
-            inp = raw / np.linalg.norm(raw)
-            out = (1.0 - s) * inp + s * filler
-            out = out / np.linalg.norm(out)
-            disfluency_losses.append(1.0 - s)
-            grounding_losses.append(1.0 - sim(out, inp))
+    for s in levels:
+        # one draw per candidate: the same stream as one row per record
+        raw = rng.standard_normal((records_per_candidate, D_E))
+        inp = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        out = (1.0 - s) * inp + s * filler
+        out = out / np.linalg.norm(out, axis=1, keepdims=True)
+        grounding_losses = 1.0 - np.diagonal(sim_matrix(out, inp))
         labels.append(f"fluency={s:.3f}")
-        values.append((expectile(disfluency_losses, cfg),
+        values.append((expectile([1.0 - s] * records_per_candidate, cfg),
                        expectile(grounding_losses, cfg)))
     return labels, values

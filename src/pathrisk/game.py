@@ -1,26 +1,31 @@
 """Delegated game among pathology-owning agents under a shared compute cap,
 with the human-leader threshold loop and the deployment gate.
 
-Each agent i picks a parameter vector theta_i in a box, minimizing
+Each agent i picks a parameter vector theta_i in its box [lo_i, hi_i],
+minimizing
 
-    J_i(theta_i) = ||theta_i - target_i||^2 + lambda * kappa ||theta_i||^2
+    J_i(theta_i) = ||theta_i - target_i||^2 + lambda_i * kappa ||theta_i||^2
 
-subject to the shared budget sum_i kappa ||theta_i||^2 <= cloud_cap. The
-cap is split into fixed per-agent shares (equal by default, weights
-overridable), so no agent's cost or feasible set depends on another's
-choice: the agents decouple. Each agent's equilibrium strategy is its
-exact best response, the Euclidean projection of
-target_i / (1 + lambda kappa) onto its box intersected with the ball of
-radius sqrt(share_i / kappa), so the equilibrium is reached in one round
-with Nash residual 0 and there are no solver settings. Data quality
-Qual(mu_i) >= tau_data is checked, never computed.
+subject to the shared cap sum_i kappa ||theta_i||^2 <= cloud_cap. The
+solve returns the normalized (variational) equilibrium of this jointly
+constrained game (Rosen, Econometrica 1965): one price mu >= 0 on the cap,
+the same for every agent, at which each agent minimizes J_i + mu * kappa
+||theta_i||^2 over its box. That minimizer is, per coordinate,
+
+    clip(target_i / (1 + lambda_i kappa + mu kappa), lo_i, hi_i),
+
+and mu is complementary to the cap: mu = 0 when the profile at mu = 0
+fits, otherwise the cap binds. Total compute does not increase with mu,
+so mu is found by doubling and bisection. The costs are separable, so the
+equilibrium also minimizes sum_i J_i over the boxes and the cap. The data
+quality of each agent's mean field, quality >= tau_data, is checked,
+never computed.
 """
 
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,7 +43,7 @@ class QuadraticTargetCost:
     """Default surrogate: risk term ||theta - target||^2 plus the compute
     penalty lambda * kappa ||theta||^2. Completing the square gives
     (1 + lambda kappa) ||theta - target / (1 + lambda kappa)||^2 plus a
-    constant, so its minimizer over a convex set is a projection."""
+    constant, so its minimizer over a box is a per-coordinate clip."""
 
     target: np.ndarray
     lam: float = 0.0
@@ -72,10 +77,6 @@ class AgentSpec:
         if np.any(self.lo > self.hi):
             raise GameError(f"{self.pathology}: empty box")
 
-    @property
-    def dim(self):
-        return self.lo.size
-
 
 @dataclass(eq=False)
 class MeanField:
@@ -91,10 +92,13 @@ class MeanField:
 
 @dataclass(frozen=True)
 class SharedConstraints:
+    """The one cap all agents share, sum_i kappa ||theta_i||^2 <=
+    cloud_cap, which the equilibrium prices, and the data-quality floor
+    every agent's mean field must meet."""
+
     cloud_cap: float
     tau_data: float = 0.0
     kappa: float = 1.0
-    share_weights: Optional[tuple] = None
 
     def __post_init__(self):
         if self.cloud_cap <= 0.0:
@@ -102,119 +106,88 @@ class SharedConstraints:
         if self.kappa <= 0.0:
             raise GameError("kappa must be positive")
 
-    def budgets(self, n_agents):
-        """Per-agent compute budgets summing to cloud_cap (equal share by
-        default)."""
-        if self.share_weights is None:
-            return np.full(n_agents, self.cloud_cap / n_agents)
-        w = np.asarray(self.share_weights, dtype=float)
-        if w.size != n_agents or np.any(w <= 0):
-            raise GameError("share_weights must be positive, one per agent")
-        return self.cloud_cap * w / w.sum()
-
 
 @dataclass(eq=False)
 class GameState:
-    """Equilibrium strategies and their costs. Every theta is an exact best
-    response to a problem no other agent's choice enters, so the solve is
-    one round with Nash residual 0; the class constants carry that into
-    the report schema."""
+    """Equilibrium strategies, their costs, and the price on the shared
+    cap at which every theta is its agent's best response."""
 
     thetas: list
     costs: list
-    rounds = 1
-    residual = 0.0
-    feasible = True
-    history = ((1, 0.0),)   # (round, residual) pairs
+    price: float
 
     def to_json_dict(self, specs):
-        return {"rounds": self.rounds,
-                "residual": self.residual,
-                "feasible": self.feasible,
+        return {"price": self.price,
                 "agents": [{"pathology": s.pathology,
                             "theta": t.tolist(),
                             "cost": c,
                             "risk": s.cost.risk_term(t)}
                            for s, t, c in zip(specs, self.thetas,
-                                              self.costs)],
-                "history": [{"round": r, "residual": res}
-                            for r, res in self.history]}
+                                              self.costs)]}
 
 
-def project_box(theta, lo, hi):
-    return np.minimum(np.maximum(theta, lo), hi)
+def best_response(spec, price, kappa):
+    """The minimizer of the agent's cost plus price * kappa ||theta||^2
+    over its box. At an infinite price it is the box point nearest the
+    origin."""
+    cost = spec.cost
+    scale = 1.0 + cost.lam * cost.kappa + price * kappa
+    return np.clip(cost.target / scale, spec.lo, spec.hi)
 
 
-def project_box_ball(point, lo, hi, radius):
-    """Euclidean projection of point onto the box [lo, hi] intersected with
-    the ball of the given radius around the origin.
-
-    By KKT the projection is clip(t * point, lo, hi) for the largest t in
-    [0, 1] whose image lies in the ball, with t = 1 / (1 + the ball's
-    multiplier). Every |clip(t * point, lo, hi)_j| is nondecreasing in t,
-    so bisection on the scalar t finds that t to adjacent floats. When the
-    box misses the ball the image at t = 0, the box point nearest the
-    origin, is returned; check_feasibility rejects that case first.
-    """
-    point = np.asarray(point, dtype=float)
-    limit = radius * radius
-
-    def inside(t):
-        x = project_box(t * point, lo, hi)
-        return float(x @ x) <= limit
-
-    if inside(1.0):
-        return project_box(point, lo, hi)
-    t_in, t_out, mid = 0.0, 1.0, 0.5
-    while t_in < mid < t_out:
-        if inside(mid):
-            t_in = mid
-        else:
-            t_out = mid
-        mid = 0.5 * (t_in + t_out)
-    return project_box(t_in * point, lo, hi)
+def _profile(specs, price, kappa):
+    """(every agent's best response at price, their total compute)."""
+    thetas = [best_response(s, price, kappa) for s in specs]
+    return thetas, kappa * sum(float(t @ t) for t in thetas)
 
 
 def check_feasibility(specs, mean_fields, constraints):
-    """Raise unless every agent's box intersects its budget ball and every
-    mean field meets the data-quality floor."""
-    budgets = constraints.budgets(len(specs))
-    for spec, mf, budget in zip(specs, mean_fields, budgets):
+    """Raise unless the boxes' minimum compute fits the cap and every mean
+    field meets the data-quality floor."""
+    for spec, mf in zip(specs, mean_fields):
         if mf.quality < constraints.tau_data:
             raise InfeasibleGameError(
                 f"{spec.pathology}: data quality {mf.quality} below "
                 f"tau_data {constraints.tau_data}")
-        closest = project_box(np.zeros(spec.dim), spec.lo, spec.hi)
-        if constraints.kappa * float(closest @ closest) > budget + 1e-12:
-            raise InfeasibleGameError(
-                f"{spec.pathology}: cloud_cap share {budget:.6g} admits no "
-                f"theta in the box")
-
-
-def best_response(spec, budget, kappa):
-    """The minimizer of the agent's cost over its box intersected with the
-    budget ball kappa ||theta||^2 <= budget."""
-    center = spec.cost.target / (1.0 + spec.cost.lam * spec.cost.kappa)
-    return project_box_ball(center, spec.lo, spec.hi,
-                            math.sqrt(budget / kappa))
+    _, least = _profile(specs, math.inf, constraints.kappa)
+    if not least <= constraints.cloud_cap:
+        raise InfeasibleGameError(
+            f"cloud_cap {constraints.cloud_cap:.6g} admits no theta in the "
+            f"boxes: their minimum compute is {least:.6g}")
 
 
 def solve_nash(specs, mean_fields, constraints):
-    """Nash equilibrium: each agent's best response to its share of the
-    cap. Raises InfeasibleGameError when a share admits no theta in the
-    box or a data-quality floor fails, and GameError when the strategies
-    together exceed the shared cap."""
+    """Variational equilibrium: the best responses at the least price
+    mu >= 0 whose profile fits the shared cap. mu is 0 when the cap is
+    slack; otherwise it is bracketed by doubling and bisected to adjacent
+    floats, and the profile at the feasible end is returned. Raises
+    InfeasibleGameError when the boxes' minimum compute exceeds the cap or
+    a data-quality floor fails."""
     if len(specs) != len(mean_fields):
         raise GameError("one mean field per agent required")
     check_feasibility(specs, mean_fields, constraints)
-    budgets = constraints.budgets(len(specs))
-    thetas = [best_response(s, b, constraints.kappa)
-              for s, b in zip(specs, budgets)]
-    if constraints.kappa * sum(float(t @ t) for t in thetas) > \
-            constraints.cloud_cap + 1e-9:
-        raise GameError("equilibrium violates the shared compute cap")
+    kappa, cap = constraints.kappa, constraints.cloud_cap
+    price = 0.0
+    thetas, used = _profile(specs, price, kappa)
+    if used > cap:
+        # compute does not increase with the price and fits at an infinite
+        # one, so doubling ends by the time the price overflows to inf
+        low, price = 0.0, 1.0
+        thetas, used = _profile(specs, price, kappa)
+        while used > cap:
+            low, price = price, 2.0 * price
+            thetas, used = _profile(specs, price, kappa)
+        mid = 0.5 * (low + price)
+        while low < mid < price:
+            trial, used = _profile(specs, mid, kappa)
+            if used > cap:
+                low = mid
+            else:
+                price, thetas = mid, trial
+            mid = 0.5 * (low + price)
     return GameState(thetas=thetas,
-                     costs=[s.cost.value(t) for s, t in zip(specs, thetas)])
+                     costs=[s.cost.value(t) for s, t in zip(specs, thetas)],
+                     price=price)
 
 
 @dataclass(frozen=True)
@@ -306,18 +279,23 @@ def _parse_eps_entry(entry, pathologies):
 def load_scenario(path):
     """Parse a scenario JSON file into solver inputs.
 
-    Layout: kappa, cloud_cap, tau_data, optional lambda and share_weights,
-    a non-empty agents array ({pathology, lo, hi, target}, lo/hi scalars
-    or vectors of the target's length, pathologies distinct), a mean_field
-    map ({pathology: {quality}}), an optional epsilon_schedule (vectors,
-    or maps keyed by agent pathology with an optional default), and
-    optional audit-derived risks. The game has no solver settings: the
-    keys tol, max_rounds and mode and mean_field samples are ignored.
-    Malformed agents, and epsilon or mean_field keys that name no agent,
-    raise GameError.
+    Layout: kappa, cloud_cap, tau_data, optional lambda, a non-empty
+    agents array ({pathology, lo, hi, target}, lo/hi scalars or vectors
+    of the target's length, pathologies distinct), a mean_field map
+    ({pathology: {quality}}), an optional epsilon_schedule (vectors, or
+    maps keyed by agent pathology with an optional default), and optional
+    audit-derived risks. The cap is shared through one price, so there are
+    no per-agent shares: a share_weights key raises GameError rather than
+    being dropped. The game has no solver settings: the keys tol,
+    max_rounds and mode and mean_field samples are ignored. Malformed
+    agents, and epsilon or mean_field keys that name no agent, raise
+    GameError.
     """
     with open(path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
+    if "share_weights" in obj:
+        raise GameError("share_weights is not supported: the agents share "
+                        "cloud_cap through one price, not fixed shares")
     lam = float(obj.get("lambda", 0.0))
     kappa = float(obj.get("kappa", 1.0))
     if not obj["agents"]:
@@ -346,12 +324,10 @@ def load_scenario(path):
         raise GameError(f"mean_field keys {unknown} name no agent")
     mean_fields = [MeanField(quality=float(
         mf_obj.get(p, {"quality": 1.0})["quality"])) for p in pathologies]
-    weights = obj.get("share_weights")
     constraints = SharedConstraints(
         cloud_cap=float(obj["cloud_cap"]),
         tau_data=float(obj.get("tau_data", 0.0)),
-        kappa=kappa,
-        share_weights=tuple(weights) if weights is not None else None)
+        kappa=kappa)
     schedule = [_parse_eps_entry(e, pathologies)
                 for e in obj.get("epsilon_schedule", [])]
     risks = obj.get("risks")

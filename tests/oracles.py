@@ -2,16 +2,18 @@
 
 These deliberately avoid the package's solution paths: the expectile
 oracle evaluates the asymmetric quadratic objective on a dense grid, the
-pareto oracle is a naive double loop, and the projection oracles grid-walk
-the feasible set. The canonical JSON oracle is the two-pass encoder the
-package used before it streamed: a canonicalised deep copy handed to the
-standard library's json.dumps. The pair-detector oracles are the double
-loops over the scalar `sim` that cognitive stereotypy and
-hypersignification ran before the similarity kernel. The entropy oracle is
-the d x d covariance formula semantic_entropy used before it moved to the
-smaller Gram matrix. The validation oracle is the loop over every
-(record, detector) pair that validate_corpus ran before it grouped records
-by their missing fields.
+pareto oracle is a naive double loop, and the game oracle grid-walks the
+joint feasible set of two agents. The canonical JSON oracle is the
+two-pass encoder the package used before it streamed: a canonicalised deep
+copy handed to the standard library's json.dumps. The pair-detector
+oracles are the double loops over the scalar `sim` that cognitive
+stereotypy and hypersignification ran before the similarity kernel. The
+entropy oracle is the d x d covariance formula semantic_entropy used
+before it moved to the smaller Gram matrix. The chi CDF is the
+incomplete-gamma power series, so the holonorm density is checked without
+scipy. The validation oracle is the loop over every (record, detector)
+pair that validate_corpus ran before it grouped records by their missing
+fields.
 """
 
 import json
@@ -69,30 +71,46 @@ def naive_pareto(values):
     return survivors
 
 
-def grid_project_box_ball(point, lo, hi, radius, steps=401):
-    """Brute-force nearest feasible point on a 2-d grid (oracle for the
-    Dykstra projection)."""
-    xs = np.linspace(lo[0], hi[0], steps)
-    ys = np.linspace(lo[1], hi[1], steps)
-    best, best_d = None, np.inf
-    for x in xs:
-        for y in ys:
-            if x * x + y * y > radius * radius:
-                continue
-            d = (x - point[0]) ** 2 + (y - point[1]) ** 2
-            if d < best_d:
-                best, best_d = np.array([x, y]), d
-    return best
+def grid_variational_equilibrium(agents, kappa, cap, steps=41):
+    """Brute-force minimizer of sum_i ||theta_i - t_i||^2 + lam_i kappa
+    ||theta_i||^2 over two agents' 2-d boxes and the shared cap
+    sum_i kappa ||theta_i||^2 <= cap, on a grid of `steps` points per box
+    axis (steps^4 joint points). agents is two (target, lo, hi, lam)
+    tuples. Returns (thetas, objective) of the best feasible grid point."""
+    points, costs, computes = [], [], []
+    for target, lo, hi, lam in agents:
+        xs, ys = np.meshgrid(np.linspace(lo[0], hi[0], steps),
+                             np.linspace(lo[1], hi[1], steps), indexing="ij")
+        grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
+        norm2 = np.sum(grid * grid, axis=1)
+        points.append(grid)
+        costs.append(np.sum((grid - target) ** 2, axis=1)
+                     + lam * kappa * norm2)
+        computes.append(kappa * norm2)
+    best, best_value = None, np.inf
+    for i in range(len(points[0])):
+        value = np.where(computes[0][i] + computes[1] <= cap,
+                         costs[0][i] + costs[1], np.inf)
+        j = int(np.argmin(value))
+        if value[j] < best_value:
+            best, best_value = (i, j), float(value[j])
+    return [points[0][best[0]], points[1][best[1]]], best_value
 
 
-def grid_best_response_on_ray(target, radius, steps=100001):
-    """Argmin of ||theta - target||^2 along the ray toward target inside a
-    centered ball (KKT oracle for the binding-budget best response)."""
-    direction = target / np.linalg.norm(target)
-    ts = np.linspace(0.0, radius, steps)
-    costs = [(float(np.sum((t * direction - target) ** 2)), t) for t in ts]
-    _, t_best = min(costs)
-    return t_best * direction
+def chi_cdf(dim, r):
+    """P(R <= r) for R ~ chi with `dim` degrees of freedom: the regularized
+    lower incomplete gamma P(dim/2, r^2/2), from its power series
+    x^a e^-x / Gamma(a + 1) * sum_n x^n / ((a + 1) ... (a + n))."""
+    a, x = 0.5 * dim, 0.5 * r * r
+    if x == 0.0:
+        return 0.0
+    term = total = 1.0
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= x / (a + n)
+        total += term
+    return math.exp(a * math.log(x) - x - math.lgamma(a + 1.0)) * total
 
 
 def _canon(obj):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,63 +8,10 @@ from pathrisk import cli, fixtures
 from pathrisk.game import (AgentSpec, GameError, MeanField,
                            QuadraticTargetCost, SharedConstraints,
                            best_response, deployment_gate, equilibrium_risks,
-                           load_scenario, project_box_ball, solve_nash,
-                           stackelberg_loop)
-from oracles import grid_best_response_on_ray, grid_project_box_ball
+                           load_scenario, solve_nash, stackelberg_loop)
+from oracles import grid_variational_equilibrium
 
-GRID_STEPS = 201
-RAY_STEPS = 10001
-
-
-def _box_cases(kind, count, seed):
-    """Seeded 2-d (point, lo, hi, radius) cases whose box meets the ball.
-
-    kind "origin": the box contains the origin; "offset": it excludes it;
-    "outside": the box contains the origin and the point lies outside it.
-    """
-    rng = np.random.default_rng(seed)
-    cases = []
-    while len(cases) < count:
-        if kind == "offset":
-            lo = rng.uniform(-2.0, 1.5, size=2)
-            lo[rng.integers(2)] = rng.uniform(0.1, 1.5)
-        else:
-            lo = rng.uniform(-2.0, -0.1, size=2)
-        hi = lo + rng.uniform(0.3, 3.0, size=2)
-        if kind != "offset":
-            hi = np.maximum(hi, rng.uniform(0.1, 1.0, size=2))
-        closest = np.clip(np.zeros(2), lo, hi)
-        radius = float(np.linalg.norm(closest)) + rng.uniform(0.05, 2.0)
-        point = rng.uniform(-4.0, 4.0, size=2)
-        inside_box = np.all((lo <= point) & (point <= hi))
-        if kind == "outside" and inside_box:
-            continue
-        cases.append((point, lo, hi, radius))
-    return cases
-
-
-def _objective(x, point):
-    return float(np.sum((np.asarray(x) - point) ** 2))
-
-
-class TestProjection:
-    @pytest.mark.parametrize("kind,seed", [("origin", 0), ("offset", 1),
-                                           ("outside", 2)])
-    def test_matches_grid_oracle(self, kind, seed):
-        for point, lo, hi, radius in _box_cases(kind, 12, seed):
-            x = project_box_ball(point, lo, hi, radius)
-            assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
-            assert float(np.linalg.norm(x)) <= radius + 1e-12
-            grid = grid_project_box_ball(point, lo, hi, radius,
-                                         steps=GRID_STEPS)
-            resolution = float(np.max(hi - lo)) / (GRID_STEPS - 1)
-            assert _objective(x, point) <= \
-                _objective(grid, point) + resolution
-
-    def test_point_in_both_sets_is_fixed(self):
-        point = np.array([0.3, -0.2])
-        x = project_box_ball(point, np.full(2, -1.0), np.full(2, 1.0), 1.0)
-        assert np.array_equal(x, point)
+GRID_STEPS = 41
 
 
 def _agent(name, target, lo=-10.0, hi=10.0, lam=0.0, kappa=1.0):
@@ -74,45 +22,150 @@ def _agent(name, target, lo=-10.0, hi=10.0, lam=0.0, kappa=1.0):
                                               kappa=kappa))
 
 
-class TestBestResponse:
-    def test_binding_budget_matches_ray_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            target = rng.uniform(-3.0, 3.0, size=3)
-            radius = 0.5 * float(np.linalg.norm(target))
-            kappa = 2.0
-            theta = best_response(_agent("a", target, kappa=kappa),
-                                  kappa * radius ** 2, kappa)
-            oracle = grid_best_response_on_ray(target, radius,
-                                               steps=RAY_STEPS)
-            assert np.linalg.norm(theta) == pytest.approx(radius, rel=1e-12)
-            assert np.abs(theta - oracle).max() <= radius / (RAY_STEPS - 1)
+def _solve(specs, cap, kappa=1.0):
+    return solve_nash(specs, [MeanField(quality=1.0)] * len(specs),
+                      SharedConstraints(cloud_cap=cap, kappa=kappa))
 
+
+def _compute(thetas, kappa=1.0):
+    return kappa * sum(float(t @ t) for t in thetas)
+
+
+def _parsed(tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return load_scenario(path)
+
+
+class TestBestResponse:
     def test_compute_penalty_shrinks_target(self):
         target = np.array([1.0, -2.0])
         theta = best_response(_agent("a", target, lam=1.0, kappa=1.0),
-                              100.0, 1.0)
+                              0.0, 1.0)
         assert np.allclose(theta, target / 2.0, atol=1e-15)
+
+    def test_price_adds_to_the_penalty_then_the_box_clips(self):
+        spec = _agent("a", [3.0, -1.0], lo=[0.5, -0.2], hi=[1.0, 1.0],
+                      lam=1.0)
+        # 1 + lam kappa + price kappa = 4: (0.75, -0.25), then the clip
+        assert np.array_equal(best_response(spec, 2.0, 1.0),
+                              np.array([0.75, -0.2]))
+        # at an infinite price, the box point nearest the origin
+        assert np.array_equal(best_response(spec, math.inf, 1.0),
+                              np.array([0.5, 0.0]))
+
+
+# Two agents x two dims, box endpoints on multiples of the grid step 0.05,
+# so the grid holds each box's point nearest the origin. "origin": both
+# boxes contain the origin and the targets; "offset": a box excludes the
+# origin and its lower bound binds at the equilibrium; "clipped": a box
+# cuts a target and still binds at the equilibrium, and one agent has
+# lambda > 0.
+GAME_CASES = {
+    "origin": ([([0.8, -0.6], [-1.0, -1.0], [1.0, 1.0], 0.0),
+                ([-0.3, 0.9], [-1.0, -1.0], [1.0, 1.0], 0.0)], 1.0, 0.95),
+    "offset": ([([0.4, 0.9], [0.35, -1.0], [2.35, 1.0], 0.0),
+                ([0.7, 1.2], [-1.0, -0.5], [1.0, 1.5], 0.0)], 1.0, 1.3),
+    "clipped": ([([3.5, -1.4], [-0.5, -1.0], [1.5, 1.0], 0.0),
+                 ([-1.6, 0.4], [-1.0, -1.0], [1.0, 1.0], 0.5)], 2.0, 6.0),
+}
 
 
 class TestSolve:
+    @pytest.mark.parametrize("case", sorted(GAME_CASES))
+    def test_matches_brute_force_grid(self, case):
+        agents, kappa, cap = GAME_CASES[case]
+        specs = [_agent(f"a{i}", t, lo=lo, hi=hi, lam=lam, kappa=kappa)
+                 for i, (t, lo, hi, lam) in enumerate(agents)]
+        state = _solve(specs, cap, kappa=kappa)
+        assert state.price > 0.0   # every case's cap binds
+        on_bound = False
+        for spec, theta in zip(specs, state.thetas):
+            assert np.all((spec.lo <= theta) & (theta <= spec.hi))
+            on_bound |= bool(np.any((theta == spec.lo) | (theta == spec.hi)))
+        assert on_bound == (case != "origin")
+        assert _compute(state.thetas, kappa) <= cap
+        value = sum(s.cost.value(t) for s, t in zip(specs, state.thetas))
+        grid_thetas, grid_value = grid_variational_equilibrium(
+            [(np.asarray(t), np.asarray(lo), np.asarray(hi), lam)
+             for t, lo, hi, lam in agents], kappa, cap, steps=GRID_STEPS)
+        # no feasible grid point beats the equilibrium
+        assert value <= grid_value + 1e-12
+        # Rounding each coordinate of the equilibrium one step toward its
+        # box's point nearest the origin gives a feasible grid point at
+        # most h per coordinate away. The objective is quadratic with
+        # Hessian 2(1 + lam kappa) I, so that point, and with it the grid
+        # optimum, is within |grad| |d| + (1 + lam kappa) |d|^2 of value;
+        # strong convexity then bounds the distance between the optima.
+        h = 2.0 / (GRID_STEPS - 1)
+        step = 2.0 * h   # |d| over 4 coordinates
+        grad = np.concatenate([
+            2.0 * (t - s.cost.target) + 2.0 * s.cost.lam * kappa * t
+            for s, t in zip(specs, state.thetas)])
+        curvature = 1.0 + max(s.cost.lam for s in specs) * kappa
+        gap = float(np.linalg.norm(grad)) * step + curvature * step ** 2
+        assert grid_value - value <= gap
+        distance = float(np.linalg.norm(np.concatenate(state.thetas)
+                                        - np.concatenate(grid_thetas)))
+        assert distance <= math.sqrt(gap)
+
+    @pytest.mark.parametrize("seed,hi,kappa", [(0, 1.0, 1.0), (1, 1.0, 1.0),
+                                               (2, 1.0, 1.0), (0, 0.4, 2.0)])
+    def test_kkt_on_the_benchmark_shaped_scenario(self, tmp_path, seed, hi,
+                                                  kappa):
+        scenario = fixtures.coupled_game_scenario(num_agents=35, dim=64,
+                                                  seed=seed)
+        scenario["kappa"] = kappa
+        for agent in scenario["agents"]:
+            agent["hi"] = hi   # hi = 0.4 makes boxes clip the targets
+        parsed = _parsed(tmp_path, scenario)
+        specs, constraints = parsed["specs"], parsed["constraints"]
+        state = solve_nash(specs, parsed["mean_fields"], constraints)
+        mu, kappa, cap = state.price, constraints.kappa, constraints.cloud_cap
+        used = _compute(state.thetas, kappa)
+        assert mu > 0.0 and used <= cap
+        assert mu * (cap - used) <= 1e-12 * mu * cap
+        for spec, theta in zip(specs, state.thetas):
+            assert np.array_equal(theta, np.clip(
+                spec.cost.target / (1.0 + (spec.cost.lam + mu) * kappa),
+                spec.lo, spec.hi))
+        # mu is the least such price: one float lower, the cap is exceeded
+        below = np.nextafter(mu, 0.0)
+        assert _compute([best_response(s, below, kappa) for s in specs],
+                        kappa) > cap
+
     def test_coupled_scenario_respects_shared_cap(self, tmp_path):
-        path = tmp_path / "scenario.json"
-        scenario = fixtures.coupled_game_scenario()
-        path.write_text(json.dumps(scenario))
-        parsed = load_scenario(path)
+        parsed = _parsed(tmp_path, fixtures.coupled_game_scenario())
         constraints = parsed["constraints"]
         state = solve_nash(parsed["specs"], parsed["mean_fields"],
                            constraints)
-        used = [constraints.kappa * float(t @ t) for t in state.thetas]
-        assert sum(used) <= constraints.cloud_cap + 1e-9
-        shares = constraints.budgets(len(used))
-        assert all(u <= b * (1 + 1e-12) for u, b in zip(used, shares))
-        # the cap is half the agents' total target norm, so some shares bind
-        assert any(u == pytest.approx(b, rel=1e-12)
-                   for u, b in zip(used, shares))
-        assert (state.rounds, state.residual, state.feasible) == \
-            (1, 0.0, True)
+        used = _compute(state.thetas, constraints.kappa)
+        # the cap is half the agents' total target norm and no box binds,
+        # so theta_i = t_i / (1 + mu) with (1 + mu)^2 = 2
+        assert used <= constraints.cloud_cap
+        assert used == pytest.approx(constraints.cloud_cap, rel=1e-12)
+        assert state.price == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
+
+    def test_slack_cap_gives_zero_price(self):
+        specs = [_agent("a", [0.5, -0.5]), _agent("b", [0.2, 0.1])]
+        state = _solve(specs, cap=1.0)
+        assert state.price == 0.0
+        assert all(np.array_equal(t, s.cost.target)
+                   for s, t in zip(specs, state.thetas))
+
+    def test_cap_at_minimum_compute_terminates(self):
+        # agent a's first coordinate has 0 on its box boundary: it reaches
+        # 0 only as the price goes to infinity, and the cap equals the
+        # boxes' minimum compute (1.0, from a's second coordinate)
+        specs = [_agent("a", [0.5, 1.5], lo=[0.0, 1.0], hi=[1.0, 2.0]),
+                 _agent("b", [0.5, 0.3], lo=-1.0, hi=1.0)]
+        state = _solve(specs, cap=1.0)
+        assert math.isfinite(state.price) and state.price > 1e6
+        assert _compute(state.thetas) <= 1.0
+        assert state.thetas[0][1] == 1.0
+        assert 0.0 < state.thetas[0][0] < 1e-6
+        below = np.nextafter(state.price, 0.0)
+        assert _compute([best_response(s, below, 1.0) for s in specs]) > 1.0
 
     def test_infeasible_box_raises(self):
         spec = _agent("a", [1.0, 1.0], lo=2.0, hi=3.0)
@@ -194,6 +247,10 @@ class TestScenarioValidation:
         assert cli.main(["game", "--scenario", str(path),
                          "--out", str(tmp_path / "out")]) == 2
         assert "no agents" in capsys.readouterr().err
+
+    def test_share_weights_is_rejected(self, tmp_path):
+        with pytest.raises(GameError, match="share_weights"):
+            load_scenario(_scenario(tmp_path, share_weights=[1.0, 2.0]))
 
     def test_ignored_keys_do_not_change_the_solve(self, tmp_path):
         plain = load_scenario(_scenario(tmp_path))

@@ -13,9 +13,24 @@ from pathrisk.risk import (ConvergenceError, ExpectileConfig, RiskError,
                            resolve_eps, risk_report)
 from oracles import (asymmetric_objective, grid_expectile, naive_pareto)
 
-_loss_lists = st.lists(st.floats(min_value=-100.0, max_value=100.0,
-                                 allow_nan=False), min_size=1, max_size=40)
+_losses = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+_loss_lists = st.lists(_losses, min_size=1, max_size=40)
+_loss_pairs = st.lists(st.tuples(_losses, _losses), min_size=1, max_size=40)
 _taus = st.floats(min_value=0.05, max_value=0.95)
+# the expectile is coherent for tau >= 1/2 only; below it, superadditive
+_coherent_taus = st.floats(min_value=0.5, max_value=0.999)
+
+
+def _tol_slack(cfg, *samples):
+    """Bound on the summed errors of the computed expectiles of samples.
+
+    The first-order condition g(r) = tau E(L - r)+ - (1 - tau) E(r - L)+
+    falls in r with slope at least min(tau, 1 - tau), and `expectile`
+    stops once |g| <= tol * max(1, mean |L|). So each returned value lies
+    within tol * max(1, mean |L|) / min(tau, 1 - tau) of the exact one.
+    """
+    scales = sum(max(1.0, float(np.abs(s).mean())) for s in samples)
+    return cfg.tol * scales / min(cfg.tau, 1.0 - cfg.tau)
 
 
 class TestExpectileBasics:
@@ -111,6 +126,26 @@ class TestExpectileProperties:
                   for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-9
+
+    @settings(deadline=None)
+    @given(_loss_pairs, _coherent_taus)
+    def test_subadditive_for_tau_at_least_half(self, pairs, tau):
+        cfg = ExpectileConfig(tau=tau)
+        x, y = (np.array(v) for v in zip(*pairs))
+        z = x + y
+        # z rounds each sum by at most half a spacing, and the expectile
+        # is monotone and translation equivariant
+        rounding = 0.5 * float(np.spacing(np.abs(z)).max())
+        assert expectile(z, cfg) <= expectile(x, cfg) + expectile(y, cfg) \
+            + _tol_slack(cfg, x, y, z) + rounding
+
+    @settings(deadline=None)
+    @given(_loss_pairs, _coherent_taus)
+    def test_monotone_in_the_losses(self, pairs, tau):
+        cfg = ExpectileConfig(tau=tau)
+        x, gaps = (np.array(v) for v in zip(*pairs))
+        y = x + np.abs(gaps)   # y >= x pointwise, also after rounding
+        assert expectile(x, cfg) <= expectile(y, cfg) + _tol_slack(cfg, x, y)
 
     def test_convergence_on_random_fixtures(self):
         for seed in range(20):
