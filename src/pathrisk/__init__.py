@@ -9,16 +9,14 @@ from .records import (CausalFixture, ClassificationRecord, CorpusError,
                       load_causal_fixtures, load_knowledge_base,
                       load_trace_corpus, save_trace_corpus)
 from .registry import (ALIAS_GROUPS, Arity, DetectorOutcome, Family,
-                       PathologyId, REGISTRY, ValidationReport,
-                       distinct_pathology_count, pathology_ids,
-                       validate_corpus)
+                       REGISTRY, ValidationReport, distinct_pathology_count,
+                       pathology_ids, validate_corpus)
 from .metrics import (MIEstimatorConfig, avg_pairwise_similarity, coherence,
                       contextual_distance, fluency, mutual_information,
                       semantic_entropy, sim, sim_matrix)
 from .generative import (AuditResult, DetectorError, GenerativeConfig,
                          audit_generative, score)
-from .discriminative import (DiscriminativeConfig, DriftWindow,
-                             audit_discriminative,
+from .discriminative import (DiscriminativeConfig, audit_discriminative,
                              expected_calibration_error,
                              score_discriminative)
 from .risk import (ExpectileConfig, RiskReport, bernoulli_expectile,

@@ -12,9 +12,17 @@ holds {"available": [ids], "available_count": n, "missing": {"f1,f2":
 they lack. A detector that reads the other record kind, of which the
 corpus holds none, has {"not_applicable": "<requires a trace record>",
 "count": N} instead.
+
+`audit --config` reads a JSON object with three optional sections,
+"generative", "mi" and "discriminative", such as {"generative": {"delta":
+0.95}, "discriminative": {"ece_hi": 0.2}}. Their keys are the fields of
+GenerativeConfig (but `mi`), MIEstimatorConfig and DiscriminativeConfig;
+each value applies to every detector that reads it. The mi seed defaults
+to --seed. An unknown section or key exits 2 with an error naming it.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -35,26 +43,46 @@ class CliError(ValueError):
     pass
 
 
+# --config section -> the keys it accepts: its config class's fields;
+# the MI estimator is configured in its own section
+_CONFIG_KEYS = {
+    name: {f.name for f in dataclasses.fields(cls)} - {"mi"}
+    for name, cls in (("generative", generative.GenerativeConfig),
+                      ("mi", MIEstimatorConfig),
+                      ("discriminative", discriminative.DiscriminativeConfig))}
+
+
 def _load_config(path):
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        obj = json.load(handle)
+    if not isinstance(obj, dict):
+        raise CliError(f"config {path}: expected a JSON object of sections")
+    for section, body in obj.items():
+        if section not in _CONFIG_KEYS:
+            raise CliError(f"config {path}: unknown section {section!r}; "
+                           f"the sections are {', '.join(_CONFIG_KEYS)}")
+        if not isinstance(body, dict):
+            raise CliError(f"config {path}: section {section!r} is not a "
+                           f"JSON object")
+        unknown = sorted(set(body) - _CONFIG_KEYS[section])
+        if unknown:
+            raise CliError(f"config {path}: unknown key {unknown[0]!r} in "
+                           f"section {section!r}")
+    return obj
 
 
 def _generative_config(cfg_obj, seed):
-    base = dict(cfg_obj.get("generative", {}))
     mi_obj = dict(cfg_obj.get("mi", {}))
     mi_obj.setdefault("seed", seed)
-    base["mi"] = MIEstimatorConfig(**mi_obj)
-    base["overrides"] = cfg_obj.get("generative_overrides", {})
-    return generative.GenerativeConfig(**base)
+    return generative.GenerativeConfig(**cfg_obj.get("generative", {}),
+                                       mi=MIEstimatorConfig(**mi_obj))
 
 
 def _discriminative_config(cfg_obj):
-    base = dict(cfg_obj.get("discriminative", {}))
-    base["overrides"] = cfg_obj.get("discriminative_overrides", {})
-    return discriminative.DiscriminativeConfig(**base)
+    return discriminative.DiscriminativeConfig(
+        **cfg_obj.get("discriminative", {}))
 
 
 def _parse_eps_file(path):
@@ -318,7 +346,11 @@ def build_parser():
                    default="trace")
     p.add_argument("--kb")
     p.add_argument("--fixtures")
-    p.add_argument("--config")
+    p.add_argument("--config",
+                   help="JSON object with optional sections generative, "
+                        "mi and discriminative, keyed by the fields of "
+                        "GenerativeConfig, MIEstimatorConfig and "
+                        "DiscriminativeConfig")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=jsonio.default_out_dir())
     p.add_argument("--force", action="store_true")

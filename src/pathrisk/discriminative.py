@@ -4,40 +4,25 @@ Every detector here folds a whole corpus into one outcome. Rate severities
 are exactly (#events)/(#eligible), accuracy-gap severities are the clamped
 gap, and group metrics are symmetric under relabeling. All detectors are
 invariant to permutations of the corpus (drift orders records explicitly
-by timestamp_index).
+by timestamp_index and compares the earlier half with the later one).
 """
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import registry
 from .metrics import clamp01
-from .registry import (DISCRIMINATIVE_DETECTORS, DetectorOutcome,
-                       missing_fields)
-from .generative import DetectorError, FieldUnavailableError
-
-
-@dataclass(frozen=True)
-class DriftWindow:
-    """Index ranges (after ordering by timestamp_index) splitting a corpus
-    into a reference slice and a current slice."""
-
-    reference_slice: tuple
-    current_slice: tuple
-
-    def __post_init__(self):
-        r0, r1 = self.reference_slice
-        c0, c1 = self.current_slice
-        if r0 >= r1 or c0 >= c1:
-            raise ValueError("drift slices must be nonempty")
-        if max(r0, c0) < min(r1, c1):
-            raise ValueError("drift slices must not overlap")
+from .registry import (DISCRIMINATIVE_DETECTORS, AuditResult, DetectorError,
+                       DetectorOutcome, FieldUnavailableError, missing_fields)
 
 
 @dataclass(frozen=True)
 class DiscriminativeConfig:
+    """Firing levels and estimator settings, one value for every detector
+    that reads it; `_DETECTORS` reads the thresholds from them. `audit
+    --config` sets the fields from its "discriminative" section."""
+
     gap_hi: float = 0.2      # accuracy-gap firing level
     amp_hi: float = 0.2      # group rate / accuracy disparity
     eps_adv: float = 0.1     # max feature distance of a perturbation pair
@@ -51,38 +36,6 @@ class DiscriminativeConfig:
     tol_t: float = 2.0       # boundary offset tolerance
     margin_hi: float = 0.3   # ambiguity-collapse margin
     n_min: int = 20          # rate-estimate sample floor
-    drift_window: Optional[DriftWindow] = None
-    overrides: dict = field(default_factory=dict)
-
-    def resolved(self, pathology):
-        patch = self.overrides.get(pathology)
-        if not patch:
-            return self
-        clean = dict(patch)
-        clean.pop("overrides", None)
-        clean.pop("drift_window", None)
-        return replace(self, **clean)
-
-
-def firing_threshold(pathology, cfg):
-    c = cfg.resolved(pathology)
-    table = {
-        "overfitting": c.gap_hi,
-        "bias_amplification": c.amp_hi,
-        "spurious_correlation": c.gap_hi,
-        "adversarial_vulnerability": c.flip_hi,
-        "calibration_failure": c.ece_hi,
-        "concept_drift_sensitivity": c.gap_hi,
-        "misclassification_under_uncertainty": c.frac_hi,
-        "prosodic_misclassification": c.frac_hi,
-        "accent_bias": c.amp_hi,
-        "turn_boundary_failure": 0.5,
-        "semantic_boundary_confusion": c.gap_hi,
-        "noise_overfitting": c.flip_hi,
-        "latency_induced_decision_drift": c.flip_hi,
-        "ambiguity_collapse": c.frac_hi,
-    }
-    return table[pathology]
 
 
 def _fmt(x):
@@ -223,15 +176,8 @@ def _score_concept_drift(records, cfg):
         raise DetectorError("concept_drift_sensitivity: needs >= 4 "
                             "timestamped records")
     ordered = sorted(stamped, key=lambda r: (r.timestamp_index, r.id))
-    if cfg.drift_window is not None:
-        r0, r1 = cfg.drift_window.reference_slice
-        c0, c1 = cfg.drift_window.current_slice
-        ref, cur = ordered[r0:r1], ordered[c0:c1]
-    else:
-        half = len(ordered) // 2
-        ref, cur = ordered[:half], ordered[half:]
-    if not ref or not cur:
-        raise DetectorError("concept_drift_sensitivity: empty drift slice")
+    half = len(ordered) // 2
+    ref, cur = ordered[:half], ordered[half:]
     tv = _feature_tv(ref, cur, cfg.tv_bins)
     gap = _accuracy(ref) - _accuracy(cur)
     severity = clamp01(gap) if tv >= cfg.tv_hi else 0.0
@@ -402,23 +348,28 @@ def _score_ambiguity_collapse(records, cfg):
                   "eligible_records": str(len(eligible))}
 
 
-_SCORERS = {
-    "overfitting": _score_overfitting,
-    "bias_amplification": _score_bias_amplification,
-    "spurious_correlation": _score_spurious_correlation,
-    "adversarial_vulnerability": _score_adversarial,
-    "calibration_failure": _score_calibration,
-    "concept_drift_sensitivity": _score_concept_drift,
-    "misclassification_under_uncertainty":
-        _score_misclassification_uncertainty,
-    "prosodic_misclassification": _score_prosodic,
-    "accent_bias": _score_accent_bias,
-    "turn_boundary_failure": _score_turn_boundary,
-    "semantic_boundary_confusion": _score_semantic_boundary,
-    "noise_overfitting": _score_noise_overfitting,
-    "latency_induced_decision_drift": _score_latency_drift,
-    "ambiguity_collapse": _score_ambiguity_collapse,
+# detector -> (scorer, its firing threshold under a config)
+_DETECTORS = {
+    "overfitting": (_score_overfitting, lambda c: c.gap_hi),
+    "bias_amplification": (_score_bias_amplification, lambda c: c.amp_hi),
+    "spurious_correlation": (_score_spurious_correlation,
+                             lambda c: c.gap_hi),
+    "adversarial_vulnerability": (_score_adversarial, lambda c: c.flip_hi),
+    "calibration_failure": (_score_calibration, lambda c: c.ece_hi),
+    "concept_drift_sensitivity": (_score_concept_drift, lambda c: c.gap_hi),
+    "misclassification_under_uncertainty": (
+        _score_misclassification_uncertainty, lambda c: c.frac_hi),
+    "prosodic_misclassification": (_score_prosodic, lambda c: c.frac_hi),
+    "accent_bias": (_score_accent_bias, lambda c: c.amp_hi),
+    "turn_boundary_failure": (_score_turn_boundary, lambda c: 0.5),
+    "semantic_boundary_confusion": (_score_semantic_boundary,
+                                    lambda c: c.gap_hi),
+    "noise_overfitting": (_score_noise_overfitting, lambda c: c.flip_hi),
+    "latency_induced_decision_drift": (_score_latency_drift,
+                                       lambda c: c.flip_hi),
+    "ambiguity_collapse": (_score_ambiguity_collapse, lambda c: c.frac_hi),
 }
+assert set(_DETECTORS) == set(DISCRIMINATIVE_DETECTORS)
 
 
 def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig(), *,
@@ -441,11 +392,10 @@ def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig(), *,
         first = records[0]
         raise FieldUnavailableError(pathology, first.id,
                                     missing_fields(first, info))
-    c = cfg.resolved(pathology)
-    severity, evidence = _SCORERS[pathology](eligible, c)
+    scorer, threshold = _DETECTORS[pathology]
+    severity, evidence = scorer(eligible, cfg)
     return DetectorOutcome(pathology=pathology, record_ids=(),
-                           severity=severity,
-                           threshold=firing_threshold(pathology, cfg),
+                           severity=severity, threshold=threshold(cfg),
                            evidence=evidence)
 
 
@@ -454,7 +404,6 @@ def audit_discriminative(corpus, cfg=DiscriminativeConfig()):
     corpus's `validate_corpus` report is built once, and each detector
     takes the records it lists as available; the result carries the report
     as `validation`."""
-    from .generative import AuditResult
     # looked up on its module, where the traced benchmark run rebinds it
     validation = registry.validate_corpus(corpus)
     outcomes = []

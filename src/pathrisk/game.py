@@ -41,24 +41,24 @@ class InfeasibleGameError(GameError):
 @dataclass(eq=False)
 class QuadraticTargetCost:
     """Default surrogate: risk term ||theta - target||^2 plus the compute
-    penalty lambda * kappa ||theta||^2. Completing the square gives
-    (1 + lambda kappa) ||theta - target / (1 + lambda kappa)||^2 plus a
-    constant, so its minimizer over a box is a per-coordinate clip."""
+    penalty lambda * kappa ||theta||^2, with kappa the weight of compute
+    that `SharedConstraints` holds for every agent. Completing the square
+    gives (1 + lambda kappa) ||theta - target / (1 + lambda kappa)||^2 plus
+    a constant, so its minimizer over a box is a per-coordinate clip."""
 
     target: np.ndarray
     lam: float = 0.0
-    kappa: float = 1.0
 
     def risk_term(self, theta):
         diff = np.asarray(theta, dtype=float) - self.target
         return float(diff @ diff)
 
-    def compute_term(self, theta):
+    def compute_term(self, theta, kappa):
         theta = np.asarray(theta, dtype=float)
-        return self.lam * self.kappa * float(theta @ theta)
+        return self.lam * kappa * float(theta @ theta)
 
-    def value(self, theta):
-        return self.risk_term(theta) + self.compute_term(theta)
+    def value(self, theta, kappa):
+        return self.risk_term(theta) + self.compute_term(theta, kappa)
 
 
 @dataclass(eq=False)
@@ -94,7 +94,8 @@ class MeanField:
 class SharedConstraints:
     """The one cap all agents share, sum_i kappa ||theta_i||^2 <=
     cloud_cap, which the equilibrium prices, and the data-quality floor
-    every agent's mean field must meet."""
+    every agent's mean field must meet. kappa, the weight of compute, is
+    also the one weight in each agent's compute penalty."""
 
     cloud_cap: float
     tau_data: float = 0.0
@@ -131,7 +132,7 @@ def best_response(spec, price, kappa):
     over its box. At an infinite price it is the box point nearest the
     origin."""
     cost = spec.cost
-    scale = 1.0 + cost.lam * cost.kappa + price * kappa
+    scale = 1.0 + cost.lam * kappa + price * kappa
     return np.clip(cost.target / scale, spec.lo, spec.hi)
 
 
@@ -186,7 +187,8 @@ def solve_nash(specs, mean_fields, constraints):
                 price, thetas = mid, trial
             mid = 0.5 * (low + price)
     return GameState(thetas=thetas,
-                     costs=[s.cost.value(t) for s, t in zip(specs, thetas)],
+                     costs=[s.cost.value(t, kappa)
+                            for s, t in zip(specs, thetas)],
                      price=price)
 
 
@@ -313,7 +315,7 @@ def load_scenario(path):
             pathology=str(agent["pathology"]), lo=lo_vec, hi=hi_vec,
             cost=QuadraticTargetCost(
                 target=np.asarray(agent["target"], dtype=float),
-                lam=float(agent.get("lambda", lam)), kappa=kappa)))
+                lam=float(agent.get("lambda", lam)))))
     pathologies = [s.pathology for s in specs]
     repeated = sorted(p for p, n in Counter(pathologies).items() if n > 1)
     if repeated:

@@ -11,8 +11,7 @@ cosine scale (1+cos)/2.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,27 +20,19 @@ from .metrics import (MIEstimatorConfig, clamp01, coherence, fluency, sim,
                       sim_matrix)
 from .records import CausalFixture, TraceRecord
 from . import registry
-from .registry import (EXISTENTIAL_EPS, Arity, DetectorOutcome,
-                       GENERATIVE_DETECTORS, ValidationReport, missing_fields)
-
-class DetectorError(ValueError):
-    """Detector cannot run: wrong arity, missing fields, no eligible data."""
-
-
-class FieldUnavailableError(DetectorError):
-    def __init__(self, pathology, record_id, fields):
-        super().__init__(f"{pathology}: record {record_id!r} lacks "
-                         f"{', '.join(fields)}")
-        self.fields = tuple(fields)
+# AuditResult, DetectorError and FieldUnavailableError are shared by both
+# audits and stay importable from here
+from .registry import (EXISTENTIAL_EPS, Arity, AuditResult, DetectorError,
+                       DetectorOutcome, FieldUnavailableError,
+                       GENERATIVE_DETECTORS, missing_fields)
 
 
 @dataclass(frozen=True)
 class GenerativeConfig:
-    """Crisp defaults for every asymptotic symbol in the detector formulas.
-
-    All values can be overridden globally or per detector through
-    `overrides` (a {detector: {field: value}} map).
-    """
+    """Crisp defaults for every asymptotic symbol in the detector formulas,
+    one value for every detector that reads it; `_DETECTORS` reads the
+    thresholds from them. `audit --config` sets the fields from its
+    "generative" section, and `mi` from its "mi" section."""
 
     s_hi: float = 0.9            # "approximately 1" similarity
     s_lo: float = 0.3            # "weakly related" similarity
@@ -62,7 +53,6 @@ class GenerativeConfig:
     entropy_ridge: float = 1e-6  # covariance ridge for entropy series
     expert_style_id: str = "expert_style_centroid"
     mi: MIEstimatorConfig = field(default_factory=MIEstimatorConfig)
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.margin <= 1.0:
@@ -73,50 +63,6 @@ class GenerativeConfig:
             raise ValueError("tau_c must lie in (0,1)")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-
-    def resolved(self, pathology):
-        """Config with this detector's overrides applied."""
-        patch = self.overrides.get(pathology)
-        if not patch:
-            return self
-        clean = dict(patch)
-        clean.pop("overrides", None)
-        return replace(self, **clean)
-
-
-def firing_threshold(pathology, cfg):
-    """Severity at and above which the detector fires."""
-    c = cfg.resolved(pathology)
-    table = {
-        "delusion": 0.5,
-        "illusion": c.s_hi,
-        "hallucination": 0.5,
-        "confabulation": 1.0 - c.tau_c,
-        "misattribution": c.s_hi,
-        "semantic_drift": 1.0 - c.s_lo,
-        "semantic_compression": 1.0 - c.rho,
-        "exaggeration": 0.5,
-        "causal_inference_failure": 1.0 - c.tv_tol,
-        "uncanny_valley": c.s_hi,
-        "bluffing": c.f_hi,
-        "cognitive_stereotypy": c.s_hi,
-        "pragmatic_misunderstanding": 1.0 - c.s_indep,
-        "hypersignification": c.gamma,
-        "semantic_reheating": 0.5,
-        "semantic_warming": c.f_hi,
-        "simulated_authority": 1.0 - c.tau_c,
-        "abductive_leap": c.delta,
-        "contextual_drift": 0.5,
-        "referential_hallucination": EXISTENTIAL_EPS,
-        "semiotic_frankenstein": EXISTENTIAL_EPS,
-    }
-    return table[pathology]
-
-
-def _require(record, pathology):
-    lacking = missing_fields(record, GENERATIVE_DETECTORS[pathology])
-    if lacking:
-        raise FieldUnavailableError(pathology, record.id, lacking)
 
 
 def _fmt(x):
@@ -396,33 +342,38 @@ def _score_causal_failure(fixture, cfg):
     return severity, stats
 
 
-_RECORD_SCORERS = {
-    "delusion": _score_delusion,
-    "illusion": _score_illusion,
-    "hallucination": _score_hallucination,
-    "semantic_compression": _score_semantic_compression,
-    "exaggeration": _score_exaggeration,
-    "uncanny_valley": _score_uncanny_valley,
-    "pragmatic_misunderstanding": _score_pragmatic_misunderstanding,
-    "semantic_reheating": _score_semantic_reheating,
-    "abductive_leap": _score_abductive_leap,
-    "contextual_drift": _score_contextual_drift,
+# detector -> (scorer, its firing threshold under a config). A scorer takes
+# (unit, cfg), plus the knowledge base where the registry says `needs_kb`.
+_DETECTORS = {
+    "delusion": (_score_delusion, lambda c: 0.5),
+    "illusion": (_score_illusion, lambda c: c.s_hi),
+    "hallucination": (_score_hallucination, lambda c: 0.5),
+    "confabulation": (_score_confabulation, lambda c: 1.0 - c.tau_c),
+    "misattribution": (_score_misattribution, lambda c: c.s_hi),
+    "semantic_drift": (_score_semantic_drift, lambda c: 1.0 - c.s_lo),
+    "semantic_compression": (_score_semantic_compression,
+                             lambda c: 1.0 - c.rho),
+    "exaggeration": (_score_exaggeration, lambda c: 0.5),
+    "causal_inference_failure": (_score_causal_failure,
+                                 lambda c: 1.0 - c.tv_tol),
+    "uncanny_valley": (_score_uncanny_valley, lambda c: c.s_hi),
+    "bluffing": (_score_bluffing, lambda c: c.f_hi),
+    "cognitive_stereotypy": (_score_cognitive_stereotypy, lambda c: c.s_hi),
+    "pragmatic_misunderstanding": (_score_pragmatic_misunderstanding,
+                                   lambda c: 1.0 - c.s_indep),
+    "hypersignification": (_score_hypersignification, lambda c: c.gamma),
+    "semantic_reheating": (_score_semantic_reheating, lambda c: 0.5),
+    "semantic_warming": (_score_semantic_warming, lambda c: c.f_hi),
+    "simulated_authority": (_score_simulated_authority,
+                            lambda c: 1.0 - c.tau_c),
+    "abductive_leap": (_score_abductive_leap, lambda c: c.delta),
+    "contextual_drift": (_score_contextual_drift, lambda c: 0.5),
+    "referential_hallucination": (_score_referential_hallucination,
+                                  lambda c: EXISTENTIAL_EPS),
+    "semiotic_frankenstein": (_score_semiotic_frankenstein,
+                              lambda c: EXISTENTIAL_EPS),
 }
-
-_RECORD_KB_SCORERS = {
-    "confabulation": _score_confabulation,
-    "simulated_authority": _score_simulated_authority,
-    "referential_hallucination": _score_referential_hallucination,
-    "semiotic_frankenstein": _score_semiotic_frankenstein,
-}
-
-_GROUP_SCORERS = {
-    "semantic_drift": _score_semantic_drift,
-    "bluffing": _score_bluffing,
-    "cognitive_stereotypy": _score_cognitive_stereotypy,
-    "hypersignification": _score_hypersignification,
-    "semantic_warming": _score_semantic_warming,
-}
+assert set(_DETECTORS) == set(GENERATIVE_DETECTORS)
 
 
 def _unit_ids(arity, data):
@@ -449,68 +400,38 @@ def score(pathology, data, cfg=GenerativeConfig(), kb=None):
     info = GENERATIVE_DETECTORS.get(pathology)
     if info is None:
         raise DetectorError(f"unknown generative pathology {pathology!r}")
-    c = cfg.resolved(pathology)
-    threshold = firing_threshold(pathology, cfg)
-
+    if info.needs_kb and kb is None:
+        raise DetectorError(f"{pathology}: needs a knowledge base")
+    scorer, threshold = _DETECTORS[pathology]
     if info.arity is Arity.FIXTURE:
         if not isinstance(data, CausalFixture):
             raise DetectorError(f"{pathology}: expected a CausalFixture")
-        severity, evidence = _score_causal_failure(data, c)
+        records = ()
     elif info.arity is Arity.RECORD:
         if not isinstance(data, TraceRecord):
             raise DetectorError(f"{pathology}: expected a single TraceRecord")
-        _require(data, pathology)
-        if pathology in _RECORD_KB_SCORERS:
-            if kb is None:
-                raise DetectorError(f"{pathology}: needs a knowledge base")
-            severity, evidence = _RECORD_KB_SCORERS[pathology](data, c, kb)
-        else:
-            severity, evidence = _RECORD_SCORERS[pathology](data, c)
+        records = (data,)
     elif info.arity is Arity.PAIR:
-        data = tuple(data)
+        data = records = tuple(data)
         if len(data) != 2 or not all(isinstance(r, TraceRecord)
                                      for r in data):
             raise DetectorError(f"{pathology}: expected a pair of records")
-        for rec in data:
-            _require(rec, pathology)
-        severity, evidence = _score_misattribution(data, c)
     else:
         if isinstance(data, TraceRecord):
             raise DetectorError(f"{pathology}: corpus detector needs a "
                                 f"record sequence, got a single record")
-        data = list(data)
+        data = records = list(data)
         if len(data) < 2:
             raise DetectorError(f"{pathology}: needs >= 2 records")
-        for rec in data:
-            _require(rec, pathology)
-        severity, evidence = _GROUP_SCORERS[pathology](data, c)
+    for rec in records:
+        lacking = missing_fields(rec, info)
+        if lacking:
+            raise FieldUnavailableError(pathology, rec.id, lacking)
+    severity, evidence = scorer(data, cfg, *((kb,) if info.needs_kb else ()))
     return DetectorOutcome(pathology=pathology,
                            record_ids=_unit_ids(info.arity, data),
-                           severity=severity, threshold=threshold,
+                           severity=severity, threshold=threshold(cfg),
                            evidence=evidence)
-
-
-@dataclass(frozen=True)
-class AuditResult:
-    outcomes: tuple
-    skipped: dict   # detector -> reason
-    # detector -> {unit ids: reason}; None where each detector has one unit
-    dropped: Optional[dict] = None
-    # which records each detector could score; written as validation.json
-    validation: Optional[ValidationReport] = None
-
-    def by_pathology(self):
-        grouped = {}
-        for outcome in self.outcomes:
-            grouped.setdefault(outcome.pathology, []).append(outcome)
-        return grouped
-
-    def to_json_dict(self):
-        out = {"outcomes": [o.to_json_dict() for o in self.outcomes],
-               "skipped": dict(sorted(self.skipped.items()))}
-        if self.dropped is not None:
-            out["dropped"] = self.dropped
-        return out
 
 
 def _conversations(records):

@@ -1,4 +1,5 @@
-"""Pathology registry: ids, arities, required fields, outcome type.
+"""Pathology registry: ids, arities, required fields, and the types every
+audit shares (outcome, result, errors).
 
 The registry holds 21 generative + 14 discriminative detector ids (35
 total). The pair {semantic_reheating, semantic_warming} is one alias group,
@@ -7,6 +8,7 @@ so reports count 34 distinct pathologies.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Optional
 
 from .records import ClassificationRecord, TraceRecord
 
@@ -26,44 +28,6 @@ class Arity(str, Enum):
     SEQUENCE = "sequence"    # an ordered conversation of records
     CORPUS = "corpus"        # an unordered record set
     FIXTURE = "fixture"      # a CausalFixture
-
-
-class PathologyId(str, Enum):
-    DELUSION = "delusion"
-    ILLUSION = "illusion"
-    HALLUCINATION = "hallucination"
-    CONFABULATION = "confabulation"
-    MISATTRIBUTION = "misattribution"
-    SEMANTIC_DRIFT = "semantic_drift"
-    SEMANTIC_COMPRESSION = "semantic_compression"
-    EXAGGERATION = "exaggeration"
-    CAUSAL_INFERENCE_FAILURE = "causal_inference_failure"
-    UNCANNY_VALLEY = "uncanny_valley"
-    BLUFFING = "bluffing"
-    COGNITIVE_STEREOTYPY = "cognitive_stereotypy"
-    PRAGMATIC_MISUNDERSTANDING = "pragmatic_misunderstanding"
-    HYPERSIGNIFICATION = "hypersignification"
-    SEMANTIC_REHEATING = "semantic_reheating"
-    SEMANTIC_WARMING = "semantic_warming"
-    SIMULATED_AUTHORITY = "simulated_authority"
-    ABDUCTIVE_LEAP = "abductive_leap"
-    CONTEXTUAL_DRIFT = "contextual_drift"
-    REFERENTIAL_HALLUCINATION = "referential_hallucination"
-    SEMIOTIC_FRANKENSTEIN = "semiotic_frankenstein"
-    OVERFITTING = "overfitting"
-    BIAS_AMPLIFICATION = "bias_amplification"
-    SPURIOUS_CORRELATION = "spurious_correlation"
-    ADVERSARIAL_VULNERABILITY = "adversarial_vulnerability"
-    CALIBRATION_FAILURE = "calibration_failure"
-    CONCEPT_DRIFT_SENSITIVITY = "concept_drift_sensitivity"
-    MISCLASSIFICATION_UNDER_UNCERTAINTY = "misclassification_under_uncertainty"
-    PROSODIC_MISCLASSIFICATION = "prosodic_misclassification"
-    ACCENT_BIAS = "accent_bias"
-    TURN_BOUNDARY_FAILURE = "turn_boundary_failure"
-    SEMANTIC_BOUNDARY_CONFUSION = "semantic_boundary_confusion"
-    NOISE_OVERFITTING = "noise_overfitting"
-    LATENCY_INDUCED_DECISION_DRIFT = "latency_induced_decision_drift"
-    AMBIGUITY_COLLAPSE = "ambiguity_collapse"
 
 
 @dataclass(frozen=True)
@@ -200,6 +164,17 @@ def alias_label(name):
     return name
 
 
+class DetectorError(ValueError):
+    """Detector cannot run: wrong arity, missing fields, no eligible data."""
+
+
+class FieldUnavailableError(DetectorError):
+    def __init__(self, pathology, record_id, fields):
+        super().__init__(f"{pathology}: record {record_id!r} lacks "
+                         f"{', '.join(fields)}")
+        self.fields = tuple(fields)
+
+
 @dataclass(frozen=True)
 class DetectorOutcome:
     """Verdict of one detector evaluation.
@@ -245,6 +220,29 @@ class DetectorOutcome:
                 "loss": self.loss,
                 "threshold": self.threshold,
                 "evidence": dict(self.evidence)}
+
+
+@dataclass(frozen=True)
+class AuditResult:
+    outcomes: tuple
+    skipped: dict   # detector -> reason
+    # detector -> {unit ids: reason}; None where each detector has one unit
+    dropped: Optional[dict] = None
+    # which records each detector could score; written as validation.json
+    validation: Optional["ValidationReport"] = None
+
+    def by_pathology(self):
+        grouped = {}
+        for outcome in self.outcomes:
+            grouped.setdefault(outcome.pathology, []).append(outcome)
+        return grouped
+
+    def to_json_dict(self):
+        out = {"outcomes": [o.to_json_dict() for o in self.outcomes],
+               "skipped": dict(sorted(self.skipped.items()))}
+        if self.dropped is not None:
+            out["dropped"] = self.dropped
+        return out
 
 
 def record_kind(record):

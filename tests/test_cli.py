@@ -157,3 +157,61 @@ def test_game_reports_one_exact_round(tmp_path):
     assert not (out / "iterations.csv").exists()
     steps = result["stackelberg"]["steps"]
     assert [sorted(s) for s in steps] == [["accepted", "eps", "gate"]] * 2
+
+
+def _fixture_audit(tmp_path, pathology, config):
+    """The outcomes.json entries of `pathology` after an audit of its
+    positive fixture, with `config` (a dict, or None) as --config."""
+    corpus = tmp_path / "corpus.jsonl"
+    argv = ["audit", "--corpus", str(corpus)]
+    if pathology in GENERATIVE_DETECTORS:
+        records = fixtures.generative_fixture(pathology, True)["records"]
+    else:
+        records = fixtures.discriminative_fixture(pathology, True)
+        argv += ["--schema", "classification"]
+    save_trace_corpus(corpus, records)
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out), "--force"]) == 0
+    outcomes = json.loads((out / "outcomes.json").read_text())["outcomes"]
+    return [o for o in outcomes if o["pathology"] == pathology]
+
+
+@pytest.mark.parametrize("pathology,section,key,default,raised", [
+    # the fixture's output probability is 0.95
+    ("abductive_leap", "generative", "delta", 0.9, 0.99),
+    # the fixture's ECE is 0.5
+    ("calibration_failure", "discriminative", "ece_hi", 0.1, 0.9)])
+def test_config_sets_a_threshold(tmp_path, pathology, section, key, default,
+                                 raised):
+    before = _fixture_audit(tmp_path, pathology, None)
+    after = _fixture_audit(tmp_path, pathology, {section: {key: raised}})
+    assert [(o["threshold"], o["fired"]) for o in before] == [(default, True)]
+    assert [(o["threshold"], o["fired"]) for o in after] == [(raised, False)]
+    assert after[0]["severity"] == before[0]["severity"]
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"detectors": {}}, "'detectors'"),
+    ({"generative": {"s_high": 0.8}}, "'s_high'"),
+    ({"discriminative": {"ece": 0.2}}, "'ece'"),
+    ({"mi": {"bins": 3}}, "'bins'"),
+    ({"generative_overrides": {"delusion": {"margin": 5.0}}},
+     "'generative_overrides'"),
+    ({"discriminative_overrides": {"overfitting": {"gap_hi": 0.5}}},
+     "'discriminative_overrides'"),
+    ({"discriminative": {"drift_window": [[0, 10], [20, 30]]}},
+     "'drift_window'"),
+    ({"generative": {"mi": {"seed": 3}}, "mi": {"seed": 4}}, "'mi'")])
+def test_config_rejects_unknown_keys(tmp_path, capsys, config, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = _argv(tmp_path, "audit-trace") + ["--config", str(path),
+                                             "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "out" / "outcomes.json").exists()

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from pathrisk import fixtures
-from pathrisk.discriminative import (DiscriminativeConfig, DriftWindow,
+from pathrisk.discriminative import (DiscriminativeConfig,
                                      audit_discriminative,
                                      expected_calibration_error,
-                                     firing_threshold, score_discriminative)
+                                     score_discriminative)
 from pathrisk.generative import DetectorError
 from pathrisk.records import ClassificationRecord
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, missing_fields,
@@ -153,22 +153,6 @@ class TestPermutationInvariance:
 
 
 class TestDrift:
-    def test_explicit_window(self):
-        recs = fixtures.discriminative_fixture("concept_drift_sensitivity",
-                                               True)
-        cfg = DiscriminativeConfig(
-            drift_window=DriftWindow(reference_slice=(0, 20),
-                                     current_slice=(20, 40)))
-        outcome = score_discriminative("concept_drift_sensitivity", recs,
-                                       cfg)
-        assert outcome.fired
-
-    def test_window_invariants(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            DriftWindow(reference_slice=(3, 3), current_slice=(3, 6))
-        with pytest.raises(ValueError, match="overlap"):
-            DriftWindow(reference_slice=(0, 5), current_slice=(4, 8))
-
     def test_accuracy_drop_without_shift_is_silent(self):
         # degraded accuracy but identical feature distribution: TV gate off
         recs = []
@@ -237,9 +221,8 @@ class TestAudit:
             audit_discriminative(recs + recs[:1])
 
     def test_config_override_threshold(self):
-        cfg = DiscriminativeConfig(
-            overrides={"calibration_failure": {"ece_hi": 0.9}})
-        assert firing_threshold("calibration_failure", cfg) == 0.9
+        cfg = DiscriminativeConfig(ece_hi=0.9)
         recs = fixtures.discriminative_fixture("calibration_failure", True)
         outcome = score_discriminative("calibration_failure", recs, cfg)
+        assert outcome.threshold == 0.9
         assert not outcome.fired   # ECE 0.5 < 0.9

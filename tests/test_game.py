@@ -14,12 +14,11 @@ from oracles import grid_variational_equilibrium
 GRID_STEPS = 41
 
 
-def _agent(name, target, lo=-10.0, hi=10.0, lam=0.0, kappa=1.0):
+def _agent(name, target, lo=-10.0, hi=10.0, lam=0.0):
     target = np.asarray(target, dtype=float)
     return AgentSpec(pathology=name, lo=np.full(target.size, lo),
                      hi=np.full(target.size, hi),
-                     cost=QuadraticTargetCost(target=target, lam=lam,
-                                              kappa=kappa))
+                     cost=QuadraticTargetCost(target=target, lam=lam))
 
 
 def _solve(specs, cap, kappa=1.0):
@@ -40,8 +39,7 @@ def _parsed(tmp_path, scenario):
 class TestBestResponse:
     def test_compute_penalty_shrinks_target(self):
         target = np.array([1.0, -2.0])
-        theta = best_response(_agent("a", target, lam=1.0, kappa=1.0),
-                              0.0, 1.0)
+        theta = best_response(_agent("a", target, lam=1.0), 0.0, 1.0)
         assert np.allclose(theta, target / 2.0, atol=1e-15)
 
     def test_price_adds_to_the_penalty_then_the_box_clips(self):
@@ -75,7 +73,7 @@ class TestSolve:
     @pytest.mark.parametrize("case", sorted(GAME_CASES))
     def test_matches_brute_force_grid(self, case):
         agents, kappa, cap = GAME_CASES[case]
-        specs = [_agent(f"a{i}", t, lo=lo, hi=hi, lam=lam, kappa=kappa)
+        specs = [_agent(f"a{i}", t, lo=lo, hi=hi, lam=lam)
                  for i, (t, lo, hi, lam) in enumerate(agents)]
         state = _solve(specs, cap, kappa=kappa)
         assert state.price > 0.0   # every case's cap binds
@@ -85,7 +83,8 @@ class TestSolve:
             on_bound |= bool(np.any((theta == spec.lo) | (theta == spec.hi)))
         assert on_bound == (case != "origin")
         assert _compute(state.thetas, kappa) <= cap
-        value = sum(s.cost.value(t) for s, t in zip(specs, state.thetas))
+        value = sum(s.cost.value(t, kappa)
+                    for s, t in zip(specs, state.thetas))
         grid_thetas, grid_value = grid_variational_equilibrium(
             [(np.asarray(t), np.asarray(lo), np.asarray(hi), lam)
              for t, lo, hi, lam in agents], kappa, cap, steps=GRID_STEPS)

@@ -7,8 +7,7 @@ import hypothesis.strategies as st
 
 from pathrisk import fixtures
 from pathrisk.generative import (DetectorError, FieldUnavailableError,
-                                 GenerativeConfig, audit_generative,
-                                 firing_threshold, score)
+                                 GenerativeConfig, audit_generative, score)
 from pathrisk.records import KnowledgeBase, TraceRecord
 from pathrisk.registry import (ALIAS_GROUPS, GENERATIVE_DETECTORS,
                                DISCRIMINATIVE_DETECTORS, alias_label,
@@ -287,10 +286,11 @@ class TestErrors:
 
 class TestConfig:
     def test_override_changes_threshold(self):
-        cfg = GenerativeConfig(overrides={"abductive_leap": {"delta": 0.99}})
-        assert firing_threshold("abductive_leap", cfg) == 0.99
-        assert firing_threshold("delusion", cfg) == 0.5
+        cfg = GenerativeConfig(delta=0.99)
+        assert [o.threshold for o in run_fixture("delusion", True, cfg)] \
+            == [0.5]
         outcomes = run_fixture("abductive_leap", True, cfg)
+        assert [o.threshold for o in outcomes] == [0.99]
         assert not any(o.fired for o in outcomes)   # 0.95 < 0.99 now
 
     def test_margin_must_exceed_one(self):
