@@ -18,7 +18,9 @@ corpus holds none, has {"not_applicable": "<requires a trace record>",
 0.95}, "discriminative": {"ece_hi": 0.2}}. Their keys are the fields of
 GenerativeConfig (but `mi`), MIEstimatorConfig and DiscriminativeConfig;
 each value applies to every detector that reads it. The mi seed defaults
-to --seed. An unknown section or key exits 2 with an error naming it.
+to --seed. An unknown section or key, or a value of the wrong type (an
+int is accepted for a float), exits 2 with an error naming the key; so
+does a value that its config class rejects as out of range.
 """
 
 import argparse
@@ -26,6 +28,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from . import discriminative, fixtures, game, generative, holonorm, jsonio, \
 from .metrics import MIEstimatorConfig
 from .records import (CorpusError, load_causal_fixtures, load_knowledge_base,
                       load_trace_corpus)
+from .registry import OUTCOME_JSON_KEYS, DetectorOutcome
 # the audits build the validation report; the name stays bound here for
 # perfbench/layers.py, which rebinds it on this module too
 from .registry import validate_corpus  # noqa: F401
@@ -43,13 +47,22 @@ class CliError(ValueError):
     pass
 
 
-# --config section -> the keys it accepts: its config class's fields;
-# the MI estimator is configured in its own section
+# --config section -> its config class; the MI estimator is configured in
+# its own section, not as the `mi` field of GenerativeConfig
+_CONFIG_CLASSES = {"generative": generative.GenerativeConfig,
+                   "mi": MIEstimatorConfig,
+                   "discriminative": discriminative.DiscriminativeConfig}
+# section -> {key: type}
 _CONFIG_KEYS = {
-    name: {f.name for f in dataclasses.fields(cls)} - {"mi"}
-    for name, cls in (("generative", generative.GenerativeConfig),
-                      ("mi", MIEstimatorConfig),
-                      ("discriminative", discriminative.DiscriminativeConfig))}
+    name: {f.name: f.type for f in dataclasses.fields(cls) if f.name != "mi"}
+    for name, cls in _CONFIG_CLASSES.items()}
+
+
+def _has_type(value, kind):
+    # JSON true/false are Python bools, which are ints; an int is a float
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _load_config(path):
@@ -66,10 +79,22 @@ def _load_config(path):
         if not isinstance(body, dict):
             raise CliError(f"config {path}: section {section!r} is not a "
                            f"JSON object")
-        unknown = sorted(set(body) - _CONFIG_KEYS[section])
+        unknown = sorted(body.keys() - _CONFIG_KEYS[section].keys())
         if unknown:
             raise CliError(f"config {path}: unknown key {unknown[0]!r} in "
                            f"section {section!r}")
+        for key, value in body.items():
+            kind = _CONFIG_KEYS[section][key]
+            if not _has_type(value, kind):
+                raise CliError(f"config {path}: key {key!r} in section "
+                               f"{section!r} must be {kind.__name__}, not "
+                               f"{json.dumps(value)}")
+        # the class checks the ranges, whichever schema the audit reads
+        try:
+            _CONFIG_CLASSES[section](**body)
+        except ValueError as exc:
+            raise CliError(f"config {path}: section {section!r}: "
+                           f"{exc}") from None
     return obj
 
 
@@ -135,19 +160,38 @@ def _cmd_audit(args):
     return 0
 
 
+# one shared read-only mapping stands for the evidence that is not kept
+_NO_EVIDENCE = MappingProxyType({})
+
+
+def _outcome_hook(obj):
+    if obj.keys() != OUTCOME_JSON_KEYS:
+        return obj
+    return DetectorOutcome(pathology=obj["pathology"],
+                           record_ids=tuple(obj["record_ids"]),
+                           severity=float(obj["severity"]),
+                           threshold=float(obj["threshold"]),
+                           evidence=_NO_EVIDENCE)
+
+
 def _load_outcome_files(paths):
-    from .registry import DetectorOutcome
+    """The outcomes of each outcomes.json in `paths`, in file order.
+
+    Each outcome is built as its JSON object is parsed, so no dict tree of
+    the file is held. Evidence is not kept: risk and report never read it,
+    so every loaded outcome has empty evidence. An object in the
+    "outcomes" list must have exactly the keys the audit writes.
+    """
     outcomes = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-        for item in obj["outcomes"]:
-            outcomes.append(DetectorOutcome(
-                pathology=item["pathology"],
-                record_ids=tuple(item["record_ids"]),
-                severity=float(item["severity"]),
-                threshold=float(item["threshold"]),
-                evidence=dict(item.get("evidence", {}))))
+            obj = json.load(handle, object_hook=_outcome_hook)
+        for i, item in enumerate(obj["outcomes"]):
+            if not isinstance(item, DetectorOutcome):
+                raise CliError(f"{path}: outcomes[{i}] is not an object "
+                               f"with exactly the keys "
+                               f"{', '.join(sorted(OUTCOME_JSON_KEYS))}")
+        outcomes.extend(obj["outcomes"])
     return outcomes
 
 

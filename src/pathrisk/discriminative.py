@@ -37,6 +37,20 @@ class DiscriminativeConfig:
     margin_hi: float = 0.3   # ambiguity-collapse margin
     n_min: int = 20          # rate-estimate sample floor
 
+    def __post_init__(self):
+        for name in ("ece_bins", "tv_bins", "n_min"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer)) or value < 1):
+                raise ValueError(f"{name} must be a positive integer")
+        for name in ("gap_hi", "amp_hi", "ece_hi", "tv_hi", "c_hi",
+                     "frac_hi", "flip_hi", "margin_hi"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0,1]")
+        for name in ("eps_adv", "tol_t"):
+            if not (getattr(self, name) >= 0.0):
+                raise ValueError(f"{name} must be non-negative")
+
 
 def _fmt(x):
     return f"{x:.12g}"

@@ -5,6 +5,10 @@ with the same inputs and seed therefore produce byte-identical files.
 JSON is written in one streaming pass: each value is canonicalised as it
 is encoded and the text goes to the file piece by piece, so writing a
 report holds no copy of the document and no string of the whole file.
+An object with a `to_json_dict()` method may stand anywhere in the
+document: it is converted at the moment it is written, so a report can
+hand over its items as they are (an audit its outcomes) and each item's
+dict lives only while that item is being written.
 """
 
 import hashlib
@@ -44,12 +48,19 @@ def _scalar(obj):
                     f"is not JSON serializable")
 
 
+# values written as one token; anything else goes through _encode
+_LEAVES = (str, int, float, type(None), np.generic)
+
+
 def _encode(obj, level=0):
     """Yield the canonical JSON text of obj in pieces: indent 1, separators
     (",", ": "), keys str(k) and sorted (the last of two keys with the same
-    string wins), tuples and arrays as lists."""
+    string wins), tuples and arrays as lists, an object with to_json_dict()
+    as that dict."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
+    elif hasattr(obj, "to_json_dict"):
+        obj = obj.to_json_dict()
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -72,11 +83,11 @@ def _encode(obj, level=0):
     for key, value in items:
         if key is not None:
             head += encode_basestring_ascii(key) + ": "
-        if isinstance(value, (dict, list, tuple, np.ndarray)):
+        if isinstance(value, _LEAVES):
+            yield head + _scalar(value)
+        else:
             yield head
             yield from _encode(value, level + 1)
-        else:
-            yield head + _scalar(value)
         head = "," + inner
     yield "\n" + " " * level + closer
 

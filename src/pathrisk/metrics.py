@@ -38,7 +38,7 @@ class MIEstimatorConfig:
 
     def __post_init__(self):
         if self.num_bins_per_axis < 2:
-            raise MetricError("need at least 2 bins per axis")
+            raise MetricError("num_bins_per_axis must be at least 2")
         if self.projection_dims < 1:
             raise MetricError("projection_dims must be positive")
 

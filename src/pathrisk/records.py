@@ -494,19 +494,26 @@ def save_trace_corpus(path, records):
             handle.write("\n")
 
 
+def _kb_entry_hook(obj):
+    # each entry's embedding becomes an array as soon as the entry is
+    # parsed, so the floats of the whole file are never alive at once
+    if "entity_id" in obj and "embedding" in obj:
+        obj["embedding"] = _as_vector(obj["embedding"], "embedding",
+                                      str(obj["entity_id"]))
+    return obj
+
+
 def load_knowledge_base(path):
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        obj = json.load(handle, object_hook=_kb_entry_hook)
     if "entries" not in obj:
         raise CorpusError("knowledge base file lacks an 'entries' array")
     entries = []
     for i, entry in enumerate(obj["entries"]):
         try:
-            eid = str(entry["entity_id"])
-            vec = _as_vector(entry["embedding"], "embedding", eid)
+            entries.append((str(entry["entity_id"]), entry["embedding"]))
         except KeyError as exc:
             raise CorpusError(f"entry {i}: missing {exc.args[0]}") from None
-        entries.append((eid, vec))
     return KnowledgeBase(entries=tuple(entries),
                          source_tag=str(obj.get("source_tag", "")))
 

@@ -175,13 +175,14 @@ class FieldUnavailableError(DetectorError):
         self.fields = tuple(fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectorOutcome:
     """Verdict of one detector evaluation.
 
     fired is derived from severity >= threshold, never stored
     independently; loss is the L_i sample handed to the risk engine and
-    equals severity for every detector in this package.
+    equals severity for every detector in this package. Slotted: an audit
+    holds one per (detector, unit), so no instance carries a __dict__.
     """
 
     pathology: str
@@ -222,6 +223,12 @@ class DetectorOutcome:
                 "evidence": dict(self.evidence)}
 
 
+# the keys of DetectorOutcome.to_json_dict: a loader knows an outcome in a
+# parsed file by exactly this key set
+OUTCOME_JSON_KEYS = frozenset(("pathology", "family", "record_ids", "fired",
+                               "severity", "loss", "threshold", "evidence"))
+
+
 @dataclass(frozen=True)
 class AuditResult:
     outcomes: tuple
@@ -238,7 +245,9 @@ class AuditResult:
         return grouped
 
     def to_json_dict(self):
-        out = {"outcomes": [o.to_json_dict() for o in self.outcomes],
+        # the outcomes as they are: the writer converts each one as it
+        # writes it, so their dicts never all exist at once
+        out = {"outcomes": self.outcomes,
                "skipped": dict(sorted(self.skipped.items()))}
         if self.dropped is not None:
             out["dropped"] = self.dropped

@@ -114,6 +114,8 @@ def chi_cdf(dim, r):
 
 
 def _canon(obj):
+    if hasattr(obj, "to_json_dict"):
+        return _canon(obj.to_json_dict())
     if isinstance(obj, dict):
         return {str(k): _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -134,7 +136,8 @@ def _canon(obj):
 
 
 def canonical_json(obj):
-    """Canonical JSON text of obj via a deep copy and json.dumps."""
+    """Canonical JSON text of obj via a deep copy and json.dumps; an
+    object with to_json_dict() is copied as that dict."""
     return json.dumps(_canon(obj), sort_keys=True, indent=1,
                       separators=(",", ": "))
 

@@ -3,10 +3,12 @@ import math
 
 import pytest
 
-from pathrisk import cli, fixtures
-from pathrisk.records import save_trace_corpus
+from pathrisk import cli, discriminative, fixtures, generative
+from pathrisk import risk as risk_mod
+from pathrisk.records import (load_causal_fixtures, load_knowledge_base,
+                              load_trace_corpus, save_trace_corpus)
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
-                               pathology_ids)
+                               DetectorOutcome, pathology_ids)
 
 
 def _outputs(directory):
@@ -205,7 +207,18 @@ def test_config_sets_a_threshold(tmp_path, pathology, section, key, default,
      "'discriminative_overrides'"),
     ({"discriminative": {"drift_window": [[0, 10], [20, 30]]}},
      "'drift_window'"),
-    ({"generative": {"mi": {"seed": 3}}, "mi": {"seed": 4}}, "'mi'")])
+    ({"generative": {"mi": {"seed": 3}}, "mi": {"seed": 4}}, "'mi'"),
+    # known keys with a value of the wrong type or out of range
+    ({"generative": {"delta": "0.99"}}, "'delta'"),
+    ({"generative": {"window": 5.5}}, "'window'"),
+    ({"generative": {"expert_style_id": 3}}, "'expert_style_id'"),
+    ({"discriminative": {"ece_hi": True}}, "'ece_hi'"),
+    ({"discriminative": {"n_min": None}}, "'n_min'"),
+    ({"mi": {"seed": 1.0}}, "'seed'"),
+    ({"discriminative": {"ece_bins": 0}}, "ece_bins"),
+    ({"discriminative": {"gap_hi": 1.5}}, "gap_hi"),
+    ({"discriminative": {"tol_t": -1}}, "tol_t"),
+    ({"mi": {"num_bins_per_axis": 1}}, "num_bins_per_axis")])
 def test_config_rejects_unknown_keys(tmp_path, capsys, config, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -215,3 +228,80 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, config, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "out" / "outcomes.json").exists()
+
+
+def test_config_accepts_an_int_for_a_float(tmp_path):
+    # abductive_leap's fixture has output probability 0.95 < 1
+    after = _fixture_audit(tmp_path, "abductive_leap",
+                           {"generative": {"delta": 1, "margin": 5}})
+    assert [(o["threshold"], o["fired"]) for o in after] == [(1.0, False)]
+
+
+def _in_memory_audit(tmp_path, subcommand):
+    """The audit result that `audit` computes on the inputs _argv wrote."""
+    corpus = tmp_path / "corpus.jsonl"
+    if subcommand == "audit-classification":
+        return discriminative.audit_discriminative(
+            load_trace_corpus(corpus, schema="classification"))
+    return generative.audit_generative(
+        load_trace_corpus(corpus), kb=load_knowledge_base(tmp_path / "kb.json"),
+        fixtures=load_causal_fixtures(tmp_path / "fixtures.json"),
+        cfg=cli._generative_config({}, 0))
+
+
+@pytest.mark.parametrize("subcommand", ["audit-trace", "audit-classification"])
+def test_loaded_outcomes_give_the_in_memory_risk_report(tmp_path,
+                                                        subcommand):
+    out = tmp_path / "out"
+    assert cli.main(_argv(tmp_path, subcommand) + ["--out", str(out)]) == 0
+    loaded = cli._load_outcome_files([out / "outcomes.json"])
+    result = _in_memory_audit(tmp_path, subcommand)
+    assert len(loaded) == len(result.outcomes) > 0
+    for got, want in zip(loaded, result.outcomes):
+        # slotted: no per-instance __dict__
+        assert isinstance(got, DetectorOutcome)
+        assert not hasattr(got, "__dict__")
+        assert (got.pathology, got.record_ids, got.threshold, got.fired) == \
+            (want.pathology, want.record_ids, want.threshold, want.fired)
+        # the file holds severities rounded to 12 decimals
+        assert got.severity == pytest.approx(want.severity, abs=5e-13)
+        assert got.evidence == {}
+    from_file = risk_mod.risk_report(loaded)
+    in_memory = risk_mod.risk_report(result.outcomes)
+    assert (from_file.feasible, from_file.unavailable) == \
+        (in_memory.feasible, in_memory.unavailable)
+    assert len(from_file.entries) == len(in_memory.entries) > 0
+    for got, want in zip(from_file.entries, in_memory.entries):
+        assert (got.pathology, got.n, got.fired_rate, got.eps, got.ok) == \
+            (want.pathology, want.n, want.fired_rate, want.eps, want.ok)
+        assert got.expectile == pytest.approx(want.expectile, abs=1e-12)
+        assert got.mean == pytest.approx(want.mean, abs=1e-12)
+
+
+_GOOD_OUTCOME = {"pathology": "delusion", "family": "generative",
+                 "record_ids": ["r1"], "fired": True, "severity": 0.7,
+                 "loss": 0.7, "threshold": 0.5, "evidence": {"ratio": "3"}}
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"pathology": "nonsense"}, "error: unknown pathology 'nonsense'\n"),
+    ({"severity": 1.5}, "error: severity 1.5 outside [0,1]\n"),
+    ({"severity": "nan"}, "error: severity nan outside [0,1]\n"),
+    ({"loss": None}, "outcomes[1] is not an object with exactly the keys"),
+    ({"extra": 1}, "outcomes[1] is not an object with exactly the keys")])
+@pytest.mark.parametrize("subcommand", ["risk", "report"])
+def test_bad_outcomes_exit_2(tmp_path, capsys, subcommand, change, message):
+    item = {k: v for k, v in (_GOOD_OUTCOME | change).items()
+            if v is not None}
+    path = tmp_path / "outcomes.json"
+    path.write_text(json.dumps({"outcomes": [_GOOD_OUTCOME, item],
+                                "skipped": {}}))
+    if subcommand == "risk":
+        argv = ["risk", "--outcomes", str(path)]
+    else:
+        risk_report, _ = _risked(tmp_path)
+        argv = ["report", "--risk", risk_report, "--outcomes", str(path)]
+    assert cli.main(argv + ["--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "bad").exists()

@@ -226,3 +226,29 @@ class TestAudit:
         outcome = score_discriminative("calibration_failure", recs, cfg)
         assert outcome.threshold == 0.9
         assert not outcome.fired   # ECE 0.5 < 0.9
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("name", ["ece_bins", "tv_bins", "n_min"])
+    @pytest.mark.parametrize("value", [0, -3, 2.0, True])
+    def test_counts_are_positive_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a positive"):
+            DiscriminativeConfig(**{name: value})
+        assert getattr(DiscriminativeConfig(**{name: 1}), name) == 1
+
+    @pytest.mark.parametrize("name", ["gap_hi", "amp_hi", "ece_hi", "tv_hi",
+                                      "c_hi", "frac_hi", "flip_hi",
+                                      "margin_hi"])
+    @pytest.mark.parametrize("value", [-0.01, 1.01, float("nan")])
+    def test_levels_lie_in_the_unit_interval(self, name, value):
+        with pytest.raises(ValueError, match=rf"{name} must lie in \[0,1\]"):
+            DiscriminativeConfig(**{name: value})
+        for edge in (0.0, 1.0):
+            assert getattr(DiscriminativeConfig(**{name: edge}), name) == edge
+
+    @pytest.mark.parametrize("name", ["eps_adv", "tol_t"])
+    @pytest.mark.parametrize("value", [-1e-9, float("nan")])
+    def test_tolerances_are_non_negative(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            DiscriminativeConfig(**{name: value})
+        assert getattr(DiscriminativeConfig(**{name: 0.0}), name) == 0.0

@@ -1,3 +1,4 @@
+import gc
 import math
 import tempfile
 import tracemalloc
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import canonical_json
-from pathrisk import jsonio
-from pathrisk.registry import Family
+from pathrisk import cli, jsonio
+from pathrisk.registry import (AuditResult, DetectorOutcome, Family,
+                               pathology_ids)
 
 NEAR_12TH_DECIMAL = st.builds(
     lambda k, nudge: (k + 0.5) * 1e-12 + nudge,
@@ -34,12 +36,25 @@ SCALARS = st.one_of(
 
 KEYS = st.one_of(st.integers(-3, 12), st.text(alphabet="01ab é", max_size=3))
 
+
+class _Reported:
+    """An item that writes as the dict its to_json_dict() returns, as a
+    DetectorOutcome does."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def to_json_dict(self):
+        return self.body
+
+
 DOCUMENTS = st.recursive(
     SCALARS,
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(KEYS, children, max_size=5)),
+        st.dictionaries(KEYS, children, max_size=5),
+        st.dictionaries(KEYS, children, max_size=5).map(_Reported)),
     max_leaves=30)
 
 
@@ -49,6 +64,7 @@ DOCUMENTS = st.recursive(
 @example({"1": "str key", 1: "int key"})
 @example({"b": [], "a": {}, "c": ()})
 @example([-0.0, 0.1 + 5e-13, 1.0000000000005, np.array(-0.0)])
+@example(_Reported({"b": (_Reported({}), _Reported({1: 2.0})), "a": 1}))
 def test_streamed_output_equals_two_pass_oracle(doc):
     expected = canonical_json(doc)
     assert jsonio.canonical_dumps(doc) == expected
@@ -99,6 +115,51 @@ def test_write_holds_no_copy_of_the_document(tmp_path):
     written = path.stat().st_size
     assert written >= 4_000_000
     assert peak < written / 4
+
+
+def _audit_result(n):
+    outcomes = tuple(
+        DetectorOutcome(pathology=pathology_ids()[i % 21],
+                        record_ids=(f"conv-{i // 8:05d}", f"rec-{i:06d}"),
+                        severity=(i % 997) / 997, threshold=0.5,
+                        evidence={"ratio": f"{i / 7:.12g}",
+                                  "note": "similarity above s_hi"})
+        for i in range(n))
+    return AuditResult(outcomes=outcomes, skipped={}, dropped={})
+
+
+def test_audit_outcomes_are_converted_as_they_are_written(tmp_path):
+    # the audit hands its outcomes to the writer as they are; only the one
+    # being written exists as a dict
+    result = _audit_result(20_000)
+    path = tmp_path / "outcomes.json"
+    tracemalloc.start()
+    try:
+        jsonio.write_json(path, result.to_json_dict())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = path.stat().st_size
+    assert written >= 5_000_000
+    assert peak < written / 20
+    assert path.read_text() == canonical_json(result) + "\n"
+
+
+def test_loading_outcomes_holds_no_dict_tree(tmp_path):
+    # each outcome is built as it is parsed and keeps no evidence: the
+    # peak is the file's text (1x its size) plus the outcomes (about 1.2x);
+    # a dict tree of the file with the evidence kept peaks at about 4.3x
+    path = tmp_path / "outcomes.json"
+    jsonio.write_json(path, _audit_result(20_000).to_json_dict())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = cli._load_outcome_files([path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 20_000
+    assert peak < 3 * path.stat().st_size
 
 
 def test_csv_cells_name_non_finite_floats(tmp_path):

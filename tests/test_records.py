@@ -12,7 +12,8 @@ from oracles import loop_validation
 from pathrisk.records import (CausalFixture, ClassificationRecord,
                               CorpusError, KnowledgeBase,
                               RecordValidationError, TraceRecord,
-                              load_trace_corpus, save_trace_corpus)
+                              load_knowledge_base, load_trace_corpus,
+                              save_trace_corpus)
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                REGISTRY, missing_fields, validate_corpus)
 from pathrisk import fixtures
@@ -412,6 +413,60 @@ def test_knowledge_base_invariants():
     with pytest.raises(CorpusError, match="mixed"):
         KnowledgeBase(entries=(("a", np.array([1.0])),
                                ("b", np.array([1.0, 2.0]))))
+
+
+def _kb_file(tmp_path, last):
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps({"entries": [
+        {"entity_id": "a", "embedding": [1.0, 0.0]}, last]}))
+    return path
+
+
+@pytest.mark.parametrize("last,error,message", [
+    ({"entity_id": "b"}, CorpusError, "entry 1: missing embedding"),
+    ({"embedding": [0.0, 1.0]}, CorpusError, "entry 1: missing entity_id"),
+    ({"entity_id": "b", "embedding": []}, RecordValidationError,
+     "record 'b', field 'embedding': expected a nonempty vector"),
+    ({"entity_id": "b", "embedding": [[0.0, 1.0]]}, RecordValidationError,
+     "record 'b', field 'embedding': expected a nonempty vector"),
+    ({"entity_id": "b", "embedding": [0.0, math.nan]}, RecordValidationError,
+     "record 'b', field 'embedding': non-finite entries"),
+    ({"entity_id": "b", "embedding": [0.0, "x"]}, ValueError,
+     "could not convert string to float: 'x'"),
+    ({"entity_id": "b", "embedding": [0.0, 1.0, 2.0]}, CorpusError,
+     r"knowledge base embeddings have mixed lengths \[2, 3\]")])
+def test_knowledge_base_file_errors(tmp_path, last, error, message):
+    with pytest.raises(error, match=message) as info:
+        load_knowledge_base(_kb_file(tmp_path, last))
+    assert type(info.value) is error
+
+
+def test_knowledge_base_file_round_trip(tmp_path):
+    kb = fixtures.standard_kb()
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps(kb.to_json_dict()))
+    loaded = load_knowledge_base(path)
+    assert loaded.source_tag == kb.source_tag
+    assert [e for e, _ in loaded.entries] == [e for e, _ in kb.entries]
+    assert np.array_equal(loaded.embedding_matrix(), kb.embedding_matrix())
+
+
+def test_knowledge_base_load_holds_no_list_of_floats(tmp_path):
+    # 128 x 768 two-decimal floats: as Python floats in lists they take
+    # about 32 B each, about 4x the 8 B of the array the KB keeps
+    rng = np.random.default_rng(0)
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps({"entries": [
+        {"entity_id": f"e{i}",
+         "embedding": np.round(rng.standard_normal(768), 2).tolist()}
+        for i in range(128)]}))
+    tracemalloc.start()
+    try:
+        kb = load_knowledge_base(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * kb.embedding_matrix().nbytes
 
 
 def test_knowledge_base_lookup_and_ids():
