@@ -26,6 +26,7 @@ does a value that its config class rejects as out of range.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from types import MappingProxyType
@@ -35,8 +36,8 @@ import numpy as np
 from . import discriminative, fixtures, game, generative, holonorm, jsonio, \
     risk as risk_mod
 from .metrics import MIEstimatorConfig
-from .records import (CorpusError, load_causal_fixtures, load_knowledge_base,
-                      load_trace_corpus)
+from .records import (CorpusError, decode_number, load_causal_fixtures,
+                      load_knowledge_base, load_trace_corpus)
 from .registry import OUTCOME_JSON_KEYS, DetectorOutcome
 # the audits build the validation report; the name stays bound here for
 # perfbench/layers.py, which rebinds it on this module too
@@ -111,17 +112,28 @@ def _discriminative_config(cfg_obj):
 
 
 def _parse_eps_file(path):
+    """The --eps file: an object keyed by pathology (with an optional
+    "default") or an array in registry order, whose values are numbers or
+    "inf". A bool, NaN or any other string exits 2 naming its key."""
     if path is None:
         return None
     with open(path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
+    if type(obj) is not dict and type(obj) is not list:
+        raise CliError(f"eps {path}: expected an object or an array")
 
-    def conv(v):
-        return float("inf") if v in ("inf", "Infinity") else float(v)
+    def conv(key, value):
+        if value == "inf":
+            return math.inf
+        try:
+            return decode_number(value)
+        except (ValueError, OverflowError):
+            raise CliError(f"eps {path}: key {key!r} must be a number or "
+                           f'"inf", not {json.dumps(value)}') from None
 
-    if isinstance(obj, dict):
-        return {k: conv(v) for k, v in obj.items()}
-    return [conv(v) for v in obj]
+    if type(obj) is dict:
+        return {k: conv(k, v) for k, v in obj.items()}
+    return [conv(i, v) for i, v in enumerate(obj)]
 
 
 def _cmd_audit(args):

@@ -65,9 +65,7 @@ def _accuracy(records):
 def _pairs_by_id(records, key):
     groups = {}
     for rec in records:
-        pid = getattr(rec, key)
-        if pid is not None:
-            groups.setdefault(pid, []).append(rec)
+        groups.setdefault(getattr(rec, key), []).append(rec)
     pairs = []
     for pid in sorted(groups):
         members = sorted(groups[pid], key=lambda r: r.id)
@@ -98,9 +96,7 @@ def _prediction_rates(records, classes):
 
 
 def _score_bias_amplification(records, cfg):
-    groups = sorted({r.group for r in records if r.group is not None})
-    if len(groups) < 1:
-        raise DetectorError("bias_amplification: no subgroup tags")
+    groups = sorted({r.group for r in records})
     classes = sorted({r.predicted_label for r in records}
                      | {r.true_label for r in records})
     baseline = _prediction_rates(records, classes)
@@ -118,11 +114,10 @@ def _score_bias_amplification(records, cfg):
 
 
 def _score_spurious_correlation(records, cfg):
-    tagged = [r for r in records if "spurious_pair_id" in r.annotations]
-    clean = [r for r in tagged
-             if r.annotations.get("spurious_role") == "clean"]
-    resampled = [r for r in tagged
-                 if r.annotations.get("spurious_role") == "resampled"]
+    clean = [r for r in records
+             if r.annotations["spurious_role"] == "clean"]
+    resampled = [r for r in records
+                 if r.annotations["spurious_role"] == "resampled"]
     if not clean or not resampled:
         raise DetectorError("spurious_correlation: needs clean and "
                             "resampled roles")
@@ -185,11 +180,10 @@ def _feature_tv(ref, cur, bins):
 
 
 def _score_concept_drift(records, cfg):
-    stamped = [r for r in records if r.timestamp_index is not None]
-    if len(stamped) < 4:
+    if len(records) < 4:
         raise DetectorError("concept_drift_sensitivity: needs >= 4 "
                             "timestamped records")
-    ordered = sorted(stamped, key=lambda r: (r.timestamp_index, r.id))
+    ordered = sorted(records, key=lambda r: (r.timestamp_index, r.id))
     half = len(ordered) // 2
     ref, cur = ordered[:half], ordered[half:]
     tv = _feature_tv(ref, cur, cfg.tv_bins)
@@ -214,9 +208,7 @@ def _score_misclassification_uncertainty(records, cfg):
 def _content_pairs(records):
     groups = {}
     for rec in records:
-        cid = rec.annotations.get("content_id")
-        if cid is not None:
-            groups.setdefault(cid, []).append(rec)
+        groups.setdefault(rec.annotations["content_id"], []).append(rec)
     out = []
     for cid in sorted(groups):
         members = sorted(groups[cid], key=lambda r: r.id)
@@ -242,14 +234,11 @@ def _score_prosodic(records, cfg):
 def _score_accent_bias(records, cfg):
     paired_contents = {}
     for rec in records:
-        cid = rec.annotations.get("content_id")
-        if cid is not None and rec.group is not None:
-            paired_contents.setdefault(cid, set()).add(rec.group)
+        paired_contents.setdefault(rec.annotations["content_id"],
+                                   set()).add(rec.group)
     multi = {cid for cid, groups in paired_contents.items()
              if len(groups) >= 2}
-    eligible = [r for r in records
-                if r.annotations.get("content_id") in multi
-                and r.group is not None]
+    eligible = [r for r in records if r.annotations["content_id"] in multi]
     groups = sorted({r.group for r in eligible})
     if len(groups) < 2:
         raise DetectorError("accent_bias: needs content matched across >= 2 "
@@ -268,29 +257,22 @@ def _score_accent_bias(records, cfg):
 
 
 def _score_turn_boundary(records, cfg):
-    eligible = [r for r in records
-                if r.segment_bounds is not None
-                and r.ref_segment_bounds is not None]
-    if not eligible:
-        raise DetectorError("turn_boundary_failure: no record carries both "
-                            "predicted and reference bounds")
     offsets = []
-    for r in eligible:
+    for r in records:
         (a0, a1), (b0, b1) = r.segment_bounds, r.ref_segment_bounds
         offsets.append(max(abs(a0 - b0), abs(a1 - b1)))
     # offset == tol_t lands at severity 0.5, the firing point
     severity = float(np.mean([clamp01(o / (2.0 * cfg.tol_t))
                               for o in offsets]))
     return severity, {"mean_offset": _fmt(float(np.mean(offsets))),
-                      "records": str(len(eligible))}
+                      "records": str(len(records))}
 
 
 def _score_semantic_boundary(records, cfg):
     groups = {}
     for rec in records:
-        pid = rec.annotations.get("span_pair_id")
-        if pid is not None:
-            groups.setdefault(pid, {})[rec.annotations.get("span_role")] = rec
+        groups.setdefault(rec.annotations["span_pair_id"], {})[
+            rec.annotations["span_role"]] = rec
     diffs = []
     for pid in sorted(groups):
         wide = groups[pid].get("wide")
@@ -314,9 +296,8 @@ def _score_semantic_boundary(records, cfg):
 def _score_noise_overfitting(records, cfg):
     groups = {}
     for rec in records:
-        if rec.noise_pair_id is not None:
-            groups.setdefault(rec.noise_pair_id, {})[
-                rec.annotations.get("noise_role")] = rec
+        groups.setdefault(rec.noise_pair_id, {})[
+            rec.annotations["noise_role"]] = rec
     pairs = [(g["clean"], g["noisy"]) for _, g in sorted(groups.items())
              if "clean" in g and "noisy" in g]
     if not pairs:
@@ -339,9 +320,7 @@ def _score_latency_drift(records, cfg):
 
 
 def _score_ambiguity_collapse(records, cfg):
-    eligible = [r for r in records
-                if r.plausible_labels is not None
-                and len(r.plausible_labels) >= 2]
+    eligible = [r for r in records if len(r.plausible_labels) >= 2]
     if not eligible:
         raise DetectorError("ambiguity_collapse: no record with >= 2 "
                             "plausible labels")

@@ -205,8 +205,7 @@ class GateResult:
                                 "slack": s}
                                for p, r, e, s in self.violations],
                 "risks": dict(sorted(self.risks.items())),
-                "eps": {k: (v if math.isfinite(v) else "inf")
-                        for k, v in sorted(self.eps.items())}}
+                "eps": dict(sorted(self.eps.items()))}
 
 
 def deployment_gate(risks, eps):

@@ -230,17 +230,11 @@ def _score_misattribution(pair, cfg):
                "content_id": a.annotations["content_id"]}
 
 
-def _intent_vector(records):
-    for rec in records:
-        if rec.intent_embedding is not None:
-            return rec.intent_embedding
-    raise DetectorError("semantic_drift: no record carries intent_embedding")
-
-
 def _score_semantic_drift(records, cfg):
     if len(records) < 3:
         raise DetectorError("semantic_drift: needs >= 3 records in sequence")
-    intent = _intent_vector(records)
+    # every turn carries the conversation's intent; the first one's is used
+    intent = records[0].intent_embedding
     series = [sim(r.output_embedding, intent) for r in records]
     slope = metrics.windowed_slope(series, cfg.window)
     endpoint = series[-1]

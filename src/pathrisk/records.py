@@ -5,18 +5,44 @@ ClassificationRecord for discriminative ones. Corpora are line-delimited
 JSON (one record per line, UTF-8, snake_case field names). Knowledge bases
 and causal fixtures live in plain JSON files.
 
-All records are validated on load; a record that violates an invariant
-aborts the load with the offending line number, record id, and field.
+Each field of a record or causal fixture has one kind, declared once at
+the field. The kind's decoder accepts only its JSON type and converts it;
+some kinds add a range check. An int counts as a number; a bool is neither
+a number nor an int; nothing else is coerced, so "0.5" is not a number and
+"false" is not a boolean. An absent or null optional field stays unset.
+The kinds:
+
+    id           a nonempty string
+    string       a string
+    tag          a string, interned
+    boolean      true or false
+    integer      an int
+    dimension    an int > 0
+    probability  a number in [0, 1]
+    magnitude    a finite number >= 0
+    vector       a nonempty array of finite numbers, kept as a float array
+    vectors      an array of vectors
+    table        a nonempty array of vectors of one length, a 2-d array
+    strings      an array of strings
+    log-probs    a nonempty array of finite numbers <= 0
+    bounds       an array of two ints, the first <= the second
+    labels       an array of ints, kept as a set
+    annotations  an object of string values, keys and values interned
+
+`from_json_dict` and `to_json_dict` walk the declared fields; `validate`
+runs the range checks, then the checks that relate fields to each other.
+A record that violates either aborts the load with the line number, record
+id and field; a knowledge-base entry or causal fixture names its index.
 Loaded records are never mutated, so they are safe to share across threads.
-Annotation keys and values and subgroup tags are interned on load: records
-of one corpus share one string object for each distinct value.
+Interning makes the records of one corpus share one string object for each
+distinct annotation key, annotation value and subgroup tag.
 """
 
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
@@ -26,12 +52,11 @@ class CorpusError(ValueError):
 
 
 class RecordValidationError(CorpusError):
-    """A single record violates an invariant; names record id and field."""
+    """One record, knowledge-base entry or fixture violates an invariant;
+    names where it was read (such as "line 3"), its id and the field."""
 
-    def __init__(self, message, record_id=None, field_name=None, line=None):
-        prefix = []
-        if line is not None:
-            prefix.append(f"line {line}")
+    def __init__(self, message, record_id=None, field_name=None, where=None):
+        prefix = [where] if where is not None else []
         if record_id is not None:
             prefix.append(f"record {record_id!r}")
         if field_name is not None:
@@ -40,37 +65,260 @@ class RecordValidationError(CorpusError):
         super().__init__(full)
         self.record_id = record_id
         self.field_name = field_name
-        self.line = line
 
 
-def _as_vector(value, name, record_id):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise RecordValidationError("expected a nonempty vector",
-                                    record_id, name)
-    if not np.all(np.isfinite(arr)):
-        raise RecordValidationError("non-finite entries", record_id, name)
-    return arr
+# --- decoders: one JSON type each, converted; a ValueError otherwise ---------
+
+_NUMBER = frozenset((int, float))
+_INT = frozenset((int,))
+_STR = frozenset((str,))
 
 
-def _interned_annotations(annotations):
-    # the decoder gives every line its own copy of each repeated string
-    return {sys.intern(str(k)): sys.intern(str(v))
-            for k, v in annotations.items()}
+def _bad(what, value):
+    text = json.dumps(value)
+    return ValueError(f"expected {what}, got "
+                      f"{text if len(text) <= 40 else text[:36] + ' ...'}")
 
 
-def _check_prob(value, name, record_id):
-    if value is None:
-        return None
-    v = float(value)
-    if not (0.0 <= v <= 1.0) or not math.isfinite(v):
-        raise RecordValidationError(f"probability {v} outside [0,1]",
-                                    record_id, name)
-    return v
+def _array(value, types, what):
+    if type(value) is not list or not types.issuperset(map(type, value)):
+        raise _bad(what, value)
+    return value
 
 
-@dataclass(eq=False)
-class TraceRecord:
+def _id(value):
+    if type(value) is not str or not value:
+        raise _bad("a nonempty string", value)
+    return value
+
+
+def _string(value):
+    if type(value) is not str:
+        raise _bad("a string", value)
+    return value
+
+
+def _tag(value):
+    # a subgroup tag recurs through the corpus: one shared string for each
+    return sys.intern(_string(value))
+
+
+def _boolean(value):
+    if type(value) is not bool:
+        raise _bad("true or false", value)
+    return value
+
+
+def _integer(value):
+    if type(value) is not int:
+        raise _bad("an integer", value)
+    return value
+
+
+def decode_number(value):
+    """A JSON number as a float. An int counts; a bool, a string and NaN do
+    not. Raises ValueError otherwise."""
+    if (type(value) is not float and type(value) is not int) or value != value:
+        raise _bad("a number", value)
+    return float(value)
+
+
+def _vector(value):
+    if (type(value) is not list or not value
+            or not _NUMBER.issuperset(map(type, value))):
+        raise _bad("a nonempty vector of numbers", value)
+    vec = np.array(value, dtype=float)
+    if not np.isfinite(vec).all():
+        raise ValueError("non-finite entries")
+    return vec
+
+
+def _vectors(value):
+    if type(value) is not list:
+        raise _bad("an array of vectors", value)
+    return tuple(map(_vector, value))
+
+
+def _table(value):
+    rows = _vectors(value)
+    if len({row.size for row in rows}) != 1:
+        raise _bad("a nonempty array of rows of one length", value)
+    return np.array(rows)
+
+
+def _strings(value):
+    return tuple(_array(value, _STR, "an array of strings"))
+
+
+def _numbers(value):
+    return tuple(map(float, _array(value, _NUMBER, "an array of numbers")))
+
+
+def _integers(value):
+    return tuple(_array(value, _INT, "an array of integers"))
+
+
+def _label_set(value):
+    return frozenset(_array(value, _INT, "an array of integers"))
+
+
+def _annotations(value):
+    if type(value) is not dict or not _STR.issuperset(map(type,
+                                                           value.values())):
+        raise _bad("an object of strings", value)
+    # the JSON decoder gives every line its own copy of each repeated string
+    return {sys.intern(k): sys.intern(v) for k, v in value.items()}
+
+
+# --- range checks: a ValueError when a decoded value is out of range ---------
+
+def _unit_interval(value):
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"probability {value} outside [0,1]")
+
+
+def _finite_nonnegative(value):
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{value} must be finite and >= 0")
+
+
+def _positive(value):
+    if value <= 0:
+        raise ValueError(f"{value} must be a positive integer")
+
+
+def _log_probs(value):
+    if not value:
+        raise ValueError("empty log-prob sequence")
+    for lp in value:
+        if not -math.inf < lp <= 0.0:
+            raise ValueError(f"log-probability {lp} must be finite and <= 0")
+
+
+def _ordered_pair(value):
+    if len(value) != 2 or value[0] > value[1]:
+        raise ValueError(f"bounds {list(value)} must be an ordered pair")
+
+
+# kind -> (decoder, range check or None)
+_KINDS = {
+    "id": (_id, None),
+    "string": (_string, None),
+    "tag": (_tag, None),
+    "boolean": (_boolean, None),
+    "integer": (_integer, None),
+    "dimension": (_integer, _positive),
+    "probability": (decode_number, _unit_interval),
+    "magnitude": (decode_number, _finite_nonnegative),
+    "vector": (_vector, None),
+    "vectors": (_vectors, None),
+    "table": (_table, None),
+    "strings": (_strings, None),
+    "log-probs": (_numbers, _log_probs),
+    "bounds": (_integers, _ordered_pair),
+    "labels": (_label_set, None),
+    "annotations": (_annotations, None),
+}
+
+
+def _field(kind, mandatory=False, **default):
+    """A dataclass field of that kind: mandatory, or else None unless
+    another default is given."""
+    if not (mandatory or default):
+        default = {"default": None}
+    return field(metadata={"kind": kind}, **default)
+
+
+def _schema(cls):
+    """Make cls a dataclass and gather its fields' kinds, in field order:
+    `_decoders` holds (name, decoder, mandatory), `_checks` (name, range
+    check) for the fields whose kind has a check."""
+    cls = dataclass(eq=False)(cls)
+    decoders, checks = [], []
+    for f in fields(cls):
+        decode, check = _KINDS[f.metadata["kind"]]
+        mandatory = f.default is MISSING and f.default_factory is MISSING
+        decoders.append((f.name, decode, mandatory))
+        if check is not None:
+            checks.append((f.name, check))
+    cls._decoders, cls._checks = tuple(decoders), tuple(checks)
+    return cls
+
+
+def _decode(decoders, obj, where, id_name="id"):
+    """{name: decoded value} of the fields of the JSON object `obj` that
+    `decoders` declares; absent and null ones are left out. An error names
+    `where`, the object's `id_name` field once decoded, and the field."""
+    if type(obj) is not dict:
+        raise RecordValidationError(str(_bad("a JSON object", obj)),
+                                    where=where)
+    out = {}
+    try:
+        for name, decode, mandatory in decoders:
+            value = obj.get(name)
+            if value is not None:
+                out[name] = decode(value)
+            elif mandatory:
+                raise ValueError("missing mandatory field")
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an int too large for a float
+        raise RecordValidationError(str(exc), out.get(id_name), name,
+                                    where) from None
+    return out
+
+
+def _json_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _encode(obj):
+    """The JSON object of a record or fixture: every declared field that is
+    set, an empty annotation map counting as unset."""
+    out = {}
+    for name, _, _ in obj._decoders:
+        value = getattr(obj, name)
+        if value is not None and not (type(value) is dict and not value):
+            out[name] = _json_value(value)
+    return out
+
+
+class _Record:
+    """JSON decoding, encoding and range checks of a record type, read
+    from the kinds of its fields."""
+
+    @classmethod
+    def from_json_dict(cls, obj, where=None):
+        """The record of a JSON object, validated; errors name `where`."""
+        rec = cls(**_decode(cls._decoders, obj, where))
+        rec.validate(where)
+        return rec
+
+    def to_json_dict(self):
+        return _encode(self)
+
+    def validate(self, where=None):
+        """Run the range check of each set field; a record type adds its
+        checks across fields."""
+        for name, check in self._checks:
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    check(value)
+                except ValueError as exc:
+                    raise RecordValidationError(str(exc), self.id, name,
+                                                where) from None
+
+
+@_schema
+class TraceRecord(_Record):
     """One generative interaction with precomputed embeddings.
 
     Only id, input_embedding and output_embedding are mandatory. Embeddings
@@ -81,160 +329,59 @@ class TraceRecord:
     time instead).
     """
 
-    id: str
-    input_embedding: np.ndarray
-    output_embedding: np.ndarray
-    truth_embedding: Optional[np.ndarray] = None
-    intent_embedding: Optional[np.ndarray] = None
-    context_vectors: Optional[tuple] = None
-    output_token_logprobs: Optional[tuple] = None
-    prob_output_given_input: Optional[float] = None
-    prob_truth_given_input: Optional[float] = None
-    in_real_manifold: Optional[bool] = None
-    in_train_set: Optional[bool] = None
-    referenced_entities: Optional[tuple] = None
-    claim_embeddings: Optional[tuple] = None
-    style_embedding: Optional[np.ndarray] = None
-    discomfort_score: Optional[float] = None
-    output_magnitude: Optional[float] = None
-    truth_magnitude: Optional[float] = None
-    latent_dim: Optional[int] = None
-    input_dim: Optional[int] = None
-    has_inference_path: Optional[bool] = None
-    annotations: dict = field(default_factory=dict)
+    id: str = _field("id", mandatory=True)
+    input_embedding: np.ndarray = _field("vector", mandatory=True)
+    output_embedding: np.ndarray = _field("vector", mandatory=True)
+    truth_embedding: Optional[np.ndarray] = _field("vector")
+    intent_embedding: Optional[np.ndarray] = _field("vector")
+    context_vectors: Optional[tuple] = _field("vectors")
+    output_token_logprobs: Optional[tuple] = _field("log-probs")
+    prob_output_given_input: Optional[float] = _field("probability")
+    prob_truth_given_input: Optional[float] = _field("probability")
+    in_real_manifold: Optional[bool] = _field("boolean")
+    in_train_set: Optional[bool] = _field("boolean")
+    referenced_entities: Optional[tuple] = _field("strings")
+    claim_embeddings: Optional[tuple] = _field("vectors")
+    style_embedding: Optional[np.ndarray] = _field("vector")
+    discomfort_score: Optional[float] = _field("probability")
+    output_magnitude: Optional[float] = _field("magnitude")
+    truth_magnitude: Optional[float] = _field("magnitude")
+    latent_dim: Optional[int] = _field("dimension")
+    input_dim: Optional[int] = _field("dimension")
+    has_inference_path: Optional[bool] = _field("boolean")
+    annotations: dict = _field("annotations", default_factory=dict)
 
     @property
     def embedding_dim(self):
         return int(self.input_embedding.size)
 
-    def validate(self, line=None):
+    def validate(self, where=None):
+        super().validate(where)
         rid = self.id
         d_e = self.input_embedding.size
         for name in ("output_embedding", "truth_embedding", "intent_embedding"):
             vec = getattr(self, name)
             if vec is not None and vec.size != d_e:
                 raise RecordValidationError(
-                    f"length {vec.size} != d_e {d_e}", rid, name, line)
-        if self.context_vectors is not None:
-            for c in self.context_vectors:
-                if c.size != d_e:
-                    raise RecordValidationError(
-                        f"context vector length {c.size} != d_e {d_e}",
-                        rid, "context_vectors", line)
+                    f"length {vec.size} != d_e {d_e}", rid, name, where)
+        for c in self.context_vectors or ():
+            if c.size != d_e:
+                raise RecordValidationError(
+                    f"context vector length {c.size} != d_e {d_e}",
+                    rid, "context_vectors", where)
         if self.claim_embeddings is not None:
             if len(self.claim_embeddings) == 0:
                 raise RecordValidationError("empty claim list", rid,
-                                            "claim_embeddings", line)
+                                            "claim_embeddings", where)
             dims = {c.size for c in self.claim_embeddings}
             if len(dims) > 1:
                 raise RecordValidationError(
                     f"claim embeddings have mixed lengths {sorted(dims)}",
-                    rid, "claim_embeddings", line)
-        if self.output_token_logprobs is not None:
-            if len(self.output_token_logprobs) == 0:
-                raise RecordValidationError("empty log-prob sequence", rid,
-                                            "output_token_logprobs", line)
-            for lp in self.output_token_logprobs:
-                if not math.isfinite(lp) or lp > 0.0:
-                    raise RecordValidationError(
-                        f"log-probability {lp} must be finite and <= 0",
-                        rid, "output_token_logprobs", line)
-        for name in ("prob_output_given_input", "prob_truth_given_input",
-                     "discomfort_score"):
-            _check_prob(getattr(self, name), name, rid)
-        for name in ("output_magnitude", "truth_magnitude"):
-            v = getattr(self, name)
-            if v is not None and (not math.isfinite(v) or v < 0):
-                raise RecordValidationError(f"{v} must be >= 0", rid, name,
-                                            line)
-        for name in ("latent_dim", "input_dim"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise RecordValidationError("must be a positive integer",
-                                            rid, name, line)
-
-    def to_json_dict(self):
-        out = {"id": self.id,
-               "input_embedding": self.input_embedding.tolist(),
-               "output_embedding": self.output_embedding.tolist()}
-        for name in ("truth_embedding", "intent_embedding", "style_embedding"):
-            vec = getattr(self, name)
-            if vec is not None:
-                out[name] = vec.tolist()
-        if self.context_vectors is not None:
-            out["context_vectors"] = [c.tolist() for c in self.context_vectors]
-        if self.claim_embeddings is not None:
-            out["claim_embeddings"] = [c.tolist() for c in self.claim_embeddings]
-        if self.output_token_logprobs is not None:
-            out["output_token_logprobs"] = list(self.output_token_logprobs)
-        if self.referenced_entities is not None:
-            out["referenced_entities"] = list(self.referenced_entities)
-        for name in ("prob_output_given_input", "prob_truth_given_input",
-                     "in_real_manifold", "in_train_set", "discomfort_score",
-                     "output_magnitude", "truth_magnitude", "latent_dim",
-                     "input_dim", "has_inference_path"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        if self.annotations:
-            out["annotations"] = dict(self.annotations)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj, line=None):
-        rid = obj.get("id")
-        if not isinstance(rid, str) or not rid:
-            raise RecordValidationError("missing or empty id", None, "id", line)
-        try:
-            kwargs = {"id": rid,
-                      "input_embedding": _as_vector(obj["input_embedding"],
-                                                    "input_embedding", rid),
-                      "output_embedding": _as_vector(obj["output_embedding"],
-                                                     "output_embedding", rid)}
-        except KeyError as exc:
-            raise RecordValidationError("missing mandatory field", rid,
-                                        exc.args[0], line) from None
-        for name in ("truth_embedding", "intent_embedding", "style_embedding"):
-            if obj.get(name) is not None:
-                kwargs[name] = _as_vector(obj[name], name, rid)
-        if obj.get("context_vectors") is not None:
-            kwargs["context_vectors"] = tuple(
-                _as_vector(c, "context_vectors", rid)
-                for c in obj["context_vectors"])
-        if obj.get("claim_embeddings") is not None:
-            kwargs["claim_embeddings"] = tuple(
-                _as_vector(c, "claim_embeddings", rid)
-                for c in obj["claim_embeddings"])
-        if obj.get("output_token_logprobs") is not None:
-            kwargs["output_token_logprobs"] = tuple(
-                float(x) for x in obj["output_token_logprobs"])
-        if obj.get("referenced_entities") is not None:
-            kwargs["referenced_entities"] = tuple(
-                str(e) for e in obj["referenced_entities"])
-        for name in ("prob_output_given_input", "prob_truth_given_input",
-                     "discomfort_score", "output_magnitude", "truth_magnitude"):
-            if obj.get(name) is not None:
-                kwargs[name] = float(obj[name])
-        for name in ("latent_dim", "input_dim"):
-            if obj.get(name) is not None:
-                kwargs[name] = int(obj[name])
-        for name in ("in_real_manifold", "in_train_set", "has_inference_path"):
-            if obj.get(name) is not None:
-                kwargs[name] = bool(obj[name])
-        if obj.get("annotations") is not None:
-            kwargs["annotations"] = _interned_annotations(obj["annotations"])
-        rec = cls(**kwargs)
-        rec.validate(line=line)
-        return rec
+                    rid, "claim_embeddings", where)
 
 
-def _argmax_lowest_tie(probs):
-    # ties broken by lowest class id for cross-platform determinism
-    return int(np.argmax(probs))
-
-
-@dataclass(eq=False)
-class ClassificationRecord:
+@_schema
+class ClassificationRecord(_Record):
     """One classifier decision with its full probability vector.
 
     Pairing metadata that links related records (spurious-feature resamples,
@@ -243,21 +390,21 @@ class ClassificationRecord:
     detectors consume most often.
     """
 
-    id: str
-    features: np.ndarray
-    predicted_label: int
-    true_label: int
-    class_probabilities: np.ndarray
-    group: Optional[str] = None
-    timestamp_index: Optional[int] = None
-    is_ood: Optional[bool] = None
-    perturbation_pair_id: Optional[str] = None
-    noise_pair_id: Optional[str] = None
-    segment_bounds: Optional[tuple] = None
-    ref_segment_bounds: Optional[tuple] = None
-    latency_pair_id: Optional[str] = None
-    plausible_labels: Optional[frozenset] = None
-    annotations: dict = field(default_factory=dict)
+    id: str = _field("id", mandatory=True)
+    features: np.ndarray = _field("vector", mandatory=True)
+    predicted_label: int = _field("integer", mandatory=True)
+    true_label: int = _field("integer", mandatory=True)
+    class_probabilities: np.ndarray = _field("vector", mandatory=True)
+    group: Optional[str] = _field("tag")
+    timestamp_index: Optional[int] = _field("integer")
+    is_ood: Optional[bool] = _field("boolean")
+    perturbation_pair_id: Optional[str] = _field("string")
+    noise_pair_id: Optional[str] = _field("string")
+    segment_bounds: Optional[tuple] = _field("bounds")
+    ref_segment_bounds: Optional[tuple] = _field("bounds")
+    latency_pair_id: Optional[str] = _field("string")
+    plausible_labels: Optional[frozenset] = _field("labels")
+    annotations: dict = _field("annotations", default_factory=dict)
 
     @property
     def confidence(self):
@@ -267,87 +414,22 @@ class ClassificationRecord:
     def correct(self):
         return self.predicted_label == self.true_label
 
-    def validate(self, line=None):
+    def validate(self, where=None):
+        super().validate(where)
         rid = self.id
         p = self.class_probabilities
-        if np.any(p < 0) or np.any(p > 1):
+        if p.min() < 0.0 or p.max() > 1.0:
             raise RecordValidationError("entries outside [0,1]", rid,
-                                        "class_probabilities", line)
+                                        "class_probabilities", where)
         total = float(p.sum())
         if abs(total - 1.0) > 1e-9:
             raise RecordValidationError(f"probabilities sum {total:.6g}", rid,
-                                        "class_probabilities", line)
-        if self.predicted_label != _argmax_lowest_tie(p):
+                                        "class_probabilities", where)
+        # argmax breaks ties by the lowest class id, on every platform
+        if self.predicted_label != int(p.argmax()):
             raise RecordValidationError(
                 f"predicted_label {self.predicted_label} is not the argmax "
-                f"of class_probabilities", rid, "predicted_label", line)
-        for name in ("segment_bounds", "ref_segment_bounds"):
-            b = getattr(self, name)
-            if b is not None:
-                if len(b) != 2 or b[0] > b[1]:
-                    raise RecordValidationError(
-                        f"bounds {b} must be an ordered pair", rid, name, line)
-
-    def to_json_dict(self):
-        out = {"id": self.id,
-               "features": self.features.tolist(),
-               "predicted_label": self.predicted_label,
-               "true_label": self.true_label,
-               "class_probabilities": self.class_probabilities.tolist()}
-        for name in ("group", "timestamp_index", "is_ood",
-                     "perturbation_pair_id", "noise_pair_id",
-                     "latency_pair_id"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        for name in ("segment_bounds", "ref_segment_bounds"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = list(v)
-        if self.plausible_labels is not None:
-            out["plausible_labels"] = sorted(self.plausible_labels)
-        if self.annotations:
-            out["annotations"] = dict(self.annotations)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj, line=None):
-        rid = obj.get("id")
-        if not isinstance(rid, str) or not rid:
-            raise RecordValidationError("missing or empty id", None, "id", line)
-        try:
-            kwargs = {
-                "id": rid,
-                "features": _as_vector(obj["features"], "features", rid),
-                "predicted_label": int(obj["predicted_label"]),
-                "true_label": int(obj["true_label"]),
-                "class_probabilities": _as_vector(
-                    obj["class_probabilities"], "class_probabilities", rid),
-            }
-        except KeyError as exc:
-            raise RecordValidationError("missing mandatory field", rid,
-                                        exc.args[0], line) from None
-        if obj.get("group") is not None:
-            kwargs["group"] = sys.intern(str(obj["group"]))
-        if obj.get("timestamp_index") is not None:
-            kwargs["timestamp_index"] = int(obj["timestamp_index"])
-        if obj.get("is_ood") is not None:
-            kwargs["is_ood"] = bool(obj["is_ood"])
-        for name in ("perturbation_pair_id", "noise_pair_id",
-                     "latency_pair_id"):
-            if obj.get(name) is not None:
-                kwargs[name] = str(obj[name])
-        for name in ("segment_bounds", "ref_segment_bounds"):
-            if obj.get(name) is not None:
-                kwargs[name] = tuple(int(x) for x in obj[name])
-        if obj.get("plausible_labels") is not None:
-            kwargs["plausible_labels"] = frozenset(
-                int(x) for x in obj["plausible_labels"])
-        if obj.get("annotations") is not None:
-            kwargs["annotations"] = _interned_annotations(obj["annotations"])
-        rec = cls(**kwargs)
-        rec.validate(line=line)
-        return rec
+                f"of class_probabilities", rid, "predicted_label", where)
 
 
 @dataclass(eq=False)
@@ -388,19 +470,19 @@ class KnowledgeBase:
                             for e, v in self.entries]}
 
 
-@dataclass(eq=False)
+@_schema
 class CausalFixture:
     """Finite observational and interventional tables for one (X, Y[, Z])
     triple. Every row is a probability vector; edge_x_to_y records whether
     the fixture asserts a genuine causal edge from X to Y."""
 
-    x_name: str
-    y_name: str
-    observational_conditional: np.ndarray
-    interventional_table: np.ndarray
-    z_name: Optional[str] = None
-    secondary_interventional: Optional[np.ndarray] = None
-    edge_x_to_y: bool = True
+    x_name: str = _field("string", mandatory=True)
+    y_name: str = _field("string", mandatory=True)
+    observational_conditional: np.ndarray = _field("table", mandatory=True)
+    interventional_table: np.ndarray = _field("table", mandatory=True)
+    z_name: Optional[str] = _field("string")
+    secondary_interventional: Optional[np.ndarray] = _field("table")
+    edge_x_to_y: bool = _field("boolean", default=True)
 
     def __post_init__(self):
         tables = [("observational_conditional", self.observational_conditional),
@@ -430,17 +512,7 @@ class CausalFixture:
         return self.observational_conditional.mean(axis=0)
 
     def to_json_dict(self):
-        out = {"x_name": self.x_name, "y_name": self.y_name,
-               "edge_x_to_y": self.edge_x_to_y,
-               "observational_conditional":
-                   self.observational_conditional.tolist(),
-               "interventional_table": self.interventional_table.tolist()}
-        if self.z_name is not None:
-            out["z_name"] = self.z_name
-        if self.secondary_interventional is not None:
-            out["secondary_interventional"] = \
-                self.secondary_interventional.tolist()
-        return out
+        return _encode(self)
 
 
 SCHEMAS = ("trace", "classification")
@@ -468,10 +540,11 @@ def load_trace_corpus(path, schema="trace"):
             except json.JSONDecodeError as exc:
                 raise CorpusError(
                     f"line {line_no}: malformed JSON ({exc.msg})") from None
-            rec = cls.from_json_dict(obj, line=line_no)
+            where = f"line {line_no}"
+            rec = cls.from_json_dict(obj, where)
             if rec.id in seen:
                 raise RecordValidationError("duplicate id", rec.id, "id",
-                                            line_no)
+                                            where)
             seen.add(rec.id)
             records.append(rec)
     if schema == "trace":
@@ -496,47 +569,61 @@ def save_trace_corpus(path, records):
 
 def _kb_entry_hook(obj):
     # each entry's embedding becomes an array as soon as the entry is
-    # parsed, so the floats of the whole file are never alive at once
-    if "entity_id" in obj and "embedding" in obj:
-        obj["embedding"] = _as_vector(obj["embedding"], "embedding",
-                                      str(obj["entity_id"]))
+    # parsed, so the floats of the whole file are never alive at once; one
+    # that does not decode stays as parsed, for its entry's error to name
+    try:
+        obj["embedding"] = _vector(obj["embedding"])
+    except (KeyError, ValueError, OverflowError):
+        pass
     return obj
 
 
+def _embedding(value):
+    # _kb_entry_hook has made every valid embedding an array
+    return value if type(value) is np.ndarray else _vector(value)
+
+
+def _entries(value):
+    if type(value) is not list:
+        raise _bad("an array", value)
+    return value
+
+
+_KB_FILE = (("source_tag", _string, False), ("entries", _entries, True))
+_KB_ENTRY = (("entity_id", _string, False), ("embedding", _embedding, False))
+
+
 def load_knowledge_base(path):
+    """Load a knowledge base from a JSON object {"source_tag": string,
+    "entries": [{"entity_id": string, "embedding": vector}, ...]}."""
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle, object_hook=_kb_entry_hook)
-    if "entries" not in obj:
-        raise CorpusError("knowledge base file lacks an 'entries' array")
+        obj = _decode(_KB_FILE, json.load(handle, object_hook=_kb_entry_hook),
+                      "knowledge base")
     entries = []
     for i, entry in enumerate(obj["entries"]):
+        entry = _decode(_KB_ENTRY, entry, f"entry {i}", "entity_id")
         try:
-            entries.append((str(entry["entity_id"]), entry["embedding"]))
+            entries.append((entry["entity_id"], entry["embedding"]))
         except KeyError as exc:
             raise CorpusError(f"entry {i}: missing {exc.args[0]}") from None
     return KnowledgeBase(entries=tuple(entries),
-                         source_tag=str(obj.get("source_tag", "")))
-
-
-def _fixture_from_dict(obj):
-    kwargs = {"x_name": str(obj["x_name"]), "y_name": str(obj["y_name"]),
-              "observational_conditional":
-                  np.asarray(obj["observational_conditional"], dtype=float),
-              "interventional_table":
-                  np.asarray(obj["interventional_table"], dtype=float),
-              "edge_x_to_y": bool(obj.get("edge_x_to_y", True))}
-    if obj.get("z_name") is not None:
-        kwargs["z_name"] = str(obj["z_name"])
-    if obj.get("secondary_interventional") is not None:
-        kwargs["secondary_interventional"] = np.asarray(
-            obj["secondary_interventional"], dtype=float)
-    return CausalFixture(**kwargs)
+                         source_tag=obj.get("source_tag", ""))
 
 
 def load_causal_fixtures(path):
-    """Load one causal fixture or a list of them from a JSON file."""
+    """Load one causal fixture or an array of them from a JSON file."""
     with open(path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
-    if isinstance(obj, dict):
-        obj = [obj]
-    return [_fixture_from_dict(o) for o in obj]
+    items = [obj] if type(obj) is dict else obj
+    if type(items) is not list:
+        raise CorpusError(str(_bad("a fixture object or an array of them",
+                                   obj)))
+    fixtures = []
+    for i, item in enumerate(items):
+        where = f"fixture {i}"
+        kwargs = _decode(CausalFixture._decoders, item, where)
+        try:
+            fixtures.append(CausalFixture(**kwargs))
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
+    return fixtures

@@ -14,7 +14,7 @@ upper-tail losses.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -125,11 +125,7 @@ class RiskEntry:
     ok: bool
 
     def to_json_dict(self):
-        return {"pathology": self.pathology, "tau": self.tau, "n": self.n,
-                "expectile": self.expectile, "mean": self.mean,
-                "fired_rate": self.fired_rate,
-                "eps": self.eps if math.isfinite(self.eps) else "inf",
-                "ok": self.ok}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -165,8 +161,7 @@ class RiskReport:
 
     def csv_rows(self):
         header = ("pathology", "tau", "n", "R", "eps", "feasible")
-        rows = [(e.pathology, e.tau, e.n, e.expectile,
-                 e.eps if math.isfinite(e.eps) else "inf", e.ok)
+        rows = [(e.pathology, e.tau, e.n, e.expectile, e.eps, e.ok)
                 for e in self.entries]
         return header, rows
 

@@ -305,3 +305,152 @@ def test_bad_outcomes_exit_2(tmp_path, capsys, subcommand, change, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "bad").exists()
+
+
+# one malformed value per field kind, in each input the loaders read:
+# (input, the bad value, the message it must give). A dict value is merged
+# into a valid object (a None deletes its key); any other value replaces
+# it. {where} is the line, entry or fixture index of the bad object.
+_TRACE_RECORD = {"id": "bad", "input_embedding": [1.0, 0.0, 0.0, 0.0],
+                 "output_embedding": [0.0, 1.0, 0.0, 0.0]}
+_CLASSIFICATION_RECORD = {"id": "bad", "features": [0.0, 1.0],
+                          "predicted_label": 0, "true_label": 0,
+                          "class_probabilities": [0.6, 0.4]}
+_KB_ENTRY = {"entity_id": "bad", "embedding": [1.0, 0.0, 0.0, 0.0]}
+_BAD = "{where}, record 'bad', field "
+_MALFORMED = [
+    ("trace", [1, 2], "{where}: expected a JSON object, got [1, 2]"),
+    ("trace", {"id": ""},
+     "{where}, field 'id': expected a nonempty string, got \"\""),
+    ("trace", {"output_embedding": None},
+     _BAD + "'output_embedding': missing mandatory field"),
+    ("trace", {"input_embedding": [1.0, "x", 0.0, 0.0]},
+     _BAD + "'input_embedding': expected a nonempty vector of numbers"),
+    ("trace", {"context_vectors": [[1.0, 0.0, 0.0, 0.0], "x"]},
+     _BAD + "'context_vectors': expected a nonempty vector of numbers, "
+            "got \"x\""),
+    ("trace", {"claim_embeddings": 5},
+     _BAD + "'claim_embeddings': expected an array of vectors, got 5"),
+    ("trace", {"output_token_logprobs": ["x"]},
+     _BAD + "'output_token_logprobs': expected an array of numbers"),
+    ("trace", {"output_token_logprobs": [-0.5, 0.1]},
+     _BAD + "'output_token_logprobs': log-probability 0.1 must be finite "
+            "and <= 0"),
+    ("trace", {"prob_output_given_input": "0.5"},
+     _BAD + "'prob_output_given_input': expected a number, got \"0.5\""),
+    ("trace", {"discomfort_score": True},
+     _BAD + "'discomfort_score': expected a number, got true"),
+    ("trace", {"prob_truth_given_input": 1.5},
+     _BAD + "'prob_truth_given_input': probability 1.5 outside [0,1]"),
+    ("trace", {"output_magnitude": -1},
+     _BAD + "'output_magnitude': -1.0 must be finite and >= 0"),
+    ("trace", {"in_real_manifold": "false"},
+     _BAD + "'in_real_manifold': expected true or false, got \"false\""),
+    ("trace", {"referenced_entities": [7, None]},
+     _BAD + "'referenced_entities': expected an array of strings"),
+    ("trace", {"latent_dim": 2.5},
+     _BAD + "'latent_dim': expected an integer, got 2.5"),
+    ("trace", {"input_dim": 0},
+     _BAD + "'input_dim': 0 must be a positive integer"),
+    ("trace", {"annotations": ["x"]},
+     _BAD + "'annotations': expected an object of strings"),
+    ("trace", {"annotations": {"conversation_id": 3}},
+     _BAD + "'annotations': expected an object of strings"),
+    ("classification", {"predicted_label": 0.7},
+     _BAD + "'predicted_label': expected an integer, got 0.7"),
+    ("classification", {"true_label": None},
+     _BAD + "'true_label': missing mandatory field"),
+    ("classification", {"is_ood": "no"},
+     _BAD + "'is_ood': expected true or false, got \"no\""),
+    ("classification", {"group": 3},
+     _BAD + "'group': expected a string, got 3"),
+    ("classification", {"noise_pair_id": 7},
+     _BAD + "'noise_pair_id': expected a string, got 7"),
+    ("classification", {"segment_bounds": [1.5, 2]},
+     _BAD + "'segment_bounds': expected an array of integers"),
+    ("classification", {"ref_segment_bounds": [5, 1]},
+     _BAD + "'ref_segment_bounds': bounds [5, 1] must be an ordered pair"),
+    ("classification", {"plausible_labels": [True, 1]},
+     _BAD + "'plausible_labels': expected an array of integers"),
+    ("classification", {"class_probabilities": [0.6, None]},
+     _BAD + "'class_probabilities': expected a nonempty vector of numbers"),
+    ("kb", "x", "{where}: expected a JSON object, got \"x\""),
+    ("kb", {"entity_id": 7},
+     "{where}, field 'entity_id': expected a string, got 7"),
+    ("kb", {"embedding": [0.0, "x", 0.0, 0.0]},
+     _BAD + "'embedding': expected a nonempty vector of numbers"),
+    ("kb-file", {"source_tag": 5},
+     "knowledge base, field 'source_tag': expected a string, got 5"),
+    ("kb-file", {"entries": {}},
+     "knowledge base, field 'entries': expected an array, got {}"),
+    ("fixtures", 5, "{where}: expected a JSON object, got 5"),
+    ("fixtures", {"y_name": None},
+     "{where}, field 'y_name': missing mandatory field"),
+    ("fixtures", {"x_name": 3}, "{where}, field 'x_name': expected a string"),
+    ("fixtures", {"edge_x_to_y": "false"},
+     "{where}, field 'edge_x_to_y': expected true or false, got \"false\""),
+    ("fixtures", {"interventional_table": [[0.5, "0.5"]]},
+     "{where}, field 'interventional_table': expected a nonempty vector "
+     "of numbers"),
+    ("fixtures", {"observational_conditional": [[1.0], [0.5, 0.5]]},
+     "{where}, field 'observational_conditional': expected a nonempty "
+     "array of rows of one length"),
+    ("eps", {"default": "nan"},
+     "key 'default' must be a number or \"inf\", not \"nan\""),
+    ("eps", {"default": math.nan},
+     "key 'default' must be a number or \"inf\", not NaN"),
+    ("eps", {"default": True},
+     "key 'default' must be a number or \"inf\", not true"),
+    ("eps", {"delusion": "0.5"},
+     "key 'delusion' must be a number or \"inf\", not \"0.5\""),
+    ("eps", [True] * 35, "key 0 must be a number or \"inf\", not true")]
+
+
+def _merged(base, bad):
+    if not isinstance(bad, dict):
+        return bad
+    return {k: v for k, v in (base | bad).items() if v is not None}
+
+
+def _with_malformed(tmp_path, target, bad):
+    """(argv of a run that reads `bad` in its `target` input, where the
+    bad object sits)."""
+    if target in ("trace", "classification"):
+        argv = _argv(tmp_path, f"audit-{target}")
+        corpus = tmp_path / "corpus.jsonl"
+        lines = corpus.read_text().splitlines()
+        base = _TRACE_RECORD if target == "trace" else _CLASSIFICATION_RECORD
+        lines.append(json.dumps(_merged(base, bad)))
+        corpus.write_text("\n".join(lines) + "\n")
+        return argv, f"line {len(lines)}"
+    if target == "eps":
+        eps = tmp_path / "eps.json"
+        eps.write_text(json.dumps(bad))
+        return ["risk", "--outcomes", _audited(tmp_path), "--eps",
+                str(eps)], None
+    argv = _trace_audit(tmp_path)
+    if target == "fixtures":
+        path = tmp_path / "fixtures.json"
+        good = json.loads(path.read_text())
+        path.write_text(json.dumps([good, _merged(good, bad)]))
+        return argv, "fixture 1"
+    path = tmp_path / "kb.json"
+    kb = json.loads(path.read_text())
+    if target == "kb-file":
+        path.write_text(json.dumps(kb | bad))
+        return argv, None
+    kb["entries"].append(_merged(_KB_ENTRY, bad))
+    path.write_text(json.dumps(kb))
+    return argv, f"entry {len(kb['entries']) - 1}"
+
+
+@pytest.mark.parametrize("target,bad,message", _MALFORMED)
+def test_malformed_inputs_exit_2_naming_the_field(tmp_path, capsys, target,
+                                                 bad, message):
+    argv, where = _with_malformed(tmp_path, target, bad)
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message.replace("{where}", str(where)) in err
+    assert not (tmp_path / "bad").exists()

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import loop_validation
 from pathrisk.records import (CausalFixture, ClassificationRecord,
@@ -431,8 +433,8 @@ def _kb_file(tmp_path, last):
      "record 'b', field 'embedding': expected a nonempty vector"),
     ({"entity_id": "b", "embedding": [0.0, math.nan]}, RecordValidationError,
      "record 'b', field 'embedding': non-finite entries"),
-    ({"entity_id": "b", "embedding": [0.0, "x"]}, ValueError,
-     "could not convert string to float: 'x'"),
+    ({"entity_id": "b", "embedding": [0.0, "x"]}, RecordValidationError,
+     "record 'b', field 'embedding': expected a nonempty vector of numbers"),
     ({"entity_id": "b", "embedding": [0.0, 1.0, 2.0]}, CorpusError,
      r"knowledge base embeddings have mixed lengths \[2, 3\]")])
 def test_knowledge_base_file_errors(tmp_path, last, error, message):
@@ -505,3 +507,79 @@ def test_unknown_schema_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(CorpusError, match="schema"):
         load_trace_corpus(path, "audio")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBER = _FINITE | st.integers(-10**6, 10**6)
+_PROBABILITY = st.floats(0.0, 1.0) | st.integers(0, 1)
+_MAGNITUDE = st.floats(0.0, allow_infinity=False) | st.integers(0, 10**6)
+_LOG_PROBS = st.lists(st.floats(max_value=0.0, allow_infinity=False)
+                      | st.integers(-100, 0), min_size=1, max_size=4)
+_ANNOTATIONS = st.dictionaries(st.text(max_size=4), st.text(max_size=4),
+                               max_size=3)
+
+
+def _vectors(d, min_size=0):
+    return st.lists(st.lists(_NUMBER, min_size=d, max_size=d),
+                    min_size=min_size, max_size=3)
+
+
+@st.composite
+def _trace_objects(draw):
+    d = draw(st.integers(1, 4))
+    vector = st.lists(_NUMBER, min_size=d, max_size=d)
+    optional = {
+        "truth_embedding": vector, "intent_embedding": vector,
+        "style_embedding": st.lists(_NUMBER, min_size=1, max_size=4),
+        "context_vectors": _vectors(d),
+        "claim_embeddings": _vectors(draw(st.integers(1, 4)), min_size=1),
+        "output_token_logprobs": _LOG_PROBS,
+        "prob_output_given_input": _PROBABILITY,
+        "prob_truth_given_input": _PROBABILITY,
+        "discomfort_score": _PROBABILITY,
+        "in_real_manifold": st.booleans(), "in_train_set": st.booleans(),
+        "has_inference_path": st.booleans(),
+        "referenced_entities": st.lists(st.text(max_size=4), max_size=3),
+        "output_magnitude": _MAGNITUDE, "truth_magnitude": _MAGNITUDE,
+        "latent_dim": st.integers(1, 10**6), "input_dim": st.integers(1, 10**6),
+        "annotations": _ANNOTATIONS}
+    return draw(st.fixed_dictionaries(
+        {"id": st.text(min_size=1, max_size=4), "input_embedding": vector,
+         "output_embedding": vector}, optional=optional))
+
+
+@st.composite
+def _classification_objects(draw):
+    weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4)
+                   .filter(any))
+    probs = [w / sum(weights) for w in weights]
+    bounds = st.lists(st.integers(-50, 50), min_size=2, max_size=2).map(sorted)
+    label = st.integers(0, len(probs) - 1)
+    optional = {
+        "group": st.text(max_size=4), "timestamp_index": st.integers(),
+        "is_ood": st.booleans(), "perturbation_pair_id": st.text(max_size=4),
+        "noise_pair_id": st.text(max_size=4),
+        "latency_pair_id": st.text(max_size=4),
+        "segment_bounds": bounds, "ref_segment_bounds": bounds,
+        "plausible_labels": st.lists(label, max_size=3),
+        "annotations": _ANNOTATIONS}
+    return draw(st.fixed_dictionaries(
+        {"id": st.text(min_size=1, max_size=4),
+         "features": st.lists(_NUMBER, min_size=1, max_size=4),
+         "predicted_label": st.just(int(np.argmax(probs))),
+         "true_label": label, "class_probabilities": st.just(probs)},
+        optional=optional))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_trace_objects().map(lambda o: (TraceRecord, o)),
+                 _classification_objects().map(
+                     lambda o: (ClassificationRecord, o))))
+def test_records_round_trip_through_json(case):
+    cls, obj = case
+    rec = cls.from_json_dict(obj)
+    again = cls.from_json_dict(json.loads(json.dumps(rec.to_json_dict())))
+    assert again.to_json_dict() == rec.to_json_dict()
+    # every field that was given, but an empty annotation map, is written
+    assert set(rec.to_json_dict()) == {k for k, v in obj.items()
+                                       if v != {}}
