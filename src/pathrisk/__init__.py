@@ -19,15 +19,15 @@ from .generative import (AuditResult, DetectorError, GenerativeConfig,
 from .discriminative import (DiscriminativeConfig, audit_discriminative,
                              expected_calibration_error,
                              score_discriminative)
-from .risk import (ExpectileConfig, RiskReport, bernoulli_expectile,
-                   expectile, expectile_foc_residual,
-                   expvar_binary_monotonicity_check, pareto_scan,
-                   risk_report)
+from .risk import (ExpectileConfig, GateResult, RiskReport,
+                   bernoulli_expectile, deployment_gate, expectile,
+                   expectile_foc_residual, expvar_binary_monotonicity_check,
+                   pareto_scan, resolve_eps, risk_report)
 from .holonorm import (DensityCheckConfig, HolonormModel,
                        constant_param_degeneracy_check,
                        density_transform_check, det_jacobian_inverse_hn,
                        forward, hn, inverse_hn,
                        matrix_determinant_lemma_check)
 from .game import (AgentSpec, GameState, MeanField, QuadraticTargetCost,
-                   SharedConstraints, best_response, deployment_gate,
-                   solve_nash, stackelberg_loop)
+                   SharedConstraints, best_response, solve_nash,
+                   stackelberg_loop)

@@ -2,31 +2,33 @@
 
 Subcommands: audit, risk, holonorm-verify, game, pareto, report. Every run
 writes canonical JSON reports plus CSV summaries and a manifest (version,
-seed, input digests, config hash) into --out. Exit codes: 0 success,
-2 validation/usage error, 3 infeasible deployment gate (risk --gate).
+seed, input digests, config hash) into --out. Exit codes: 0 success;
+2 a rejected input or a usage error (holonorm-verify: a failed check);
+3 an infeasible deployment gate (risk --gate).
 
-`audit` also writes validation.json, which says which records each of the
-35 detectors could score and why it skipped the others. Per detector it
-holds {"available": [ids], "available_count": n, "missing": {"f1,f2":
-{"count": m, "ids": [ids]}}}, the skipped records grouped by the fields
-they lack. A detector that reads the other record kind, of which the
-corpus holds none, has {"not_applicable": "<requires a trace record>",
-"count": N} instead.
+Every input file is decoded field by field by the `records` kinds: a value
+of the wrong JSON type is rejected, never coerced ("0.5", true and NaN are
+no numbers), and so is an unknown key where the format is strict. The
+message names the file, the entry (such as line 3, agents[1],
+epsilon_schedule[0], outcomes[2] or entries[0]) and the field. --eps
+follows `risk.resolve_eps`, --scenario `game.load_scenario`; an outcome in
+--outcomes has exactly the keys the audit writes, and its family, fired
+and loss must agree with its pathology, severity and threshold.
 
-`audit --config` reads a JSON object with three optional sections,
+`audit` also writes validation.json: which records each detector could
+score, and why it skipped the others (`registry.ValidationReport`).
+
+`audit --config` reads a JSON object with the optional sections
 "generative", "mi" and "discriminative", such as {"generative": {"delta":
-0.95}, "discriminative": {"ece_hi": 0.2}}. Their keys are the fields of
-GenerativeConfig (but `mi`), MIEstimatorConfig and DiscriminativeConfig;
-each value applies to every detector that reads it. The mi seed defaults
-to --seed. An unknown section or key, or a value of the wrong type (an
-int is accepted for a float), exits 2 with an error naming the key; so
-does a value that its config class rejects as out of range.
+0.95}}. Their keys are the fields of GenerativeConfig (but `mi`),
+MIEstimatorConfig and DiscriminativeConfig, each decoded by the kind of its
+type; each value applies to every detector that reads it, and the mi seed
+defaults to --seed. A value its config class rejects exits 2 as well.
 """
 
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from types import MappingProxyType
@@ -36,16 +38,14 @@ import numpy as np
 from . import discriminative, fixtures, game, generative, holonorm, jsonio, \
     risk as risk_mod
 from .metrics import MIEstimatorConfig
-from .records import (CorpusError, decode_number, load_causal_fixtures,
-                      load_knowledge_base, load_trace_corpus)
-from .registry import OUTCOME_JSON_KEYS, DetectorOutcome
+from .records import (CorpusError, RecordValidationError, declare,
+                      decode_object, load_causal_fixtures,
+                      load_knowledge_base, load_trace_corpus, read_json)
+from .registry import (OUTCOME_FIELDS, OUTCOME_JSON_KEYS, DetectorOutcome,
+                       pathology_ids)
 # the audits build the validation report; the name stays bound here for
 # perfbench/layers.py, which rebinds it on this module too
 from .registry import validate_corpus  # noqa: F401
-
-
-class CliError(ValueError):
-    pass
 
 
 # --config section -> its config class; the MI estimator is configured in
@@ -53,50 +53,31 @@ class CliError(ValueError):
 _CONFIG_CLASSES = {"generative": generative.GenerativeConfig,
                    "mi": MIEstimatorConfig,
                    "discriminative": discriminative.DiscriminativeConfig}
-# section -> {key: type}
-_CONFIG_KEYS = {
-    name: {f.name: f.type for f in dataclasses.fields(cls) if f.name != "mi"}
+# the records kind of a config field's type
+_TYPE_KINDS = {float: "number", int: "integer", bool: "boolean", str: "string"}
+_CONFIG_FILE = declare(*((name, "object") for name in _CONFIG_CLASSES))
+_CONFIG_SECTIONS = {
+    name: declare(*((f.name, _TYPE_KINDS[f.type])
+                    for f in dataclasses.fields(cls) if f.name != "mi"))
     for name, cls in _CONFIG_CLASSES.items()}
 
 
-def _has_type(value, kind):
-    # JSON true/false are Python bools, which are ints; an int is a float
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 def _load_config(path):
+    """The --config file as {section: {key: decoded value}}."""
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
-    if not isinstance(obj, dict):
-        raise CliError(f"config {path}: expected a JSON object of sections")
-    for section, body in obj.items():
-        if section not in _CONFIG_KEYS:
-            raise CliError(f"config {path}: unknown section {section!r}; "
-                           f"the sections are {', '.join(_CONFIG_KEYS)}")
-        if not isinstance(body, dict):
-            raise CliError(f"config {path}: section {section!r} is not a "
-                           f"JSON object")
-        unknown = sorted(body.keys() - _CONFIG_KEYS[section].keys())
-        if unknown:
-            raise CliError(f"config {path}: unknown key {unknown[0]!r} in "
-                           f"section {section!r}")
-        for key, value in body.items():
-            kind = _CONFIG_KEYS[section][key]
-            if not _has_type(value, kind):
-                raise CliError(f"config {path}: key {key!r} in section "
-                               f"{section!r} must be {kind.__name__}, not "
-                               f"{json.dumps(value)}")
+    where = f"config {path}"
+    config = decode_object(_CONFIG_FILE, read_json(path), where, ignored=())
+    for section, body in config.items():
+        here = f"{where}: section {section!r}"
+        config[section] = decode_object(_CONFIG_SECTIONS[section], body,
+                                        here, ignored=())
         # the class checks the ranges, whichever schema the audit reads
         try:
-            _CONFIG_CLASSES[section](**body)
+            _CONFIG_CLASSES[section](**config[section])
         except ValueError as exc:
-            raise CliError(f"config {path}: section {section!r}: "
-                           f"{exc}") from None
-    return obj
+            raise CorpusError(f"{here}: {exc}") from None
+    return config
 
 
 def _generative_config(cfg_obj, seed):
@@ -111,29 +92,19 @@ def _discriminative_config(cfg_obj):
         **cfg_obj.get("discriminative", {}))
 
 
-def _parse_eps_file(path):
-    """The --eps file: an object keyed by pathology (with an optional
-    "default") or an array in registry order, whose values are numbers or
-    "inf". A bool, NaN or any other string exits 2 naming its key."""
-    if path is None:
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
-    if type(obj) is not dict and type(obj) is not list:
-        raise CliError(f"eps {path}: expected an object or an array")
-
-    def conv(key, value):
-        if value == "inf":
-            return math.inf
-        try:
-            return decode_number(value)
-        except (ValueError, OverflowError):
-            raise CliError(f"eps {path}: key {key!r} must be a number or "
-                           f'"inf", not {json.dumps(value)}') from None
-
-    if type(obj) is dict:
-        return {k: conv(k, v) for k, v in obj.items()}
-    return [conv(i, v) for i, v in enumerate(obj)]
+def _write(args, files, manifest):
+    """Write `files`, {name: JSON document, or (header, rows) for a .csv},
+    and manifest.json from build_manifest(*manifest) under --out; return
+    that directory."""
+    out = Path(args.out)
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            jsonio.write_csv(out / name, *content, force=args.force)
+        else:
+            jsonio.write_json(out / name, content, force=args.force)
+    jsonio.write_json(out / "manifest.json",
+                      jsonio.build_manifest(*manifest), force=args.force)
+    return out
 
 
 def _cmd_audit(args):
@@ -148,25 +119,19 @@ def _cmd_audit(args):
     else:
         result = discriminative.audit_discriminative(
             records, cfg=_discriminative_config(cfg_obj))
-    out = Path(args.out)
-    jsonio.write_json(out / "outcomes.json", result.to_json_dict(),
-                      force=args.force)
-    jsonio.write_json(out / "validation.json",
-                      result.validation.to_json_dict(), force=args.force)
-    grouped = result.by_pathology()
     rows = [(name, len(group),
              float(np.mean([o.fired for o in group])),
              float(np.mean([o.severity for o in group])))
-            for name, group in sorted(grouped.items())]
-    jsonio.write_csv(out / "audit_summary.csv",
-                     ("pathology", "n", "fired_rate", "mean_severity"),
-                     rows, force=args.force)
-    manifest = jsonio.build_manifest(
-        "audit", args.seed,
-        {"corpus": args.corpus, "kb": args.kb, "fixtures": args.fixtures,
-         "config": args.config},
-        {"schema": args.schema, "seed": args.seed, "config": cfg_obj})
-    jsonio.write_json(out / "manifest.json", manifest, force=args.force)
+            for name, group in sorted(result.by_pathology().items())]
+    out = _write(args, {
+        "outcomes.json": result.to_json_dict(),
+        "validation.json": result.validation.to_json_dict(),
+        "audit_summary.csv": (("pathology", "n", "fired_rate",
+                               "mean_severity"), rows)},
+        ("audit", args.seed,
+         {"corpus": args.corpus, "kb": args.kb, "fixtures": args.fixtures,
+          "config": args.config},
+         {"schema": args.schema, "seed": args.seed, "config": cfg_obj}))
     print(f"audit: {len(result.outcomes)} outcomes, "
           f"{len(result.skipped)} detectors skipped -> {out}")
     return 0
@@ -174,16 +139,32 @@ def _cmd_audit(args):
 
 # one shared read-only mapping stands for the evidence that is not kept
 _NO_EVIDENCE = MappingProxyType({})
+_OUTCOMES_FILE = declare(("outcomes", "array", True))
 
 
 def _outcome_hook(obj):
+    """The DetectorOutcome of an object with exactly the outcome keys, or
+    the CorpusError naming its bad field (family, fired and loss must be
+    what pathology, severity and threshold give); any other object as is."""
     if obj.keys() != OUTCOME_JSON_KEYS:
         return obj
-    return DetectorOutcome(pathology=obj["pathology"],
-                           record_ids=tuple(obj["record_ids"]),
-                           severity=float(obj["severity"]),
-                           threshold=float(obj["threshold"]),
-                           evidence=_NO_EVIDENCE)
+    try:
+        fields = decode_object(OUTCOME_FIELDS, obj, None)
+    except CorpusError as exc:
+        return exc
+    outcome = DetectorOutcome(pathology=fields["pathology"],
+                              record_ids=fields["record_ids"],
+                              severity=fields["severity"],
+                              threshold=fields["threshold"],
+                              evidence=_NO_EVIDENCE)
+    for name, derived in (("family", outcome.family.value),
+                          ("fired", outcome.fired), ("loss", outcome.loss)):
+        if fields[name] != derived:
+            return RecordValidationError(
+                f"{json.dumps(fields[name])} disagrees with "
+                f"{json.dumps(derived)}, which the pathology, severity and "
+                f"threshold give", field_name=name)
+    return outcome
 
 
 def _load_outcome_files(paths):
@@ -192,38 +173,36 @@ def _load_outcome_files(paths):
     Each outcome is built as its JSON object is parsed, so no dict tree of
     the file is held. Evidence is not kept: risk and report never read it,
     so every loaded outcome has empty evidence. An object in the
-    "outcomes" list must have exactly the keys the audit writes.
+    "outcomes" list must have exactly the keys the audit writes, each
+    decoded by its kind.
     """
     outcomes = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle, object_hook=_outcome_hook)
-        for i, item in enumerate(obj["outcomes"]):
+        items = decode_object(_OUTCOMES_FILE, read_json(path, _outcome_hook),
+                              str(path))["outcomes"]
+        for i, item in enumerate(items):
+            if isinstance(item, CorpusError):
+                raise CorpusError(f"{path}: outcomes[{i}], {item}")
             if not isinstance(item, DetectorOutcome):
-                raise CliError(f"{path}: outcomes[{i}] is not an object "
-                               f"with exactly the keys "
-                               f"{', '.join(sorted(OUTCOME_JSON_KEYS))}")
-        outcomes.extend(obj["outcomes"])
+                raise CorpusError(f"{path}: outcomes[{i}] is not an object "
+                                  f"with exactly the keys "
+                                  f"{', '.join(sorted(OUTCOME_JSON_KEYS))}")
+        outcomes.extend(items)
     return outcomes
 
 
 def _cmd_risk(args):
     outcomes = _load_outcome_files(args.outcomes)
-    eps = _parse_eps_file(args.eps)
+    eps = None if args.eps is None else risk_mod.resolve_eps(
+        read_json(args.eps), pathology_ids(), f"eps {args.eps}")
     cfg = risk_mod.ExpectileConfig(tau=args.tau)
     report = risk_mod.risk_report(outcomes, eps=eps, cfg=cfg)
-    out = Path(args.out)
-    jsonio.write_json(out / "risk_report.json", report.to_json_dict(),
-                      force=args.force)
-    header, rows = report.csv_rows()
-    jsonio.write_csv(out / "risk_summary.csv", header, rows,
-                     force=args.force)
-    manifest = jsonio.build_manifest(
-        "risk", args.seed,
-        {f"outcomes{i}": p for i, p in enumerate(args.outcomes)}
-        | {"eps": args.eps},
-        {"tau": args.tau, "gate": args.gate})
-    jsonio.write_json(out / "manifest.json", manifest, force=args.force)
+    out = _write(args, {"risk_report.json": report.to_json_dict(),
+                        "risk_summary.csv": report.csv_rows()},
+                 ("risk", args.seed,
+                  {f"outcomes{i}": p for i, p in enumerate(args.outcomes)}
+                  | {"eps": args.eps},
+                  {"tau": args.tau, "gate": args.gate}))
     print(f"risk: {len(report.entries)} pathologies at tau={args.tau}, "
           f"feasible={report.feasible} -> {out}")
     if args.gate and not report.feasible:
@@ -234,7 +213,6 @@ def _cmd_risk(args):
 
 
 def _cmd_holonorm_verify(args):
-    out = Path(args.out)
     checks = []
     rng = np.random.default_rng(args.seed)
 
@@ -295,14 +273,12 @@ def _cmd_holonorm_verify(args):
               "degeneracy": degeneracy,
               "checks": [{"name": n, "passed": ok, "statistic": stat}
                          for n, ok, stat in checks]}
-    jsonio.write_json(out / "holonorm_report.json", report, force=args.force)
-    jsonio.write_csv(out / "holonorm_checks.csv",
-                     ("check", "passed", "statistic"), checks,
-                     force=args.force)
-    manifest = jsonio.build_manifest(
-        "holonorm-verify", args.seed, {},
-        {"dim": args.dim, "samples": args.samples, "tol": args.tol})
-    jsonio.write_json(out / "manifest.json", manifest, force=args.force)
+    out = _write(args, {"holonorm_report.json": report,
+                        "holonorm_checks.csv": (("check", "passed",
+                                                 "statistic"), checks)},
+                 ("holonorm-verify", args.seed, {},
+                  {"dim": args.dim, "samples": args.samples,
+                   "tol": args.tol}))
     print(f"holonorm-verify: {'PASS' if report['passed'] else 'FAIL'} "
           f"-> {out}")
     return 0 if report["passed"] else 2
@@ -325,11 +301,8 @@ def _cmd_game(args):
                       for step in loop["trace"]],
             "least_restrictive_accepted": loop["least_restrictive_accepted"],
         }
-    out = Path(args.out)
-    jsonio.write_json(out / "equilibrium.json", result, force=args.force)
-    manifest = jsonio.build_manifest("game", scenario["seed"],
-                                     {"scenario": args.scenario}, {})
-    jsonio.write_json(out / "manifest.json", manifest, force=args.force)
+    out = _write(args, {"equilibrium.json": result},
+                 ("game", scenario["seed"], {"scenario": args.scenario}, {}))
     print(f"game: price {state.price:.6g} on the compute cap -> {out}")
     return 0
 
@@ -345,46 +318,43 @@ def _cmd_pareto(args):
               "pareto_indices": scan["pareto_indices"],
               "pareto_candidates": scan["pareto_candidates"],
               "non_aligned": scan["non_aligned"]}
-    out = Path(args.out)
-    jsonio.write_json(out / "pareto.json", report, force=args.force)
-    jsonio.write_csv(out / "pareto.csv",
-                     ("candidate", "disfluency_risk", "grounding_risk",
-                      "pareto"),
-                     [(lab, v[0], v[1], i in scan["pareto_indices"])
-                      for i, (lab, v) in enumerate(zip(labels, values))],
-                     force=args.force)
-    manifest = jsonio.build_manifest(
-        "pareto", args.seed, {},
-        {"candidates": args.candidates, "records": args.records,
-         "tau": args.tau})
-    jsonio.write_json(out / "manifest.json", manifest, force=args.force)
+    rows = [(lab, v[0], v[1], i in scan["pareto_indices"])
+            for i, (lab, v) in enumerate(zip(labels, values))]
+    out = _write(args, {"pareto.json": report, "pareto.csv": (
+        ("candidate", "disfluency_risk", "grounding_risk", "pareto"), rows)},
+        ("pareto", args.seed, {}, {"candidates": args.candidates,
+                                   "records": args.records, "tau": args.tau}))
     print(f"pareto: set size {len(scan['pareto_indices'])} of "
           f"{args.candidates}, non_aligned={scan['non_aligned']} -> {out}")
     return 0
 
 
+# the fields of risk_report.json that `report` reads
+_RISK_FILE = declare(("feasible", "boolean", True), ("tau", "number", True),
+                     ("total_ids", "integer", True),
+                     ("distinct_pathologies", "integer", True),
+                     ("entries", "array", True))
+# in the column order of summary.csv
+_RISK_ENTRY = declare(("pathology", "id", True), ("n", "integer", True),
+                      ("expectile", "number", True)) + (
+    ("eps", risk_mod.decode_eps, True),) + declare(("ok", "boolean", True))
+
+
 def _cmd_report(args):
-    with open(args.risk, "r", encoding="utf-8") as handle:
-        risk_obj = json.load(handle)
-    summary = {"feasible": risk_obj["feasible"], "tau": risk_obj["tau"],
-               "total_ids": risk_obj["total_ids"],
-               "distinct_pathologies": risk_obj["distinct_pathologies"],
-               "pathologies": risk_obj["entries"]}
-    rows = [(e["pathology"], e["n"], e["expectile"], e["eps"], e["ok"])
-            for e in risk_obj["entries"]]
+    where = f"risk report {args.risk}"
+    summary = decode_object(_RISK_FILE, read_json(args.risk), where)
+    # the entries as they are; the CSV rows from their decoded fields
+    summary["pathologies"] = summary.pop("entries")
+    rows = [tuple(decode_object(_RISK_ENTRY, entry, f"{where}: entries[{i}]")
+                  .values()) for i, entry in enumerate(summary["pathologies"])]
     if args.outcomes:
         outcomes = _load_outcome_files([args.outcomes])
         fired = sorted({o.pathology for o in outcomes if o.fired})
         summary["fired_pathologies"] = fired
-    out = Path(args.out)
-    jsonio.write_json(out / "summary.json", summary, force=args.force)
-    jsonio.write_csv(out / "summary.csv",
-                     ("pathology", "n", "R", "eps", "ok"), rows,
-                     force=args.force)
-    manifest = jsonio.build_manifest(
-        "report", args.seed,
-        {"risk": args.risk, "outcomes": args.outcomes}, {})
-    jsonio.write_json(out / "manifest.json", manifest, force=args.force)
+    out = _write(args, {"summary.json": summary, "summary.csv": (
+        ("pathology", "n", "R", "eps", "ok"), rows)},
+        ("report", args.seed, {"risk": args.risk, "outcomes": args.outcomes},
+         {}))
     print(f"report: feasible={summary['feasible']} -> {out}")
     return 0
 
@@ -396,7 +366,14 @@ def build_parser():
                     "verification, and the risk-gated delegation game.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("audit", help="run detectors over a JSONL corpus")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--out", default=jsonio.default_out_dir())
+        p.add_argument("--force", action="store_true")
+        return p
+
+    p = command("audit", _cmd_audit, "run detectors over a JSONL corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--schema", choices=("trace", "classification"),
                    default="trace")
@@ -408,55 +385,36 @@ def build_parser():
                         "GenerativeConfig, MIEstimatorConfig and "
                         "DiscriminativeConfig")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=jsonio.default_out_dir())
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("risk", help="expectile risk report over outcomes")
+    p = command("risk", _cmd_risk, "expectile risk report over outcomes")
     p.add_argument("--outcomes", action="append", required=True)
     p.add_argument("--tau", type=float, default=0.9)
     p.add_argument("--eps")
     p.add_argument("--gate", action="store_true",
                    help="exit 3 when the deployment gate rejects")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=jsonio.default_out_dir())
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=_cmd_risk)
 
-    p = sub.add_parser("holonorm-verify",
-                       help="numerical verification of the holonorm "
-                            "identities")
+    p = command("holonorm-verify", _cmd_holonorm_verify,
+                "numerical verification of the holonorm identities")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tol", type=float, default=0.1)
-    p.add_argument("--out", default=jsonio.default_out_dir())
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=_cmd_holonorm_verify)
 
-    p = sub.add_parser("game", help="solve a delegation-game scenario")
+    p = command("game", _cmd_game, "solve a delegation-game scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--out", default=jsonio.default_out_dir())
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=_cmd_game)
 
-    p = sub.add_parser("pareto",
-                       help="fluency-versus-grounding non-alignment sweep")
+    p = command("pareto", _cmd_pareto,
+                "fluency-versus-grounding non-alignment sweep")
     p.add_argument("--candidates", type=int, default=9)
     p.add_argument("--records", type=int, default=40)
     p.add_argument("--tau", type=float, default=0.9)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=jsonio.default_out_dir())
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=_cmd_pareto)
 
-    p = sub.add_parser("report", help="merge risk and audit outputs")
+    p = command("report", _cmd_report, "merge risk and audit outputs")
     p.add_argument("--risk", required=True)
     p.add_argument("--outcomes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=jsonio.default_out_dir())
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=_cmd_report)
     return parser
 
 
@@ -465,8 +423,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, CliError, jsonio.OutputExistsError, ValueError,
-            FileNotFoundError, KeyError) as exc:
+    # every input error is a ValueError, such as CorpusError or GameError
+    except (ValueError, FileNotFoundError, jsonio.OutputExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -328,9 +328,9 @@ def _score_ambiguity_collapse(records, cfg):
     for r in eligible:
         if r.confidence < cfg.c_hi or r.correct:
             continue
+        # plausible labels index class_probabilities: records validate it
         alternatives = [r.class_probabilities[y] for y in r.plausible_labels
-                        if y != r.predicted_label
-                        and 0 <= y < r.class_probabilities.size]
+                        if y != r.predicted_label]
         if not alternatives:
             continue
         margin = r.confidence - float(max(alternatives))

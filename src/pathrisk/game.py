@@ -19,7 +19,7 @@ fits, otherwise the cap binds. Total compute does not increase with mu,
 so mu is found by doubling and bisection. The costs are separable, so the
 equilibrium also minimizes sum_i J_i over the boxes and the cap. The data
 quality of each agent's mean field, quality >= tau_data, is checked,
-never computed.
+never computed. The leader loop gates through `risk.deployment_gate`.
 """
 
 import json
@@ -28,6 +28,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+
+from .records import declare, decode_object, read_json
+from .risk import deployment_gate, resolve_eps
 
 
 class GameError(ValueError):
@@ -192,41 +195,6 @@ def solve_nash(specs, mean_fields, constraints):
                      price=price)
 
 
-@dataclass(frozen=True)
-class GateResult:
-    accepted: bool
-    violations: tuple   # (pathology, risk, eps, slack) sorted by slack desc
-    risks: dict
-    eps: dict
-
-    def to_json_dict(self):
-        return {"accepted": self.accepted,
-                "violations": [{"pathology": p, "risk": r, "eps": e,
-                                "slack": s}
-                               for p, r, e, s in self.violations],
-                "risks": dict(sorted(self.risks.items())),
-                "eps": dict(sorted(self.eps.items()))}
-
-
-def deployment_gate(risks, eps):
-    """Accept iff every available risk satisfies R_i <= eps_i (inclusive).
-
-    risks and eps are {pathology: value} maps; pathologies without a risk
-    value are not gated. Rejections list violators by slack, worst first.
-    """
-    violations = []
-    for pathology in sorted(risks):
-        if pathology not in eps:
-            raise GameError(f"no epsilon threshold for {pathology!r}")
-        slack = risks[pathology] - eps[pathology]
-        if slack > 0.0:
-            violations.append((pathology, risks[pathology], eps[pathology],
-                               slack))
-    violations.sort(key=lambda v: (-v[3], v[0]))
-    return GateResult(accepted=not violations, violations=tuple(violations),
-                      risks=dict(risks), eps=dict(eps))
-
-
 def equilibrium_risks(specs, state):
     """Risk term of each agent's cost at equilibrium (compute penalty
     excluded), the R_i the gate compares against the thresholds."""
@@ -263,77 +231,76 @@ def stackelberg_loop(schedule, specs, state, risks_override=None):
 # --- scenario files ------------------------------------------------------------
 
 
-def _parse_eps_entry(entry, pathologies):
-    if isinstance(entry, dict):
-        unknown = sorted(set(entry) - {"default"} - set(pathologies))
-        if unknown:
-            raise GameError(f"epsilon keys {unknown} name no agent")
-        default = float(entry.get("default", math.inf))
-        return {p: float(entry.get(p, default)) for p in pathologies}
-    values = [float(v) for v in entry]
-    if len(values) != len(pathologies):
-        raise GameError(f"epsilon vector length {len(values)} != number of "
-                        f"agents {len(pathologies)}")
-    return dict(zip(pathologies, values))
+# keys of scenarios for earlier solvers that the solve never reads: the
+# solver settings tol, max_rounds and mode, and a mean field's samples.
+# The top level and the mean-field entries accept and ignore any of them.
+IGNORED_KEYS = ("tol", "max_rounds", "mode", "samples")
+
+# defaults: kappa 1, tau_data 0, lambda (every agent's) 0, seed 0; an
+# agent's lo -inf and hi inf; a mean field's quality 1
+_SCENARIO = declare(("kappa", "number"), ("cloud_cap", "number", True),
+                    ("tau_data", "number"), ("lambda", "number"),
+                    ("seed", "integer"), ("agents", "array", True),
+                    ("mean_field", "object"), ("epsilon_schedule", "array"),
+                    ("risks", "object"))
+_AGENT = declare(("pathology", "id", True), ("target", "vector", True),
+                 ("lo", "bound"), ("hi", "bound"))
+_MEAN_FIELD = declare(("quality", "probability", True))
 
 
 def load_scenario(path):
     """Parse a scenario JSON file into solver inputs.
 
-    Layout: kappa, cloud_cap, tau_data, optional lambda, a non-empty
-    agents array ({pathology, lo, hi, target}, lo/hi scalars or vectors
-    of the target's length, pathologies distinct), a mean_field map
-    ({pathology: {quality}}), an optional epsilon_schedule (vectors, or
-    maps keyed by agent pathology with an optional default), and optional
-    audit-derived risks. The cap is shared through one price, so there are
-    no per-agent shares: a share_weights key raises GameError rather than
-    being dropped. The game has no solver settings: the keys tol,
-    max_rounds and mode and mean_field samples are ignored. Malformed
-    agents, and epsilon or mean_field keys that name no agent, raise
-    GameError.
+    The fields and their `records` kinds are declared in _SCENARIO,
+    _AGENT (pathologies distinct, vector bounds of the target's length)
+    and _MEAN_FIELD. mean_field and risks are keyed by agent; each
+    epsilon_schedule entry is resolved over the agents by
+    `risk.resolve_eps`. An unknown key (but IGNORED_KEYS) or a null value
+    raises. Every error but malformed JSON is a GameError naming the file,
+    the entry (such as agents[3] or epsilon_schedule[0]) and the field.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
-    if "share_weights" in obj:
-        raise GameError("share_weights is not supported: the agents share "
-                        "cloud_cap through one price, not fixed shares")
-    lam = float(obj.get("lambda", 0.0))
-    kappa = float(obj.get("kappa", 1.0))
-    if not obj["agents"]:
-        raise GameError("scenario has no agents")
-    specs = []
-    for agent in obj["agents"]:
-        dim = len(agent["target"])
-        lo = agent.get("lo", -math.inf)
-        hi = agent.get("hi", math.inf)
-        lo_vec = np.full(dim, float(lo)) if np.isscalar(lo) \
-            else np.asarray(lo, dtype=float)
-        hi_vec = np.full(dim, float(hi)) if np.isscalar(hi) \
-            else np.asarray(hi, dtype=float)
-        specs.append(AgentSpec(
-            pathology=str(agent["pathology"]), lo=lo_vec, hi=hi_vec,
-            cost=QuadraticTargetCost(
-                target=np.asarray(agent["target"], dtype=float),
-                lam=float(agent.get("lambda", lam)))))
-    pathologies = [s.pathology for s in specs]
-    repeated = sorted(p for p, n in Counter(pathologies).items() if n > 1)
+    obj = read_json(path)
+    try:
+        return _scenario(obj)
+    except ValueError as exc:
+        raise GameError(f"scenario {path}: {exc}") from None
+
+
+def _agent(obj, where, lam):
+    fields = decode_object(_AGENT, obj, where, ignored=())
+    size = fields["target"].size
+    lo, hi = (np.full(size, b) if type(b) is float else b
+              for b in (fields.get("lo", -math.inf),
+                        fields.get("hi", math.inf)))
+    return AgentSpec(pathology=fields["pathology"], lo=lo, hi=hi,
+                     cost=QuadraticTargetCost(target=fields["target"], lam=lam))
+
+
+def _scenario(obj):
+    top = decode_object(_SCENARIO, obj, None, ignored=IGNORED_KEYS)
+    if not top["agents"]:
+        raise GameError("agents: the scenario has no agents")
+    specs = [_agent(agent, f"agents[{i}]", top.get("lambda", 0.0))
+             for i, agent in enumerate(top["agents"])]
+    names = [s.pathology for s in specs]
+    repeated = sorted(p for p, n in Counter(names).items() if n > 1)
     if repeated:
         raise GameError(f"agents {repeated} appear more than once")
-    mf_obj = obj.get("mean_field", {})
-    unknown = sorted(set(mf_obj) - set(pathologies))
-    if unknown:
-        raise GameError(f"mean_field keys {unknown} name no agent")
-    mean_fields = [MeanField(quality=float(
-        mf_obj.get(p, {"quality": 1.0})["quality"])) for p in pathologies]
-    constraints = SharedConstraints(
-        cloud_cap=float(obj["cloud_cap"]),
-        tau_data=float(obj.get("tau_data", 0.0)),
-        kappa=kappa)
-    schedule = [_parse_eps_entry(e, pathologies)
-                for e in obj.get("epsilon_schedule", [])]
-    risks = obj.get("risks")
-    if risks is not None:
-        risks = {str(k): float(v) for k, v in risks.items()}
+    entries = decode_object(declare(*((p, "object") for p in names)),
+                            top.get("mean_field", {}), "mean_field",
+                            ignored=())
+    mean_fields = [MeanField(decode_object(
+        _MEAN_FIELD, entries[p], f"mean_field[{json.dumps(p)}]",
+        ignored=IGNORED_KEYS)["quality"] if p in entries else 1.0)
+        for p in names]
+    schedule = [resolve_eps(spec, names, f"epsilon_schedule[{i}]")
+                for i, spec in enumerate(top.get("epsilon_schedule", ()))]
+    risks = None if "risks" not in top else decode_object(
+        declare(*((p, "number") for p in names)), top["risks"], "risks",
+        ignored=())
     return {"specs": specs, "mean_fields": mean_fields,
-            "constraints": constraints, "schedule": schedule,
-            "risks": risks, "seed": int(obj.get("seed", 0))}
+            "constraints": SharedConstraints(
+                cloud_cap=top["cloud_cap"], tau_data=top.get("tau_data", 0.0),
+                kappa=top.get("kappa", 1.0)),
+            "schedule": schedule, "risks": risks,
+            "seed": top.get("seed", 0)}

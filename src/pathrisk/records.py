@@ -10,32 +10,19 @@ the field. The kind's decoder accepts only its JSON type and converts it;
 some kinds add a range check. An int counts as a number; a bool is neither
 a number nor an int; nothing else is coerced, so "0.5" is not a number and
 "false" is not a boolean. An absent or null optional field stays unset.
-The kinds:
-
-    id           a nonempty string
-    string       a string
-    tag          a string, interned
-    boolean      true or false
-    integer      an int
-    dimension    an int > 0
-    probability  a number in [0, 1]
-    magnitude    a finite number >= 0
-    vector       a nonempty array of finite numbers, kept as a float array
-    vectors      an array of vectors
-    table        a nonempty array of vectors of one length, a 2-d array
-    strings      an array of strings
-    log-probs    a nonempty array of finite numbers <= 0
-    bounds       an array of two ints, the first <= the second
-    labels       an array of ints, kept as a set
-    annotations  an object of string values, keys and values interned
+The kinds are listed in `_KINDS`.
 
 `from_json_dict` and `to_json_dict` walk the declared fields; `validate`
 runs the range checks, then the checks that relate fields to each other.
 A record that violates either aborts the load with the line number, record
 id and field; a knowledge-base entry or causal fixture names its index.
+
 Loaded records are never mutated, so they are safe to share across threads.
 Interning makes the records of one corpus share one string object for each
 distinct annotation key, annotation value and subgroup tag.
+
+The CLI's other input files are decoded by the same kinds, through
+`declare` and `decode_object`.
 """
 
 import json
@@ -75,7 +62,7 @@ _STR = frozenset((str,))
 
 
 def _bad(what, value):
-    text = json.dumps(value)
+    text = json.dumps(value, default=repr)
     return ValueError(f"expected {what}, got "
                       f"{text if len(text) <= 40 else text[:36] + ' ...'}")
 
@@ -133,6 +120,10 @@ def _vector(value):
     return vec
 
 
+def _bound(value):
+    return _vector(value) if type(value) is list else decode_number(value)
+
+
 def _vectors(value):
     if type(value) is not list:
         raise _bad("an array of vectors", value)
@@ -160,6 +151,18 @@ def _integers(value):
 
 def _label_set(value):
     return frozenset(_array(value, _INT, "an array of integers"))
+
+
+def _list(value):
+    if type(value) is not list:
+        raise _bad("an array", value)
+    return value
+
+
+def _object(value):
+    if type(value) is not dict:
+        raise _bad("an object", value)
+    return value
 
 
 def _annotations(value):
@@ -200,24 +203,33 @@ def _ordered_pair(value):
         raise ValueError(f"bounds {list(value)} must be an ordered pair")
 
 
-# kind -> (decoder, range check or None)
+# kind -> (decoder, range check or None), each kind with what it accepts
 _KINDS = {
-    "id": (_id, None),
+    "id": (_id, None),                  # a nonempty string
     "string": (_string, None),
-    "tag": (_tag, None),
-    "boolean": (_boolean, None),
-    "integer": (_integer, None),
-    "dimension": (_integer, _positive),
-    "probability": (decode_number, _unit_interval),
-    "magnitude": (decode_number, _finite_nonnegative),
+    "tag": (_tag, None),                # a string, interned
+    "boolean": (_boolean, None),        # true or false
+    "integer": (_integer, None),        # an int
+    "dimension": (_integer, _positive),  # an int > 0
+    "number": (decode_number, None),    # a number, not NaN
+    "probability": (decode_number, _unit_interval),  # a number in [0, 1]
+    "magnitude": (decode_number, _finite_nonnegative),  # finite and >= 0
+    # a nonempty array of finite numbers, kept as a float array
     "vector": (_vector, None),
-    "vectors": (_vectors, None),
+    "bound": (_bound, None),            # a number, or a vector
+    "vectors": (_vectors, None),        # an array of vectors
+    # a nonempty array of vectors of one length, kept as a 2-d array
     "table": (_table, None),
-    "strings": (_strings, None),
+    "strings": (_strings, None),        # an array of strings
+    # a nonempty array of finite numbers <= 0
     "log-probs": (_numbers, _log_probs),
+    # an array of two ints, the first <= the second
     "bounds": (_integers, _ordered_pair),
-    "labels": (_label_set, None),
+    "labels": (_label_set, None),       # an array of ints, kept as a set
+    # an object of string values, keys and values interned
     "annotations": (_annotations, None),
+    "array": (_list, None),
+    "object": (_object, None),
 }
 
 
@@ -245,18 +257,45 @@ def _schema(cls):
     return cls
 
 
-def _decode(decoders, obj, where, id_name="id"):
+def declare(*declared):
+    """The decoders of an object's fields for `decode_object`, from
+    (name, kind) pairs, or (name, kind, True) for a mandatory field. Each
+    decodes its kind and runs the kind's range check."""
+    return tuple((name, _checked(*_KINDS[kind]), bool(mandatory))
+                 for name, kind, *mandatory in declared)
+
+
+def _checked(decode, check):
+    if check is None:
+        return decode
+
+    def decode_and_check(value):
+        value = decode(value)
+        check(value)
+        return value
+    return decode_and_check
+
+
+def decode_object(decoders, obj, where, id_name="id", ignored=None):
     """{name: decoded value} of the fields of the JSON object `obj` that
-    `decoders` declares; absent and null ones are left out. An error names
-    `where`, the object's `id_name` field once decoded, and the field."""
+    `decoders` declares; absent and null ones are left out. With `ignored`
+    (a tuple of keys) `obj` is strict: a key neither declared nor ignored,
+    or a null value, is an error. An error names `where`, the object's
+    `id_name` field once decoded, and the field."""
     if type(obj) is not dict:
         raise RecordValidationError(str(_bad("a JSON object", obj)),
                                     where=where)
+    if ignored is not None:
+        known = {name for name, _, _ in decoders}.union(ignored)
+        for name in obj:
+            if name not in known:
+                raise RecordValidationError("unknown field", None, name,
+                                            where)
     out = {}
     try:
         for name, decode, mandatory in decoders:
             value = obj.get(name)
-            if value is not None:
+            if value is not None or (ignored is not None and name in obj):
                 out[name] = decode(value)
             elif mandatory:
                 raise ValueError("missing mandatory field")
@@ -265,6 +304,16 @@ def _decode(decoders, obj, where, id_name="id"):
         raise RecordValidationError(str(exc), out.get(id_name), name,
                                     where) from None
     return out
+
+
+def read_json(path, object_hook=None):
+    """The JSON document in the file at `path`; CorpusError if malformed."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle, object_hook=object_hook)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: malformed JSON ({exc.msg}, line "
+                              f"{exc.lineno})") from None
 
 
 def _json_value(value):
@@ -297,7 +346,7 @@ class _Record:
     @classmethod
     def from_json_dict(cls, obj, where=None):
         """The record of a JSON object, validated; errors name `where`."""
-        rec = cls(**_decode(cls._decoders, obj, where))
+        rec = cls(**decode_object(cls._decoders, obj, where))
         rec.validate(where)
         return rec
 
@@ -425,6 +474,14 @@ class ClassificationRecord(_Record):
         if abs(total - 1.0) > 1e-9:
             raise RecordValidationError(f"probabilities sum {total:.6g}", rid,
                                         "class_probabilities", where)
+        # a label indexes class_probabilities
+        labels = [("true_label", self.true_label)]
+        labels += [("plausible_labels", label)
+                   for label in sorted(self.plausible_labels or ())]
+        for name, label in labels:
+            if not 0 <= label < p.size:
+                raise RecordValidationError(
+                    f"label {label} outside [0, {p.size})", rid, name, where)
         # argmax breaks ties by the lowest class id, on every platform
         if self.predicted_label != int(p.argmax()):
             raise RecordValidationError(
@@ -547,16 +604,11 @@ def load_trace_corpus(path, schema="trace"):
                                             where)
             seen.add(rec.id)
             records.append(rec)
-    if schema == "trace":
-        dims = {r.embedding_dim for r in records}
-        if len(dims) > 1:
-            raise CorpusError(f"mixed embedding dimensions in corpus: "
-                              f"{sorted(dims)}")
-    else:
-        dims = {r.features.size for r in records}
-        if len(dims) > 1:
-            raise CorpusError(f"mixed feature dimensions in corpus: "
-                              f"{sorted(dims)}")
+    trace = schema == "trace"
+    dims = {r.embedding_dim if trace else r.features.size for r in records}
+    if len(dims) > 1:
+        raise CorpusError(f"mixed {'embedding' if trace else 'feature'} "
+                          f"dimensions in corpus: {sorted(dims)}")
     return records
 
 
@@ -583,25 +635,18 @@ def _embedding(value):
     return value if type(value) is np.ndarray else _vector(value)
 
 
-def _entries(value):
-    if type(value) is not list:
-        raise _bad("an array", value)
-    return value
-
-
-_KB_FILE = (("source_tag", _string, False), ("entries", _entries, True))
+_KB_FILE = (("source_tag", _string, False), ("entries", _list, True))
 _KB_ENTRY = (("entity_id", _string, False), ("embedding", _embedding, False))
 
 
 def load_knowledge_base(path):
     """Load a knowledge base from a JSON object {"source_tag": string,
     "entries": [{"entity_id": string, "embedding": vector}, ...]}."""
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = _decode(_KB_FILE, json.load(handle, object_hook=_kb_entry_hook),
-                      "knowledge base")
+    obj = decode_object(_KB_FILE, read_json(path, _kb_entry_hook),
+                        "knowledge base")
     entries = []
     for i, entry in enumerate(obj["entries"]):
-        entry = _decode(_KB_ENTRY, entry, f"entry {i}", "entity_id")
+        entry = decode_object(_KB_ENTRY, entry, f"entry {i}", "entity_id")
         try:
             entries.append((entry["entity_id"], entry["embedding"]))
         except KeyError as exc:
@@ -612,8 +657,7 @@ def load_knowledge_base(path):
 
 def load_causal_fixtures(path):
     """Load one causal fixture or an array of them from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+    obj = read_json(path)
     items = [obj] if type(obj) is dict else obj
     if type(items) is not list:
         raise CorpusError(str(_bad("a fixture object or an array of them",
@@ -621,7 +665,7 @@ def load_causal_fixtures(path):
     fixtures = []
     for i, item in enumerate(items):
         where = f"fixture {i}"
-        kwargs = _decode(CausalFixture._decoders, item, where)
+        kwargs = decode_object(CausalFixture._decoders, item, where)
         try:
             fixtures.append(CausalFixture(**kwargs))
         except CorpusError as exc:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .records import ClassificationRecord, TraceRecord
+from .records import ClassificationRecord, TraceRecord, declare
 
 # Severity floor for existential predicates ("some entity unknown", "both a
 # true and a false claim present"): any positive fraction fires.
@@ -223,10 +223,15 @@ class DetectorOutcome:
                 "evidence": dict(self.evidence)}
 
 
-# the keys of DetectorOutcome.to_json_dict: a loader knows an outcome in a
-# parsed file by exactly this key set
-OUTCOME_JSON_KEYS = frozenset(("pathology", "family", "record_ids", "fired",
-                               "severity", "loss", "threshold", "evidence"))
+# the keys of DetectorOutcome.to_json_dict but evidence, with their kinds;
+# a loader knows an outcome in a parsed file by exactly OUTCOME_JSON_KEYS
+OUTCOME_FIELDS = declare(
+    ("pathology", "id", True), ("family", "string", True),
+    ("record_ids", "strings", True), ("fired", "boolean", True),
+    ("severity", "number", True), ("loss", "number", True),
+    ("threshold", "number", True))
+OUTCOME_JSON_KEYS = frozenset(
+    [name for name, _, _ in OUTCOME_FIELDS] + ["evidence"])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Expectile value-at-risk engine, risk reports, the deployment gate
-inputs, and the Pareto non-alignment scan.
+"""Expectile value-at-risk engine, epsilon thresholds, the deployment
+gate, risk reports, and the Pareto non-alignment scan.
 
 The expectile at level tau is the unique minimizer of the asymmetric
 quadratic E[w_tau(L - r) (L - r)^2] with w_tau(z) = tau for z > 0 and
@@ -11,13 +11,18 @@ quadratic E[w_tau(L - r) (L - r)^2] with w_tau(z) = tau for z > 0 and
 initialized at the sample mean, iterated until the first-order condition
 balances. At tau = 0.5 this is the mean; for tau > 0.5 it up-weights
 upper-tail losses.
+
+The one gate is `deployment_gate`: `risk_report` and the delegation
+game's leader loop both call it, on thresholds from `resolve_eps`.
 """
 
+import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .records import decode_number
 from .registry import (ALIAS_GROUPS, REGISTRY, distinct_pathology_count,
                        pathology_ids)
 
@@ -166,62 +171,109 @@ class RiskReport:
         return header, rows
 
 
-def resolve_eps(eps):
-    """Normalize an epsilon specification to a per-pathology map.
+def decode_eps(value):
+    """A threshold as a float: a number above -inf, or "inf" for none. The
+    reports write inf as "inf", which this reads back."""
+    try:
+        eps = math.inf if value == "inf" else decode_number(value)
+        if eps > -math.inf:
+            return eps
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f'must be a number or "inf", not {json.dumps(value)}')
 
-    Accepts a scalar (applied everywhere), a full-length sequence in
-    registry order, or a mapping with optional "default" key. Unknown
-    pathology names and length mismatches are errors.
-    """
-    ids = pathology_ids()
-    if eps is None:
-        return {name: math.inf for name in ids}
-    if isinstance(eps, (int, float)):
-        return {name: float(eps) for name in ids}
-    if isinstance(eps, dict):
-        unknown = set(eps) - set(ids) - {"default"}
+
+def resolve_eps(spec, names, where=None):
+    """{name: eps} for each of `names`, from an epsilon specification: an
+    object keyed by name with an optional "default" (itself "inf" when
+    absent), or an array in `names` order. Each value is decoded by
+    `decode_eps`. A key that is neither a name nor "default", a length
+    mismatch or a bad value raises RiskError naming `where` and the key."""
+
+    def fail(message):
+        return RiskError(message if where is None else f"{where}: {message}")
+
+    def value(key, raw):
+        try:
+            return decode_eps(raw)
+        except ValueError as exc:
+            raise fail(f"key {key!r} {exc}") from None
+
+    if type(spec) is dict:
+        unknown = sorted(spec.keys() - {"default"} - set(names))
         if unknown:
-            raise RiskError(f"unknown pathology ids in eps: "
-                            f"{sorted(unknown)}")
-        default = float(eps.get("default", math.inf))
-        return {name: float(eps.get(name, default)) for name in ids}
-    values = list(eps)
-    if len(values) != len(ids):
-        raise RiskError(f"eps vector length {len(values)} does not match "
-                        f"registry size {len(ids)}")
-    return {name: float(v) for name, v in zip(ids, values)}
+            raise fail(f"unknown keys {unknown}: each key is one of the "
+                       f"names or \"default\"")
+        values = {key: value(key, raw) for key, raw in spec.items()}
+        default = values.get("default", math.inf)
+        return {name: values.get(name, default) for name in names}
+    if type(spec) is not list:
+        raise fail("expected an object or an array")
+    if len(spec) != len(names):
+        raise fail(f"vector length {len(spec)} does not match the "
+                   f"{len(names)} names")
+    return {name: value(i, raw) for i, (name, raw) in
+            enumerate(zip(names, spec))}
+
+
+@dataclass(frozen=True)
+class GateResult:
+    accepted: bool
+    violations: tuple   # (pathology, risk, eps, slack) sorted by slack desc
+    risks: dict
+    eps: dict
+
+    def to_json_dict(self):
+        return {"accepted": self.accepted,
+                "violations": [{"pathology": p, "risk": r, "eps": e,
+                                "slack": s}
+                               for p, r, e, s in self.violations],
+                "risks": dict(sorted(self.risks.items())),
+                "eps": dict(sorted(self.eps.items()))}
+
+
+def deployment_gate(risks, eps):
+    """Accept iff every risk satisfies R_i <= eps_i (inclusive).
+
+    risks and eps are {pathology: value} maps, eps holding a threshold for
+    each pathology of risks; pathologies without a risk value are not
+    gated. Violations are listed by slack R_i - eps_i, worst first.
+    """
+    violations = sorted(((p, r, eps[p], r - eps[p])
+                         for p, r in risks.items() if not r <= eps[p]),
+                        key=lambda v: (-v[3], v[0]))
+    return GateResult(accepted=not violations, violations=tuple(violations),
+                      risks=dict(risks), eps=dict(eps))
 
 
 def risk_report(outcomes, eps=None, cfg=ExpectileConfig()):
     """Per-pathology expectile risk with the deployment-feasibility verdict.
 
-    Pathologies with no loss samples are reported as unavailable and are
-    excluded from the gate; the verdict is the conjunction of R_i <= eps_i
-    over available pathologies (boundary inclusive).
+    `eps` is an epsilon specification over the registry ids (see
+    `resolve_eps`); None leaves every pathology unbounded. Pathologies
+    with no loss samples are reported as unavailable and are not gated;
+    the others go through `deployment_gate`.
     """
-    eps_map = resolve_eps(eps)
+    ids = pathology_ids()
+    eps_map = resolve_eps({} if eps is None else eps, ids)
     grouped = {}
     for outcome in outcomes:
         grouped.setdefault(outcome.pathology, []).append(outcome)
-    entries = []
-    for name in pathology_ids():
-        group = grouped.get(name)
-        if not group:
-            continue
-        losses = [o.loss for o in group]
-        value = expectile(losses, cfg)
-        entries.append(RiskEntry(
-            pathology=name, tau=cfg.tau, n=len(losses), expectile=value,
-            mean=float(np.mean(losses)),
-            fired_rate=float(np.mean([o.fired for o in group])),
-            eps=eps_map[name], ok=value <= eps_map[name]))
-    if not entries:
+    if not grouped:
         raise RiskError("no pathology has any loss sample")
-    unavailable = tuple(name for name in pathology_ids()
-                        if name not in grouped)
-    feasible = all(e.ok for e in entries)
-    return RiskReport(entries=tuple(entries), unavailable=unavailable,
-                      feasible=feasible, tau=cfg.tau)
+    losses = {name: [o.loss for o in grouped[name]]
+              for name in ids if name in grouped}
+    risks = {name: expectile(loss, cfg) for name, loss in losses.items()}
+    gate = deployment_gate(risks, eps_map)
+    violated = {v[0] for v in gate.violations}
+    entries = tuple(RiskEntry(
+        pathology=name, tau=cfg.tau, n=len(losses[name]),
+        expectile=risks[name], mean=float(np.mean(losses[name])),
+        fired_rate=float(np.mean([o.fired for o in grouped[name]])),
+        eps=eps_map[name], ok=name not in violated) for name in losses)
+    unavailable = tuple(name for name in ids if name not in grouped)
+    return RiskReport(entries=entries, unavailable=unavailable,
+                      feasible=gate.accepted, tau=cfg.tau)
 
 
 def pareto_scan(candidates, objectives):

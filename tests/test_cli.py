@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -286,7 +287,8 @@ _GOOD_OUTCOME = {"pathology": "delusion", "family": "generative",
 @pytest.mark.parametrize("change,message", [
     ({"pathology": "nonsense"}, "error: unknown pathology 'nonsense'\n"),
     ({"severity": 1.5}, "error: severity 1.5 outside [0,1]\n"),
-    ({"severity": "nan"}, "error: severity nan outside [0,1]\n"),
+    ({"severity": "nan"},
+     "outcomes[1], field 'severity': expected a number, got \"nan\""),
     ({"loss": None}, "outcomes[1] is not an object with exactly the keys"),
     ({"extra": 1}, "outcomes[1] is not an object with exactly the keys")])
 @pytest.mark.parametrize("subcommand", ["risk", "report"])
@@ -317,6 +319,11 @@ _CLASSIFICATION_RECORD = {"id": "bad", "features": [0.0, 1.0],
                           "predicted_label": 0, "true_label": 0,
                           "class_probabilities": [0.6, 0.4]}
 _KB_ENTRY = {"entity_id": "bad", "embedding": [1.0, 0.0, 0.0, 0.0]}
+_AGENT = {"pathology": "a0", "lo": -1.0, "hi": 1.0, "target": [0.5, 0.5]}
+_SCENARIO = {"kappa": 1.0, "cloud_cap": 4.0,
+             "agents": [_AGENT, {"pathology": "a1", "target": [-0.5, 0.2]}]}
+_RISK_ENTRY = {"pathology": "delusion", "n": 1, "expectile": 0.1,
+               "eps": "inf", "ok": True}
 _BAD = "{where}, record 'bad', field "
 _MALFORMED = [
     ("trace", [1, 2], "{where}: expected a JSON object, got [1, 2]"),
@@ -403,7 +410,106 @@ _MALFORMED = [
      "key 'default' must be a number or \"inf\", not true"),
     ("eps", {"delusion": "0.5"},
      "key 'delusion' must be a number or \"inf\", not \"0.5\""),
-    ("eps", [True] * 35, "key 0 must be a number or \"inf\", not true")]
+    ("eps", [True] * 35, "key 0 must be a number or \"inf\", not true"),
+    # the risk report would write it as "-inf", which report cannot read
+    ("eps", {"default": -math.inf},
+     "key 'default' must be a number or \"inf\", not -Infinity"),
+    # a label indexes class_probabilities, which has two entries here
+    ("classification", {"true_label": 5},
+     _BAD + "'true_label': label 5 outside [0, 2)"),
+    ("classification", {"true_label": -1},
+     _BAD + "'true_label': label -1 outside [0, 2)"),
+    ("classification", {"plausible_labels": [0, 2]},
+     _BAD + "'plausible_labels': label 2 outside [0, 2)"),
+    # {where} is the file; the message names the entry
+    ("scenario", {"lamda": 5}, "scenario {where}: field 'lamda': unknown "
+                               "field"),
+    ("scenario", {"share_weights": [1.0, 2.0]},
+     "scenario {where}: field 'share_weights': unknown field"),
+    ("scenario", {"cloud_cap": "1e9"},
+     "scenario {where}: field 'cloud_cap': expected a number, got \"1e9\""),
+    ("scenario", {"seed": 1.5},
+     "scenario {where}: field 'seed': expected an integer, got 1.5"),
+    ("scenario", {"agents": {}},
+     "scenario {where}: field 'agents': expected an array, got {}"),
+    ("scenario", {"agents": [_AGENT, {"pathology": 7, "target": [0.5]}]},
+     "scenario {where}: agents[1], field 'pathology': expected a nonempty "
+     "string, got 7"),
+    ("scenario", {"agents": [_AGENT | {"target": ["x"]}]},
+     "scenario {where}: agents[0], field 'target': expected a nonempty "
+     "vector of numbers"),
+    ("scenario", {"agents": [_AGENT | {"hi": "1"}]},
+     "scenario {where}: agents[0], field 'hi': expected a number, "
+     "got \"1\""),
+    ("scenario", {"lambda": True},
+     "scenario {where}: field 'lambda': expected a number, got true"),
+    ("scenario", {"agents": [_AGENT | {"tol": 1e-6}]},
+     "scenario {where}: agents[0], field 'tol': unknown field"),
+    ("scenario", {"mean_field": {"a0": {"quality": 1.5}}},
+     "scenario {where}: mean_field[\"a0\"], field 'quality': probability "
+     "1.5 outside [0,1]"),
+    ("scenario", {"mean_field": {"a9": {"quality": 0.5}}},
+     "scenario {where}: mean_field, field 'a9': unknown field"),
+    ("scenario", {"mean_field": {"a0": {"quality": 0.5, "weight": 1}}},
+     "scenario {where}: mean_field[\"a0\"], field 'weight': unknown field"),
+    ("scenario", {"epsilon_schedule": [{"default": "nan"}]},
+     "scenario {where}: epsilon_schedule[0]: key 'default' must be a number "
+     "or \"inf\", not \"nan\""),
+    ("scenario", {"epsilon_schedule": [{"default": 1.0}, {"default": True}]},
+     "scenario {where}: epsilon_schedule[1]: key 'default' must be a number "
+     "or \"inf\", not true"),
+    ("scenario", {"epsilon_schedule": [[0.5]]},
+     "scenario {where}: epsilon_schedule[0]: vector length 1 does not match "
+     "the 2 names"),
+    ("scenario", {"risks": {"a0": "0.1"}},
+     "scenario {where}: risks, field 'a0': expected a number, got \"0.1\""),
+    ("scenario", {"risks": {"a9": 0.1}},
+     "scenario {where}: risks, field 'a9': unknown field"),
+    ("outcomes", {"threshold": True},
+     "{where}: outcomes[1], field 'threshold': expected a number, got true"),
+    ("outcomes", {"record_ids": "r1"},
+     "{where}: outcomes[1], field 'record_ids': expected an array of "
+     "strings, got \"r1\""),
+    ("outcomes", {"pathology": ""},
+     "{where}: outcomes[1], field 'pathology': expected a nonempty string"),
+    ("outcomes", {"fired": "true"},
+     "{where}: outcomes[1], field 'fired': expected true or false"),
+    ("outcomes", {"family": "discriminative"},
+     "{where}: outcomes[1], field 'family': \"discriminative\" disagrees "
+     "with \"generative\""),
+    ("outcomes", {"fired": False},
+     "{where}: outcomes[1], field 'fired': false disagrees with true"),
+    ("outcomes", {"loss": 0.5},
+     "{where}: outcomes[1], field 'loss': 0.5 disagrees with 0.7"),
+    ("outcomes-file", {"outcomes": None},
+     "{where}, field 'outcomes': missing mandatory field"),
+    ("outcomes-file", {"outcomes": {}},
+     "{where}, field 'outcomes': expected an array, got {}"),
+    ("config", {"generative": {"s_hi": math.nan}},
+     "config {where}: section 'generative', field 's_hi': expected a "
+     "number, got NaN"),
+    ("config", {"generative": {"window": "5"}},
+     "config {where}: section 'generative', field 'window': expected an "
+     "integer, got \"5\""),
+    ("config", {"generative": {"expert_style_id": None}},
+     "config {where}: section 'generative', field 'expert_style_id': "
+     "expected a string, got null"),
+    ("config", {"mi": []},
+     "config {where}, field 'mi': expected an object, got []"),
+    ("risk-report", {"feasible": None},
+     "risk report {where}, field 'feasible': missing mandatory field"),
+    ("risk-report", {"tau": "0.9"},
+     "risk report {where}, field 'tau': expected a number, got \"0.9\""),
+    ("risk-report", {"total_ids": 35.0},
+     "risk report {where}, field 'total_ids': expected an integer"),
+    ("risk-report", {"entries": [_RISK_ENTRY | {"eps": "big"}]},
+     "risk report {where}: entries[0], field 'eps': must be a number or "
+     "\"inf\", not \"big\""),
+    ("risk-report", {"entries": [_RISK_ENTRY | {"ok": 1}]},
+     "risk report {where}: entries[0], field 'ok': expected true or false"),
+    ("risk-report", {"entries": [_RISK_ENTRY | {"pathology": None}]},
+     "risk report {where}: entries[0], field 'pathology': missing "
+     "mandatory field")]
 
 
 def _merged(base, bad):
@@ -428,6 +534,27 @@ def _with_malformed(tmp_path, target, bad):
         eps.write_text(json.dumps(bad))
         return ["risk", "--outcomes", _audited(tmp_path), "--eps",
                 str(eps)], None
+    # the whole file is the bad input; {where} stands for its path
+    path = tmp_path / f"{target}.json"
+    if target == "scenario":
+        path.write_text(json.dumps(_merged(_SCENARIO, bad)))
+        return ["game", "--scenario", str(path)], path
+    if target == "outcomes":
+        path.write_text(json.dumps({"outcomes": [
+            _GOOD_OUTCOME, _merged(_GOOD_OUTCOME, bad)], "skipped": {}}))
+        return ["risk", "--outcomes", str(path)], path
+    if target == "outcomes-file":
+        path.write_text(json.dumps(_merged({"outcomes": [_GOOD_OUTCOME]},
+                                           bad)))
+        return ["risk", "--outcomes", str(path)], path
+    if target == "config":
+        path.write_text(json.dumps(bad))
+        return _trace_audit(tmp_path) + ["--config", str(path)], path
+    if target == "risk-report":
+        risk_report, _ = _risked(tmp_path)
+        good = json.loads(Path(risk_report).read_text())
+        path.write_text(json.dumps(_merged(good, bad)))
+        return ["report", "--risk", str(path)], path
     argv = _trace_audit(tmp_path)
     if target == "fixtures":
         path = tmp_path / "fixtures.json"

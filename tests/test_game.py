@@ -7,8 +7,10 @@ import pytest
 from pathrisk import cli, fixtures
 from pathrisk.game import (AgentSpec, GameError, MeanField,
                            QuadraticTargetCost, SharedConstraints,
-                           best_response, deployment_gate, equilibrium_risks,
-                           load_scenario, solve_nash, stackelberg_loop)
+                           best_response, equilibrium_risks, load_scenario,
+                           solve_nash, stackelberg_loop)
+from pathrisk.registry import DetectorOutcome, pathology_ids
+from pathrisk.risk import deployment_gate, resolve_eps, risk_report
 from oracles import grid_variational_equilibrium
 
 GRID_STEPS = 41
@@ -192,6 +194,29 @@ class TestGate:
             [True, True, True, False]
         assert loop["least_restrictive_accepted"] == {"a": 2.0, "b": 3.0}
         assert equilibrium_risks(specs, state) == {"a": 0.0, "b": 0.0}
+
+    @pytest.mark.parametrize("eps,violators", [
+        ({"default": 0.5}, ["hallucination"]),   # delusion: R == eps
+        ({"default": "inf"}, []),
+        ({"default": 0.25, "hallucination": "inf"}, ["delusion"]),
+        ({"delusion": 0.49, "bluffing": 0.25}, ["delusion"]),
+        ([0.25] * 35, ["hallucination", "delusion"])])
+    def test_risk_report_and_leader_loop_agree(self, eps, violators):
+        risks = {"delusion": 0.5, "bluffing": 0.25, "hallucination": 1.0}
+        # the expectile of one loss that is a power of two is that loss,
+        # exactly
+        outcomes = [DetectorOutcome(p, (f"{p}-0",), r, 0.5)
+                    for p, r in risks.items()]
+        report = risk_report(outcomes, eps=eps)
+        assert {e.pathology: e.expectile for e in report.entries} == risks
+        loop = stackelberg_loop([resolve_eps(eps, pathology_ids())], [],
+                                None, risks_override=risks)
+        gate = loop["trace"][0]["gate"]
+        # violations come worst slack first
+        assert [v[0] for v in gate.violations] == violators
+        assert gate.accepted == report.feasible == (not violators)
+        assert sorted(e.pathology for e in report.entries if not e.ok) == \
+            sorted(violators)
 
 
 def _scenario(tmp_path, **overrides):

@@ -187,7 +187,7 @@ def _outcome(pathology, severity, threshold=0.5):
 class TestRiskReport:
     def test_all_zero_losses_feasible(self):
         outcomes = [_outcome("delusion", 0.0) for _ in range(5)]
-        report = risk_report(outcomes, eps=0.1)
+        report = risk_report(outcomes, eps={"default": 0.1})
         assert report.feasible
         assert report.entry("delusion").expectile == pytest.approx(0.0)
 
@@ -213,7 +213,7 @@ class TestRiskReport:
             for sev in rng.uniform(size=60):
                 outcomes.append(_outcome(pathology, float(sev)))
         cfg = ExpectileConfig(tau=0.9)
-        report = risk_report(outcomes, eps=1.0, cfg=cfg)
+        report = risk_report(outcomes, eps={"default": 1.0}, cfg=cfg)
         for entry in report.entries:
             losses = [o.loss for o in outcomes
                       if o.pathology == entry.pathology]
@@ -234,19 +234,19 @@ class TestRiskReport:
 
     def test_eps_vector_length_mismatch(self):
         with pytest.raises(RiskError, match="length"):
-            resolve_eps([0.1, 0.2])
+            resolve_eps([0.1, 0.2], pathology_ids())
 
     def test_eps_vector_in_registry_order(self):
-        eps = resolve_eps([0.5] * 35)
+        eps = resolve_eps([0.5] * 35, pathology_ids())
         assert set(eps) == set(pathology_ids())
 
     def test_eps_unknown_name(self):
         with pytest.raises(RiskError, match="unknown"):
-            resolve_eps({"not_a_pathology": 0.1})
+            resolve_eps({"not_a_pathology": 0.1}, pathology_ids())
 
     def test_empty_outcomes_error(self):
         with pytest.raises(RiskError):
-            risk_report([], eps=0.1)
+            risk_report([], eps={"default": 0.1})
 
 
 class TestParetoScan:
