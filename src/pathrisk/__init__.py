@@ -21,13 +21,12 @@ from .discriminative import (DiscriminativeConfig, audit_discriminative,
                              score_discriminative)
 from .risk import (ExpectileConfig, GateResult, RiskReport,
                    bernoulli_expectile, deployment_gate, expectile,
-                   expectile_foc_residual, expvar_binary_monotonicity_check,
-                   pareto_scan, resolve_eps, risk_report)
+                   expectile_foc_residual, pareto_scan, resolve_eps,
+                   risk_report)
 from .holonorm import (DensityCheckConfig, HolonormModel,
                        constant_param_degeneracy_check,
                        density_transform_check, det_jacobian_inverse_hn,
                        forward, hn, inverse_hn,
                        matrix_determinant_lemma_check)
-from .game import (AgentSpec, GameState, MeanField, QuadraticTargetCost,
-                   SharedConstraints, best_response, solve_nash,
-                   stackelberg_loop)
+from .game import (AgentSpec, GameState, SharedConstraints, best_response,
+                   solve_nash, stackelberg_loop)

@@ -3,8 +3,8 @@
 Subcommands: audit, risk, holonorm-verify, game, pareto, report. Every run
 writes canonical JSON reports plus CSV summaries and a manifest (version,
 seed, input digests, config hash) into --out. Exit codes: 0 success;
-2 a rejected input or a usage error (holonorm-verify: a failed check);
-3 an infeasible deployment gate (risk --gate).
+1 a failed identity (holonorm-verify); 2 a rejected input or a usage
+error; 3 an infeasible deployment gate (risk --gate).
 
 Every input file is decoded field by field by the `records` kinds: a value
 of the wrong JSON type is rejected, never coerced ("0.5", true and NaN are
@@ -281,19 +281,21 @@ def _cmd_holonorm_verify(args):
                    "tol": args.tol}))
     print(f"holonorm-verify: {'PASS' if report['passed'] else 'FAIL'} "
           f"-> {out}")
-    return 0 if report["passed"] else 2
+    return 0 if report["passed"] else 1
 
 
 def _cmd_game(args):
     scenario = game.load_scenario(args.scenario)
     specs = scenario["specs"]
-    state = game.solve_nash(specs, scenario["mean_fields"],
-                            scenario["constraints"])
+    state = game.solve_nash(specs, scenario["constraints"])
     result = {"equilibrium": state.to_json_dict(specs),
               "seed": scenario["seed"]}
     if scenario["schedule"]:
-        loop = game.stackelberg_loop(scenario["schedule"], specs, state,
-                                     risks_override=scenario["risks"])
+        risks = scenario["risks"]
+        if risks is None:
+            risks = {s.pathology: s.risk(t)
+                     for s, t in zip(specs, state.thetas)}
+        loop = game.stackelberg_loop(scenario["schedule"], risks)
         result["stackelberg"] = {
             "steps": [{"eps": step["eps"],
                        "accepted": step["gate"].accepted,

@@ -156,14 +156,6 @@ def distinct_pathology_count():
     return collapsed
 
 
-def alias_label(name):
-    """Collapsed reporting label for a detector id."""
-    for group in ALIAS_GROUPS:
-        if name in group:
-            return "/".join(group)
-    return name
-
-
 class DetectorError(ValueError):
     """Detector cannot run: wrong arity, missing fields, no eligible data."""
 
@@ -316,9 +308,6 @@ class ValidationReport:
     missing: dict         # detector -> {missing-field tuple: tuple of ids}
     not_applicable: dict  # detector -> reason; no record is of its kind
     record_count: int
-
-    def is_available(self, detector, record_id):
-        return record_id in self.available.get(detector, ())
 
     def eligible(self, detector, records):
         """The records the detector can score, in their order; `records`

@@ -100,24 +100,6 @@ def bernoulli_expectile(p, tau):
     return num / den if den > 0.0 else 0.0
 
 
-def expvar_binary_monotonicity_check(p_grid, tau=0.9):
-    """Tabulate the Bernoulli expectile over a probability grid and assert
-    the two properties the binary-indicator risk relies on: the value is 0
-    at p = 0 and monotone non-decreasing in the failure probability."""
-    ps = [float(p) for p in p_grid]
-    values = [bernoulli_expectile(p, tau) for p in ps]
-    order = np.argsort(ps)
-    sorted_vals = [values[i] for i in order]
-    monotone = all(b >= a - 1e-15
-                   for a, b in zip(sorted_vals, sorted_vals[1:]))
-    zero_at_zero = all(abs(v) < 1e-15
-                       for p, v in zip(ps, values) if p == 0.0)
-    return {"tau": tau,
-            "table": list(zip(ps, values)),
-            "monotone": monotone,
-            "zero_at_zero": zero_at_zero}
-
-
 @dataclass(frozen=True)
 class RiskEntry:
     pathology: str
@@ -279,29 +261,17 @@ def risk_report(outcomes, eps=None, cfg=ExpectileConfig()):
 def pareto_scan(candidates, objectives):
     """Non-dominated candidates under componentwise <= on objective values.
 
-    `objectives` is either a sequence of per-candidate objective tuples or
-    a sequence of callables evaluated on each candidate. Returns a dict
-    with the surviving candidates, all objective values, and whether the
-    scan certifies non-alignment (Pareto set of size >= 2).
+    `objectives` holds one tuple of objective values per candidate.
+    Returns a dict with the surviving candidates, all objective values,
+    and whether the scan certifies non-alignment (Pareto set of size
+    >= 2).
     """
     candidates = list(candidates)
-    objectives = list(objectives)
     if len(candidates) < 2:
         raise RiskError("pareto scan needs >= 2 candidates")
-    if not objectives:
-        raise RiskError("no objectives supplied")
-    if callable(objectives[0]):
-        values = []
-        for cand in candidates:
-            try:
-                values.append(tuple(float(f(cand)) for f in objectives))
-            except Exception as exc:
-                raise RiskError(f"objective evaluation failed on candidate "
-                                f"{cand!r}: {exc}") from exc
-    else:
-        values = [tuple(float(v) for v in vs) for vs in objectives]
-        if len(values) != len(candidates):
-            raise RiskError("one objective tuple per candidate required")
+    values = [tuple(float(v) for v in vs) for vs in objectives]
+    if len(values) != len(candidates):
+        raise RiskError("one objective tuple per candidate required")
     n = len(candidates)
 
     def dominates(a, b):

@@ -162,6 +162,18 @@ def test_game_reports_one_exact_round(tmp_path):
     assert [sorted(s) for s in steps] == [["accepted", "eps", "gate"]] * 2
 
 
+@pytest.mark.parametrize("flags,code,stream,shown", [
+    # --tol 0: no sample estimate of the density matches it exactly
+    (["--dim", "2", "--tol", "0", "--samples", "10000"], 1, "out",
+     "holonorm-verify: FAIL"),
+    (["--dim", "0"], 2, "err", "error: dimension must be >= 1")])
+def test_holonorm_verify_tells_a_failed_identity_from_a_bad_input(
+        tmp_path, capsys, flags, code, stream, shown):
+    argv = ["holonorm-verify", "--seed", "0", "--out", str(tmp_path / "out")]
+    assert cli.main(argv + flags) == code
+    assert shown in getattr(capsys.readouterr(), stream)
+
+
 def _fixture_audit(tmp_path, pathology, config):
     """The outcomes.json entries of `pathology` after an audit of its
     positive fixture, with `config` (a dict, or None) as --config."""

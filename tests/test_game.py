@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from pathrisk import cli, fixtures
-from pathrisk.game import (AgentSpec, GameError, MeanField,
-                           QuadraticTargetCost, SharedConstraints,
-                           best_response, equilibrium_risks, load_scenario,
+from pathrisk.game import (AgentSpec, GameError, InfeasibleGameError,
+                           SharedConstraints, best_response, load_scenario,
                            solve_nash, stackelberg_loop)
 from pathrisk.registry import DetectorOutcome, pathology_ids
 from pathrisk.risk import deployment_gate, resolve_eps, risk_report
@@ -16,16 +15,16 @@ from oracles import grid_variational_equilibrium
 GRID_STEPS = 41
 
 
-def _agent(name, target, lo=-10.0, hi=10.0, lam=0.0):
+def _agent(name, target, lo=-10.0, hi=10.0, quality=1.0):
     target = np.asarray(target, dtype=float)
-    return AgentSpec(pathology=name, lo=np.full(target.size, lo),
-                     hi=np.full(target.size, hi),
-                     cost=QuadraticTargetCost(target=target, lam=lam))
+    return AgentSpec(pathology=name, target=target,
+                     lo=np.full(target.size, lo),
+                     hi=np.full(target.size, hi), quality=quality)
 
 
-def _solve(specs, cap, kappa=1.0):
-    return solve_nash(specs, [MeanField(quality=1.0)] * len(specs),
-                      SharedConstraints(cloud_cap=cap, kappa=kappa))
+def _solve(specs, cap, kappa=1.0, lam=0.0):
+    return solve_nash(specs, SharedConstraints(cloud_cap=cap, kappa=kappa,
+                                               lam=lam))
 
 
 def _compute(thetas, kappa=1.0):
@@ -41,17 +40,18 @@ def _parsed(tmp_path, scenario):
 class TestBestResponse:
     def test_compute_penalty_shrinks_target(self):
         target = np.array([1.0, -2.0])
-        theta = best_response(_agent("a", target, lam=1.0), 0.0, 1.0)
+        theta = best_response(_agent("a", target), 0.0,
+                              SharedConstraints(cloud_cap=1.0, lam=1.0))
         assert np.allclose(theta, target / 2.0, atol=1e-15)
 
     def test_price_adds_to_the_penalty_then_the_box_clips(self):
-        spec = _agent("a", [3.0, -1.0], lo=[0.5, -0.2], hi=[1.0, 1.0],
-                      lam=1.0)
+        spec = _agent("a", [3.0, -1.0], lo=[0.5, -0.2], hi=[1.0, 1.0])
+        shared = SharedConstraints(cloud_cap=1.0, lam=1.0)
         # 1 + lam kappa + price kappa = 4: (0.75, -0.25), then the clip
-        assert np.array_equal(best_response(spec, 2.0, 1.0),
+        assert np.array_equal(best_response(spec, 2.0, shared),
                               np.array([0.75, -0.2]))
         # at an infinite price, the box point nearest the origin
-        assert np.array_equal(best_response(spec, math.inf, 1.0),
+        assert np.array_equal(best_response(spec, math.inf, shared),
                               np.array([0.5, 0.0]))
 
 
@@ -59,25 +59,25 @@ class TestBestResponse:
 # so the grid holds each box's point nearest the origin. "origin": both
 # boxes contain the origin and the targets; "offset": a box excludes the
 # origin and its lower bound binds at the equilibrium; "clipped": a box
-# cuts a target and still binds at the equilibrium, and one agent has
-# lambda > 0.
+# cuts a target and still binds at the equilibrium, with lambda > 0.
+# Each case is (agents as (target, lo, hi), lambda, kappa, cap).
 GAME_CASES = {
-    "origin": ([([0.8, -0.6], [-1.0, -1.0], [1.0, 1.0], 0.0),
-                ([-0.3, 0.9], [-1.0, -1.0], [1.0, 1.0], 0.0)], 1.0, 0.95),
-    "offset": ([([0.4, 0.9], [0.35, -1.0], [2.35, 1.0], 0.0),
-                ([0.7, 1.2], [-1.0, -0.5], [1.0, 1.5], 0.0)], 1.0, 1.3),
-    "clipped": ([([3.5, -1.4], [-0.5, -1.0], [1.5, 1.0], 0.0),
-                 ([-1.6, 0.4], [-1.0, -1.0], [1.0, 1.0], 0.5)], 2.0, 6.0),
+    "origin": ([([0.8, -0.6], [-1.0, -1.0], [1.0, 1.0]),
+                ([-0.3, 0.9], [-1.0, -1.0], [1.0, 1.0])], 0.0, 1.0, 0.95),
+    "offset": ([([0.4, 0.9], [0.35, -1.0], [2.35, 1.0]),
+                ([0.7, 1.2], [-1.0, -0.5], [1.0, 1.5])], 0.0, 1.0, 1.3),
+    "clipped": ([([3.5, -1.4], [-0.5, -1.0], [1.5, 1.0]),
+                 ([-1.6, 0.4], [-1.0, -1.0], [1.0, 1.0])], 0.5, 2.0, 6.5),
 }
 
 
 class TestSolve:
     @pytest.mark.parametrize("case", sorted(GAME_CASES))
     def test_matches_brute_force_grid(self, case):
-        agents, kappa, cap = GAME_CASES[case]
-        specs = [_agent(f"a{i}", t, lo=lo, hi=hi, lam=lam)
-                 for i, (t, lo, hi, lam) in enumerate(agents)]
-        state = _solve(specs, cap, kappa=kappa)
+        agents, lam, kappa, cap = GAME_CASES[case]
+        specs = [_agent(f"a{i}", t, lo=lo, hi=hi)
+                 for i, (t, lo, hi) in enumerate(agents)]
+        state = _solve(specs, cap, kappa=kappa, lam=lam)
         assert state.price > 0.0   # every case's cap binds
         on_bound = False
         for spec, theta in zip(specs, state.thetas):
@@ -85,11 +85,10 @@ class TestSolve:
             on_bound |= bool(np.any((theta == spec.lo) | (theta == spec.hi)))
         assert on_bound == (case != "origin")
         assert _compute(state.thetas, kappa) <= cap
-        value = sum(s.cost.value(t, kappa)
-                    for s, t in zip(specs, state.thetas))
+        value = sum(state.costs)
         grid_thetas, grid_value = grid_variational_equilibrium(
             [(np.asarray(t), np.asarray(lo), np.asarray(hi), lam)
-             for t, lo, hi, lam in agents], kappa, cap, steps=GRID_STEPS)
+             for t, lo, hi in agents], kappa, cap, steps=GRID_STEPS)
         # no feasible grid point beats the equilibrium
         assert value <= grid_value + 1e-12
         # Rounding each coordinate of the equilibrium one step toward its
@@ -101,9 +100,9 @@ class TestSolve:
         h = 2.0 / (GRID_STEPS - 1)
         step = 2.0 * h   # |d| over 4 coordinates
         grad = np.concatenate([
-            2.0 * (t - s.cost.target) + 2.0 * s.cost.lam * kappa * t
+            2.0 * (t - s.target) + 2.0 * lam * kappa * t
             for s, t in zip(specs, state.thetas)])
-        curvature = 1.0 + max(s.cost.lam for s in specs) * kappa
+        curvature = 1.0 + lam * kappa
         gap = float(np.linalg.norm(grad)) * step + curvature * step ** 2
         assert grid_value - value <= gap
         distance = float(np.linalg.norm(np.concatenate(state.thetas)
@@ -121,25 +120,24 @@ class TestSolve:
             agent["hi"] = hi   # hi = 0.4 makes boxes clip the targets
         parsed = _parsed(tmp_path, scenario)
         specs, constraints = parsed["specs"], parsed["constraints"]
-        state = solve_nash(specs, parsed["mean_fields"], constraints)
+        state = solve_nash(specs, constraints)
         mu, kappa, cap = state.price, constraints.kappa, constraints.cloud_cap
         used = _compute(state.thetas, kappa)
         assert mu > 0.0 and used <= cap
         assert mu * (cap - used) <= 1e-12 * mu * cap
         for spec, theta in zip(specs, state.thetas):
             assert np.array_equal(theta, np.clip(
-                spec.cost.target / (1.0 + (spec.cost.lam + mu) * kappa),
+                spec.target / (1.0 + (constraints.lam + mu) * kappa),
                 spec.lo, spec.hi))
         # mu is the least such price: one float lower, the cap is exceeded
         below = np.nextafter(mu, 0.0)
-        assert _compute([best_response(s, below, kappa) for s in specs],
-                        kappa) > cap
+        assert _compute([best_response(s, below, constraints)
+                         for s in specs], kappa) > cap
 
     def test_coupled_scenario_respects_shared_cap(self, tmp_path):
         parsed = _parsed(tmp_path, fixtures.coupled_game_scenario())
         constraints = parsed["constraints"]
-        state = solve_nash(parsed["specs"], parsed["mean_fields"],
-                           constraints)
+        state = solve_nash(parsed["specs"], constraints)
         used = _compute(state.thetas, constraints.kappa)
         # the cap is half the agents' total target norm and no box binds,
         # so theta_i = t_i / (1 + mu) with (1 + mu)^2 = 2
@@ -151,7 +149,7 @@ class TestSolve:
         specs = [_agent("a", [0.5, -0.5]), _agent("b", [0.2, 0.1])]
         state = _solve(specs, cap=1.0)
         assert state.price == 0.0
-        assert all(np.array_equal(t, s.cost.target)
+        assert all(np.array_equal(t, s.target)
                    for s, t in zip(specs, state.thetas))
 
     def test_cap_at_minimum_compute_terminates(self):
@@ -166,13 +164,20 @@ class TestSolve:
         assert state.thetas[0][1] == 1.0
         assert 0.0 < state.thetas[0][0] < 1e-6
         below = np.nextafter(state.price, 0.0)
-        assert _compute([best_response(s, below, 1.0) for s in specs]) > 1.0
+        shared = SharedConstraints(cloud_cap=1.0)
+        assert _compute([best_response(s, below, shared)
+                         for s in specs]) > 1.0
 
     def test_infeasible_box_raises(self):
         spec = _agent("a", [1.0, 1.0], lo=2.0, hi=3.0)
-        with pytest.raises(GameError, match="admits no theta"):
-            solve_nash([spec], [MeanField(quality=1.0)],
-                       SharedConstraints(cloud_cap=1.0))
+        with pytest.raises(InfeasibleGameError, match="admits no theta"):
+            _solve([spec], cap=1.0)
+
+    def test_quality_below_tau_data_raises(self):
+        specs = [_agent("a", [0.5]), _agent("b", [0.5], quality=0.4)]
+        with pytest.raises(InfeasibleGameError,
+                           match="b: data quality 0.4 below tau_data 0.5"):
+            solve_nash(specs, SharedConstraints(cloud_cap=1.0, tau_data=0.5))
 
 
 class TestGate:
@@ -183,17 +188,18 @@ class TestGate:
         assert rejected.violations[0][0] == "a"
 
     def test_least_restrictive_accepted_is_componentwise_largest(self):
-        specs = [_agent("a", [1.0]), _agent("b", [2.0])]
-        state = solve_nash(specs, [MeanField(quality=1.0)] * 2,
-                           SharedConstraints(cloud_cap=100.0))
         risks = {"a": 0.5, "b": 1.0}
         schedule = [{"a": 0.5, "b": 1.0}, {"a": 2.0, "b": 3.0},
                     {"a": 1.0, "b": 1.5}, {"a": 0.4, "b": 5.0}]
-        loop = stackelberg_loop(schedule, specs, state, risks_override=risks)
+        loop = stackelberg_loop(schedule, risks)
         assert [step["gate"].accepted for step in loop["trace"]] == \
             [True, True, True, False]
         assert loop["least_restrictive_accepted"] == {"a": 2.0, "b": 3.0}
-        assert equilibrium_risks(specs, state) == {"a": 0.0, "b": 0.0}
+
+    def test_slack_equilibrium_has_zero_risk(self):
+        specs = [_agent("a", [1.0]), _agent("b", [2.0])]
+        state = _solve(specs, cap=100.0)
+        assert [s.risk(t) for s, t in zip(specs, state.thetas)] == [0.0, 0.0]
 
     @pytest.mark.parametrize("eps,violators", [
         ({"default": 0.5}, ["hallucination"]),   # delusion: R == eps
@@ -209,8 +215,7 @@ class TestGate:
                     for p, r in risks.items()]
         report = risk_report(outcomes, eps=eps)
         assert {e.pathology: e.expectile for e in report.entries} == risks
-        loop = stackelberg_loop([resolve_eps(eps, pathology_ids())], [],
-                                None, risks_override=risks)
+        loop = stackelberg_loop([resolve_eps(eps, pathology_ids())], risks)
         gate = loop["trace"][0]["gate"]
         # violations come worst slack first
         assert [v[0] for v in gate.violations] == violators
@@ -276,16 +281,22 @@ class TestScenarioValidation:
         with pytest.raises(GameError, match="share_weights"):
             load_scenario(_scenario(tmp_path, share_weights=[1.0, 2.0]))
 
+    @pytest.mark.parametrize("key,value", [
+        ("tol", 1.0), ("max_rounds", 1), ("mode", "jacobi")])
+    def test_solver_settings_are_rejected(self, tmp_path, capsys, key,
+                                          value):
+        path = _scenario(tmp_path, **{key: value})
+        assert cli.main(["game", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"field '{key}': unknown field" in capsys.readouterr().err
+
     def test_ignored_keys_do_not_change_the_solve(self, tmp_path):
+        # a mean field's samples are the one key the scenario ignores
         plain = load_scenario(_scenario(tmp_path))
         legacy = load_scenario(_scenario(
-            tmp_path, tol=1.0, max_rounds=1, mode="jacobi",
-            mean_field={"a0": {"quality": 0.9,
-                               "samples": [[[0.0], [0.0]]]}}))
-        assert "cfg" not in legacy
-        a = solve_nash(plain["specs"], plain["mean_fields"],
-                       plain["constraints"])
-        b = solve_nash(legacy["specs"], legacy["mean_fields"],
-                       legacy["constraints"])
+            tmp_path, mean_field={"a0": {"quality": 0.9,
+                                         "samples": [[[0.0], [0.0]]]}}))
+        a = solve_nash(plain["specs"], plain["constraints"])
+        b = solve_nash(legacy["specs"], legacy["constraints"])
         assert all(np.array_equal(s, t) for s, t in zip(a.thetas, b.thetas))
-        assert legacy["mean_fields"][0].quality == 0.9
+        assert [s.quality for s in legacy["specs"]] == [0.9, 1.0]

@@ -10,7 +10,7 @@ from pathrisk.generative import (DetectorError, FieldUnavailableError,
                                  GenerativeConfig, audit_generative, score)
 from pathrisk.records import KnowledgeBase, TraceRecord
 from pathrisk.registry import (ALIAS_GROUPS, GENERATIVE_DETECTORS,
-                               DISCRIMINATIVE_DETECTORS, alias_label,
+                               DISCRIMINATIVE_DETECTORS,
                                distinct_pathology_count, pathology_ids,
                                validate_corpus)
 from conftest import random_orthogonal
@@ -35,9 +35,9 @@ class TestRegistry:
 
     def test_alias_group(self):
         assert ALIAS_GROUPS == (("semantic_reheating", "semantic_warming"),)
-        assert alias_label("semantic_reheating") == \
-            alias_label("semantic_warming")
-        assert alias_label("delusion") == "delusion"
+        # the one group counts as one pathology; delusion is in no group
+        assert distinct_pathology_count() == len(pathology_ids()) - 1
+        assert not any("delusion" in group for group in ALIAS_GROUPS)
 
 
 class TestFixturePolarity:

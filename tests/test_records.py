@@ -144,7 +144,7 @@ def test_validation_matrix_missing_field():
                       output_embedding=np.array([1.0]),
                       prob_output_given_input=0.9)
     report = validate_corpus([rec])
-    assert not report.is_available("delusion", "a")
+    assert "a" not in report.available["delusion"]
     assert report.missing["delusion"] == {("prob_truth_given_input",): ("a",)}
 
 
@@ -152,8 +152,8 @@ def test_validation_matrix_full_record():
     bundle = fixtures.generative_fixture("delusion", True)
     report = validate_corpus(bundle["records"])
     rid = bundle["records"][0].id
-    assert report.is_available("delusion", rid)
-    assert report.is_available("hallucination", rid) is False  # no flag
+    assert rid in report.available["delusion"]
+    assert rid not in report.available["hallucination"]  # no flag
 
 
 def test_validation_matrix_wrong_record_kind():
@@ -312,7 +312,7 @@ def test_grouped_report_equals_the_per_pair_loop(corpus):
     assert _regrouped(report, records) == expected
     for name in REGISTRY:
         for rid, fields in expected[name].items():
-            assert report.is_available(name, rid) == (fields == ())
+            assert (rid in report.available.get(name, ())) == (fields == ())
     # not applicable exactly when no record is of the detector's kind
     kinds = {type(r) for r in records}
     assert set(report.not_applicable) == (
