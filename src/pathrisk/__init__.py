@@ -8,14 +8,14 @@ from .records import (CausalFixture, ClassificationRecord, CorpusError,
                       KnowledgeBase, RecordValidationError, TraceRecord,
                       load_causal_fixtures, load_knowledge_base,
                       load_trace_corpus, save_trace_corpus)
-from .registry import (ALIAS_GROUPS, Arity, DetectorOutcome, Family,
-                       REGISTRY, ValidationReport, distinct_pathology_count,
+from .registry import (ALIAS_GROUPS, DetectorOutcome, Family, REGISTRY,
+                       ValidationReport, distinct_pathology_count,
                        pathology_ids, validate_corpus)
 from .metrics import (MIEstimatorConfig, avg_pairwise_similarity, coherence,
                       contextual_distance, fluency, mutual_information,
                       semantic_entropy, sim, sim_matrix)
-from .generative import (AuditResult, DetectorError, GenerativeConfig,
-                         audit_generative, score)
+from .generative import (Arity, AuditResult, DetectorError,
+                         GenerativeConfig, audit_generative, score)
 from .discriminative import (DiscriminativeConfig, audit_discriminative,
                              expected_calibration_error,
                              score_discriminative)

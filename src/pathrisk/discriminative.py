@@ -1,20 +1,24 @@
 """The 14 discriminative pathology detectors over classification corpora.
 
 Every detector here folds a whole corpus into one outcome. Rate severities
-are exactly (#events)/(#eligible), accuracy-gap severities are the clamped
-gap, and group metrics are symmetric under relabeling. All detectors are
-invariant to permutations of the corpus (drift orders records explicitly
-by timestamp_index and compares the earlier half with the later one).
+are exactly (#events)/(#eligible), each folded by `_event_rate`;
+accuracy-gap severities are the clamped gap, and group metrics are
+symmetric under relabeling. All detectors are invariant to permutations of
+the corpus (drift orders records explicitly by timestamp_index and
+compares the earlier half with the later one).
 """
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import attrgetter
 
 import numpy as np
 
 from . import registry
 from .metrics import clamp01
 from .registry import (DISCRIMINATIVE_DETECTORS, AuditResult, DetectorError,
-                       DetectorOutcome, FieldUnavailableError, missing_fields)
+                       DetectorOutcome, FieldUnavailableError, fmt, group_by,
+                       missing_fields)
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,6 @@ class DiscriminativeConfig:
                 raise ValueError(f"{name} must be non-negative")
 
 
-def _fmt(x):
-    return f"{x:.12g}"
-
-
 def _accuracy(records):
     if not records:
         raise DetectorError("accuracy of an empty record set")
@@ -63,15 +63,24 @@ def _accuracy(records):
 
 
 def _pairs_by_id(records, key):
-    groups = {}
-    for rec in records:
-        groups.setdefault(getattr(rec, key), []).append(rec)
-    pairs = []
-    for pid in sorted(groups):
-        members = sorted(groups[pid], key=lambda r: r.id)
-        if len(members) == 2:
-            pairs.append(tuple(members))
-    return pairs
+    """The records sharing each value of the field `key`, where exactly
+    two do, ordered by id."""
+    return [tuple(sorted(group, key=lambda r: r.id))
+            for group in group_by(records, attrgetter(key))
+            if len(group) == 2]
+
+
+def _event_rate(units, is_event, none_message):
+    """(events / units, the event count, the unit count), both counts as
+    evidence strings; a DetectorError with none_message if no unit."""
+    if not units:
+        raise DetectorError(none_message)
+    events = sum(1 for unit in units if is_event(unit))
+    return events / len(units), str(events), str(len(units))
+
+
+def _disagree(pair):
+    return pair[0].predicted_label != pair[1].predicted_label
 
 
 # --- detectors ---------------------------------------------------------------
@@ -85,9 +94,9 @@ def _score_overfitting(records, cfg):
         raise DetectorError("overfitting: needs both train-flagged and "
                             "held-out records")
     gap = _accuracy(train) - _accuracy(held)
-    return clamp01(gap), {"train_accuracy": _fmt(_accuracy(train)),
-                          "holdout_accuracy": _fmt(_accuracy(held)),
-                          "gap": _fmt(gap)}
+    return clamp01(gap), {"train_accuracy": fmt(_accuracy(train)),
+                          "holdout_accuracy": fmt(_accuracy(held)),
+                          "gap": fmt(gap)}
 
 
 def _prediction_rates(records, classes):
@@ -108,7 +117,7 @@ def _score_bias_amplification(records, cfg):
                                   - baseline)))
         if dev > worst:
             worst, worst_group = dev, g
-    return clamp01(worst), {"max_rate_deviation": _fmt(worst),
+    return clamp01(worst), {"max_rate_deviation": fmt(worst),
                             "worst_group": worst_group,
                             "groups": str(len(groups))}
 
@@ -122,23 +131,18 @@ def _score_spurious_correlation(records, cfg):
         raise DetectorError("spurious_correlation: needs clean and "
                             "resampled roles")
     drop = _accuracy(clean) - _accuracy(resampled)
-    return clamp01(drop), {"clean_accuracy": _fmt(_accuracy(clean)),
-                           "resampled_accuracy": _fmt(_accuracy(resampled)),
-                           "drop": _fmt(drop)}
+    return clamp01(drop), {"clean_accuracy": fmt(_accuracy(clean)),
+                           "resampled_accuracy": fmt(_accuracy(resampled)),
+                           "drop": fmt(drop)}
 
 
 def _score_adversarial(records, cfg):
-    pairs = _pairs_by_id(records, "perturbation_pair_id")
-    eligible = [(a, b) for a, b in pairs
-                if float(np.linalg.norm(a.features - b.features))
-                <= cfg.eps_adv]
-    if not eligible:
-        raise DetectorError("adversarial_vulnerability: no perturbation "
-                            "pair within eps_adv")
-    flips = sum(1 for a, b in eligible
-                if a.predicted_label != b.predicted_label)
-    rate = flips / len(eligible)
-    return rate, {"flips": str(flips), "eligible_pairs": str(len(eligible))}
+    pairs = [(a, b) for a, b in _pairs_by_id(records, "perturbation_pair_id")
+             if float(np.linalg.norm(a.features - b.features)) <= cfg.eps_adv]
+    rate, flips, n = _event_rate(
+        pairs, _disagree,
+        "adversarial_vulnerability: no perturbation pair within eps_adv")
+    return rate, {"flips": flips, "eligible_pairs": n}
 
 
 def expected_calibration_error(records, bins=10):
@@ -159,7 +163,7 @@ def expected_calibration_error(records, bins=10):
 
 def _score_calibration(records, cfg):
     ece = expected_calibration_error(records, cfg.ece_bins)
-    return clamp01(ece), {"ece": _fmt(ece), "bins": str(cfg.ece_bins)}
+    return clamp01(ece), {"ece": fmt(ece), "bins": str(cfg.ece_bins)}
 
 
 def _feature_tv(ref, cur, bins):
@@ -189,46 +193,30 @@ def _score_concept_drift(records, cfg):
     tv = _feature_tv(ref, cur, cfg.tv_bins)
     gap = _accuracy(ref) - _accuracy(cur)
     severity = clamp01(gap) if tv >= cfg.tv_hi else 0.0
-    return severity, {"reference_accuracy": _fmt(_accuracy(ref)),
-                      "current_accuracy": _fmt(_accuracy(cur)),
-                      "feature_tv": _fmt(tv)}
+    return severity, {"reference_accuracy": fmt(_accuracy(ref)),
+                      "current_accuracy": fmt(_accuracy(cur)),
+                      "feature_tv": fmt(tv)}
 
 
 def _score_misclassification_uncertainty(records, cfg):
-    ood = [r for r in records if r.is_ood]
-    if not ood:
-        raise DetectorError("misclassification_under_uncertainty: no OOD "
-                            "records")
-    events = sum(1 for r in ood
-                 if r.confidence >= cfg.c_hi and not r.correct)
-    rate = events / len(ood)
-    return rate, {"confident_wrong": str(events), "ood_records": str(len(ood))}
-
-
-def _content_pairs(records):
-    groups = {}
-    for rec in records:
-        groups.setdefault(rec.annotations["content_id"], []).append(rec)
-    out = []
-    for cid in sorted(groups):
-        members = sorted(groups[cid], key=lambda r: r.id)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                out.append((members[i], members[j]))
-    return out
+    rate, events, n = _event_rate(
+        [r for r in records if r.is_ood],
+        lambda r: r.confidence >= cfg.c_hi and not r.correct,
+        "misclassification_under_uncertainty: no OOD records")
+    return rate, {"confident_wrong": events, "ood_records": n}
 
 
 def _score_prosodic(records, cfg):
-    pairs = [(a, b) for a, b in _content_pairs(records)
+    pairs = [(a, b)
+             for group in group_by(records,
+                                   lambda r: r.annotations["content_id"])
+             for a, b in combinations(sorted(group, key=lambda r: r.id), 2)
              if a.annotations.get("prosody") != b.annotations.get("prosody")]
-    if not pairs:
-        raise DetectorError("prosodic_misclassification: no content-matched "
-                            "pair with differing prosody")
-    events = sum(1 for a, b in pairs
-                 if a.predicted_label != b.predicted_label
-                 and (not a.correct or not b.correct))
-    rate = events / len(pairs)
-    return rate, {"events": str(events), "eligible_pairs": str(len(pairs))}
+    rate, events, n = _event_rate(
+        pairs, lambda p: _disagree(p) and not (p[0].correct and p[1].correct),
+        "prosodic_misclassification: no content-matched pair with differing "
+        "prosody")
+    return rate, {"events": events, "eligible_pairs": n}
 
 
 def _score_accent_bias(records, cfg):
@@ -252,7 +240,7 @@ def _score_accent_bias(records, cfg):
             gap = abs(acc[groups[i]] - acc[groups[j]])
             if gap > worst:
                 worst, witness = gap, (groups[i], groups[j])
-    return clamp01(worst), {"max_accuracy_gap": _fmt(worst),
+    return clamp01(worst), {"max_accuracy_gap": fmt(worst),
                             "witness_groups": ",".join(witness)}
 
 
@@ -264,19 +252,15 @@ def _score_turn_boundary(records, cfg):
     # offset == tol_t lands at severity 0.5, the firing point
     severity = float(np.mean([clamp01(o / (2.0 * cfg.tol_t))
                               for o in offsets]))
-    return severity, {"mean_offset": _fmt(float(np.mean(offsets))),
+    return severity, {"mean_offset": fmt(float(np.mean(offsets))),
                       "records": str(len(records))}
 
 
 def _score_semantic_boundary(records, cfg):
-    groups = {}
-    for rec in records:
-        groups.setdefault(rec.annotations["span_pair_id"], {})[
-            rec.annotations["span_role"]] = rec
     diffs = []
-    for pid in sorted(groups):
-        wide = groups[pid].get("wide")
-        narrow = groups[pid].get("narrow")
+    for group in group_by(records, lambda r: r.annotations["span_pair_id"]):
+        roles = {r.annotations["span_role"]: r for r in group}
+        wide, narrow = roles.get("wide"), roles.get("narrow")
         if wide is None or narrow is None:
             continue
         (w0, w1), (n0, n1) = wide.segment_bounds, narrow.segment_bounds
@@ -289,56 +273,46 @@ def _score_semantic_boundary(records, cfg):
         raise DetectorError("semantic_boundary_confusion: no nested "
                             "wide/narrow span pair")
     severity = clamp01(float(np.mean(diffs)))
-    return severity, {"mean_score_difference": _fmt(float(np.mean(diffs))),
+    return severity, {"mean_score_difference": fmt(float(np.mean(diffs))),
                       "pairs": str(len(diffs))}
 
 
 def _score_noise_overfitting(records, cfg):
-    groups = {}
-    for rec in records:
-        groups.setdefault(rec.noise_pair_id, {})[
-            rec.annotations["noise_role"]] = rec
-    pairs = [(g["clean"], g["noisy"]) for _, g in sorted(groups.items())
-             if "clean" in g and "noisy" in g]
-    if not pairs:
-        raise DetectorError("noise_overfitting: no clean/noisy pair")
-    events = sum(1 for clean, noisy in pairs
-                 if clean.correct and not noisy.correct)
-    rate = events / len(pairs)
-    return rate, {"events": str(events), "eligible_pairs": str(len(pairs))}
+    roles = [{r.annotations["noise_role"]: r for r in group}
+             for group in group_by(records, attrgetter("noise_pair_id"))]
+    rate, events, n = _event_rate(
+        [(g["clean"], g["noisy"]) for g in roles
+         if "clean" in g and "noisy" in g],
+        lambda p: p[0].correct and not p[1].correct,
+        "noise_overfitting: no clean/noisy pair")
+    return rate, {"events": events, "eligible_pairs": n}
 
 
 def _score_latency_drift(records, cfg):
-    pairs = _pairs_by_id(records, "latency_pair_id")
-    if not pairs:
-        raise DetectorError("latency_induced_decision_drift: no latency pair")
-    events = sum(1 for a, b in pairs
-                 if a.predicted_label != b.predicted_label)
-    rate = events / len(pairs)
-    return rate, {"disagreements": str(events),
-                  "eligible_pairs": str(len(pairs))}
+    rate, events, n = _event_rate(
+        _pairs_by_id(records, "latency_pair_id"), _disagree,
+        "latency_induced_decision_drift: no latency pair")
+    return rate, {"disagreements": events, "eligible_pairs": n}
+
+
+def _collapsed(r, cfg):
+    """A confident wrong answer that beats every other plausible label by
+    at least margin_hi."""
+    if r.confidence < cfg.c_hi or r.correct:
+        return False
+    # plausible labels index class_probabilities: records validate it
+    alternatives = [r.class_probabilities[y] for y in r.plausible_labels
+                    if y != r.predicted_label]
+    return (bool(alternatives)
+            and r.confidence - float(max(alternatives)) >= cfg.margin_hi)
 
 
 def _score_ambiguity_collapse(records, cfg):
-    eligible = [r for r in records if len(r.plausible_labels) >= 2]
-    if not eligible:
-        raise DetectorError("ambiguity_collapse: no record with >= 2 "
-                            "plausible labels")
-    events = 0
-    for r in eligible:
-        if r.confidence < cfg.c_hi or r.correct:
-            continue
-        # plausible labels index class_probabilities: records validate it
-        alternatives = [r.class_probabilities[y] for y in r.plausible_labels
-                        if y != r.predicted_label]
-        if not alternatives:
-            continue
-        margin = r.confidence - float(max(alternatives))
-        if margin >= cfg.margin_hi:
-            events += 1
-    rate = events / len(eligible)
-    return rate, {"collapses": str(events),
-                  "eligible_records": str(len(eligible))}
+    rate, events, n = _event_rate(
+        [r for r in records if len(r.plausible_labels) >= 2],
+        lambda r: _collapsed(r, cfg),
+        "ambiguity_collapse: no record with >= 2 plausible labels")
+    return rate, {"collapses": events, "eligible_records": n}
 
 
 # detector -> (scorer, its firing threshold under a config)

@@ -91,6 +91,9 @@ class SharedConstraints:
             raise GameError("cloud_cap must be positive")
         if self.kappa <= 0.0:
             raise GameError("kappa must be positive")
+        # a negative lambda makes the cost non-convex in theta
+        if not self.lam >= 0.0:
+            raise GameError("lambda must be non-negative")
 
 
 @dataclass(eq=False)

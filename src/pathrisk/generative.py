@@ -1,5 +1,9 @@
 """The 21 generative pathology detectors over trace records.
 
+`_DETECTORS` defines each one in a row: its arity (what one scored unit
+is), its scorer, its firing threshold under the config, and whether it
+reads the knowledge base; the registry holds only its required fields.
+
 Each detector turns its predicate into a severity in [0, 1] that is a
 monotone transform of the predicate's slack, with a firing threshold such
 that `fired == severity >= threshold` holds exactly. Conjunctions with a
@@ -12,6 +16,9 @@ cosine scale (1+cos)/2.
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
+from itertools import combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,9 +29,21 @@ from .records import CausalFixture, TraceRecord
 from . import registry
 # AuditResult, DetectorError and FieldUnavailableError are shared by both
 # audits and stay importable from here
-from .registry import (EXISTENTIAL_EPS, Arity, AuditResult, DetectorError,
-                       DetectorOutcome, FieldUnavailableError,
-                       GENERATIVE_DETECTORS, missing_fields)
+from .registry import (AuditResult, DetectorError, DetectorOutcome,
+                       FieldUnavailableError, GENERATIVE_DETECTORS, fmt,
+                       group_by, missing_fields)
+
+# Severity floor for existential predicates ("some entity unknown", "both a
+# true and a false claim present"): any positive fraction fires.
+EXISTENTIAL_EPS = 1e-9
+
+
+class Arity(str, Enum):
+    RECORD = "record"        # one TraceRecord
+    PAIR = "pair"            # two linked records
+    SEQUENCE = "sequence"    # an ordered conversation of records
+    CORPUS = "corpus"        # an unordered record set
+    FIXTURE = "fixture"      # a CausalFixture
 
 
 @dataclass(frozen=True)
@@ -63,10 +82,20 @@ class GenerativeConfig:
             raise ValueError("tau_c must lie in (0,1)")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-
-
-def _fmt(x):
-    return f"{x:.12g}"
+        for name in ("s_hi", "s_indep", "gamma", "delta", "f_hi", "d_hi",
+                     "tv_tol", "rho"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0,1]")
+        # s_lo above 1 admits every pair to hypersignification
+        for name in ("s_lo", "mi_lo", "entropy_ridge"):
+            if not (getattr(self, name) >= 0.0):
+                raise ValueError(f"{name} must be non-negative")
+        for name, least in (("window", 2), ("drift_k", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}")
 
 
 def _outputs_distinct(record):
@@ -79,29 +108,36 @@ def _outputs_distinct(record):
 
 # --- record-level detectors -------------------------------------------------
 
+def _log_ratio(numerator, denominator, bound):
+    """(severity, ratio) of numerator/denominator against bound > 1:
+    log(ratio) / (2 log(bound)), clamped, so ratio == bound lands at 0.5;
+    severity 0 at a zero numerator, else 1 at a zero denominator."""
+    if numerator == 0.0:
+        return 0.0, 0.0
+    if denominator == 0.0:
+        return 1.0, math.inf
+    ratio = numerator / denominator
+    return clamp01(math.log(ratio) / (2.0 * math.log(bound))), ratio
+
+
+def _mean_fluency(records):
+    return float(np.mean([fluency(r.output_token_logprobs)
+                          for r in records]))
+
+
 def _score_delusion(record, cfg):
-    p_out = record.prob_output_given_input
-    p_truth = record.prob_truth_given_input
     if not _outputs_distinct(record):
         return 0.0, {"note": "output equals truth"}
-    cap = 2.0 * math.log(cfg.margin)  # ratio == margin lands at 0.5
-    if p_out == 0.0:
-        severity = 0.0
-        ratio = 0.0
-    elif p_truth == 0.0:
-        severity = 1.0
-        ratio = math.inf
-    else:
-        ratio = p_out / p_truth
-        severity = clamp01(math.log(ratio) / cap)
-    return severity, {"probability_ratio": _fmt(ratio)}
+    severity, ratio = _log_ratio(record.prob_output_given_input,
+                                 record.prob_truth_given_input, cfg.margin)
+    return severity, {"probability_ratio": fmt(ratio)}
 
 
 def _score_illusion(record, cfg):
     if record.in_real_manifold:
         return 0.0, {"note": "output lies on the real manifold"}
     s = sim(record.output_embedding, record.truth_embedding)
-    return s, {"truth_similarity": _fmt(s)}
+    return s, {"truth_similarity": fmt(s)}
 
 
 def _score_hallucination(record, cfg):
@@ -111,39 +147,32 @@ def _score_hallucination(record, cfg):
 
 def _score_confabulation(record, cfg, kb):
     c = coherence(record.claim_embeddings, kb)
-    return 1.0 - c, {"coherence": _fmt(c),
-                     "argmax_probability": _fmt(record.prob_output_given_input)}
+    return 1.0 - c, {"coherence": fmt(c),
+                     "argmax_probability": fmt(record.prob_output_given_input)}
 
 
 def _score_semantic_compression(record, cfg):
     ratio = record.latent_dim / record.input_dim
-    return clamp01(1.0 - ratio), {"compression_ratio": _fmt(ratio)}
+    return clamp01(1.0 - ratio), {"compression_ratio": fmt(ratio)}
 
 
 def _score_exaggeration(record, cfg):
-    out_m, truth_m = record.output_magnitude, record.truth_magnitude
-    cap = 2.0 * math.log(cfg.alpha)
-    if out_m == 0.0:
-        severity, ratio = 0.0, 0.0
-    elif truth_m == 0.0:
-        severity, ratio = 1.0, math.inf
-    else:
-        ratio = out_m / truth_m
-        severity = clamp01(math.log(ratio) / cap)
-    return severity, {"magnitude_ratio": _fmt(ratio)}
+    severity, ratio = _log_ratio(record.output_magnitude,
+                                 record.truth_magnitude, cfg.alpha)
+    return severity, {"magnitude_ratio": fmt(ratio)}
 
 
 def _score_uncanny_valley(record, cfg):
     if record.discomfort_score < cfg.d_hi:
         return 0.0, {"note": "discomfort below d_hi"}
     s = sim(record.output_embedding, record.truth_embedding)
-    return s, {"human_similarity": _fmt(s),
-               "discomfort": _fmt(record.discomfort_score)}
+    return s, {"human_similarity": fmt(s),
+               "discomfort": fmt(record.discomfort_score)}
 
 
 def _score_pragmatic_misunderstanding(record, cfg):
     s = sim(record.output_embedding, record.intent_embedding)
-    return 1.0 - s, {"intent_similarity": _fmt(s)}
+    return 1.0 - s, {"intent_similarity": fmt(s)}
 
 
 def _score_semantic_reheating(record, cfg):
@@ -163,18 +192,18 @@ def _score_simulated_authority(record, cfg, kb):
             f"{cfg.expert_style_id!r}")
     style_sim = sim(record.style_embedding, centroid)
     if style_sim < cfg.s_hi:
-        return 0.0, {"style_similarity": _fmt(style_sim),
+        return 0.0, {"style_similarity": fmt(style_sim),
                      "note": "style not expert-like"}
     c = coherence(record.claim_embeddings, kb)
-    return 1.0 - c, {"style_similarity": _fmt(style_sim),
-                     "quality_proxy_coherence": _fmt(c)}
+    return 1.0 - c, {"style_similarity": fmt(style_sim),
+                     "quality_proxy_coherence": fmt(c)}
 
 
 def _score_abductive_leap(record, cfg):
     if record.has_inference_path:
         return 0.0, {"note": "inference path exists"}
     p = record.prob_output_given_input
-    return p, {"output_probability": _fmt(p)}
+    return p, {"output_probability": fmt(p)}
 
 
 def _score_contextual_drift(record, cfg):
@@ -185,7 +214,7 @@ def _score_contextual_drift(record, cfg):
             f"contextual_drift: record {record.id!r} has {len(ctx)} context "
             f"vectors, needs >= k+1 = {k + 1}")
     dist = metrics.contextual_distance(ctx[-1], ctx[-1 - k])
-    return clamp01(dist / (2.0 * cfg.epsilon)), {"distance": _fmt(dist),
+    return clamp01(dist / (2.0 * cfg.epsilon)), {"distance": fmt(dist),
                                                  "lag": str(k)}
 
 
@@ -226,7 +255,7 @@ def _score_misattribution(pair, cfg):
     if a.annotations.get("source_id") == b.annotations.get("source_id"):
         raise DetectorError("misattribution: pair shares source_id")
     s = sim(a.output_embedding, b.output_embedding)
-    return s, {"output_similarity": _fmt(s),
+    return s, {"output_similarity": fmt(s),
                "content_id": a.annotations["content_id"]}
 
 
@@ -239,19 +268,18 @@ def _score_semantic_drift(records, cfg):
     slope = metrics.windowed_slope(series, cfg.window)
     endpoint = series[-1]
     severity = (1.0 - endpoint) if slope < 0.0 else 0.0
-    return severity, {"slope": _fmt(slope),
-                      "endpoint_similarity": _fmt(endpoint)}
+    return severity, {"slope": fmt(slope),
+                      "endpoint_similarity": fmt(endpoint)}
 
 
 def _score_bluffing(records, cfg):
     xs = [r.input_embedding for r in records]
     ys = [r.output_embedding for r in records]
     mi = metrics.mutual_information(xs, ys, cfg.mi)
-    mean_fluency = float(np.mean([fluency(r.output_token_logprobs)
-                                  for r in records]))
+    mean_fluency = _mean_fluency(records)
     severity = mean_fluency if mi <= cfg.mi_lo else 0.0
-    return severity, {"mutual_information": _fmt(mi),
-                      "mean_fluency": _fmt(mean_fluency)}
+    return severity, {"mutual_information": fmt(mi),
+                      "mean_fluency": fmt(mean_fluency)}
 
 
 def _extreme_output_pair(records, input_bound, none_message, lowest):
@@ -275,7 +303,7 @@ def _score_cognitive_stereotypy(records, cfg):
         records, 1.0 - 1e-9,
         "cognitive_stereotypy: no pair of records with distinct inputs",
         lowest=True)
-    return worst, {"min_output_similarity": _fmt(worst),
+    return worst, {"min_output_similarity": fmt(worst),
                    "witness_pair": pair}
 
 
@@ -284,7 +312,7 @@ def _score_hypersignification(records, cfg):
         records, cfg.s_lo,
         "hypersignification: no weakly related input pair in corpus",
         lowest=False)
-    return best, {"max_output_similarity": _fmt(best),
+    return best, {"max_output_similarity": fmt(best),
                   "witness_pair": pair}
 
 
@@ -303,13 +331,12 @@ def _score_semantic_warming(records, cfg):
                       for t in range(2, len(styles) + 1)]
     slope_redundancy = metrics.windowed_slope(davg_series, cfg.window)
     slope_entropy = metrics.windowed_slope(entropy_series, cfg.window)
-    mean_fluency = float(np.mean([fluency(r.output_token_logprobs)
-                                  for r in records]))
+    mean_fluency = _mean_fluency(records)
     warming = slope_redundancy > 0.0 or slope_entropy < 0.0
     severity = mean_fluency if warming else 0.0
-    return severity, {"redundancy_slope": _fmt(slope_redundancy),
-                      "entropy_slope": _fmt(slope_entropy),
-                      "mean_fluency": _fmt(mean_fluency)}
+    return severity, {"redundancy_slope": fmt(slope_redundancy),
+                      "entropy_slope": fmt(slope_entropy),
+                      "mean_fluency": fmt(mean_fluency)}
 
 
 def _tv(p, q):
@@ -322,12 +349,12 @@ def _score_causal_failure(fixture, cfg):
     if fixture.edge_x_to_y:
         marginal = fixture.observational_marginal()
         tv_do = max(_tv(row, marginal) for row in fixture.interventional_table)
-        stats["max_tv_do_vs_marginal"] = _fmt(tv_do)
+        stats["max_tv_do_vs_marginal"] = fmt(tv_do)
         candidates.append(tv_do)
     if fixture.secondary_interventional is not None:
         tv_zx = _tv(fixture.interventional_table.mean(axis=0),
                     fixture.secondary_interventional.mean(axis=0))
-        stats["tv_do_x_vs_do_z"] = _fmt(tv_zx)
+        stats["tv_do_x_vs_do_z"] = fmt(tv_zx)
         candidates.append(tv_zx)
     if not candidates:
         raise DetectorError("causal_inference_failure: fixture declares no "
@@ -336,38 +363,61 @@ def _score_causal_failure(fixture, cfg):
     return severity, stats
 
 
-# detector -> (scorer, its firing threshold under a config). A scorer takes
-# (unit, cfg), plus the knowledge base where the registry says `needs_kb`.
+class _Detector(NamedTuple):
+    arity: Arity          # what one scored unit is
+    scorer: Callable      # (unit, cfg), then the knowledge base if needs_kb
+    threshold: Callable   # cfg -> the firing threshold
+    needs_kb: bool = False
+
+
 _DETECTORS = {
-    "delusion": (_score_delusion, lambda c: 0.5),
-    "illusion": (_score_illusion, lambda c: c.s_hi),
-    "hallucination": (_score_hallucination, lambda c: 0.5),
-    "confabulation": (_score_confabulation, lambda c: 1.0 - c.tau_c),
-    "misattribution": (_score_misattribution, lambda c: c.s_hi),
-    "semantic_drift": (_score_semantic_drift, lambda c: 1.0 - c.s_lo),
-    "semantic_compression": (_score_semantic_compression,
-                             lambda c: 1.0 - c.rho),
-    "exaggeration": (_score_exaggeration, lambda c: 0.5),
-    "causal_inference_failure": (_score_causal_failure,
-                                 lambda c: 1.0 - c.tv_tol),
-    "uncanny_valley": (_score_uncanny_valley, lambda c: c.s_hi),
-    "bluffing": (_score_bluffing, lambda c: c.f_hi),
-    "cognitive_stereotypy": (_score_cognitive_stereotypy, lambda c: c.s_hi),
-    "pragmatic_misunderstanding": (_score_pragmatic_misunderstanding,
-                                   lambda c: 1.0 - c.s_indep),
-    "hypersignification": (_score_hypersignification, lambda c: c.gamma),
-    "semantic_reheating": (_score_semantic_reheating, lambda c: 0.5),
-    "semantic_warming": (_score_semantic_warming, lambda c: c.f_hi),
-    "simulated_authority": (_score_simulated_authority,
-                            lambda c: 1.0 - c.tau_c),
-    "abductive_leap": (_score_abductive_leap, lambda c: c.delta),
-    "contextual_drift": (_score_contextual_drift, lambda c: 0.5),
-    "referential_hallucination": (_score_referential_hallucination,
-                                  lambda c: EXISTENTIAL_EPS),
-    "semiotic_frankenstein": (_score_semiotic_frankenstein,
-                              lambda c: EXISTENTIAL_EPS),
+    "delusion": _Detector(Arity.RECORD, _score_delusion, lambda c: 0.5),
+    "illusion": _Detector(Arity.RECORD, _score_illusion, lambda c: c.s_hi),
+    "hallucination": _Detector(Arity.RECORD, _score_hallucination,
+                               lambda c: 0.5),
+    "confabulation": _Detector(Arity.RECORD, _score_confabulation,
+                               lambda c: 1.0 - c.tau_c, needs_kb=True),
+    "misattribution": _Detector(Arity.PAIR, _score_misattribution,
+                                lambda c: c.s_hi),
+    "semantic_drift": _Detector(Arity.SEQUENCE, _score_semantic_drift,
+                                lambda c: 1.0 - c.s_lo),
+    "semantic_compression": _Detector(Arity.RECORD,
+                                      _score_semantic_compression,
+                                      lambda c: 1.0 - c.rho),
+    "exaggeration": _Detector(Arity.RECORD, _score_exaggeration,
+                              lambda c: 0.5),
+    "causal_inference_failure": _Detector(Arity.FIXTURE,
+                                          _score_causal_failure,
+                                          lambda c: 1.0 - c.tv_tol),
+    "uncanny_valley": _Detector(Arity.RECORD, _score_uncanny_valley,
+                                lambda c: c.s_hi),
+    "bluffing": _Detector(Arity.CORPUS, _score_bluffing, lambda c: c.f_hi),
+    "cognitive_stereotypy": _Detector(Arity.CORPUS,
+                                      _score_cognitive_stereotypy,
+                                      lambda c: c.s_hi),
+    "pragmatic_misunderstanding": _Detector(
+        Arity.RECORD, _score_pragmatic_misunderstanding,
+        lambda c: 1.0 - c.s_indep),
+    "hypersignification": _Detector(Arity.CORPUS, _score_hypersignification,
+                                    lambda c: c.gamma),
+    "semantic_reheating": _Detector(Arity.RECORD, _score_semantic_reheating,
+                                    lambda c: 0.5),
+    "semantic_warming": _Detector(Arity.SEQUENCE, _score_semantic_warming,
+                                  lambda c: c.f_hi),
+    "simulated_authority": _Detector(Arity.RECORD, _score_simulated_authority,
+                                     lambda c: 1.0 - c.tau_c, needs_kb=True),
+    "abductive_leap": _Detector(Arity.RECORD, _score_abductive_leap,
+                                lambda c: c.delta),
+    "contextual_drift": _Detector(Arity.RECORD, _score_contextual_drift,
+                                  lambda c: 0.5),
+    "referential_hallucination": _Detector(
+        Arity.RECORD, _score_referential_hallucination,
+        lambda c: EXISTENTIAL_EPS, needs_kb=True),
+    "semiotic_frankenstein": _Detector(
+        Arity.RECORD, _score_semiotic_frankenstein,
+        lambda c: EXISTENTIAL_EPS, needs_kb=True),
 }
-assert set(_DETECTORS) == set(GENERATIVE_DETECTORS)
+assert list(_DETECTORS) == list(GENERATIVE_DETECTORS)
 
 
 def _unit_ids(arity, data):
@@ -391,21 +441,21 @@ def score(pathology, data, cfg=GenerativeConfig(), kb=None):
     misattribution, a record sequence for the corpus/sequence detectors,
     and a CausalFixture for causal_inference_failure.
     """
-    info = GENERATIVE_DETECTORS.get(pathology)
-    if info is None:
+    detector = _DETECTORS.get(pathology)
+    if detector is None:
         raise DetectorError(f"unknown generative pathology {pathology!r}")
-    if info.needs_kb and kb is None:
+    if detector.needs_kb and kb is None:
         raise DetectorError(f"{pathology}: needs a knowledge base")
-    scorer, threshold = _DETECTORS[pathology]
-    if info.arity is Arity.FIXTURE:
+    arity = detector.arity
+    if arity is Arity.FIXTURE:
         if not isinstance(data, CausalFixture):
             raise DetectorError(f"{pathology}: expected a CausalFixture")
         records = ()
-    elif info.arity is Arity.RECORD:
+    elif arity is Arity.RECORD:
         if not isinstance(data, TraceRecord):
             raise DetectorError(f"{pathology}: expected a single TraceRecord")
         records = (data,)
-    elif info.arity is Arity.PAIR:
+    elif arity is Arity.PAIR:
         data = records = tuple(data)
         if len(data) != 2 or not all(isinstance(r, TraceRecord)
                                      for r in data):
@@ -417,38 +467,26 @@ def score(pathology, data, cfg=GenerativeConfig(), kb=None):
         data = records = list(data)
         if len(data) < 2:
             raise DetectorError(f"{pathology}: needs >= 2 records")
+    info = GENERATIVE_DETECTORS[pathology]
     for rec in records:
         lacking = missing_fields(rec, info)
         if lacking:
             raise FieldUnavailableError(pathology, rec.id, lacking)
-    severity, evidence = scorer(data, cfg, *((kb,) if info.needs_kb else ()))
+    severity, evidence = detector.scorer(
+        data, cfg, *((kb,) if detector.needs_kb else ()))
     return DetectorOutcome(pathology=pathology,
-                           record_ids=_unit_ids(info.arity, data),
-                           severity=severity, threshold=threshold(cfg),
+                           record_ids=_unit_ids(arity, data),
+                           severity=severity,
+                           threshold=detector.threshold(cfg),
                            evidence=evidence)
 
 
-def _conversations(records):
-    groups = {}
-    for rec in records:
-        groups.setdefault(rec.annotations.get("conversation_id", ""),
-                          []).append(rec)
-    return [groups[k] for k in sorted(groups)]
-
-
 def _misattribution_pairs(records):
-    by_content = {}
-    for rec in records:
-        by_content.setdefault(rec.annotations["content_id"], []).append(rec)
-    pairs = []
-    for content_id in sorted(by_content):
-        group = sorted(by_content[content_id], key=lambda r: r.id)
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if (group[i].annotations["source_id"]
-                        != group[j].annotations["source_id"]):
-                    pairs.append((group[i], group[j]))
-    return pairs
+    return [(a, b)
+            for group in group_by(records,
+                                  lambda r: r.annotations["content_id"])
+            for a, b in combinations(sorted(group, key=lambda r: r.id), 2)
+            if a.annotations["source_id"] != b.annotations["source_id"]]
 
 
 def _units(arity, eligible, fixtures):
@@ -461,7 +499,9 @@ def _units(arity, eligible, fixtures):
     if arity is Arity.FIXTURE:
         return list(fixtures), "no causal fixtures supplied"
     if arity is Arity.SEQUENCE:
-        return _conversations(eligible), "no conversation long enough"
+        return (group_by(eligible,
+                         lambda r: r.annotations.get("conversation_id", "")),
+                "no conversation long enough")
     return ([eligible] if len(eligible) >= 2 else [],
             "fewer than 2 eligible records")
 
@@ -485,12 +525,12 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig()):
     outcomes = []
     skipped = {}
     dropped = {}
-    for pathology, info in GENERATIVE_DETECTORS.items():
-        if info.needs_kb and kb is None:
+    for pathology, detector in _DETECTORS.items():
+        if detector.needs_kb and kb is None:
             skipped[pathology] = "no knowledge base supplied"
             continue
         eligible = validation.eligible(pathology, corpus)
-        units, reason = _units(info.arity, eligible, fixtures)
+        units, reason = _units(detector.arity, eligible, fixtures)
         scored = 0
         lost = {}
         for unit in units:
@@ -498,7 +538,7 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig()):
                 outcomes.append(score(pathology, unit, cfg, kb=kb))
                 scored += 1
             except (DetectorError, metrics.MetricError) as exc:
-                lost[",".join(_unit_ids(info.arity, unit))] = str(exc)
+                lost[",".join(_unit_ids(detector.arity, unit))] = str(exc)
         if lost:
             dropped[pathology] = lost
         if not scored:

@@ -9,8 +9,9 @@ Each field of a record or causal fixture has one kind, declared once at
 the field. The kind's decoder accepts only its JSON type and converts it;
 some kinds add a range check. An int counts as a number; a bool is neither
 a number nor an int; nothing else is coerced, so "0.5" is not a number and
-"false" is not a boolean. An absent or null optional field stays unset.
-The kinds are listed in `_KINDS`.
+"false" is not a boolean. An absent or null optional field stays unset,
+and a key that no field declares is an error, so a misspelt field cannot
+drop out. The kinds are listed in `_KINDS`.
 
 `from_json_dict` and `to_json_dict` walk the declared fields; `validate`
 runs the range checks, then the checks that relate fields to each other.
@@ -285,12 +286,6 @@ def decode_object(decoders, obj, where, id_name="id", ignored=None):
     if type(obj) is not dict:
         raise RecordValidationError(str(_bad("a JSON object", obj)),
                                     where=where)
-    if ignored is not None:
-        known = {name for name, _, _ in decoders}.union(ignored)
-        for name in obj:
-            if name not in known:
-                raise RecordValidationError("unknown field", None, name,
-                                            where)
     out = {}
     try:
         for name, decode, mandatory in decoders:
@@ -303,7 +298,23 @@ def decode_object(decoders, obj, where, id_name="id", ignored=None):
         # OverflowError: an int too large for a float
         raise RecordValidationError(str(exc), out.get(id_name), name,
                                     where) from None
+    # when strict, every declared key of obj is in out by now, so any
+    # other key is either ignored or unknown
+    if ignored is not None and len(out) < len(obj):
+        for name in obj:
+            if name not in out and name not in ignored:
+                raise RecordValidationError("unknown field", out.get(id_name),
+                                            name, where)
     return out
+
+
+def _decode_record(decoders, obj, where, id_name="id"):
+    """decode_object for a record, a causal fixture, or a knowledge-base
+    file or entry: a key that no field declares is an error, and a null
+    field reads as unset, like an absent one."""
+    if type(obj) is dict and any(v is None for v in obj.values()):
+        obj = {k: v for k, v in obj.items() if v is not None}
+    return decode_object(decoders, obj, where, id_name, ignored=())
 
 
 def read_json(path, object_hook=None):
@@ -346,7 +357,7 @@ class _Record:
     @classmethod
     def from_json_dict(cls, obj, where=None):
         """The record of a JSON object, validated; errors name `where`."""
-        rec = cls(**decode_object(cls._decoders, obj, where))
+        rec = cls(**_decode_record(cls._decoders, obj, where))
         rec.validate(where)
         return rec
 
@@ -642,11 +653,11 @@ _KB_ENTRY = (("entity_id", _string, False), ("embedding", _embedding, False))
 def load_knowledge_base(path):
     """Load a knowledge base from a JSON object {"source_tag": string,
     "entries": [{"entity_id": string, "embedding": vector}, ...]}."""
-    obj = decode_object(_KB_FILE, read_json(path, _kb_entry_hook),
-                        "knowledge base")
+    obj = _decode_record(_KB_FILE, read_json(path, _kb_entry_hook),
+                         "knowledge base")
     entries = []
     for i, entry in enumerate(obj["entries"]):
-        entry = decode_object(_KB_ENTRY, entry, f"entry {i}", "entity_id")
+        entry = _decode_record(_KB_ENTRY, entry, f"entry {i}", "entity_id")
         try:
             entries.append((entry["entity_id"], entry["embedding"]))
         except KeyError as exc:
@@ -665,7 +676,7 @@ def load_causal_fixtures(path):
     fixtures = []
     for i, item in enumerate(items):
         where = f"fixture {i}"
-        kwargs = decode_object(CausalFixture._decoders, item, where)
+        kwargs = _decode_record(CausalFixture._decoders, item, where)
         try:
             fixtures.append(CausalFixture(**kwargs))
         except CorpusError as exc:

@@ -1,9 +1,17 @@
-"""Pathology registry: ids, arities, required fields, and the types every
-audit shares (outcome, result, errors).
+"""Pathology registry: what both detector families share.
 
-The registry holds 21 generative + 14 discriminative detector ids (35
-total). The pair {semantic_reheating, semantic_warming} is one alias group,
-so reports count 34 distinct pathologies.
+It names the 21 generative + 14 discriminative detector ids (35 total),
+each with its family and the record fields it requires, and holds the
+types every audit shares (outcome, result, errors, validation report) and
+the helpers both families call: `fmt` writes an evidence number and
+`group_by` groups records by a key. How a generative detector is scored
+(its arity, whether it reads the knowledge base, its scorer and
+threshold) lives beside its scorer in `generative._DETECTORS`; a
+discriminative one folds the whole corpus, with its scorer and threshold
+in `discriminative._DETECTORS`.
+
+The pair {semantic_reheating, semantic_warming} is one alias group, so
+reports count 34 distinct pathologies.
 """
 
 from dataclasses import dataclass, field
@@ -12,127 +20,67 @@ from typing import Optional
 
 from .records import ClassificationRecord, TraceRecord, declare
 
-# Severity floor for existential predicates ("some entity unknown", "both a
-# true and a false claim present"): any positive fraction fires.
-EXISTENTIAL_EPS = 1e-9
-
 
 class Family(str, Enum):
     GENERATIVE = "generative"
     DISCRIMINATIVE = "discriminative"
 
 
-class Arity(str, Enum):
-    RECORD = "record"        # one TraceRecord
-    PAIR = "pair"            # two linked records
-    SEQUENCE = "sequence"    # an ordered conversation of records
-    CORPUS = "corpus"        # an unordered record set
-    FIXTURE = "fixture"      # a CausalFixture
-
-
 @dataclass(frozen=True)
 class DetectorInfo:
-    name: str
     family: Family
-    arity: Arity
     required_fields: tuple
-    needs_kb: bool = False
 
 
-def _gen(name, arity, fields, needs_kb=False):
-    return DetectorInfo(name, Family.GENERATIVE, arity, tuple(fields),
-                        needs_kb)
+GENERATIVE_DETECTORS = {name: DetectorInfo(Family.GENERATIVE, fields)
+                        for name, fields in {
+    "delusion": ("prob_output_given_input", "prob_truth_given_input"),
+    "illusion": ("output_embedding", "truth_embedding", "in_real_manifold"),
+    "hallucination": ("in_real_manifold",),
+    "confabulation": ("prob_output_given_input", "claim_embeddings"),
+    "misattribution": ("output_embedding", "annotations.content_id",
+                       "annotations.source_id"),
+    "semantic_drift": ("output_embedding", "intent_embedding"),
+    "semantic_compression": ("latent_dim", "input_dim"),
+    "exaggeration": ("output_magnitude", "truth_magnitude"),
+    "causal_inference_failure": (),
+    "uncanny_valley": ("output_embedding", "truth_embedding",
+                       "discomfort_score"),
+    "bluffing": ("input_embedding", "output_embedding",
+                 "output_token_logprobs"),
+    "cognitive_stereotypy": ("input_embedding", "output_embedding"),
+    "pragmatic_misunderstanding": ("output_embedding", "intent_embedding"),
+    "hypersignification": ("input_embedding", "output_embedding"),
+    "semantic_reheating": ("in_train_set",),
+    "semantic_warming": ("style_embedding", "output_token_logprobs"),
+    "simulated_authority": ("style_embedding", "claim_embeddings"),
+    "abductive_leap": ("prob_output_given_input", "has_inference_path"),
+    "contextual_drift": ("context_vectors",),
+    "referential_hallucination": ("referenced_entities",),
+    "semiotic_frankenstein": ("claim_embeddings",),
+}.items()}
 
-
-def _dis(name, fields):
-    return DetectorInfo(name, Family.DISCRIMINATIVE, Arity.CORPUS,
-                        tuple(fields))
-
-
-GENERATIVE_DETECTORS = {
-    "delusion": _gen("delusion", Arity.RECORD,
-                     ("prob_output_given_input", "prob_truth_given_input")),
-    "illusion": _gen("illusion", Arity.RECORD,
-                     ("output_embedding", "truth_embedding",
-                      "in_real_manifold")),
-    "hallucination": _gen("hallucination", Arity.RECORD,
-                          ("in_real_manifold",)),
-    "confabulation": _gen("confabulation", Arity.RECORD,
-                          ("prob_output_given_input", "claim_embeddings"),
-                          needs_kb=True),
-    "misattribution": _gen("misattribution", Arity.PAIR,
-                           ("output_embedding", "annotations.content_id",
-                            "annotations.source_id")),
-    "semantic_drift": _gen("semantic_drift", Arity.SEQUENCE,
-                           ("output_embedding", "intent_embedding")),
-    "semantic_compression": _gen("semantic_compression", Arity.RECORD,
-                                 ("latent_dim", "input_dim")),
-    "exaggeration": _gen("exaggeration", Arity.RECORD,
-                         ("output_magnitude", "truth_magnitude")),
-    "causal_inference_failure": _gen("causal_inference_failure",
-                                     Arity.FIXTURE, ()),
-    "uncanny_valley": _gen("uncanny_valley", Arity.RECORD,
-                           ("output_embedding", "truth_embedding",
-                            "discomfort_score")),
-    "bluffing": _gen("bluffing", Arity.CORPUS,
-                     ("input_embedding", "output_embedding",
-                      "output_token_logprobs")),
-    "cognitive_stereotypy": _gen("cognitive_stereotypy", Arity.CORPUS,
-                                 ("input_embedding", "output_embedding")),
-    "pragmatic_misunderstanding": _gen("pragmatic_misunderstanding",
-                                       Arity.RECORD,
-                                       ("output_embedding",
-                                        "intent_embedding")),
-    "hypersignification": _gen("hypersignification", Arity.CORPUS,
-                               ("input_embedding", "output_embedding")),
-    "semantic_reheating": _gen("semantic_reheating", Arity.RECORD,
-                               ("in_train_set",)),
-    "semantic_warming": _gen("semantic_warming", Arity.SEQUENCE,
-                             ("style_embedding", "output_token_logprobs")),
-    "simulated_authority": _gen("simulated_authority", Arity.RECORD,
-                                ("style_embedding", "claim_embeddings"),
-                                needs_kb=True),
-    "abductive_leap": _gen("abductive_leap", Arity.RECORD,
-                           ("prob_output_given_input", "has_inference_path")),
-    "contextual_drift": _gen("contextual_drift", Arity.RECORD,
-                             ("context_vectors",)),
-    "referential_hallucination": _gen("referential_hallucination",
-                                      Arity.RECORD, ("referenced_entities",),
-                                      needs_kb=True),
-    "semiotic_frankenstein": _gen("semiotic_frankenstein", Arity.RECORD,
-                                  ("claim_embeddings",), needs_kb=True),
-}
-
-DISCRIMINATIVE_DETECTORS = {
-    "overfitting": _dis("overfitting", ("annotations.in_train_set",)),
-    "bias_amplification": _dis("bias_amplification", ("group",)),
-    "spurious_correlation": _dis("spurious_correlation",
-                                 ("annotations.spurious_pair_id",
-                                  "annotations.spurious_role")),
-    "adversarial_vulnerability": _dis("adversarial_vulnerability",
-                                      ("perturbation_pair_id", "features")),
-    "calibration_failure": _dis("calibration_failure",
-                                ("class_probabilities",)),
-    "concept_drift_sensitivity": _dis("concept_drift_sensitivity",
-                                      ("timestamp_index", "features")),
-    "misclassification_under_uncertainty": _dis(
-        "misclassification_under_uncertainty", ("is_ood",)),
-    "prosodic_misclassification": _dis("prosodic_misclassification",
-                                       ("annotations.content_id",
-                                        "annotations.prosody")),
-    "accent_bias": _dis("accent_bias", ("group", "annotations.content_id")),
-    "turn_boundary_failure": _dis("turn_boundary_failure",
-                                  ("segment_bounds", "ref_segment_bounds")),
-    "semantic_boundary_confusion": _dis("semantic_boundary_confusion",
-                                        ("annotations.span_pair_id",
-                                         "annotations.span_role",
-                                         "segment_bounds")),
-    "noise_overfitting": _dis("noise_overfitting",
-                              ("noise_pair_id", "annotations.noise_role")),
-    "latency_induced_decision_drift": _dis("latency_induced_decision_drift",
-                                           ("latency_pair_id",)),
-    "ambiguity_collapse": _dis("ambiguity_collapse", ("plausible_labels",)),
-}
+DISCRIMINATIVE_DETECTORS = {name: DetectorInfo(Family.DISCRIMINATIVE, fields)
+                            for name, fields in {
+    "overfitting": ("annotations.in_train_set",),
+    "bias_amplification": ("group",),
+    "spurious_correlation": ("annotations.spurious_pair_id",
+                             "annotations.spurious_role"),
+    "adversarial_vulnerability": ("perturbation_pair_id", "features"),
+    "calibration_failure": ("class_probabilities",),
+    "concept_drift_sensitivity": ("timestamp_index", "features"),
+    "misclassification_under_uncertainty": ("is_ood",),
+    "prosodic_misclassification": ("annotations.content_id",
+                                   "annotations.prosody"),
+    "accent_bias": ("group", "annotations.content_id"),
+    "turn_boundary_failure": ("segment_bounds", "ref_segment_bounds"),
+    "semantic_boundary_confusion": ("annotations.span_pair_id",
+                                    "annotations.span_role",
+                                    "segment_bounds"),
+    "noise_overfitting": ("noise_pair_id", "annotations.noise_role"),
+    "latency_induced_decision_drift": ("latency_pair_id",),
+    "ambiguity_collapse": ("plausible_labels",),
+}.items()}
 
 REGISTRY = {**GENERATIVE_DETECTORS, **DISCRIMINATIVE_DETECTORS}
 
@@ -165,6 +113,20 @@ class FieldUnavailableError(DetectorError):
         super().__init__(f"{pathology}: record {record_id!r} lacks "
                          f"{', '.join(fields)}")
         self.fields = tuple(fields)
+
+
+def fmt(x):
+    """A number as an evidence string: 12 significant digits."""
+    return f"{x:.12g}"
+
+
+def group_by(records, key):
+    """The records grouped by key(record), in corpus order within each
+    group, one group per key in sorted key order."""
+    groups = {}
+    for rec in records:
+        groups.setdefault(key(rec), []).append(rec)
+    return [groups[k] for k in sorted(groups)]
 
 
 @dataclass(frozen=True, slots=True)

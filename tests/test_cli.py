@@ -231,7 +231,21 @@ def test_config_sets_a_threshold(tmp_path, pathology, section, key, default,
     ({"discriminative": {"ece_bins": 0}}, "ece_bins"),
     ({"discriminative": {"gap_hi": 1.5}}, "gap_hi"),
     ({"discriminative": {"tol_t": -1}}, "tol_t"),
-    ({"mi": {"num_bins_per_axis": 1}}, "num_bins_per_axis")])
+    ({"mi": {"num_bins_per_axis": 1}}, "num_bins_per_axis"),
+    ({"generative": {"s_hi": 2.0}}, "s_hi"),
+    ({"generative": {"s_indep": -0.1}}, "s_indep"),
+    ({"generative": {"gamma": 1.5}}, "gamma"),
+    ({"generative": {"delta": -1}}, "delta"),
+    ({"generative": {"f_hi": 1.01}}, "f_hi"),
+    ({"generative": {"d_hi": -0.5}}, "d_hi"),
+    ({"generative": {"tv_tol": 2}}, "tv_tol"),
+    ({"generative": {"rho": 1.1}}, "rho"),
+    ({"generative": {"s_lo": -0.2}}, "s_lo"),
+    ({"generative": {"mi_lo": -0.01}}, "mi_lo"),
+    ({"generative": {"window": 1}}, "window"),
+    ({"generative": {"drift_k": -1}}, "drift_k"),
+    ({"generative": {"drift_k": 0}}, "drift_k"),
+    ({"generative": {"entropy_ridge": -1e-6}}, "entropy_ridge")])
 def test_config_rejects_unknown_keys(tmp_path, capsys, config, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -521,7 +535,20 @@ _MALFORMED = [
      "risk report {where}: entries[0], field 'ok': expected true or false"),
     ("risk-report", {"entries": [_RISK_ENTRY | {"pathology": None}]},
      "risk report {where}: entries[0], field 'pathology': missing "
-     "mandatory field")]
+     "mandatory field"),
+    # a key that no field declares, where a misspelt field would drop out
+    ("trace", {"truth_embeding": [1.0, 0.0, 0.0, 0.0]},
+     _BAD + "'truth_embeding': unknown field"),
+    ("classification", {"timestamp": 3}, _BAD + "'timestamp': unknown field"),
+    ("kb", {"embeding": [1.0, 0.0, 0.0, 0.0]},
+     _BAD + "'embeding': unknown field"),
+    ("kb-file", {"source": "x"}, "knowledge base, field 'source': unknown "
+                                 "field"),
+    ("fixtures", {"edge_x_to_z": True},
+     "{where}, field 'edge_x_to_z': unknown field"),
+    # a negative lambda makes the cost non-convex
+    ("scenario", {"lambda": -2.0},
+     "scenario {where}: lambda must be non-negative")]
 
 
 def _merged(base, bad):

@@ -14,8 +14,8 @@ from oracles import loop_validation
 from pathrisk.records import (CausalFixture, ClassificationRecord,
                               CorpusError, KnowledgeBase,
                               RecordValidationError, TraceRecord,
-                              load_knowledge_base, load_trace_corpus,
-                              save_trace_corpus)
+                              load_causal_fixtures, load_knowledge_base,
+                              load_trace_corpus, save_trace_corpus)
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                REGISTRY, missing_fields, validate_corpus)
 from pathrisk import fixtures
@@ -500,6 +500,29 @@ def test_causal_fixture_width_mismatch():
         CausalFixture(x_name="X", y_name="Y",
                       observational_conditional=np.array([[1.0]]),
                       interventional_table=np.array([[0.5, 0.5]]))
+
+
+def test_a_null_field_reads_as_unset(tmp_path):
+    # while a key that no field declares is an error (see test_cli)
+    line = {"id": "r", "input_embedding": [1.0, 0.0],
+            "output_embedding": [0.0, 1.0]}
+    corpus = tmp_path / "corpus.jsonl"
+    _write_jsonl(corpus, [line | {"truth_embedding": None,
+                                  "in_train_set": None, "annotations": None}])
+    [rec] = load_trace_corpus(corpus)
+    assert rec.to_json_dict() == line and rec.annotations == {}
+    kb = tmp_path / "kb.json"
+    kb.write_text(json.dumps({"source_tag": None, "entries": [
+        {"entity_id": "e", "embedding": [1.0, 0.0]}]}))
+    assert load_knowledge_base(kb).source_tag == ""
+    table = [[0.5, 0.5]]
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps({
+        "x_name": "X", "y_name": "Y", "observational_conditional": table,
+        "interventional_table": table, "z_name": None,
+        "edge_x_to_y": None}))
+    [fixture] = load_causal_fixtures(path)
+    assert fixture.edge_x_to_y is True and fixture.z_name is None
 
 
 def test_unknown_schema_rejected(tmp_path):
