@@ -13,7 +13,7 @@ map is permutation equivariant.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,17 +24,11 @@ class HolonormError(ValueError):
 
 
 def hn(x):
-    """x / (1 + ||x||); maps R^D into the open unit ball, preserving
-    direction. Total function; hn(0) = 0."""
+    """x / (1 + ||x||) along the last axis: one vector, or the rows of a
+    matrix. Maps R^D into the open unit ball, preserving direction. Total
+    function; hn(0) = 0."""
     x = np.asarray(x, dtype=float)
-    return x / (1.0 + np.linalg.norm(x))
-
-
-def hn_rows(matrix):
-    """Row-wise holonorm of an (n, d) matrix."""
-    m = np.asarray(matrix, dtype=float)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return m / (1.0 + norms)
+    return x / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
 
 
 def inverse_hn(y, guard=1e-12):
@@ -103,40 +97,21 @@ class HolonormLayer:
 
 @dataclass(eq=False)
 class HolonormModel:
-    """Parameters of an L-layer holonorm transformer.
-
-    degenerate_qkv replaces every token's query/key/value vectors with the
-    fixed constants const_q/k/v, making the attention sublayer an
-    input-independent map (the degeneracy the constant-parameter checks
-    exercise). Parameters are seeded uniform(-1/sqrt(D), 1/sqrt(D)).
+    """Parameters of an L-layer holonorm transformer: its layers, its head
+    count, and the constant (q, k, v) vectors that the degeneracy check
+    passes to attention in place of the per-token projections. Parameters
+    are seeded uniform(-1/sqrt(D), 1/sqrt(D)).
     """
 
-    num_layers: int
-    model_dim: int
-    num_heads: int
-    ff_dim: int
     layers: tuple
-    seed: int
-    degenerate_qkv: bool = False
-    const_q: Optional[np.ndarray] = None
-    const_k: Optional[np.ndarray] = None
-    const_v: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.model_dim % self.num_heads != 0:
-            raise HolonormError(f"num_heads {self.num_heads} must divide "
-                                f"model_dim {self.model_dim}")
-        for layer in self.layers:
-            if layer.wq.shape != (self.model_dim, self.model_dim):
-                raise HolonormError("attention projection shape mismatch")
-            if layer.w1.shape != (self.ff_dim, self.model_dim):
-                raise HolonormError("w1 shape mismatch")
-            if layer.w2.shape != (self.model_dim, self.ff_dim):
-                raise HolonormError("w2 shape mismatch")
+    num_heads: int
+    constants: tuple
 
     @classmethod
-    def build(cls, num_layers, model_dim, num_heads, ff_dim, seed,
-              degenerate_qkv=False):
+    def build(cls, num_layers, model_dim, num_heads, ff_dim, seed):
+        if model_dim % num_heads != 0:
+            raise HolonormError(f"num_heads {num_heads} must divide "
+                                f"model_dim {model_dim}")
         rng = np.random.default_rng(seed)
         scale = 1.0 / math.sqrt(model_dim)
 
@@ -152,12 +127,10 @@ class HolonormModel:
                 b1=rng.uniform(-scale, scale, size=ff_dim),
                 w2=mat(model_dim, ff_dim),
                 b2=rng.uniform(-scale, scale, size=model_dim)))
-        return cls(num_layers=num_layers, model_dim=model_dim,
-                   num_heads=num_heads, ff_dim=ff_dim, layers=tuple(layers),
-                   seed=seed, degenerate_qkv=degenerate_qkv,
-                   const_q=rng.uniform(-scale, scale, size=model_dim),
-                   const_k=rng.uniform(-scale, scale, size=model_dim),
-                   const_v=rng.uniform(-scale, scale, size=model_dim))
+        constants = tuple(rng.uniform(-scale, scale, size=model_dim)
+                          for _ in range(3))  # q, k, v
+        return cls(layers=tuple(layers), num_heads=num_heads,
+                   constants=constants)
 
 
 def _softmax_rows(scores):
@@ -166,24 +139,19 @@ def _softmax_rows(scores):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def multihead_attention(layer, inputs, num_heads, degenerate=False,
-                        constants=None):
+def multihead_attention(layer, inputs, num_heads, constants=None):
     """Scaled dot-product multihead self-attention with output projection.
 
-    inputs: (n, D) already holonorm-normalized rows. In degenerate mode
-    the per-token q/k/v vectors are replaced by the fixed constants, so
-    the result does not depend on the inputs.
+    inputs: (n, D) already holonorm-normalized rows. Given constants, a
+    (q, k, v) triple of D-vectors, every token's query, key and value is
+    that constant in place of its projection, so the result does not
+    depend on the inputs.
     """
     n, d = inputs.shape
-    if degenerate:
-        cq, ck, cv = constants
-        q = np.tile(cq, (n, 1))
-        k = np.tile(ck, (n, 1))
-        v = np.tile(cv, (n, 1))
+    if constants is None:
+        q, k, v = (inputs @ w.T for w in (layer.wq, layer.wk, layer.wv))
     else:
-        q = inputs @ layer.wq.T
-        k = inputs @ layer.wk.T
-        v = inputs @ layer.wv.T
+        q, k, v = (np.tile(c, (n, 1)) for c in constants)
     head_dim = d // num_heads
     out = np.empty_like(q)
     for h in range(num_heads):
@@ -195,45 +163,34 @@ def multihead_attention(layer, inputs, num_heads, degenerate=False,
 
 def feedforward(layer, x):
     """Pointwise two-layer map W2 hn(W1 x + b1) + b2 on a (n, D) batch."""
-    pre = x @ layer.w1.T + layer.b1
-    return hn_rows(pre) @ layer.w2.T + layer.b2
+    return hn(x @ layer.w1.T + layer.b1) @ layer.w2.T + layer.b2
 
 
-def attention_sublayer_output(model, layer_index, tokens):
-    """The MHA o hn sublayer value (before the residual add) at one layer;
-    the quantity the degeneracy check compares across probe inputs."""
-    z = np.asarray(tokens, dtype=float)
-    layer = model.layers[layer_index]
-    constants = (model.const_q, model.const_k, model.const_v)
-    return multihead_attention(layer, hn_rows(z), model.num_heads,
-                               degenerate=model.degenerate_qkv,
-                               constants=constants)
-
-
-def forward(model, tokens):
-    """Apply all layers: z <- z + MHA(hn(z)); z <- z + f(hn(z))."""
+def forward(model, tokens, constants=None):
+    """Apply all layers: z <- z + MHA(hn(z)); z <- z + f(hn(z)). Given
+    constants, a (q, k, v) triple, every attention sublayer uses them as
+    multihead_attention does."""
     z = np.asarray(tokens, dtype=float)
     if z.ndim != 2 or z.shape[0] == 0:
         raise HolonormError("tokens must be a nonempty (n, D) array")
-    if z.shape[1] != model.model_dim:
+    model_dim = model.constants[0].size
+    if z.shape[1] != model_dim:
         raise HolonormError(f"token dim {z.shape[1]} != model dim "
-                            f"{model.model_dim}")
-    constants = (model.const_q, model.const_k, model.const_v)
+                            f"{model_dim}")
     for layer in model.layers:
-        z = z + multihead_attention(layer, hn_rows(z), model.num_heads,
-                                    degenerate=model.degenerate_qkv,
-                                    constants=constants)
-        z = z + feedforward(layer, hn_rows(z))
+        z = z + multihead_attention(layer, hn(z), model.num_heads, constants)
+        z = z + feedforward(layer, hn(z))
     return z
 
 
 def constant_param_degeneracy_check(model, probe_inputs, tol=1e-12):
-    """Evaluate the input-insensitivity of the degenerate attention sublayer.
+    """Evaluate the input-insensitivity of attention under constant q/k/v.
 
-    In degenerate mode the MHA o hn sublayer must emit identical values on
-    all equal-length probes (max abs difference <= tol); with live
-    parameters the same probes must produce distinct sublayer outputs. The
-    residual path still transmits the input, so full-block outputs are
+    The first layer's MHA o hn sublayer, run with model.constants as its
+    q/k/v, must emit identical values on all equal-length probes (max abs
+    difference <= tol); run with its live projections, the same probes
+    must produce distinct sublayer outputs. The residual path still
+    transmits the input, so full-block outputs under the constants are
     reported separately rather than asserted constant. The feedforward
     sublayer is pointwise: a token's value must be unchanged when the
     other tokens are permuted around it.
@@ -245,28 +202,20 @@ def constant_param_degeneracy_check(model, probe_inputs, tol=1e-12):
     if len(lengths) > 1:
         raise HolonormError(f"probe shapes differ: {sorted(lengths)}")
 
-    degenerate = HolonormModel(
-        num_layers=model.num_layers, model_dim=model.model_dim,
-        num_heads=model.num_heads, ff_dim=model.ff_dim, layers=model.layers,
-        seed=model.seed, degenerate_qkv=True, const_q=model.const_q,
-        const_k=model.const_k, const_v=model.const_v)
-    live = HolonormModel(
-        num_layers=model.num_layers, model_dim=model.model_dim,
-        num_heads=model.num_heads, ff_dim=model.ff_dim, layers=model.layers,
-        seed=model.seed, degenerate_qkv=False, const_q=model.const_q,
-        const_k=model.const_k, const_v=model.const_v)
-
-    deg_outputs = [attention_sublayer_output(degenerate, 0, p)
-                   for p in probes]
+    layer = model.layers[0]
+    normed = [hn(p) for p in probes]
+    deg_outputs = [multihead_attention(layer, x, model.num_heads,
+                                       model.constants) for x in normed]
     max_deg_diff = max(float(np.abs(a - deg_outputs[0]).max())
                        for a in deg_outputs[1:])
 
-    live_outputs = [attention_sublayer_output(live, 0, p) for p in probes]
+    live_outputs = [multihead_attention(layer, x, model.num_heads)
+                    for x in normed]
     min_live_diff = min(float(np.abs(live_outputs[i] - live_outputs[j]).max())
                         for i in range(len(probes))
                         for j in range(i + 1, len(probes)))
 
-    full_outputs = [forward(degenerate, p) for p in probes]
+    full_outputs = [forward(model, p, model.constants) for p in probes]
     max_full_diff = max(float(np.abs(a - full_outputs[0]).max())
                         for a in full_outputs[1:])
 
@@ -275,8 +224,8 @@ def constant_param_degeneracy_check(model, probe_inputs, tol=1e-12):
     probe = probes[0]
     n = probe.shape[0]
     perm = np.roll(np.arange(n), 1)
-    ff_base = feedforward(model.layers[0], hn_rows(probe))
-    ff_perm = feedforward(model.layers[0], hn_rows(probe[perm]))
+    ff_base = feedforward(layer, hn(probe))
+    ff_perm = feedforward(layer, hn(probe[perm]))
     ff_consistent = float(np.abs(ff_perm - ff_base[perm]).max()) == 0.0
 
     return {"probes": len(probes),
@@ -310,15 +259,13 @@ class DensityCheckConfig:
             raise HolonormError("dimension must be >= 1")
         if self.samples < 10_000:
             raise HolonormError("acceptance runs need >= 10^4 samples")
+        if not self.tolerance >= 0.0:  # also rejects nan
+            raise HolonormError(f"tolerance {self.tolerance} must be >= 0")
 
     def default_bins(self):
         if self.bins_per_axis is not None:
             return self.bins_per_axis
         return {1: 40, 2: 20}.get(self.dimension, 8)
-
-
-def standard_normal_logpdf_radius2(r2, d):
-    return -0.5 * (d * math.log(2.0 * math.pi) + r2)
 
 
 def holonorm_density(y):
@@ -330,7 +277,7 @@ def holonorm_density(y):
         return 0.0
     d = y.size
     x = y / (1.0 - r)
-    log_px = standard_normal_logpdf_radius2(float(x @ x), d)
+    log_px = -0.5 * (d * math.log(2.0 * math.pi) + float(x @ x))
     return math.exp(log_px) * (1.0 - r) ** (-(d + 1))
 
 
@@ -346,7 +293,7 @@ def density_transform_check(cfg):
     d = cfg.dimension
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((cfg.samples, d))
-    y = x / (1.0 + np.linalg.norm(x, axis=1, keepdims=True))
+    y = hn(x)
     inside = float(np.mean(np.linalg.norm(y, axis=1) < 1.0))
 
     bins = cfg.default_bins()

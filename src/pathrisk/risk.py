@@ -31,24 +31,27 @@ class RiskError(ValueError):
     pass
 
 
+# `expectile` stops once the first-order condition's scale-relative
+# imbalance is at most EXPECTILE_TOL, within EXPECTILE_MAX_ITER steps
+EXPECTILE_TOL = 1e-10
+EXPECTILE_MAX_ITER = 200
+
+
 class ConvergenceError(RiskError):
-    def __init__(self, residual, max_iter):
+    def __init__(self, residual):
         super().__init__(f"expectile iteration did not converge within "
-                         f"{max_iter} iterations (residual {residual:.3e})")
+                         f"{EXPECTILE_MAX_ITER} iterations "
+                         f"(residual {residual:.3e})")
         self.residual = residual
 
 
 @dataclass(frozen=True)
 class ExpectileConfig:
     tau: float = 0.9
-    tol: float = 1e-10
-    max_iter: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
             raise RiskError(f"tau {self.tau} outside (0,1)")
-        if self.tol <= 0.0:
-            raise RiskError("tol must be positive")
 
 
 def expectile_foc_residual(losses, r, tau):
@@ -69,21 +72,21 @@ def expectile(losses, cfg=ExpectileConfig()):
         raise RiskError("loss sample contains non-finite values")
     tau = cfg.tau
     r = float(L.mean())
-    for _ in range(cfg.max_iter):
+    for _ in range(EXPECTILE_MAX_ITER):
         above = L > r
         n_above = int(above.sum())
         num = tau * float(L[above].sum()) + (1.0 - tau) * float(L[~above].sum())
         den = tau * n_above + (1.0 - tau) * (L.size - n_above)
         r_new = num / den
-        if expectile_foc_residual(L, r_new, tau) <= cfg.tol:
+        if expectile_foc_residual(L, r_new, tau) <= EXPECTILE_TOL:
             return r_new
         if r_new == r:
             break
         r = r_new
     residual = expectile_foc_residual(L, r, tau)
-    if residual <= cfg.tol:
+    if residual <= EXPECTILE_TOL:
         return r
-    raise ConvergenceError(residual, cfg.max_iter)
+    raise ConvergenceError(residual)
 
 
 def bernoulli_expectile(p, tau):

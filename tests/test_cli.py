@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from pathrisk import cli, discriminative, fixtures, generative
+import corpora
+from pathrisk import cli, discriminative, generative
 from pathrisk import risk as risk_mod
 from pathrisk.records import (load_causal_fixtures, load_knowledge_base,
                               load_trace_corpus, save_trace_corpus)
@@ -19,12 +20,12 @@ def _outputs(directory):
 
 def _trace_audit(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
-    save_trace_corpus(corpus, fixtures.demo_trace_corpus())
+    save_trace_corpus(corpus, corpora.demo_trace_corpus())
     kb = tmp_path / "kb.json"
-    kb.write_text(json.dumps(fixtures.standard_kb().to_json_dict()))
+    kb.write_text(json.dumps(corpora.standard_kb().to_json_dict()))
     causal = tmp_path / "fixtures.json"
     causal.write_text(json.dumps(
-        fixtures.demo_causal_fixture().to_json_dict()))
+        corpora.demo_causal_fixture().to_json_dict()))
     return ["audit", "--corpus", str(corpus), "--kb", str(kb),
             "--fixtures", str(causal)]
 
@@ -48,7 +49,7 @@ def _risked(tmp_path):
 def _argv(tmp_path, subcommand):
     if subcommand == "game":
         scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(fixtures.coupled_game_scenario()))
+        scenario.write_text(json.dumps(corpora.coupled_game_scenario()))
         return ["game", "--scenario", str(scenario)]
     if subcommand == "holonorm-verify":
         return ["holonorm-verify", "--dim", "2", "--seed", "0"]
@@ -56,7 +57,7 @@ def _argv(tmp_path, subcommand):
         return _trace_audit(tmp_path)
     if subcommand == "audit-classification":
         corpus = tmp_path / "corpus.jsonl"
-        save_trace_corpus(corpus, fixtures.demo_classification_corpus())
+        save_trace_corpus(corpus, corpora.demo_classification_corpus())
         return ["audit", "--corpus", str(corpus),
                 "--schema", "classification"]
     if subcommand == "risk-gate":
@@ -147,7 +148,7 @@ def test_audit_drops_a_conversation_with_mixed_style_lengths(tmp_path):
 
 def test_game_reports_one_exact_round(tmp_path):
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(fixtures.coupled_game_scenario()))
+    scenario.write_text(json.dumps(corpora.coupled_game_scenario()))
     out = tmp_path / "out"
     assert cli.main(["game", "--scenario", str(scenario),
                      "--out", str(out)]) == 0
@@ -166,7 +167,11 @@ def test_game_reports_one_exact_round(tmp_path):
     # --tol 0: no sample estimate of the density matches it exactly
     (["--dim", "2", "--tol", "0", "--samples", "10000"], 1, "out",
      "holonorm-verify: FAIL"),
-    (["--dim", "0"], 2, "err", "error: dimension must be >= 1")])
+    (["--dim", "0"], 2, "err", "error: dimension must be >= 1"),
+    (["--dim", "2", "--tol", "-1"], 2, "err",
+     "error: tolerance -1.0 must be >= 0"),
+    (["--dim", "2", "--tol", "nan"], 2, "err",
+     "error: tolerance nan must be >= 0")])
 def test_holonorm_verify_tells_a_failed_identity_from_a_bad_input(
         tmp_path, capsys, flags, code, stream, shown):
     argv = ["holonorm-verify", "--seed", "0", "--out", str(tmp_path / "out")]
@@ -180,9 +185,9 @@ def _fixture_audit(tmp_path, pathology, config):
     corpus = tmp_path / "corpus.jsonl"
     argv = ["audit", "--corpus", str(corpus)]
     if pathology in GENERATIVE_DETECTORS:
-        records = fixtures.generative_fixture(pathology, True)["records"]
+        records = corpora.generative_fixture(pathology, True)["records"]
     else:
-        records = fixtures.discriminative_fixture(pathology, True)
+        records = corpora.discriminative_fixture(pathology, True)
         argv += ["--schema", "classification"]
     save_trace_corpus(corpus, records)
     if config is not None:

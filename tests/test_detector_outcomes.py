@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from pathrisk import fixtures
+import corpora
 from pathrisk.discriminative import score_discriminative
 from pathrisk.generative import audit_generative
 from pathrisk.registry import GENERATIVE_DETECTORS, REGISTRY
@@ -35,12 +35,12 @@ def _row(o):
 
 def _outcomes(pathology, positive):
     if pathology in GENERATIVE_DETECTORS:
-        bundle = fixtures.generative_fixture(pathology, positive)
+        bundle = corpora.generative_fixture(pathology, positive)
         result = audit_generative(bundle["records"], kb=bundle["kb"],
                                   fixtures=bundle["causal_fixtures"])
         return [_row(o) for o in result.outcomes if o.pathology == pathology]
     return [_row(score_discriminative(
-        pathology, fixtures.discriminative_fixture(pathology, positive)))]
+        pathology, corpora.discriminative_fixture(pathology, positive)))]
 
 
 def test_every_detector_is_pinned():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pathrisk import fixtures
+import corpora
 from pathrisk.discriminative import (DiscriminativeConfig,
                                      audit_discriminative,
                                      expected_calibration_error,
@@ -26,20 +26,20 @@ def _cls(rid, predicted, true, confidence=0.9, **kwargs):
 class TestFixturePolarity:
     @pytest.mark.parametrize("pathology", DIS_IDS)
     def test_positive_fires(self, pathology):
-        recs = fixtures.discriminative_fixture(pathology, True)
+        recs = corpora.discriminative_fixture(pathology, True)
         outcome = score_discriminative(pathology, recs)
         assert outcome.fired, outcome.evidence
 
     @pytest.mark.parametrize("pathology", DIS_IDS)
     def test_negative_silent(self, pathology):
-        recs = fixtures.discriminative_fixture(pathology, False)
+        recs = corpora.discriminative_fixture(pathology, False)
         outcome = score_discriminative(pathology, recs)
         assert not outcome.fired, outcome.evidence
 
     @pytest.mark.parametrize("pathology", DIS_IDS)
     def test_threshold_semantics(self, pathology):
         for positive in (True, False):
-            recs = fixtures.discriminative_fixture(pathology, positive)
+            recs = corpora.discriminative_fixture(pathology, positive)
             o = score_discriminative(pathology, recs)
             assert o.fired == (o.severity >= o.threshold)
             assert 0.0 <= o.severity <= 1.0
@@ -54,7 +54,7 @@ class TestEligibility:
         if missing_fields(_cls("bare", 1, 0), DISCRIMINATIVE_DETECTORS[p])])
     def test_records_lacking_fields_leave_the_outcome_unchanged(
             self, pathology):
-        recs = fixtures.discriminative_fixture(pathology, True)
+        recs = corpora.discriminative_fixture(pathology, True)
         bare = [_cls(f"bare-{i:02d}", 1, 0) for i in range(len(recs))]
         outcome = score_discriminative(pathology, recs + bare)
         assert outcome.to_json_dict() == \
@@ -63,13 +63,13 @@ class TestEligibility:
 
 class TestCalibration:
     def test_perfectly_calibrated(self):
-        recs = fixtures.discriminative_fixture("calibration_failure", False)
+        recs = corpora.discriminative_fixture("calibration_failure", False)
         outcome = score_discriminative("calibration_failure", recs)
         assert outcome.severity == pytest.approx(0.0, abs=1e-12)
 
     def test_single_bin_oracle(self):
         # confidence 1.0 on all, accuracy 0.5: ECE = |1.0 - 0.5|
-        recs = fixtures.discriminative_fixture("calibration_failure", True)
+        recs = corpora.discriminative_fixture("calibration_failure", True)
         outcome = score_discriminative("calibration_failure", recs)
         assert outcome.severity == pytest.approx(0.5)
 
@@ -108,7 +108,7 @@ class TestRateExactness:
         "latency_induced_decision_drift", "prosodic_misclassification",
         "misclassification_under_uncertainty", "ambiguity_collapse"])
     def test_rate_is_events_over_eligible(self, pathology):
-        recs = fixtures.discriminative_fixture(pathology, True)
+        recs = corpora.discriminative_fixture(pathology, True)
         outcome = score_discriminative(pathology, recs)
         evidence = outcome.evidence
         count_key = [k for k in ("flips", "events", "disagreements",
@@ -122,14 +122,14 @@ class TestRateExactness:
 
 class TestGroupSymmetry:
     def test_accent_parity_silent(self):
-        recs = fixtures.discriminative_fixture("accent_bias", False)
+        recs = corpora.discriminative_fixture("accent_bias", False)
         outcome = score_discriminative("accent_bias", recs)
         assert outcome.severity == pytest.approx(0.0)
 
     @pytest.mark.parametrize("pathology", ["accent_bias",
                                            "bias_amplification"])
     def test_swapping_group_labels_preserves_severity(self, pathology):
-        recs = fixtures.discriminative_fixture(pathology, True)
+        recs = corpora.discriminative_fixture(pathology, True)
         base = score_discriminative(pathology, recs).severity
         swap = {"g1": "g2", "g2": "g1", "a1": "a2", "a2": "a1"}
         swapped = []
@@ -144,7 +144,7 @@ class TestGroupSymmetry:
 class TestPermutationInvariance:
     @pytest.mark.parametrize("pathology", DIS_IDS)
     def test_order_does_not_matter(self, pathology, rng):
-        recs = fixtures.discriminative_fixture(pathology, True)
+        recs = corpora.discriminative_fixture(pathology, True)
         base = score_discriminative(pathology, recs).severity
         shuffled = list(recs)
         rng.shuffle(shuffled)
@@ -167,8 +167,8 @@ class TestDrift:
 
 class TestErrors:
     def test_n_min_floor(self):
-        recs = fixtures.discriminative_fixture("calibration_failure",
-                                               True)[:5]
+        recs = corpora.discriminative_fixture("calibration_failure",
+                                              True)[:5]
         with pytest.raises(DetectorError, match="n_min"):
             score_discriminative("calibration_failure", recs)
 
@@ -180,28 +180,28 @@ class TestErrors:
     def test_unknown_pathology(self):
         with pytest.raises(DetectorError, match="unknown"):
             score_discriminative("confabulation",
-                                 fixtures.discriminative_fixture(
+                                 corpora.discriminative_fixture(
                                      "accent_bias", True))
 
 
 class TestAudit:
     def test_audit_collects_everything(self):
-        recs = fixtures.discriminative_fixture("calibration_failure", True)
+        recs = corpora.discriminative_fixture("calibration_failure", True)
         result = audit_discriminative(recs)
         scored = {o.pathology for o in result.outcomes}
         assert "calibration_failure" in scored
         assert set(result.skipped) | scored == set(DISCRIMINATIVE_DETECTORS)
 
     def test_result_carries_the_validation_report(self):
-        recs = fixtures.discriminative_fixture("calibration_failure", True)
+        recs = corpora.discriminative_fixture("calibration_failure", True)
         result = audit_discriminative(recs)
         assert result.validation == validate_corpus(recs)
         assert "validation" not in result.to_json_dict()
 
     def test_records_lacking_fields_leave_the_audit_unchanged(self):
-        recs = fixtures.discriminative_fixture("bias_amplification", True)
-        recs += fixtures.discriminative_fixture("adversarial_vulnerability",
-                                                True)
+        recs = corpora.discriminative_fixture("bias_amplification", True)
+        recs += corpora.discriminative_fixture("adversarial_vulnerability",
+                                               True)
         bare = [_cls(f"bare-{i:02d}", 1, 0) for i in range(len(recs))]
         full = audit_discriminative(recs + bare)
         assert {"bias_amplification", "adversarial_vulnerability"} <= \
@@ -216,13 +216,13 @@ class TestAudit:
             lacking(audit_discriminative(recs).outcomes)
 
     def test_duplicate_ids_are_rejected(self):
-        recs = fixtures.discriminative_fixture("calibration_failure", True)
+        recs = corpora.discriminative_fixture("calibration_failure", True)
         with pytest.raises(ValueError, match="duplicate record id"):
             audit_discriminative(recs + recs[:1])
 
     def test_config_override_threshold(self):
         cfg = DiscriminativeConfig(ece_hi=0.9)
-        recs = fixtures.discriminative_fixture("calibration_failure", True)
+        recs = corpora.discriminative_fixture("calibration_failure", True)
         outcome = score_discriminative("calibration_failure", recs, cfg)
         assert outcome.threshold == 0.9
         assert not outcome.fired   # ECE 0.5 < 0.9

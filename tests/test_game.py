@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pathrisk import cli, fixtures
+import corpora
+from pathrisk import cli
 from pathrisk.game import (AgentSpec, GameError, InfeasibleGameError,
                            SharedConstraints, best_response, load_scenario,
                            solve_nash, stackelberg_loop)
@@ -113,8 +114,8 @@ class TestSolve:
                                                (2, 1.0, 1.0), (0, 0.4, 2.0)])
     def test_kkt_on_the_benchmark_shaped_scenario(self, tmp_path, seed, hi,
                                                   kappa):
-        scenario = fixtures.coupled_game_scenario(num_agents=35, dim=64,
-                                                  seed=seed)
+        scenario = corpora.coupled_game_scenario(num_agents=35, dim=64,
+                                                 seed=seed)
         scenario["kappa"] = kappa
         for agent in scenario["agents"]:
             agent["hi"] = hi   # hi = 0.4 makes boxes clip the targets
@@ -135,7 +136,7 @@ class TestSolve:
                          for s in specs], kappa) > cap
 
     def test_coupled_scenario_respects_shared_cap(self, tmp_path):
-        parsed = _parsed(tmp_path, fixtures.coupled_game_scenario())
+        parsed = _parsed(tmp_path, corpora.coupled_game_scenario())
         constraints = parsed["constraints"]
         state = solve_nash(parsed["specs"], constraints)
         used = _compute(state.thetas, constraints.kappa)

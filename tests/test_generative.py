@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from pathrisk import fixtures
+import corpora
 from pathrisk.generative import (DetectorError, FieldUnavailableError,
                                  GenerativeConfig, audit_generative, score)
 from pathrisk.records import KnowledgeBase, TraceRecord
@@ -20,7 +20,7 @@ GEN_IDS = sorted(GENERATIVE_DETECTORS)
 
 
 def run_fixture(pathology, positive, cfg=GenerativeConfig()):
-    bundle = fixtures.generative_fixture(pathology, positive)
+    bundle = corpora.generative_fixture(pathology, positive)
     result = audit_generative(bundle["records"], kb=bundle["kb"],
                               fixtures=bundle["causal_fixtures"], cfg=cfg)
     return [o for o in result.outcomes if o.pathology == pathology]
@@ -105,7 +105,7 @@ class TestAudit:
         assert result.to_json_dict()["dropped"] == {}
 
     def test_determinism(self):
-        bundle = fixtures.generative_fixture("bluffing", True)
+        bundle = corpora.generative_fixture("bluffing", True)
         kwargs = dict(kb=bundle["kb"], fixtures=bundle["causal_fixtures"])
         a = audit_generative(bundle["records"], **kwargs)
         b = audit_generative(bundle["records"], **kwargs)
@@ -113,15 +113,15 @@ class TestAudit:
             [o.to_json_dict() for o in b.outcomes]
 
     def test_result_carries_the_validation_report(self):
-        records = fixtures.demo_trace_corpus()
-        result = audit_generative(records, kb=fixtures.standard_kb(),
-                                  fixtures=[fixtures.demo_causal_fixture()])
+        records = corpora.demo_trace_corpus()
+        result = audit_generative(records, kb=corpora.standard_kb(),
+                                  fixtures=[corpora.demo_causal_fixture()])
         assert result.validation == validate_corpus(records)
         assert "validation" not in result.to_json_dict()
 
     def test_duplicate_ids_are_rejected(self):
         # the report names records by id, so an id must name one record
-        records = fixtures.demo_trace_corpus()
+        records = corpora.demo_trace_corpus()
         bare = TraceRecord(id=records[0].id,
                            input_embedding=records[0].input_embedding,
                            output_embedding=records[0].output_embedding)
@@ -129,14 +129,14 @@ class TestAudit:
             audit_generative(records + [bare])
 
     def test_outcomes_sorted(self):
-        records = fixtures.demo_trace_corpus()
-        result = audit_generative(records, kb=fixtures.standard_kb(),
-                                  fixtures=[fixtures.demo_causal_fixture()])
+        records = corpora.demo_trace_corpus()
+        result = audit_generative(records, kb=corpora.standard_kb(),
+                                  fixtures=[corpora.demo_causal_fixture()])
         keys = [o.sort_key() for o in result.outcomes]
         assert keys == sorted(keys)
 
     def test_skip_reasons_reported(self):
-        bundle = fixtures.generative_fixture("hallucination", True)
+        bundle = corpora.generative_fixture("hallucination", True)
         result = audit_generative(bundle["records"])
         assert "no knowledge base supplied" in result.skipped["confabulation"]
         assert "no causal fixtures supplied" in \
@@ -160,9 +160,9 @@ class TestAudit:
 
     def test_dropped_corpus_unit_is_listed_and_skipped(self):
         # every demo record shares one input, so no pair qualifies
-        records = fixtures.demo_trace_corpus()
-        result = audit_generative(records, kb=fixtures.standard_kb(),
-                                  fixtures=[fixtures.demo_causal_fixture()])
+        records = corpora.demo_trace_corpus()
+        result = audit_generative(records, kb=corpora.standard_kb(),
+                                  fixtures=[corpora.demo_causal_fixture()])
         dropped = result.to_json_dict()["dropped"]
         assert sorted(dropped) == ["cognitive_stereotypy",
                                    "hypersignification"]
@@ -263,7 +263,7 @@ class TestPairDetectorsAgainstLoops:
 
 class TestErrors:
     def test_corpus_detector_rejects_single_record(self):
-        bundle = fixtures.generative_fixture("bluffing", True)
+        bundle = corpora.generative_fixture("bluffing", True)
         with pytest.raises(DetectorError, match="single record"):
             score("bluffing", bundle["records"][0])
 
@@ -279,7 +279,7 @@ class TestErrors:
             score("zombie_mode", [])
 
     def test_kb_detector_without_kb(self):
-        bundle = fixtures.generative_fixture("confabulation", True)
+        bundle = corpora.generative_fixture("confabulation", True)
         with pytest.raises(DetectorError, match="knowledge base"):
             score("confabulation", bundle["records"][0])
 
@@ -344,9 +344,9 @@ class TestRotationInvariance:
 
     @pytest.mark.parametrize("pathology", COSINE_IDS)
     def test_severity_invariant_under_rotation(self, pathology, rng):
-        q = random_orthogonal(fixtures.D_E, rng)
+        q = random_orthogonal(corpora.D_E, rng)
         for positive in (True, False):
-            bundle = fixtures.generative_fixture(pathology, positive)
+            bundle = corpora.generative_fixture(pathology, positive)
             base = audit_generative(bundle["records"], kb=bundle["kb"],
                                     fixtures=bundle["causal_fixtures"])
             rotated_records = [_rotate_record(r, q) for r in

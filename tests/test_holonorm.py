@@ -6,7 +6,7 @@ import pytest
 from pathrisk.holonorm import (HolonormError, HolonormModel,
                                constant_param_degeneracy_check,
                                det_jacobian_inverse_hn,
-                               finite_difference_jacobian_det, hn,
+                               finite_difference_jacobian_det, forward, hn,
                                holonorm_density, inverse_hn,
                                matrix_determinant_lemma_check)
 from oracles import chi_cdf
@@ -36,6 +36,11 @@ def test_hn_maps_into_the_open_unit_ball(dim, rng):
         assert np.linalg.norm(y) < 1.0
         # direction is kept
         assert np.allclose(y * np.linalg.norm(x), x * np.linalg.norm(y))
+
+
+def test_hn_maps_each_row_of_a_matrix(rng):
+    rows = 10.0 * rng.standard_normal((6, 3))
+    assert np.array_equal(hn(rows), np.stack([hn(x) for x in rows]))
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -93,6 +98,24 @@ def test_degeneracy_check_needs_two_probes_of_one_shape(rng):
     with pytest.raises(HolonormError):
         constant_param_degeneracy_check(
             model, [rng.standard_normal((5, 4)), rng.standard_normal((6, 4))])
+
+
+def test_build_rejects_a_head_count_that_does_not_divide_the_dim():
+    with pytest.raises(HolonormError, match="must divide"):
+        HolonormModel.build(num_layers=1, model_dim=4, num_heads=3,
+                            ff_dim=8, seed=0)
+
+
+def test_forward_under_constants_keeps_the_shape_and_checks_the_dim(rng):
+    model = HolonormModel.build(num_layers=2, model_dim=4, num_heads=2,
+                                ff_dim=8, seed=0)
+    tokens = rng.standard_normal((5, 4))
+    live = forward(model, tokens)
+    constant = forward(model, tokens, model.constants)
+    assert live.shape == constant.shape == (5, 4)
+    assert not np.allclose(live, constant)
+    with pytest.raises(HolonormError, match="token dim 3 != model dim 4"):
+        forward(model, rng.standard_normal((5, 3)))
 
 
 RADII = [0.3, 0.6, 0.8, 0.9, 0.95]

@@ -18,7 +18,7 @@ from pathrisk.records import (CausalFixture, ClassificationRecord,
                               load_trace_corpus, save_trace_corpus)
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                REGISTRY, missing_fields, validate_corpus)
-from pathrisk import fixtures
+import corpora
 
 
 def _write_jsonl(path, objs):
@@ -129,8 +129,8 @@ def test_probability_range_enforced(tmp_path):
 
 
 def test_round_trip_preserves_semantic_content(tmp_path):
-    records = (fixtures.demo_trace_corpus()
-               + fixtures.generative_fixture("semantic_drift", True)["records"])
+    records = (corpora.demo_trace_corpus()
+               + corpora.generative_fixture("semantic_drift", True)["records"])
     path = tmp_path / "rt.jsonl"
     save_trace_corpus(path, records)
     reloaded = load_trace_corpus(path, "trace")
@@ -149,7 +149,7 @@ def test_validation_matrix_missing_field():
 
 
 def test_validation_matrix_full_record():
-    bundle = fixtures.generative_fixture("delusion", True)
+    bundle = corpora.generative_fixture("delusion", True)
     report = validate_corpus(bundle["records"])
     rid = bundle["records"][0].id
     assert rid in report.available["delusion"]
@@ -157,7 +157,7 @@ def test_validation_matrix_full_record():
 
 
 def test_validation_matrix_wrong_record_kind():
-    recs = fixtures.discriminative_fixture("calibration_failure", True)
+    recs = corpora.discriminative_fixture("calibration_failure", True)
     report = validate_corpus(recs)
     for detector in ("delusion", "hallucination", "bluffing"):
         assert report.available[detector] == ()
@@ -174,7 +174,7 @@ def test_validation_matrix_wrong_record_kind():
 
 def test_validation_rejects_duplicate_ids():
     # a report names records by id, so an id must name one record
-    full = fixtures.generative_fixture("delusion", True)["records"][0]
+    full = corpora.generative_fixture("delusion", True)["records"][0]
     bare = TraceRecord(id=full.id, input_embedding=full.input_embedding,
                        output_embedding=full.output_embedding)
     with pytest.raises(ValueError, match="duplicate record id"):
@@ -182,7 +182,7 @@ def test_validation_rejects_duplicate_ids():
 
 
 def test_validation_order_independent(rng):
-    records = fixtures.demo_trace_corpus()
+    records = corpora.demo_trace_corpus()
     report_a = validate_corpus(records)
     shuffled = list(records)
     rng.shuffle(shuffled)
@@ -295,10 +295,10 @@ def _regrouped(report, records):
     "partly-missing-classification", "empty"])
 def test_grouped_report_equals_the_per_pair_loop(corpus):
     # every generative fixture: records that carry different field sets
-    trace = fixtures.demo_trace_corpus() + [
+    trace = corpora.demo_trace_corpus() + [
         rec for name in sorted(GENERATIVE_DETECTORS)
         for positive in (True, False)
-        for rec in fixtures.generative_fixture(name, positive)["records"]]
+        for rec in corpora.generative_fixture(name, positive)["records"]]
     classification = _gate_shaped_records(120)
     records = {"trace": trace, "classification": classification,
                "mixed": trace + classification,
@@ -398,9 +398,9 @@ def test_loaded_records_share_repeated_strings(tmp_path):
         if b.annotations[key] == value:
             assert b.annotations[key] is value
     trace = tmp_path / "trace.jsonl"
-    save_trace_corpus(trace, fixtures.demo_trace_corpus()
-                      + fixtures.generative_fixture("semantic_drift",
-                                                    True)["records"])
+    save_trace_corpus(trace, corpora.demo_trace_corpus()
+                      + corpora.generative_fixture("semantic_drift",
+                                                   True)["records"])
     shared = {}
     for rec in load_trace_corpus(trace, "trace"):
         for key, value in rec.annotations.items():
@@ -444,7 +444,7 @@ def test_knowledge_base_file_errors(tmp_path, last, error, message):
 
 
 def test_knowledge_base_file_round_trip(tmp_path):
-    kb = fixtures.standard_kb()
+    kb = corpora.standard_kb()
     path = tmp_path / "kb.json"
     path.write_text(json.dumps(kb.to_json_dict()))
     loaded = load_knowledge_base(path)

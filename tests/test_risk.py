@@ -6,8 +6,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pathrisk.registry import DetectorOutcome, pathology_ids
-from pathrisk.risk import (ConvergenceError, ExpectileConfig, RiskError,
-                           bernoulli_expectile, expectile,
+from pathrisk.risk import (EXPECTILE_TOL, ConvergenceError, ExpectileConfig,
+                           RiskError, bernoulli_expectile, expectile,
                            expectile_foc_residual, pareto_scan,
                            resolve_eps, risk_report)
 from oracles import (asymmetric_objective, grid_expectile, naive_pareto)
@@ -25,11 +25,12 @@ def _tol_slack(cfg, *samples):
 
     The first-order condition g(r) = tau E(L - r)+ - (1 - tau) E(r - L)+
     falls in r with slope at least min(tau, 1 - tau), and `expectile`
-    stops once |g| <= tol * max(1, mean |L|). So each returned value lies
-    within tol * max(1, mean |L|) / min(tau, 1 - tau) of the exact one.
+    stops once |g| <= EXPECTILE_TOL * max(1, mean |L|). So each returned
+    value lies within EXPECTILE_TOL * max(1, mean |L|) / min(tau, 1 - tau)
+    of the exact one.
     """
     scales = sum(max(1.0, float(np.abs(s).mean())) for s in samples)
-    return cfg.tol * scales / min(cfg.tau, 1.0 - cfg.tau)
+    return EXPECTILE_TOL * scales / min(cfg.tau, 1.0 - cfg.tau)
 
 
 class TestExpectileBasics:
@@ -90,7 +91,7 @@ class TestExpectileOracle:
         losses = rng.lognormal(size=100_000)
         cfg = ExpectileConfig(tau=0.9)
         value = expectile(losses, cfg)
-        assert expectile_foc_residual(losses, value, 0.9) <= cfg.tol
+        assert expectile_foc_residual(losses, value, 0.9) <= EXPECTILE_TOL
         assert losses.min() <= value <= losses.max()
 
 
@@ -153,7 +154,8 @@ class TestExpectileProperties:
             losses = local.standard_normal(n) ** 2
             cfg = ExpectileConfig(tau=float(local.uniform(0.05, 0.95)))
             value = expectile(losses, cfg)
-            assert expectile_foc_residual(losses, value, cfg.tau) <= cfg.tol
+            assert (expectile_foc_residual(losses, value, cfg.tau)
+                    <= EXPECTILE_TOL)
 
 
 class TestBinaryMonotonicity:
