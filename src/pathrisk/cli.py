@@ -24,6 +24,15 @@ score, and why it skipped the others (`registry.ValidationReport`).
 MIEstimatorConfig and DiscriminativeConfig, each decoded by the kind of its
 type; each value applies to every detector that reads it, and the mi seed
 defaults to --seed. A value its config class rejects exits 2 as well.
+
+Importing this module loads only `records`, `registry` and `jsonio` of the
+package, which every subcommand runs; each subcommand imports the rest
+when it runs. `audit` adds `generative` and `metrics` for a trace corpus
+or `discriminative` for a classification one (all three with --config);
+`risk` and `report` add `risk`; `holonorm-verify` adds `holonorm`; `game`
+adds `game` and `risk`; `pareto` adds `fixtures`, `metrics` and `risk`. A
+run without cached bytecode compiles every module it imports, so a
+subcommand pays only for the modules it uses.
 """
 
 import argparse
@@ -35,9 +44,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import discriminative, fixtures, game, generative, holonorm, jsonio, \
-    risk as risk_mod
-from .metrics import MIEstimatorConfig
+from . import jsonio
 from .records import (CorpusError, RecordValidationError, declare,
                       decode_object, load_causal_fixtures,
                       load_knowledge_base, load_trace_corpus, read_json)
@@ -48,48 +55,45 @@ from .registry import (OUTCOME_FIELDS, OUTCOME_JSON_KEYS, DetectorOutcome,
 from .registry import validate_corpus  # noqa: F401
 
 
-# --config section -> its config class; the MI estimator is configured in
-# its own section, not as the `mi` field of GenerativeConfig
-_CONFIG_CLASSES = {"generative": generative.GenerativeConfig,
-                   "mi": MIEstimatorConfig,
-                   "discriminative": discriminative.DiscriminativeConfig}
 # the records kind of a config field's type
 _TYPE_KINDS = {float: "number", int: "integer", bool: "boolean", str: "string"}
-_CONFIG_FILE = declare(*((name, "object") for name in _CONFIG_CLASSES))
-_CONFIG_SECTIONS = {
-    name: declare(*((f.name, _TYPE_KINDS[f.type])
-                    for f in dataclasses.fields(cls) if f.name != "mi"))
-    for name, cls in _CONFIG_CLASSES.items()}
 
 
 def _load_config(path):
     """The --config file as {section: {key: decoded value}}."""
     if path is None:
         return {}
+    from .discriminative import DiscriminativeConfig
+    from .generative import GenerativeConfig
+    from .metrics import MIEstimatorConfig
+    # section -> its config class; the MI estimator is configured in its
+    # own section, not as the `mi` field of GenerativeConfig
+    config_classes = {"generative": GenerativeConfig, "mi": MIEstimatorConfig,
+                      "discriminative": DiscriminativeConfig}
     where = f"config {path}"
-    config = decode_object(_CONFIG_FILE, read_json(path), where, ignored=())
+    config = decode_object(
+        declare(*((name, "object") for name in config_classes)),
+        read_json(path), where, ignored=())
     for section, body in config.items():
-        here = f"{where}: section {section!r}"
-        config[section] = decode_object(_CONFIG_SECTIONS[section], body,
-                                        here, ignored=())
+        cls, here = config_classes[section], f"{where}: section {section!r}"
+        fields = declare(*((f.name, _TYPE_KINDS[f.type])
+                           for f in dataclasses.fields(cls) if f.name != "mi"))
+        config[section] = decode_object(fields, body, here, ignored=())
         # the class checks the ranges, whichever schema the audit reads
         try:
-            _CONFIG_CLASSES[section](**config[section])
+            cls(**config[section])
         except ValueError as exc:
             raise CorpusError(f"{here}: {exc}") from None
     return config
 
 
 def _generative_config(cfg_obj, seed):
+    from .generative import GenerativeConfig
+    from .metrics import MIEstimatorConfig
     mi_obj = dict(cfg_obj.get("mi", {}))
     mi_obj.setdefault("seed", seed)
-    return generative.GenerativeConfig(**cfg_obj.get("generative", {}),
-                                       mi=MIEstimatorConfig(**mi_obj))
-
-
-def _discriminative_config(cfg_obj):
-    return discriminative.DiscriminativeConfig(
-        **cfg_obj.get("discriminative", {}))
+    return GenerativeConfig(**cfg_obj.get("generative", {}),
+                            mi=MIEstimatorConfig(**mi_obj))
 
 
 def _write(args, files, manifest):
@@ -108,6 +112,13 @@ def _write(args, files, manifest):
 
 
 def _cmd_audit(args):
+    # import the detectors before loading the corpus: the memory that
+    # compiling them takes is then freed before the corpus takes its own,
+    # so the two do not add up in the peak
+    if args.schema == "trace":
+        from . import generative
+    else:
+        from . import discriminative
     records = load_trace_corpus(args.corpus, schema=args.schema)
     kb = load_knowledge_base(args.kb) if args.kb else None
     causal = load_causal_fixtures(args.fixtures) if args.fixtures else ()
@@ -118,7 +129,8 @@ def _cmd_audit(args):
             cfg=_generative_config(cfg_obj, args.seed))
     else:
         result = discriminative.audit_discriminative(
-            records, cfg=_discriminative_config(cfg_obj))
+            records, cfg=discriminative.DiscriminativeConfig(
+                **cfg_obj.get("discriminative", {})))
     rows = [(name, len(group),
              float(np.mean([o.fired for o in group])),
              float(np.mean([o.severity for o in group])))
@@ -192,11 +204,12 @@ def _load_outcome_files(paths):
 
 
 def _cmd_risk(args):
+    from . import risk
     outcomes = _load_outcome_files(args.outcomes)
-    eps = None if args.eps is None else risk_mod.resolve_eps(
+    eps = None if args.eps is None else risk.resolve_eps(
         read_json(args.eps), pathology_ids(), f"eps {args.eps}")
-    cfg = risk_mod.ExpectileConfig(tau=args.tau)
-    report = risk_mod.risk_report(outcomes, eps=eps, cfg=cfg)
+    cfg = risk.ExpectileConfig(tau=args.tau)
+    report = risk.risk_report(outcomes, eps=eps, cfg=cfg)
     out = _write(args, {"risk_report.json": report.to_json_dict(),
                         "risk_summary.csv": report.csv_rows()},
                  ("risk", args.seed,
@@ -213,6 +226,7 @@ def _cmd_risk(args):
 
 
 def _cmd_holonorm_verify(args):
+    from . import holonorm
     checks = []
     rng = np.random.default_rng(args.seed)
 
@@ -285,6 +299,7 @@ def _cmd_holonorm_verify(args):
 
 
 def _cmd_game(args):
+    from . import game
     scenario = game.load_scenario(args.scenario)
     specs = scenario["specs"]
     state = game.solve_nash(specs, scenario["constraints"])
@@ -310,10 +325,11 @@ def _cmd_game(args):
 
 
 def _cmd_pareto(args):
+    from . import fixtures, risk
     labels, values = fixtures.pareto_sweep(
         num_candidates=args.candidates,
         records_per_candidate=args.records, seed=args.seed, tau=args.tau)
-    scan = risk_mod.pareto_scan(labels, values)
+    scan = risk.pareto_scan(labels, values)
     report = {"tau": args.tau, "candidates": labels,
               "objectives": ["disfluency_risk", "grounding_risk"],
               "values": [list(v) for v in values],
@@ -336,18 +352,19 @@ _RISK_FILE = declare(("feasible", "boolean", True), ("tau", "number", True),
                      ("total_ids", "integer", True),
                      ("distinct_pathologies", "integer", True),
                      ("entries", "array", True))
-# in the column order of summary.csv
-_RISK_ENTRY = declare(("pathology", "id", True), ("n", "integer", True),
-                      ("expectile", "number", True)) + (
-    ("eps", risk_mod.decode_eps, True),) + declare(("ok", "boolean", True))
 
 
 def _cmd_report(args):
+    from .risk import decode_eps
+    # the fields of an entry, in the column order of summary.csv
+    risk_entry = declare(("pathology", "id", True), ("n", "integer", True),
+                         ("expectile", "number", True)) + (
+        ("eps", decode_eps, True),) + declare(("ok", "boolean", True))
     where = f"risk report {args.risk}"
     summary = decode_object(_RISK_FILE, read_json(args.risk), where)
     # the entries as they are; the CSV rows from their decoded fields
     summary["pathologies"] = summary.pop("entries")
-    rows = [tuple(decode_object(_RISK_ENTRY, entry, f"{where}: entries[{i}]")
+    rows = [tuple(decode_object(risk_entry, entry, f"{where}: entries[{i}]")
                   .values()) for i, entry in enumerate(summary["pathologies"])]
     if args.outcomes:
         outcomes = _load_outcome_files([args.outcomes])

@@ -15,10 +15,9 @@ from operator import attrgetter
 import numpy as np
 
 from . import registry
-from .metrics import clamp01
 from .registry import (DISCRIMINATIVE_DETECTORS, AuditResult, DetectorError,
-                       DetectorOutcome, FieldUnavailableError, fmt, group_by,
-                       missing_fields)
+                       DetectorOutcome, FieldUnavailableError, clamp01, fmt,
+                       group_by, missing_fields)
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import metrics
-from .metrics import (MIEstimatorConfig, clamp01, coherence, fluency, sim,
+from .metrics import (MIEstimatorConfig, coherence, fluency, sim,
                       sim_matrix)
 from .records import CausalFixture, TraceRecord
 from . import registry
 # AuditResult, DetectorError and FieldUnavailableError are shared by both
 # audits and stay importable from here
 from .registry import (AuditResult, DetectorError, DetectorOutcome,
-                       FieldUnavailableError, GENERATIVE_DETECTORS, fmt,
-                       group_by, missing_fields)
+                       FieldUnavailableError, GENERATIVE_DETECTORS, clamp01,
+                       fmt, group_by, missing_fields)
 
 # Severity floor for existential predicates ("some entity unknown", "both a
 # true and a false claim present"): any positive fraction fires.

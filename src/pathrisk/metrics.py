@@ -51,10 +51,6 @@ class MIEstimatorConfig:
         return 4 * self.joint_cells ** 2
 
 
-def clamp01(x):
-    return float(min(1.0, max(0.0, x)))
-
-
 def sim(a, b, clamp=True):
     """Cosine similarity; clamped to [0,1] via (1+cos)/2 when clamp."""
     a = np.asarray(a, dtype=float)

@@ -3,8 +3,9 @@
 It names the 21 generative + 14 discriminative detector ids (35 total),
 each with its family and the record fields it requires, and holds the
 types every audit shares (outcome, result, errors, validation report) and
-the helpers both families call: `fmt` writes an evidence number and
-`group_by` groups records by a key. How a generative detector is scored
+the helpers both families call: `fmt` writes an evidence number,
+`clamp01` clips a severity to [0, 1] and `group_by` groups records by a
+key. How a generative detector is scored
 (its arity, whether it reads the knowledge base, its scorer and
 threshold) lives beside its scorer in `generative._DETECTORS`; a
 discriminative one folds the whole corpus, with its scorer and threshold
@@ -118,6 +119,11 @@ class FieldUnavailableError(DetectorError):
 def fmt(x):
     """A number as an evidence string: 12 significant digits."""
     return f"{x:.12g}"
+
+
+def clamp01(x):
+    """x clipped to [0, 1] as a float: a detector's severity."""
+    return float(min(1.0, max(0.0, x)))
 
 
 def group_by(records, key):

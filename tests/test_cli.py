@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import corpora
-from pathrisk import cli, discriminative, generative
+from pathrisk import cli, discriminative, generative, holonorm
 from pathrisk import risk as risk_mod
 from pathrisk.records import (load_causal_fixtures, load_knowledge_base,
                               load_trace_corpus, save_trace_corpus)
@@ -177,6 +181,61 @@ def test_holonorm_verify_tells_a_failed_identity_from_a_bad_input(
     argv = ["holonorm-verify", "--seed", "0", "--out", str(tmp_path / "out")]
     assert cli.main(argv + flags) == code
     assert shown in getattr(capsys.readouterr(), stream)
+
+
+def test_holonorm_verify_writes_a_failed_density_check_without_a_full_bin(
+        tmp_path, capsys, monkeypatch):
+    # no bin can hold more samples than were drawn
+    real = holonorm.density_transform_check
+    monkeypatch.setattr(holonorm, "density_transform_check", lambda cfg: real(
+        dataclasses.replace(cfg, min_bin_count=cfg.samples + 1)))
+    out = tmp_path / "out"
+    assert cli.main(["holonorm-verify", "--dim", "3", "--seed", "0",
+                     "--samples", "10000", "--out", str(out)]) == 1
+    assert "holonorm-verify: FAIL" in capsys.readouterr().out
+    report = json.loads((out / "holonorm_report.json").read_text())
+    assert report["checks"][0] == {"name": "density_transform",
+                                   "passed": False, "statistic": "inf"}
+    assert report["density"]["bins_used"] == 0
+    assert [c["passed"] for c in report["checks"][1:]] == [True] * 4
+
+
+# the package modules a fresh interpreter loads to import pathrisk.cli, and
+# those each subcommand adds when it runs
+_CLI_IMPORTS = {"pathrisk", "pathrisk.cli", "pathrisk.jsonio",
+                "pathrisk.records", "pathrisk.registry"}
+_SUBCOMMAND_IMPORTS = {
+    "risk-gate": {"risk"}, "report": {"risk"},
+    "audit-classification": {"discriminative"},
+    "audit-trace": {"generative", "metrics"},
+    "holonorm-verify": {"holonorm"}, "game": {"game", "risk"},
+    "pareto": {"fixtures", "metrics", "risk"}}
+_IMPORT_PROBE = """\
+import json, sys
+import pathrisk.cli
+loaded = {m for m in sys.modules if m.split(".")[0] == "pathrisk"}
+code = pathrisk.cli.main(sys.argv[1:])
+added = {m for m in sys.modules if m.split(".")[0] == "pathrisk"} - loaded
+print(json.dumps([sorted(loaded), sorted(added), code]))
+"""
+
+
+@pytest.mark.parametrize("subcommand", sorted(_SUBCOMMAND_IMPORTS))
+def test_each_subcommand_imports_only_its_own_modules(tmp_path, subcommand):
+    # a fresh interpreter: this process has imported every module already
+    argv = _argv(tmp_path, subcommand) + ["--out", str(tmp_path / "probe")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, check=True)
+    loaded, added, code = json.loads(proc.stdout.splitlines()[-1])
+    assert set(loaded) == _CLI_IMPORTS
+    assert set(added) == {f"pathrisk.{m}"
+                          for m in _SUBCOMMAND_IMPORTS[subcommand]}
+    assert code == (3 if subcommand == "risk-gate" else 0)
 
 
 def _fixture_audit(tmp_path, pathology, config):

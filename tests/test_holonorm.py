@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pathrisk.holonorm import (HolonormError, HolonormModel,
+from pathrisk.holonorm import (DensityCheckConfig, HolonormError,
+                               HolonormModel,
                                constant_param_degeneracy_check,
+                               density_transform_check,
                                det_jacobian_inverse_hn,
                                finite_difference_jacobian_det, forward, hn,
                                holonorm_density, inverse_hn,
@@ -149,3 +151,16 @@ def test_density_integrates_to_the_radial_cdf(dim):
     for s in RADII:
         integral = simpson[round(s / 0.05) * PANELS_PER_STEP]
         assert abs(integral - chi_cdf(dim, s / (1.0 - s))) <= DENSITY_TOL
+
+
+def test_density_check_without_a_full_bin_fails_and_says_why():
+    """No bin can hold more samples than were drawn: the bins widen to 4
+    per axis, nothing is compared, and the check fails, not the input."""
+    report = density_transform_check(DensityCheckConfig(
+        dimension=3, samples=10_000, min_bin_count=10_001))
+    assert report["passes"] is False
+    assert report["mean_abs_rel_error"] == math.inf
+    assert (report["bins_per_axis"], report["bins_used"]) == (4, 0)
+    assert report["widened"]
+    assert report["notes"][-1] == ("no bin holds 10001 samples at 4 bins "
+                                   "per axis; no density was compared")
