@@ -24,6 +24,8 @@ score, and why it skipped the others (`registry.ValidationReport`).
 MIEstimatorConfig and DiscriminativeConfig, each decoded by the kind of its
 type; each value applies to every detector that reads it, and the mi seed
 defaults to --seed. A value its config class rejects exits 2 as well.
+The config is read before any other input, so its error is the one
+reported when it and another input are both bad.
 
 Importing this module loads only `records`, `registry` and `jsonio` of the
 package, which every subcommand runs; each subcommand imports the rest
@@ -112,9 +114,10 @@ def _write(args, files, manifest):
 
 
 def _cmd_audit(args):
-    # import the detectors before loading the corpus: the memory that
-    # compiling them takes is then freed before the corpus takes its own,
-    # so the two do not add up in the peak
+    # the config (which imports every detector module) and the detectors
+    # come before the corpus: the memory that compiling them takes is then
+    # freed before the corpus takes its own, so the two do not add up
+    cfg_obj = _load_config(args.config)
     if args.schema == "trace":
         from . import generative
     else:
@@ -122,7 +125,6 @@ def _cmd_audit(args):
     records = load_trace_corpus(args.corpus, schema=args.schema)
     kb = load_knowledge_base(args.kb) if args.kb else None
     causal = load_causal_fixtures(args.fixtures) if args.fixtures else ()
-    cfg_obj = _load_config(args.config)
     if args.schema == "trace":
         result = generative.audit_generative(
             records, kb=kb, fixtures=causal,
@@ -388,7 +390,7 @@ def build_parser():
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        p.add_argument("--out", default=jsonio.default_out_dir())
+        p.add_argument("--out", default="out")
         p.add_argument("--force", action="store_true")
         return p
 

@@ -6,6 +6,10 @@ accuracy-gap severities are the clamped gap, and group metrics are
 symmetric under relabeling. All detectors are invariant to permutations of
 the corpus (drift orders records explicitly by timestamp_index and
 compares the earlier half with the later one).
+
+`audit_discriminative` alone decides what a detector scores (the n_min
+floor, the records carrying its fields); `score_discriminative` scores the
+records it is handed.
 """
 
 from dataclasses import dataclass
@@ -338,28 +342,11 @@ _DETECTORS = {
 assert set(_DETECTORS) == set(DISCRIMINATIVE_DETECTORS)
 
 
-def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig(), *,
-                         _eligible=None):
-    """Fold a classification corpus into one outcome for `pathology`, over
-    the records that carry its fields. `_eligible` is for
-    `audit_discriminative`, which passes those records as its validation
-    report lists them."""
-    info = DISCRIMINATIVE_DETECTORS.get(pathology)
-    if info is None:
-        raise DetectorError(f"unknown discriminative pathology {pathology!r}")
-    records = list(corpus)
-    if len(records) < cfg.n_min:
-        raise DetectorError(f"{pathology}: needs >= n_min = {cfg.n_min} "
-                            f"records, got {len(records)}")
-    eligible = _eligible
-    if eligible is None:
-        eligible = [r for r in records if not missing_fields(r, info)]
-    if not eligible:
-        first = records[0]
-        raise FieldUnavailableError(pathology, first.id,
-                                    missing_fields(first, info))
+def score_discriminative(pathology, records, cfg=DiscriminativeConfig()):
+    """Fold the records `audit_discriminative` hands over, those carrying
+    the detector's fields, into one outcome for `pathology`."""
     scorer, threshold = _DETECTORS[pathology]
-    severity, evidence = scorer(eligible, cfg)
+    severity, evidence = scorer(records, cfg)
     return DetectorOutcome(pathology=pathology, record_ids=(),
                            severity=severity, threshold=threshold(cfg),
                            evidence=evidence)
@@ -368,17 +355,24 @@ def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig(), *,
 def audit_discriminative(corpus, cfg=DiscriminativeConfig()):
     """Run all 14 detectors, collecting outcomes and skip reasons. The
     corpus's `validate_corpus` report is built once, and each detector
-    takes the records it lists as available; the result carries the report
-    as `validation`."""
+    scores the records it lists as available. A detector is skipped when
+    the corpus holds fewer than n_min records, when no record carries its
+    fields (the reason names the first record and what it lacks), or when
+    its scorer raises. The result carries the report as `validation`."""
     # looked up on its module, where the traced benchmark run rebinds it
     validation = registry.validate_corpus(corpus)
     outcomes = []
     skipped = {}
-    for pathology in DISCRIMINATIVE_DETECTORS:
+    for pathology, info in DISCRIMINATIVE_DETECTORS.items():
         try:
-            outcomes.append(score_discriminative(
-                pathology, corpus, cfg,
-                _eligible=validation.eligible(pathology, corpus)))
+            if len(corpus) < cfg.n_min:
+                raise DetectorError(f"{pathology}: needs >= n_min = "
+                                    f"{cfg.n_min} records, got {len(corpus)}")
+            eligible = validation.eligible(pathology, corpus)
+            if not eligible:
+                raise FieldUnavailableError(
+                    pathology, corpus[0].id, missing_fields(corpus[0], info))
+            outcomes.append(score_discriminative(pathology, eligible, cfg))
         except DetectorError as exc:
             skipped[pathology] = str(exc)
     outcomes.sort(key=lambda o: o.sort_key())

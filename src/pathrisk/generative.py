@@ -4,6 +4,11 @@
 is), its scorer, its firing threshold under the config, and whether it
 reads the knowledge base; the registry holds only its required fields.
 
+`audit_generative` alone decides what a detector scores: it builds the
+units of its arity from the records its validation report lists, and it
+skips a knowledge-base detector without a knowledge base. `score` scores
+the unit it is handed; a unit its scorer cannot score is dropped.
+
 Each detector turns its predicate into a severity in [0, 1] that is a
 monotone transform of the predicate's slack, with a firing threshold such
 that `fired == severity >= threshold` holds exactly. Conjunctions with a
@@ -25,13 +30,9 @@ import numpy as np
 from . import metrics
 from .metrics import (MIEstimatorConfig, coherence, fluency, sim,
                       sim_matrix)
-from .records import CausalFixture, TraceRecord
 from . import registry
-# AuditResult, DetectorError and FieldUnavailableError are shared by both
-# audits and stay importable from here
 from .registry import (AuditResult, DetectorError, DetectorOutcome,
-                       FieldUnavailableError, GENERATIVE_DETECTORS, clamp01,
-                       fmt, group_by, missing_fields)
+                       GENERATIVE_DETECTORS, clamp01, fmt, group_by)
 
 # Severity floor for existential predicates ("some entity unknown", "both a
 # true and a false claim present"): any positive fraction fires.
@@ -249,11 +250,7 @@ def _score_semiotic_frankenstein(record, cfg, kb):
 # --- pair / sequence / corpus detectors -------------------------------------
 
 def _score_misattribution(pair, cfg):
-    a, b = pair
-    if a.annotations.get("content_id") != b.annotations.get("content_id"):
-        raise DetectorError("misattribution: pair does not share content_id")
-    if a.annotations.get("source_id") == b.annotations.get("source_id"):
-        raise DetectorError("misattribution: pair shares source_id")
+    a, b = pair   # same content_id, distinct source_id
     s = sim(a.output_embedding, b.output_embedding)
     return s, {"output_similarity": fmt(s),
                "content_id": a.annotations["content_id"]}
@@ -435,47 +432,16 @@ def _unit_ids(arity, data):
 
 
 def score(pathology, data, cfg=GenerativeConfig(), kb=None):
-    """Score one generative detector on data matching its arity.
-
-    data is a TraceRecord for record-level detectors, a pair of records for
-    misattribution, a record sequence for the corpus/sequence detectors,
-    and a CausalFixture for causal_inference_failure.
-    """
-    detector = _DETECTORS.get(pathology)
-    if detector is None:
-        raise DetectorError(f"unknown generative pathology {pathology!r}")
-    if detector.needs_kb and kb is None:
-        raise DetectorError(f"{pathology}: needs a knowledge base")
-    arity = detector.arity
-    if arity is Arity.FIXTURE:
-        if not isinstance(data, CausalFixture):
-            raise DetectorError(f"{pathology}: expected a CausalFixture")
-        records = ()
-    elif arity is Arity.RECORD:
-        if not isinstance(data, TraceRecord):
-            raise DetectorError(f"{pathology}: expected a single TraceRecord")
-        records = (data,)
-    elif arity is Arity.PAIR:
-        data = records = tuple(data)
-        if len(data) != 2 or not all(isinstance(r, TraceRecord)
-                                     for r in data):
-            raise DetectorError(f"{pathology}: expected a pair of records")
-    else:
-        if isinstance(data, TraceRecord):
-            raise DetectorError(f"{pathology}: corpus detector needs a "
-                                f"record sequence, got a single record")
-        data = records = list(data)
-        if len(data) < 2:
-            raise DetectorError(f"{pathology}: needs >= 2 records")
-    info = GENERATIVE_DETECTORS[pathology]
-    for rec in records:
-        lacking = missing_fields(rec, info)
-        if lacking:
-            raise FieldUnavailableError(pathology, rec.id, lacking)
+    """Score one generative detector on a unit `audit_generative` built:
+    a TraceRecord for record-level detectors, a pair of records for
+    misattribution, a record list for the corpus/sequence detectors, and a
+    CausalFixture for causal_inference_failure. No field, shape or count
+    is checked here."""
+    detector = _DETECTORS[pathology]
     severity, evidence = detector.scorer(
         data, cfg, *((kb,) if detector.needs_kb else ()))
     return DetectorOutcome(pathology=pathology,
-                           record_ids=_unit_ids(arity, data),
+                           record_ids=_unit_ids(detector.arity, data),
                            severity=severity,
                            threshold=detector.threshold(cfg),
                            evidence=evidence)

@@ -155,7 +155,3 @@ def build_manifest(subcommand, seed, inputs, config):
                 "config_hash": hashlib.sha256(
                     canonical_dumps(config).encode()).hexdigest()}
     return manifest
-
-
-def default_out_dir():
-    return os.environ.get("PATHRISK_OUT", "out")

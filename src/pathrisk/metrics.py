@@ -28,27 +28,20 @@ class InsufficientDataError(MetricError):
 
 @dataclass(frozen=True)
 class MIEstimatorConfig:
-    """Random projection followed by equal-width binning and a plug-in
-    estimate. Adequate for the near-zero versus clearly-positive decisions
-    the detectors make; not a calibrated MI estimator."""
+    """One random projection per side followed by equal-width binning and
+    a plug-in estimate. Adequate for the near-zero versus clearly-positive
+    decisions the detectors make; not a calibrated MI estimator."""
 
     num_bins_per_axis: int = 4
-    projection_dims: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.num_bins_per_axis < 2:
             raise MetricError("num_bins_per_axis must be at least 2")
-        if self.projection_dims < 1:
-            raise MetricError("projection_dims must be positive")
-
-    @property
-    def joint_cells(self):
-        return self.num_bins_per_axis ** self.projection_dims
 
     @property
     def min_samples(self):
-        return 4 * self.joint_cells ** 2
+        return 4 * self.num_bins_per_axis ** 2
 
 
 def sim(a, b, clamp=True):
@@ -109,24 +102,20 @@ def _as_sample_matrix(xs):
     return arr
 
 
-def _bin_indices(projected, bins):
-    n, k = projected.shape
-    idx = np.zeros(n, dtype=np.int64)
-    for j in range(k):
-        col = projected[:, j]
-        lo, hi = float(col.min()), float(col.max())
-        if hi <= lo:
-            b = np.zeros(n, dtype=np.int64)
-        else:
-            b = np.minimum((bins * (col - lo) / (hi - lo)).astype(np.int64),
-                           bins - 1)
-        idx = idx * bins + b
-    return idx
+def _bin_indices(values, bins):
+    """The equal-width bin of each value over [min, max]; all 0 when the
+    values are equal."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi <= lo:
+        return np.zeros(len(values), dtype=np.int64)
+    return np.minimum((bins * (values - lo) / (hi - lo)).astype(np.int64),
+                      bins - 1)
 
 
 def mutual_information(xs, ys, cfg=MIEstimatorConfig()):
     """Plug-in MI (nats) of jointly binned random projections of paired
-    samples. Nonnegative; deterministic given cfg.seed."""
+    samples, one projection per side. Nonnegative; deterministic given
+    cfg.seed."""
     X = _as_sample_matrix(xs)
     Y = _as_sample_matrix(ys)
     if X.shape[0] != Y.shape[0]:
@@ -135,17 +124,16 @@ def mutual_information(xs, ys, cfg=MIEstimatorConfig()):
     if n < cfg.min_samples:
         raise InsufficientDataError(
             f"need >= {cfg.min_samples} samples for "
-            f"{cfg.num_bins_per_axis} bins x {cfg.projection_dims} dims, "
-            f"got {n}")
+            f"{cfg.num_bins_per_axis} bins per axis, got {n}")
     rng = np.random.default_rng(cfg.seed)
-    px = rng.standard_normal((X.shape[1], cfg.projection_dims))
-    py = rng.standard_normal((Y.shape[1], cfg.projection_dims))
-    iu = _bin_indices(X @ px, cfg.num_bins_per_axis)
-    iv = _bin_indices(Y @ py, cfg.num_bins_per_axis)
-    cells = cfg.joint_cells
-    joint = np.bincount(iu * cells + iv, minlength=cells * cells) / n
-    pu = joint.reshape(cells, cells).sum(axis=1)
-    pv = joint.reshape(cells, cells).sum(axis=0)
+    px = rng.standard_normal(X.shape[1])
+    py = rng.standard_normal(Y.shape[1])
+    bins = cfg.num_bins_per_axis
+    iu = _bin_indices(X @ px, bins)
+    iv = _bin_indices(Y @ py, bins)
+    joint = np.bincount(iu * bins + iv, minlength=bins * bins) / n
+    pu = joint.reshape(bins, bins).sum(axis=1)
+    pv = joint.reshape(bins, bins).sum(axis=0)
     mask = joint > 0
     outer = np.outer(pu, pv).ravel()
     mi = float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask])))

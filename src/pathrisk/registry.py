@@ -106,7 +106,7 @@ def distinct_pathology_count():
 
 
 class DetectorError(ValueError):
-    """Detector cannot run: wrong arity, missing fields, no eligible data."""
+    """Detector cannot run: missing fields, no eligible data."""
 
 
 class FieldUnavailableError(DetectorError):

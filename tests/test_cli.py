@@ -309,7 +309,9 @@ def test_config_sets_a_threshold(tmp_path, pathology, section, key, default,
     ({"generative": {"window": 1}}, "window"),
     ({"generative": {"drift_k": -1}}, "drift_k"),
     ({"generative": {"drift_k": 0}}, "drift_k"),
-    ({"generative": {"entropy_ridge": -1e-6}}, "entropy_ridge")])
+    ({"generative": {"entropy_ridge": -1e-6}}, "entropy_ridge"),
+    # a key of a removed field
+    ({"mi": {"projection_dims": 1}}, "'projection_dims'")])
 def test_config_rejects_unknown_keys(tmp_path, capsys, config, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -319,6 +321,25 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, config, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "out" / "outcomes.json").exists()
+
+
+@pytest.mark.parametrize("bad_corpus", [False, True],
+                         ids=["valid-corpus", "bad-corpus"])
+def test_bad_config_is_reported_before_the_corpus(tmp_path, capsys,
+                                                  bad_corpus):
+    # the config is read first, so its error is reported either way
+    argv = _trace_audit(tmp_path)
+    if bad_corpus:
+        (tmp_path / "corpus.jsonl").write_text(
+            '{"id": "r1", "truth_embeding": [1.0, 0.0, 0.0, 0.0]}\n')
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"generative": {"drift_k": 0}}))
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {config}: section 'generative'")
+    assert "drift_k" in err
+    assert not out.exists()
 
 
 def test_config_accepts_an_int_for_a_float(tmp_path):

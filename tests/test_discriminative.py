@@ -6,7 +6,6 @@ from pathrisk.discriminative import (DiscriminativeConfig,
                                      audit_discriminative,
                                      expected_calibration_error,
                                      score_discriminative)
-from pathrisk.generative import DetectorError
 from pathrisk.records import ClassificationRecord
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, missing_fields,
                                validate_corpus)
@@ -54,11 +53,15 @@ class TestEligibility:
         if missing_fields(_cls("bare", 1, 0), DISCRIMINATIVE_DETECTORS[p])])
     def test_records_lacking_fields_leave_the_outcome_unchanged(
             self, pathology):
+        # the audit decides eligibility, so the outcome is the audit's
+        def outcome(records):
+            return [o.to_json_dict()
+                    for o in audit_discriminative(records).outcomes
+                    if o.pathology == pathology]
+
         recs = corpora.discriminative_fixture(pathology, True)
         bare = [_cls(f"bare-{i:02d}", 1, 0) for i in range(len(recs))]
-        outcome = score_discriminative(pathology, recs + bare)
-        assert outcome.to_json_dict() == \
-            score_discriminative(pathology, recs).to_json_dict()
+        assert outcome(recs + bare) == outcome(recs) != []
 
 
 class TestCalibration:
@@ -169,19 +172,18 @@ class TestErrors:
     def test_n_min_floor(self):
         recs = corpora.discriminative_fixture("calibration_failure",
                                               True)[:5]
-        with pytest.raises(DetectorError, match="n_min"):
-            score_discriminative("calibration_failure", recs)
+        result = audit_discriminative(recs)
+        assert result.outcomes == ()
+        assert result.skipped["calibration_failure"] == \
+            "calibration_failure: needs >= n_min = 20 records, got 5"
 
     def test_missing_pairing_fields(self):
-        recs = [_cls(f"r{i}", 0, 0) for i in range(20)]
-        with pytest.raises(DetectorError):
-            score_discriminative("adversarial_vulnerability", recs)
-
-    def test_unknown_pathology(self):
-        with pytest.raises(DetectorError, match="unknown"):
-            score_discriminative("confabulation",
-                                 corpora.discriminative_fixture(
-                                     "accent_bias", True))
+        # no record is eligible: the reason names the first one
+        recs = [_cls(f"r{i:02d}", 0, 0) for i in range(20)]
+        assert audit_discriminative(recs).skipped[
+            "adversarial_vulnerability"] == (
+            "adversarial_vulnerability: record 'r00' lacks "
+            "perturbation_pair_id")
 
 
 class TestAudit:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import corpora
-from pathrisk.generative import (DetectorError, FieldUnavailableError,
-                                 GenerativeConfig, audit_generative, score)
+from pathrisk import registry
+from pathrisk.generative import (DetectorError, GenerativeConfig,
+                                 audit_generative, score)
 from pathrisk.records import KnowledgeBase, TraceRecord
 from pathrisk.registry import (ALIAS_GROUPS, GENERATIVE_DETECTORS,
                                DISCRIMINATIVE_DETECTORS,
@@ -262,26 +264,44 @@ class TestPairDetectorsAgainstLoops:
 
 
 class TestErrors:
-    def test_corpus_detector_rejects_single_record(self):
-        bundle = corpora.generative_fixture("bluffing", True)
-        with pytest.raises(DetectorError, match="single record"):
-            score("bluffing", bundle["records"][0])
-
+    # the audit alone decides what a detector scores
     def test_missing_field_names_field(self):
         rec = TraceRecord(id="bare", input_embedding=np.eye(4)[0],
                           output_embedding=np.eye(4)[1])
-        with pytest.raises(FieldUnavailableError,
-                           match="prob_output_given_input"):
-            score("delusion", rec)
-
-    def test_unknown_pathology(self):
-        with pytest.raises(DetectorError, match="unknown"):
-            score("zombie_mode", [])
+        result = audit_generative([rec])
+        assert result.skipped["delusion"] == \
+            "no record carries the required fields"
+        assert result.validation.missing["delusion"] == {
+            ("prob_output_given_input", "prob_truth_given_input"): ("bare",)}
 
     def test_kb_detector_without_kb(self):
         bundle = corpora.generative_fixture("confabulation", True)
-        with pytest.raises(DetectorError, match="knowledge base"):
-            score("confabulation", bundle["records"][0])
+        result = audit_generative(bundle["records"])
+        kb_detectors = {"confabulation", "simulated_authority",
+                        "referential_hallucination", "semiotic_frankenstein"}
+        assert {p for p, reason in result.skipped.items()
+                if reason == "no knowledge base supplied"} == kb_detectors
+        assert not kb_detectors & {o.pathology for o in result.outcomes}
+
+    def test_missing_fields_runs_once_per_detector_and_record(
+            self, monkeypatch):
+        calls = []
+        real = registry.missing_fields
+
+        def counted(record, info):
+            calls.append((record.id, id(info)))
+            return real(record, info)
+
+        # wherever a module of the package binds the name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pathrisk") and hasattr(module,
+                                                       "missing_fields"):
+                monkeypatch.setattr(module, "missing_fields", counted)
+        records = corpora.demo_trace_corpus()
+        audit_generative(records, kb=corpora.standard_kb(),
+                         fixtures=[corpora.demo_causal_fixture()])
+        assert len(calls) == len(GENERATIVE_DETECTORS) * len(records)
+        assert len(set(calls)) == len(calls)
 
 
 class TestConfig:

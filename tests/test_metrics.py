@@ -143,7 +143,7 @@ class TestFluency:
 
 
 class TestMutualInformation:
-    CFG = MIEstimatorConfig(num_bins_per_axis=2, projection_dims=1, seed=5)
+    CFG = MIEstimatorConfig(num_bins_per_axis=2, seed=5)
 
     def test_identical_samples_near_ln2(self, rng):
         xs = rng.uniform(size=1000)
@@ -175,8 +175,7 @@ class TestMutualInformation:
     def test_deterministic_given_seed(self, rng):
         xs = rng.standard_normal((500, 3))
         ys = rng.standard_normal((500, 3))
-        cfg = MIEstimatorConfig(num_bins_per_axis=2, projection_dims=1,
-                                seed=9)
+        cfg = MIEstimatorConfig(num_bins_per_axis=2, seed=9)
         assert mutual_information(xs, ys, cfg) == \
             mutual_information(xs, ys, cfg)
 
@@ -187,8 +186,7 @@ class TestMutualInformation:
             local = np.random.default_rng(seed)
             xs = local.uniform(size=1000)
             shuffled = local.permutation(xs)
-            cfg = MIEstimatorConfig(num_bins_per_axis=2, projection_dims=1,
-                                    seed=seed)
+            cfg = MIEstimatorConfig(num_bins_per_axis=2, seed=seed)
             if mutual_information(xs, xs, cfg) >= \
                     mutual_information(xs, shuffled, cfg):
                 wins += 1
