@@ -49,7 +49,8 @@ import numpy as np
 from . import jsonio
 from .records import (CorpusError, RecordValidationError, declare,
                       decode_object, load_causal_fixtures,
-                      load_knowledge_base, load_trace_corpus, read_json)
+                      load_knowledge_base, load_trace_corpus, read_json,
+                      read_json_chunked)
 from .registry import (OUTCOME_FIELDS, OUTCOME_JSON_KEYS, DetectorOutcome,
                        pathology_ids)
 # the audits build the validation report; the name stays bound here for
@@ -184,16 +185,18 @@ def _outcome_hook(obj):
 def _load_outcome_files(paths):
     """The outcomes of each outcomes.json in `paths`, in file order.
 
-    Each outcome is built as its JSON object is parsed, so no dict tree of
-    the file is held. Evidence is not kept: risk and report never read it,
-    so every loaded outcome has empty evidence. An object in the
-    "outcomes" list must have exactly the keys the audit writes, each
-    decoded by its kind.
+    The file is read in chunks (`records.read_json_chunked`), and each
+    outcome is built as its JSON object is parsed, so neither a string of
+    the whole file nor a dict tree of it is held. Evidence is not kept:
+    risk and report never read it, so every loaded outcome has empty
+    evidence. An object in the "outcomes" list must have exactly the keys
+    the audit writes, each decoded by its kind.
     """
     outcomes = []
     for path in paths:
-        items = decode_object(_OUTCOMES_FILE, read_json(path, _outcome_hook),
-                              str(path))["outcomes"]
+        items = decode_object(
+            _OUTCOMES_FILE, read_json_chunked(path, "outcomes", _outcome_hook),
+            str(path))["outcomes"]
         for i, item in enumerate(items):
             if isinstance(item, CorpusError):
                 raise CorpusError(f"{path}: outcomes[{i}], {item}")

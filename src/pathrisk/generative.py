@@ -29,7 +29,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import (MIEstimatorConfig, coherence, fluency, sim,
-                      sim_matrix)
+                      sim_matrix, sim_row_blocks)
 from . import registry
 from .registry import (AuditResult, DetectorError, DetectorOutcome,
                        GENERATIVE_DETECTORS, clamp01, fmt, group_by)
@@ -279,20 +279,42 @@ def _score_bluffing(records, cfg):
                       "mean_fluency": fmt(mean_fluency)}
 
 
+# the most entries of one row block of the pair detectors' similarity
+# matrices; a block holds at least one row
+_TILE_ELEMENTS = 1 << 16
+
+
 def _extreme_output_pair(records, input_bound, none_message, lowest):
     """Lowest (or highest) output similarity over pairs i < j with input
-    similarity below input_bound, and its witness ids; ties go to the
-    first pair in row-major (i, j) order."""
+    similarity below input_bound, and its witness ids.
+
+    The input and output similarity matrices are formed in row blocks of
+    at most _TILE_ELEMENTS entries, and never less than one row, so the
+    memory is O(_TILE_ELEMENTS + n d), not O(n^2). A block's extreme
+    replaces the best so far only when strictly better, so a tie goes to
+    the first pair in row-major (i, j) order, as over the whole matrix."""
+    n = len(records)
+    rows = max(1, _TILE_ELEMENTS // max(n, 1))
     inputs = np.asarray([r.input_embedding for r in records], dtype=float)
-    excluded = sim_matrix(inputs, inputs) >= input_bound
-    excluded |= np.tri(len(records), dtype=bool)
-    if excluded.all():
-        raise DetectorError(none_message)
     outputs = np.asarray([r.output_embedding for r in records], dtype=float)
-    s = sim_matrix(outputs, outputs)
-    s[excluded] = np.inf if lowest else -np.inf
-    i, j = divmod(int(s.argmin() if lowest else s.argmax()), len(records))
-    return float(s[i, j]), f"{records[i].id},{records[j].id}"
+    fill = np.inf if lowest else -np.inf
+    best = (fill, -1, -1)   # (similarity, i, j); i < 0 until a pair counts
+    input_blocks = sim_row_blocks(inputs, inputs, rows)
+    output_blocks = sim_row_blocks(outputs, outputs, rows)
+    for start in range(0, n, rows):
+        # the input block lives only until its mask is formed
+        excluded = next(input_blocks) >= input_bound
+        excluded |= np.tri(len(excluded), n, start, dtype=bool)   # j <= i
+        s = next(output_blocks)
+        s[excluded] = fill
+        i, j = divmod(int(s.argmin() if lowest else s.argmax()), n)
+        value = float(s[i, j])
+        if value < best[0] if lowest else value > best[0]:
+            best = (value, start + i, j)
+    value, i, j = best
+    if i < 0:
+        raise DetectorError(none_message)
+    return value, f"{records[i].id},{records[j].id}"
 
 
 def _score_cognitive_stereotypy(records, cfg):

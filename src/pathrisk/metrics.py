@@ -7,7 +7,8 @@ parallel without coordination.
 Similarity is cosine. Detector thresholds operate on the clamped scale
 (1 + cos)/2 in [0, 1]: 0 antipodal, 0.5 orthogonal, 1 identical.
 `sim_matrix` is the one kernel for similarity over sets of embeddings
-(pairs of outputs, claims x KB entries); the scalar `sim` is its reference.
+(pairs of outputs, claims x KB entries), and `sim_row_blocks` gives it in
+row blocks; the scalar `sim` is their reference.
 """
 
 import math
@@ -59,20 +60,27 @@ def sim(a, b, clamp=True):
     return (1.0 + c) / 2.0 if clamp else c
 
 
-def sim_matrix(a, b, clamp=True):
-    """`sim` of every row of a against every row of b, as a
-    (len(a), len(b)) array. Built in place on the one product a @ b.T."""
+def _row_norms(x):
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    if not norms.all():
+        raise MetricError("similarity undefined for a zero vector")
+    return norms
+
+
+def _columns(a, b):
+    """a and b as 2-d float arrays of one width, and the row norms of b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise MetricError(f"shape mismatch {a.shape} vs {b.shape}")
+    return a, b, _row_norms(b)
+
+
+def _sim_block(a, b, nb, clamp):
     if np.may_share_memory(a, b):
         # a @ a.T runs syrk, whose blocks can round equal entries apart
-        b = b.copy()
-    na = np.sqrt(np.einsum("ij,ij->i", a, a))
-    nb = np.sqrt(np.einsum("ij,ij->i", b, b))
-    if not (na.all() and nb.all()):
-        raise MetricError("similarity undefined for a zero vector")
+        a = a.copy()
+    na = _row_norms(a)
     s = a @ b.T
     for row, norm in zip(s, na):
         row /= norm * nb   # as in sim: one division by the norm product
@@ -81,6 +89,22 @@ def sim_matrix(a, b, clamp=True):
         s += 1.0
         s /= 2.0
     return s
+
+
+def sim_matrix(a, b, clamp=True):
+    """`sim` of every row of a against every row of b, as a
+    (len(a), len(b)) array. Built in place on the one product a @ b.T."""
+    return _sim_block(*_columns(a, b), clamp)
+
+
+def sim_row_blocks(a, b, rows, clamp=True):
+    """`sim_matrix(a, b)` in blocks of `rows` rows of a (the last may be
+    shorter), in order. The norms of b are taken once; a block that
+    shares memory with b is copied, not b, so the memory beyond the
+    inputs is one block and its rows."""
+    a, b, nb = _columns(a, b)
+    for start in range(0, len(a), rows):
+        yield _sim_block(a[start:start + rows], b, nb, clamp)
 
 
 def fluency(token_logprobs):

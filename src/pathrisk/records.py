@@ -23,7 +23,10 @@ Interning makes the records of one corpus share one string object for each
 distinct annotation key, annotation value and subgroup tag.
 
 The CLI's other input files are decoded by the same kinds, through
-`declare` and `decode_object`.
+`declare` and `decode_object`. `read_json` parses a whole JSON file;
+`read_json_chunked` gives the same value, but reads the file in chunks and
+decodes the elements of one top-level array one at a time, so a file of
+many outcomes is never held as one string.
 """
 
 import json
@@ -325,6 +328,129 @@ def read_json(path, object_hook=None):
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: malformed JSON ({exc.msg}, line "
                               f"{exc.lineno})") from None
+
+
+# characters the chunked reader takes from a file at a time
+_CHUNK_CHARS = 1 << 16
+# what can follow a complete JSON value: whitespace, a delimiter, a bracket
+_FOLLOWERS = frozenset(" \t\n\r,:]}")
+
+
+class _Malformed(Exception):
+    """The chunked reader met text that does not continue a JSON object."""
+
+
+class _ChunkedText:
+    """The text of an open file, read _CHUNK_CHARS characters at a time;
+    `text[pos:]` is the part not consumed yet, and the rest is dropped
+    whenever more is read."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.text = ""
+        self.pos = 0
+
+    def _read(self):
+        # at least as much as is held, so a long value is decoded again
+        # only a logarithmic number of times; False at the end of the file
+        more = self.handle.read(max(_CHUNK_CHARS, len(self.text) - self.pos))
+        if not more:
+            return False
+        self.text = self.text[self.pos:] + more
+        self.pos = 0
+        return True
+
+    def peek(self):
+        """The next character that is not whitespace, which is not
+        consumed; "" at the end of the file."""
+        while True:
+            self.pos = json.decoder.WHITESPACE.match(self.text,
+                                                     self.pos).end()
+            if self.pos < len(self.text) or not self._read():
+                return self.text[self.pos:self.pos + 1]
+
+    def expect(self, chars):
+        """Consume the next character that is not whitespace, which must
+        be one of `chars`, and return it."""
+        char = self.peek()
+        if not char or char not in chars:
+            raise _Malformed
+        self.pos += 1
+        return char
+
+    def value(self, decoder):
+        """Consume and decode the next JSON value. It is complete once
+        something that can follow a value follows it, or the file ends;
+        until then (a value or number cut at the end of the text read so
+        far) more is read and it is decoded again."""
+        self.peek()
+        while True:
+            try:
+                obj, end = decoder.raw_decode(self.text, self.pos)
+            except json.JSONDecodeError:
+                if self._read():
+                    continue
+                raise _Malformed from None
+            if ((end < len(self.text) and self.text[end] in _FOLLOWERS)
+                    or not self._read()):
+                self.pos = end
+                return obj
+
+
+def _chunked_members(text, decoder, array_name):
+    # the members of the top-level object, the elements of array_name one
+    # at a time; the end of the file must follow it
+    members = {}
+    text.expect("{")
+    if text.peek() == "}":
+        text.pos += 1
+    else:
+        while True:
+            if text.peek() != '"':
+                raise _Malformed
+            key = text.value(decoder)
+            text.expect(":")
+            if key == array_name and text.peek() == "[":
+                text.pos += 1
+                members[key] = items = []
+                if text.peek() == "]":
+                    text.pos += 1
+                else:
+                    items.append(text.value(decoder))
+                    while text.expect(",]") == ",":
+                        items.append(text.value(decoder))
+            else:
+                members[key] = text.value(decoder)
+            if text.expect(",}") == "}":
+                break
+    if text.peek():
+        raise _Malformed
+    return members
+
+
+def read_json_chunked(path, array_name, object_hook=None):
+    """What `read_json(path, object_hook)` returns, read _CHUNK_CHARS
+    characters at a time, so no string of the whole file is formed.
+
+    The top-level object is decoded member by member. The elements of its
+    member `array_name` are decoded one at a time, each through
+    `object_hook` as it is parsed, and every other member is decoded
+    whole. A file that is not one well-formed JSON object in UTF-8 is read
+    again by `read_json`, so its value or its error (the message and the
+    line counted from the start of the file) is exactly `read_json`'s.
+    """
+    decoder = json.JSONDecoder(object_hook=object_hook)
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            members = _chunked_members(_ChunkedText(handle), decoder,
+                                       array_name)
+        except (_Malformed, UnicodeDecodeError):
+            # read_json reports a decoding error at its position in the file
+            members = None
+    if members is None:
+        return read_json(path, object_hook)
+    # json.load hands the top-level object to the hook too
+    return members if object_hook is None else object_hook(members)
 
 
 def _json_value(value):

@@ -231,6 +231,20 @@ def record_kind(record):
 _KIND = {Family.GENERATIVE: "trace", Family.DISCRIMINATIVE: "classification"}
 
 
+def _kind_fields(kind):
+    # the record attributes and the annotation keys that some detector of
+    # the kind requires, each once
+    fields = dict.fromkeys(f for info in REGISTRY.values()
+                           if _KIND[info.family] == kind
+                           for f in info.required_fields)
+    prefix = "annotations."
+    return (tuple(f for f in fields if not f.startswith(prefix)),
+            tuple(f[len(prefix):] for f in fields if f.startswith(prefix)))
+
+
+_KIND_FIELDS = {kind: _kind_fields(kind) for kind in _KIND.values()}
+
+
 def _wrong_kind(kind):
     return f"<requires a {kind} record>"
 
@@ -298,18 +312,48 @@ class ValidationReport:
         return {"record_count": self.record_count, "detectors": detectors}
 
 
+def _presence(record):
+    """(the record's kind, whether it has each attribute and then each
+    annotation key of _KIND_FIELDS[kind]): the pattern validate_corpus
+    groups records by."""
+    kind = record_kind(record)
+    attrs, keys = _KIND_FIELDS[kind]
+    annotations = record.annotations
+    return kind, tuple([getattr(record, a) is not None for a in attrs]
+                       + [k in annotations for k in keys])
+
+
+def _lacking(info, kind, present):
+    """`missing_fields` of a record whose pattern is (kind, present)."""
+    expected = _KIND[info.family]
+    if kind != expected:
+        return (_wrong_kind(expected),)
+    attrs, keys = _KIND_FIELDS[kind]
+    has = dict(zip(attrs + tuple(f"annotations.{k}" for k in keys), present))
+    return tuple(f for f in info.required_fields if not has[f])
+
+
 def validate_corpus(records):
     """Field availability of every detector on a corpus, grouped by the
     missing fields; deterministic, with ids in corpus order. A detector
     that reads a record kind the corpus does not hold at all is not
     applicable, and its fields are not checked record by record. Record
-    ids must be unique, as the report names each record by its id."""
+    ids must be unique, as the report names each record by its id.
+
+    Each record's kind, and the presence of each field that a detector of
+    its kind requires, are taken once. Records of one kind with the same
+    fields present share one pattern, and each detector's lacking fields
+    are worked out once per pattern."""
+    ids = [rec.id for rec in records]
     seen = set()
-    for rec in records:
-        if rec.id in seen:
-            raise ValueError(f"duplicate record id {rec.id!r}")
-        seen.add(rec.id)
-    kinds = {record_kind(rec) for rec in records}
+    for rid in ids:
+        if rid in seen:
+            raise ValueError(f"duplicate record id {rid!r}")
+        seen.add(rid)
+    patterns = {}   # each distinct pattern -> its index, in corpus order
+    pattern_of = [patterns.setdefault(_presence(rec), len(patterns))
+                  for rec in records]
+    kinds = {kind for kind, _ in patterns}
     available, missing, not_applicable = {}, {}, {}
     for name, info in REGISTRY.items():
         kind = _KIND[info.family]
@@ -317,14 +361,15 @@ def validate_corpus(records):
         if records and kind not in kinds:
             not_applicable[name] = _wrong_kind(kind)
         else:
-            for rec in records:
-                lacking = missing_fields(rec, info)
-                if lacking:
-                    groups.setdefault(lacking, []).append(rec.id)
+            lacking = [_lacking(info, *key) for key in patterns]
+            for rid, p in zip(ids, pattern_of):
+                if lacking[p]:
+                    groups.setdefault(lacking[p], []).append(rid)
                 else:
-                    ok.append(rec.id)
+                    ok.append(rid)
         available[name] = tuple(ok)
-        missing[name] = {fields: tuple(ids) for fields, ids in groups.items()}
+        missing[name] = {fields: tuple(members)
+                         for fields, members in groups.items()}
     return ValidationReport(available=available, missing=missing,
                             not_applicable=not_applicable,
                             record_count=len(records))

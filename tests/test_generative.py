@@ -1,5 +1,5 @@
 import math
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import corpora
-from pathrisk import registry
+from pathrisk import generative, registry
 from pathrisk.generative import (DetectorError, GenerativeConfig,
                                  audit_generative, score)
 from pathrisk.records import KnowledgeBase, TraceRecord
@@ -228,7 +228,7 @@ def _pair_corpus(seed, kind):
 class TestPairDetectorsAgainstLoops:
     @pytest.mark.parametrize("kind", ["random", "planted", "basis"])
     @pytest.mark.parametrize("seed", range(40))
-    def test_kernel_equals_double_loop(self, seed, kind):
+    def test_kernel_equals_double_loop(self, seed, kind, monkeypatch):
         records = _pair_corpus(seed, kind)
         # s_lo above 1 lets every pair qualify, itself included, so only
         # the strict upper triangle keeps a record from pairing with itself
@@ -237,30 +237,60 @@ class TestPairDetectorsAgainstLoops:
         cases += [("hypersignification", GenerativeConfig(s_lo=s_lo),
                    loop_hypersignification(records, s_lo))
                   for s_lo in (GenerativeConfig().s_lo, 1.01)]
-        for pathology, cfg, expected in cases:
-            if expected is None:
-                with pytest.raises(DetectorError, match=pathology):
-                    score(pathology, records, cfg)
-                continue
-            outcome = score(pathology, records, cfg)
-            assert outcome.severity == pytest.approx(expected[0], abs=1e-12)
-            assert outcome.evidence["witness_pair"] == expected[1]
+        # one block, then blocks of 1, 2 and 3 rows: a tie across a block
+        # boundary, and a block whose every pair is excluded (the last
+        # row's at least)
+        for rows in (None, 1, 2, 3):
+            if rows is not None:
+                monkeypatch.setattr(generative, "_TILE_ELEMENTS",
+                                    rows * len(records))
+            for pathology, cfg, expected in cases:
+                if expected is None:
+                    with pytest.raises(DetectorError, match=pathology):
+                        score(pathology, records, cfg)
+                    continue
+                outcome = score(pathology, records, cfg)
+                assert outcome.severity == pytest.approx(expected[0],
+                                                         abs=1e-12)
+                assert outcome.evidence["witness_pair"] == expected[1]
 
     def test_basis_corpora_exercise_ties_and_the_mask(self):
         # guards the test above: some basis corpora must hold a tied
-        # extreme and an excluded pair, or the tie rule goes unchecked
-        ties = excluded = 0
+        # extreme, one tied across rows (so across 1-row blocks) and an
+        # excluded pair, or the tie rule goes unchecked
+        ties = ties_across_rows = excluded = 0
         for seed in range(40):
             records = _pair_corpus(seed, "basis")
             ins = np.array([r.input_embedding for r in records])
             outs = np.array([r.output_embedding for r in records])
-            iu = np.triu_indices(len(records), 1)
-            in_sim = (ins @ ins.T)[iu]
-            out_sim = (outs @ outs.T)[iu][in_sim < 1.0]
+            rows, cols = np.triu_indices(len(records), 1)
+            in_sim = (ins @ ins.T)[rows, cols]
+            out_sim = (outs @ outs.T)[rows, cols][in_sim < 1.0]
             excluded += int(np.any(in_sim == 1.0))
-            ties += int(out_sim.size > 1
-                        and np.sum(out_sim == out_sim.min()) > 1)
-        assert ties >= 10 and excluded >= 10
+            if out_sim.size > 1:
+                tied = rows[in_sim < 1.0][out_sim == out_sim.min()]
+                ties += int(tied.size > 1)
+                ties_across_rows += int(np.unique(tied).size > 1)
+        assert ties >= 10 and ties_across_rows >= 10 and excluded >= 10
+
+    def test_memory_is_one_block_not_the_gram_matrix(self):
+        # the whole n x n output Gram matrix alone would take 128 MB
+        rng = np.random.default_rng(0)
+        n, d = 4000, 8
+        records = [TraceRecord(id=f"r{i}", input_embedding=x,
+                               output_embedding=y)
+                   for i, (x, y) in enumerate(zip(
+                       rng.standard_normal((n, d)),
+                       rng.standard_normal((n, d))))]
+        tracemalloc.start()
+        try:
+            outcome = score("cognitive_stereotypy", records,
+                            GenerativeConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= outcome.severity < 0.5
+        assert peak < 16_000_000
 
 
 class TestErrors:
@@ -283,25 +313,22 @@ class TestErrors:
                 if reason == "no knowledge base supplied"} == kb_detectors
         assert not kb_detectors & {o.pathology for o in result.outcomes}
 
-    def test_missing_fields_runs_once_per_detector_and_record(
-            self, monkeypatch):
+    def test_validation_takes_each_record_once(self, monkeypatch):
+        # the audit takes each record's fields once, in validate_corpus,
+        # not once per (detector, record) pair, and no scorer checks again
         calls = []
-        real = registry.missing_fields
+        real = registry._presence
 
-        def counted(record, info):
-            calls.append((record.id, id(info)))
-            return real(record, info)
+        def counted(record):
+            calls.append(record.id)
+            return real(record)
 
-        # wherever a module of the package binds the name
-        for name, module in list(sys.modules.items()):
-            if name.startswith("pathrisk") and hasattr(module,
-                                                       "missing_fields"):
-                monkeypatch.setattr(module, "missing_fields", counted)
+        monkeypatch.setattr(registry, "_presence", counted)
+        monkeypatch.setattr(registry, "record_has_field", None)
         records = corpora.demo_trace_corpus()
         audit_generative(records, kb=corpora.standard_kb(),
                          fixtures=[corpora.demo_causal_fixture()])
-        assert len(calls) == len(GENERATIVE_DETECTORS) * len(records)
-        assert len(set(calls)) == len(calls)
+        assert calls == [r.id for r in records]
 
 
 class TestConfig:

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import tempfile
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import canonical_json
 from pathrisk import cli, jsonio
+from pathrisk.records import read_json
 from pathrisk.registry import (AuditResult, DetectorOutcome, Family,
                                pathology_ids)
 
@@ -146,20 +148,48 @@ def test_audit_outcomes_are_converted_as_they_are_written(tmp_path):
 
 
 def test_loading_outcomes_holds_no_dict_tree(tmp_path):
-    # each outcome is built as it is parsed and keeps no evidence: the
-    # peak is the file's text (1x its size) plus the outcomes (about 1.2x);
-    # a dict tree of the file with the evidence kept peaks at about 4.3x
+    # each outcome is built as it is parsed and keeps no evidence, and the
+    # file (6.3 MB) is read in 64 KiB chunks: the peak is the outcomes
+    # (about 1.2x the file's size) plus a few chunks, where the whole text
+    # alone took 1x and a dict tree of the file with the evidence 4.3x
     path = tmp_path / "outcomes.json"
     jsonio.write_json(path, _audit_result(20_000).to_json_dict())
     gc.collect()
     tracemalloc.start()
     try:
         loaded = cli._load_outcome_files([path])
-        _, peak = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(loaded) == 20_000
     assert peak < 3 * path.stat().st_size
+    assert peak - retained < 1 << 20
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_outcomes_load_alike_in_chunks_of_any_size(tmp_path, monkeypatch,
+                                                   compact):
+    # evidence with escapes and non-ASCII text is parsed and dropped
+    result = _audit_result(60)
+    outcomes = [DetectorOutcome(o.pathology, o.record_ids, o.severity,
+                                o.threshold, {"note": f"é \"{i}\"\\ 😀\n"})
+                for i, o in enumerate(result.outcomes)]
+    doc = AuditResult(outcomes=tuple(outcomes), skipped={"x": "ü"},
+                      dropped={}).to_json_dict()
+    path = tmp_path / "outcomes.json"
+    if compact:
+        path.write_text(json.dumps(
+            {**doc, "outcomes": [o.to_json_dict() for o in outcomes]},
+            separators=(",", ":"), ensure_ascii=False), encoding="utf-8")
+    else:
+        jsonio.write_json(path, doc)
+    whole = read_json(path, cli._outcome_hook)["outcomes"]
+    assert len(whole) == 60
+    # a well-formed file is never read whole
+    monkeypatch.setattr("pathrisk.records.read_json", None)
+    for chars in range(1, 8):
+        monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", chars)
+        assert cli._load_outcome_files([path]) == whole
 
 
 def test_csv_cells_name_non_finite_floats(tmp_path):

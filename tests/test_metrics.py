@@ -11,7 +11,7 @@ from pathrisk.metrics import (InsufficientDataError, LOG_2PI_E, MetricError,
                               avg_pairwise_similarity, coherence,
                               contextual_distance, fluency,
                               mutual_information, semantic_entropy, sim,
-                              sim_matrix, windowed_slope)
+                              sim_matrix, sim_row_blocks, windowed_slope)
 from pathrisk.records import KnowledgeBase
 from oracles import cov_semantic_entropy
 
@@ -92,6 +92,19 @@ class TestSimMatrix:
                 for j, y in enumerate(right):
                     assert matrix[i, j] == pytest.approx(
                         sim(x, y, clamp), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_kernel_inputs(), st.integers(1, 4), st.booleans())
+    def test_row_blocks_make_up_the_matrix(self, ab, rows, clamp):
+        a, b = ab
+        for left, right in ((a, b), (a, a)):
+            blocks = list(sim_row_blocks(left, right, rows, clamp=clamp))
+            assert [len(block) for block in blocks[:-1]] == \
+                [rows] * (len(blocks) - 1)
+            # a block's product may round apart from the whole one's
+            np.testing.assert_allclose(
+                np.vstack(blocks), sim_matrix(left, right, clamp=clamp),
+                rtol=0, atol=1e-12)
 
     def test_clip_binds_on_parallel_rows(self):
         # unclipped, a . 3a / (|a| |3a|) rounds to just above 1 for this a

@@ -15,7 +15,9 @@ from pathrisk.records import (CausalFixture, ClassificationRecord,
                               CorpusError, KnowledgeBase,
                               RecordValidationError, TraceRecord,
                               load_causal_fixtures, load_knowledge_base,
-                              load_trace_corpus, save_trace_corpus)
+                              load_trace_corpus, read_json,
+                              read_json_chunked, save_trace_corpus)
+from pathrisk import registry
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                REGISTRY, missing_fields, validate_corpus)
 import corpora
@@ -322,6 +324,27 @@ def test_grouped_report_equals_the_per_pair_loop(corpus):
         else set())
 
 
+def test_validation_takes_each_record_once(monkeypatch):
+    # one presence pattern per record, shared by every record that has the
+    # same fields, where the per-pair loop checked the fields once per
+    # (detector, record) pair
+    calls = []
+    real = registry._presence
+
+    def counted(record):
+        calls.append(record.id)
+        return real(record)
+
+    monkeypatch.setattr(registry, "_presence", counted)
+    monkeypatch.setattr(registry, "record_has_field", None)
+    records = (_partly_missing(_gate_shaped_records(60), 3)
+               + corpora.demo_trace_corpus())
+    report = validate_corpus(records)
+    assert calls == [r.id for r in records]
+    monkeypatch.undo()
+    assert _regrouped(report, records) == loop_validation(records)
+
+
 def test_report_json_lists_counts_and_ids():
     records = _partly_missing(_gate_shaped_records(60), 2)
     report = validate_corpus(records)
@@ -606,3 +629,142 @@ def test_records_round_trip_through_json(case):
     # every field that was given, but an empty annotation map, is written
     assert set(rec.to_json_dict()) == {k for k, v in obj.items()
                                        if v != {}}
+
+
+# --- read_json_chunked: read_json's result, a few characters at a time -------
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet="ab é€😀\"\\\n\t/\x01", max_size=6))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(alphabet="ab\"é", max_size=3), inner,
+                      max_size=4),
+    max_leaves=12)
+_MEMBERS = st.dictionaries(st.sampled_from(("skipped", "dropped", "x", "")),
+                           _JSON_VALUES, max_size=3)
+
+
+def _hooked(obj):
+    return {"hooked": obj}
+
+
+def _chunked(path, chars, monkeypatch, hook=_hooked):
+    """read_json_chunked at `chars` characters a read; a valid file must
+    not fall back to the whole-file reader."""
+    monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", chars)
+    monkeypatch.setattr("pathrisk.records.read_json", None)
+    try:
+        return read_json_chunked(path, "outcomes", hook)
+    finally:
+        monkeypatch.undo()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MEMBERS, st.lists(_JSON_VALUES, max_size=6), _MEMBERS,
+       st.sampled_from((None, 0, 1, 2)), st.booleans(),
+       st.integers(1, 7))
+def test_chunked_reader_equals_the_whole_file_reader(
+        tmp_path_factory, before, items, after, indent, ascii_only, chars):
+    doc = {**before, "outcomes": items, **after}
+    path = tmp_path_factory.getbasetemp() / "chunked.json"
+    separators = (",", ":") if indent is None else (",", ": ")
+    path.write_text(json.dumps(doc, indent=indent, separators=separators,
+                               ensure_ascii=ascii_only), encoding="utf-8")
+    expected = read_json(path, _hooked)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _chunked(path, chars, monkeypatch) == expected
+
+
+@pytest.mark.parametrize("text", [
+    '{}', ' {"outcomes": []} ', '{"outcomes":[1.5e-07,-0.25,12,true]}',
+    '{"outcomes": [1, 2], "outcomes": [3]}',   # the last value wins
+    '{"outcomes": {}}', '{"a": [1, 2], "outcomes": "text"}',
+    '{"skipped": {"x": "\\u00e9\\"\\\\"}, '
+    '"outcomes": [{"e": "\\ud83d\\ude00"}]}',
+    '{\r\n"outcomes" :\t[ 1 ,\n2 ]\r\n}\n\n'])
+def test_chunked_reader_edges(tmp_path, monkeypatch, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    expected = read_json(path, _hooked)
+    for chars in range(1, 8):
+        assert _chunked(path, chars, monkeypatch) == expected
+
+
+def test_chunked_reader_splits_numbers_at_every_offset(tmp_path,
+                                                       monkeypatch):
+    # every character of every number falls at a chunk boundary once
+    numbers = [-1.25e-07, 1e+300, 0.1, -0.0, 123456789012345678901, 5e-324]
+    text = json.dumps({"outcomes": numbers, "skipped": numbers[::-1]},
+                      separators=(",", ":"))
+    path = tmp_path / "numbers.json"
+    path.write_text(text)
+    for chars in range(1, 12):
+        loaded = _chunked(path, chars, monkeypatch, hook=None)
+        assert loaded == {"outcomes": numbers, "skipped": numbers[::-1]}
+        assert [math.copysign(1.0, x) for x in loaded["outcomes"]] == \
+            [math.copysign(1.0, x) for x in numbers]
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"outcomes": [{"a": 1}, {"a": 2', "Expecting"),   # truncated
+    ('{"outcomes": [1, 2]} {}', "Extra data"),
+    ('{"outcomes": [1, 2]}]', "Extra data"),
+    ('{"outcomes": [1, 2,]}', "Expecting value"),
+    ('{"outcomes": [1 2]}', "Expecting ',' delimiter"),
+    ('{"a" 1}', "Expecting ':' delimiter"),
+    ('{"a": 1,}', "Expecting property name"),
+    ('{"outcomes": [1.5e]}', "Expecting ',' delimiter"),
+    ('', "Expecting value"),
+    ('\ufeff{"outcomes": []}', "Unexpected UTF-8 BOM")])
+def test_chunked_reader_reports_malformed_json_as_read_json_does(
+        tmp_path, monkeypatch, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError) as whole:
+        read_json(path, _hooked)
+    assert str(whole.value).startswith(f"{path}: malformed JSON (")
+    assert message in str(whole.value)
+    monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", 3)
+    with pytest.raises(CorpusError) as chunked:
+        read_json_chunked(path, "outcomes", _hooked)
+    assert str(chunked.value) == str(whole.value)
+
+
+def test_chunked_reader_counts_lines_from_the_start_of_the_file(
+        tmp_path, monkeypatch):
+    # the bad element sits on line 42, long after the first chunk
+    lines = ['{"outcomes": ['] + [f' {{"a": {i}}},' for i in range(40)]
+    lines += [' {"a": 40 "b"}', ']}']
+    path = tmp_path / "bad.json"
+    path.write_text("\n".join(lines))
+    monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", 5)
+    with pytest.raises(CorpusError) as exc:
+        read_json_chunked(path, "outcomes")
+    assert str(exc.value) == (f"{path}: malformed JSON (Expecting ',' "
+                              f"delimiter, line 42)")
+
+
+def test_chunked_reader_reports_bad_utf8_as_read_json_does(tmp_path,
+                                                          monkeypatch):
+    # the byte's position counts from the start of the file, not the chunk
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"outcomes": [' + b'1, ' * 5000 + b'"\xff"]}')
+    with pytest.raises(UnicodeDecodeError) as whole:
+        read_json(path)
+    monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", 5)
+    with pytest.raises(UnicodeDecodeError) as chunked:
+        read_json_chunked(path, "outcomes")
+    assert str(chunked.value) == str(whole.value)
+    assert "position 15015" in str(whole.value)
+
+
+def test_chunked_reader_gives_a_top_level_array_as_is(tmp_path, monkeypatch):
+    # read_json's value; the caller's decode_object then rejects it
+    path = tmp_path / "array.json"
+    path.write_text('[{"outcomes": []}, 1]')
+    monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", 4)
+    assert read_json_chunked(path, "outcomes", _hooked) == \
+        [_hooked({"outcomes": []}), 1]
