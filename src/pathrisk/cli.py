@@ -41,6 +41,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 
@@ -52,7 +53,7 @@ from .records import (CorpusError, RecordValidationError, declare,
                       load_knowledge_base, load_trace_corpus, read_json,
                       read_json_chunked)
 from .registry import (OUTCOME_FIELDS, OUTCOME_JSON_KEYS, DetectorOutcome,
-                       pathology_ids)
+                       group_by, pathology_ids)
 # the audits build the validation report; the name stays bound here for
 # perfbench/layers.py, which rebinds it on this module too
 from .registry import validate_corpus  # noqa: F401
@@ -134,10 +135,10 @@ def _cmd_audit(args):
         result = discriminative.audit_discriminative(
             records, cfg=discriminative.DiscriminativeConfig(
                 **cfg_obj.get("discriminative", {})))
-    rows = [(name, len(group),
+    rows = [(group[0].pathology, len(group),
              float(np.mean([o.fired for o in group])),
              float(np.mean([o.severity for o in group])))
-            for name, group in sorted(result.by_pathology().items())]
+            for group in group_by(result.outcomes, attrgetter("pathology"))]
     out = _write(args, {
         "outcomes.json": result.to_json_dict(),
         "validation.json": result.validation.to_json_dict(),
@@ -172,7 +173,7 @@ def _outcome_hook(obj):
                               severity=fields["severity"],
                               threshold=fields["threshold"],
                               evidence=_NO_EVIDENCE)
-    for name, derived in (("family", outcome.family.value),
+    for name, derived in (("family", outcome.family),
                           ("fired", outcome.fired), ("loss", outcome.loss)):
         if fields[name] != derived:
             return RecordValidationError(

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import registry
 from .registry import (DISCRIMINATIVE_DETECTORS, AuditResult, DetectorError,
-                       DetectorOutcome, FieldUnavailableError, clamp01, fmt,
-                       group_by, missing_fields)
+                       DetectorOutcome, clamp01, fmt, group_by)
 
 
 @dataclass(frozen=True)
@@ -357,24 +356,33 @@ def audit_discriminative(corpus, cfg=DiscriminativeConfig()):
     corpus's `validate_corpus` report is built once, and each detector
     scores the records it lists as available. A detector is skipped when
     the corpus holds fewer than n_min records, when no record carries its
-    fields (the reason names the first record and what it lacks), or when
-    its scorer raises. The result carries the report as `validation`."""
+    fields, or when its scorer raises. The no-record reason names the
+    first record and what the report says it lacks: as no record is
+    eligible, the report's first group of lacking fields is the first
+    record's, and with no classification record at all the report's
+    not-applicable reason stands for it. The result carries the report as
+    `validation`."""
     # looked up on its module, where the traced benchmark run rebinds it
     validation = registry.validate_corpus(corpus)
     outcomes = []
     skipped = {}
-    for pathology, info in DISCRIMINATIVE_DETECTORS.items():
-        try:
-            if len(corpus) < cfg.n_min:
-                raise DetectorError(f"{pathology}: needs >= n_min = "
-                                    f"{cfg.n_min} records, got {len(corpus)}")
-            eligible = validation.eligible(pathology, corpus)
-            if not eligible:
-                raise FieldUnavailableError(
-                    pathology, corpus[0].id, missing_fields(corpus[0], info))
-            outcomes.append(score_discriminative(pathology, eligible, cfg))
-        except DetectorError as exc:
-            skipped[pathology] = str(exc)
+    for pathology in DISCRIMINATIVE_DETECTORS:
+        if len(corpus) < cfg.n_min:
+            skipped[pathology] = (f"{pathology}: needs >= n_min = "
+                                  f"{cfg.n_min} records, got {len(corpus)}")
+        elif not validation.available[pathology]:
+            if pathology in validation.not_applicable:
+                lacks = (validation.not_applicable[pathology],)
+            else:
+                lacks = next(iter(validation.missing[pathology]))
+            skipped[pathology] = (f"{pathology}: record {corpus[0].id!r} "
+                                  f"lacks {', '.join(lacks)}")
+        else:
+            try:
+                outcomes.append(score_discriminative(
+                    pathology, validation.eligible(pathology, corpus), cfg))
+            except DetectorError as exc:
+                skipped[pathology] = str(exc)
     outcomes.sort(key=lambda o: o.sort_key())
     return AuditResult(outcomes=tuple(outcomes), skipped=skipped,
                        validation=validation)

@@ -773,7 +773,7 @@ def _embedding(value):
 
 
 _KB_FILE = (("source_tag", _string, False), ("entries", _list, True))
-_KB_ENTRY = (("entity_id", _string, False), ("embedding", _embedding, False))
+_KB_ENTRY = (("entity_id", _string, True), ("embedding", _embedding, True))
 
 
 def load_knowledge_base(path):
@@ -784,10 +784,7 @@ def load_knowledge_base(path):
     entries = []
     for i, entry in enumerate(obj["entries"]):
         entry = _decode_record(_KB_ENTRY, entry, f"entry {i}", "entity_id")
-        try:
-            entries.append((entry["entity_id"], entry["embedding"]))
-        except KeyError as exc:
-            raise CorpusError(f"entry {i}: missing {exc.args[0]}") from None
+        entries.append((entry["entity_id"], entry["embedding"]))
     return KnowledgeBase(entries=tuple(entries),
                          source_tag=obj.get("source_tag", ""))
 

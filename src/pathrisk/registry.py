@@ -1,11 +1,14 @@
 """Pathology registry: what both detector families share.
 
-It names the 21 generative + 14 discriminative detector ids (35 total),
-each with its family and the record fields it requires, and holds the
-types every audit shares (outcome, result, errors, validation report) and
-the helpers both families call: `fmt` writes an evidence number,
-`clamp01` clips a severity to [0, 1] and `group_by` groups records by a
-key. How a generative detector is scored
+It names the 21 generative + 14 discriminative detector ids (35 total) in
+two tables, `GENERATIVE_DETECTORS` and `DISCRIMINATIVE_DETECTORS`, each
+mapping an id to the record fields its evidence requires; an id's family
+is the table that holds it. It also holds the types every audit shares
+(outcome, result, errors, validation report), `validate_corpus`, the one
+place that works out which fields a record lacks for a detector, and the
+helpers both families call: `fmt` writes an evidence number, `clamp01`
+clips a severity to [0, 1] and `group_by` groups records by a key. How a
+generative detector is scored
 (its arity, whether it reads the knowledge base, its scorer and
 threshold) lives beside its scorer in `generative._DETECTORS`; a
 discriminative one folds the whole corpus, with its scorer and threshold
@@ -16,25 +19,13 @@ reports count 34 distinct pathologies.
 """
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from .records import ClassificationRecord, TraceRecord, declare
 
-
-class Family(str, Enum):
-    GENERATIVE = "generative"
-    DISCRIMINATIVE = "discriminative"
-
-
-@dataclass(frozen=True)
-class DetectorInfo:
-    family: Family
-    required_fields: tuple
-
-
-GENERATIVE_DETECTORS = {name: DetectorInfo(Family.GENERATIVE, fields)
-                        for name, fields in {
+# detector id -> the record fields it requires; "annotations.k" is the key
+# k of the record's annotations
+GENERATIVE_DETECTORS = {
     "delusion": ("prob_output_given_input", "prob_truth_given_input"),
     "illusion": ("output_embedding", "truth_embedding", "in_real_manifold"),
     "hallucination": ("in_real_manifold",),
@@ -59,10 +50,9 @@ GENERATIVE_DETECTORS = {name: DetectorInfo(Family.GENERATIVE, fields)
     "contextual_drift": ("context_vectors",),
     "referential_hallucination": ("referenced_entities",),
     "semiotic_frankenstein": ("claim_embeddings",),
-}.items()}
+}
 
-DISCRIMINATIVE_DETECTORS = {name: DetectorInfo(Family.DISCRIMINATIVE, fields)
-                            for name, fields in {
+DISCRIMINATIVE_DETECTORS = {
     "overfitting": ("annotations.in_train_set",),
     "bias_amplification": ("group",),
     "spurious_correlation": ("annotations.spurious_pair_id",
@@ -81,7 +71,7 @@ DISCRIMINATIVE_DETECTORS = {name: DetectorInfo(Family.DISCRIMINATIVE, fields)
     "noise_overfitting": ("noise_pair_id", "annotations.noise_role"),
     "latency_induced_decision_drift": ("latency_pair_id",),
     "ambiguity_collapse": ("plausible_labels",),
-}.items()}
+}
 
 REGISTRY = {**GENERATIVE_DETECTORS, **DISCRIMINATIVE_DETECTORS}
 
@@ -99,21 +89,12 @@ def pathology_ids():
 
 def distinct_pathology_count():
     """Detector count with alias groups collapsed (34)."""
-    collapsed = len(REGISTRY)
-    for group in ALIAS_GROUPS:
-        collapsed -= len(group) - 1
-    return collapsed
+    return len(REGISTRY) - sum(len(group) - 1 for group in ALIAS_GROUPS)
 
 
 class DetectorError(ValueError):
-    """Detector cannot run: missing fields, no eligible data."""
-
-
-class FieldUnavailableError(DetectorError):
-    def __init__(self, pathology, record_id, fields):
-        super().__init__(f"{pathology}: record {record_id!r} lacks "
-                         f"{', '.join(fields)}")
-        self.fields = tuple(fields)
+    """Detector cannot score what it is handed: no eligible unit, or data
+    its statistic is undefined on."""
 
 
 def fmt(x):
@@ -159,7 +140,10 @@ class DetectorOutcome:
 
     @property
     def family(self):
-        return REGISTRY[self.pathology].family
+        """The detector's family, named by the table that holds its id:
+        "generative" or "discriminative"."""
+        return ("generative" if self.pathology in GENERATIVE_DETECTORS
+                else "discriminative")
 
     @property
     def fired(self):
@@ -174,7 +158,7 @@ class DetectorOutcome:
 
     def to_json_dict(self):
         return {"pathology": self.pathology,
-                "family": self.family.value,
+                "family": self.family,
                 "record_ids": list(self.record_ids),
                 "fired": self.fired,
                 "severity": self.severity,
@@ -203,12 +187,6 @@ class AuditResult:
     # which records each detector could score; written as validation.json
     validation: Optional["ValidationReport"] = None
 
-    def by_pathology(self):
-        grouped = {}
-        for outcome in self.outcomes:
-            grouped.setdefault(outcome.pathology, []).append(outcome)
-        return grouped
-
     def to_json_dict(self):
         # the outcomes as they are: the writer converts each one as it
         # writes it, so their dicts never all exist at once
@@ -219,48 +197,31 @@ class AuditResult:
         return out
 
 
-def record_kind(record):
-    if isinstance(record, TraceRecord):
-        return "trace"
-    if isinstance(record, ClassificationRecord):
-        return "classification"
-    raise TypeError(f"not a record: {type(record).__name__}")
+# each record type -> its kind and the table of the detectors that read it
+_KINDS = {TraceRecord: ("trace", GENERATIVE_DETECTORS),
+          ClassificationRecord: ("classification", DISCRIMINATIVE_DETECTORS)}
+# each detector -> the kind of record it reads
+_READS = {name: kind for kind, table in _KINDS.values() for name in table}
 
 
-# the record kind each family's detectors read
-_KIND = {Family.GENERATIVE: "trace", Family.DISCRIMINATIVE: "classification"}
-
-
-def _kind_fields(kind):
-    # the record attributes and the annotation keys that some detector of
-    # the kind requires, each once
-    fields = dict.fromkeys(f for info in REGISTRY.values()
-                           if _KIND[info.family] == kind
-                           for f in info.required_fields)
+def _columns(table):
+    """The record attributes and the annotation keys that some detector of
+    the table requires, each once, and each required field's position in
+    a `_presence` pattern: the attributes, then the keys."""
     prefix = "annotations."
-    return (tuple(f for f in fields if not f.startswith(prefix)),
-            tuple(f[len(prefix):] for f in fields if f.startswith(prefix)))
+    fields = dict.fromkeys(f for required in table.values() for f in required)
+    attrs = [f for f in fields if not f.startswith(prefix)]
+    keys = [f for f in fields if f.startswith(prefix)]
+    return (tuple(attrs), tuple(k[len(prefix):] for k in keys),
+            {f: i for i, f in enumerate(attrs + keys)})
 
 
-_KIND_FIELDS = {kind: _kind_fields(kind) for kind in _KIND.values()}
+# each kind -> (attributes, annotation keys, {field: pattern position})
+_COLUMNS = {kind: _columns(table) for kind, table in _KINDS.values()}
 
 
 def _wrong_kind(kind):
     return f"<requires a {kind} record>"
-
-
-def record_has_field(record, field_name):
-    if field_name.startswith("annotations."):
-        return field_name.split(".", 1)[1] in record.annotations
-    return getattr(record, field_name, None) is not None
-
-
-def missing_fields(record, info):
-    expected = _KIND[info.family]
-    if record_kind(record) != expected:
-        return (_wrong_kind(expected),)
-    return tuple(f for f in info.required_fields
-                 if not record_has_field(record, f))
 
 
 @dataclass(frozen=True)
@@ -276,6 +237,9 @@ class ValidationReport:
     record>",). Every record is in exactly one of the two. A detector that
     reads a record kind the corpus does not hold at all is in
     `not_applicable` instead, with that reason, and has no per-record list.
+    The audits take from the report which records each detector scores,
+    and the discriminative audit the reason it skips a detector that no
+    record can feed.
 
     `to_json_dict` is the content of validation.json:
     {"record_count": N, "detectors": {d: entry}} for all 35 detectors,
@@ -314,28 +278,32 @@ class ValidationReport:
 
 def _presence(record):
     """(the record's kind, whether it has each attribute and then each
-    annotation key of _KIND_FIELDS[kind]): the pattern validate_corpus
-    groups records by."""
-    kind = record_kind(record)
-    attrs, keys = _KIND_FIELDS[kind]
+    annotation key that _COLUMNS lists for the kind): the pattern
+    validate_corpus groups records by."""
+    kind = _KINDS[type(record)][0]
+    attrs, keys, _ = _COLUMNS[kind]
     annotations = record.annotations
     return kind, tuple([getattr(record, a) is not None for a in attrs]
                        + [k in annotations for k in keys])
 
 
-def _lacking(info, kind, present):
-    """`missing_fields` of a record whose pattern is (kind, present)."""
-    expected = _KIND[info.family]
+def _lacking(name, kind, present):
+    """The fields that a record whose pattern is (kind, present) lacks for
+    detector `name`, in the order the registry lists them: () when it has
+    them all, and the wrong-kind reason when it is of the other kind."""
+    expected = _READS[name]
     if kind != expected:
         return (_wrong_kind(expected),)
-    attrs, keys = _KIND_FIELDS[kind]
-    has = dict(zip(attrs + tuple(f"annotations.{k}" for k in keys), present))
-    return tuple(f for f in info.required_fields if not has[f])
+    position = _COLUMNS[kind][2]
+    return tuple(f for f in REGISTRY[name] if not present[position[f]])
 
 
 def validate_corpus(records):
     """Field availability of every detector on a corpus, grouped by the
-    missing fields; deterministic, with ids in corpus order. A detector
+    missing fields; deterministic, with ids in corpus order. It is the one
+    place that works out which fields a record lacks for a detector:
+    those of the detector's table entry that the record does not carry,
+    or the wrong-kind reason for a record of the other kind. A detector
     that reads a record kind the corpus does not hold at all is not
     applicable, and its fields are not checked record by record. Record
     ids must be unique, as the report names each record by its id.
@@ -355,13 +323,12 @@ def validate_corpus(records):
                   for rec in records]
     kinds = {kind for kind, _ in patterns}
     available, missing, not_applicable = {}, {}, {}
-    for name, info in REGISTRY.items():
-        kind = _KIND[info.family]
+    for name, kind in _READS.items():
         ok, groups = [], {}
         if records and kind not in kinds:
             not_applicable[name] = _wrong_kind(kind)
         else:
-            lacking = [_lacking(info, *key) for key in patterns]
+            lacking = [_lacking(name, *key) for key in patterns]
             for rid, p in zip(ids, pattern_of):
                 if lacking[p]:
                     groups.setdefault(lacking[p], []).append(rid)

@@ -19,11 +19,12 @@ game's leader loop both call it, on thresholds from `resolve_eps`.
 import json
 import math
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .records import decode_number
-from .registry import (ALIAS_GROUPS, REGISTRY, distinct_pathology_count,
+from .registry import (ALIAS_GROUPS, distinct_pathology_count, group_by,
                        pathology_ids)
 
 
@@ -241,9 +242,8 @@ def risk_report(outcomes, eps=None, cfg=ExpectileConfig()):
     """
     ids = pathology_ids()
     eps_map = resolve_eps({} if eps is None else eps, ids)
-    grouped = {}
-    for outcome in outcomes:
-        grouped.setdefault(outcome.pathology, []).append(outcome)
+    grouped = {group[0].pathology: group
+               for group in group_by(outcomes, attrgetter("pathology"))}
     if not grouped:
         raise RiskError("no pathology has any loss sample")
     losses = {name: [o.loss for o in grouped[name]]
@@ -264,10 +264,13 @@ def risk_report(outcomes, eps=None, cfg=ExpectileConfig()):
 def pareto_scan(candidates, objectives):
     """Non-dominated candidates under componentwise <= on objective values.
 
-    `objectives` holds one tuple of objective values per candidate.
-    Returns a dict with the surviving candidates, all objective values,
-    and whether the scan certifies non-alignment (Pareto set of size
-    >= 2).
+    `objectives` holds one tuple of objective values per candidate, all of
+    one length. A point dominates another when it is <= in every objective
+    and differs in one; equal points do not dominate each other. All pairs
+    are compared at once, as an n x n x k array of booleans. Returns a
+    dict with the surviving candidates in ascending index order, all
+    objective values, and whether the scan certifies non-alignment (Pareto
+    set of size >= 2).
     """
     candidates = list(candidates)
     if len(candidates) < 2:
@@ -275,14 +278,13 @@ def pareto_scan(candidates, objectives):
     values = [tuple(float(v) for v in vs) for vs in objectives]
     if len(values) != len(candidates):
         raise RiskError("one objective tuple per candidate required")
-    n = len(candidates)
-
-    def dominates(a, b):
-        return all(x <= y for x, y in zip(a, b)) and a != b
-
-    pareto_idx = [i for i in range(n)
-                  if not any(dominates(values[j], values[i])
-                             for j in range(n) if j != i)]
+    if len({len(v) for v in values}) != 1:
+        raise RiskError("objective tuples must all have the same length")
+    points = np.array(values, dtype=float)
+    # [j, i]: point j is <= point i in every objective / equal to it
+    below = (points[:, None, :] <= points[None, :, :]).all(axis=2)
+    equal = (points[:, None, :] == points[None, :, :]).all(axis=2)
+    pareto_idx = np.flatnonzero(~(below & ~equal).any(axis=0)).tolist()
     return {"pareto_indices": pareto_idx,
             "pareto_candidates": [candidates[i] for i in pareto_idx],
             "values": values,

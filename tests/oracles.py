@@ -11,9 +11,10 @@ stereotypy and hypersignification ran before the similarity kernel. The
 entropy oracle is the d x d covariance formula semantic_entropy used
 before it moved to the smaller Gram matrix. The chi CDF is the
 incomplete-gamma power series, so the holonorm density is checked without
-scipy. The validation oracle is the loop over every (record, detector)
-pair that validate_corpus ran before it grouped records by their missing
-fields.
+scipy. The validation oracle is a loop over every (record, detector)
+pair that checks each required field with its own `getattr` or
+annotation lookup, where validate_corpus groups records by the fields
+they carry.
 """
 
 import json
@@ -182,10 +183,29 @@ def cov_semantic_entropy(embeddings, ridge):
     return 0.5 * (d * math.log(2.0 * math.pi * math.e) + logdet)
 
 
+def _carries(record, field):
+    # "annotations.k" names the key k of the record's annotations
+    if field.startswith("annotations."):
+        return field.split(".", 1)[1] in record.annotations
+    return getattr(record, field) is not None
+
+
 def loop_validation(records):
     """{detector: {record id: fields the record lacks for it}}, with ()
-    for a record the detector can score, from one `missing_fields` call
-    per (record, detector) pair."""
-    from pathrisk.registry import REGISTRY, missing_fields
-    return {name: {rec.id: missing_fields(rec, info) for rec in records}
-            for name, info in REGISTRY.items()}
+    for a record the detector can score and the wrong-kind reason for a
+    record of the kind the detector does not read, checked field by field
+    for every (record, detector) pair."""
+    from pathrisk.records import ClassificationRecord, TraceRecord
+    from pathrisk import registry
+    out = {}
+    for table, reads, kind in (
+            (registry.GENERATIVE_DETECTORS, TraceRecord, "trace"),
+            (registry.DISCRIMINATIVE_DETECTORS, ClassificationRecord,
+             "classification")):
+        for name, required in table.items():
+            out[name] = {
+                rec.id: (tuple(f for f in required if not _carries(rec, f))
+                         if isinstance(rec, reads)
+                         else (f"<requires a {kind} record>",))
+                for rec in records}
+    return out

@@ -6,9 +6,9 @@ from pathrisk.discriminative import (DiscriminativeConfig,
                                      audit_discriminative,
                                      expected_calibration_error,
                                      score_discriminative)
-from pathrisk.records import ClassificationRecord
-from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, missing_fields,
-                               validate_corpus)
+from pathrisk.records import ClassificationRecord, TraceRecord
+from pathrisk.registry import DISCRIMINATIVE_DETECTORS, validate_corpus
+from oracles import loop_validation
 
 DIS_IDS = sorted(DISCRIMINATIVE_DETECTORS)
 
@@ -45,12 +45,17 @@ class TestFixturePolarity:
             assert o.loss == o.severity
 
 
+# what a record with only the mandatory fields and features lacks, by
+# detector
+_BARE_LACKS = {name: lacks["bare"] for name, lacks in
+               loop_validation([_cls("bare", 1, 0)]).items()}
+
+
 class TestEligibility:
     # every detector except calibration_failure, whose one field a bare
     # record carries
-    @pytest.mark.parametrize("pathology", [
-        p for p in DIS_IDS
-        if missing_fields(_cls("bare", 1, 0), DISCRIMINATIVE_DETECTORS[p])])
+    @pytest.mark.parametrize("pathology", [p for p in DIS_IDS
+                                           if _BARE_LACKS[p]])
     def test_records_lacking_fields_leave_the_outcome_unchanged(
             self, pathology):
         # the audit decides eligibility, so the outcome is the audit's
@@ -211,11 +216,41 @@ class TestAudit:
 
         # detectors that read a field bare records carry score them too
         def lacking(outcomes):
-            return [o.to_json_dict() for o in outcomes if missing_fields(
-                bare[0], DISCRIMINATIVE_DETECTORS[o.pathology])]
+            return [o.to_json_dict() for o in outcomes
+                    if _BARE_LACKS[o.pathology]]
 
         assert lacking(full.outcomes) == \
             lacking(audit_discriminative(recs).outcomes)
+
+    def test_a_trace_corpus_skips_every_detector_for_its_kind(self):
+        cfg = DiscriminativeConfig()
+        recs = [TraceRecord(id=f"t{i:02d}", input_embedding=np.ones(2),
+                            output_embedding=np.ones(2))
+                for i in range(cfg.n_min)]
+        result = audit_discriminative(recs, cfg)
+        assert result.outcomes == ()
+        assert result.skipped == {
+            name: f"{name}: record 't00' lacks "
+                  "<requires a classification record>"
+            for name in DISCRIMINATIVE_DETECTORS}
+
+    @pytest.mark.parametrize("first_has,first_lacks", [
+        ("group", "annotations.content_id"),
+        ("annotations.content_id", "group")])
+    def test_the_skip_reason_names_what_the_first_record_lacks(
+            self, first_has, first_lacks):
+        # accent_bias reads both fields; the first record carries one of
+        # them and every later record only the other, so none is eligible
+        def carrying(rid, field):
+            if field == "group":
+                return _cls(rid, 1, 0, group="g0")
+            return _cls(rid, 1, 0, annotations={"content_id": "c0"})
+
+        recs = [carrying("r00", first_has)] + [
+            carrying(f"r{i:02d}", first_lacks) for i in range(1, 20)]
+        result = audit_discriminative(recs)
+        assert result.skipped["accent_bias"] == \
+            f"accent_bias: record 'r00' lacks {first_lacks}"
 
     def test_duplicate_ids_are_rejected(self):
         recs = corpora.discriminative_fixture("calibration_failure", True)

@@ -324,7 +324,6 @@ class TestErrors:
             return real(record)
 
         monkeypatch.setattr(registry, "_presence", counted)
-        monkeypatch.setattr(registry, "record_has_field", None)
         records = corpora.demo_trace_corpus()
         audit_generative(records, kb=corpora.standard_kb(),
                          fixtures=[corpora.demo_causal_fixture()])

@@ -19,7 +19,7 @@ from pathrisk.records import (CausalFixture, ClassificationRecord,
                               read_json_chunked, save_trace_corpus)
 from pathrisk import registry
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
-                               REGISTRY, missing_fields, validate_corpus)
+                               REGISTRY, validate_corpus)
 import corpora
 
 
@@ -169,8 +169,9 @@ def test_validation_matrix_wrong_record_kind():
     assert set(report.not_applicable) == set(GENERATIVE_DETECTORS)
     assert len(report.available["calibration_failure"]) == len(recs)
     # one group per distinct set of missing fields
-    for name, info in DISCRIMINATIVE_DETECTORS.items():
-        distinct = {missing_fields(r, info) for r in recs} - {()}
+    expected = loop_validation(recs)
+    for name in DISCRIMINATIVE_DETECTORS:
+        distinct = set(expected[name].values()) - {()}
         assert set(report.missing[name]) == distinct
 
 
@@ -336,7 +337,6 @@ def test_validation_takes_each_record_once(monkeypatch):
         return real(record)
 
     monkeypatch.setattr(registry, "_presence", counted)
-    monkeypatch.setattr(registry, "record_has_field", None)
     records = (_partly_missing(_gate_shaped_records(60), 3)
                + corpora.demo_trace_corpus())
     report = validate_corpus(records)
@@ -448,8 +448,10 @@ def _kb_file(tmp_path, last):
 
 
 @pytest.mark.parametrize("last,error,message", [
-    ({"entity_id": "b"}, CorpusError, "entry 1: missing embedding"),
-    ({"embedding": [0.0, 1.0]}, CorpusError, "entry 1: missing entity_id"),
+    ({"entity_id": "b"}, RecordValidationError,
+     "entry 1, record 'b', field 'embedding': missing mandatory field"),
+    ({"embedding": [0.0, 1.0]}, RecordValidationError,
+     "entry 1, field 'entity_id': missing mandatory field"),
     ({"entity_id": "b", "embedding": []}, RecordValidationError,
      "record 'b', field 'embedding': expected a nonempty vector"),
     ({"entity_id": "b", "embedding": [[0.0, 1.0]]}, RecordValidationError,

@@ -265,9 +265,20 @@ class TestParetoScan:
             pareto_scan(["a"], [(0.0, 0.0)])
 
     def test_matches_naive_oracle(self, rng):
-        values = [tuple(v) for v in rng.uniform(size=(40, 2))]
-        result = pareto_scan(list(range(40)), values)
-        assert result["pareto_indices"] == naive_pareto(values)
+        # continuous points, then integer grids with ties and duplicate
+        # points, in 1 to 4 objectives
+        inputs = [rng.uniform(size=(40, 2))]
+        inputs += [rng.integers(0, levels, size=(n, k)).astype(float)
+                   for k in (1, 2, 3, 4) for levels in (2, 3, 5)
+                   for n in (2, 7, 40)]
+        for points in inputs:
+            values = [tuple(v) for v in points]
+            result = pareto_scan(list(range(len(values))), values)
+            assert result["pareto_indices"] == naive_pareto(values)
+
+    def test_objective_tuples_of_unequal_length_are_rejected(self):
+        with pytest.raises(RiskError, match="same length"):
+            pareto_scan(["a", "b"], [(0.0, 1.0), (0.0,)])
 
 
 class TestSweep:
