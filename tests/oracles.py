@@ -11,10 +11,11 @@ stereotypy and hypersignification ran before the similarity kernel. The
 entropy oracle is the d x d covariance formula semantic_entropy used
 before it moved to the smaller Gram matrix. The chi CDF is the
 incomplete-gamma power series, so the holonorm density is checked without
-scipy. The validation oracle is a loop over every (record, detector)
-pair that checks each required field with its own `getattr` or
-annotation lookup, where validate_corpus groups records by the fields
-they carry.
+scipy. The density-check oracle is the whole-sample check the package ran
+before it drew its Monte-Carlo sample in row blocks. The validation oracle
+is a loop over every (record, detector) pair that checks each required
+field with its own `getattr` or annotation lookup, where validate_corpus
+groups records by the fields they carry.
 """
 
 import json
@@ -209,3 +210,60 @@ def loop_validation(records):
                          else (f"<requires a {kind} record>",))
                 for rec in records}
     return out
+
+
+def whole_sample_density_check(cfg):
+    """density_transform_check's report from the whole sample at once: one
+    n x D draw, its image under hn, one histogramdd per grid, and the
+    widening loop over that one histogrammed sample. The transformed
+    density itself is the package's holonorm_density, which
+    test_density_integrates_to_the_radial_cdf checks against chi_cdf."""
+    from pathrisk.holonorm import holonorm_density
+    d = cfg.dimension
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.standard_normal((cfg.samples, d))
+    y = x / (1.0 + np.linalg.norm(x, axis=1, keepdims=True))
+    inside = float(np.mean(np.linalg.norm(y, axis=1) < 1.0))
+
+    bins = cfg.default_bins()
+    widened = False
+    notes = []
+    while True:
+        edges = [np.linspace(-1.0, 1.0, bins + 1)] * d
+        counts, _ = np.histogramdd(y, bins=edges)
+        width = 2.0 / bins
+        volume = width ** d
+        centers_1d = np.linspace(-1.0 + width / 2.0, 1.0 - width / 2.0, bins)
+        grids = np.meshgrid(*([centers_1d] * d), indexing="ij")
+        centers = np.stack([g.ravel() for g in grids], axis=1)
+        flat_counts = counts.ravel()
+        mask = flat_counts >= cfg.min_bin_count
+        if mask.any() or bins <= 4:
+            break
+        bins //= 2
+        widened = True
+        notes.append(f"no bin reached {cfg.min_bin_count} samples; "
+                     f"widened to {bins} bins per axis")
+    rel_errors = []
+    for count, center in zip(flat_counts[mask], centers[mask]):
+        theory = holonorm_density(center)
+        if theory <= 0.0:
+            continue
+        empirical = count / (cfg.samples * volume)
+        rel_errors.append(abs(empirical - theory) / theory)
+    if mask.any():
+        mean_rel_error = float(np.mean(rel_errors))
+    else:
+        mean_rel_error = math.inf
+        notes.append(f"no bin holds {cfg.min_bin_count} samples at {bins} "
+                     f"bins per axis; no density was compared")
+    return {"dimension": d,
+            "samples": cfg.samples,
+            "bins_per_axis": bins,
+            "bins_used": int(mask.sum()),
+            "mean_abs_rel_error": mean_rel_error,
+            "passes": mean_rel_error <= cfg.tolerance,
+            "tolerance": cfg.tolerance,
+            "mass_inside_unit_ball": inside,
+            "widened": widened,
+            "notes": notes}

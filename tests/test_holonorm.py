@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pathrisk import holonorm
 from pathrisk.holonorm import (DensityCheckConfig, HolonormError,
                                HolonormModel,
                                constant_param_degeneracy_check,
@@ -11,7 +13,7 @@ from pathrisk.holonorm import (DensityCheckConfig, HolonormError,
                                finite_difference_jacobian_det, forward, hn,
                                holonorm_density, inverse_hn,
                                matrix_determinant_lemma_check)
-from oracles import chi_cdf
+from oracles import chi_cdf, whole_sample_density_check
 
 DIMS = [1, 2, 3, 8, 32]
 
@@ -164,3 +166,58 @@ def test_density_check_without_a_full_bin_fails_and_says_why():
     assert report["widened"]
     assert report["notes"][-1] == ("no bin holds 10001 samples at 4 bins "
                                    "per axis; no density was compared")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_density_check_equals_the_whole_sample(dim, seed):
+    # 100,000 samples make 2, 4 and 5 blocks at D = 1, 2 and 3, the last
+    # one shorter
+    cfg = DensityCheckConfig(dimension=dim, seed=seed)
+    assert density_transform_check(cfg) == whole_sample_density_check(cfg)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_density_check_in_blocks_of_a_few_rows(dim, rows, monkeypatch):
+    monkeypatch.setattr(holonorm, "_BLOCK_ELEMENTS", rows * dim)
+    cfg = DensityCheckConfig(dimension=dim, samples=10_000, seed=dim)
+    assert density_transform_check(cfg) == whole_sample_density_check(cfg)
+
+
+@pytest.mark.parametrize("dim, widths", [(1, [40, 20, 10, 5, 2]),
+                                         (2, [20, 10, 5, 2])])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_widening_draws_the_sample_again(dim, widths, rows, monkeypatch):
+    """No bin can hold more samples than were drawn, so the bins halve down
+    to 2 per axis, and each grid bins the same seeded sample drawn again."""
+    if rows is not None:
+        monkeypatch.setattr(holonorm, "_BLOCK_ELEMENTS", rows * dim)
+    grids = []
+    binned_sample = holonorm._binned_sample
+
+    def counted(cfg, bins):
+        grids.append(bins)
+        return binned_sample(cfg, bins)
+
+    monkeypatch.setattr(holonorm, "_binned_sample", counted)
+    cfg = DensityCheckConfig(dimension=dim, samples=10_000,
+                             min_bin_count=10_001)
+    report = density_transform_check(cfg)
+    assert report == whole_sample_density_check(cfg)
+    assert grids == widths and report["bins_per_axis"] == 2
+    assert report["notes"][-1] == ("no bin holds 10001 samples at 2 bins "
+                                   "per axis; no density was compared")
+
+
+def test_density_check_memory_is_one_block_not_the_sample():
+    # the 10^6 x 2 draw alone would take 16 MB, and hn's image as much again
+    cfg = DensityCheckConfig(dimension=2, samples=1_000_000)
+    tracemalloc.start()
+    try:
+        report = density_transform_check(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["bins_used"] > 0
+    assert peak < 8_000_000
