@@ -11,9 +11,8 @@ of the wrong JSON type is rejected, never coerced ("0.5", true and NaN are
 no numbers), and so is an unknown key where the format is strict. The
 message names the file, the entry (such as line 3, agents[1],
 epsilon_schedule[0], outcomes[2] or entries[0]) and the field. --eps
-follows `risk.resolve_eps`, --scenario `game.load_scenario`; an outcome in
---outcomes has exactly the keys the audit writes, and its family, fired
-and loss must agree with its pathology, severity and threshold.
+follows `risk.resolve_eps`, --scenario `game.load_scenario`, and an
+outcome in --outcomes `registry.DetectorOutcome.from_json_dict`.
 
 `audit` also writes validation.json: which records each detector could
 score, and why it skipped the others (`registry.ValidationReport`).
@@ -39,21 +38,17 @@ subcommand pays only for the modules it uses.
 
 import argparse
 import dataclasses
-import json
 import sys
 from operator import attrgetter
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
 from . import jsonio
-from .records import (CorpusError, RecordValidationError, declare,
-                      decode_object, load_causal_fixtures,
-                      load_knowledge_base, load_trace_corpus, read_json,
-                      read_json_chunked)
-from .registry import (OUTCOME_FIELDS, OUTCOME_JSON_KEYS, DetectorOutcome,
-                       group_by, pathology_ids)
+from .records import (CorpusError, declare, decode_object,
+                      load_causal_fixtures, load_knowledge_base,
+                      load_trace_corpus, read_json, read_json_chunked)
+from .registry import DetectorOutcome, group_by, pathology_ids
 # the audits build the validation report; the name stays bound here for
 # perfbench/layers.py, which rebinds it on this module too
 from .registry import validate_corpus  # noqa: F401
@@ -153,68 +148,36 @@ def _cmd_audit(args):
     return 0
 
 
-# one shared read-only mapping stands for the evidence that is not kept
-_NO_EVIDENCE = MappingProxyType({})
 _OUTCOMES_FILE = declare(("outcomes", "array", True))
-
-
-def _outcome_hook(obj):
-    """The DetectorOutcome of an object with exactly the outcome keys, or
-    the CorpusError naming its bad field (family, fired and loss must be
-    what pathology, severity and threshold give); any other object as is."""
-    if obj.keys() != OUTCOME_JSON_KEYS:
-        return obj
-    try:
-        fields = decode_object(OUTCOME_FIELDS, obj, None)
-    except CorpusError as exc:
-        return exc
-    outcome = DetectorOutcome(pathology=fields["pathology"],
-                              record_ids=fields["record_ids"],
-                              severity=fields["severity"],
-                              threshold=fields["threshold"],
-                              evidence=_NO_EVIDENCE)
-    for name, derived in (("family", outcome.family),
-                          ("fired", outcome.fired), ("loss", outcome.loss)):
-        if fields[name] != derived:
-            return RecordValidationError(
-                f"{json.dumps(fields[name])} disagrees with "
-                f"{json.dumps(derived)}, which the pathology, severity and "
-                f"threshold give", field_name=name)
-    return outcome
 
 
 def _load_outcome_files(paths):
     """The outcomes of each outcomes.json in `paths`, in file order.
 
-    The file is read in chunks (`records.read_json_chunked`), and each
-    outcome is built as its JSON object is parsed, so neither a string of
-    the whole file nor a dict tree of it is held. Evidence is not kept:
-    risk and report never read it, so every loaded outcome has empty
-    evidence. An object in the "outcomes" list must have exactly the keys
-    the audit writes, each decoded by its kind.
+    Each file is read in chunks by `records.read_json_chunked`, and each
+    element of its "outcomes" array is decoded by
+    `DetectorOutcome.from_json_dict` as soon as it is parsed, so neither a
+    string of the whole file nor a dict tree of it is held, and every
+    loaded outcome has empty evidence.
     """
     outcomes = []
     for path in paths:
-        items = decode_object(
-            _OUTCOMES_FILE, read_json_chunked(path, "outcomes", _outcome_hook),
-            str(path))["outcomes"]
-        for i, item in enumerate(items):
-            if isinstance(item, CorpusError):
-                raise CorpusError(f"{path}: outcomes[{i}], {item}")
-            if not isinstance(item, DetectorOutcome):
-                raise CorpusError(f"{path}: outcomes[{i}] is not an object "
-                                  f"with exactly the keys "
-                                  f"{', '.join(sorted(OUTCOME_JSON_KEYS))}")
-        outcomes.extend(items)
+        def outcome(i, obj):
+            return DetectorOutcome.from_json_dict(obj,
+                                                  f"{path}: outcomes[{i}]")
+        outcomes.extend(decode_object(
+            _OUTCOMES_FILE, read_json_chunked(path, "outcomes", outcome),
+            str(path))["outcomes"])
     return outcomes
 
 
 def _cmd_risk(args):
     from . import risk
+    # a bad --tau is rejected before any file is read
+    cfg = risk.ExpectileConfig(tau=args.tau)
     outcomes = _load_outcome_files(args.outcomes)
     eps = None if args.eps is None else risk.resolve_eps(
         read_json(args.eps), pathology_ids(), f"eps {args.eps}")
-    cfg = risk.ExpectileConfig(tau=args.tau)
     report = risk.risk_report(outcomes, eps=eps, cfg=cfg)
     out = _write(args, {"risk_report.json": report.to_json_dict(),
                         "risk_summary.csv": report.csv_rows()},

@@ -13,14 +13,14 @@ records it is handed.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import attrgetter
 
 import numpy as np
 
 from . import registry
 from .registry import (DISCRIMINATIVE_DETECTORS, AuditResult, DetectorError,
-                       DetectorOutcome, clamp01, fmt, group_by)
+                       DetectorOutcome, clamp01, content_pairs, fmt,
+                       group_by)
 
 
 @dataclass(frozen=True)
@@ -87,18 +87,24 @@ def _disagree(pair):
 
 # --- detectors ---------------------------------------------------------------
 
+def _accuracy_drop(records, role, roles, keys, none_message):
+    """The clamped drop from the accuracy of the records whose role(r) is
+    roles[0] to that of those whose role is roles[1], and evidence that
+    names the two accuracies and the drop by `keys`; a DetectorError with
+    none_message if either side is empty."""
+    sides = [[r for r in records if role(r) == value] for value in roles]
+    if not all(sides):
+        raise DetectorError(none_message)
+    first, second = map(_accuracy, sides)
+    drop = first - second
+    return clamp01(drop), dict(zip(keys, map(fmt, (first, second, drop))))
+
+
 def _score_overfitting(records, cfg):
-    train = [r for r in records
-             if r.annotations.get("in_train_set", "").lower() == "true"]
-    held = [r for r in records
-            if r.annotations.get("in_train_set", "").lower() == "false"]
-    if not train or not held:
-        raise DetectorError("overfitting: needs both train-flagged and "
-                            "held-out records")
-    gap = _accuracy(train) - _accuracy(held)
-    return clamp01(gap), {"train_accuracy": fmt(_accuracy(train)),
-                          "holdout_accuracy": fmt(_accuracy(held)),
-                          "gap": fmt(gap)}
+    return _accuracy_drop(
+        records, lambda r: r.annotations.get("in_train_set", "").lower(),
+        ("true", "false"), ("train_accuracy", "holdout_accuracy", "gap"),
+        "overfitting: needs both train-flagged and held-out records")
 
 
 def _prediction_rates(records, classes):
@@ -125,17 +131,11 @@ def _score_bias_amplification(records, cfg):
 
 
 def _score_spurious_correlation(records, cfg):
-    clean = [r for r in records
-             if r.annotations["spurious_role"] == "clean"]
-    resampled = [r for r in records
-                 if r.annotations["spurious_role"] == "resampled"]
-    if not clean or not resampled:
-        raise DetectorError("spurious_correlation: needs clean and "
-                            "resampled roles")
-    drop = _accuracy(clean) - _accuracy(resampled)
-    return clamp01(drop), {"clean_accuracy": fmt(_accuracy(clean)),
-                           "resampled_accuracy": fmt(_accuracy(resampled)),
-                           "drop": fmt(drop)}
+    return _accuracy_drop(
+        records, lambda r: r.annotations["spurious_role"],
+        ("clean", "resampled"),
+        ("clean_accuracy", "resampled_accuracy", "drop"),
+        "spurious_correlation: needs clean and resampled roles")
 
 
 def _score_adversarial(records, cfg):
@@ -193,10 +193,10 @@ def _score_concept_drift(records, cfg):
     half = len(ordered) // 2
     ref, cur = ordered[:half], ordered[half:]
     tv = _feature_tv(ref, cur, cfg.tv_bins)
-    gap = _accuracy(ref) - _accuracy(cur)
-    severity = clamp01(gap) if tv >= cfg.tv_hi else 0.0
-    return severity, {"reference_accuracy": fmt(_accuracy(ref)),
-                      "current_accuracy": fmt(_accuracy(cur)),
+    ref_accuracy, cur_accuracy = _accuracy(ref), _accuracy(cur)
+    severity = clamp01(ref_accuracy - cur_accuracy) if tv >= cfg.tv_hi else 0.0
+    return severity, {"reference_accuracy": fmt(ref_accuracy),
+                      "current_accuracy": fmt(cur_accuracy),
                       "feature_tv": fmt(tv)}
 
 
@@ -209,13 +209,9 @@ def _score_misclassification_uncertainty(records, cfg):
 
 
 def _score_prosodic(records, cfg):
-    pairs = [(a, b)
-             for group in group_by(records,
-                                   lambda r: r.annotations["content_id"])
-             for a, b in combinations(sorted(group, key=lambda r: r.id), 2)
-             if a.annotations.get("prosody") != b.annotations.get("prosody")]
     rate, events, n = _event_rate(
-        pairs, lambda p: _disagree(p) and not (p[0].correct and p[1].correct),
+        content_pairs(records, "prosody"),
+        lambda p: _disagree(p) and not (p[0].correct and p[1].correct),
         "prosodic_misclassification: no content-matched pair with differing "
         "prosody")
     return rate, {"events": events, "eligible_pairs": n}

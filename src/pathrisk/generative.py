@@ -22,7 +22,6 @@ cosine scale (1+cos)/2.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,7 +31,8 @@ from .metrics import (MIEstimatorConfig, coherence, fluency, sim,
                       sim_matrix, sim_row_blocks)
 from . import registry
 from .registry import (AuditResult, DetectorError, DetectorOutcome,
-                       GENERATIVE_DETECTORS, clamp01, fmt, group_by)
+                       GENERATIVE_DETECTORS, clamp01, content_pairs, fmt,
+                       group_by)
 
 # Severity floor for existential predicates ("some entity unknown", "both a
 # true and a false claim present"): any positive fraction fires.
@@ -469,20 +469,12 @@ def score(pathology, data, cfg=GenerativeConfig(), kb=None):
                            evidence=evidence)
 
 
-def _misattribution_pairs(records):
-    return [(a, b)
-            for group in group_by(records,
-                                  lambda r: r.annotations["content_id"])
-            for a, b in combinations(sorted(group, key=lambda r: r.id), 2)
-            if a.annotations["source_id"] != b.annotations["source_id"]]
-
-
 def _units(arity, eligible, fixtures):
     """The units a detector of that arity scores; the reason if none."""
     if arity is Arity.RECORD:
         return eligible, "no record carries the required fields"
     if arity is Arity.PAIR:
-        return (_misattribution_pairs(eligible),
+        return (content_pairs(eligible, "source_id"),
                 "no content-matched pair with distinct sources")
     if arity is Arity.FIXTURE:
         return list(fixtures), "no causal fixtures supplied"

@@ -18,7 +18,6 @@ so its memory does not grow with the number of samples.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -253,7 +252,6 @@ class DensityCheckConfig:
 
     dimension: int
     samples: int = 100_000
-    bins_per_axis: Optional[int] = None
     seed: int = 0
     tolerance: float = 0.1
     min_bin_count: int = 50
@@ -267,8 +265,6 @@ class DensityCheckConfig:
             raise HolonormError(f"tolerance {self.tolerance} must be >= 0")
 
     def default_bins(self):
-        if self.bins_per_axis is not None:
-            return self.bins_per_axis
         return {1: 40, 2: 20}.get(self.dimension, 8)
 
 

@@ -23,10 +23,12 @@ Interning makes the records of one corpus share one string object for each
 distinct annotation key, annotation value and subgroup tag.
 
 The CLI's other input files are decoded by the same kinds, through
-`declare` and `decode_object`. `read_json` parses a whole JSON file;
-`read_json_chunked` gives the same value, but reads the file in chunks and
-decodes the elements of one top-level array one at a time, so a file of
-many outcomes is never held as one string.
+`declare` and `decode_object`. `read_json` parses a whole JSON file.
+`read_json_chunked` reads the file in chunks and hands each element of one
+top-level array to a function as soon as it is parsed, which decodes it:
+a knowledge base's entries and an outcomes file's outcomes are read that
+way, so neither file is held as one string or as one tree of parsed
+values.
 """
 
 import json
@@ -320,11 +322,11 @@ def _decode_record(decoders, obj, where, id_name="id"):
     return decode_object(decoders, obj, where, id_name, ignored=())
 
 
-def read_json(path, object_hook=None):
+def read_json(path):
     """The JSON document in the file at `path`; CorpusError if malformed."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle, object_hook=object_hook)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: malformed JSON ({exc.msg}, line "
                               f"{exc.lineno})") from None
@@ -334,6 +336,7 @@ def read_json(path, object_hook=None):
 _CHUNK_CHARS = 1 << 16
 # what can follow a complete JSON value: whitespace, a delimiter, a bracket
 _FOLLOWERS = frozenset(" \t\n\r,:]}")
+_DECODER = json.JSONDecoder()
 
 
 class _Malformed(Exception):
@@ -378,7 +381,7 @@ class _ChunkedText:
         self.pos += 1
         return char
 
-    def value(self, decoder):
+    def value(self):
         """Consume and decode the next JSON value. It is complete once
         something that can follow a value follows it, or the file ends;
         until then (a value or number cut at the end of the text read so
@@ -386,7 +389,7 @@ class _ChunkedText:
         self.peek()
         while True:
             try:
-                obj, end = decoder.raw_decode(self.text, self.pos)
+                obj, end = _DECODER.raw_decode(self.text, self.pos)
             except json.JSONDecodeError:
                 if self._read():
                     continue
@@ -397,9 +400,9 @@ class _ChunkedText:
                 return obj
 
 
-def _chunked_members(text, decoder, array_name):
-    # the members of the top-level object, the elements of array_name one
-    # at a time; the end of the file must follow it
+def _chunked_members(text, array_name, item):
+    # the members of the top-level object, each element of array_name
+    # handed to item as it is parsed; the end of the file must follow it
     members = {}
     text.expect("{")
     if text.peek() == "}":
@@ -408,7 +411,7 @@ def _chunked_members(text, decoder, array_name):
         while True:
             if text.peek() != '"':
                 raise _Malformed
-            key = text.value(decoder)
+            key = text.value()
             text.expect(":")
             if key == array_name and text.peek() == "[":
                 text.pos += 1
@@ -416,11 +419,11 @@ def _chunked_members(text, decoder, array_name):
                 if text.peek() == "]":
                     text.pos += 1
                 else:
-                    items.append(text.value(decoder))
+                    items.append(item(0, text.value()))
                     while text.expect(",]") == ",":
-                        items.append(text.value(decoder))
+                        items.append(item(len(items), text.value()))
             else:
-                members[key] = text.value(decoder)
+                members[key] = text.value()
             if text.expect(",}") == "}":
                 break
     if text.peek():
@@ -428,29 +431,27 @@ def _chunked_members(text, decoder, array_name):
     return members
 
 
-def read_json_chunked(path, array_name, object_hook=None):
-    """What `read_json(path, object_hook)` returns, read _CHUNK_CHARS
-    characters at a time, so no string of the whole file is formed.
+def read_json_chunked(path, array_name, item):
+    """What `read_json(path)` returns, read _CHUNK_CHARS characters at a
+    time, so no string of the whole file is formed, and with each element
+    x of the top-level member `array_name` replaced by item(i, x), i its
+    index.
 
-    The top-level object is decoded member by member. The elements of its
-    member `array_name` are decoded one at a time, each through
-    `object_hook` as it is parsed, and every other member is decoded
-    whole. A file that is not one well-formed JSON object in UTF-8 is read
-    again by `read_json`, so its value or its error (the message and the
-    line counted from the start of the file) is exactly `read_json`'s.
+    The top-level object is decoded member by member. When its member
+    `array_name` is an array, each element is decoded alone and handed to
+    `item` as soon as it is parsed, so an error `item` raises ends the
+    read there; every other member is decoded whole. A file that is not one
+    well-formed JSON object in UTF-8 is read again by `read_json`, so its
+    error (the message and the line counted from the start of the file),
+    or its value when that is not an object, is exactly `read_json`'s.
     """
-    decoder = json.JSONDecoder(object_hook=object_hook)
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            members = _chunked_members(_ChunkedText(handle), decoder,
-                                       array_name)
+            return _chunked_members(_ChunkedText(handle), array_name, item)
         except (_Malformed, UnicodeDecodeError):
             # read_json reports a decoding error at its position in the file
-            members = None
-    if members is None:
-        return read_json(path, object_hook)
-    # json.load hands the top-level object to the hook too
-    return members if object_hook is None else object_hook(members)
+            pass
+    return read_json(path)
 
 
 def _json_value(value):
@@ -756,36 +757,26 @@ def save_trace_corpus(path, records):
             handle.write("\n")
 
 
-def _kb_entry_hook(obj):
-    # each entry's embedding becomes an array as soon as the entry is
-    # parsed, so the floats of the whole file are never alive at once; one
-    # that does not decode stays as parsed, for its entry's error to name
-    try:
-        obj["embedding"] = _vector(obj["embedding"])
-    except (KeyError, ValueError, OverflowError):
-        pass
-    return obj
-
-
-def _embedding(value):
-    # _kb_entry_hook has made every valid embedding an array
-    return value if type(value) is np.ndarray else _vector(value)
-
-
 _KB_FILE = (("source_tag", _string, False), ("entries", _list, True))
-_KB_ENTRY = (("entity_id", _string, True), ("embedding", _embedding, True))
+_KB_ENTRY = (("entity_id", _string, True), ("embedding", _vector, True))
+
+
+def _kb_entry(i, obj):
+    # an entry's embedding becomes an array as soon as the entry is
+    # parsed, so the floats of the whole file are never alive at once
+    entry = _decode_record(_KB_ENTRY, obj, f"entry {i}", "entity_id")
+    return entry["entity_id"], entry["embedding"]
 
 
 def load_knowledge_base(path):
     """Load a knowledge base from a JSON object {"source_tag": string,
-    "entries": [{"entity_id": string, "embedding": vector}, ...]}."""
-    obj = _decode_record(_KB_FILE, read_json(path, _kb_entry_hook),
+    "entries": [{"entity_id": string, "embedding": vector}, ...]}, read in
+    chunks; each entry is decoded as it is parsed, so an entry's error
+    comes before the file's own."""
+    obj = _decode_record(_KB_FILE,
+                         read_json_chunked(path, "entries", _kb_entry),
                          "knowledge base")
-    entries = []
-    for i, entry in enumerate(obj["entries"]):
-        entry = _decode_record(_KB_ENTRY, entry, f"entry {i}", "entity_id")
-        entries.append((entry["entity_id"], entry["embedding"]))
-    return KnowledgeBase(entries=tuple(entries),
+    return KnowledgeBase(entries=tuple(obj["entries"]),
                          source_tag=obj.get("source_tag", ""))
 
 

@@ -7,21 +7,32 @@ is the table that holds it. It also holds the types every audit shares
 (outcome, result, errors, validation report), `validate_corpus`, the one
 place that works out which fields a record lacks for a detector, and the
 helpers both families call: `fmt` writes an evidence number, `clamp01`
-clips a severity to [0, 1] and `group_by` groups records by a key. How a
+clips a severity to [0, 1], `group_by` groups records by a key and
+`content_pairs` pairs the records of one content id. How a
 generative detector is scored
 (its arity, whether it reads the knowledge base, its scorer and
 threshold) lives beside its scorer in `generative._DETECTORS`; a
 discriminative one folds the whole corpus, with its scorer and threshold
 in `discriminative._DETECTORS`.
 
+The outcome format is written and read here alone:
+`DetectorOutcome.to_json_dict` gives an outcome's object in
+outcomes.json, and `DetectorOutcome.from_json_dict` decodes one.
+
 The pair {semantic_reheating, semantic_warming} is one alias group, so
 reports count 34 distinct pathologies.
 """
 
+import json
 from dataclasses import dataclass, field
+from itertools import combinations
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Optional
 
-from .records import ClassificationRecord, TraceRecord, declare
+from .records import (ClassificationRecord, CorpusError,
+                      RecordValidationError, TraceRecord, declare,
+                      decode_object)
 
 # detector id -> the record fields it requires; "annotations.k" is the key
 # k of the record's annotations
@@ -116,6 +127,18 @@ def group_by(records, key):
     return [groups[k] for k in sorted(groups)]
 
 
+def content_pairs(records, key):
+    """The pairs of records with the same annotations["content_id"] whose
+    annotations[key] differ, each pair ordered by id: per content id in
+    sorted order, the pairs in the order of `combinations` over the
+    id-sorted records."""
+    return [(a, b)
+            for group in group_by(records,
+                                  lambda r: r.annotations["content_id"])
+            for a, b in combinations(sorted(group, key=attrgetter("id")), 2)
+            if a.annotations.get(key) != b.annotations.get(key)]
+
+
 @dataclass(frozen=True, slots=True)
 class DetectorOutcome:
     """Verdict of one detector evaluation.
@@ -166,16 +189,43 @@ class DetectorOutcome:
                 "threshold": self.threshold,
                 "evidence": dict(self.evidence)}
 
+    @classmethod
+    def from_json_dict(cls, obj, where):
+        """The outcome of a JSON object that `to_json_dict` wrote; an error
+        names `where`. The object has exactly the keys that it writes, each
+        decoded by its kind, and its family, fired and loss must be what
+        its pathology, severity and threshold give. Evidence must be
+        present but is not kept, since risk and report never read it: the
+        outcome gets an empty read-only one."""
+        if type(obj) is not dict or obj.keys() != _OUTCOME_KEYS:
+            raise CorpusError(f"{where} is not an object with exactly the "
+                              f"keys {', '.join(sorted(_OUTCOME_KEYS))}")
+        fields = decode_object(_OUTCOME_FIELDS, obj, where)
+        outcome = cls(pathology=fields["pathology"],
+                      record_ids=fields["record_ids"],
+                      severity=fields["severity"],
+                      threshold=fields["threshold"], evidence=_NO_EVIDENCE)
+        for name, derived in (("family", outcome.family),
+                              ("fired", outcome.fired),
+                              ("loss", outcome.loss)):
+            if fields[name] != derived:
+                raise RecordValidationError(
+                    f"{json.dumps(fields[name])} disagrees with "
+                    f"{json.dumps(derived)}, which the pathology, severity "
+                    f"and threshold give", field_name=name, where=where)
+        return outcome
 
-# the keys of DetectorOutcome.to_json_dict but evidence, with their kinds;
-# a loader knows an outcome in a parsed file by exactly OUTCOME_JSON_KEYS
-OUTCOME_FIELDS = declare(
+
+# the keys of DetectorOutcome.to_json_dict but evidence, with their kinds
+_OUTCOME_FIELDS = declare(
     ("pathology", "id", True), ("family", "string", True),
     ("record_ids", "strings", True), ("fired", "boolean", True),
     ("severity", "number", True), ("loss", "number", True),
     ("threshold", "number", True))
-OUTCOME_JSON_KEYS = frozenset(
-    [name for name, _, _ in OUTCOME_FIELDS] + ["evidence"])
+_OUTCOME_KEYS = frozenset(
+    [name for name, _, _ in _OUTCOME_FIELDS] + ["evidence"])
+# one shared read-only mapping stands for the evidence that is not kept
+_NO_EVIDENCE = MappingProxyType({})
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ quadratic E[w_tau(L - r) (L - r)^2] with w_tau(z) = tau for z > 0 and
 
 initialized at the sample mean, iterated until the first-order condition
 balances. At tau = 0.5 this is the mean; for tau > 0.5 it up-weights
-upper-tail losses.
+upper-tail losses. `ExpectileConfig` accepts only tau in [0.5, 1): below
+0.5 the expectile is superadditive, hence no coherent risk measure
+(Bellini, Klar, Mueller and Rosazza Gianin, Insurance: Mathematics and
+Economics 2014).
 
 The one gate is `deployment_gate`: `risk_report` and the delegation
 game's leader loop both call it, on thresholds from `resolve_eps`.
@@ -51,8 +54,8 @@ class ExpectileConfig:
     tau: float = 0.9
 
     def __post_init__(self):
-        if not (0.0 < self.tau < 1.0):
-            raise RiskError(f"tau {self.tau} outside (0,1)")
+        if not (0.5 <= self.tau < 1.0):
+            raise RiskError(f"tau {self.tau} outside [0.5,1)")
 
 
 def expectile_foc_residual(losses, r, tau):

@@ -420,6 +420,20 @@ def test_bad_outcomes_exit_2(tmp_path, capsys, subcommand, change, message):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["risk", "pareto"])
+@pytest.mark.parametrize("tau", ["0.1", "0.4999"])
+def test_tau_below_half_exits_2(tmp_path, capsys, subcommand, tau):
+    # the expectile is a coherent risk only for tau >= 1/2; risk rejects
+    # it before reading the outcomes, which do not exist here
+    argv = (["risk", "--outcomes", str(tmp_path / "missing.json")]
+            if subcommand == "risk" else ["pareto", "--seed", "0"])
+    out = tmp_path / "low"
+    assert cli.main(argv + ["--tau", tau, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: tau {float(tau)} outside [0.5,1)\n"
+    assert not out.exists()
+
+
 # one malformed value per field kind, in each input the loaders read:
 # (input, the bad value, the message it must give). A dict value is merged
 # into a valid object (a None deletes its key); any other value replaces

@@ -182,7 +182,8 @@ def test_outcomes_load_alike_in_chunks_of_any_size(tmp_path, monkeypatch,
             separators=(",", ":"), ensure_ascii=False), encoding="utf-8")
     else:
         jsonio.write_json(path, doc)
-    whole = read_json(path, cli._outcome_hook)["outcomes"]
+    whole = [DetectorOutcome.from_json_dict(obj, f"outcomes[{i}]")
+             for i, obj in enumerate(read_json(path)["outcomes"])]
     assert len(whole) == 60
     # a well-formed file is never read whole
     monkeypatch.setattr("pathrisk.records.read_json", None)

@@ -478,6 +478,21 @@ def test_knowledge_base_file_round_trip(tmp_path):
     assert np.array_equal(loaded.embedding_matrix(), kb.embedding_matrix())
 
 
+def test_knowledge_base_is_read_in_chunks(tmp_path, monkeypatch):
+    # a well-formed file never reaches the whole-file reader
+    kb = corpora.standard_kb()
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps(kb.to_json_dict()))
+    monkeypatch.setattr("pathrisk.records.read_json", None)
+    for chars in (3, 1 << 16):
+        monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", chars)
+        loaded = load_knowledge_base(path)
+        assert loaded.source_tag == kb.source_tag
+        assert [e for e, _ in loaded.entries] == [e for e, _ in kb.entries]
+        assert np.array_equal(loaded.embedding_matrix(),
+                              kb.embedding_matrix())
+
+
 def test_knowledge_base_load_holds_no_list_of_floats(tmp_path):
     # 128 x 768 two-decimal floats: as Python floats in lists they take
     # about 32 B each, about 4x the 8 B of the array the KB keeps
@@ -649,17 +664,26 @@ _MEMBERS = st.dictionaries(st.sampled_from(("skipped", "dropped", "x", "")),
                            _JSON_VALUES, max_size=3)
 
 
-def _hooked(obj):
-    return {"hooked": obj}
+def _indexed(i, element):
+    return (i, element)
 
 
-def _chunked(path, chars, monkeypatch, hook=_hooked):
+def _expected(path):
+    """read_json's value, each element of a top-level "outcomes" array
+    paired with its index, as read_json_chunked with _indexed gives it."""
+    doc = read_json(path)
+    if type(doc) is dict and type(doc.get("outcomes")) is list:
+        doc["outcomes"] = list(enumerate(doc["outcomes"]))
+    return doc
+
+
+def _chunked(path, chars, monkeypatch, item=_indexed):
     """read_json_chunked at `chars` characters a read; a valid file must
     not fall back to the whole-file reader."""
     monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", chars)
     monkeypatch.setattr("pathrisk.records.read_json", None)
     try:
-        return read_json_chunked(path, "outcomes", hook)
+        return read_json_chunked(path, "outcomes", item)
     finally:
         monkeypatch.undo()
 
@@ -675,7 +699,7 @@ def test_chunked_reader_equals_the_whole_file_reader(
     separators = (",", ":") if indent is None else (",", ": ")
     path.write_text(json.dumps(doc, indent=indent, separators=separators,
                                ensure_ascii=ascii_only), encoding="utf-8")
-    expected = read_json(path, _hooked)
+    expected = _expected(path)
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert _chunked(path, chars, monkeypatch) == expected
 
@@ -690,7 +714,7 @@ def test_chunked_reader_equals_the_whole_file_reader(
 def test_chunked_reader_edges(tmp_path, monkeypatch, text):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
-    expected = read_json(path, _hooked)
+    expected = _expected(path)
     for chars in range(1, 8):
         assert _chunked(path, chars, monkeypatch) == expected
 
@@ -704,7 +728,8 @@ def test_chunked_reader_splits_numbers_at_every_offset(tmp_path,
     path = tmp_path / "numbers.json"
     path.write_text(text)
     for chars in range(1, 12):
-        loaded = _chunked(path, chars, monkeypatch, hook=None)
+        loaded = _chunked(path, chars, monkeypatch,
+                          item=lambda i, element: element)
         assert loaded == {"outcomes": numbers, "skipped": numbers[::-1]}
         assert [math.copysign(1.0, x) for x in loaded["outcomes"]] == \
             [math.copysign(1.0, x) for x in numbers]
@@ -726,12 +751,12 @@ def test_chunked_reader_reports_malformed_json_as_read_json_does(
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CorpusError) as whole:
-        read_json(path, _hooked)
+        read_json(path)
     assert str(whole.value).startswith(f"{path}: malformed JSON (")
     assert message in str(whole.value)
     monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", 3)
     with pytest.raises(CorpusError) as chunked:
-        read_json_chunked(path, "outcomes", _hooked)
+        read_json_chunked(path, "outcomes", _indexed)
     assert str(chunked.value) == str(whole.value)
 
 
@@ -744,7 +769,7 @@ def test_chunked_reader_counts_lines_from_the_start_of_the_file(
     path.write_text("\n".join(lines))
     monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", 5)
     with pytest.raises(CorpusError) as exc:
-        read_json_chunked(path, "outcomes")
+        read_json_chunked(path, "outcomes", _indexed)
     assert str(exc.value) == (f"{path}: malformed JSON (Expecting ',' "
                               f"delimiter, line 42)")
 
@@ -758,15 +783,36 @@ def test_chunked_reader_reports_bad_utf8_as_read_json_does(tmp_path,
         read_json(path)
     monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", 5)
     with pytest.raises(UnicodeDecodeError) as chunked:
-        read_json_chunked(path, "outcomes")
+        read_json_chunked(path, "outcomes", _indexed)
     assert str(chunked.value) == str(whole.value)
     assert "position 15015" in str(whole.value)
 
 
 def test_chunked_reader_gives_a_top_level_array_as_is(tmp_path, monkeypatch):
-    # read_json's value; the caller's decode_object then rejects it
+    # read_json's value, no element handed to item; the caller's
+    # decode_object then rejects it
     path = tmp_path / "array.json"
     path.write_text('[{"outcomes": []}, 1]')
     monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", 4)
-    assert read_json_chunked(path, "outcomes", _hooked) == \
-        [_hooked({"outcomes": []}), 1]
+    assert read_json_chunked(path, "outcomes", _indexed) == \
+        [{"outcomes": []}, 1]
+
+
+def test_chunked_reader_stops_at_the_first_element_item_rejects(
+        tmp_path, monkeypatch):
+    # each element reaches item as it is parsed: the file's later fault
+    # is never read
+    path = tmp_path / "doc.json"
+    path.write_text('{"outcomes": [0, 1, 2, 3], "x": [oops]}')
+    seen = []
+
+    def item(i, element):
+        seen.append((i, element))
+        if element == 2:
+            raise CorpusError(f"outcomes[{i}] rejected")
+        return element
+
+    monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", 3)
+    with pytest.raises(CorpusError, match=r"^outcomes\[2\] rejected$"):
+        read_json_chunked(path, "outcomes", item)
+    assert seen == [(0, 0), (1, 1), (2, 2)]

@@ -15,8 +15,8 @@ from oracles import (asymmetric_objective, grid_expectile, naive_pareto)
 _losses = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 _loss_lists = st.lists(_losses, min_size=1, max_size=40)
 _loss_pairs = st.lists(st.tuples(_losses, _losses), min_size=1, max_size=40)
-_taus = st.floats(min_value=0.05, max_value=0.95)
-# the expectile is coherent for tau >= 1/2 only; below it, superadditive
+# ExpectileConfig accepts tau in [1/2, 1), where the expectile is coherent
+_taus = st.floats(min_value=0.5, max_value=0.95)
 _coherent_taus = st.floats(min_value=0.5, max_value=0.999)
 
 
@@ -40,7 +40,7 @@ class TestExpectileBasics:
         assert value == pytest.approx(float(losses.mean()), abs=1e-10)
 
     def test_constant_losses(self):
-        for tau in (0.1, 0.5, 0.9):
+        for tau in (0.5, 0.7, 0.9):
             assert expectile([3.25] * 7, ExpectileConfig(tau=tau)) == \
                 pytest.approx(3.25)
 
@@ -48,11 +48,11 @@ class TestExpectileBasics:
         losses = [0.0] * 500 + [1.0] * 500
         assert expectile(losses, ExpectileConfig(tau=0.9)) == \
             pytest.approx(0.9, abs=1e-6)
-        assert expectile(losses, ExpectileConfig(tau=0.2)) == \
-            pytest.approx(0.2, abs=1e-6)
+        assert expectile(losses, ExpectileConfig(tau=0.6)) == \
+            pytest.approx(0.6, abs=1e-6)
         # oracle: dense grid of the asymmetric quadratic objective
         assert grid_expectile(losses, 0.9) == pytest.approx(0.9, abs=1e-4)
-        assert grid_expectile(losses, 0.2) == pytest.approx(0.2, abs=1e-4)
+        assert grid_expectile(losses, 0.6) == pytest.approx(0.6, abs=1e-4)
 
     def test_single_sample(self):
         assert expectile([0.7]) == pytest.approx(0.7)
@@ -64,6 +64,12 @@ class TestExpectileBasics:
             expectile([1.0, float("nan")])
         with pytest.raises(RiskError):
             ExpectileConfig(tau=1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1, 0.2, 0.4999, math.nan])
+    def test_rejects_tau_below_half(self, tau):
+        # below 1/2 the expectile is superadditive, so no coherent risk
+        with pytest.raises(RiskError, match=r"outside \[0.5,1\)"):
+            ExpectileConfig(tau=tau)
 
 
 class TestExpectileOracle:
@@ -80,7 +86,7 @@ class TestExpectileOracle:
     def test_agreement_on_random_fixtures(self):
         for seed in range(100):
             local = np.random.default_rng(seed)
-            tau = float(local.uniform(0.05, 0.95))
+            tau = float(local.uniform(0.5, 0.95))
             n = int(local.choice([10, 100, 1000]))
             losses = local.uniform(size=n)
             fixed_point = expectile(losses, ExpectileConfig(tau=tau))
@@ -123,7 +129,7 @@ class TestExpectileProperties:
     @given(_loss_lists)
     def test_monotone_in_tau(self, losses):
         values = [expectile(losses, ExpectileConfig(tau=t))
-                  for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+                  for t in (0.5, 0.6, 0.7, 0.8, 0.9)]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-9
 
@@ -152,7 +158,7 @@ class TestExpectileProperties:
             local = np.random.default_rng(seed)
             n = int(local.choice([10, 1000, 100_000]))
             losses = local.standard_normal(n) ** 2
-            cfg = ExpectileConfig(tau=float(local.uniform(0.05, 0.95)))
+            cfg = ExpectileConfig(tau=float(local.uniform(0.5, 0.95)))
             value = expectile(losses, cfg)
             assert (expectile_foc_residual(losses, value, cfg.tau)
                     <= EXPECTILE_TOL)
