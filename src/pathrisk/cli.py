@@ -2,9 +2,12 @@
 
 Subcommands: audit, risk, holonorm-verify, game, pareto, report. Every run
 writes canonical JSON reports plus CSV summaries and a manifest (version,
-seed, input digests, config hash) into --out. Exit codes: 0 success;
-1 a failed identity (holonorm-verify); 2 a rejected input or a usage
-error; 3 an infeasible deployment gate (risk --gate).
+seed, input digests, config hash) into --out. The seed is --seed where a
+subcommand draws random numbers: the samples of holonorm-verify and pareto,
+the MI projections of audit. game takes it from its scenario; risk and
+report draw none, so they take no --seed and write "seed": null. Exit
+codes: 0 success; 1 a failed identity (holonorm-verify); 2 a rejected
+input or a usage error; 3 an infeasible deployment gate (risk --gate).
 
 Every input file is decoded field by field by the `records` kinds: a value
 of the wrong JSON type is rejected, never coerced ("0.5", true and NaN are
@@ -15,14 +18,15 @@ follows `risk.resolve_eps`, --scenario `game.load_scenario`, and an
 outcome in --outcomes `registry.DetectorOutcome.from_json_dict`.
 
 `audit` also writes validation.json: which records each detector could
-score, and why it skipped the others (`registry.ValidationReport`).
+score, and why it skipped the others (`registry.ValidationReport`). Only
+trace detectors read --kb and --fixtures, so classification rejects both.
 
 `audit --config` reads a JSON object with the optional sections
 "generative", "mi" and "discriminative", such as {"generative": {"delta":
 0.95}}. Their keys are the fields of GenerativeConfig (but `mi`),
 MIEstimatorConfig and DiscriminativeConfig, each decoded by the kind of its
-type; each value applies to every detector that reads it, and the mi seed
-defaults to --seed. A value its config class rejects exits 2 as well.
+type; each value applies to every detector that reads it. The MI seed is
+--seed, not a config key. A value its config class rejects exits 2 as well.
 The config is read before any other input, so its error is the one
 reported when it and another input are both bad.
 
@@ -66,7 +70,7 @@ def _load_config(path):
     from .generative import GenerativeConfig
     from .metrics import MIEstimatorConfig
     # section -> its config class; the MI estimator is configured in its
-    # own section, not as the `mi` field of GenerativeConfig
+    # own section, not as GenerativeConfig's `mi`, and seeded by --seed
     config_classes = {"generative": GenerativeConfig, "mi": MIEstimatorConfig,
                       "discriminative": DiscriminativeConfig}
     where = f"config {path}"
@@ -76,7 +80,8 @@ def _load_config(path):
     for section, body in config.items():
         cls, here = config_classes[section], f"{where}: section {section!r}"
         fields = declare(*((f.name, _TYPE_KINDS[f.type])
-                           for f in dataclasses.fields(cls) if f.name != "mi"))
+                           for f in dataclasses.fields(cls)
+                           if f.name not in ("mi", "seed")))
         config[section] = decode_object(fields, body, here, ignored=())
         # the class checks the ranges, whichever schema the audit reads
         try:
@@ -84,15 +89,6 @@ def _load_config(path):
         except ValueError as exc:
             raise CorpusError(f"{here}: {exc}") from None
     return config
-
-
-def _generative_config(cfg_obj, seed):
-    from .generative import GenerativeConfig
-    from .metrics import MIEstimatorConfig
-    mi_obj = dict(cfg_obj.get("mi", {}))
-    mi_obj.setdefault("seed", seed)
-    return GenerativeConfig(**cfg_obj.get("generative", {}),
-                            mi=MIEstimatorConfig(**mi_obj))
 
 
 def _write(args, files, manifest):
@@ -111,21 +107,25 @@ def _write(args, files, manifest):
 
 
 def _cmd_audit(args):
+    for flag in ("kb", "fixtures"):
+        if args.schema == "classification" and getattr(args, flag):
+            raise ValueError(f"--{flag} applies to trace corpora only")
     # the config (which imports every detector module) and the detectors
     # come before the corpus: the memory that compiling them takes is then
     # freed before the corpus takes its own, so the two do not add up
     cfg_obj = _load_config(args.config)
     if args.schema == "trace":
-        from . import generative
+        from . import generative, metrics
     else:
         from . import discriminative
     records = load_trace_corpus(args.corpus, schema=args.schema)
-    kb = load_knowledge_base(args.kb) if args.kb else None
-    causal = load_causal_fixtures(args.fixtures) if args.fixtures else ()
     if args.schema == "trace":
+        kb = load_knowledge_base(args.kb) if args.kb else None
+        causal = load_causal_fixtures(args.fixtures) if args.fixtures else ()
+        mi = metrics.MIEstimatorConfig(**cfg_obj.get("mi", {}), seed=args.seed)
         result = generative.audit_generative(
-            records, kb=kb, fixtures=causal,
-            cfg=_generative_config(cfg_obj, args.seed))
+            records, kb=kb, fixtures=causal, cfg=generative.GenerativeConfig(
+                **cfg_obj.get("generative", {}), mi=mi))
     else:
         result = discriminative.audit_discriminative(
             records, cfg=discriminative.DiscriminativeConfig(
@@ -181,7 +181,7 @@ def _cmd_risk(args):
     report = risk.risk_report(outcomes, eps=eps, cfg=cfg)
     out = _write(args, {"risk_report.json": report.to_json_dict(),
                         "risk_summary.csv": report.csv_rows()},
-                 ("risk", args.seed,
+                 ("risk", None,
                   {f"outcomes{i}": p for i, p in enumerate(args.outcomes)}
                   | {"eps": args.eps},
                   {"tau": args.tau, "gate": args.gate}))
@@ -341,7 +341,7 @@ def _cmd_report(args):
         summary["fired_pathologies"] = fired
     out = _write(args, {"summary.json": summary, "summary.csv": (
         ("pathology", "n", "R", "eps", "ok"), rows)},
-        ("report", args.seed, {"risk": args.risk, "outcomes": args.outcomes},
+        ("report", None, {"risk": args.risk, "outcomes": args.outcomes},
          {}))
     print(f"report: feasible={summary['feasible']} -> {out}")
     return 0
@@ -365,8 +365,8 @@ def build_parser():
     p.add_argument("--corpus", required=True)
     p.add_argument("--schema", choices=("trace", "classification"),
                    default="trace")
-    p.add_argument("--kb")
-    p.add_argument("--fixtures")
+    p.add_argument("--kb", help="trace corpora only")
+    p.add_argument("--fixtures", help="trace corpora only")
     p.add_argument("--config",
                    help="JSON object with optional sections generative, "
                         "mi and discriminative, keyed by the fields of "
@@ -380,7 +380,6 @@ def build_parser():
     p.add_argument("--eps")
     p.add_argument("--gate", action="store_true",
                    help="exit 3 when the deployment gate rejects")
-    p.add_argument("--seed", type=int, default=0)
 
     p = command("holonorm-verify", _cmd_holonorm_verify,
                 "numerical verification of the holonorm identities")
@@ -402,7 +401,6 @@ def build_parser():
     p = command("report", _cmd_report, "merge risk and audit outputs")
     p.add_argument("--risk", required=True)
     p.add_argument("--outcomes")
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

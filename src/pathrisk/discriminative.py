@@ -53,9 +53,10 @@ class DiscriminativeConfig:
                      "frac_hi", "flip_hi", "margin_hi"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must lie in [0,1]")
-        for name in ("eps_adv", "tol_t"):
-            if not (getattr(self, name) >= 0.0):
-                raise ValueError(f"{name} must be non-negative")
+        if not (self.eps_adv >= 0.0):
+            raise ValueError("eps_adv must be non-negative")
+        if not (self.tol_t > 0.0):
+            raise ValueError("tol_t must be positive")
 
 
 def _accuracy(records):

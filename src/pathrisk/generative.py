@@ -52,7 +52,7 @@ class GenerativeConfig:
     """Crisp defaults for every asymptotic symbol in the detector formulas,
     one value for every detector that reads it; `_DETECTORS` reads the
     thresholds from them. `audit --config` sets the fields from its
-    "generative" section, and `mi` from its "mi" section."""
+    "generative" section, and `mi` from its "mi" section and --seed."""
 
     s_hi: float = 0.9            # "approximately 1" similarity
     s_lo: float = 0.3            # "weakly related" similarity
@@ -336,6 +336,7 @@ def _score_hypersignification(records, cfg):
 
 
 def _score_semantic_warming(records, cfg):
+    """Slopes over the last cfg.window style prefixes, the only ones formed."""
     if len(records) < 4:
         raise DetectorError("semantic_warming: needs >= 4 records in sequence")
     lengths = sorted({r.style_embedding.size for r in records})
@@ -343,11 +344,11 @@ def _score_semantic_warming(records, cfg):
         raise DetectorError(f"semantic_warming: style embeddings have "
                             f"mixed lengths {lengths}")
     styles = np.asarray([r.style_embedding for r in records], dtype=float)
-    davg_series = [metrics.avg_pairwise_similarity(styles[:t])
-                   for t in range(2, len(styles) + 1)]
-    entropy_series = [metrics.semantic_entropy(styles[:t],
-                                               ridge=cfg.entropy_ridge)
-                      for t in range(2, len(styles) + 1)]
+    prefixes = [styles[:t] for t in range(
+        max(2, len(styles) - cfg.window + 1), len(styles) + 1)]
+    davg_series = [metrics.avg_pairwise_similarity(p) for p in prefixes]
+    entropy_series = [metrics.semantic_entropy(p, ridge=cfg.entropy_ridge)
+                      for p in prefixes]
     slope_redundancy = metrics.windowed_slope(davg_series, cfg.window)
     slope_entropy = metrics.windowed_slope(entropy_series, cfg.window)
     mean_fluency = _mean_fluency(records)

@@ -34,13 +34,13 @@ def hn(x):
     return x / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
 
 
-def inverse_hn(y, guard=1e-12):
-    """y / (1 - ||y||), the inverse of hn, valid for ||y|| < 1."""
+def inverse_hn(y):
+    """y / (1 - ||y||), the inverse of hn, valid for ||y|| < 1 - 1e-12."""
     y = np.asarray(y, dtype=float)
     r = float(np.linalg.norm(y))
-    if r >= 1.0 - guard:
+    if r >= 1.0 - 1e-12:
         raise HolonormError(f"inverse holonorm undefined at ||y|| = {r} "
-                            f">= 1 - {guard}")
+                            ">= 1 - 1e-12")
     return y / (1.0 - r)
 
 

@@ -31,7 +31,8 @@ class InsufficientDataError(MetricError):
 class MIEstimatorConfig:
     """One random projection per side followed by equal-width binning and
     a plug-in estimate. Adequate for the near-zero versus clearly-positive
-    decisions the detectors make; not a calibrated MI estimator."""
+    decisions the detectors make; not a calibrated MI estimator. `audit`
+    takes the seed from --seed only, so its manifest holds the seed used."""
 
     num_bins_per_axis: int = 4
     seed: int = 0
@@ -97,14 +98,14 @@ def sim_matrix(a, b, clamp=True):
     return _sim_block(*_columns(a, b), clamp)
 
 
-def sim_row_blocks(a, b, rows, clamp=True):
+def sim_row_blocks(a, b, rows):
     """`sim_matrix(a, b)` in blocks of `rows` rows of a (the last may be
     shorter), in order. The norms of b are taken once; a block that
     shares memory with b is copied, not b, so the memory beyond the
     inputs is one block and its rows."""
     a, b, nb = _columns(a, b)
     for start in range(0, len(a), rows):
-        yield _sim_block(a[start:start + rows], b, nb, clamp)
+        yield _sim_block(a[start:start + rows], b, nb, True)
 
 
 def fluency(token_logprobs):
@@ -233,17 +234,15 @@ def contextual_distance(c_t, c_tk):
     return float(np.linalg.norm(a - b))
 
 
-def windowed_slope(series, window=5):
-    """Least-squares slope of the last `window` points of a series.
+def windowed_slope(series, window):
+    """Least-squares slope of the last `window` >= 2 points of a series.
 
     Robust single-number time derivative; used wherever a detector needs
     the sign of dD_avg/dt or dH_t/dt.
     """
-    y = np.asarray(series, dtype=float)
-    if y.size < 2:
+    y = np.asarray(series, dtype=float)[-window:]
+    if window < 2 or y.size < 2:
         raise InsufficientDataError("slope needs >= 2 points")
-    if window >= 2:
-        y = y[-window:]
     x = np.arange(y.size, dtype=float)
     xc = x - x.mean()
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))

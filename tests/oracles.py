@@ -8,6 +8,8 @@ two-pass encoder the package used before it streamed: a canonicalised deep
 copy handed to the standard library's json.dumps. The pair-detector
 oracles are the double loops over the scalar `sim` that cognitive
 stereotypy and hypersignification ran before the similarity kernel. The
+semantic-warming oracle forms the redundancy and entropy of every style
+prefix, as the detector did before it formed only those in its window. The
 entropy oracle is the d x d covariance formula semantic_entropy used
 before it moved to the smaller Gram matrix. The chi CDF is the
 incomplete-gamma power series, so the holonorm density is checked without
@@ -182,6 +184,46 @@ def cov_semantic_entropy(embeddings, ridge):
     sign, logdet = np.linalg.slogdet(cov + ridge * np.eye(d))
     assert sign > 0
     return 0.5 * (d * math.log(2.0 * math.pi * math.e) + logdet)
+
+
+def every_prefix_semantic_warming(records, cfg):
+    """(severity, evidence) of semantic_warming from the redundancy and
+    entropy of every style prefix, lengths 2..T, each slope the
+    least-squares fit to the last cfg.window values; and the prefix
+    lengths whose entropy raised a MetricError. Such a prefix inside the
+    window raises its error."""
+    from pathrisk import metrics
+    from pathrisk.registry import fmt
+    styles = np.asarray([r.style_embedding for r in records], dtype=float)
+    lengths = range(2, len(styles) + 1)
+    redundancy, entropy = [], []
+    for t in lengths:
+        redundancy.append(metrics.avg_pairwise_similarity(styles[:t]))
+        try:
+            entropy.append(metrics.semantic_entropy(
+                styles[:t], ridge=cfg.entropy_ridge))
+        except metrics.MetricError as exc:
+            entropy.append(exc)
+
+    def slope(series):
+        window = series[-cfg.window:]
+        for value in window:
+            if isinstance(value, Exception):
+                raise value
+        y = np.asarray(window, dtype=float)
+        x = np.arange(len(y), dtype=float)
+        xc = x - x.mean()
+        return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+
+    rising, falling = slope(redundancy), slope(entropy)
+    fluency = float(np.mean([metrics.fluency(r.output_token_logprobs)
+                             for r in records]))
+    severity = fluency if rising > 0.0 or falling < 0.0 else 0.0
+    undefined = [t for t, h in zip(lengths, entropy)
+                 if isinstance(h, Exception)]
+    return severity, {"redundancy_slope": fmt(rising),
+                      "entropy_slope": fmt(falling),
+                      "mean_fluency": fmt(fluency)}, undefined
 
 
 def _carries(record, field):

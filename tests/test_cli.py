@@ -311,7 +311,9 @@ def test_config_sets_a_threshold(tmp_path, pathology, section, key, default,
     ({"generative": {"drift_k": 0}}, "drift_k"),
     ({"generative": {"entropy_ridge": -1e-6}}, "entropy_ridge"),
     # a key of a removed field
-    ({"mi": {"projection_dims": 1}}, "'projection_dims'")])
+    ({"mi": {"projection_dims": 1}}, "'projection_dims'"),
+    # turn_boundary_failure divides by tol_t
+    ({"discriminative": {"tol_t": 0}}, "tol_t")])
 def test_config_rejects_unknown_keys(tmp_path, capsys, config, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -342,6 +344,54 @@ def test_bad_config_is_reported_before_the_corpus(tmp_path, capsys,
     assert not out.exists()
 
 
+def _exit_code(argv):
+    """cli.main's exit code, also when argparse exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("removed", ["risk --seed", "report --seed",
+                                     "classification --kb",
+                                     "classification --fixtures",
+                                     "config mi seed"])
+def test_removed_settings_exit_2_naming_them(tmp_path, capsys, removed):
+    # none of them could change a result
+    trace = _trace_audit(tmp_path)
+    if removed == "risk --seed":
+        argv, named = ["risk", "--outcomes", _audited(tmp_path),
+                       "--seed", "1"], "unrecognized arguments: --seed 1"
+    elif removed == "report --seed":
+        argv, named = ["report", "--risk", _risked(tmp_path)[0],
+                       "--seed", "1"], "unrecognized arguments: --seed 1"
+    elif removed == "config mi seed":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mi": {"seed": 1}}))
+        argv = trace + ["--config", str(config)]
+        named = "section 'mi', field 'seed': unknown field"
+    else:
+        # a valid knowledge base and fixture file, which a trace audit reads
+        flag = removed.split()[1]
+        argv = _argv(tmp_path, "audit-classification") + [
+            flag, trace[trace.index(flag) + 1]]
+        named = f"error: {flag} applies to trace corpora only\n"
+    capsys.readouterr()
+    assert _exit_code(argv + ["--out", str(tmp_path / "bad")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_risk_and_report_manifests_hold_no_seed(tmp_path):
+    risk_report, outcomes = _risked(tmp_path)
+    out = tmp_path / "reported"
+    assert cli.main(["report", "--risk", risk_report, "--outcomes", outcomes,
+                     "--out", str(out)]) == 0
+    for run in (Path(risk_report).parent, out):
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["seed"] is None
+
+
 def test_config_accepts_an_int_for_a_float(tmp_path):
     # abductive_leap's fixture has output probability 0.95 < 1
     after = _fixture_audit(tmp_path, "abductive_leap",
@@ -357,8 +407,7 @@ def _in_memory_audit(tmp_path, subcommand):
             load_trace_corpus(corpus, schema="classification"))
     return generative.audit_generative(
         load_trace_corpus(corpus), kb=load_knowledge_base(tmp_path / "kb.json"),
-        fixtures=load_causal_fixtures(tmp_path / "fixtures.json"),
-        cfg=cli._generative_config({}, 0))
+        fixtures=load_causal_fixtures(tmp_path / "fixtures.json"))
 
 
 @pytest.mark.parametrize("subcommand", ["audit-trace", "audit-classification"])

@@ -286,6 +286,13 @@ class TestConfigRanges:
     @pytest.mark.parametrize("name", ["eps_adv", "tol_t"])
     @pytest.mark.parametrize("value", [-1e-9, float("nan")])
     def test_tolerances_are_non_negative(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        floor = {"eps_adv": "non-negative", "tol_t": "positive"}[name]
+        with pytest.raises(ValueError, match=f"{name} must be {floor}"):
             DiscriminativeConfig(**{name: value})
-        assert getattr(DiscriminativeConfig(**{name: 0.0}), name) == 0.0
+
+    def test_only_the_boundary_tolerance_excludes_zero(self):
+        # turn_boundary_failure scores the offset in units of tol_t
+        with pytest.raises(ValueError, match="tol_t must be positive"):
+            DiscriminativeConfig(tol_t=0.0)
+        assert DiscriminativeConfig(tol_t=1e-9).tol_t == 1e-9
+        assert DiscriminativeConfig(eps_adv=0.0).eps_adv == 0.0

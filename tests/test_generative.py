@@ -7,7 +7,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import corpora
-from pathrisk import generative, registry
+from pathrisk import generative, metrics, registry
 from pathrisk.generative import (DetectorError, GenerativeConfig,
                                  audit_generative, score)
 from pathrisk.records import KnowledgeBase, TraceRecord
@@ -16,7 +16,8 @@ from pathrisk.registry import (ALIAS_GROUPS, GENERATIVE_DETECTORS,
                                distinct_pathology_count, pathology_ids,
                                validate_corpus)
 from conftest import random_orthogonal
-from oracles import loop_cognitive_stereotypy, loop_hypersignification
+from oracles import (every_prefix_semantic_warming, loop_cognitive_stereotypy,
+                     loop_hypersignification)
 
 GEN_IDS = sorted(GENERATIVE_DETECTORS)
 
@@ -291,6 +292,92 @@ class TestPairDetectorsAgainstLoops:
             tracemalloc.stop()
         assert 0.0 <= outcome.severity < 0.5
         assert peak < 16_000_000
+
+
+def _warming_conversation(seed, length, dim, converging):
+    """One conversation of random styles; when converging, the styles
+    close in on one direction, so their redundancy rises."""
+    rng = np.random.default_rng(seed)
+    styles = rng.standard_normal((length, dim))
+    if converging:
+        styles = 3.0 * styles[0] + styles * np.geomspace(
+            1.0, 0.05, length)[:, None]
+    logprobs = rng.uniform(-1.0, 0.0, size=(length, 3))
+    return [TraceRecord(id=f"w{t:02d}", input_embedding=np.eye(4)[0],
+                        output_embedding=np.eye(4)[1], style_embedding=s,
+                        output_token_logprobs=tuple(lp),
+                        annotations={"conversation_id": "w"})
+            for t, (s, lp) in enumerate(zip(styles, logprobs))]
+
+
+def _counting(monkeypatch, names):
+    """Count the calls of the `metrics` functions `names`, which the
+    detectors look up on their module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(metrics, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(metrics, name, counted)
+    return calls
+
+
+class TestSemanticWarmingWindow:
+    @pytest.mark.parametrize("converging", [False, True])
+    @pytest.mark.parametrize("ridge", [1e-6, 1.0])
+    @pytest.mark.parametrize("window", [2, 5, 10])
+    @pytest.mark.parametrize("length", [4, 5, 8, 40])
+    def test_equals_every_prefix_oracle(self, monkeypatch, length, window,
+                                        ridge, converging):
+        records = _warming_conversation(length + window, length, 6,
+                                        converging)
+        cfg = GenerativeConfig(window=window, entropy_ridge=ridge)
+        severity, evidence, undefined = every_prefix_semantic_warming(
+            records, cfg)
+        assert undefined == []
+        calls = _counting(monkeypatch, ["avg_pairwise_similarity",
+                                        "semantic_entropy"])
+        outcome = score("semantic_warming", records, cfg)
+        assert outcome.severity == severity
+        assert dict(outcome.evidence) == evidence
+        # one call per prefix in the window, of the T - 1 prefixes
+        assert calls == dict.fromkeys(calls, min(window, length - 1))
+
+    def test_both_polarities_are_covered(self):
+        # guards the test above: it must see the detector fire and not
+        fired = {score("semantic_warming",
+                       _warming_conversation(length + window, length, 6,
+                                             converging),
+                       GenerativeConfig(window=window)).fired
+                 for length in (4, 5, 8, 40) for window in (2, 5, 10)
+                 for converging in (False, True)}
+        assert fired == {False, True}
+
+    def test_a_singular_prefix_before_the_window_is_not_formed(self):
+        # d = 3 at ridge 0: the prefixes of 2 and 3 styles have a singular
+        # covariance, and a window of 5 of the 7 prefixes starts at 4
+        records = _warming_conversation(3, 8, 3, False)
+        cfg = GenerativeConfig(window=5, entropy_ridge=0.0)
+        severity, evidence, undefined = every_prefix_semantic_warming(
+            records, cfg)
+        assert undefined == [2, 3]
+        result = audit_generative(records, cfg=cfg)
+        assert "semantic_warming" not in result.dropped
+        [outcome] = [o for o in result.outcomes
+                     if o.pathology == "semantic_warming"]
+        assert (outcome.severity, dict(outcome.evidence)) == \
+            (severity, evidence)
+
+    def test_a_singular_prefix_in_the_window_drops_the_conversation(self):
+        records = _warming_conversation(3, 8, 3, False)
+        cfg = GenerativeConfig(window=6, entropy_ridge=0.0)
+        with pytest.raises(metrics.InsufficientDataError) as expected:
+            every_prefix_semantic_warming(records, cfg)
+        result = audit_generative(records, cfg=cfg)
+        # the first prefix formed, of 3 styles, names its own size
+        assert result.dropped["semantic_warming"] == {
+            "w": str(expected.value)}
+        assert "(got 3)" in str(expected.value)
 
 
 class TestErrors:

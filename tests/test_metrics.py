@@ -94,16 +94,16 @@ class TestSimMatrix:
                         sim(x, y, clamp), abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
-    @given(_kernel_inputs(), st.integers(1, 4), st.booleans())
-    def test_row_blocks_make_up_the_matrix(self, ab, rows, clamp):
+    @given(_kernel_inputs(), st.integers(1, 4))
+    def test_row_blocks_make_up_the_matrix(self, ab, rows):
         a, b = ab
         for left, right in ((a, b), (a, a)):
-            blocks = list(sim_row_blocks(left, right, rows, clamp=clamp))
+            blocks = list(sim_row_blocks(left, right, rows))
             assert [len(block) for block in blocks[:-1]] == \
                 [rows] * (len(blocks) - 1)
             # a block's product may round apart from the whole one's
             np.testing.assert_allclose(
-                np.vstack(blocks), sim_matrix(left, right, clamp=clamp),
+                np.vstack(blocks), sim_matrix(left, right),
                 rtol=0, atol=1e-12)
 
     def test_clip_binds_on_parallel_rows(self):
@@ -353,7 +353,9 @@ class TestContextualDistance:
 
 class TestWindowedSlope:
     def test_linear_series(self):
-        assert windowed_slope([1.0, 3.0, 5.0, 7.0]) == pytest.approx(2.0)
+        assert windowed_slope([1.0, 3.0, 5.0, 7.0], 4) == pytest.approx(2.0)
+        # a window longer than the series fits all of it
+        assert windowed_slope([1.0, 3.0, 5.0, 7.0], 9) == pytest.approx(2.0)
 
     def test_uses_last_window(self):
         series = [0.0] * 10 + [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -361,4 +363,10 @@ class TestWindowedSlope:
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            windowed_slope([1.0])
+            windowed_slope([1.0], 5)
+
+    @pytest.mark.parametrize("window", [1, 0, -2])
+    def test_a_window_below_two_points_is_rejected(self, window):
+        # never read as the whole series
+        with pytest.raises(InsufficientDataError):
+            windowed_slope([0.0, 1.0, 3.0, 6.0], window)
