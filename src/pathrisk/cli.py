@@ -13,8 +13,11 @@ Every input file is decoded field by field by the `records` kinds: a value
 of the wrong JSON type is rejected, never coerced ("0.5", true and NaN are
 no numbers), and so is an unknown key where the format is strict. The
 message names the file, the entry (such as line 3, agents[1],
-epsilon_schedule[0], outcomes[2] or entries[0]) and the field. --eps
-follows `risk.resolve_eps`, --scenario `game.load_scenario`, and an
+epsilon_schedule[0], outcomes[2] or entries[0]) and the field. A
+classification corpus is decoded line by line into columns, and the
+checks across fields and lines (probabilities, labels, argmax, repeated
+ids) run over all lines at once, still naming the first line that fails.
+--eps follows `risk.resolve_eps`, --scenario `game.load_scenario`, and an
 outcome in --outcomes `registry.DetectorOutcome.from_json_dict`.
 
 `audit` also writes validation.json: which records each detector could
@@ -33,11 +36,12 @@ reported when it and another input are both bad.
 Importing this module loads only `records`, `registry` and `jsonio` of the
 package, which every subcommand runs; each subcommand imports the rest
 when it runs. `audit` adds `generative` and `metrics` for a trace corpus
-or `discriminative` for a classification one (all three with --config);
-`risk` and `report` add `risk`; `holonorm-verify` adds `holonorm`; `game`
-adds `game` and `risk`; `pareto` adds `fixtures`, `metrics` and `risk`. A
-run without cached bytecode compiles every module it imports, so a
-subcommand pays only for the modules it uses.
+or `discriminative` and `classification` for a classification one (the
+first three with --config); `risk` and `report` add `risk`;
+`holonorm-verify` adds `holonorm`; `game` adds `game` and `risk`; `pareto`
+adds `fixtures`, `metrics` and `risk`. A run without cached bytecode
+compiles every module it imports, so a subcommand pays only for the
+modules it uses.
 """
 
 import argparse

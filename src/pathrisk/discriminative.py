@@ -1,26 +1,27 @@
 """The 14 discriminative pathology detectors over classification corpora.
 
-Every detector here folds a whole corpus into one outcome. Rate severities
-are exactly (#events)/(#eligible), each folded by `_event_rate`;
-accuracy-gap severities are the clamped gap, and group metrics are
-symmetric under relabeling. All detectors are invariant to permutations of
-the corpus (drift orders records explicitly by timestamp_index and
-compares the earlier half with the later one).
+Every detector folds a whole corpus into one outcome. Each scorer is a
+column kernel over a `records.ClassificationCorpus`: it reads the columns
+at the eligible row indices it is handed, in corpus order, and groups
+rows by the codes of a string column. Rate severities are exactly
+(#events)/(#eligible), each folded by `_event_rate`; accuracy-gap
+severities are the clamped gap, and group metrics are symmetric under
+relabeling. All detectors are invariant to permutations of the corpus
+(drift orders records by timestamp_index and id and compares the earlier
+half with the later one).
 
 `audit_discriminative` alone decides what a detector scores (the n_min
-floor, the records carrying its fields); `score_discriminative` scores the
-records it is handed.
+floor, the rows carrying its fields); `score_discriminative` scores the
+rows it is handed.
 """
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from . import registry
 from .registry import (DISCRIMINATIVE_DETECTORS, AuditResult, DetectorError,
-                       DetectorOutcome, clamp01, content_pairs, fmt,
-                       group_by)
+                       DetectorOutcome, clamp01, fmt)
 
 
 @dataclass(frozen=True)
@@ -59,257 +60,288 @@ class DiscriminativeConfig:
             raise ValueError("tol_t must be positive")
 
 
-def _accuracy(records):
-    if not records:
-        raise DetectorError("accuracy of an empty record set")
-    return sum(1 for r in records if r.correct) / len(records)
+def _codes(c, name, rows):
+    """Each row's index into the sorted values of the string field."""
+    return c.strings[name][1][rows]
 
 
-def _pairs_by_id(records, key):
-    """The records sharing each value of the field `key`, where exactly
-    two do, ordered by id."""
-    return [tuple(sorted(group, key=lambda r: r.id))
-            for group in group_by(records, attrgetter(key))
-            if len(group) == 2]
+def _dense(codes):
+    """(the distinct codes in sorted order, each row's index into them)."""
+    distinct = np.flatnonzero(np.bincount(codes))
+    return distinct, np.searchsorted(distinct, codes)
 
 
-def _event_rate(units, is_event, none_message):
-    """(events / units, the event count, the unit count), both counts as
-    evidence strings; a DetectorError with none_message if no unit."""
-    if not units:
+def _is(c, name, rows, value):
+    """Whether each row's string field `name` equals `value`."""
+    values, codes = c.strings[name]
+    return np.array([v == value for v in values], dtype=bool)[codes[rows]]
+
+
+def _pairs(groups, size=None):
+    """(i, j): the positions of every pair of rows with the same group
+    code, each pair once; with `size`, only in groups of that many rows."""
+    if size is not None:
+        keep = np.flatnonzero(np.bincount(groups)[groups] == size)
+        return tuple(keep[k] for k in _pairs(groups[keep]))
+    order = np.argsort(groups, kind="stable")
+    ordered = groups[order]
+    pairs = [np.zeros((2, 0), dtype=np.intp)]
+    # a group's rows are adjacent in `order`: its pairs `gap` apart run
+    # out when no group has two rows that far apart
+    for gap in range(1, len(order)):
+        same = np.flatnonzero(ordered[:-gap] == ordered[gap:])
+        if not same.size:
+            break
+        pairs.append(np.stack([order[same], order[same + gap]]))
+    return tuple(np.concatenate(pairs, axis=1))
+
+
+def _role_pairs(c, rows, group_field, role_field, roles):
+    """(a, b) rows: of each group of `group_field` in sorted order that has
+    both, its last row whose `role_field` is roles[0] and its last whose
+    role is roles[1]."""
+    groups = _codes(c, group_field, rows)
+    last = np.full((2, int(groups.max(initial=-1)) + 1), -1)
+    for k, role in enumerate(roles):
+        mask = _is(c, role_field, rows, role)
+        np.maximum.at(last[k], groups[mask], np.flatnonzero(mask))
+    a, b = last[:, (last >= 0).all(axis=0)]
+    return rows[a], rows[b]
+
+
+def _event_rate(events, none_message):
+    """(events / units, the event count, the unit count) of a boolean array
+    over the units, both counts as evidence strings; a DetectorError with
+    none_message if no unit."""
+    if not events.size:
         raise DetectorError(none_message)
-    events = sum(1 for unit in units if is_event(unit))
-    return events / len(units), str(events), str(len(units))
+    count = int(np.count_nonzero(events))
+    return count / events.size, str(count), str(events.size)
 
 
-def _disagree(pair):
-    return pair[0].predicted_label != pair[1].predicted_label
+def _disagree(c, a, b):
+    return c.predicted_label[a] != c.predicted_label[b]
 
 
 # --- detectors ---------------------------------------------------------------
 
-def _accuracy_drop(records, role, roles, keys, none_message):
-    """The clamped drop from the accuracy of the records whose role(r) is
-    roles[0] to that of those whose role is roles[1], and evidence that
-    names the two accuracies and the drop by `keys`; a DetectorError with
-    none_message if either side is empty."""
-    sides = [[r for r in records if role(r) == value] for value in roles]
-    if not all(sides):
+def _accuracy_drop(c, rows, sides, keys, none_message):
+    """The clamped drop from the accuracy of the rows sides[0] selects to
+    that of the rows sides[1] selects, and evidence that names the two
+    accuracies and the drop by `keys`; a DetectorError with none_message
+    if either side is empty."""
+    if not all(side.any() for side in sides):
         raise DetectorError(none_message)
-    first, second = map(_accuracy, sides)
+    first, second = (float(c.correct[rows[side]].mean()) for side in sides)
     drop = first - second
     return clamp01(drop), dict(zip(keys, map(fmt, (first, second, drop))))
 
 
-def _score_overfitting(records, cfg):
+def _score_overfitting(c, rows, cfg):
+    flag = "annotations.in_train_set"
+    values, codes = c.strings[flag]
+    lowered = np.array([v.lower() for v in values], dtype=object)
+    flags = lowered[codes[rows]]
     return _accuracy_drop(
-        records, lambda r: r.annotations.get("in_train_set", "").lower(),
-        ("true", "false"), ("train_accuracy", "holdout_accuracy", "gap"),
+        c, rows, (flags == "true", flags == "false"),
+        ("train_accuracy", "holdout_accuracy", "gap"),
         "overfitting: needs both train-flagged and held-out records")
 
 
-def _prediction_rates(records, classes):
-    preds = np.asarray([r.predicted_label for r in records])
-    return np.asarray([np.mean(preds == c) for c in classes])
-
-
-def _score_bias_amplification(records, cfg):
-    groups = sorted({r.group for r in records})
-    classes = sorted({r.predicted_label for r in records}
-                     | {r.true_label for r in records})
-    baseline = _prediction_rates(records, classes)
-    worst = 0.0
-    worst_group = ""
-    for g in groups:
-        members = [r for r in records if r.group == g]
-        dev = float(np.max(np.abs(_prediction_rates(members, classes)
-                                  - baseline)))
-        if dev > worst:
-            worst, worst_group = dev, g
+def _score_bias_amplification(c, rows, cfg):
+    predicted = c.predicted_label[rows]
+    groups, group = _dense(_codes(c, "group", rows))
+    classes = np.flatnonzero(np.bincount(np.concatenate(
+        [predicted, c.true_label[rows]])))
+    k = len(classes)
+    counts = np.bincount(group * k + np.searchsorted(classes, predicted),
+                         minlength=len(groups) * k).reshape(len(groups), k)
+    # each group's rate of each class against the whole corpus's
+    deviation = np.abs(counts / counts.sum(axis=1, keepdims=True)
+                       - counts.sum(axis=0) / len(rows)).max(axis=1)
+    worst = float(deviation.max())
+    # the first group in sorted order with the largest deviation above 0
+    worst_group = (c.strings["group"][0][groups[deviation.argmax()]]
+                   if worst > 0.0 else "")
     return clamp01(worst), {"max_rate_deviation": fmt(worst),
                             "worst_group": worst_group,
                             "groups": str(len(groups))}
 
 
-def _score_spurious_correlation(records, cfg):
+def _score_spurious_correlation(c, rows, cfg):
     return _accuracy_drop(
-        records, lambda r: r.annotations["spurious_role"],
-        ("clean", "resampled"),
+        c, rows, [_is(c, "annotations.spurious_role", rows, role)
+                  for role in ("clean", "resampled")],
         ("clean_accuracy", "resampled_accuracy", "drop"),
         "spurious_correlation: needs clean and resampled roles")
 
 
-def _score_adversarial(records, cfg):
-    pairs = [(a, b) for a, b in _pairs_by_id(records, "perturbation_pair_id")
-             if float(np.linalg.norm(a.features - b.features)) <= cfg.eps_adv]
+def _score_adversarial(c, rows, cfg):
+    a, b = (rows[k] for k in _pairs(_codes(c, "perturbation_pair_id", rows),
+                                    size=2))
+    near = np.linalg.norm(c.features[a] - c.features[b], axis=1) \
+        <= cfg.eps_adv
     rate, flips, n = _event_rate(
-        pairs, _disagree,
+        _disagree(c, a[near], b[near]),
         "adversarial_vulnerability: no perturbation pair within eps_adv")
     return rate, {"flips": flips, "eligible_pairs": n}
 
 
-def expected_calibration_error(records, bins=10):
-    """ECE with equal-width confidence bins over [0, 1]."""
-    conf = np.asarray([r.confidence for r in records])
-    correct = np.asarray([r.correct for r in records], dtype=float)
-    idx = np.minimum((conf * bins).astype(int), bins - 1)
-    n = len(records)
+def expected_calibration_error(confidence, correct, bins=10):
+    """ECE of confidences against their outcomes, with equal-width
+    confidence bins over [0, 1]."""
+    correct = np.asarray(correct, dtype=float)
+    idx = np.minimum((confidence * bins).astype(int), bins - 1)
+    n = len(confidence)
     ece = 0.0
     for b in range(bins):
         mask = idx == b
         if not mask.any():
             continue
         ece += (mask.sum() / n) * abs(correct[mask].mean()
-                                      - conf[mask].mean())
+                                      - confidence[mask].mean())
     return float(ece)
 
 
-def _score_calibration(records, cfg):
-    ece = expected_calibration_error(records, cfg.ece_bins)
+def _score_calibration(c, rows, cfg):
+    ece = expected_calibration_error(c.confidence[rows], c.correct[rows],
+                                     cfg.ece_bins)
     return clamp01(ece), {"ece": fmt(ece), "bins": str(cfg.ece_bins)}
 
 
-def _feature_tv(ref, cur, bins):
-    ref_f = np.asarray([r.features for r in ref])
-    cur_f = np.asarray([r.features for r in cur])
+def _feature_tv(features, ref, cur, bins):
+    """Mean over the feature columns of the total variation between the
+    histograms of the rows ref and cur, one column gathered at a time."""
     tvs = []
-    for j in range(ref_f.shape[1]):
-        lo = min(ref_f[:, j].min(), cur_f[:, j].min())
-        hi = max(ref_f[:, j].max(), cur_f[:, j].max())
+    for column in features.T:
+        ref_f, cur_f = column[ref], column[cur]
+        lo = min(ref_f.min(), cur_f.min())
+        hi = max(ref_f.max(), cur_f.max())
         if hi <= lo:
             tvs.append(0.0)
             continue
         edges = np.linspace(lo, hi, bins + 1)
-        p = np.histogram(ref_f[:, j], bins=edges)[0] / len(ref)
-        q = np.histogram(cur_f[:, j], bins=edges)[0] / len(cur)
+        p = np.histogram(ref_f, bins=edges)[0] / len(ref_f)
+        q = np.histogram(cur_f, bins=edges)[0] / len(cur_f)
         tvs.append(0.5 * float(np.abs(p - q).sum()))
     return float(np.mean(tvs))
 
 
-def _score_concept_drift(records, cfg):
-    if len(records) < 4:
+def _score_concept_drift(c, rows, cfg):
+    if len(rows) < 4:
         raise DetectorError("concept_drift_sensitivity: needs >= 4 "
                             "timestamped records")
-    ordered = sorted(records, key=lambda r: (r.timestamp_index, r.id))
-    half = len(ordered) // 2
-    ref, cur = ordered[:half], ordered[half:]
-    tv = _feature_tv(ref, cur, cfg.tv_bins)
-    ref_accuracy, cur_accuracy = _accuracy(ref), _accuracy(cur)
+    # by (timestamp_index, id): ids are unique, so the rows in id order
+    # sorted stably by timestamp
+    rows = rows[np.argsort(np.array([c.ids[i] for i in rows.tolist()],
+                                    dtype=object), kind="stable")]
+    rows = rows[np.argsort(c.timestamp_index[rows], kind="stable")]
+    ref, cur = np.split(rows, [len(rows) // 2])
+    tv = _feature_tv(c.features, ref, cur, cfg.tv_bins)
+    ref_accuracy, cur_accuracy = (float(c.correct[half].mean())
+                                  for half in (ref, cur))
     severity = clamp01(ref_accuracy - cur_accuracy) if tv >= cfg.tv_hi else 0.0
     return severity, {"reference_accuracy": fmt(ref_accuracy),
                       "current_accuracy": fmt(cur_accuracy),
                       "feature_tv": fmt(tv)}
 
 
-def _score_misclassification_uncertainty(records, cfg):
+def _score_misclassification_uncertainty(c, rows, cfg):
+    ood = rows[c.is_ood[rows]]
     rate, events, n = _event_rate(
-        [r for r in records if r.is_ood],
-        lambda r: r.confidence >= cfg.c_hi and not r.correct,
+        (c.confidence[ood] >= cfg.c_hi) & ~c.correct[ood],
         "misclassification_under_uncertainty: no OOD records")
     return rate, {"confident_wrong": events, "ood_records": n}
 
 
-def _score_prosodic(records, cfg):
+def _score_prosodic(c, rows, cfg):
+    # the pairs of one content id whose prosody differs
+    a, b = _pairs(_codes(c, "annotations.content_id", rows))
+    prosody = _codes(c, "annotations.prosody", rows)
+    a, b = (rows[k[prosody[a] != prosody[b]]] for k in (a, b))
     rate, events, n = _event_rate(
-        content_pairs(records, "prosody"),
-        lambda p: _disagree(p) and not (p[0].correct and p[1].correct),
+        _disagree(c, a, b) & ~(c.correct[a] & c.correct[b]),
         "prosodic_misclassification: no content-matched pair with differing "
         "prosody")
     return rate, {"events": events, "eligible_pairs": n}
 
 
-def _score_accent_bias(records, cfg):
-    paired_contents = {}
-    for rec in records:
-        paired_contents.setdefault(rec.annotations["content_id"],
-                                   set()).add(rec.group)
-    multi = {cid for cid, groups in paired_contents.items()
-             if len(groups) >= 2}
-    eligible = [r for r in records if r.annotations["content_id"] in multi]
-    groups = sorted({r.group for r in eligible})
+def _score_accent_bias(c, rows, cfg):
+    content = _codes(c, "annotations.content_id", rows)
+    group = _codes(c, "group", rows)
+    # the rows whose content id is read in >= 2 groups
+    width = len(c.strings["group"][0])
+    pairs = np.flatnonzero(np.bincount(content * width + group))
+    multi = np.bincount(pairs // width)[content] >= 2
+    groups, index = _dense(group[multi])
     if len(groups) < 2:
         raise DetectorError("accent_bias: needs content matched across >= 2 "
                             "groups")
-    acc = {g: _accuracy([r for r in eligible if r.group == g])
-           for g in groups}
-    worst = 0.0
+    acc = (np.bincount(index, weights=c.correct[rows[multi]])
+           / np.bincount(index))
+    # the first pair i < j in row-major order with the largest gap above 0
+    gap = np.triu(np.abs(acc[:, None] - acc[None, :]), 1)
+    worst = float(gap.max())
     witness = ("", "")
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            gap = abs(acc[groups[i]] - acc[groups[j]])
-            if gap > worst:
-                worst, witness = gap, (groups[i], groups[j])
+    if worst > 0.0:
+        witness = (c.strings["group"][0][groups[k]]
+                   for k in divmod(int(gap.argmax()), len(groups)))
     return clamp01(worst), {"max_accuracy_gap": fmt(worst),
                             "witness_groups": ",".join(witness)}
 
 
-def _score_turn_boundary(records, cfg):
-    offsets = []
-    for r in records:
-        (a0, a1), (b0, b1) = r.segment_bounds, r.ref_segment_bounds
-        offsets.append(max(abs(a0 - b0), abs(a1 - b1)))
+def _score_turn_boundary(c, rows, cfg):
+    offsets = np.abs(c.segment_bounds[rows]
+                     - c.ref_segment_bounds[rows]).max(axis=1)
     # offset == tol_t lands at severity 0.5, the firing point
-    severity = float(np.mean([clamp01(o / (2.0 * cfg.tol_t))
-                              for o in offsets]))
+    severity = float(np.mean(np.clip(offsets / (2.0 * cfg.tol_t), 0.0, 1.0)))
     return severity, {"mean_offset": fmt(float(np.mean(offsets))),
-                      "records": str(len(records))}
+                      "records": str(len(rows))}
 
 
-def _score_semantic_boundary(records, cfg):
-    diffs = []
-    for group in group_by(records, lambda r: r.annotations["span_pair_id"]):
-        roles = {r.annotations["span_role"]: r for r in group}
-        wide, narrow = roles.get("wide"), roles.get("narrow")
-        if wide is None or narrow is None:
-            continue
-        (w0, w1), (n0, n1) = wide.segment_bounds, narrow.segment_bounds
-        if not (w0 <= n0 and n1 <= w1):
-            continue  # wide span must contain the narrow one
-        score_wide = float(wide.class_probabilities[wide.true_label])
-        score_narrow = float(narrow.class_probabilities[narrow.true_label])
-        diffs.append(score_narrow - score_wide)
-    if not diffs:
+def _score_semantic_boundary(c, rows, cfg):
+    wide, narrow = _role_pairs(c, rows, "annotations.span_pair_id",
+                               "annotations.span_role", ("wide", "narrow"))
+    (w0, w1), (n0, n1) = c.segment_bounds[wide].T, c.segment_bounds[narrow].T
+    # the wide span must contain the narrow one
+    wide, narrow = (k[(w0 <= n0) & (n1 <= w1)] for k in (wide, narrow))
+    diffs = (c.class_probabilities[narrow, c.true_label[narrow]]
+             - c.class_probabilities[wide, c.true_label[wide]])
+    if not diffs.size:
         raise DetectorError("semantic_boundary_confusion: no nested "
                             "wide/narrow span pair")
-    severity = clamp01(float(np.mean(diffs)))
-    return severity, {"mean_score_difference": fmt(float(np.mean(diffs))),
-                      "pairs": str(len(diffs))}
+    mean = float(np.mean(diffs))
+    return clamp01(mean), {"mean_score_difference": fmt(mean),
+                           "pairs": str(diffs.size)}
 
 
-def _score_noise_overfitting(records, cfg):
-    roles = [{r.annotations["noise_role"]: r for r in group}
-             for group in group_by(records, attrgetter("noise_pair_id"))]
-    rate, events, n = _event_rate(
-        [(g["clean"], g["noisy"]) for g in roles
-         if "clean" in g and "noisy" in g],
-        lambda p: p[0].correct and not p[1].correct,
-        "noise_overfitting: no clean/noisy pair")
+def _score_noise_overfitting(c, rows, cfg):
+    clean, noisy = _role_pairs(c, rows, "noise_pair_id",
+                               "annotations.noise_role", ("clean", "noisy"))
+    rate, events, n = _event_rate(c.correct[clean] & ~c.correct[noisy],
+                                  "noise_overfitting: no clean/noisy pair")
     return rate, {"events": events, "eligible_pairs": n}
 
 
-def _score_latency_drift(records, cfg):
+def _score_latency_drift(c, rows, cfg):
+    a, b = _pairs(_codes(c, "latency_pair_id", rows), size=2)
     rate, events, n = _event_rate(
-        _pairs_by_id(records, "latency_pair_id"), _disagree,
+        _disagree(c, rows[a], rows[b]),
         "latency_induced_decision_drift: no latency pair")
     return rate, {"disagreements": events, "eligible_pairs": n}
 
 
-def _collapsed(r, cfg):
-    """A confident wrong answer that beats every other plausible label by
-    at least margin_hi."""
-    if r.confidence < cfg.c_hi or r.correct:
-        return False
-    # plausible labels index class_probabilities: records validate it
-    alternatives = [r.class_probabilities[y] for y in r.plausible_labels
-                    if y != r.predicted_label]
-    return (bool(alternatives)
-            and r.confidence - float(max(alternatives)) >= cfg.margin_hi)
-
-
-def _score_ambiguity_collapse(records, cfg):
+def _score_ambiguity_collapse(c, rows, cfg):
+    units = rows[c.plausible_labels[rows].sum(axis=1) >= 2]
+    confidence = c.confidence[units]
+    # a confident wrong answer that beats every other plausible label by
+    # at least margin_hi
+    others = c.plausible_labels[units]
+    others[np.arange(len(units)), c.predicted_label[units]] = False
+    runner_up = np.where(others, c.class_probabilities[units], -np.inf)
     rate, events, n = _event_rate(
-        [r for r in records if len(r.plausible_labels) >= 2],
-        lambda r: _collapsed(r, cfg),
+        (confidence >= cfg.c_hi) & ~c.correct[units] & others.any(axis=1)
+        & (confidence - runner_up.max(axis=1) >= cfg.margin_hi),
         "ambiguity_collapse: no record with >= 2 plausible labels")
     return rate, {"collapses": events, "eligible_records": n}
 
@@ -338,11 +370,14 @@ _DETECTORS = {
 assert set(_DETECTORS) == set(DISCRIMINATIVE_DETECTORS)
 
 
-def score_discriminative(pathology, records, cfg=DiscriminativeConfig()):
-    """Fold the records `audit_discriminative` hands over, those carrying
-    the detector's fields, into one outcome for `pathology`."""
+def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig(),
+                         rows=None):
+    """Fold the rows `audit_discriminative` hands over, those carrying the
+    detector's fields, into one outcome for `pathology`; all rows of the
+    ClassificationCorpus when `rows` is None."""
     scorer, threshold = _DETECTORS[pathology]
-    severity, evidence = scorer(records, cfg)
+    rows = np.arange(len(corpus)) if rows is None else rows
+    severity, evidence = scorer(corpus, rows, cfg)
     return DetectorOutcome(pathology=pathology, record_ids=(),
                            severity=severity, threshold=threshold(cfg),
                            evidence=evidence)
@@ -351,14 +386,13 @@ def score_discriminative(pathology, records, cfg=DiscriminativeConfig()):
 def audit_discriminative(corpus, cfg=DiscriminativeConfig()):
     """Run all 14 detectors, collecting outcomes and skip reasons. The
     corpus's `validate_corpus` report is built once, and each detector
-    scores the records it lists as available. A detector is skipped when
-    the corpus holds fewer than n_min records, when no record carries its
+    scores the rows it lists as eligible. A detector is skipped when the
+    corpus holds fewer than n_min records, when no record carries its
     fields, or when its scorer raises. The no-record reason names the
     first record and what the report says it lacks: as no record is
     eligible, the report's first group of lacking fields is the first
-    record's, and with no classification record at all the report's
-    not-applicable reason stands for it. The result carries the report as
-    `validation`."""
+    record's, and a corpus of traces is not applicable as a whole. The
+    result carries the report as `validation`."""
     # looked up on its module, where the traced benchmark run rebinds it
     validation = registry.validate_corpus(corpus)
     outcomes = []
@@ -369,15 +403,17 @@ def audit_discriminative(corpus, cfg=DiscriminativeConfig()):
                                   f"{cfg.n_min} records, got {len(corpus)}")
         elif not validation.available[pathology]:
             if pathology in validation.not_applicable:
+                first = corpus[0].id
                 lacks = (validation.not_applicable[pathology],)
             else:
-                lacks = next(iter(validation.missing[pathology]))
-            skipped[pathology] = (f"{pathology}: record {corpus[0].id!r} "
+                lacks, ids = next(iter(validation.missing[pathology].items()))
+                first = ids[0]
+            skipped[pathology] = (f"{pathology}: record {first!r} "
                                   f"lacks {', '.join(lacks)}")
         else:
             try:
                 outcomes.append(score_discriminative(
-                    pathology, validation.eligible(pathology, corpus), cfg))
+                    pathology, corpus, cfg, validation.eligible(pathology)))
             except DetectorError as exc:
                 skipped[pathology] = str(exc)
     outcomes.sort(key=lambda o: o.sort_key())

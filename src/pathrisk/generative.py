@@ -22,6 +22,8 @@ cosine scale (1+cos)/2.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,8 +33,7 @@ from .metrics import (MIEstimatorConfig, coherence, fluency, sim,
                       sim_matrix, sim_row_blocks)
 from . import registry
 from .registry import (AuditResult, DetectorError, DetectorOutcome,
-                       GENERATIVE_DETECTORS, clamp01, content_pairs, fmt,
-                       group_by)
+                       GENERATIVE_DETECTORS, clamp01, fmt, group_by)
 
 # Severity floor for existential predicates ("some entity unknown", "both a
 # true and a false claim present"): any positive fraction fires.
@@ -75,13 +76,13 @@ class GenerativeConfig:
     mi: MIEstimatorConfig = field(default_factory=MIEstimatorConfig)
 
     def __post_init__(self):
-        if self.margin <= 1.0:
+        if not (self.margin > 1.0):
             raise ValueError("margin must exceed 1")
-        if self.alpha <= 1.0:
+        if not (self.alpha > 1.0):
             raise ValueError("alpha must exceed 1")
         if not (0.0 < self.tau_c < 1.0):
             raise ValueError("tau_c must lie in (0,1)")
-        if self.epsilon <= 0.0:
+        if not (self.epsilon > 0.0):
             raise ValueError("epsilon must be positive")
         for name in ("s_hi", "s_indep", "gamma", "delta", "f_hi", "d_hi",
                      "tv_tol", "rho"):
@@ -259,9 +260,12 @@ def _score_misattribution(pair, cfg):
 def _score_semantic_drift(records, cfg):
     if len(records) < 3:
         raise DetectorError("semantic_drift: needs >= 3 records in sequence")
-    # every turn carries the conversation's intent; the first one's is used
+    # every turn carries the conversation's intent; the first one's is used.
+    # The slope reads only the last window similarities, so only they are
+    # formed
     intent = records[0].intent_embedding
-    series = [sim(r.output_embedding, intent) for r in records]
+    series = [sim(r.output_embedding, intent)
+              for r in records[-cfg.window:]]
     slope = metrics.windowed_slope(series, cfg.window)
     endpoint = series[-1]
     severity = (1.0 - endpoint) if slope < 0.0 else 0.0
@@ -470,12 +474,25 @@ def score(pathology, data, cfg=GenerativeConfig(), kb=None):
                            evidence=evidence)
 
 
+def _source_pairs(records):
+    """The pairs of records with the same annotations["content_id"] whose
+    annotations["source_id"] differ, each pair ordered by id: per content
+    id in sorted order, the pairs in the order of `combinations` over the
+    id-sorted records."""
+    return [(a, b)
+            for group in group_by(records,
+                                  lambda r: r.annotations["content_id"])
+            for a, b in combinations(sorted(group, key=attrgetter("id")), 2)
+            if (a.annotations.get("source_id")
+                != b.annotations.get("source_id"))]
+
+
 def _units(arity, eligible, fixtures):
     """The units a detector of that arity scores; the reason if none."""
     if arity is Arity.RECORD:
         return eligible, "no record carries the required fields"
     if arity is Arity.PAIR:
-        return (content_pairs(eligible, "source_id"),
+        return (_source_pairs(eligible),
                 "no content-matched pair with distinct sources")
     if arity is Arity.FIXTURE:
         return list(fixtures), "no causal fixtures supplied"
@@ -510,7 +527,8 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig()):
         if detector.needs_kb and kb is None:
             skipped[pathology] = "no knowledge base supplied"
             continue
-        eligible = validation.eligible(pathology, corpus)
+        eligible = [corpus[i]
+                    for i in validation.eligible(pathology).tolist()]
         units, reason = _units(detector.arity, eligible, fixtures)
         scored = 0
         lost = {}

@@ -1,9 +1,11 @@
 """Record model and JSONL corpus I/O.
 
-Two record kinds exist: TraceRecord for generative model interactions and
-ClassificationRecord for discriminative ones. Corpora are line-delimited
-JSON (one record per line, UTF-8, snake_case field names). Knowledge bases
-and causal fixtures live in plain JSON files.
+A trace corpus is a list of TraceRecords, one per generative interaction;
+a classification corpus is one `classification.ClassificationCorpus`,
+its records held as field columns, which a classification load imports.
+Corpora are line-delimited JSON (one record per line, UTF-8, snake_case
+field names). Knowledge bases and causal fixtures live in plain JSON
+files.
 
 Each field of a record or causal fixture has one kind, declared once at
 the field. The kind's decoder accepts only its JSON type and converts it;
@@ -13,14 +15,11 @@ a number nor an int; nothing else is coerced, so "0.5" is not a number and
 and a key that no field declares is an error, so a misspelt field cannot
 drop out. The kinds are listed in `_KINDS`.
 
-`from_json_dict` and `to_json_dict` walk the declared fields; `validate`
-runs the range checks, then the checks that relate fields to each other.
-A record that violates either aborts the load with the line number, record
-id and field; a knowledge-base entry or causal fixture names its index.
-
-Loaded records are never mutated, so they are safe to share across threads.
-Interning makes the records of one corpus share one string object for each
-distinct annotation key, annotation value and subgroup tag.
+A record is decoded field by field, range-checked, then checked across
+fields; a violation aborts the load naming the line, record id and field
+(a knowledge-base entry or causal fixture names its index). A
+classification line is decoded by the same kinds. Loaded records are
+never mutated.
 
 The CLI's other input files are decoded by the same kinds, through
 `declare` and `decode_object`. `read_json` parses a whole JSON file.
@@ -89,11 +88,6 @@ def _string(value):
     if type(value) is not str:
         raise _bad("a string", value)
     return value
-
-
-def _tag(value):
-    # a subgroup tag recurs through the corpus: one shared string for each
-    return sys.intern(_string(value))
 
 
 def _boolean(value):
@@ -213,7 +207,6 @@ def _ordered_pair(value):
 _KINDS = {
     "id": (_id, None),                  # a nonempty string
     "string": (_string, None),
-    "tag": (_tag, None),                # a string, interned
     "boolean": (_boolean, None),        # true or false
     "integer": (_integer, None),        # an int
     "dimension": (_integer, _positive),  # an int > 0
@@ -247,19 +240,27 @@ def _field(kind, mandatory=False, **default):
     return field(metadata={"kind": kind}, **default)
 
 
-def _schema(cls):
-    """Make cls a dataclass and gather its fields' kinds, in field order:
-    `_decoders` holds (name, decoder, mandatory), `_checks` (name, range
-    check) for the fields whose kind has a check."""
-    cls = dataclass(eq=False)(cls)
+def _declared(declared):
+    """(decoders, checks) of (name, kind, mandatory) triples, in their
+    order: `decoders` holds (name, decoder, mandatory), `checks` (name,
+    range check) for the fields whose kind has a check."""
     decoders, checks = [], []
-    for f in fields(cls):
-        decode, check = _KINDS[f.metadata["kind"]]
-        mandatory = f.default is MISSING and f.default_factory is MISSING
-        decoders.append((f.name, decode, mandatory))
+    for name, kind, mandatory in declared:
+        decode, check = _KINDS[kind]
+        decoders.append((name, decode, mandatory))
         if check is not None:
-            checks.append((f.name, check))
-    cls._decoders, cls._checks = tuple(decoders), tuple(checks)
+            checks.append((name, check))
+    return tuple(decoders), tuple(checks)
+
+
+def _schema(cls):
+    """Make cls a dataclass and gather its fields' kinds, in field order,
+    as `_decoders` and `_checks` (see `_declared`)."""
+    cls = dataclass(eq=False)(cls)
+    cls._decoders, cls._checks = _declared(
+        (f.name, f.metadata["kind"],
+         f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls))
     return cls
 
 
@@ -459,8 +460,6 @@ def _json_value(value):
         return value.tolist()
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(value)
     if isinstance(value, dict):
         return dict(value)
     return value
@@ -538,10 +537,6 @@ class TraceRecord(_Record):
     has_inference_path: Optional[bool] = _field("boolean")
     annotations: dict = _field("annotations", default_factory=dict)
 
-    @property
-    def embedding_dim(self):
-        return int(self.input_embedding.size)
-
     def validate(self, where=None):
         super().validate(where)
         rid = self.id
@@ -565,66 +560,6 @@ class TraceRecord(_Record):
                 raise RecordValidationError(
                     f"claim embeddings have mixed lengths {sorted(dims)}",
                     rid, "claim_embeddings", where)
-
-
-@_schema
-class ClassificationRecord(_Record):
-    """One classifier decision with its full probability vector.
-
-    Pairing metadata that links related records (spurious-feature resamples,
-    prosody-matched content, nested spans, train membership) travels in the
-    free-form annotations map; dedicated fields cover the pair ids the
-    detectors consume most often.
-    """
-
-    id: str = _field("id", mandatory=True)
-    features: np.ndarray = _field("vector", mandatory=True)
-    predicted_label: int = _field("integer", mandatory=True)
-    true_label: int = _field("integer", mandatory=True)
-    class_probabilities: np.ndarray = _field("vector", mandatory=True)
-    group: Optional[str] = _field("tag")
-    timestamp_index: Optional[int] = _field("integer")
-    is_ood: Optional[bool] = _field("boolean")
-    perturbation_pair_id: Optional[str] = _field("string")
-    noise_pair_id: Optional[str] = _field("string")
-    segment_bounds: Optional[tuple] = _field("bounds")
-    ref_segment_bounds: Optional[tuple] = _field("bounds")
-    latency_pair_id: Optional[str] = _field("string")
-    plausible_labels: Optional[frozenset] = _field("labels")
-    annotations: dict = _field("annotations", default_factory=dict)
-
-    @property
-    def confidence(self):
-        return float(np.max(self.class_probabilities))
-
-    @property
-    def correct(self):
-        return self.predicted_label == self.true_label
-
-    def validate(self, where=None):
-        super().validate(where)
-        rid = self.id
-        p = self.class_probabilities
-        if p.min() < 0.0 or p.max() > 1.0:
-            raise RecordValidationError("entries outside [0,1]", rid,
-                                        "class_probabilities", where)
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise RecordValidationError(f"probabilities sum {total:.6g}", rid,
-                                        "class_probabilities", where)
-        # a label indexes class_probabilities
-        labels = [("true_label", self.true_label)]
-        labels += [("plausible_labels", label)
-                   for label in sorted(self.plausible_labels or ())]
-        for name, label in labels:
-            if not 0 <= label < p.size:
-                raise RecordValidationError(
-                    f"label {label} outside [0, {p.size})", rid, name, where)
-        # argmax breaks ties by the lowest class id, on every platform
-        if self.predicted_label != int(p.argmax()):
-            raise RecordValidationError(
-                f"predicted_label {self.predicted_label} is not the argmax "
-                f"of class_probabilities", rid, "predicted_label", where)
 
 
 @dataclass(eq=False)
@@ -713,40 +648,48 @@ class CausalFixture:
 SCHEMAS = ("trace", "classification")
 
 
+def _json_lines(handle):
+    """(line number, parsed JSON value) of each line that is not blank."""
+    for line_no, line in enumerate(handle, start=1):
+        if line.strip():
+            try:
+                yield line_no, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(
+                    f"line {line_no}: malformed JSON ({exc.msg})") from None
+
+
 def load_trace_corpus(path, schema="trace"):
     """Load a JSONL corpus of the given schema ("trace" or "classification").
 
-    Returns validated records in file order. Any malformed line or
-    invariant violation aborts with the line number; duplicated ids or
-    mixed embedding/feature dimensions abort at corpus level.
+    A trace corpus is a list of validated TraceRecords in file order, a
+    classification corpus a `classification.ClassificationCorpus`. Any
+    malformed line or invariant violation aborts with the line number;
+    duplicated ids or mixed embedding/feature dimensions abort at corpus
+    level.
     """
     if schema not in SCHEMAS:
         raise CorpusError(f"unknown corpus schema {schema!r}; "
                           f"expected one of {SCHEMAS}")
-    cls = TraceRecord if schema == "trace" else ClassificationRecord
-    records = []
-    seen = set()
     with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(
-                    f"line {line_no}: malformed JSON ({exc.msg})") from None
+        if schema == "classification":
+            # only a classification load compiles the column corpus
+            from . import classification
+            return classification.from_lines(_json_lines(handle))
+        records = []
+        seen = set()
+        for line_no, obj in _json_lines(handle):
             where = f"line {line_no}"
-            rec = cls.from_json_dict(obj, where)
+            rec = TraceRecord.from_json_dict(obj, where)
             if rec.id in seen:
                 raise RecordValidationError("duplicate id", rec.id, "id",
                                             where)
             seen.add(rec.id)
             records.append(rec)
-    trace = schema == "trace"
-    dims = {r.embedding_dim if trace else r.features.size for r in records}
+    dims = {r.input_embedding.size for r in records}
     if len(dims) > 1:
-        raise CorpusError(f"mixed {'embedding' if trace else 'feature'} "
-                          f"dimensions in corpus: {sorted(dims)}")
+        raise CorpusError(f"mixed embedding dimensions in corpus: "
+                          f"{sorted(dims)}")
     return records
 
 

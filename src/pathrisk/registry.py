@@ -7,13 +7,11 @@ is the table that holds it. It also holds the types every audit shares
 (outcome, result, errors, validation report), `validate_corpus`, the one
 place that works out which fields a record lacks for a detector, and the
 helpers both families call: `fmt` writes an evidence number, `clamp01`
-clips a severity to [0, 1], `group_by` groups records by a key and
-`content_pairs` pairs the records of one content id. How a
-generative detector is scored
-(its arity, whether it reads the knowledge base, its scorer and
-threshold) lives beside its scorer in `generative._DETECTORS`; a
-discriminative one folds the whole corpus, with its scorer and threshold
-in `discriminative._DETECTORS`.
+clips a severity to [0, 1] and `group_by` groups records by a key. How a
+generative detector is scored (its arity, whether it reads the knowledge
+base, its scorer and threshold) lives beside its scorer in
+`generative._DETECTORS`; a discriminative one folds the whole corpus,
+with its scorer and threshold in `discriminative._DETECTORS`.
 
 The outcome format is written and read here alone:
 `DetectorOutcome.to_json_dict` gives an outcome's object in
@@ -25,14 +23,12 @@ reports count 34 distinct pathologies.
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Optional
 
-from .records import (ClassificationRecord, CorpusError,
-                      RecordValidationError, TraceRecord, declare,
-                      decode_object)
+import numpy as np
+
+from .records import CorpusError, RecordValidationError, declare, decode_object
 
 # detector id -> the record fields it requires; "annotations.k" is the key
 # k of the record's annotations
@@ -125,18 +121,6 @@ def group_by(records, key):
     for rec in records:
         groups.setdefault(key(rec), []).append(rec)
     return [groups[k] for k in sorted(groups)]
-
-
-def content_pairs(records, key):
-    """The pairs of records with the same annotations["content_id"] whose
-    annotations[key] differ, each pair ordered by id: per content id in
-    sorted order, the pairs in the order of `combinations` over the
-    id-sorted records."""
-    return [(a, b)
-            for group in group_by(records,
-                                  lambda r: r.annotations["content_id"])
-            for a, b in combinations(sorted(group, key=attrgetter("id")), 2)
-            if a.annotations.get(key) != b.annotations.get(key)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,27 +231,17 @@ class AuditResult:
         return out
 
 
-# each record type -> its kind and the table of the detectors that read it
-_KINDS = {TraceRecord: ("trace", GENERATIVE_DETECTORS),
-          ClassificationRecord: ("classification", DISCRIMINATIVE_DETECTORS)}
-# each detector -> the kind of record it reads
-_READS = {name: kind for kind, table in _KINDS.values() for name in table}
-
-
-def _columns(table):
-    """The record attributes and the annotation keys that some detector of
-    the table requires, each once, and each required field's position in
-    a `_presence` pattern: the attributes, then the keys."""
-    prefix = "annotations."
-    fields = dict.fromkeys(f for required in table.values() for f in required)
-    attrs = [f for f in fields if not f.startswith(prefix)]
-    keys = [f for f in fields if f.startswith(prefix)]
-    return (tuple(attrs), tuple(k[len(prefix):] for k in keys),
-            {f: i for i, f in enumerate(attrs + keys)})
-
-
-# each kind -> (attributes, annotation keys, {field: pattern position})
-_COLUMNS = {kind: _columns(table) for kind, table in _KINDS.values()}
+# each kind of corpus -> the table of the detectors that read it
+_TABLES = {"trace": GENERATIVE_DETECTORS,
+           "classification": DISCRIMINATIVE_DETECTORS}
+# each detector -> the kind of corpus it reads
+_READS = {name: kind for kind, table in _TABLES.items() for name in table}
+# each kind -> every field that some detector of its table requires, once:
+# the columns of its presence matrix
+_FIELDS = {kind: tuple(dict.fromkeys(f for required in table.values()
+                                     for f in required))
+           for kind, table in _TABLES.items()}
+_ANNOTATION = "annotations."
 
 
 def _wrong_kind(kind):
@@ -280,16 +254,14 @@ class ValidationReport:
     others.
 
     `available[d]` holds the ids of the records detector d can score, in
-    corpus order. `missing[d]` maps each distinct tuple of fields that
-    records lack for d to the ids of the records lacking exactly those
-    fields, in corpus order; a record of the other kind lacks
-    ("<requires a trace record>",) or ("<requires a classification
-    record>",). Every record is in exactly one of the two. A detector that
-    reads a record kind the corpus does not hold at all is in
-    `not_applicable` instead, with that reason, and has no per-record list.
-    The audits take from the report which records each detector scores,
-    and the discriminative audit the reason it skips a detector that no
-    record can feed.
+    corpus order, and `eligible(d)` their row indices. `missing[d]` maps
+    each distinct tuple of fields that records lack for d to the ids of
+    the records lacking exactly those fields, in corpus order. Every record
+    is in exactly one of the two. A detector that reads the other kind of
+    corpus is in `not_applicable` instead (unless the corpus is empty),
+    with the reason "<requires a trace record>" or "<requires a
+    classification record>". The audits take from the report which
+    records each detector scores, and why a detector scores none.
 
     `to_json_dict` is the content of validation.json:
     {"record_count": N, "detectors": {d: entry}} for all 35 detectors,
@@ -302,14 +274,14 @@ class ValidationReport:
 
     available: dict       # detector -> tuple of record ids
     missing: dict         # detector -> {missing-field tuple: tuple of ids}
-    not_applicable: dict  # detector -> reason; no record is of its kind
+    not_applicable: dict  # detector -> reason; it reads the other kind
     record_count: int
+    # detector -> row indices of its available records
+    rows: dict = field(compare=False, repr=False)
 
-    def eligible(self, detector, records):
-        """The records the detector can score, in their order; `records`
-        is the corpus the report was built from."""
-        ids = frozenset(self.available[detector])
-        return [r for r in records if r.id in ids]
+    def eligible(self, detector):
+        """The row indices of the records the detector can score."""
+        return self.rows[detector]
 
     def to_json_dict(self):
         detectors = {}
@@ -327,66 +299,64 @@ class ValidationReport:
 
 
 def _presence(record):
-    """(the record's kind, whether it has each attribute and then each
-    annotation key that _COLUMNS lists for the kind): the pattern
-    validate_corpus groups records by."""
-    kind = _KINDS[type(record)][0]
-    attrs, keys, _ = _COLUMNS[kind]
+    """Whether a trace record carries each field of _FIELDS["trace"]."""
     annotations = record.annotations
-    return kind, tuple([getattr(record, a) is not None for a in attrs]
-                       + [k in annotations for k in keys])
+    return [f[len(_ANNOTATION):] in annotations if f.startswith(_ANNOTATION)
+            else getattr(record, f) is not None for f in _FIELDS["trace"]]
 
 
-def _lacking(name, kind, present):
-    """The fields that a record whose pattern is (kind, present) lacks for
-    detector `name`, in the order the registry lists them: () when it has
-    them all, and the wrong-kind reason when it is of the other kind."""
-    expected = _READS[name]
-    if kind != expected:
-        return (_wrong_kind(expected),)
-    position = _COLUMNS[kind][2]
-    return tuple(f for f in REGISTRY[name] if not present[position[f]])
+def _presence_matrix(corpus):
+    """(the corpus's kind, its record ids, and whether each record carries
+    each field of _FIELDS[kind]). A ClassificationCorpus supplies its
+    columns' presence masks; a list of TraceRecords, _presence of each."""
+    if hasattr(corpus, "present"):   # a ClassificationCorpus
+        columns = [corpus.present[f] for f in _FIELDS["classification"]]
+        return "classification", corpus.ids, np.stack(columns, axis=1)
+    matrix = np.array([_presence(rec) for rec in corpus], dtype=bool)
+    return ("trace", [rec.id for rec in corpus],
+            matrix.reshape(len(corpus), len(_FIELDS["trace"])))
 
 
-def validate_corpus(records):
-    """Field availability of every detector on a corpus, grouped by the
-    missing fields; deterministic, with ids in corpus order. It is the one
-    place that works out which fields a record lacks for a detector:
-    those of the detector's table entry that the record does not carry,
-    or the wrong-kind reason for a record of the other kind. A detector
-    that reads a record kind the corpus does not hold at all is not
-    applicable, and its fields are not checked record by record. Record
-    ids must be unique, as the report names each record by its id.
+def validate_corpus(corpus):
+    """Field availability of every detector on a corpus, a list of
+    TraceRecords or a ClassificationCorpus, grouped by the missing fields;
+    deterministic, with ids in corpus order. It is the one place that works
+    out which fields a record lacks for a detector: those of the detector's
+    table entry that the record does not carry. A detector that reads the
+    other kind of corpus is not applicable, and its fields are not checked
+    record by record. Record ids must be unique, as the report names each
+    record by its id.
 
-    Each record's kind, and the presence of each field that a detector of
-    its kind requires, are taken once. Records of one kind with the same
-    fields present share one pattern, and each detector's lacking fields
-    are worked out once per pattern."""
-    ids = [rec.id for rec in records]
+    It reads one (records x fields) presence matrix of the fields that the
+    detectors of the corpus's kind require. For each detector a record's
+    missing fields are a bit pattern over the detector's columns, and the
+    records are grouped by pattern in the order each first occurs."""
+    kind, ids, present = _presence_matrix(corpus)
     seen = set()
     for rid in ids:
         if rid in seen:
             raise ValueError(f"duplicate record id {rid!r}")
         seen.add(rid)
-    patterns = {}   # each distinct pattern -> its index, in corpus order
-    pattern_of = [patterns.setdefault(_presence(rec), len(patterns))
-                  for rec in records]
-    kinds = {kind for kind, _ in patterns}
-    available, missing, not_applicable = {}, {}, {}
-    for name, kind in _READS.items():
-        ok, groups = [], {}
-        if records and kind not in kinds:
-            not_applicable[name] = _wrong_kind(kind)
+    column = {f: i for i, f in enumerate(_FIELDS[kind])}
+    # indexing an object array of the ids gives the id strings themselves
+    id_array = np.array(ids, dtype=object)
+    available, missing, not_applicable, rows = {}, {}, {}, {}
+    for name, reads in _READS.items():
+        required = REGISTRY[name]
+        if reads != kind:
+            if ids:
+                not_applicable[name] = _wrong_kind(reads)
+            pattern = np.zeros(0, dtype=np.int64)
         else:
-            lacking = [_lacking(name, *key) for key in patterns]
-            for rid, p in zip(ids, pattern_of):
-                if lacking[p]:
-                    groups.setdefault(lacking[p], []).append(rid)
-                else:
-                    ok.append(rid)
-        available[name] = tuple(ok)
-        missing[name] = {fields: tuple(members)
-                         for fields, members in groups.items()}
+            lacks = ~present[:, [column[f] for f in required]]
+            pattern = (lacks << np.arange(len(required))).sum(axis=1)
+        rows[name] = np.flatnonzero(pattern == 0)
+        available[name] = tuple(id_array[rows[name]])
+        # each distinct pattern but 0, in the order it first occurs
+        missing[name] = {
+            tuple(f for bit, f in enumerate(required) if code >> bit & 1):
+                tuple(id_array[pattern == code])
+            for code in dict.fromkeys(pattern.tolist()) if code}
     return ValidationReport(available=available, missing=missing,
                             not_applicable=not_applicable,
-                            record_count=len(records))
+                            record_count=len(ids), rows=rows)

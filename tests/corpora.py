@@ -7,13 +7,14 @@ fixture satisfies its predicate with slack, the matched negative violates
 it with slack, so threshold jitter cannot flip the golden verdicts.
 """
 
+import json
 import math
 
 import numpy as np
 
 from pathrisk.fixtures import D_E, _E
-from pathrisk.records import CausalFixture, ClassificationRecord, \
-    KnowledgeBase, TraceRecord
+from pathrisk.classification import ClassificationCorpus
+from pathrisk.records import CausalFixture, KnowledgeBase, TraceRecord
 from pathrisk.registry import DISCRIMINATIVE_DETECTORS, \
     GENERATIVE_DETECTORS, pathology_ids
 
@@ -271,16 +272,23 @@ def generative_fixture(pathology, positive):
 def _probs_for(label, confidence, n_classes=2):
     p = np.full(n_classes, (1.0 - confidence) / (n_classes - 1))
     p[label] = confidence
-    return p
+    return p.tolist()
 
 
-def _cls(rid, predicted, true, confidence=0.9, **kwargs):
-    kwargs.setdefault("features", np.zeros(2))
-    rec = ClassificationRecord(
-        id=rid, predicted_label=predicted, true_label=true,
-        class_probabilities=_probs_for(predicted, confidence), **kwargs)
-    rec.validate()
-    return rec
+def _cls(rid, predicted, true, confidence=0.9, **fields):
+    """The JSON object of one decision between two classes, with features
+    [0, 0] unless given and `fields` as they are."""
+    return {"id": rid, "features": [0.0, 0.0], "predicted_label": predicted,
+            "true_label": true,
+            "class_probabilities": _probs_for(predicted, confidence),
+            **fields}
+
+
+def save_rows(path, rows):
+    """Write JSON objects to path, one line each."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _fx_overfitting(positive):
@@ -331,11 +339,11 @@ def _fx_adversarial(positive):
     recs = []
     for i in range(10):
         base = np.array([float(i), 0.0])
-        recs.append(_cls(f"adv-{tag}-a-{i:02d}", 0, 0, features=base,
+        recs.append(_cls(f"adv-{tag}-a-{i:02d}", 0, 0, features=base.tolist(),
                          perturbation_pair_id=f"p{i}"))
         pred = 1 if positive else 0
         recs.append(_cls(f"adv-{tag}-b-{i:02d}", pred, 0,
-                         features=base + np.array([0.01, 0.0]),
+                         features=(base + [0.01, 0.0]).tolist(),
                          perturbation_pair_id=f"p{i}"))
     return recs
 
@@ -361,13 +369,13 @@ def _fx_concept_drift(positive):
     recs = []
     for t in range(20):
         recs.append(_cls(f"cdrift-{tag}-r-{t:02d}", 0, 0,
-                         features=np.array([0.01 * t, 0.0]),
+                         features=[0.01 * t, 0.0],
                          timestamp_index=t))
     for t in range(20):
         shift = 5.0 if positive else 0.0
         wrong = positive and t % 5 != 0   # current accuracy 0.2 when positive
         recs.append(_cls(f"cdrift-{tag}-c-{t:02d}", 0, 1 if wrong else 0,
-                         features=np.array([shift + 0.01 * t, 0.0]),
+                         features=[shift + 0.01 * t, 0.0],
                          timestamp_index=20 + t))
     return recs
 
@@ -410,9 +418,9 @@ def _fx_accent_bias(positive):
 
 def _fx_turn_boundary(positive):
     tag = "pos" if positive else "neg"
-    bounds = (10, 20) if positive else (0, 10)
+    bounds = [10, 20] if positive else [0, 10]
     return [_cls(f"turn-{tag}-{i:02d}", 0, 0, segment_bounds=bounds,
-                 ref_segment_bounds=(0, 10)) for i in range(20)]
+                 ref_segment_bounds=[0, 10]) for i in range(20)]
 
 
 def _fx_semantic_boundary(positive):
@@ -421,11 +429,11 @@ def _fx_semantic_boundary(positive):
     for i in range(10):
         wide_pred = 1 if positive else 0
         recs.append(_cls(f"span-{tag}-w-{i:02d}", wide_pred, 0,
-                         confidence=0.9, segment_bounds=(0, 100),
+                         confidence=0.9, segment_bounds=[0, 100],
                          annotations={"span_pair_id": f"s{i}",
                                       "span_role": "wide"}))
         recs.append(_cls(f"span-{tag}-n-{i:02d}", 0, 0, confidence=0.9,
-                         segment_bounds=(40, 60),
+                         segment_bounds=[40, 60],
                          annotations={"span_pair_id": f"s{i}",
                                       "span_role": "narrow"}))
     return recs
@@ -463,7 +471,7 @@ def _fx_ambiguity(positive):
     for i in range(20):
         conf = 0.97 if positive else 0.6
         recs.append(_cls(f"amb-{tag}-{i:02d}", 0, 1, confidence=conf,
-                         plausible_labels=frozenset({0, 1})))
+                         plausible_labels=[0, 1]))
     return recs
 
 
@@ -485,9 +493,16 @@ _DISCRIMINATIVE_FIXTURES = {
 }
 
 
+def discriminative_rows(pathology, positive):
+    """JSON objects of the classification corpus for one detector polarity
+    (>= 20 records)."""
+    return _DISCRIMINATIVE_FIXTURES[pathology](positive)
+
+
 def discriminative_fixture(pathology, positive):
     """Classification corpus for one detector polarity (>= 20 records)."""
-    return _DISCRIMINATIVE_FIXTURES[pathology](positive)
+    return ClassificationCorpus.from_json_dicts(
+        discriminative_rows(pathology, positive))
 
 
 assert set(_GENERATIVE_FIXTURES) == set(GENERATIVE_DETECTORS)
@@ -516,7 +531,7 @@ def demo_trace_corpus():
     return records
 
 
-def demo_classification_corpus():
+def demo_classification_rows():
     return _fx_calibration(True)
 
 

@@ -17,13 +17,26 @@ scipy. The density-check oracle is the whole-sample check the package ran
 before it drew its Monte-Carlo sample in row blocks. The validation oracle
 is a loop over every (record, detector) pair that checks each required
 field with its own `getattr` or annotation lookup, where validate_corpus
-groups records by the fields they carry.
+groups records by the fields they carry. The classification oracle is the
+per-record path the package ran before it held a classification corpus
+as field columns: `ClassificationRecord` with its `validate`, the loader
+with its duplicate-id and mixed-width checks, and the 14 discriminative
+scorers over record lists, audited as `audit_discriminative` did.
 """
 
 import json
 import math
+from itertools import combinations
+from operator import attrgetter
+from typing import Optional
 
 import numpy as np
+
+from pathrisk.records import (CorpusError, RecordValidationError, TraceRecord,
+                              _field, _Record, _schema)
+from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
+                               DetectorError, DetectorOutcome, clamp01, fmt,
+                               group_by)
 
 
 def asymmetric_objective(losses, r, tau):
@@ -238,12 +251,10 @@ def loop_validation(records):
     for a record the detector can score and the wrong-kind reason for a
     record of the kind the detector does not read, checked field by field
     for every (record, detector) pair."""
-    from pathrisk.records import ClassificationRecord, TraceRecord
-    from pathrisk import registry
     out = {}
     for table, reads, kind in (
-            (registry.GENERATIVE_DETECTORS, TraceRecord, "trace"),
-            (registry.DISCRIMINATIVE_DETECTORS, ClassificationRecord,
+            (GENERATIVE_DETECTORS, TraceRecord, "trace"),
+            (DISCRIMINATIVE_DETECTORS, ClassificationRecord,
              "classification")):
         for name, required in table.items():
             out[name] = {
@@ -309,3 +320,429 @@ def whole_sample_density_check(cfg):
             "mass_inside_unit_ball": inside,
             "widened": widened,
             "notes": notes}
+
+
+def loop_validation_json(records):
+    """validation.json of the records from loop_validation: a detector none
+    of whose records is of its kind is not applicable, unless there are no
+    records; otherwise its ids are listed, the missing ones grouped by the
+    fields they lack."""
+    detectors = {}
+    for name, lacks in loop_validation(records).items():
+        kind = "trace" if name in GENERATIVE_DETECTORS else "classification"
+        reason = (f"<requires a {kind} record>",)
+        if records and set(lacks.values()) == {reason}:
+            detectors[name] = {"not_applicable": reason[0],
+                               "count": len(records)}
+            continue
+        missing = {}
+        for rid, fields in lacks.items():
+            if fields:
+                missing.setdefault(",".join(fields), []).append(rid)
+        available = [rid for rid, fields in lacks.items() if not fields]
+        detectors[name] = {
+            "available": available, "available_count": len(available),
+            "missing": {key: {"count": len(ids), "ids": ids}
+                        for key, ids in missing.items()}}
+    return {"record_count": len(records), "detectors": detectors}
+
+
+@_schema
+class ClassificationRecord(_Record):
+    """One classifier decision with its full probability vector."""
+
+    id: str = _field("id", mandatory=True)
+    features: np.ndarray = _field("vector", mandatory=True)
+    predicted_label: int = _field("integer", mandatory=True)
+    true_label: int = _field("integer", mandatory=True)
+    class_probabilities: np.ndarray = _field("vector", mandatory=True)
+    group: Optional[str] = _field("string")
+    timestamp_index: Optional[int] = _field("integer")
+    is_ood: Optional[bool] = _field("boolean")
+    perturbation_pair_id: Optional[str] = _field("string")
+    noise_pair_id: Optional[str] = _field("string")
+    segment_bounds: Optional[tuple] = _field("bounds")
+    ref_segment_bounds: Optional[tuple] = _field("bounds")
+    latency_pair_id: Optional[str] = _field("string")
+    plausible_labels: Optional[frozenset] = _field("labels")
+    annotations: dict = _field("annotations", default_factory=dict)
+
+    @property
+    def confidence(self):
+        return float(np.max(self.class_probabilities))
+
+    @property
+    def correct(self):
+        return self.predicted_label == self.true_label
+
+    def validate(self, where=None):
+        super().validate(where)
+        rid = self.id
+        p = self.class_probabilities
+        if p.min() < 0.0 or p.max() > 1.0:
+            raise RecordValidationError("entries outside [0,1]", rid,
+                                        "class_probabilities", where)
+        total = float(p.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise RecordValidationError(f"probabilities sum {total:.6g}", rid,
+                                        "class_probabilities", where)
+        labels = [("true_label", self.true_label)]
+        labels += [("plausible_labels", label)
+                   for label in sorted(self.plausible_labels or ())]
+        for name, label in labels:
+            if not 0 <= label < p.size:
+                raise RecordValidationError(
+                    f"label {label} outside [0, {p.size})", rid, name, where)
+        if self.predicted_label != int(p.argmax()):
+            raise RecordValidationError(
+                f"predicted_label {self.predicted_label} is not the argmax "
+                f"of class_probabilities", rid, "predicted_label", where)
+
+
+def load_classification_records(path):
+    """The validated ClassificationRecords of a JSONL file, each line
+    parsed and checked whole before the next is read, then checked for a
+    duplicated id; the feature widths are compared at the end."""
+    records = []
+    seen = set()
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(
+                    f"line {line_no}: malformed JSON ({exc.msg})") from None
+            where = f"line {line_no}"
+            rec = ClassificationRecord.from_json_dict(obj, where)
+            if rec.id in seen:
+                raise RecordValidationError("duplicate id", rec.id, "id",
+                                            where)
+            seen.add(rec.id)
+            records.append(rec)
+    dims = {r.features.size for r in records}
+    if len(dims) > 1:
+        raise CorpusError(f"mixed feature dimensions in corpus: "
+                          f"{sorted(dims)}")
+    return records
+
+
+def content_pairs(records, key):
+    """The pairs of records with the same annotations["content_id"] whose
+    annotations[key] differ, each pair ordered by id."""
+    return [(a, b)
+            for group in group_by(records,
+                                  lambda r: r.annotations["content_id"])
+            for a, b in combinations(sorted(group, key=attrgetter("id")), 2)
+            if a.annotations.get(key) != b.annotations.get(key)]
+
+
+def _accuracy(records):
+    if not records:
+        raise DetectorError("accuracy of an empty record set")
+    return sum(1 for r in records if r.correct) / len(records)
+
+
+def _pairs_by_id(records, key):
+    """The records sharing each value of the field `key`, where exactly
+    two do, ordered by id."""
+    return [tuple(sorted(group, key=lambda r: r.id))
+            for group in group_by(records, attrgetter(key))
+            if len(group) == 2]
+
+
+def _event_rate(units, is_event, none_message):
+    """(events / units, the event count, the unit count), both counts as
+    evidence strings; a DetectorError with none_message if no unit."""
+    if not units:
+        raise DetectorError(none_message)
+    events = sum(1 for unit in units if is_event(unit))
+    return events / len(units), str(events), str(len(units))
+
+
+def _disagree(pair):
+    return pair[0].predicted_label != pair[1].predicted_label
+
+
+# --- detectors ---------------------------------------------------------------
+
+def _accuracy_drop(records, role, roles, keys, none_message):
+    """The clamped drop from the accuracy of the records whose role(r) is
+    roles[0] to that of those whose role is roles[1], and evidence that
+    names the two accuracies and the drop by `keys`; a DetectorError with
+    none_message if either side is empty."""
+    sides = [[r for r in records if role(r) == value] for value in roles]
+    if not all(sides):
+        raise DetectorError(none_message)
+    first, second = map(_accuracy, sides)
+    drop = first - second
+    return clamp01(drop), dict(zip(keys, map(fmt, (first, second, drop))))
+
+
+def _score_overfitting(records, cfg):
+    return _accuracy_drop(
+        records, lambda r: r.annotations.get("in_train_set", "").lower(),
+        ("true", "false"), ("train_accuracy", "holdout_accuracy", "gap"),
+        "overfitting: needs both train-flagged and held-out records")
+
+
+def _prediction_rates(records, classes):
+    preds = np.asarray([r.predicted_label for r in records])
+    return np.asarray([np.mean(preds == c) for c in classes])
+
+
+def _score_bias_amplification(records, cfg):
+    groups = sorted({r.group for r in records})
+    classes = sorted({r.predicted_label for r in records}
+                     | {r.true_label for r in records})
+    baseline = _prediction_rates(records, classes)
+    worst = 0.0
+    worst_group = ""
+    for g in groups:
+        members = [r for r in records if r.group == g]
+        dev = float(np.max(np.abs(_prediction_rates(members, classes)
+                                  - baseline)))
+        if dev > worst:
+            worst, worst_group = dev, g
+    return clamp01(worst), {"max_rate_deviation": fmt(worst),
+                            "worst_group": worst_group,
+                            "groups": str(len(groups))}
+
+
+def _score_spurious_correlation(records, cfg):
+    return _accuracy_drop(
+        records, lambda r: r.annotations["spurious_role"],
+        ("clean", "resampled"),
+        ("clean_accuracy", "resampled_accuracy", "drop"),
+        "spurious_correlation: needs clean and resampled roles")
+
+
+def _score_adversarial(records, cfg):
+    pairs = [(a, b) for a, b in _pairs_by_id(records, "perturbation_pair_id")
+             if float(np.linalg.norm(a.features - b.features)) <= cfg.eps_adv]
+    rate, flips, n = _event_rate(
+        pairs, _disagree,
+        "adversarial_vulnerability: no perturbation pair within eps_adv")
+    return rate, {"flips": flips, "eligible_pairs": n}
+
+
+def expected_calibration_error(records, bins=10):
+    """ECE with equal-width confidence bins over [0, 1]."""
+    conf = np.asarray([r.confidence for r in records])
+    correct = np.asarray([r.correct for r in records], dtype=float)
+    idx = np.minimum((conf * bins).astype(int), bins - 1)
+    n = len(records)
+    ece = 0.0
+    for b in range(bins):
+        mask = idx == b
+        if not mask.any():
+            continue
+        ece += (mask.sum() / n) * abs(correct[mask].mean()
+                                      - conf[mask].mean())
+    return float(ece)
+
+
+def _score_calibration(records, cfg):
+    ece = expected_calibration_error(records, cfg.ece_bins)
+    return clamp01(ece), {"ece": fmt(ece), "bins": str(cfg.ece_bins)}
+
+
+def _feature_tv(ref, cur, bins):
+    ref_f = np.asarray([r.features for r in ref])
+    cur_f = np.asarray([r.features for r in cur])
+    tvs = []
+    for j in range(ref_f.shape[1]):
+        lo = min(ref_f[:, j].min(), cur_f[:, j].min())
+        hi = max(ref_f[:, j].max(), cur_f[:, j].max())
+        if hi <= lo:
+            tvs.append(0.0)
+            continue
+        edges = np.linspace(lo, hi, bins + 1)
+        p = np.histogram(ref_f[:, j], bins=edges)[0] / len(ref)
+        q = np.histogram(cur_f[:, j], bins=edges)[0] / len(cur)
+        tvs.append(0.5 * float(np.abs(p - q).sum()))
+    return float(np.mean(tvs))
+
+
+def _score_concept_drift(records, cfg):
+    if len(records) < 4:
+        raise DetectorError("concept_drift_sensitivity: needs >= 4 "
+                            "timestamped records")
+    ordered = sorted(records, key=lambda r: (r.timestamp_index, r.id))
+    half = len(ordered) // 2
+    ref, cur = ordered[:half], ordered[half:]
+    tv = _feature_tv(ref, cur, cfg.tv_bins)
+    ref_accuracy, cur_accuracy = _accuracy(ref), _accuracy(cur)
+    severity = clamp01(ref_accuracy - cur_accuracy) if tv >= cfg.tv_hi else 0.0
+    return severity, {"reference_accuracy": fmt(ref_accuracy),
+                      "current_accuracy": fmt(cur_accuracy),
+                      "feature_tv": fmt(tv)}
+
+
+def _score_misclassification_uncertainty(records, cfg):
+    rate, events, n = _event_rate(
+        [r for r in records if r.is_ood],
+        lambda r: r.confidence >= cfg.c_hi and not r.correct,
+        "misclassification_under_uncertainty: no OOD records")
+    return rate, {"confident_wrong": events, "ood_records": n}
+
+
+def _score_prosodic(records, cfg):
+    rate, events, n = _event_rate(
+        content_pairs(records, "prosody"),
+        lambda p: _disagree(p) and not (p[0].correct and p[1].correct),
+        "prosodic_misclassification: no content-matched pair with differing "
+        "prosody")
+    return rate, {"events": events, "eligible_pairs": n}
+
+
+def _score_accent_bias(records, cfg):
+    paired_contents = {}
+    for rec in records:
+        paired_contents.setdefault(rec.annotations["content_id"],
+                                   set()).add(rec.group)
+    multi = {cid for cid, groups in paired_contents.items()
+             if len(groups) >= 2}
+    eligible = [r for r in records if r.annotations["content_id"] in multi]
+    groups = sorted({r.group for r in eligible})
+    if len(groups) < 2:
+        raise DetectorError("accent_bias: needs content matched across >= 2 "
+                            "groups")
+    acc = {g: _accuracy([r for r in eligible if r.group == g])
+           for g in groups}
+    worst = 0.0
+    witness = ("", "")
+    for i in range(len(groups)):
+        for j in range(i + 1, len(groups)):
+            gap = abs(acc[groups[i]] - acc[groups[j]])
+            if gap > worst:
+                worst, witness = gap, (groups[i], groups[j])
+    return clamp01(worst), {"max_accuracy_gap": fmt(worst),
+                            "witness_groups": ",".join(witness)}
+
+
+def _score_turn_boundary(records, cfg):
+    offsets = []
+    for r in records:
+        (a0, a1), (b0, b1) = r.segment_bounds, r.ref_segment_bounds
+        offsets.append(max(abs(a0 - b0), abs(a1 - b1)))
+    # offset == tol_t lands at severity 0.5, the firing point
+    severity = float(np.mean([clamp01(o / (2.0 * cfg.tol_t))
+                              for o in offsets]))
+    return severity, {"mean_offset": fmt(float(np.mean(offsets))),
+                      "records": str(len(records))}
+
+
+def _score_semantic_boundary(records, cfg):
+    diffs = []
+    for group in group_by(records, lambda r: r.annotations["span_pair_id"]):
+        roles = {r.annotations["span_role"]: r for r in group}
+        wide, narrow = roles.get("wide"), roles.get("narrow")
+        if wide is None or narrow is None:
+            continue
+        (w0, w1), (n0, n1) = wide.segment_bounds, narrow.segment_bounds
+        if not (w0 <= n0 and n1 <= w1):
+            continue  # wide span must contain the narrow one
+        score_wide = float(wide.class_probabilities[wide.true_label])
+        score_narrow = float(narrow.class_probabilities[narrow.true_label])
+        diffs.append(score_narrow - score_wide)
+    if not diffs:
+        raise DetectorError("semantic_boundary_confusion: no nested "
+                            "wide/narrow span pair")
+    severity = clamp01(float(np.mean(diffs)))
+    return severity, {"mean_score_difference": fmt(float(np.mean(diffs))),
+                      "pairs": str(len(diffs))}
+
+
+def _score_noise_overfitting(records, cfg):
+    roles = [{r.annotations["noise_role"]: r for r in group}
+             for group in group_by(records, attrgetter("noise_pair_id"))]
+    rate, events, n = _event_rate(
+        [(g["clean"], g["noisy"]) for g in roles
+         if "clean" in g and "noisy" in g],
+        lambda p: p[0].correct and not p[1].correct,
+        "noise_overfitting: no clean/noisy pair")
+    return rate, {"events": events, "eligible_pairs": n}
+
+
+def _score_latency_drift(records, cfg):
+    rate, events, n = _event_rate(
+        _pairs_by_id(records, "latency_pair_id"), _disagree,
+        "latency_induced_decision_drift: no latency pair")
+    return rate, {"disagreements": events, "eligible_pairs": n}
+
+
+def _collapsed(r, cfg):
+    """A confident wrong answer that beats every other plausible label by
+    at least margin_hi."""
+    if r.confidence < cfg.c_hi or r.correct:
+        return False
+    # plausible labels index class_probabilities: records validate it
+    alternatives = [r.class_probabilities[y] for y in r.plausible_labels
+                    if y != r.predicted_label]
+    return (bool(alternatives)
+            and r.confidence - float(max(alternatives)) >= cfg.margin_hi)
+
+
+def _score_ambiguity_collapse(records, cfg):
+    rate, events, n = _event_rate(
+        [r for r in records if len(r.plausible_labels) >= 2],
+        lambda r: _collapsed(r, cfg),
+        "ambiguity_collapse: no record with >= 2 plausible labels")
+    return rate, {"collapses": events, "eligible_records": n}
+
+
+# detector -> (scorer, its firing threshold under a config)
+_DETECTORS = {
+    "overfitting": (_score_overfitting, lambda c: c.gap_hi),
+    "bias_amplification": (_score_bias_amplification, lambda c: c.amp_hi),
+    "spurious_correlation": (_score_spurious_correlation,
+                             lambda c: c.gap_hi),
+    "adversarial_vulnerability": (_score_adversarial, lambda c: c.flip_hi),
+    "calibration_failure": (_score_calibration, lambda c: c.ece_hi),
+    "concept_drift_sensitivity": (_score_concept_drift, lambda c: c.gap_hi),
+    "misclassification_under_uncertainty": (
+        _score_misclassification_uncertainty, lambda c: c.frac_hi),
+    "prosodic_misclassification": (_score_prosodic, lambda c: c.frac_hi),
+    "accent_bias": (_score_accent_bias, lambda c: c.amp_hi),
+    "turn_boundary_failure": (_score_turn_boundary, lambda c: 0.5),
+    "semantic_boundary_confusion": (_score_semantic_boundary,
+                                    lambda c: c.gap_hi),
+    "noise_overfitting": (_score_noise_overfitting, lambda c: c.flip_hi),
+    "latency_induced_decision_drift": (_score_latency_drift,
+                                       lambda c: c.flip_hi),
+    "ambiguity_collapse": (_score_ambiguity_collapse, lambda c: c.frac_hi),
+}
+assert set(_DETECTORS) == set(DISCRIMINATIVE_DETECTORS)
+
+
+
+
+def audit_classification_records(records, cfg):
+    """(outcome dicts sorted as the audit sorts them, skip reasons) of the
+    14 detectors over records, each scoring the records loop_validation
+    finds eligible, with the n_min floor and skip reasons of
+    audit_discriminative."""
+    lacks = loop_validation(records)
+    outcomes, skipped = [], {}
+    for name in DISCRIMINATIVE_DETECTORS:
+        eligible = [r for r in records if not lacks[name][r.id]]
+        if len(records) < cfg.n_min:
+            skipped[name] = (f"{name}: needs >= n_min = {cfg.n_min} "
+                             f"records, got {len(records)}")
+        elif not eligible:
+            skipped[name] = (f"{name}: record {records[0].id!r} lacks "
+                             f"{', '.join(lacks[name][records[0].id])}")
+        else:
+            scorer, threshold = _DETECTORS[name]
+            try:
+                severity, evidence = scorer(eligible, cfg)
+            except DetectorError as exc:
+                skipped[name] = str(exc)
+                continue
+            outcomes.append(DetectorOutcome(
+                pathology=name, record_ids=(), severity=severity,
+                threshold=threshold(cfg), evidence=evidence))
+    outcomes.sort(key=lambda o: o.sort_key())
+    return [o.to_json_dict() for o in outcomes], skipped

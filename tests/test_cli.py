@@ -61,7 +61,7 @@ def _argv(tmp_path, subcommand):
         return _trace_audit(tmp_path)
     if subcommand == "audit-classification":
         corpus = tmp_path / "corpus.jsonl"
-        save_trace_corpus(corpus, corpora.demo_classification_corpus())
+        corpora.save_rows(corpus, corpora.demo_classification_rows())
         return ["audit", "--corpus", str(corpus),
                 "--schema", "classification"]
     if subcommand == "risk-gate":
@@ -206,7 +206,7 @@ _CLI_IMPORTS = {"pathrisk", "pathrisk.cli", "pathrisk.jsonio",
                 "pathrisk.records", "pathrisk.registry"}
 _SUBCOMMAND_IMPORTS = {
     "risk-gate": {"risk"}, "report": {"risk"},
-    "audit-classification": {"discriminative"},
+    "audit-classification": {"classification", "discriminative"},
     "audit-trace": {"generative", "metrics"},
     "holonorm-verify": {"holonorm"}, "game": {"game", "risk"},
     "pareto": {"fixtures", "metrics", "risk"}}
@@ -244,11 +244,11 @@ def _fixture_audit(tmp_path, pathology, config):
     corpus = tmp_path / "corpus.jsonl"
     argv = ["audit", "--corpus", str(corpus)]
     if pathology in GENERATIVE_DETECTORS:
-        records = corpora.generative_fixture(pathology, True)["records"]
+        save_trace_corpus(
+            corpus, corpora.generative_fixture(pathology, True)["records"])
     else:
-        records = corpora.discriminative_fixture(pathology, True)
+        corpora.save_rows(corpus, corpora.discriminative_rows(pathology, True))
         argv += ["--schema", "classification"]
-    save_trace_corpus(corpus, records)
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

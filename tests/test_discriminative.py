@@ -6,20 +6,23 @@ from pathrisk.discriminative import (DiscriminativeConfig,
                                      audit_discriminative,
                                      expected_calibration_error,
                                      score_discriminative)
-from pathrisk.records import ClassificationRecord, TraceRecord
+from pathrisk.classification import ClassificationCorpus
+from pathrisk.records import RecordValidationError, TraceRecord
 from pathrisk.registry import DISCRIMINATIVE_DETECTORS, validate_corpus
-from oracles import loop_validation
+from oracles import ClassificationRecord, loop_validation
 
 DIS_IDS = sorted(DISCRIMINATIVE_DETECTORS)
 
 
-def _cls(rid, predicted, true, confidence=0.9, **kwargs):
-    kwargs.setdefault("features", np.zeros(2))
-    probs = np.full(2, 1.0 - confidence)
+def _cls(rid, predicted, true, confidence=0.9, **fields):
+    """The JSON object of one decision between two classes."""
+    probs = [1.0 - confidence] * 2
     probs[predicted] = confidence
-    return ClassificationRecord(id=rid, predicted_label=predicted,
-                                true_label=true,
-                                class_probabilities=probs, **kwargs)
+    return {"id": rid, "features": [0.0, 0.0], "predicted_label": predicted,
+            "true_label": true, "class_probabilities": probs, **fields}
+
+
+_corpus = ClassificationCorpus.from_json_dicts
 
 
 class TestFixturePolarity:
@@ -47,8 +50,8 @@ class TestFixturePolarity:
 
 # what a record with only the mandatory fields and features lacks, by
 # detector
-_BARE_LACKS = {name: lacks["bare"] for name, lacks in
-               loop_validation([_cls("bare", 1, 0)]).items()}
+_BARE_LACKS = {name: lacks["bare"] for name, lacks in loop_validation(
+    [ClassificationRecord.from_json_dict(_cls("bare", 1, 0))]).items()}
 
 
 class TestEligibility:
@@ -59,12 +62,12 @@ class TestEligibility:
     def test_records_lacking_fields_leave_the_outcome_unchanged(
             self, pathology):
         # the audit decides eligibility, so the outcome is the audit's
-        def outcome(records):
+        def outcome(rows):
             return [o.to_json_dict()
-                    for o in audit_discriminative(records).outcomes
+                    for o in audit_discriminative(_corpus(rows)).outcomes
                     if o.pathology == pathology]
 
-        recs = corpora.discriminative_fixture(pathology, True)
+        recs = corpora.discriminative_rows(pathology, True)
         bare = [_cls(f"bare-{i:02d}", 1, 0) for i in range(len(recs))]
         assert outcome(recs + bare) == outcome(recs) != []
 
@@ -91,7 +94,9 @@ class TestCalibration:
         for i in range(20):
             recs.append(_cls(f"b2-{i}", 0, 0 if i < 11 else 1,
                              confidence=0.55))
-        assert expected_calibration_error(recs, bins=10) == \
+        recs = _corpus(recs)
+        assert expected_calibration_error(recs.confidence, recs.correct,
+                                          bins=10) == \
             pytest.approx(0.0, abs=1e-12)
 
 
@@ -100,13 +105,14 @@ class TestRateExactness:
         recs = []
         for i in range(10):
             base = np.array([float(i), 0.0])
-            recs.append(_cls(f"a{i}", 0, 0, features=base,
+            recs.append(_cls(f"a{i}", 0, 0, features=base.tolist(),
                              perturbation_pair_id=f"p{i}"))
             flipped = i < 3
             recs.append(_cls(f"b{i}", 1 if flipped else 0, 0,
-                             features=base + np.array([0.01, 0.0]),
+                             features=(base + [0.01, 0.0]).tolist(),
                              perturbation_pair_id=f"p{i}"))
-        outcome = score_discriminative("adversarial_vulnerability", recs)
+        outcome = score_discriminative("adversarial_vulnerability",
+                                       _corpus(recs))
         assert outcome.severity == pytest.approx(0.3)
         assert outcome.evidence["flips"] == "3"
         assert outcome.evidence["eligible_pairs"] == "10"
@@ -137,27 +143,23 @@ class TestGroupSymmetry:
     @pytest.mark.parametrize("pathology", ["accent_bias",
                                            "bias_amplification"])
     def test_swapping_group_labels_preserves_severity(self, pathology):
-        recs = corpora.discriminative_fixture(pathology, True)
-        base = score_discriminative(pathology, recs).severity
+        recs = corpora.discriminative_rows(pathology, True)
+        base = score_discriminative(pathology, _corpus(recs)).severity
         swap = {"g1": "g2", "g2": "g1", "a1": "a2", "a2": "a1"}
-        swapped = []
-        for r in recs:
-            d = r.to_json_dict()
-            d["group"] = swap.get(r.group, r.group)
-            swapped.append(ClassificationRecord.from_json_dict(d))
-        assert score_discriminative(pathology, swapped).severity == \
-            pytest.approx(base, abs=1e-12)
+        swapped = [r | {"group": swap[r["group"]]} for r in recs]
+        assert score_discriminative(pathology, _corpus(swapped)).severity \
+            == pytest.approx(base, abs=1e-12)
 
 
 class TestPermutationInvariance:
     @pytest.mark.parametrize("pathology", DIS_IDS)
     def test_order_does_not_matter(self, pathology, rng):
-        recs = corpora.discriminative_fixture(pathology, True)
-        base = score_discriminative(pathology, recs).severity
+        recs = corpora.discriminative_rows(pathology, True)
+        base = score_discriminative(pathology, _corpus(recs)).severity
         shuffled = list(recs)
         rng.shuffle(shuffled)
-        assert score_discriminative(pathology, shuffled).severity == \
-            pytest.approx(base, abs=1e-12)
+        assert score_discriminative(pathology, _corpus(shuffled)).severity \
+            == pytest.approx(base, abs=1e-12)
 
 
 class TestDrift:
@@ -167,24 +169,36 @@ class TestDrift:
         for t in range(40):
             wrong = t >= 20
             recs.append(_cls(f"r{t}", 0, 1 if wrong else 0,
-                             features=np.array([0.01 * (t % 20), 0.0]),
+                             features=[0.01 * (t % 20), 0.0],
                              timestamp_index=t))
-        outcome = score_discriminative("concept_drift_sensitivity", recs)
+        outcome = score_discriminative("concept_drift_sensitivity",
+                                       _corpus(recs))
         assert outcome.severity == 0.0
+
+
+    def test_timestamp_ties_are_ordered_by_id(self, rng):
+        # the earlier half is the first in (timestamp_index, id) order, so
+        # the outcome does not depend on the order of the corpus
+        recs = [_cls(f"r{t:02d}", 0, int(t % 3 == 0), features=[t, 0.0],
+                     timestamp_index=t // 8) for t in range(40)]
+        base = score_discriminative("concept_drift_sensitivity",
+                                    _corpus(recs)).to_json_dict()
+        rng.shuffle(recs)
+        assert score_discriminative("concept_drift_sensitivity",
+                                    _corpus(recs)).to_json_dict() == base
 
 
 class TestErrors:
     def test_n_min_floor(self):
-        recs = corpora.discriminative_fixture("calibration_failure",
-                                              True)[:5]
-        result = audit_discriminative(recs)
+        recs = corpora.discriminative_rows("calibration_failure", True)[:5]
+        result = audit_discriminative(_corpus(recs))
         assert result.outcomes == ()
         assert result.skipped["calibration_failure"] == \
             "calibration_failure: needs >= n_min = 20 records, got 5"
 
     def test_missing_pairing_fields(self):
         # no record is eligible: the reason names the first one
-        recs = [_cls(f"r{i:02d}", 0, 0) for i in range(20)]
+        recs = _corpus([_cls(f"r{i:02d}", 0, 0) for i in range(20)])
         assert audit_discriminative(recs).skipped[
             "adversarial_vulnerability"] == (
             "adversarial_vulnerability: record 'r00' lacks "
@@ -206,11 +220,10 @@ class TestAudit:
         assert "validation" not in result.to_json_dict()
 
     def test_records_lacking_fields_leave_the_audit_unchanged(self):
-        recs = corpora.discriminative_fixture("bias_amplification", True)
-        recs += corpora.discriminative_fixture("adversarial_vulnerability",
-                                               True)
+        recs = corpora.discriminative_rows("bias_amplification", True)
+        recs += corpora.discriminative_rows("adversarial_vulnerability", True)
         bare = [_cls(f"bare-{i:02d}", 1, 0) for i in range(len(recs))]
-        full = audit_discriminative(recs + bare)
+        full = audit_discriminative(_corpus(recs + bare))
         assert {"bias_amplification", "adversarial_vulnerability"} <= \
             {o.pathology for o in full.outcomes}
 
@@ -220,7 +233,7 @@ class TestAudit:
                     if _BARE_LACKS[o.pathology]]
 
         assert lacking(full.outcomes) == \
-            lacking(audit_discriminative(recs).outcomes)
+            lacking(audit_discriminative(_corpus(recs)).outcomes)
 
     def test_a_trace_corpus_skips_every_detector_for_its_kind(self):
         cfg = DiscriminativeConfig()
@@ -248,14 +261,18 @@ class TestAudit:
 
         recs = [carrying("r00", first_has)] + [
             carrying(f"r{i:02d}", first_lacks) for i in range(1, 20)]
-        result = audit_discriminative(recs)
+        result = audit_discriminative(_corpus(recs))
         assert result.skipped["accent_bias"] == \
             f"accent_bias: record 'r00' lacks {first_lacks}"
 
     def test_duplicate_ids_are_rejected(self):
-        recs = corpora.discriminative_fixture("calibration_failure", True)
-        with pytest.raises(ValueError, match="duplicate record id"):
-            audit_discriminative(recs + recs[:1])
+        # no corpus with a duplicated id can be built, so none reaches the
+        # audit
+        recs = corpora.discriminative_rows("calibration_failure", True)
+        with pytest.raises(RecordValidationError,
+                           match="^line 41, record 'cal-pos-00', field "
+                                 "'id': duplicate id$"):
+            _corpus(recs + recs[:1])
 
     def test_config_override_threshold(self):
         cfg = DiscriminativeConfig(ece_hi=0.9)

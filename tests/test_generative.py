@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -433,6 +434,47 @@ class TestConfig:
     def test_alpha_must_exceed_one(self):
         with pytest.raises(ValueError):
             GenerativeConfig(alpha=0.5)
+
+    @pytest.mark.parametrize("name,message", [
+        ("margin", "margin must exceed 1"), ("alpha", "alpha must exceed 1"),
+        ("epsilon", "epsilon must be positive")])
+    def test_nan_is_rejected(self, name, message):
+        # NaN fails every comparison, so each check asks what must hold
+        with pytest.raises(ValueError, match=message):
+            GenerativeConfig(**{name: math.nan})
+
+
+class TestSemanticDrift:
+    def _outcomes(self, records):
+        result = audit_generative(records)
+        return ([o.to_json_dict() for o in result.outcomes
+                 if o.pathology == "semantic_drift"],
+                result.dropped.get("semantic_drift", {}))
+
+    def test_only_the_window_is_formed(self, monkeypatch):
+        records = corpora.generative_fixture("semantic_drift", True)["records"]
+        calls = []
+        real = generative.sim
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(generative, "sim", counted)
+        generative.score("semantic_drift", records)
+        assert len(records) == 6 and len(calls) == GenerativeConfig().window
+
+    def test_a_zero_output_before_the_window_is_scored(self):
+        # the conversation was dropped when its first turn, which the
+        # slope never reads, had a zero output embedding
+        records = corpora.generative_fixture("semantic_drift", True)["records"]
+        zero = np.zeros_like(records[0].output_embedding)
+        before = [dataclasses.replace(records[0], output_embedding=zero)]
+        assert self._outcomes(before + records[1:]) == \
+            (self._outcomes(records)[0], {})
+        inside = [dataclasses.replace(records[-1], output_embedding=zero)]
+        outcomes, dropped = self._outcomes(records[:-1] + inside)
+        assert outcomes == [] and list(dropped) == ["drift-pos"]
 
 
 def _rotate_record(rec, q):

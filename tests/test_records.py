@@ -1,8 +1,7 @@
-import dataclasses
 import gc
 import json
 import math
-import sys
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_validation
-from pathrisk.records import (CausalFixture, ClassificationRecord,
-                              CorpusError, KnowledgeBase,
-                              RecordValidationError, TraceRecord,
-                              load_causal_fixtures, load_knowledge_base,
-                              load_trace_corpus, read_json,
-                              read_json_chunked, save_trace_corpus)
+import oracles
+from oracles import ClassificationRecord, loop_validation
+from pathrisk.discriminative import DiscriminativeConfig, audit_discriminative
+from pathrisk.classification import STRING_COLUMNS, ClassificationCorpus
+from pathrisk.records import (CausalFixture, CorpusError,
+                              KnowledgeBase, RecordValidationError,
+                              TraceRecord, load_causal_fixtures,
+                              load_knowledge_base, load_trace_corpus,
+                              read_json, read_json_chunked, save_trace_corpus)
 from pathrisk import registry
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                REGISTRY, validate_corpus)
@@ -38,15 +39,16 @@ def test_empty_file_gives_empty_corpus(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     assert load_trace_corpus(path, "trace") == []
-    assert load_trace_corpus(path, "classification") == []
+    assert len(load_trace_corpus(path, "classification")) == 0
 
 
 def test_classification_record_accepted(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(path, [_cls_obj()])
-    [rec] = load_trace_corpus(path, "classification")
-    assert rec.predicted_label == 0
-    assert rec.confidence == 0.6
+    corpus = load_trace_corpus(path, "classification")
+    assert corpus.ids == ("r1",)
+    assert corpus.predicted_label.tolist() == [0]
+    assert corpus.confidence.tolist() == [0.6]
 
 
 def test_simplex_violation_reports_sum(tmp_path):
@@ -64,15 +66,11 @@ def test_argmax_consistency_enforced(tmp_path):
 
 
 def test_argmax_tie_broken_by_lowest_class():
-    rec = ClassificationRecord(
-        id="t", features=np.zeros(1), predicted_label=0, true_label=1,
-        class_probabilities=np.array([0.5, 0.5]))
-    rec.validate()   # predicted 0 is the tie-broken argmax
-    bad = ClassificationRecord(
-        id="t2", features=np.zeros(1), predicted_label=1, true_label=1,
-        class_probabilities=np.array([0.5, 0.5]))
-    with pytest.raises(RecordValidationError):
-        bad.validate()
+    # predicted 0 is the tie-broken argmax
+    tie = _cls_obj("t", probs=(0.5, 0.5), predicted=0, true=1)
+    assert ClassificationCorpus.from_json_dicts([tie]).ids == ("t",)
+    with pytest.raises(RecordValidationError, match="is not the argmax"):
+        ClassificationCorpus.from_json_dicts([tie | {"predicted_label": 1}])
 
 
 def test_malformed_json_names_line(tmp_path):
@@ -159,7 +157,8 @@ def test_validation_matrix_full_record():
 
 
 def test_validation_matrix_wrong_record_kind():
-    recs = corpora.discriminative_fixture("calibration_failure", True)
+    rows = corpora.discriminative_rows("calibration_failure", True)
+    recs = ClassificationCorpus.from_json_dicts(rows)
     report = validate_corpus(recs)
     for detector in ("delusion", "hallucination", "bluffing"):
         assert report.available[detector] == ()
@@ -169,7 +168,7 @@ def test_validation_matrix_wrong_record_kind():
     assert set(report.not_applicable) == set(GENERATIVE_DETECTORS)
     assert len(report.available["calibration_failure"]) == len(recs)
     # one group per distinct set of missing fields
-    expected = loop_validation(recs)
+    expected = loop_validation(_oracle_records(rows))
     for name in DISCRIMINATIVE_DETECTORS:
         distinct = set(expected[name].values()) - {()}
         assert set(report.missing[name]) == distinct
@@ -246,29 +245,34 @@ def _gate_shaped_rows(n, seed=0):
     return rows
 
 
-def _gate_shaped_records(n):
-    return [ClassificationRecord.from_json_dict(row)
-            for row in _gate_shaped_rows(n)]
+def _gate_shaped_corpus(n):
+    return ClassificationCorpus.from_json_dicts(_gate_shaped_rows(n))
 
 
-def _partly_missing(records, seed):
-    """The records with a random subset of their optional fields unset."""
+def _oracle_records(rows):
+    return [ClassificationRecord.from_json_dict(row) for row in rows]
+
+
+# the keys of a record's JSON object that must be given
+_MANDATORY = {"id", "input_embedding", "output_embedding", "features",
+              "predicted_label", "true_label", "class_probabilities"}
+
+
+def _partly_missing(rows, seed):
+    """The JSON objects, each optional field (annotations included) left
+    out with probability 0.3."""
     rng = np.random.default_rng(seed)
-    optional = [f.name for f in dataclasses.fields(records[0])
-                if f.default is None]
-    out = []
-    for rec in records:
-        unset = {name: None for name in optional if rng.random() < 0.3}
-        if rng.random() < 0.3:
-            unset["annotations"] = {}
-        out.append(dataclasses.replace(rec, **unset))
-    return out
+    return [{k: v for k, v in row.items()
+             if k in _MANDATORY or rng.random() >= 0.3} for row in rows]
 
 
-def _regrouped(report, records):
+def _trace_rows(records):
+    return [rec.to_json_dict() for rec in records]
+
+
+def _regrouped(report, ids):
     """The report as {detector: {record id: lacking fields}}, checking on
     the way that it accounts for every record exactly once."""
-    ids = [r.id for r in records]
     out = {}
     for name, info in REGISTRY.items():
         if name in report.not_applicable:
@@ -276,6 +280,7 @@ def _regrouped(report, records):
                 else "classification"
             assert report.not_applicable[name] == f"<requires a {kind} record>"
             assert report.available[name] == () and not report.missing[name]
+            assert report.eligible(name).size == 0
             out[name] = {rid: (report.not_applicable[name],) for rid in ids}
             continue
         table = dict.fromkeys(report.available[name], ())
@@ -283,6 +288,9 @@ def _regrouped(report, records):
         for group in (report.available[name], *report.missing[name].values()):
             members = set(group)
             assert list(group) == [rid for rid in ids if rid in members]
+        # the eligible rows are those of the available ids
+        assert [ids[i] for i in report.eligible(name)] == \
+            list(report.available[name])
         for fields, group in report.missing[name].items():
             assert fields and group
             table.update(dict.fromkeys(group, fields))
@@ -293,42 +301,54 @@ def _regrouped(report, records):
     return out
 
 
-@pytest.mark.parametrize("corpus", [
-    "trace", "classification", "mixed", "partly-missing-trace",
-    "partly-missing-classification", "empty"])
-def test_grouped_report_equals_the_per_pair_loop(corpus):
+def _trace_fixture_records():
     # every generative fixture: records that carry different field sets
-    trace = corpora.demo_trace_corpus() + [
+    return corpora.demo_trace_corpus() + [
         rec for name in sorted(GENERATIVE_DETECTORS)
         for positive in (True, False)
         for rec in corpora.generative_fixture(name, positive)["records"]]
-    classification = _gate_shaped_records(120)
-    records = {"trace": trace, "classification": classification,
-               "mixed": trace + classification,
-               "partly-missing-trace": _partly_missing(trace, 0),
-               "partly-missing-classification":
-                   _partly_missing(classification, 1),
-               "empty": []}[corpus]
+
+
+@pytest.mark.parametrize("corpus", [
+    "trace", "classification", "partly-missing-trace",
+    "partly-missing-classification", "empty"])
+def test_grouped_report_equals_the_per_pair_loop(corpus):
+    # a corpus is of one kind; the oracle reads the records it was built of
+    trace = _trace_fixture_records()
+    rows = _gate_shaped_rows(120)
+    if corpus.endswith("trace"):
+        if corpus.startswith("partly"):
+            trace = [TraceRecord.from_json_dict(row) for row in
+                     _partly_missing(_trace_rows(trace), 0)]
+        records = oracle = trace
+    elif corpus.endswith("classification"):
+        if corpus.startswith("partly"):
+            rows = _partly_missing(rows, 1)
+        records = ClassificationCorpus.from_json_dicts(rows)
+        oracle = _oracle_records(rows)
+    else:
+        records = oracle = []
     report = validate_corpus(records)
-    expected = loop_validation(records)
-    assert report.record_count == len(records)
-    assert _regrouped(report, records) == expected
+    expected = loop_validation(oracle)
+    ids = [rec.id for rec in oracle]
+    assert report.record_count == len(oracle)
+    assert _regrouped(report, ids) == expected
     for name in REGISTRY:
         for rid, fields in expected[name].items():
             assert (rid in report.available.get(name, ())) == (fields == ())
-    # not applicable exactly when no record is of the detector's kind
-    kinds = {type(r) for r in records}
+    # not applicable exactly when the corpus is of the other kind
     assert set(report.not_applicable) == (
-        set() if not records
-        else set(GENERATIVE_DETECTORS) if TraceRecord not in kinds
-        else set(DISCRIMINATIVE_DETECTORS) if ClassificationRecord not in kinds
-        else set())
+        set() if not oracle
+        else set(GENERATIVE_DETECTORS) if corpus.endswith("classification")
+        else set(DISCRIMINATIVE_DETECTORS))
+    assert json.loads(json.dumps(report.to_json_dict())) == \
+        oracles.loop_validation_json(oracle)
 
 
 def test_validation_takes_each_record_once(monkeypatch):
-    # one presence pattern per record, shared by every record that has the
-    # same fields, where the per-pair loop checked the fields once per
-    # (detector, record) pair
+    # one presence row per trace record, where the per-pair loop checked
+    # the fields once per (detector, record) pair; a classification corpus
+    # supplies its presence masks, so no record is visited
     calls = []
     real = registry._presence
 
@@ -337,17 +357,21 @@ def test_validation_takes_each_record_once(monkeypatch):
         return real(record)
 
     monkeypatch.setattr(registry, "_presence", counted)
-    records = (_partly_missing(_gate_shaped_records(60), 3)
-               + corpora.demo_trace_corpus())
+    records = [TraceRecord.from_json_dict(row) for row in _partly_missing(
+        _trace_rows(_trace_fixture_records()), 3)]
     report = validate_corpus(records)
     assert calls == [r.id for r in records]
+    del calls[:]
+    validate_corpus(_gate_shaped_corpus(60))
+    assert calls == []
     monkeypatch.undo()
-    assert _regrouped(report, records) == loop_validation(records)
+    assert _regrouped(report, [r.id for r in records]) == \
+        loop_validation(records)
 
 
 def test_report_json_lists_counts_and_ids():
-    records = _partly_missing(_gate_shaped_records(60), 2)
-    report = validate_corpus(records)
+    rows = _partly_missing(_gate_shaped_rows(60), 2)
+    report = validate_corpus(ClassificationCorpus.from_json_dicts(rows))
     doc = report.to_json_dict()
     assert doc["record_count"] == 60
     assert list(doc["detectors"]) == list(REGISTRY)
@@ -393,33 +417,43 @@ def test_validation_report_memory(gate_corpus):
     assert len(report.not_applicable) == 21
 
 
-def test_loaded_corpus_memory(gate_corpus, monkeypatch):
-    def load():
-        return load_trace_corpus(gate_corpus, "classification")
+def test_loaded_corpus_memory(gate_corpus):
+    # the 5,000 records held one object each, with their arrays, strings,
+    # sets and annotation dicts, took 4.86 MB; as columns they take less
+    # than half of that (2.0 MB measured on Python 3.11)
+    corpus, held = _retained(
+        lambda: load_trace_corpus(gate_corpus, "classification"))
+    assert len(corpus) == 5000
+    assert held < 4_860_000 / 2
 
-    records, held = _retained(load)
-    assert len(records) == 5000
-    del records
-    # the same load with every string kept as the decoder made it
-    with monkeypatch.context() as patch:
-        patch.setattr(sys, "intern", lambda s: s)
-        _, held_unshared = _retained(load)
-    # about 1.3 MB of repeated annotation and group strings
-    assert held < held_unshared - 1_000_000
+
+def test_audit_memory(gate_corpus):
+    # the tracemalloc peak of the audit over the column corpus, its
+    # validation report included: 1.58 MB measured on Python 3.11
+    corpus = load_trace_corpus(gate_corpus, "classification")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        audit_discriminative(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_loaded_records_share_repeated_strings(tmp_path):
     path = tmp_path / "gate.jsonl"
     path.write_text("".join(json.dumps(row) + "\n"
                             for row in _gate_shaped_rows(24)))
-    records = load_trace_corpus(path, "classification")
-    a, b = records[0], records[12]    # same group, layout and train flag
-    assert a.group == b.group and a.group is b.group
-    for key, value in a.annotations.items():
-        [other_key] = [k for k in b.annotations if k == key]
-        assert other_key is key
-        if b.annotations[key] == value:
-            assert b.annotations[key] is value
+    corpus = load_trace_corpus(path, "classification")
+    # equal group and annotation values are one string object
+    for name in STRING_COLUMNS:
+        values, codes = corpus.strings[name]
+        column = [values[k] for k in codes.tolist() if k >= 0]
+        assert len({id(v) for v in column}) == len(set(column))
+    values, codes = corpus.strings["group"]
+    assert values[codes[0]] == values[codes[12]] == "g0"
+    assert values[codes[0]] is values[codes[12]]
     trace = tmp_path / "trace.jsonl"
     save_trace_corpus(trace, corpora.demo_trace_corpus()
                       + corpora.generative_fixture("semantic_drift",
@@ -429,6 +463,185 @@ def test_loaded_records_share_repeated_strings(tmp_path):
         for key, value in rec.annotations.items():
             assert shared.setdefault(key, key) is key
             assert shared.setdefault(("value", value), value) is value
+
+
+# --- the column loader against the per-record one ----------------------------
+
+def _differential_rows():
+    """120 gate-shaped rows whose perturbation pairs lie within eps_adv, so
+    every detector scores."""
+    rows = _gate_shaped_rows(120)
+    for first, second in zip(rows[::2], rows[1::2]):
+        if "perturbation_pair_id" in first:
+            second["features"] = [x + 0.001 for x in first["features"]]
+    return rows
+
+
+# ten probabilities whose sum, 1 + 1.0000000827e-9, fails the 1e-9 check,
+# while the same entries with trailing zeros sum to 1 + 9.99999e-10: numpy
+# groups more than eight terms differently, so a check summing rows padded
+# to a wider row would pass them
+_TEN_CLASSES = [
+    0.11092820507079987, 0.02490514761967315, 0.13401823086148776,
+    0.16694692414699155, 0.13176418247410843, 0.19717182917207696,
+    0.008510432189345581, 0.11361950583039618, 0.09873359080684814,
+    0.013401952828272338]
+
+
+def _three_classes(row):
+    probs = [0.5, 0.3, 0.2]
+    return row | {"class_probabilities": probs, "predicted_label": 0,
+                  "true_label": row["true_label"] % 3,
+                  "plausible_labels": [0, 2]}
+
+
+# mutations of one row: name -> row -> the row (or a JSON line) in its place
+_ROW_MUTATIONS = {
+    "wrong-type-label": lambda r: r | {"predicted_label": 0.5},
+    "wrong-type-features": lambda r: r | {"features": "x"},
+    "wrong-type-group": lambda r: r | {"group": 3},
+    "nan-probability": lambda r: r | {"class_probabilities": [
+        math.nan] + r["class_probabilities"][1:]},
+    "nan-feature": lambda r: r | {"features": [math.nan] + r["features"][1:]},
+    "probability-outside": lambda r: r | {
+        "class_probabilities": [1.25, -0.25, 0.0, 0.0], "predicted_label": 0,
+        "true_label": 0},
+    "sum-off-1e-6": lambda r: r | {"class_probabilities": [
+        r["class_probabilities"][0] + 1e-6] + r["class_probabilities"][1:]},
+    "sum-off-1e-10": lambda r: r | {"class_probabilities": [
+        r["class_probabilities"][0] + 1e-10] + r["class_probabilities"][1:]},
+    "argmax-mismatch": lambda r: r | {
+        "predicted_label": (r["predicted_label"] + 1) % 4},
+    "label-at-count": lambda r: r | {"true_label": 4},
+    "label-negative": lambda r: r | {"true_label": -1},
+    "label-huge": lambda r: r | {"true_label": 2 ** 70},
+    "plausible-at-count": lambda r: r | {"plausible_labels": [1, 4]},
+    "unordered-bounds": lambda r: r | {"segment_bounds": [5, 1]},
+    "mixed-feature-widths": lambda r: r | {"features": r["features"][:15]},
+    "mixed-class-counts": _three_classes,
+    "ten-classes-sum-off": lambda r: r | {
+        "class_probabilities": _TEN_CLASSES, "predicted_label": 5,
+        "true_label": 5, "plausible_labels": [5]},
+    "seventeen-classes": lambda r: r | {
+        "class_probabilities": [0.2] + [0.05] * 16, "predicted_label": 0,
+        "true_label": 0, "plausible_labels": [0, 16]},
+    "median-timestamp": lambda r: r | {"timestamp_index": 60},
+    "unknown-key": lambda r: r | {"timestamp": 3},
+    "null-field": lambda r: r | {"group": None, "annotations": None},
+    "null-mandatory": lambda r: r | {"true_label": None},
+    "huge-timestamp": lambda r: r | {"timestamp_index": 2 ** 64},
+    "relabel": lambda r: r | {"true_label": (r["true_label"] + 1) % 4},
+    "no-pair-ids": lambda r: {k: v for k, v in r.items()
+                              if not k.endswith("_pair_id")},
+    # rows that share a pair, span or content id form groups of three or
+    # more, whose members and roles the pair detectors must pick as before
+    "shared-ids": lambda r: r | {
+        k: "shared" for k in r if k.endswith("_pair_id")} | {
+        "annotations": {k: "shared" if k.endswith("_id") else v
+                        for k, v in (r.get("annotations") or {}).items()}},
+    "new-group": lambda r: r | {"group": "g9"},
+    "malformed-json": lambda r: "{oops",
+    "blank-line": lambda r: "   ",
+}
+# the mutations that leave a corpus valid
+_ACCEPTED = ("sum-off-1e-10", "mixed-class-counts", "seventeen-classes",
+             "null-field", "huge-timestamp", "median-timestamp", "relabel",
+             "no-pair-ids", "shared-ids", "new-group", "blank-line")
+
+
+def _lines(rows, mutations):
+    """JSON lines of the rows with (row index, mutation name) applied in
+    order, but to a line already blank or malformed; a duplicate-id
+    mutation (index, "duplicate-of", j) takes row j's id."""
+    lines = [json.dumps(row) for row in rows]
+    for index, name, *other in mutations:
+        if not lines[index].startswith('{"'):
+            continue   # a blank or malformed line stays as it is
+        if name == "duplicate-of":
+            line = json.loads(lines[index]) | {"id": rows[other[0]]["id"]}
+        else:
+            line = _ROW_MUTATIONS[name](json.loads(lines[index]))
+        lines[index] = line if type(line) is str else json.dumps(line)
+    return lines
+
+
+def _loaded(load):
+    try:
+        return load()
+    except CorpusError as exc:
+        return exc
+
+
+def _assert_loaders_agree(path, lines):
+    """The column loader and the per-record oracle give the same error, or
+    the same rows, the same 14 outcomes and skip reasons and the same
+    validation.json."""
+    path.write_text("\n".join(lines) + "\n")
+    got = _loaded(lambda: load_trace_corpus(path, "classification"))
+    want = _loaded(lambda: oracles.load_classification_records(path))
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return got
+    classes = got.class_probabilities.shape[1]
+    assert [_row(got, i) for i in range(len(got))] == \
+        [_held(rec, classes) for rec in want]
+    cfg = DiscriminativeConfig()
+    result = audit_discriminative(got, cfg)
+    assert ([o.to_json_dict() for o in result.outcomes], result.skipped) \
+        == oracles.audit_classification_records(want, cfg)
+    assert json.loads(json.dumps(result.validation.to_json_dict())) == \
+        oracles.loop_validation_json(want)
+    return got
+
+
+@pytest.mark.parametrize("mutations,error", [
+    ([], None),
+    *[([(7, name)], None) for name in _ROW_MUTATIONS],
+    ([(9, "duplicate-of", 3)], "line 10, record 'x000003', field 'id': "
+                               "duplicate id"),
+    # the first line that fails any check is named, whichever check it is
+    ([(5, "argmax-mismatch"), (9, "malformed-json")], "line 6, "),
+    ([(5, "wrong-type-label"), (9, "argmax-mismatch")], "line 6, "),
+    ([(9, "argmax-mismatch"), (9, "duplicate-of", 3)], "line 10, "),
+    ([(3, "mixed-feature-widths"), (50, "argmax-mismatch")], "line 51, "),
+    ([(5, "unordered-bounds"), (5, "argmax-mismatch")], "field "
+                                                        "'segment_bounds'"),
+    ([(5, "argmax-mismatch"), (5, "label-at-count"), (5, "sum-off-1e-6")],
+     "field 'class_probabilities': probabilities sum 1\\b"),
+    ([(1, "blank-line"), (5, "argmax-mismatch")], "line 6, "),
+    ([(1, "blank-line"), (5, "mixed-class-counts"),
+      (40, "mixed-class-counts")], None),
+    # six rows to each pair, span and content id: groups of more than two,
+    # with each role held by several rows
+    ([(i, "shared-ids") for i in range(36)], None),
+    ([(7, "ten-classes-sum-off"), (9, "seventeen-classes")],
+     "^line 8, record 'x000007', field 'class_probabilities': "
+     "probabilities sum 1$")],
+    ids=lambda v: v if isinstance(v, str) else None)
+def test_column_loader_agrees_with_the_per_record_loader(tmp_path, mutations,
+                                                        error):
+    got = _assert_loaders_agree(tmp_path / "corpus.jsonl",
+                                _lines(_differential_rows(), mutations))
+    if error is not None:
+        assert isinstance(got, CorpusError)
+        assert re.search(error, str(got))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_column_loader_agrees_on_random_mutations(tmp_path, seed):
+    # at odd seeds 5 to 30 mutations that leave the corpus valid, so the
+    # outcomes move; at even seeds one to three of any kind
+    rng = np.random.default_rng(seed)
+    rows = _differential_rows()
+    names = (_ACCEPTED if seed % 2
+             else sorted(_ROW_MUTATIONS) + ["duplicate-of"])
+    mutations = []
+    for _ in range(int(rng.integers(5, 31) if seed % 2
+                       else rng.integers(1, 4))):
+        index, name = int(rng.integers(len(rows))), str(rng.choice(names))
+        mutations.append((index, name, int(rng.integers(len(rows))))
+                         if name == "duplicate-of" else (index, name))
+    _assert_loaders_agree(tmp_path / "corpus.jsonl", _lines(rows, mutations))
 
 
 def test_knowledge_base_invariants():
@@ -634,14 +847,61 @@ def _classification_objects(draw):
         optional=optional))
 
 
+def _row(corpus, i):
+    """What the corpus holds of its row i, as JSON values, None where a
+    field is unset."""
+    row = {"id": corpus.ids[i], "features": corpus.features[i].tolist(),
+           "class_probabilities": corpus.class_probabilities[i].tolist(),
+           "predicted_label": int(corpus.predicted_label[i]),
+           "true_label": int(corpus.true_label[i])}
+    for name in ("timestamp_index", "is_ood", "segment_bounds",
+                 "ref_segment_bounds", "plausible_labels"):
+        value = getattr(corpus, name)[i]
+        if name == "plausible_labels":
+            value = np.flatnonzero(value)
+        row[name] = (np.asarray(value).tolist() if corpus.present[name][i]
+                     else None)
+    for name, (values, codes) in corpus.strings.items():
+        row[name] = values[codes[i]] if codes[i] >= 0 else None
+    return row
+
+
+def _held(rec, classes):
+    """_row's dict of a per-record oracle record, its probabilities
+    zero-padded to `classes` entries."""
+    probs = rec.class_probabilities.tolist()
+    row = {"id": rec.id, "features": rec.features.tolist(),
+           "class_probabilities": probs + [0.0] * (classes - len(probs)),
+           "predicted_label": rec.predicted_label,
+           "true_label": rec.true_label,
+           "timestamp_index": rec.timestamp_index, "is_ood": rec.is_ood}
+    for name in ("segment_bounds", "ref_segment_bounds", "plausible_labels"):
+        value = getattr(rec, name)
+        row[name] = None if value is None else sorted(value)
+    for name in STRING_COLUMNS:
+        row[name] = (rec.annotations.get(name.split(".")[1])
+                     if name.startswith("annotations.")
+                     else getattr(rec, name))
+    return row
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_trace_objects().map(lambda o: (TraceRecord, o)),
+@given(st.one_of(_trace_objects().map(lambda o: ("trace", o)),
                  _classification_objects().map(
-                     lambda o: (ClassificationRecord, o))))
+                     lambda o: ("classification", o))))
 def test_records_round_trip_through_json(case):
-    cls, obj = case
-    rec = cls.from_json_dict(obj)
-    again = cls.from_json_dict(json.loads(json.dumps(rec.to_json_dict())))
+    kind, obj = case
+    if kind == "classification":
+        # a classification corpus keeps columns, not records: they hold
+        # what the per-record decoder makes of the object
+        corpus = ClassificationCorpus.from_json_dicts([obj])
+        assert _row(corpus, 0) == _held(
+            ClassificationRecord.from_json_dict(obj),
+            len(obj["class_probabilities"]))
+        return
+    rec = TraceRecord.from_json_dict(obj)
+    again = TraceRecord.from_json_dict(
+        json.loads(json.dumps(rec.to_json_dict())))
     assert again.to_json_dict() == rec.to_json_dict()
     # every field that was given, but an empty annotation map, is written
     assert set(rec.to_json_dict()) == {k for k, v in obj.items()
