@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import (CorpusError, RecordValidationError, _declared,
-                      _decode_record)
+from .records import (CorpusError, RecordValidationError, _decode_record,
+                      declare)
 
 
-# a classification line's fields in decoding order: (name, kind, mandatory)
-_CLASSIFICATION = _declared((
+# a classification line's fields in decoding order
+_CLASSIFICATION = declare(
     ("id", "id", True), ("features", "vector", True),
     ("predicted_label", "integer", True), ("true_label", "integer", True),
     ("class_probabilities", "vector", True), ("group", "string", False),
@@ -36,7 +36,7 @@ _CLASSIFICATION = _declared((
     ("ref_segment_bounds", "bounds", False),
     ("latency_pair_id", "string", False),
     ("plausible_labels", "labels", False),
-    ("annotations", "annotations", False)))
+    ("annotations", "annotations", False))
 # the string fields held as columns: group, the pair ids and the annotation
 # keys that a discriminative detector reads
 STRING_COLUMNS = ("group", "perturbation_pair_id", "noise_pair_id",
@@ -126,18 +126,18 @@ def _padded(flat, counts):
     return out
 
 
-def _first_invalid(lines, flat, counts, columns):
+def _first_invalid(lines, p, counts, columns):
     """Raise the error of the first row that fails _check_classification
-    or repeats an earlier id. The checks run over all rows at once; each
-    row they flag is then checked alone, in row order, to word the error."""
-    flat, counts = np.frombuffer(flat), np.frombuffer(counts, dtype=np.int64)
+    or repeats an earlier id; `p` holds the rows' probabilities padded,
+    row i's own being its first counts[i]. The checks run over all rows at
+    once; each row they flag is then checked alone, in row order, to word
+    the error."""
     if not counts.size:
         return
     ids = columns["id"]
     # a row after the first of its id repeats it
     repeat = np.ones(len(ids), dtype=bool)
     repeat[np.unique(np.array(ids, dtype=object), return_index=True)[1]] = 0
-    p = _padded(flat, counts)
     bad = (p < 0.0).any(axis=1) | (p > 1.0).any(axis=1)
     for width in np.flatnonzero(np.bincount(counts)):
         # numpy sums rows of one width stacked as it sums each alone
@@ -150,11 +150,9 @@ def _first_invalid(lines, flat, counts, columns):
     bad |= np.array(predicted) != p.argmax(axis=1)
     bad |= [bool(labels) and not 0 <= labels[0] <= labels[-1] < count
             for labels, count in zip(plausible, counts.tolist())]
-    ends = np.cumsum(counts)
     for i in np.flatnonzero(bad | repeat).tolist():
         where = f"line {lines[i]}"
-        _check_classification(where, ids[i],
-                              flat[ends[i] - counts[i]:ends[i]],
+        _check_classification(where, ids[i], p[i, :counts[i]],
                               true_label[i], plausible[i] or (), predicted[i])
         if repeat[i]:
             raise RecordValidationError("duplicate id", ids[i], "id", where)
@@ -163,29 +161,23 @@ def _first_invalid(lines, flat, counts, columns):
 def from_lines(lines):
     """The ClassificationCorpus of (line number, JSON object) pairs.
 
-    Each object is decoded and range-checked by the kinds, and its values
-    appended to the columns. Once all lines are read, or one fails, the
-    rows before go through the checks across fields and rows, so the
-    error is the first failing line's, as if each line were checked whole
-    before the next was read. The feature widths are compared last."""
-    decoders, checks = _CLASSIFICATION
+    Each object is decoded by the kinds, each field range-checked as it
+    is decoded, and its values appended to the columns. Once all lines are
+    read, or one fails, the rows before go through the checks across
+    fields and rows, so the error is the first failing line's, as if each
+    line were checked whole before the next was read. The feature widths
+    are compared last."""
     numbers, widths = array("q"), set()
     features, probabilities, counts = array("d"), array("d"), array("q")
     columns = {name: [] for name in ("id", "predicted_label", "true_label",
                                      *_OPTIONAL)}
     # per string field: {value: its first-seen code}, each row's code
     strings = {name: ({}, array("i")) for name in STRING_COLUMNS}
+    error = None
     try:
         for line_no, obj in lines:
             where = f"line {line_no}"
-            rec = _decode_record(decoders, obj, where)
-            for name, check in checks:
-                if name in rec:
-                    try:
-                        check(rec[name])
-                    except ValueError as exc:
-                        raise RecordValidationError(str(exc), rec["id"],
-                                                    name, where) from None
+            rec = _decode_record(_CLASSIFICATION, obj, where)
             if "plausible_labels" in rec:
                 rec["plausible_labels"] = sorted(rec["plausible_labels"])
             numbers.append(line_no)
@@ -201,16 +193,17 @@ def from_lines(lines):
                 value = rec.get(name)
                 column.append(-1 if value is None
                               else codes.setdefault(value, len(codes)))
-    except CorpusError:
-        _first_invalid(numbers, probabilities, counts, columns)
-        raise
-    _first_invalid(numbers, probabilities, counts, columns)
+    except CorpusError as exc:
+        error = exc
+    counts = np.frombuffer(counts, dtype=np.int64)
+    probs = _padded(np.frombuffer(probabilities), counts)
+    _first_invalid(numbers, probs, counts, columns)
+    if error is not None:
+        raise error
     if len(widths) > 1:
         raise CorpusError(f"mixed feature dimensions in corpus: "
                           f"{sorted(widths)}")
     n = len(numbers)
-    probs = _padded(np.frombuffer(probabilities),
-                    np.frombuffer(counts, dtype=np.int64))
     held, present = {}, {}
     for name, (fill, dtype) in _OPTIONAL.items():
         values = columns[name]
@@ -237,7 +230,7 @@ def from_lines(lines):
                          rank[np.frombuffer(column, dtype=np.int32)])
         present[name] = strings[name][1] >= 0
     every = np.ones(n, dtype=bool)
-    present.update((name, every) for name, _, mandatory in decoders
+    present.update((name, every) for name, _, mandatory in _CLASSIFICATION
                    if mandatory)
     return ClassificationCorpus(
         ids=tuple(columns["id"]), features=np.frombuffer(features).reshape(

@@ -1,9 +1,9 @@
 """The 14 discriminative pathology detectors over classification corpora.
 
 Every detector folds a whole corpus into one outcome. Each scorer is a
-column kernel over a `records.ClassificationCorpus`: it reads the columns
-at the eligible row indices it is handed, in corpus order, and groups
-rows by the codes of a string column. Rate severities are exactly
+column kernel over a `classification.ClassificationCorpus`: it reads the
+columns at the eligible row indices it is handed, in corpus order, and
+groups rows by the codes of a string column. Rate severities are exactly
 (#events)/(#eligible), each folded by `_event_rate`; accuracy-gap
 severities are the clamped gap, and group metrics are symmetric under
 relabeling. All detectors are invariant to permutations of the corpus
@@ -398,22 +398,23 @@ def audit_discriminative(corpus, cfg=DiscriminativeConfig()):
     outcomes = []
     skipped = {}
     for pathology in DISCRIMINATIVE_DETECTORS:
+        rows = validation.eligible(pathology)
         if len(corpus) < cfg.n_min:
             skipped[pathology] = (f"{pathology}: needs >= n_min = "
                                   f"{cfg.n_min} records, got {len(corpus)}")
-        elif not validation.available[pathology]:
+        elif not rows.size:
             if pathology in validation.not_applicable:
-                first = corpus[0].id
+                first = validation.ids[0]
                 lacks = (validation.not_applicable[pathology],)
             else:
-                lacks, ids = next(iter(validation.missing[pathology].items()))
+                lacks, ids = next(iter(validation.missing(pathology).items()))
                 first = ids[0]
             skipped[pathology] = (f"{pathology}: record {first!r} "
                                   f"lacks {', '.join(lacks)}")
         else:
             try:
-                outcomes.append(score_discriminative(
-                    pathology, corpus, cfg, validation.eligible(pathology)))
+                outcomes.append(score_discriminative(pathology, corpus, cfg,
+                                                     rows))
             except DetectorError as exc:
                 skipped[pathology] = str(exc)
     outcomes.sort(key=lambda o: o.sort_key())

@@ -15,19 +15,20 @@ a number nor an int; nothing else is coerced, so "0.5" is not a number and
 and a key that no field declares is an error, so a misspelt field cannot
 drop out. The kinds are listed in `_KINDS`.
 
-A record is decoded field by field, range-checked, then checked across
-fields; a violation aborts the load naming the line, record id and field
-(a knowledge-base entry or causal fixture names its index). A
+Every field table is built by `declare` and read by `decode_object`, so
+each value is range-checked as it is decoded, and the first field in
+declaration order that fails is the one named. A record is then checked
+across fields. A violation aborts the load naming the line, record id and
+field (a knowledge-base entry or causal fixture names its index). A
 classification line is decoded by the same kinds. Loaded records are
 never mutated.
 
-The CLI's other input files are decoded by the same kinds, through
-`declare` and `decode_object`. `read_json` parses a whole JSON file.
-`read_json_chunked` reads the file in chunks and hands each element of one
-top-level array to a function as soon as it is parsed, which decodes it:
-a knowledge base's entries and an outcomes file's outcomes are read that
-way, so neither file is held as one string or as one tree of parsed
-values.
+The CLI's other input files are decoded the same way. `read_json` parses
+a whole JSON file. `read_json_chunked` reads the file in chunks and hands
+each element of one top-level array to a function as soon as it is
+parsed, which decodes it: a knowledge base's entries and an outcomes
+file's outcomes are read that way, so neither file is held as one string
+or as one tree of parsed values.
 """
 
 import json
@@ -173,62 +174,70 @@ def _annotations(value):
     return {sys.intern(k): sys.intern(v) for k, v in value.items()}
 
 
-# --- range checks: a ValueError when a decoded value is out of range ---------
+# --- kinds whose decoder adds a range check ----------------------------------
 
-def _unit_interval(value):
+def _dimension(value):
+    if _integer(value) <= 0:
+        raise ValueError(f"{value} must be a positive integer")
+    return value
+
+
+def _probability(value):
+    value = decode_number(value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"probability {value} outside [0,1]")
+    return value
 
 
-def _finite_nonnegative(value):
+def _magnitude(value):
+    value = decode_number(value)
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{value} must be finite and >= 0")
-
-
-def _positive(value):
-    if value <= 0:
-        raise ValueError(f"{value} must be a positive integer")
+    return value
 
 
 def _log_probs(value):
+    value = _numbers(value)
     if not value:
         raise ValueError("empty log-prob sequence")
     for lp in value:
         if not -math.inf < lp <= 0.0:
             raise ValueError(f"log-probability {lp} must be finite and <= 0")
+    return value
 
 
-def _ordered_pair(value):
+def _bounds(value):
+    value = _integers(value)
     if len(value) != 2 or value[0] > value[1]:
         raise ValueError(f"bounds {list(value)} must be an ordered pair")
+    return value
 
 
-# kind -> (decoder, range check or None), each kind with what it accepts
+# kind -> its decoder, each kind with what it accepts
 _KINDS = {
-    "id": (_id, None),                  # a nonempty string
-    "string": (_string, None),
-    "boolean": (_boolean, None),        # true or false
-    "integer": (_integer, None),        # an int
-    "dimension": (_integer, _positive),  # an int > 0
-    "number": (decode_number, None),    # a number, not NaN
-    "probability": (decode_number, _unit_interval),  # a number in [0, 1]
-    "magnitude": (decode_number, _finite_nonnegative),  # finite and >= 0
+    "id": _id,                    # a nonempty string
+    "string": _string,
+    "boolean": _boolean,          # true or false
+    "integer": _integer,          # an int
+    "dimension": _dimension,      # an int > 0
+    "number": decode_number,      # a number, not NaN
+    "probability": _probability,  # a number in [0, 1]
+    "magnitude": _magnitude,      # a number, finite and >= 0
     # a nonempty array of finite numbers, kept as a float array
-    "vector": (_vector, None),
-    "bound": (_bound, None),            # a number, or a vector
-    "vectors": (_vectors, None),        # an array of vectors
+    "vector": _vector,
+    "bound": _bound,              # a number, or a vector
+    "vectors": _vectors,          # an array of vectors
     # a nonempty array of vectors of one length, kept as a 2-d array
-    "table": (_table, None),
-    "strings": (_strings, None),        # an array of strings
-    # a nonempty array of finite numbers <= 0
-    "log-probs": (_numbers, _log_probs),
+    "table": _table,
+    "strings": _strings,          # an array of strings
+    "log-probs": _log_probs,      # a nonempty array of finite numbers <= 0
     # an array of two ints, the first <= the second
-    "bounds": (_integers, _ordered_pair),
-    "labels": (_label_set, None),       # an array of ints, kept as a set
+    "bounds": _bounds,
+    "labels": _label_set,         # an array of ints, kept as a set
     # an object of string values, keys and values interned
-    "annotations": (_annotations, None),
-    "array": (_list, None),
-    "object": (_object, None),
+    "annotations": _annotations,
+    "array": _list,
+    "object": _object,
 }
 
 
@@ -240,47 +249,23 @@ def _field(kind, mandatory=False, **default):
     return field(metadata={"kind": kind}, **default)
 
 
-def _declared(declared):
-    """(decoders, checks) of (name, kind, mandatory) triples, in their
-    order: `decoders` holds (name, decoder, mandatory), `checks` (name,
-    range check) for the fields whose kind has a check."""
-    decoders, checks = [], []
-    for name, kind, mandatory in declared:
-        decode, check = _KINDS[kind]
-        decoders.append((name, decode, mandatory))
-        if check is not None:
-            checks.append((name, check))
-    return tuple(decoders), tuple(checks)
-
-
 def _schema(cls):
-    """Make cls a dataclass and gather its fields' kinds, in field order,
-    as `_decoders` and `_checks` (see `_declared`)."""
+    """Make cls a dataclass and `declare` its fields' kinds, in field
+    order, as `_decoders`."""
     cls = dataclass(eq=False)(cls)
-    cls._decoders, cls._checks = _declared(
+    cls._decoders = declare(*(
         (f.name, f.metadata["kind"],
          f.default is MISSING and f.default_factory is MISSING)
-        for f in fields(cls))
+        for f in fields(cls)))
     return cls
 
 
 def declare(*declared):
     """The decoders of an object's fields for `decode_object`, from
-    (name, kind) pairs, or (name, kind, True) for a mandatory field. Each
-    decodes its kind and runs the kind's range check."""
-    return tuple((name, _checked(*_KINDS[kind]), bool(mandatory))
+    (name, kind) pairs, or (name, kind, mandatory) triples. Each decodes
+    its kind, range check included."""
+    return tuple((name, _KINDS[kind], any(mandatory))
                  for name, kind, *mandatory in declared)
-
-
-def _checked(decode, check):
-    if check is None:
-        return decode
-
-    def decode_and_check(value):
-        value = decode(value)
-        check(value)
-        return value
-    return decode_and_check
 
 
 def decode_object(decoders, obj, where, id_name="id", ignored=None):
@@ -477,8 +462,8 @@ def _encode(obj):
 
 
 class _Record:
-    """JSON decoding, encoding and range checks of a record type, read
-    from the kinds of its fields."""
+    """JSON decoding and encoding of a record type, read from the kinds of
+    its fields; the type's `validate` runs its checks across fields."""
 
     @classmethod
     def from_json_dict(cls, obj, where=None):
@@ -489,18 +474,6 @@ class _Record:
 
     def to_json_dict(self):
         return _encode(self)
-
-    def validate(self, where=None):
-        """Run the range check of each set field; a record type adds its
-        checks across fields."""
-        for name, check in self._checks:
-            value = getattr(self, name)
-            if value is not None:
-                try:
-                    check(value)
-                except ValueError as exc:
-                    raise RecordValidationError(str(exc), self.id, name,
-                                                where) from None
 
 
 @_schema
@@ -538,7 +511,9 @@ class TraceRecord(_Record):
     annotations: dict = _field("annotations", default_factory=dict)
 
     def validate(self, where=None):
-        super().validate(where)
+        """The checks across fields: every content-space embedding has
+        the input's length, and the claims are nonempty and of one length.
+        Each field's own kind and range were checked as it was decoded."""
         rid = self.id
         d_e = self.input_embedding.size
         for name in ("output_embedding", "truth_embedding", "intent_embedding"):
@@ -700,8 +675,9 @@ def save_trace_corpus(path, records):
             handle.write("\n")
 
 
-_KB_FILE = (("source_tag", _string, False), ("entries", _list, True))
-_KB_ENTRY = (("entity_id", _string, True), ("embedding", _vector, True))
+_KB_FILE = declare(("source_tag", "string"), ("entries", "array", True))
+_KB_ENTRY = declare(("entity_id", "string", True),
+                    ("embedding", "vector", True))
 
 
 def _kb_entry(i, obj):

@@ -248,20 +248,24 @@ def _wrong_kind(kind):
     return f"<requires a {kind} record>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     """Which records each detector can score, and why it cannot score the
     others.
 
-    `available[d]` holds the ids of the records detector d can score, in
-    corpus order, and `eligible(d)` their row indices. `missing[d]` maps
-    each distinct tuple of fields that records lack for d to the ids of
-    the records lacking exactly those fields, in corpus order. Every record
+    `ids` are the corpus's record ids in corpus order, and `patterns[d]`
+    is detector d's missing-field bit pattern over them, one uint8 per
+    record: bit b is set where the record lacks the b-th field of d's
+    table entry. From these, `eligible(d)` gives the row indices of the
+    records d can score (pattern 0), `available(d)` their ids, and
+    `missing(d)` maps each distinct tuple of fields that records lack for
+    d to the ids of the records lacking exactly those fields, in the order
+    each tuple first occurs; all ids are in corpus order, and every record
     is in exactly one of the two. A detector that reads the other kind of
-    corpus is in `not_applicable` instead (unless the corpus is empty),
-    with the reason "<requires a trace record>" or "<requires a
-    classification record>". The audits take from the report which
-    records each detector scores, and why a detector scores none.
+    corpus has an empty pattern, and is in `not_applicable` (unless the
+    corpus is empty) with the reason "<requires a trace record>" or
+    "<requires a classification record>". The audits take from the report
+    which records each detector scores, and why a detector scores none.
 
     `to_json_dict` is the content of validation.json:
     {"record_count": N, "detectors": {d: entry}} for all 35 detectors,
@@ -272,16 +276,32 @@ class ValidationReport:
     {"not_applicable": "<requires a trace record>", "count": N}.
     """
 
-    available: dict       # detector -> tuple of record ids
-    missing: dict         # detector -> {missing-field tuple: tuple of ids}
+    ids: tuple
+    patterns: dict        # detector -> uint8 array, one entry per record
     not_applicable: dict  # detector -> reason; it reads the other kind
-    record_count: int
-    # detector -> row indices of its available records
-    rows: dict = field(compare=False, repr=False)
+
+    @property
+    def record_count(self):
+        return len(self.ids)
+
+    def _ids(self, rows):
+        return tuple(self.ids[i] for i in rows.tolist())
 
     def eligible(self, detector):
         """The row indices of the records the detector can score."""
-        return self.rows[detector]
+        return np.flatnonzero(self.patterns[detector] == 0)
+
+    def available(self, detector):
+        """The ids of the records the detector can score."""
+        return self._ids(self.eligible(detector))
+
+    def missing(self, detector):
+        """{missing-field tuple: ids of the records lacking exactly it}."""
+        pattern = self.patterns[detector]
+        return {tuple(f for bit, f in enumerate(REGISTRY[detector])
+                      if code >> bit & 1):
+                    self._ids(np.flatnonzero(pattern == code))
+                for code in dict.fromkeys(pattern.tolist()) if code}
 
     def to_json_dict(self):
         detectors = {}
@@ -290,11 +310,11 @@ class ValidationReport:
                 detectors[name] = {"not_applicable": self.not_applicable[name],
                                    "count": self.record_count}
                 continue
+            available = self.available(name)
             detectors[name] = {
-                "available": self.available[name],
-                "available_count": len(self.available[name]),
+                "available": available, "available_count": len(available),
                 "missing": {",".join(fields): {"count": len(ids), "ids": ids}
-                            for fields, ids in self.missing[name].items()}}
+                            for fields, ids in self.missing(name).items()}}
         return {"record_count": self.record_count, "detectors": detectors}
 
 
@@ -313,7 +333,7 @@ def _presence_matrix(corpus):
         columns = [corpus.present[f] for f in _FIELDS["classification"]]
         return "classification", corpus.ids, np.stack(columns, axis=1)
     matrix = np.array([_presence(rec) for rec in corpus], dtype=bool)
-    return ("trace", [rec.id for rec in corpus],
+    return ("trace", tuple(rec.id for rec in corpus),
             matrix.reshape(len(corpus), len(_FIELDS["trace"])))
 
 
@@ -329,8 +349,8 @@ def validate_corpus(corpus):
 
     It reads one (records x fields) presence matrix of the fields that the
     detectors of the corpus's kind require. For each detector a record's
-    missing fields are a bit pattern over the detector's columns, and the
-    records are grouped by pattern in the order each first occurs."""
+    missing fields are a bit pattern over the detector's columns, which
+    the report keeps; it groups the records by pattern when asked."""
     kind, ids, present = _presence_matrix(corpus)
     seen = set()
     for rid in ids:
@@ -338,25 +358,16 @@ def validate_corpus(corpus):
             raise ValueError(f"duplicate record id {rid!r}")
         seen.add(rid)
     column = {f: i for i, f in enumerate(_FIELDS[kind])}
-    # indexing an object array of the ids gives the id strings themselves
-    id_array = np.array(ids, dtype=object)
-    available, missing, not_applicable, rows = {}, {}, {}, {}
+    patterns, not_applicable = {}, {}
     for name, reads in _READS.items():
         required = REGISTRY[name]
         if reads != kind:
             if ids:
                 not_applicable[name] = _wrong_kind(reads)
-            pattern = np.zeros(0, dtype=np.int64)
+            patterns[name] = np.zeros(0, dtype=np.uint8)
         else:
             lacks = ~present[:, [column[f] for f in required]]
-            pattern = (lacks << np.arange(len(required))).sum(axis=1)
-        rows[name] = np.flatnonzero(pattern == 0)
-        available[name] = tuple(id_array[rows[name]])
-        # each distinct pattern but 0, in the order it first occurs
-        missing[name] = {
-            tuple(f for bit, f in enumerate(required) if code >> bit & 1):
-                tuple(id_array[pattern == code])
-            for code in dict.fromkeys(pattern.tolist()) if code}
-    return ValidationReport(available=available, missing=missing,
-                            not_applicable=not_applicable,
-                            record_count=len(ids), rows=rows)
+            patterns[name] = (lacks << np.arange(len(required))).sum(
+                axis=1, dtype=np.uint8)
+    return ValidationReport(ids=ids, patterns=patterns,
+                            not_applicable=not_applicable)

@@ -31,9 +31,9 @@ def standard_kb():
 def _trace(rid, **kwargs):
     kwargs.setdefault("input_embedding", _E[0])
     kwargs.setdefault("output_embedding", _E[1])
-    rec = TraceRecord(id=rid, **kwargs)
-    rec.validate()
-    return rec
+    # through the decoders, which range-check each field, then validate
+    return TraceRecord.from_json_dict(
+        TraceRecord(id=rid, **kwargs).to_json_dict())
 
 
 def _direction(raw_sim, anchor=0, ortho=1):

@@ -376,7 +376,6 @@ class ClassificationRecord(_Record):
         return self.predicted_label == self.true_label
 
     def validate(self, where=None):
-        super().validate(where)
         rid = self.id
         p = self.class_probabilities
         if p.min() < 0.0 or p.max() > 1.0:

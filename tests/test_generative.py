@@ -120,7 +120,8 @@ class TestAudit:
         records = corpora.demo_trace_corpus()
         result = audit_generative(records, kb=corpora.standard_kb(),
                                   fixtures=[corpora.demo_causal_fixture()])
-        assert result.validation == validate_corpus(records)
+        assert result.validation.to_json_dict() == \
+            validate_corpus(records).to_json_dict()
         assert "validation" not in result.to_json_dict()
 
     def test_duplicate_ids_are_rejected(self):
@@ -389,7 +390,7 @@ class TestErrors:
         result = audit_generative([rec])
         assert result.skipped["delusion"] == \
             "no record carries the required fields"
-        assert result.validation.missing["delusion"] == {
+        assert result.validation.missing("delusion") == {
             ("prob_output_given_input", "prob_truth_given_input"): ("bare",)}
 
     def test_kb_detector_without_kb(self):
