@@ -30,8 +30,11 @@ trace detectors read --kb and --fixtures, so classification rejects both.
 MIEstimatorConfig and DiscriminativeConfig, each decoded by the kind of its
 type; each value applies to every detector that reads it. The MI seed is
 --seed, not a config key. A value its config class rejects exits 2 as well.
-The config is read before any other input, so its error is the one
-reported when it and another input are both bad.
+`audit` reads its inputs in this order: the config, the knowledge base,
+the causal fixtures, then the corpus. So when two inputs are bad, the
+error of the one read first is reported. A trace corpus comes last because
+its record-level detectors score each record as its line is read, against
+the knowledge base; only the fields the other detectors read are kept.
 
 Importing this module loads only `records`, `registry` and `jsonio` of the
 package, which every subcommand runs; each subcommand imports the rest
@@ -120,19 +123,21 @@ def _cmd_audit(args):
     cfg_obj = _load_config(args.config)
     if args.schema == "trace":
         from . import generative, metrics
-    else:
-        from . import discriminative
-    records = load_trace_corpus(args.corpus, schema=args.schema)
-    if args.schema == "trace":
+        # the record-level detectors score each record as its line is read,
+        # so the knowledge base they match against is read first
         kb = load_knowledge_base(args.kb) if args.kb else None
         causal = load_causal_fixtures(args.fixtures) if args.fixtures else ()
         mi = metrics.MIEstimatorConfig(**cfg_obj.get("mi", {}), seed=args.seed)
+        step = generative.RecordStep(kb, generative.GenerativeConfig(
+            **cfg_obj.get("generative", {}), mi=mi))
         result = generative.audit_generative(
-            records, kb=kb, fixtures=causal, cfg=generative.GenerativeConfig(
-                **cfg_obj.get("generative", {}), mi=mi))
+            load_trace_corpus(args.corpus, record=step), fixtures=causal,
+            step=step)
     else:
+        from . import discriminative
         result = discriminative.audit_discriminative(
-            records, cfg=discriminative.DiscriminativeConfig(
+            load_trace_corpus(args.corpus, schema=args.schema),
+            cfg=discriminative.DiscriminativeConfig(
                 **cfg_obj.get("discriminative", {})))
     rows = [(group[0].pathology, len(group),
              float(np.mean([o.fired for o in group])),

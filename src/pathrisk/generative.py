@@ -4,10 +4,14 @@
 is), its scorer, its firing threshold under the config, and whether it
 reads the knowledge base; the registry holds only its required fields.
 
-`audit_generative` alone decides what a detector scores: it builds the
-units of its arity from the records its validation report lists, and it
-skips a knowledge-base detector without a knowledge base. `score` scores
-the unit it is handed; a unit its scorer cannot score is dropped.
+`audit_generative` and its per-record step `RecordStep` alone decide what
+a detector scores. The step scores the record-level detectors on each
+record as it is read, where the registry finds the record carries their
+fields, and keeps of it only the fields the other detectors read; the
+audit then builds the units of those detectors' arities from the records
+its validation report lists. Both skip a knowledge-base detector without
+a knowledge base. `score` scores the unit it is handed; a unit its scorer
+cannot score is dropped.
 
 Each detector turns its predicate into a severity in [0, 1] that is a
 monotone transform of the predicate's slack, with a firing threshold such
@@ -32,6 +36,7 @@ from . import metrics
 from .metrics import (MIEstimatorConfig, coherence, fluency, sim,
                       sim_matrix, sim_row_blocks)
 from . import registry
+from .records import TraceRecord
 from .registry import (AuditResult, DetectorError, DetectorOutcome,
                        GENERATIVE_DETECTORS, clamp01, fmt, group_by)
 
@@ -459,8 +464,9 @@ def _unit_ids(arity, data):
 
 
 def score(pathology, data, cfg=GenerativeConfig(), kb=None):
-    """Score one generative detector on a unit `audit_generative` built:
-    a TraceRecord for record-level detectors, a pair of records for
+    """Score one generative detector on a unit that `audit_generative` or
+    its `RecordStep` built: a TraceRecord for record-level detectors (as
+    read, every field), a pair of records for
     misattribution, a record list for the corpus/sequence detectors, and a
     CausalFixture for causal_inference_failure. No field, shape or count
     is checked here."""
@@ -488,9 +494,8 @@ def _source_pairs(records):
 
 
 def _units(arity, eligible, fixtures):
-    """The units a detector of that arity scores; the reason if none."""
-    if arity is Arity.RECORD:
-        return eligible, "no record carries the required fields"
+    """The units a pair, fixture, sequence or corpus detector scores; the
+    reason if none."""
     if arity is Arity.PAIR:
         return (_source_pairs(eligible),
                 "no content-matched pair with distinct sources")
@@ -504,43 +509,111 @@ def _units(arity, eligible, fixtures):
             "fewer than 2 eligible records")
 
 
-def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig()):
+def _score_units(pathology, units, cfg, kb):
+    """(the detector's outcomes on the units it scores, {unit ids: reason}
+    of those it drops)."""
+    arity = _DETECTORS[pathology].arity
+    outcomes, lost = [], {}
+    for unit in units:
+        try:
+            outcomes.append(score(pathology, unit, cfg, kb=kb))
+        except (DetectorError, metrics.MetricError) as exc:
+            lost[",".join(_unit_ids(arity, unit))] = str(exc)
+    return outcomes, lost
+
+
+# the fields that the pair, sequence and corpus detectors require, with the
+# id and the annotations, which name and group their units: all that
+# RecordStep keeps of a record
+_KEPT = tuple(dict.fromkeys(
+    ["id", "annotations"]
+    + [f.split(".")[0] for name, detector in _DETECTORS.items()
+       if detector.arity in (Arity.PAIR, Arity.SEQUENCE, Arity.CORPUS)
+       for f in GENERATIVE_DETECTORS[name]]))
+
+
+class RecordStep:
+    """The per-record step of a generative audit, called on each record
+    with its index as it is read: `load_trace_corpus(path, record=step)`.
+
+    It takes the record's `registry.presence` row, scores each
+    record-level detector whose fields the record carries (a
+    knowledge-base one only with a knowledge base), and returns the record
+    trimmed to the fields the pair, sequence and corpus detectors read
+    (`_KEPT`), so a record's other vectors are freed as soon as it is
+    scored. `audit_generative` takes the rows, the outcomes and the
+    dropped units from it."""
+
+    def __init__(self, kb=None, cfg=GenerativeConfig()):
+        self.kb, self.cfg = kb, cfg
+        self.rows = []       # one presence row per record, in corpus order
+        # each record-level detector it runs -> its outcomes, and
+        # {record id: reason} of the records it dropped
+        self.found = {name: [] for name, detector in _DETECTORS.items()
+                      if detector.arity is Arity.RECORD
+                      and (kb is not None or not detector.needs_kb)}
+        self.lost = {name: {} for name in self.found}
+
+    def __call__(self, i, record):
+        row = registry.presence(record)
+        self.rows.append(row)
+        for pathology, found in self.found.items():
+            if registry.carries(row, pathology):
+                outcomes, lost = _score_units(pathology, (record,), self.cfg,
+                                              self.kb)
+                found += outcomes
+                self.lost[pathology].update(lost)
+        return TraceRecord(**{name: getattr(record, name) for name in _KEPT})
+
+
+def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig(),
+                     step=None):
     """Run every generative detector that has the data it needs.
 
-    The corpus's `validate_corpus` report is built once, and each detector
-    takes the records it lists as available; the result carries the report
-    as `validation`. Record-level detectors score each record carrying their
-    fields; the sequence detectors score each conversation (annotation
+    Each record goes through a `RecordStep` first: the record-level
+    detectors score each record that carries their fields, and only the
+    fields the other detectors read are kept. `step` is the RecordStep
+    the records of `corpus` already came from, as `load_trace_corpus(path,
+    record=step)` returns them, which scored them as each line was read;
+    the audit then takes its knowledge base and config from `step`, not
+    from `kb` and `cfg`. Without it, each record of `corpus` goes through
+    a new RecordStep(kb, cfg) here, so the two give the same result.
+
+    The `validate_corpus` report is built once from the step's presence
+    rows, and each other detector takes the records it lists as
+    available; the result carries the report as `validation`. The
+    sequence detectors score each conversation (annotation
     `conversation_id`, whole corpus when absent); misattribution scores
     every content-matched source-mismatched pair; the causal detector
     scores each fixture. Each unit is scored on its own: one that fails is
-    listed in `dropped` with its reason, and the detector's other units are
-    still scored. A detector that scores nothing is reported as skipped.
-    Outcomes are sorted by (pathology, record ids).
+    listed in `dropped` with its reason, and the detector's other units
+    are still scored. A detector that scores nothing is reported as
+    skipped. Outcomes are sorted by (pathology, record ids).
     """
+    if step is None:
+        step = RecordStep(kb, cfg)
+        corpus = [step(i, rec) for i, rec in enumerate(corpus)]
     # looked up on its module, where the traced benchmark run rebinds it
-    validation = registry.validate_corpus(corpus)
+    validation = registry.validate_corpus(corpus, step.rows)
     outcomes = []
     skipped = {}
     dropped = {}
     for pathology, detector in _DETECTORS.items():
-        if detector.needs_kb and kb is None:
+        if detector.needs_kb and step.kb is None:
             skipped[pathology] = "no knowledge base supplied"
             continue
-        eligible = [corpus[i]
-                    for i in validation.eligible(pathology).tolist()]
-        units, reason = _units(detector.arity, eligible, fixtures)
-        scored = 0
-        lost = {}
-        for unit in units:
-            try:
-                outcomes.append(score(pathology, unit, cfg, kb=kb))
-                scored += 1
-            except (DetectorError, metrics.MetricError) as exc:
-                lost[",".join(_unit_ids(detector.arity, unit))] = str(exc)
+        if detector.arity is Arity.RECORD:
+            found, lost = step.found[pathology], step.lost[pathology]
+            reason = "no record carries the required fields"
+        else:
+            eligible = [corpus[i]
+                        for i in validation.eligible(pathology).tolist()]
+            units, reason = _units(detector.arity, eligible, fixtures)
+            found, lost = _score_units(pathology, units, step.cfg, step.kb)
+        outcomes += found
         if lost:
             dropped[pathology] = lost
-        if not scored:
+        if not found:
             skipped[pathology] = next(iter(lost.values()), reason)
     outcomes.sort(key=lambda o: o.sort_key())
     return AuditResult(outcomes=tuple(outcomes), skipped=skipped,

@@ -1,7 +1,10 @@
 """Record model and JSONL corpus I/O.
 
-A trace corpus is a list of TraceRecords, one per generative interaction;
-a classification corpus is one `classification.ClassificationCorpus`,
+A trace corpus is a list of TraceRecords, one per generative interaction,
+or of what a per-record function makes of each as its line is read: the
+trace audit scores its record-level detectors there and keeps only the
+fields its other detectors read (`generative.RecordStep`). A
+classification corpus is one `classification.ClassificationCorpus`,
 its records held as field columns, which a classification load imports.
 Corpora are line-delimited JSON (one record per line, UTF-8, snake_case
 field names). Knowledge bases and causal fixtures live in plain JSON
@@ -634,14 +637,21 @@ def _json_lines(handle):
                     f"line {line_no}: malformed JSON ({exc.msg})") from None
 
 
-def load_trace_corpus(path, schema="trace"):
+def load_trace_corpus(path, schema="trace", record=None):
     """Load a JSONL corpus of the given schema ("trace" or "classification").
 
     A trace corpus is a list of validated TraceRecords in file order, a
     classification corpus a `classification.ClassificationCorpus`. Any
-    malformed line or invariant violation aborts with the line number;
-    duplicated ids or mixed embedding/feature dimensions abort at corpus
-    level.
+    malformed line or invariant violation aborts with the line number, and
+    so does an id seen on an earlier line; mixed embedding/feature
+    dimensions abort at corpus level, once the last line is read.
+
+    With `record` (read by a trace load only), the list holds
+    record(i, rec) in place of each record rec, i its index, called as
+    soon as the record is decoded and checked; so a record's fields that
+    `record` does not keep are freed line by line. `generative.RecordStep`
+    is such a function: it scores the record-level detectors and keeps
+    only what the other detectors read.
     """
     if schema not in SCHEMAS:
         raise CorpusError(f"unknown corpus schema {schema!r}; "
@@ -653,6 +663,7 @@ def load_trace_corpus(path, schema="trace"):
             return classification.from_lines(_json_lines(handle))
         records = []
         seen = set()
+        dims = set()
         for line_no, obj in _json_lines(handle):
             where = f"line {line_no}"
             rec = TraceRecord.from_json_dict(obj, where)
@@ -660,8 +671,9 @@ def load_trace_corpus(path, schema="trace"):
                 raise RecordValidationError("duplicate id", rec.id, "id",
                                             where)
             seen.add(rec.id)
-            records.append(rec)
-    dims = {r.input_embedding.size for r in records}
+            dims.add(rec.input_embedding.size)
+            records.append(rec if record is None
+                           else record(len(records), rec))
     if len(dims) > 1:
         raise CorpusError(f"mixed embedding dimensions in corpus: "
                           f"{sorted(dims)}")

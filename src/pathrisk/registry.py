@@ -5,11 +5,12 @@ two tables, `GENERATIVE_DETECTORS` and `DISCRIMINATIVE_DETECTORS`, each
 mapping an id to the record fields its evidence requires; an id's family
 is the table that holds it. It also holds the types every audit shares
 (outcome, result, errors, validation report), `validate_corpus`, the one
-place that works out which fields a record lacks for a detector, and the
-helpers both families call: `fmt` writes an evidence number, `clamp01`
-clips a severity to [0, 1] and `group_by` groups records by a key. How a
-generative detector is scored (its arity, whether it reads the knowledge
-base, its scorer and threshold) lives beside its scorer in
+place that works out which fields a record lacks for a detector (with
+`presence` and `carries`, its row-at-a-time form for a trace record as it
+is read), and the helpers both families call: `fmt` writes an evidence
+number, `clamp01` clips a severity to [0, 1] and `group_by` groups records
+by a key. How a generative detector is scored (its arity, whether it reads
+the knowledge base, its scorer and threshold) lives beside its scorer in
 `generative._DETECTORS`; a discriminative one folds the whole corpus,
 with its scorer and threshold in `discriminative._DETECTORS`.
 
@@ -318,26 +319,43 @@ class ValidationReport:
         return {"record_count": self.record_count, "detectors": detectors}
 
 
-def _presence(record):
-    """Whether a trace record carries each field of _FIELDS["trace"]."""
+def presence(record):
+    """A trace record's presence row: whether it carries each field of
+    _FIELDS["trace"], the columns of `validate_corpus`'s presence matrix."""
     annotations = record.annotations
     return [f[len(_ANNOTATION):] in annotations if f.startswith(_ANNOTATION)
             else getattr(record, f) is not None for f in _FIELDS["trace"]]
 
 
-def _presence_matrix(corpus):
+# each detector -> the columns of its required fields in the presence
+# matrix of the corpus kind it reads
+_COLUMNS = {name: [_FIELDS[kind].index(f) for f in REGISTRY[name]]
+            for name, kind in _READS.items()}
+
+
+def carries(row, detector):
+    """Whether a trace record whose `presence` row is `row` carries every
+    field the trace detector requires, so its missing-field pattern in
+    `validate_corpus` is 0."""
+    return all(row[i] for i in _COLUMNS[detector])
+
+
+def _presence_matrix(corpus, rows):
     """(the corpus's kind, its record ids, and whether each record carries
     each field of _FIELDS[kind]). A ClassificationCorpus supplies its
-    columns' presence masks; a list of TraceRecords, _presence of each."""
+    columns' presence masks; a list of TraceRecords, its `rows`, or else
+    `presence` of each record."""
     if hasattr(corpus, "present"):   # a ClassificationCorpus
         columns = [corpus.present[f] for f in _FIELDS["classification"]]
         return "classification", corpus.ids, np.stack(columns, axis=1)
-    matrix = np.array([_presence(rec) for rec in corpus], dtype=bool)
+    if rows is None:
+        rows = [presence(rec) for rec in corpus]
+    matrix = np.array(rows, dtype=bool)
     return ("trace", tuple(rec.id for rec in corpus),
             matrix.reshape(len(corpus), len(_FIELDS["trace"])))
 
 
-def validate_corpus(corpus):
+def validate_corpus(corpus, rows=None):
     """Field availability of every detector on a corpus, a list of
     TraceRecords or a ClassificationCorpus, grouped by the missing fields;
     deterministic, with ids in corpus order. It is the one place that works
@@ -350,14 +368,16 @@ def validate_corpus(corpus):
     It reads one (records x fields) presence matrix of the fields that the
     detectors of the corpus's kind require. For each detector a record's
     missing fields are a bit pattern over the detector's columns, which
-    the report keeps; it groups the records by pattern when asked."""
-    kind, ids, present = _presence_matrix(corpus)
+    the report keeps; it groups the records by pattern when asked. For a
+    list of TraceRecords, `rows` may give each record's `presence` row,
+    taken before the record was trimmed to fewer fields; the records then
+    supply only their ids."""
+    kind, ids, present = _presence_matrix(corpus, rows)
     seen = set()
     for rid in ids:
         if rid in seen:
             raise ValueError(f"duplicate record id {rid!r}")
         seen.add(rid)
-    column = {f: i for i, f in enumerate(_FIELDS[kind])}
     patterns, not_applicable = {}, {}
     for name, reads in _READS.items():
         required = REGISTRY[name]
@@ -366,7 +386,7 @@ def validate_corpus(corpus):
                 not_applicable[name] = _wrong_kind(reads)
             patterns[name] = np.zeros(0, dtype=np.uint8)
         else:
-            lacks = ~present[:, [column[f] for f in required]]
+            lacks = ~present[:, _COLUMNS[name]]
             patterns[name] = (lacks << np.arange(len(required))).sum(
                 axis=1, dtype=np.uint8)
     return ValidationReport(ids=ids, patterns=patterns,

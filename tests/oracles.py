@@ -21,7 +21,12 @@ groups records by the fields they carry. The classification oracle is the
 per-record path the package ran before it held a classification corpus
 as field columns: `ClassificationRecord` with its `validate`, the loader
 with its duplicate-id and mixed-width checks, and the 14 discriminative
-scorers over record lists, audited as `audit_discriminative` did.
+scorers over record lists, audited as `audit_discriminative` did. The
+whole-corpus generative audit is the one the package ran before its
+record-level detectors scored each record as its line was read: every
+record held whole until the last detector, and each detector, record-level
+ones included, scoring the units of the records loop_validation finds
+eligible.
 """
 
 import json
@@ -32,6 +37,8 @@ from typing import Optional
 
 import numpy as np
 
+from pathrisk import generative
+from pathrisk.metrics import MetricError
 from pathrisk.records import (CorpusError, RecordValidationError, TraceRecord,
                               _field, _Record, _schema)
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
@@ -745,3 +752,34 @@ def audit_classification_records(records, cfg):
                 threshold=threshold(cfg), evidence=evidence))
     outcomes.sort(key=lambda o: o.sort_key())
     return [o.to_json_dict() for o in outcomes], skipped
+
+
+def whole_corpus_audit(records, kb=None, fixtures=(),
+                       cfg=generative.GenerativeConfig()):
+    """(outcome dicts sorted as the audit sorts them, skip reasons,
+    dropped units) of the 21 generative detectors over whole records."""
+    lacks = loop_validation(records)
+    outcomes, skipped, dropped = [], {}, {}
+    for name, detector in generative._DETECTORS.items():
+        if detector.needs_kb and kb is None:
+            skipped[name] = "no knowledge base supplied"
+            continue
+        eligible = [r for r in records if not lacks[name][r.id]]
+        if detector.arity is generative.Arity.RECORD:
+            units, reason = eligible, "no record carries the required fields"
+        else:
+            units, reason = generative._units(detector.arity, eligible,
+                                              fixtures)
+        lost = {}
+        for unit in units:
+            try:
+                outcomes.append(generative.score(name, unit, cfg, kb=kb))
+            except (DetectorError, MetricError) as exc:
+                lost[",".join(generative._unit_ids(detector.arity,
+                                                   unit))] = str(exc)
+        if lost:
+            dropped[name] = lost
+        if not any(o.pathology == name for o in outcomes):
+            skipped[name] = next(iter(lost.values()), reason)
+    outcomes.sort(key=lambda o: o.sort_key())
+    return [o.to_json_dict() for o in outcomes], skipped, dropped

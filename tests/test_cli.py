@@ -344,6 +344,53 @@ def test_bad_config_is_reported_before_the_corpus(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["kb", "fixtures"])
+def test_bad_kb_or_fixtures_are_reported_before_the_corpus(tmp_path, capsys,
+                                                          bad):
+    # the record-level detectors score each line as it is read, so the
+    # knowledge base and the fixtures are read before the corpus
+    argv = _trace_audit(tmp_path)
+    with open(tmp_path / "corpus.jsonl", "a", encoding="utf-8") as handle:
+        handle.write('{"id": "r9", "truth_embeding": [1.0, 0.0, 0.0, 0.0]}\n')
+    if bad == "kb":
+        (tmp_path / "kb.json").write_text(json.dumps(
+            {"entries": [{"entity_id": "e1", "embedding": [1.0, "x"]}]}))
+        named = "entry 0, record 'e1', field 'embedding'"
+    else:
+        (tmp_path / "fixtures.json").write_text(json.dumps({"x_name": 3}))
+        named = "fixture 0, field 'x_name'"
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}")
+    assert "line" not in err
+    assert not out.exists()
+
+
+def test_a_last_line_of_another_dimension_leaves_no_output(tmp_path, capsys,
+                                                          monkeypatch):
+    # the earlier records are scored as they are read; the mixed dimension
+    # shows only after the last line, and still nothing is written
+    argv = _trace_audit(tmp_path)
+    with open(tmp_path / "corpus.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"id": "three-d",
+                                 "input_embedding": [1.0, 0.0, 0.0],
+                                 "output_embedding": [0.0, 1.0, 0.0],
+                                 "in_real_manifold": False}) + "\n")
+    scored = []
+    real = generative.score
+    monkeypatch.setattr(generative, "score", lambda pathology, unit, *a, **k:
+                        scored.append(pathology) or real(pathology, unit,
+                                                         *a, **k))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: mixed embedding dimensions in corpus: [3, 4]\n"
+    assert "hallucination" in scored
+    assert list(out.iterdir()) == []
+
+
 def _exit_code(argv):
     """cli.main's exit code, also when argparse exits."""
     try:

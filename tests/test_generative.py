@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -9,13 +10,15 @@ import hypothesis.strategies as st
 
 import corpora
 from pathrisk import generative, metrics, registry
-from pathrisk.generative import (DetectorError, GenerativeConfig,
+from pathrisk.generative import (Arity, DetectorError, GenerativeConfig,
                                  audit_generative, score)
-from pathrisk.records import KnowledgeBase, TraceRecord
+from pathrisk.records import (KnowledgeBase, TraceRecord, load_trace_corpus,
+                              save_trace_corpus)
 from pathrisk.registry import (ALIAS_GROUPS, GENERATIVE_DETECTORS,
                                DISCRIMINATIVE_DETECTORS,
                                distinct_pathology_count, pathology_ids,
                                validate_corpus)
+import oracles
 from conftest import random_orthogonal
 from oracles import (every_prefix_semantic_warming, loop_cognitive_stereotypy,
                      loop_hypersignification)
@@ -203,6 +206,172 @@ class TestAudit:
         scored = [o.record_ids for o in result.outcomes
                   if o.pathology == "semantic_warming"]
         assert scored == [("c1",)]
+
+
+def _bundles():
+    """(name, records, kb, fixtures) of every detector's two fixture
+    bundles and the demo bundle, with and without its knowledge base."""
+    for pathology in GEN_IDS:
+        for positive in (True, False):
+            b = corpora.generative_fixture(pathology, positive)
+            yield (f"{pathology}-{positive}", b["records"], b["kb"],
+                   b["causal_fixtures"])
+    demo = corpora.demo_trace_corpus()
+    yield "demo", demo, corpora.standard_kb(), [corpora.demo_causal_fixture()]
+    yield "demo-no-kb", demo, None, [corpora.demo_causal_fixture()]
+
+
+def _all_fixture_records():
+    """The records of every bundle, once each, ids made distinct."""
+    out = {}
+    for name, records, _, _ in _bundles():
+        for rec in records:
+            out.setdefault(f"{name}:{rec.id}", rec.to_json_dict())
+    return [TraceRecord.from_json_dict(dict(row, id=rid))
+            for rid, row in out.items()]
+
+
+def _mutated(seed):
+    """The records of every bundle, with seeded faults that the step must
+    report as the whole-corpus audit does: optional fields and annotation
+    keys left out, contextual_drift units with too few context vectors and
+    referential_hallucination units that reference no entity, both
+    dropped."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for rec in _all_fixture_records():
+        row = rec.to_json_dict()
+        for name in list(row):
+            if name not in ("id", "input_embedding", "output_embedding") \
+                    and rng.random() < 0.3:
+                del row[name]
+        for key in list(row.get("annotations", {})):
+            if rng.random() < 0.3:
+                del row["annotations"][key]
+        if rng.random() < 0.3:
+            row["context_vectors"] = [[1.0, 0.0, 0.0, 0.0]] * 2
+        if rng.random() < 0.3:
+            row["referenced_entities"] = []
+        rows.append(TraceRecord.from_json_dict(row))
+    return rows
+
+
+def _audit_documents(result):
+    """The audit's outcomes, skipped, dropped and validation.json, as JSON
+    reads them back."""
+    return json.loads(json.dumps(
+        [[o.to_json_dict() for o in result.outcomes], result.skipped,
+         result.dropped, result.validation.to_json_dict()]))
+
+
+# every field the pair, sequence and corpus detectors read, with the id and
+# the annotations that name and group their units
+_PASSED_ON = {"id", "annotations", "input_embedding", "output_embedding",
+              "intent_embedding", "style_embedding", "output_token_logprobs"}
+
+
+def _differential_cases():
+    for name, records, kb, fixtures in _bundles():
+        yield name, records, kb, fixtures
+    for seed in range(6):
+        records = _mutated(seed)
+        yield f"mutated-{seed}", records, corpora.standard_kb(), \
+            [corpora.demo_causal_fixture()]
+        yield f"mutated-{seed}-no-kb", records, None, ()
+
+
+class TestRecordStep:
+    """The audit scores the record-level detectors on each record as it
+    is read and keeps only what the other detectors read; it must give
+    what the whole-corpus audit gives."""
+
+    @pytest.mark.parametrize("case", list(_differential_cases()),
+                             ids=lambda case: case[0])
+    def test_equals_the_whole_corpus_audit(self, case, tmp_path,
+                                           monkeypatch):
+        _, records, kb, fixtures = case
+        path = tmp_path / "corpus.jsonl"
+        save_trace_corpus(path, records)
+        whole = load_trace_corpus(path)
+        outcomes, skipped, dropped = oracles.whole_corpus_audit(
+            whole, kb, fixtures)
+        expected = json.loads(json.dumps(
+            [outcomes, skipped, dropped, oracles.loop_validation_json(whole)]))
+        assert _audit_documents(audit_generative(
+            whole, kb=kb, fixtures=fixtures)) == expected
+
+        # the CLI's path: scored as each line is read; the records handed
+        # on to the other detectors hold none of the record-only fields
+        handed = []
+        real = generative.score
+
+        def watched(pathology, unit, *args, **kwargs):
+            if generative._DETECTORS[pathology].arity in (
+                    Arity.PAIR, Arity.SEQUENCE, Arity.CORPUS):
+                handed.extend(unit)
+            return real(pathology, unit, *args, **kwargs)
+
+        monkeypatch.setattr(generative, "score", watched)
+        step = generative.RecordStep(kb)
+        read = load_trace_corpus(path, record=step)
+        assert _audit_documents(audit_generative(
+            read, fixtures=fixtures, step=step)) == expected
+        for rec in handed + read:
+            assert {f.name for f in dataclasses.fields(rec)
+                    if getattr(rec, f.name) is not None} <= _PASSED_ON
+
+    def test_mutations_reach_every_kind_of_fault(self):
+        # guards the test above: the mutated corpora must leave out fields,
+        # and drop contextual_drift and referential_hallucination units
+        missing = set()
+        dropped = set()
+        for seed in range(6):
+            result = audit_generative(_mutated(seed),
+                                      kb=corpora.standard_kb())
+            dropped |= set(result.dropped)
+            for name in GENERATIVE_DETECTORS:
+                missing |= set(result.validation.missing(name))
+        assert {"contextual_drift", "referential_hallucination"} <= dropped
+        assert len(missing) >= 15
+
+    def test_peak_stays_below_the_record_only_vectors(self, tmp_path):
+        # 72 records at d = 768 with 8 claims and 4 context vectors each:
+        # those vectors alone decode to 5.3 MB. The audit keeps only the
+        # input, output, intent and style vectors (1.8 MB) and peaks at
+        # 3.4 MB on Python 3.11; holding every record whole until the last
+        # detector ran, it peaked at 9.2 MB
+        n, d, claims, context = 72, 768, 8, 4
+        rng = np.random.default_rng(0)
+
+        def vec():
+            return [round(float(v), 6) for v in rng.standard_normal(d)]
+
+        kb = KnowledgeBase(entries=tuple(
+            (f"kb{i}", rng.standard_normal(d)) for i in range(16)))
+        path = tmp_path / "wide.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            for i in range(n):
+                handle.write(json.dumps({
+                    "id": f"r{i}", "input_embedding": vec(),
+                    "output_embedding": vec(), "truth_embedding": vec(),
+                    "intent_embedding": vec(), "style_embedding": vec(),
+                    "context_vectors": [vec() for _ in range(context)],
+                    "claim_embeddings": [vec() for _ in range(claims)],
+                    "referenced_entities": ["kb0", "ghost"],
+                    "output_token_logprobs": [-0.5, -0.1],
+                    "prob_output_given_input": 0.5,
+                    "annotations": {"conversation_id": f"c{i // 8}"}}) + "\n")
+        record_only = n * (claims + context) * d * 8
+        tracemalloc.start()
+        try:
+            step = generative.RecordStep(kb)
+            result = audit_generative(load_trace_corpus(path, record=step),
+                                      step=step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.outcomes) > 3 * n
+        assert peak < record_only
 
 
 def _pair_corpus(seed, kind):
@@ -403,16 +572,17 @@ class TestErrors:
         assert not kb_detectors & {o.pathology for o in result.outcomes}
 
     def test_validation_takes_each_record_once(self, monkeypatch):
-        # the audit takes each record's fields once, in validate_corpus,
-        # not once per (detector, record) pair, and no scorer checks again
+        # the audit takes each record's fields once, in its per-record
+        # step, not once per (detector, record) pair, and neither
+        # validate_corpus nor any scorer checks again
         calls = []
-        real = registry._presence
+        real = registry.presence
 
         def counted(record):
             calls.append(record.id)
             return real(record)
 
-        monkeypatch.setattr(registry, "_presence", counted)
+        monkeypatch.setattr(registry, "presence", counted)
         records = corpora.demo_trace_corpus()
         audit_generative(records, kb=corpora.standard_kb(),
                          fixtures=[corpora.demo_causal_fixture()])

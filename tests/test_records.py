@@ -102,6 +102,28 @@ def test_mixed_embedding_dim_is_corpus_error(tmp_path):
         load_trace_corpus(path, "trace")
 
 
+def test_each_record_goes_to_the_function_as_it_is_read(tmp_path):
+    # the duplicate id on line 3 ends the read there, after the function
+    # has seen the two records before it; what it returns is what is kept
+    path = tmp_path / "seen.jsonl"
+    rows = [{"id": rid, "input_embedding": [1.0], "output_embedding": [1.0]}
+            for rid in ("a", "b", "a")]
+    seen = []
+
+    def record(i, rec):
+        seen.append((i, rec.id))
+        return rec.id
+
+    _write_jsonl(path, rows[:2])
+    assert load_trace_corpus(path, record=record) == ["a", "b"]
+    assert seen == [(0, "a"), (1, "b")]
+    del seen[:]
+    _write_jsonl(path, rows)
+    with pytest.raises(RecordValidationError, match="line 3.*duplicate id"):
+        load_trace_corpus(path, record=record)
+    assert seen == [(0, "a"), (1, "b")]
+
+
 def test_positive_logprob_rejected(tmp_path):
     path = tmp_path / "lp.jsonl"
     _write_jsonl(path, [{"id": "a", "input_embedding": [1.0],
@@ -448,13 +470,13 @@ def test_validation_takes_each_record_once(monkeypatch):
     # the fields once per (detector, record) pair; a classification corpus
     # supplies its presence masks, so no record is visited
     calls = []
-    real = registry._presence
+    real = registry.presence
 
     def counted(record):
         calls.append(record.id)
         return real(record)
 
-    monkeypatch.setattr(registry, "_presence", counted)
+    monkeypatch.setattr(registry, "presence", counted)
     records = [TraceRecord.from_json_dict(row) for row in _partly_missing(
         _trace_rows(_trace_fixture_records()), 3)]
     report = validate_corpus(records)
