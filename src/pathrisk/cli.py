@@ -2,9 +2,10 @@
 
 Subcommands: audit, risk, holonorm-verify, game, pareto, report. Every run
 writes canonical JSON reports plus CSV summaries and a manifest (version,
-seed, input digests, config hash) into --out. The seed is --seed where a
-subcommand draws random numbers: the samples of holonorm-verify and pareto,
-the MI projections of audit. game takes it from its scenario; risk and
+seed, BLAKE2b input digests that `b2sum` checks, config hash) into --out.
+The seed is --seed where a subcommand draws random numbers: the samples of
+holonorm-verify and pareto (`numpy.random`), the MI projections of audit
+(the standard library's `random`). game takes it from its scenario; risk and
 report draw none, so they take no --seed and write "seed": null. Exit
 codes: 0 success; 1 a failed identity (holonorm-verify); 2 a rejected
 input or a usage error; 3 an infeasible deployment gate (risk --gate).
@@ -44,7 +45,9 @@ first three with --config); `risk` and `report` add `risk`;
 `holonorm-verify` adds `holonorm`; `game` adds `game` and `risk`; `pareto`
 adds `fixtures`, `metrics` and `risk`. A run without cached bytecode
 compiles every module it imports, so a subcommand pays only for the
-modules it uses.
+modules it uses. `audit`, `risk` and `report` load neither `numpy.random`
+nor OpenSSL's libcrypto (through `hashlib`), which only add resident
+memory; a test pins that.
 """
 
 import argparse

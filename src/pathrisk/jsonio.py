@@ -9,15 +9,20 @@ An object with a `to_json_dict()` method may stand anywhere in the
 document: it is converted at the moment it is written, so a report can
 hand over its items as they are (an audit its outcomes) and each item's
 dict lives only while that item is being written.
+
+Digests are BLAKE2b-512 (RFC 7693), the digest coreutils `b2sum` prints.
+BLAKE2b is imported from `_blake2`, the module `hashlib.blake2b` comes
+from: `hashlib` itself loads OpenSSL's libcrypto, a few MB of resident
+memory that no subcommand needs.
 """
 
-import hashlib
 import math
 import os
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
+from _blake2 import blake2b
 
 
 class OutputExistsError(FileExistsError):
@@ -132,8 +137,9 @@ def write_csv(path, header, rows, force=False):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def file_sha256(path):
-    digest = hashlib.sha256()
+def file_digest(path):
+    """The BLAKE2b-512 hex digest of a file's bytes, as `b2sum` prints it."""
+    digest = blake2b()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)
@@ -141,7 +147,9 @@ def file_sha256(path):
 
 
 def build_manifest(subcommand, seed, inputs, config):
-    """Run provenance: tool version, seed, input digests, config hash.
+    """Run provenance: tool version, seed, the path and BLAKE2b digest of
+    each input ("blake2b", checkable with `b2sum`), and the BLAKE2b digest
+    of the config's canonical JSON ("config_hash").
 
     Deliberately timestamp-free so reruns are byte-identical.
     """
@@ -149,9 +157,9 @@ def build_manifest(subcommand, seed, inputs, config):
     manifest = {"tool": "pathrisk", "version": __version__,
                 "subcommand": subcommand, "seed": seed,
                 "inputs": {name: {"path": str(p),
-                                  "sha256": file_sha256(p)}
+                                  "blake2b": file_digest(p)}
                            for name, p in sorted(inputs.items())
                            if p is not None},
-                "config_hash": hashlib.sha256(
+                "config_hash": blake2b(
                     canonical_dumps(config).encode()).hexdigest()}
     return manifest

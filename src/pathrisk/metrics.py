@@ -12,6 +12,7 @@ row blocks; the scalar `sim` is their reference.
 """
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,13 @@ class MIEstimatorConfig:
     """One random projection per side followed by equal-width binning and
     a plug-in estimate. Adequate for the near-zero versus clearly-positive
     decisions the detectors make; not a calibrated MI estimator. `audit`
-    takes the seed from --seed only, so its manifest holds the seed used."""
+    takes the seed from --seed only, so its manifest holds the seed used.
+
+    The projections are standard normal draws of the standard library's
+    `random.Random(seed).gauss`, first the x side, then the y side.
+    `random` is loaded with numpy already, while `numpy.random` would
+    load its own libraries and, through `secrets`, OpenSSL's. The seed is
+    non-negative: `random.Random` seeds with its absolute value."""
 
     num_bins_per_axis: int = 4
     seed: int = 0
@@ -40,6 +47,8 @@ class MIEstimatorConfig:
     def __post_init__(self):
         if self.num_bins_per_axis < 2:
             raise MetricError("num_bins_per_axis must be at least 2")
+        if self.seed < 0:
+            raise MetricError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def min_samples(self):
@@ -150,9 +159,9 @@ def mutual_information(xs, ys, cfg=MIEstimatorConfig()):
         raise InsufficientDataError(
             f"need >= {cfg.min_samples} samples for "
             f"{cfg.num_bins_per_axis} bins per axis, got {n}")
-    rng = np.random.default_rng(cfg.seed)
-    px = rng.standard_normal(X.shape[1])
-    py = rng.standard_normal(Y.shape[1])
+    rng = random.Random(cfg.seed)
+    px = np.array([rng.gauss(0.0, 1.0) for _ in range(X.shape[1])])
+    py = np.array([rng.gauss(0.0, 1.0) for _ in range(Y.shape[1])])
     bins = cfg.num_bins_per_axis
     iu = _bin_indices(X @ px, bins)
     iv = _bin_indices(Y @ py, bins)

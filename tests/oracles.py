@@ -27,10 +27,14 @@ record-level detectors scored each record as its line was read: every
 record held whole until the last detector, and each detector, record-level
 ones included, scoring the units of the records loop_validation finds
 eligible.
+The mutual-information oracle bins the projections of the same
+standard-library normal draws in a plain Python loop and sums the plug-in
+terms over a dict of cell counts.
 """
 
 import json
 import math
+import random
 from itertools import combinations
 from operator import attrgetter
 from typing import Optional
@@ -270,6 +274,36 @@ def loop_validation(records):
                          else (f"<requires a {kind} record>",))
                 for rec in records}
     return out
+
+
+def loop_mutual_information(xs, ys, cfg):
+    """metrics.mutual_information by loops: the x projection is the first
+    len(xs[0]) draws of random.Random(cfg.seed).gauss(0, 1), the y
+    projection the next len(ys[0]); each projected value goes to its
+    equal-width bin over [min, max] (the last bin closed), and the
+    plug-in MI is summed over the occupied cells."""
+    rng = random.Random(cfg.seed)
+    bins = cfg.num_bins_per_axis
+
+    def binned(rows):
+        p = [rng.gauss(0.0, 1.0) for _ in range(len(rows[0]))]
+        values = [sum(a * b for a, b in zip(row, p)) for row in rows]
+        lo, hi = min(values), max(values)
+        if hi <= lo:
+            return [0] * len(values)
+        return [min(int(bins * (v - lo) / (hi - lo)), bins - 1)
+                for v in values]
+
+    u = binned([list(map(float, row)) for row in xs])
+    v = binned([list(map(float, row)) for row in ys])
+    n = len(u)
+    cells, pu, pv = {}, [0] * bins, [0] * bins
+    for a, b in zip(u, v):
+        cells[a, b] = cells.get((a, b), 0) + 1
+        pu[a] += 1
+        pv[b] += 1
+    return max(0.0, sum(c / n * math.log(c * n / (pu[a] * pv[b]))
+                        for (a, b), c in cells.items()))
 
 
 def whole_sample_density_check(cfg):

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import corpora
-from pathrisk import cli, discriminative, generative, holonorm
+from pathrisk import cli, discriminative, generative, holonorm, jsonio
 from pathrisk import risk as risk_mod
 from pathrisk.records import (load_causal_fixtures, load_knowledge_base,
                               load_trace_corpus, save_trace_corpus)
@@ -220,22 +222,99 @@ print(json.dumps([sorted(loaded), sorted(added), code]))
 """
 
 
-@pytest.mark.parametrize("subcommand", sorted(_SUBCOMMAND_IMPORTS))
-def test_each_subcommand_imports_only_its_own_modules(tmp_path, subcommand):
-    # a fresh interpreter: this process has imported every module already
-    argv = _argv(tmp_path, subcommand) + ["--out", str(tmp_path / "probe")]
+def _probe(tmp_path, script, args):
+    """The JSON value on the last line `script` prints, run with `args` in
+    a fresh interpreter: this process has imported every module already."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, check=True)
-    loaded, added, code = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("subcommand", sorted(_SUBCOMMAND_IMPORTS))
+def test_each_subcommand_imports_only_its_own_modules(tmp_path, subcommand):
+    argv = _argv(tmp_path, subcommand) + ["--out", str(tmp_path / "probe")]
+    loaded, added, code = _probe(tmp_path, _IMPORT_PROBE, argv)
     assert set(loaded) == _CLI_IMPORTS
     assert set(added) == {f"pathrisk.{m}"
                           for m in _SUBCOMMAND_IMPORTS[subcommand]}
     assert code == (3 if subcommand == "risk-gate" else 0)
+
+
+# each argument is one argv, as JSON, run in turn in one interpreter
+_HEAVY_IMPORT_PROBE = """\
+import json, sys
+import pathrisk.cli
+codes = [pathrisk.cli.main(json.loads(argv)) for argv in sys.argv[1:]]
+heavy = [m for m in ("_hashlib", "numpy.random") if m in sys.modules]
+print(json.dumps([codes, heavy]))
+"""
+
+
+def test_audit_risk_and_report_load_neither_openssl_nor_numpy_random(
+        tmp_path):
+    # OpenSSL's libcrypto (through hashlib) and numpy.random's libraries
+    # would add about 5 MB of resident memory to every run
+    argv = _trace_audit(tmp_path)
+    # 80 records: enough for bluffing to draw its MI projections
+    corpus = tmp_path / "bluffing.jsonl"
+    save_trace_corpus(
+        corpus, corpora.generative_fixture("bluffing", True)["records"])
+    argv[argv.index("--corpus") + 1] = str(corpus)
+    audited, risked = tmp_path / "audited", tmp_path / "risked"
+    trace = [argv + ["--out", str(audited)],
+             ["risk", "--outcomes", str(audited / "outcomes.json"), "--gate",
+              "--out", str(risked)],
+             ["report", "--risk", str(risked / "risk_report.json"),
+              "--outcomes", str(audited / "outcomes.json"),
+              "--out", str(tmp_path / "reported")]]
+    classification = _argv(tmp_path, "audit-classification") + [
+        "--out", str(tmp_path / "classified")]
+    for runs in (trace, [classification]):
+        assert _probe(tmp_path, _HEAVY_IMPORT_PROBE,
+                      [json.dumps(a) for a in runs]) == [[0] * len(runs), []]
+    bluffing, = [o for o in json.loads(
+        (audited / "outcomes.json").read_text())["outcomes"]
+        if o["pathology"] == "bluffing"]
+    assert "mutual_information" in bluffing["evidence"]
+
+
+@pytest.mark.skipif(shutil.which("b2sum") is None,
+                    reason="coreutils b2sum is not on PATH")
+def test_manifests_hold_the_b2sum_digest_of_each_input(tmp_path):
+    eps = tmp_path / "eps.json"
+    eps.write_text(json.dumps({"default": 0.5}))
+    config = {"generative": {"delta": 0.95}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    audited, risked, reported = (tmp_path / name for name in
+                                 ("audited", "risked", "reported"))
+    outcomes = str(audited / "outcomes.json")
+    # out directory -> (argv, the input names, the config that is hashed)
+    runs = {
+        audited: (_trace_audit(tmp_path) + ["--config", str(config_path),
+                                            "--seed", "3"],
+                  {"corpus", "kb", "fixtures", "config"},
+                  {"schema": "trace", "seed": 3, "config": config}),
+        risked: (["risk", "--outcomes", outcomes, "--eps", str(eps),
+                  "--tau", "0.7"], {"outcomes0", "eps"},
+                 {"tau": 0.7, "gate": False}),
+        reported: (["report", "--risk", str(risked / "risk_report.json"),
+                    "--outcomes", outcomes], {"risk", "outcomes"}, {})}
+    for out, (argv, names, hashed) in runs.items():
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["inputs"]) == names
+        for entry in manifest["inputs"].values():
+            printed = subprocess.run(["b2sum", entry["path"]], check=True,
+                                     capture_output=True, text=True).stdout
+            assert entry["blake2b"] == printed.split()[0]
+        assert manifest["config_hash"] == hashlib.blake2b(
+            jsonio.canonical_dumps(hashed).encode()).hexdigest()
 
 
 def _fixture_audit(tmp_path, pathology, config):

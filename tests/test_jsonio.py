@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import tempfile
@@ -199,3 +200,16 @@ def test_csv_cells_name_non_finite_floats(tmp_path):
                                     (0.1 + 4e-13,), (np.bool_(True),)])
     assert path.read_text().splitlines() == [
         "x", "nan", "nan", "inf", "-inf", "0", "0.1", "true"]
+
+
+def test_file_digest_is_blake2b_512(tmp_path):
+    path = tmp_path / "abc"
+    path.write_bytes(b"abc")
+    # RFC 7693, Appendix A: BLAKE2b-512("abc")
+    assert jsonio.file_digest(path) == (
+        "ba80a53f981c4d0d6a2797b69f12f6e94c212f14685ac4b74b12bb6fdbffa2d1"
+        "7d87c5392aab792dc252d5de4533cc9518d38aa8dbf1925ab92386edd4009923")
+    # a file read in more than one chunk
+    data = bytes(range(256)) * 700
+    path.write_bytes(data)
+    assert jsonio.file_digest(path) == hashlib.blake2b(data).hexdigest()

@@ -13,7 +13,7 @@ from pathrisk.metrics import (InsufficientDataError, LOG_2PI_E, MetricError,
                               mutual_information, semantic_entropy, sim,
                               sim_matrix, sim_row_blocks, windowed_slope)
 from pathrisk.records import KnowledgeBase
-from oracles import cov_semantic_entropy
+from oracles import cov_semantic_entropy, loop_mutual_information
 
 RAW = False
 CLAMPED = True
@@ -204,6 +204,23 @@ class TestMutualInformation:
                     mutual_information(xs, shuffled, cfg):
                 wins += 1
         assert wins >= 99
+
+    @pytest.mark.parametrize("n,dx,dy,bins,seed", [
+        (16, 1, 1, 2, 0), (64, 3, 5, 4, 1), (100, 64, 64, 4, 7),
+        (200, 768, 8, 3, 2), (90, 2, 1, 2, 12345)])
+    def test_matches_the_loop_oracle(self, n, dx, dy, bins, seed):
+        local = np.random.default_rng([n, dx, dy, seed])
+        xs = local.standard_normal((n, dx))
+        # ys depend on xs through a random map, plus noise
+        ys = np.tanh(xs @ local.standard_normal((dx, dy))) \
+            + 0.3 * local.standard_normal((n, dy))
+        cfg = MIEstimatorConfig(num_bins_per_axis=bins, seed=seed)
+        assert mutual_information(xs, ys, cfg) == pytest.approx(
+            loop_mutual_information(xs, ys, cfg), abs=1e-12)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(MetricError, match="seed"):
+            MIEstimatorConfig(seed=-1)
 
 
 class TestCoherence:
