@@ -4,11 +4,12 @@ Subcommands: audit, risk, holonorm-verify, game, pareto, report. Every run
 writes canonical JSON reports plus CSV summaries and a manifest (version,
 seed, BLAKE2b input digests that `b2sum` checks, config hash) into --out.
 The seed is --seed where a subcommand draws random numbers: the samples of
-holonorm-verify and pareto (`numpy.random`), the MI projections of audit
-(the standard library's `random`). game takes it from its scenario; risk and
-report draw none, so they take no --seed and write "seed": null. Exit
-codes: 0 success; 1 a failed identity (holonorm-verify); 2 a rejected
-input or a usage error; 3 an infeasible deployment gate (risk --gate).
+holonorm-verify and pareto (`draws.Generator`) and the MI projections of
+audit, all from the standard library's `random`. game takes it from its
+scenario; risk and report draw none, so they take no --seed and write
+"seed": null. Exit codes: 0 success; 1 a failed identity
+(holonorm-verify); 2 a rejected input or a usage error; 3 an infeasible
+deployment gate (risk --gate).
 
 Every input file is decoded field by field by the `records` kinds: a value
 of the wrong JSON type is rejected, never coerced ("0.5", true and NaN are
@@ -42,12 +43,12 @@ package, which every subcommand runs; each subcommand imports the rest
 when it runs. `audit` adds `generative` and `metrics` for a trace corpus
 or `discriminative` and `classification` for a classification one (the
 first three with --config); `risk` and `report` add `risk`;
-`holonorm-verify` adds `holonorm`; `game` adds `game` and `risk`; `pareto`
-adds `fixtures`, `metrics` and `risk`. A run without cached bytecode
-compiles every module it imports, so a subcommand pays only for the
-modules it uses. `audit`, `risk` and `report` load neither `numpy.random`
-nor OpenSSL's libcrypto (through `hashlib`), which only add resident
-memory; a test pins that.
+`holonorm-verify` adds `holonorm` and `draws`; `game` adds `game` and
+`risk`; `pareto` adds `draws`, `fixtures`, `metrics` and `risk`. A run
+without cached bytecode compiles every module it imports, so a subcommand
+pays only for the modules it uses. No subcommand loads `numpy.random` or
+OpenSSL's libcrypto (through `hashlib` or `secrets`), which only add
+resident memory; a test pins that.
 """
 
 import argparse
@@ -207,9 +208,9 @@ def _cmd_risk(args):
 
 
 def _cmd_holonorm_verify(args):
-    from . import holonorm
+    from . import draws, holonorm
     checks = []
-    rng = np.random.default_rng(args.seed)
+    rng = draws.Generator(args.seed)
 
     density = holonorm.density_transform_check(holonorm.DensityCheckConfig(
         dimension=args.dim, samples=args.samples, seed=args.seed,
@@ -219,7 +220,7 @@ def _cmd_holonorm_verify(args):
 
     worst_rt = 0.0
     for _ in range(200):
-        y = rng.uniform(-1.0, 1.0, size=args.dim)
+        y = rng.uniforms(-1.0, 1.0, args.dim)
         norm = np.linalg.norm(y)
         if norm >= 0.95:
             y = y * (0.9 / norm)
@@ -229,7 +230,7 @@ def _cmd_holonorm_verify(args):
 
     worst_det = 0.0
     for _ in range(200):
-        y = rng.uniform(-1.0, 1.0, size=args.dim)
+        y = rng.uniforms(-1.0, 1.0, args.dim)
         norm = np.linalg.norm(y)
         if norm >= 0.9:
             y = y * (0.85 / norm)
@@ -241,9 +242,9 @@ def _cmd_holonorm_verify(args):
 
     worst_lemma = 0.0
     for _ in range(100):
-        alpha = rng.uniform(0.5, 2.0)
-        beta = rng.uniform(0.0, 2.0)
-        u = rng.standard_normal(int(rng.integers(2, 51)))
+        alpha = float(rng.uniforms(0.5, 2.0))
+        beta = float(rng.uniforms(0.0, 2.0))
+        u = rng.normals(rng.randrange(2, 51))
         lhs, rhs, _ = holonorm.matrix_determinant_lemma_check(alpha, beta, u)
         worst_lemma = max(worst_lemma, abs(lhs - rhs) / abs(rhs))
     checks.append(("matrix_determinant_lemma", worst_lemma <= 1e-8,
@@ -253,7 +254,7 @@ def _cmd_holonorm_verify(args):
     model = holonorm.HolonormModel.build(
         num_layers=1, model_dim=dim, num_heads=2 if dim % 2 == 0 else 1,
         ff_dim=2 * dim, seed=args.seed)
-    probes = [rng.standard_normal((5, dim)) for _ in range(10)]
+    probes = [rng.normals((5, dim)) for _ in range(10)]
     degeneracy = holonorm.constant_param_degeneracy_check(model, probes)
     deg_ok = (degeneracy["degenerate_mha_constant"]
               and degeneracy["live_mha_distinct"]

@@ -1,10 +1,13 @@
 """The fluency-versus-grounding sweep behind the Pareto demonstration.
 
-Embeddings live in d_e = 4; `_E[i]` are the basis vectors.
+Embeddings live in d_e = 4; `_E[i]` are the basis vectors. The inputs are
+standard normal rows from `draws.Generator(seed)`, the standard library's
+generator, which gives the same values drawn per candidate as in one draw.
 """
 
 import numpy as np
 
+from .draws import Generator
 from .metrics import sim_matrix
 from .risk import ExpectileConfig, expectile
 
@@ -21,7 +24,7 @@ def pareto_sweep(num_candidates=9, records_per_candidate=40, seed=7,
     Returns (candidate labels, objective pairs); both objectives are
     expectile risks over per-record losses.
     """
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     cfg = ExpectileConfig(tau=tau)
     labels = []
     values = []
@@ -29,7 +32,7 @@ def pareto_sweep(num_candidates=9, records_per_candidate=40, seed=7,
     filler = _E[3]
     for s in levels:
         # one draw per candidate: the same stream as one row per record
-        raw = rng.standard_normal((records_per_candidate, D_E))
+        raw = rng.normals((records_per_candidate, D_E))
         inp = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         out = (1.0 - s) * inp + s * filler
         out = out / np.linalg.norm(out, axis=1, keepdims=True)

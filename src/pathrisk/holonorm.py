@@ -11,15 +11,20 @@ with f(x) = W2 hn(W1 x + b1) + b2 and MHA standard scaled dot-product
 multihead self-attention. No positional encoding is added, so the forward
 map is permutation equivariant.
 
-The density-transformation check draws its Monte-Carlo sample in row
+Every draw, the model's weights and the density check's Monte-Carlo
+sample alike, comes from `draws.Generator`, the standard library's
+generator. The density-transformation check draws its sample in row
 blocks of at most _BLOCK_ELEMENTS entries and keeps only the bin counts,
-so its memory does not grow with the number of samples.
+so its memory does not grow with the number of samples; the generator
+gives the same values in blocks as in one draw.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .draws import Generator
 
 
 class HolonormError(ValueError):
@@ -103,7 +108,8 @@ class HolonormModel:
     """Parameters of an L-layer holonorm transformer: its layers, its head
     count, and the constant (q, k, v) vectors that the degeneracy check
     passes to attention in place of the per-token projections. Parameters
-    are seeded uniform(-1/sqrt(D), 1/sqrt(D)).
+    are uniform(-1/sqrt(D), 1/sqrt(D)), drawn in that order from
+    draws.Generator(seed).
     """
 
     layers: tuple
@@ -115,11 +121,11 @@ class HolonormModel:
         if model_dim % num_heads != 0:
             raise HolonormError(f"num_heads {num_heads} must divide "
                                 f"model_dim {model_dim}")
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         scale = 1.0 / math.sqrt(model_dim)
 
         def mat(rows, cols):
-            return rng.uniform(-scale, scale, size=(rows, cols))
+            return rng.uniforms(-scale, scale, (rows, cols))
 
         layers = []
         for _ in range(num_layers):
@@ -127,10 +133,10 @@ class HolonormModel:
                 wq=mat(model_dim, model_dim), wk=mat(model_dim, model_dim),
                 wv=mat(model_dim, model_dim), wo=mat(model_dim, model_dim),
                 w1=mat(ff_dim, model_dim),
-                b1=rng.uniform(-scale, scale, size=ff_dim),
+                b1=rng.uniforms(-scale, scale, ff_dim),
                 w2=mat(model_dim, ff_dim),
-                b2=rng.uniform(-scale, scale, size=model_dim)))
-        constants = tuple(rng.uniform(-scale, scale, size=model_dim)
+                b2=rng.uniforms(-scale, scale, model_dim)))
+        constants = tuple(rng.uniforms(-scale, scale, model_dim)
                           for _ in range(3))  # q, k, v
         return cls(layers=tuple(layers), num_heads=num_heads,
                    constants=constants)
@@ -287,22 +293,23 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def _binned_sample(cfg, bins):
-    """Draw cfg.samples standard normal rows from cfg.seed, map them by hn,
-    and return how many land inside the unit ball and their counts on the
-    bins^D grid over [-1, 1]^D.
+    """Draw cfg.samples standard normal rows from draws.Generator(cfg.seed),
+    map them by hn, and return how many land inside the unit ball and their
+    counts on the bins^D grid over [-1, 1]^D.
 
     The draw is made in row blocks of at most _BLOCK_ELEMENTS entries (never
-    less than one row); the generator fills row-major, so the blocks are
-    the one-shot draw's rows in order. Both results are integer sums, so
-    they equal the whole sample's."""
+    less than one row); the generator fills row-major and takes the same
+    bytes for each value, so the blocks are the one-shot draw's rows in
+    order, also for an odd block size such as D = 3's 65,535 entries. Both
+    results are integer sums, so they equal the whole sample's."""
     d = cfg.dimension
     rows = max(1, _BLOCK_ELEMENTS // d)
-    rng = np.random.default_rng(cfg.seed)
+    rng = Generator(cfg.seed)
     edges = [np.linspace(-1.0, 1.0, bins + 1)] * d
     counts = np.zeros((bins,) * d)
     inside = 0
     for start in range(0, cfg.samples, rows):
-        y = hn(rng.standard_normal((min(rows, cfg.samples - start), d)))
+        y = hn(rng.normals((min(rows, cfg.samples - start), d)))
         inside += int(np.count_nonzero(np.linalg.norm(y, axis=1) < 1.0))
         counts += np.histogramdd(y, bins=edges)[0]
     return inside, counts

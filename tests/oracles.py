@@ -308,14 +308,15 @@ def loop_mutual_information(xs, ys, cfg):
 
 def whole_sample_density_check(cfg):
     """density_transform_check's report from the whole sample at once: one
-    n x D draw, its image under hn, one histogramdd per grid, and the
-    widening loop over that one histogrammed sample. The transformed
-    density itself is the package's holonorm_density, which
-    test_density_integrates_to_the_radial_cdf checks against chi_cdf."""
+    n x D draw from draws.Generator(cfg.seed), its image under hn, one
+    histogramdd per grid, and the widening loop over that one histogrammed
+    sample. The transformed density itself is the package's
+    holonorm_density, which test_density_integrates_to_the_radial_cdf
+    checks against chi_cdf."""
+    from pathrisk.draws import Generator
     from pathrisk.holonorm import holonorm_density
     d = cfg.dimension
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal((cfg.samples, d))
+    x = Generator(cfg.seed).normals((cfg.samples, d))
     y = x / (1.0 + np.linalg.norm(x, axis=1, keepdims=True))
     inside = float(np.mean(np.linalg.norm(y, axis=1) < 1.0))
 

@@ -177,7 +177,9 @@ def test_game_reports_one_exact_round(tmp_path):
     (["--dim", "2", "--tol", "-1"], 2, "err",
      "error: tolerance -1.0 must be >= 0"),
     (["--dim", "2", "--tol", "nan"], 2, "err",
-     "error: tolerance nan must be >= 0")])
+     "error: tolerance nan must be >= 0"),
+    (["--dim", "2", "--seed", "-1"], 2, "err",
+     "error: seed -1 must be a nonnegative integer")])
 def test_holonorm_verify_tells_a_failed_identity_from_a_bad_input(
         tmp_path, capsys, flags, code, stream, shown):
     argv = ["holonorm-verify", "--seed", "0", "--out", str(tmp_path / "out")]
@@ -210,8 +212,8 @@ _SUBCOMMAND_IMPORTS = {
     "risk-gate": {"risk"}, "report": {"risk"},
     "audit-classification": {"classification", "discriminative"},
     "audit-trace": {"generative", "metrics"},
-    "holonorm-verify": {"holonorm"}, "game": {"game", "risk"},
-    "pareto": {"fixtures", "metrics", "risk"}}
+    "holonorm-verify": {"draws", "holonorm"}, "game": {"game", "risk"},
+    "pareto": {"draws", "fixtures", "metrics", "risk"}}
 _IMPORT_PROBE = """\
 import json, sys
 import pathrisk.cli
@@ -255,10 +257,9 @@ print(json.dumps([codes, heavy]))
 """
 
 
-def test_audit_risk_and_report_load_neither_openssl_nor_numpy_random(
-        tmp_path):
-    # OpenSSL's libcrypto (through hashlib) and numpy.random's libraries
-    # would add about 5 MB of resident memory to every run
+def test_no_subcommand_loads_openssl_or_numpy_random(tmp_path):
+    # OpenSSL's libcrypto (through hashlib or secrets) and numpy.random's
+    # libraries would add about 5 MB of resident memory to every run
     argv = _trace_audit(tmp_path)
     # 80 records: enough for bluffing to draw its MI projections
     corpus = tmp_path / "bluffing.jsonl"
@@ -274,7 +275,10 @@ def test_audit_risk_and_report_load_neither_openssl_nor_numpy_random(
               "--out", str(tmp_path / "reported")]]
     classification = _argv(tmp_path, "audit-classification") + [
         "--out", str(tmp_path / "classified")]
-    for runs in (trace, [classification]):
+    # holonorm-verify passes at D = 2 and seed 0
+    drawn = [_argv(tmp_path, sub) + ["--out", str(tmp_path / sub)]
+             for sub in ("holonorm-verify", "game", "pareto")]
+    for runs in (trace, [classification], drawn):
         assert _probe(tmp_path, _HEAVY_IMPORT_PROBE,
                       [json.dumps(a) for a in runs]) == [[0] * len(runs), []]
     bluffing, = [o for o in json.loads(
@@ -593,6 +597,14 @@ def test_bad_outcomes_exit_2(tmp_path, capsys, subcommand, change, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "bad").exists()
+
+
+def test_pareto_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "negative"
+    assert cli.main(["pareto", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: seed -1 must be a nonnegative integer\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand", ["risk", "pareto"])
