@@ -23,10 +23,11 @@ import numpy as np
 
 from .records import (CorpusError, RecordValidationError, _decode_record,
                       declare)
+from .registry import DISCRIMINATIVE_DETECTORS
 
 
-# a classification line's fields in decoding order
-_CLASSIFICATION = declare(
+# a classification line's fields in decoding order: (name, kind, mandatory)
+_FIELDS = (
     ("id", "id", True), ("features", "vector", True),
     ("predicted_label", "integer", True), ("true_label", "integer", True),
     ("class_probabilities", "vector", True), ("group", "string", False),
@@ -37,13 +38,15 @@ _CLASSIFICATION = declare(
     ("latency_pair_id", "string", False),
     ("plausible_labels", "labels", False),
     ("annotations", "annotations", False))
-# the string fields held as columns: group, the pair ids and the annotation
-# keys that a discriminative detector reads
-STRING_COLUMNS = ("group", "perturbation_pair_id", "noise_pair_id",
-                  "latency_pair_id") + tuple(
-    f"annotations.{key}" for key in (
-        "in_train_set", "spurious_pair_id", "spurious_role", "content_id",
-        "prosody", "span_pair_id", "span_role", "noise_role"))
+_CLASSIFICATION = declare(*_FIELDS)
+# every field that some discriminative detector reads, once
+_READ = dict.fromkeys(name for required in DISCRIMINATIVE_DETECTORS.values()
+                      for name in required)
+# the string fields held as columns: the string fields of a line and the
+# annotation keys that a discriminative detector reads
+STRING_COLUMNS = tuple(
+    name for name, kind, _ in _FIELDS if kind == "string" and name in _READ
+) + tuple(name for name in _READ if name.startswith("annotations."))
 # the other optional fields: what a column holds where its field is unset,
 # and its dtype (an int too large for int64 is held as a Python int)
 _OPTIONAL = {"timestamp_index": (0, np.int64), "is_ood": (False, bool),

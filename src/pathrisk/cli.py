@@ -22,6 +22,13 @@ ids) run over all lines at once, still naming the first line that fails.
 --eps follows `risk.resolve_eps`, --scenario `game.load_scenario`, and an
 outcome in --outcomes `registry.DetectorOutcome.from_json_dict`.
 
+`audit` writes outcomes.json, one layout for both schemas: the object
+{"outcomes": [...], "skipped": {detector: reason}, "dropped": {detector:
+{unit: reason}}}. Each outcome is an object with exactly the keys
+pathology, record_ids, severity, threshold and evidence; `risk` folds the
+severities as the loss samples, and an outcome fired where severity >=
+threshold. A pathology's family is the registry table that holds its id.
+Evidence is written for readers; `risk` and `report` do not read it.
 `audit` also writes validation.json: which records each detector could
 score, and why it skipped the others (`registry.ValidationReport`). Only
 trace detectors read --kb and --fixtures, so classification rejects both.

@@ -21,8 +21,10 @@ def pareto_sweep(num_candidates=9, records_per_candidate=40, seed=7,
     outputs decouple from inputs, so the disfluency risk and the
     grounding risk move in opposite directions by construction.
 
-    Returns (candidate labels, objective pairs); both objectives are
-    expectile risks over per-record losses.
+    Returns (candidate labels, objective pairs). The disfluency risk is
+    1 - s, the expectile of the loss 1 - s that every record of the
+    candidate has; the grounding risk is the expectile of the per-record
+    grounding losses.
     """
     rng = Generator(seed)
     cfg = ExpectileConfig(tau=tau)
@@ -38,6 +40,5 @@ def pareto_sweep(num_candidates=9, records_per_candidate=40, seed=7,
         out = out / np.linalg.norm(out, axis=1, keepdims=True)
         grounding_losses = 1.0 - np.diagonal(sim_matrix(out, inp))
         labels.append(f"fluency={s:.3f}")
-        values.append((expectile([1.0 - s] * records_per_candidate, cfg),
-                       expectile(grounding_losses, cfg)))
+        values.append((1.0 - s, expectile(grounding_losses, cfg)))
     return labels, values

@@ -464,23 +464,8 @@ def _encode(obj):
     return out
 
 
-class _Record:
-    """JSON decoding and encoding of a record type, read from the kinds of
-    its fields; the type's `validate` runs its checks across fields."""
-
-    @classmethod
-    def from_json_dict(cls, obj, where=None):
-        """The record of a JSON object, validated; errors name `where`."""
-        rec = cls(**_decode_record(cls._decoders, obj, where))
-        rec.validate(where)
-        return rec
-
-    def to_json_dict(self):
-        return _encode(self)
-
-
 @_schema
-class TraceRecord(_Record):
+class TraceRecord:
     """One generative interaction with precomputed embeddings.
 
     Only id, input_embedding and output_embedding are mandatory. Embeddings
@@ -512,6 +497,16 @@ class TraceRecord(_Record):
     input_dim: Optional[int] = _field("dimension")
     has_inference_path: Optional[bool] = _field("boolean")
     annotations: dict = _field("annotations", default_factory=dict)
+
+    @classmethod
+    def from_json_dict(cls, obj, where=None):
+        """The record of a JSON object, validated; errors name `where`."""
+        rec = cls(**_decode_record(cls._decoders, obj, where))
+        rec.validate(where)
+        return rec
+
+    def to_json_dict(self):
+        return _encode(self)
 
     def validate(self, where=None):
         """The checks across fields: every content-space embedding has

@@ -14,22 +14,28 @@ the knowledge base, its scorer and threshold) lives beside its scorer in
 `generative._DETECTORS`; a discriminative one folds the whole corpus,
 with its scorer and threshold in `discriminative._DETECTORS`.
 
-The outcome format is written and read here alone:
-`DetectorOutcome.to_json_dict` gives an outcome's object in
-outcomes.json, and `DetectorOutcome.from_json_dict` decodes one.
+The outcome format is written and read here alone. outcomes.json is
+`AuditResult.to_json_dict`, the object {"outcomes": [...], "skipped":
+{detector: reason}, "dropped": {detector: {unit: reason}}} for either
+family. Each outcome's object is `DetectorOutcome.to_json_dict`, with
+exactly the keys pathology, record_ids, severity, threshold and evidence,
+and `DetectorOutcome.from_json_dict` decodes one. Nothing derived is
+written: an outcome fired where severity >= threshold, its family is the
+table that holds its pathology, and its severity is the loss sample the
+risk engine folds. Evidence is written for readers; risk and report do
+not read it.
 
 The pair {semantic_reheating, semantic_warming} is one alias group, so
 reports count 34 distinct pathologies.
 """
 
-import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
-from .records import CorpusError, RecordValidationError, declare, decode_object
+from .records import CorpusError, declare, decode_object
 
 # detector id -> the record fields it requires; "annotations.k" is the key
 # k of the record's annotations
@@ -126,13 +132,10 @@ def group_by(records, key):
 
 @dataclass(frozen=True, slots=True)
 class DetectorOutcome:
-    """Verdict of one detector evaluation.
-
-    fired is derived from severity >= threshold, never stored
-    independently; loss is the L_i sample handed to the risk engine and
-    equals severity for every detector in this package. Slotted: an audit
-    holds one per (detector, unit), so no instance carries a __dict__.
-    """
+    """Verdict of one detector evaluation. Its severity is the loss sample
+    handed to the risk engine, and it fired where severity >= threshold.
+    Slotted: an audit holds one per (detector, unit), so no instance
+    carries a __dict__."""
 
     pathology: str
     record_ids: tuple
@@ -147,30 +150,16 @@ class DetectorOutcome:
             raise ValueError(f"severity {self.severity} outside [0,1]")
 
     @property
-    def family(self):
-        """The detector's family, named by the table that holds its id:
-        "generative" or "discriminative"."""
-        return ("generative" if self.pathology in GENERATIVE_DETECTORS
-                else "discriminative")
-
-    @property
     def fired(self):
         return self.severity >= self.threshold
-
-    @property
-    def loss(self):
-        return self.severity
 
     def sort_key(self):
         return (self.pathology, ",".join(self.record_ids))
 
     def to_json_dict(self):
         return {"pathology": self.pathology,
-                "family": self.family,
                 "record_ids": list(self.record_ids),
-                "fired": self.fired,
                 "severity": self.severity,
-                "loss": self.loss,
                 "threshold": self.threshold,
                 "evidence": dict(self.evidence)}
 
@@ -178,35 +167,20 @@ class DetectorOutcome:
     def from_json_dict(cls, obj, where):
         """The outcome of a JSON object that `to_json_dict` wrote; an error
         names `where`. The object has exactly the keys that it writes, each
-        decoded by its kind, and its family, fired and loss must be what
-        its pathology, severity and threshold give. Evidence must be
-        present but is not kept, since risk and report never read it: the
-        outcome gets an empty read-only one."""
+        decoded by its kind. Evidence must be present but is not kept,
+        since risk and report never read it: the outcome gets an empty
+        read-only one."""
         if type(obj) is not dict or obj.keys() != _OUTCOME_KEYS:
             raise CorpusError(f"{where} is not an object with exactly the "
                               f"keys {', '.join(sorted(_OUTCOME_KEYS))}")
-        fields = decode_object(_OUTCOME_FIELDS, obj, where)
-        outcome = cls(pathology=fields["pathology"],
-                      record_ids=fields["record_ids"],
-                      severity=fields["severity"],
-                      threshold=fields["threshold"], evidence=_NO_EVIDENCE)
-        for name, derived in (("family", outcome.family),
-                              ("fired", outcome.fired),
-                              ("loss", outcome.loss)):
-            if fields[name] != derived:
-                raise RecordValidationError(
-                    f"{json.dumps(fields[name])} disagrees with "
-                    f"{json.dumps(derived)}, which the pathology, severity "
-                    f"and threshold give", field_name=name, where=where)
-        return outcome
+        return cls(**decode_object(_OUTCOME_FIELDS, obj, where),
+                   evidence=_NO_EVIDENCE)
 
 
 # the keys of DetectorOutcome.to_json_dict but evidence, with their kinds
 _OUTCOME_FIELDS = declare(
-    ("pathology", "id", True), ("family", "string", True),
-    ("record_ids", "strings", True), ("fired", "boolean", True),
-    ("severity", "number", True), ("loss", "number", True),
-    ("threshold", "number", True))
+    ("pathology", "id", True), ("record_ids", "strings", True),
+    ("severity", "number", True), ("threshold", "number", True))
 _OUTCOME_KEYS = frozenset(
     [name for name, _, _ in _OUTCOME_FIELDS] + ["evidence"])
 # one shared read-only mapping stands for the evidence that is not kept
@@ -217,19 +191,18 @@ _NO_EVIDENCE = MappingProxyType({})
 class AuditResult:
     outcomes: tuple
     skipped: dict   # detector -> reason
-    # detector -> {unit ids: reason}; None where each detector has one unit
-    dropped: Optional[dict] = None
+    # detector -> {unit ids: reason}; empty where no unit was dropped, as
+    # where each detector has one unit
+    dropped: dict = field(default_factory=dict)
     # which records each detector could score; written as validation.json
     validation: Optional["ValidationReport"] = None
 
     def to_json_dict(self):
         # the outcomes as they are: the writer converts each one as it
         # writes it, so their dicts never all exist at once
-        out = {"outcomes": self.outcomes,
-               "skipped": dict(sorted(self.skipped.items()))}
-        if self.dropped is not None:
-            out["dropped"] = self.dropped
-        return out
+        return {"outcomes": self.outcomes,
+                "skipped": dict(sorted(self.skipped.items())),
+                "dropped": self.dropped}
 
 
 # each kind of corpus -> the table of the detectors that read it

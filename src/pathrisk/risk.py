@@ -238,7 +238,8 @@ def deployment_gate(risks, eps):
 def risk_report(outcomes, eps=None, cfg=ExpectileConfig()):
     """Per-pathology expectile risk with the deployment-feasibility verdict.
 
-    `eps` is an epsilon specification over the registry ids (see
+    Each outcome's severity is one loss of its pathology's sample. `eps`
+    is an epsilon specification over the registry ids (see
     `resolve_eps`); None leaves every pathology unbounded. Pathologies
     with no loss samples are reported as unavailable and are not gated;
     the others go through `deployment_gate`.
@@ -249,7 +250,7 @@ def risk_report(outcomes, eps=None, cfg=ExpectileConfig()):
                for group in group_by(outcomes, attrgetter("pathology"))}
     if not grouped:
         raise RiskError("no pathology has any loss sample")
-    losses = {name: [o.loss for o in grouped[name]]
+    losses = {name: [o.severity for o in grouped[name]]
               for name in ids if name in grouped}
     risks = {name: expectile(loss, cfg) for name, loss in losses.items()}
     gate = deployment_gate(risks, eps_map)

@@ -1,6 +1,7 @@
 """Deterministic synthetic test corpora: per-pathology positive/negative
 corpora built by inverting each detector predicate, a small demo bundle
-for the CLI, and a game scenario builder.
+for the CLI, a seeded corpus with 0/1 pathologies planted at a known rate,
+and a game scenario builder.
 
 Embeddings live in d_e = 4; `_E[i]` are the basis vectors. A positive
 fixture satisfies its predicate with slack, the matched negative violates
@@ -9,6 +10,7 @@ it with slack, so threshold jitter cannot flip the golden verdicts.
 
 import json
 import math
+import random
 
 import numpy as np
 
@@ -537,6 +539,24 @@ def demo_classification_rows():
 
 def demo_causal_fixture():
     return _fx_causal(True)["causal_fixtures"][0]
+
+
+def planted_trace_corpus(n, p, seed):
+    """(n trace records, {pathology: number of records planted with it}).
+
+    Each record is planted with hallucination (`in_real_manifold` false)
+    and, independently, with semantic reheating (`in_train_set` true) with
+    probability p each, drawn from `random.Random(seed)`; the others carry
+    the opposite value, so both detectors score every record."""
+    rng = random.Random(seed)
+    records, planted = [], {"hallucination": 0, "semantic_reheating": 0}
+    for i in range(n):
+        unreal, reheated = rng.random() < p, rng.random() < p
+        planted["hallucination"] += unreal
+        planted["semantic_reheating"] += reheated
+        records.append(_trace(f"planted-{i:04d}", in_real_manifold=not unreal,
+                              in_train_set=reheated))
+    return records, planted
 
 
 def coupled_game_scenario(num_agents=34, dim=3, seed=11, cloud_cap=None):

@@ -44,7 +44,7 @@ import numpy as np
 from pathrisk import generative
 from pathrisk.metrics import MetricError
 from pathrisk.records import (CorpusError, RecordValidationError, TraceRecord,
-                              _field, _Record, _schema)
+                              _decode_record, _field, _schema)
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                DetectorError, DetectorOutcome, clamp01, fmt,
                                group_by)
@@ -390,7 +390,7 @@ def loop_validation_json(records):
 
 
 @_schema
-class ClassificationRecord(_Record):
+class ClassificationRecord:
     """One classifier decision with its full probability vector."""
 
     id: str = _field("id", mandatory=True)
@@ -408,6 +408,13 @@ class ClassificationRecord(_Record):
     latency_pair_id: Optional[str] = _field("string")
     plausible_labels: Optional[frozenset] = _field("labels")
     annotations: dict = _field("annotations", default_factory=dict)
+
+    @classmethod
+    def from_json_dict(cls, obj, where=None):
+        """The record of a JSON object, validated; errors name `where`."""
+        rec = cls(**_decode_record(cls._decoders, obj, where))
+        rec.validate(where)
+        return rec
 
     @property
     def confidence(self):

@@ -321,6 +321,11 @@ def test_manifests_hold_the_b2sum_digest_of_each_input(tmp_path):
             jsonio.canonical_dumps(hashed).encode()).hexdigest()
 
 
+def _fired(outcome):
+    """Whether an outcome object of outcomes.json fired."""
+    return outcome["severity"] >= outcome["threshold"]
+
+
 def _fixture_audit(tmp_path, pathology, config):
     """The outcomes.json entries of `pathology` after an audit of its
     positive fixture, with `config` (a dict, or None) as --config."""
@@ -351,8 +356,8 @@ def test_config_sets_a_threshold(tmp_path, pathology, section, key, default,
                                  raised):
     before = _fixture_audit(tmp_path, pathology, None)
     after = _fixture_audit(tmp_path, pathology, {section: {key: raised}})
-    assert [(o["threshold"], o["fired"]) for o in before] == [(default, True)]
-    assert [(o["threshold"], o["fired"]) for o in after] == [(raised, False)]
+    assert [(o["threshold"], _fired(o)) for o in before] == [(default, True)]
+    assert [(o["threshold"], _fired(o)) for o in after] == [(raised, False)]
     assert after[0]["severity"] == before[0]["severity"]
 
 
@@ -526,7 +531,7 @@ def test_config_accepts_an_int_for_a_float(tmp_path):
     # abductive_leap's fixture has output probability 0.95 < 1
     after = _fixture_audit(tmp_path, "abductive_leap",
                            {"generative": {"delta": 1, "margin": 5}})
-    assert [(o["threshold"], o["fired"]) for o in after] == [(1.0, False)]
+    assert [(o["threshold"], _fired(o)) for o in after] == [(1.0, False)]
 
 
 def _in_memory_audit(tmp_path, subcommand):
@@ -569,9 +574,90 @@ def test_loaded_outcomes_give_the_in_memory_risk_report(tmp_path,
         assert got.mean == pytest.approx(want.mean, abs=1e-12)
 
 
-_GOOD_OUTCOME = {"pathology": "delusion", "family": "generative",
-                 "record_ids": ["r1"], "fired": True, "severity": 0.7,
-                 "loss": 0.7, "threshold": 0.5, "evidence": {"ratio": "3"}}
+_OUTCOME_KEYS = {"pathology", "record_ids", "severity", "threshold",
+                 "evidence"}
+
+
+@pytest.mark.parametrize("subcommand,family", [
+    ("audit-trace", GENERATIVE_DETECTORS),
+    ("audit-classification", DISCRIMINATIVE_DETECTORS)])
+def test_outcomes_hold_only_the_values_that_determine_them(
+        tmp_path, capsys, subcommand, family):
+    audited = tmp_path / "audited"
+    argv = _argv(tmp_path, subcommand) + ["--out", str(audited)]
+    assert cli.main(argv) == 0
+    path = audited / "outcomes.json"
+    doc = json.loads(path.read_text())
+    # one layout for both schemas
+    assert doc.keys() == {"outcomes", "skipped", "dropped"}
+    outcomes = doc["outcomes"]
+    assert outcomes and all(o.keys() == _OUTCOME_KEYS for o in outcomes)
+    # the family is the registry table that holds the id
+    assert all(o["pathology"] in family for o in outcomes)
+    risked = tmp_path / "risked"
+    assert cli.main(["risk", "--outcomes", str(path),
+                     "--out", str(risked)]) == 0
+    report = json.loads((risked / "risk_report.json").read_text())
+    assert report["entries"]
+    for entry in report["entries"]:
+        mine = [o for o in outcomes if o["pathology"] == entry["pathology"]]
+        assert entry["fired_rate"] == sum(map(_fired, mine)) / len(mine)
+    # the 0.3.0 layout also wrote each outcome's family, fired and loss
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc | {"outcomes": [
+        o | {"family": "generative" if family is GENERATIVE_DETECTORS
+             else "discriminative", "fired": _fired(o),
+             "loss": o["severity"]} for o in outcomes]}))
+    capsys.readouterr()
+    for argv in (["risk", "--outcomes", str(old)],
+                 ["report", "--risk", str(risked / "risk_report.json"),
+                  "--outcomes", str(old)]):
+        assert cli.main(argv + ["--out", str(tmp_path / "old_out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {old}: outcomes[0] is not an object with exactly the "
+            f"keys evidence, pathology, record_ids, severity, threshold\n")
+        assert not (tmp_path / "old_out").exists()
+
+
+def _binomial_bounds(n, p, alpha=1e-6):
+    """The central two-sided interval [lo, hi] of Binomial(n, p) with at
+    most alpha / 2 of the mass on each side outside it."""
+    pmf = [math.comb(n, k) * p ** k * (1.0 - p) ** (n - k)
+           for k in range(n + 1)]
+    lo = next(k for k in range(n + 1) if sum(pmf[:k + 1]) > alpha / 2)
+    hi = next(k for k in range(n, -1, -1) if sum(pmf[k:]) > alpha / 2)
+    return lo, hi
+
+
+@pytest.mark.parametrize("p,seed", [(0.0, 1), (0.02, 2), (0.2, 3)])
+def test_planted_zero_one_pathologies_have_their_known_risks(tmp_path, p,
+                                                             seed):
+    n = 400
+    records, planted = corpora.planted_trace_corpus(n, p, seed)
+    lo, hi = _binomial_bounds(n, p)
+    assert all(lo <= count <= hi for count in planted.values())
+    corpus = tmp_path / "corpus.jsonl"
+    save_trace_corpus(corpus, records)
+    audited = tmp_path / "audited"
+    assert cli.main(["audit", "--corpus", str(corpus),
+                     "--out", str(audited)]) == 0
+    for tau in (0.5, 0.9):
+        risked = tmp_path / f"risked-{tau}"
+        assert cli.main(["risk", "--outcomes", str(audited / "outcomes.json"),
+                         "--tau", str(tau), "--out", str(risked)]) == 0
+        report = json.loads((risked / "risk_report.json").read_text())
+        entries = {e["pathology"]: e for e in report["entries"]}
+        for pathology, count in planted.items():
+            entry, share = entries[pathology], count / n
+            assert (entry["n"], entry["mean"], entry["fired_rate"]) == \
+                (n, share, share)
+            assert entry["expectile"] == pytest.approx(
+                risk_mod.bernoulli_expectile(share, tau), rel=0, abs=1e-12)
+
+
+_GOOD_OUTCOME = {"pathology": "delusion", "record_ids": ["r1"],
+                 "severity": 0.7, "threshold": 0.5,
+                 "evidence": {"ratio": "3"}}
 
 
 @pytest.mark.parametrize("change,message", [
@@ -579,7 +665,8 @@ _GOOD_OUTCOME = {"pathology": "delusion", "family": "generative",
     ({"severity": 1.5}, "error: severity 1.5 outside [0,1]\n"),
     ({"severity": "nan"},
      "outcomes[1], field 'severity': expected a number, got \"nan\""),
-    ({"loss": None}, "outcomes[1] is not an object with exactly the keys"),
+    ({"threshold": None},
+     "outcomes[1] is not an object with exactly the keys"),
     ({"extra": 1}, "outcomes[1] is not an object with exactly the keys")])
 @pytest.mark.parametrize("subcommand", ["risk", "report"])
 def test_bad_outcomes_exit_2(tmp_path, capsys, subcommand, change, message):
@@ -637,6 +724,9 @@ _SCENARIO = {"kappa": 1.0, "cloud_cap": 4.0,
 _RISK_ENTRY = {"pathology": "delusion", "n": 1, "expectile": 0.1,
                "eps": "inf", "ok": True}
 _BAD = "{where}, record 'bad', field "
+_NOT_AN_OUTCOME = ("{where}: outcomes[1] is not an object with exactly the "
+                   "keys evidence, pathology, record_ids, severity, "
+                   "threshold")
 _MALFORMED = [
     ("trace", [1, 2], "{where}: expected a JSON object, got [1, 2]"),
     ("trace", {"id": ""},
@@ -784,15 +874,12 @@ _MALFORMED = [
      "strings, got \"r1\""),
     ("outcomes", {"pathology": ""},
      "{where}: outcomes[1], field 'pathology': expected a nonempty string"),
-    ("outcomes", {"fired": "true"},
-     "{where}: outcomes[1], field 'fired': expected true or false"),
-    ("outcomes", {"family": "discriminative"},
-     "{where}: outcomes[1], field 'family': \"discriminative\" disagrees "
-     "with \"generative\""),
-    ("outcomes", {"fired": False},
-     "{where}: outcomes[1], field 'fired': false disagrees with true"),
-    ("outcomes", {"loss": 0.5},
-     "{where}: outcomes[1], field 'loss': 0.5 disagrees with 0.7"),
+    # each key that the 0.3.0 layout wrote as well, which the pathology,
+    # severity and threshold determine
+    ("outcomes", {"family": "generative"}, _NOT_AN_OUTCOME),
+    ("outcomes", {"fired": True}, _NOT_AN_OUTCOME),
+    ("outcomes", {"loss": 0.7}, _NOT_AN_OUTCOME),
+    ("outcomes", {"evidence": None}, _NOT_AN_OUTCOME),
     ("outcomes-file", {"outcomes": None},
      "{where}, field 'outcomes': missing mandatory field"),
     ("outcomes-file", {"outcomes": {}},

@@ -65,7 +65,6 @@ class TestFixturePolarity:
         for positive in (True, False):
             for o in run_fixture(pathology, positive):
                 assert o.fired == (o.severity >= o.threshold)
-                assert o.loss == o.severity
                 assert 0.0 <= o.severity <= 1.0
 
 

@@ -133,7 +133,7 @@ def _audit_result(n):
 def test_audit_outcomes_are_converted_as_they_are_written(tmp_path):
     # the audit hands its outcomes to the writer as they are; only the one
     # being written exists as a dict
-    result = _audit_result(20_000)
+    result = _audit_result(21_000)
     path = tmp_path / "outcomes.json"
     tracemalloc.start()
     try:
@@ -149,9 +149,9 @@ def test_audit_outcomes_are_converted_as_they_are_written(tmp_path):
 
 def test_loading_outcomes_holds_no_dict_tree(tmp_path):
     # each outcome is built as it is parsed and keeps no evidence, and the
-    # file (6.3 MB) is read in 64 KiB chunks: the peak is the outcomes
-    # (about 1.2x the file's size) plus a few chunks, where the whole text
-    # alone took 1x and a dict tree of the file with the evidence 4.3x
+    # file (4.9 MB) is read in 64 KiB chunks: the peak is the outcomes
+    # (about 1.6x the file's size) plus a few chunks, where the whole text
+    # alone takes 1x and json.load of the file with the evidence 4.4x
     path = tmp_path / "outcomes.json"
     jsonio.write_json(path, _audit_result(20_000).to_json_dict())
     gc.collect()

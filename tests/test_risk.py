@@ -221,7 +221,7 @@ class TestRiskReport:
         cfg = ExpectileConfig(tau=0.9)
         report = risk_report(outcomes, eps={"default": 1.0}, cfg=cfg)
         for entry in report.entries:
-            losses = [o.loss for o in outcomes
+            losses = [o.severity for o in outcomes
                       if o.pathology == entry.pathology]
             assert abs(entry.expectile
                        - grid_expectile(losses, 0.9)) <= 1e-4 + 1e-12
