@@ -92,11 +92,6 @@ class ClassificationCorpus:
     def correct(self):
         return self.predicted_label == self.true_label
 
-    @classmethod
-    def from_json_dicts(cls, objs):
-        """The corpus of JSON objects, the i-th read as line i of a file."""
-        return from_lines(enumerate(objs, start=1))
-
 
 def _check_classification(where, rid, p, true_label, plausible, predicted):
     """The checks across fields of one row, the first that fails raising:

@@ -13,25 +13,28 @@ deployment gate (risk --gate).
 
 Every input file is decoded field by field by the `records` kinds: a value
 of the wrong JSON type is rejected, never coerced ("0.5", true and NaN are
-no numbers), and so is an unknown key where the format is strict. The
-message names the file, the entry (such as line 3, agents[1],
-epsilon_schedule[0], outcomes[2] or entries[0]) and the field. A
-classification corpus is decoded line by line into columns, and the
-checks across fields and lines (probabilities, labels, argmax, repeated
-ids) run over all lines at once, still naming the first line that fails.
---eps follows `risk.resolve_eps`, --scenario `game.load_scenario`, and an
-outcome in --outcomes `registry.DetectorOutcome.from_json_dict`.
+no numbers), and so is a key that the format does not declare and its
+reader does not skip. The message names the file, the entry (such as line
+3, agents[1], epsilon_schedule[0], outcomes[2] or entries[0]) and the
+field. A classification corpus is decoded line by line into columns, and
+the checks across fields and lines (probabilities, labels, argmax,
+repeated ids) run over all lines at once, still naming the first line that
+fails. Each format is read by the module that owns it: the corpora, the
+knowledge base and the causal fixtures by `records`, --config here,
+--eps by `risk.resolve_eps`, --scenario by `game.load_scenario`,
+--outcomes by `registry.load_outcome_files` and --risk by
+`risk.read_risk_report`. The last two files are ones this package writes,
+and their readers sit beside their writers, so this module names no key
+of either.
 
-`audit` writes outcomes.json, one layout for both schemas: the object
-{"outcomes": [...], "skipped": {detector: reason}, "dropped": {detector:
-{unit: reason}}}. Each outcome is an object with exactly the keys
-pathology, record_ids, severity, threshold and evidence; `risk` folds the
-severities as the loss samples, and an outcome fired where severity >=
-threshold. A pathology's family is the registry table that holds its id.
-Evidence is written for readers; `risk` and `report` do not read it.
-`audit` also writes validation.json: which records each detector could
-score, and why it skipped the others (`registry.ValidationReport`). Only
-trace detectors read --kb and --fixtures, so classification rejects both.
+`audit` writes outcomes.json (`registry.AuditResult`), one layout for both
+schemas; `risk` folds each outcome's severity as a loss sample, and an
+outcome fired where severity >= threshold. `audit` also writes
+validation.json: which records each detector could score, and why it
+skipped the others (`registry.ValidationReport`). Only trace detectors
+read --kb and --fixtures, so classification rejects both. `risk` writes
+risk_report.json (`risk.RiskReport`), and `report` writes summary.json,
+its decoded fields with the entries as "pathologies", and summary.csv.
 
 `audit --config` reads a JSON object with the optional sections
 "generative", "mi" and "discriminative", such as {"generative": {"delta":
@@ -69,8 +72,8 @@ import numpy as np
 from . import jsonio
 from .records import (CorpusError, declare, decode_object,
                       load_causal_fixtures, load_knowledge_base,
-                      load_trace_corpus, read_json, read_json_chunked)
-from .registry import DetectorOutcome, group_by, pathology_ids
+                      load_trace_corpus, read_json)
+from .registry import group_by, load_outcome_files, pathology_ids
 # the audits build the validation report; the name stays bound here for
 # perfbench/layers.py, which rebinds it on this module too
 from .registry import validate_corpus  # noqa: F401
@@ -94,13 +97,13 @@ def _load_config(path):
     where = f"config {path}"
     config = decode_object(
         declare(*((name, "object") for name in config_classes)),
-        read_json(path), where, ignored=())
+        read_json(path), where)
     for section, body in config.items():
         cls, here = config_classes[section], f"{where}: section {section!r}"
         fields = declare(*((f.name, _TYPE_KINDS[f.type])
                            for f in dataclasses.fields(cls)
                            if f.name not in ("mi", "seed")))
-        config[section] = decode_object(fields, body, here, ignored=())
+        config[section] = decode_object(fields, body, here)
         # the class checks the ranges, whichever schema the audit reads
         try:
             cls(**config[section])
@@ -168,34 +171,11 @@ def _cmd_audit(args):
     return 0
 
 
-_OUTCOMES_FILE = declare(("outcomes", "array", True))
-
-
-def _load_outcome_files(paths):
-    """The outcomes of each outcomes.json in `paths`, in file order.
-
-    Each file is read in chunks by `records.read_json_chunked`, and each
-    element of its "outcomes" array is decoded by
-    `DetectorOutcome.from_json_dict` as soon as it is parsed, so neither a
-    string of the whole file nor a dict tree of it is held, and every
-    loaded outcome has empty evidence.
-    """
-    outcomes = []
-    for path in paths:
-        def outcome(i, obj):
-            return DetectorOutcome.from_json_dict(obj,
-                                                  f"{path}: outcomes[{i}]")
-        outcomes.extend(decode_object(
-            _OUTCOMES_FILE, read_json_chunked(path, "outcomes", outcome),
-            str(path))["outcomes"])
-    return outcomes
-
-
 def _cmd_risk(args):
     from . import risk
     # a bad --tau is rejected before any file is read
     cfg = risk.ExpectileConfig(tau=args.tau)
-    outcomes = _load_outcome_files(args.outcomes)
+    outcomes = load_outcome_files(args.outcomes)
     eps = None if args.eps is None else risk.resolve_eps(
         read_json(args.eps), pathology_ids(), f"eps {args.eps}")
     report = risk.risk_report(outcomes, eps=eps, cfg=cfg)
@@ -336,27 +316,13 @@ def _cmd_pareto(args):
     return 0
 
 
-# the fields of risk_report.json that `report` reads
-_RISK_FILE = declare(("feasible", "boolean", True), ("tau", "number", True),
-                     ("total_ids", "integer", True),
-                     ("distinct_pathologies", "integer", True),
-                     ("entries", "array", True))
-
-
 def _cmd_report(args):
-    from .risk import decode_eps
-    # the fields of an entry, in the column order of summary.csv
-    risk_entry = declare(("pathology", "id", True), ("n", "integer", True),
-                         ("expectile", "number", True)) + (
-        ("eps", decode_eps, True),) + declare(("ok", "boolean", True))
-    where = f"risk report {args.risk}"
-    summary = decode_object(_RISK_FILE, read_json(args.risk), where)
+    from .risk import read_risk_report
+    fields, entries, rows = read_risk_report(args.risk)
     # the entries as they are; the CSV rows from their decoded fields
-    summary["pathologies"] = summary.pop("entries")
-    rows = [tuple(decode_object(risk_entry, entry, f"{where}: entries[{i}]")
-                  .values()) for i, entry in enumerate(summary["pathologies"])]
+    summary = fields | {"pathologies": entries}
     if args.outcomes:
-        outcomes = _load_outcome_files([args.outcomes])
+        outcomes = load_outcome_files([args.outcomes])
         fired = sorted({o.pathology for o in outcomes if o.fired})
         summary["fired_pathologies"] = fired
     out = _write(args, {"summary.json": summary, "summary.csv": (

@@ -239,18 +239,17 @@ def _agent(fields, quality):
 
 
 def _scenario(obj):
-    top = decode_object(_SCENARIO, obj, None, ignored=())
+    top = decode_object(_SCENARIO, obj, None)
     if not top["agents"]:
         raise GameError("agents: the scenario has no agents")
-    agents = [decode_object(_AGENT, agent, f"agents[{i}]", ignored=())
+    agents = [decode_object(_AGENT, agent, f"agents[{i}]")
               for i, agent in enumerate(top["agents"])]
     names = [a["pathology"] for a in agents]
     repeated = sorted(p for p, n in Counter(names).items() if n > 1)
     if repeated:
         raise GameError(f"agents {repeated} appear more than once")
     entries = decode_object(declare(*((p, "object") for p in names)),
-                            top.get("mean_field", {}), "mean_field",
-                            ignored=())
+                            top.get("mean_field", {}), "mean_field")
     # a mean field may carry its samples, which the game never reads
     quality = {p: decode_object(_MEAN_FIELD, entry,
                                 f"mean_field[{json.dumps(p)}]",
@@ -260,8 +259,7 @@ def _scenario(obj):
     schedule = [resolve_eps(spec, names, f"epsilon_schedule[{i}]")
                 for i, spec in enumerate(top.get("epsilon_schedule", ()))]
     risks = None if "risks" not in top else decode_object(
-        declare(*((p, "number") for p in names)), top["risks"], "risks",
-        ignored=())
+        declare(*((p, "number") for p in names)), top["risks"], "risks")
     return {"specs": specs,
             "constraints": SharedConstraints(
                 cloud_cap=top["cloud_cap"], tau_data=top.get("tau_data", 0.0),

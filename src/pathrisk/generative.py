@@ -34,7 +34,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import (MIEstimatorConfig, coherence, fluency, sim,
-                      sim_matrix, sim_row_blocks)
+                      sim_row_blocks)
 from . import registry
 from .records import TraceRecord
 from .registry import (AuditResult, DetectorError, DetectorOutcome,
@@ -242,8 +242,7 @@ def _score_referential_hallucination(record, cfg, kb):
 
 
 def _score_semiotic_frankenstein(record, cfg, kb):
-    best = sim_matrix(record.claim_embeddings,
-                      kb.embedding_matrix()).max(axis=1)
+    best = metrics.kb_match(record.claim_embeddings, kb)
     n = len(best)
     matched = int(np.count_nonzero(best >= cfg.s_hi))
     unmatched = int(np.count_nonzero(best <= cfg.s_lo))

@@ -174,6 +174,16 @@ def mutual_information(xs, ys, cfg=MIEstimatorConfig()):
     return max(0.0, mi)
 
 
+def kb_match(claim_embeddings, kb):
+    """Each claim's max clamped similarity to any KB entry: what coherence
+    and semiotic_frankenstein read. A KB without entries has nothing to
+    match against."""
+    matrix = kb.embedding_matrix()
+    if matrix.size == 0:
+        raise MetricError("coherence against an empty knowledge base")
+    return sim_matrix(claim_embeddings, matrix).max(axis=1)
+
+
 def coherence(claim_embeddings, kb):
     """Mean over claims of the max clamped similarity to any KB entry.
 
@@ -182,10 +192,7 @@ def coherence(claim_embeddings, kb):
     """
     if len(claim_embeddings) == 0:
         raise MetricError("coherence needs at least one claim")
-    matrix = kb.embedding_matrix()
-    if matrix.size == 0:
-        raise MetricError("coherence against an empty knowledge base")
-    return float(sim_matrix(claim_embeddings, matrix).max(axis=1).mean())
+    return float(kb_match(claim_embeddings, kb).mean())
 
 
 def avg_pairwise_similarity(vectors):

@@ -20,18 +20,22 @@ drop out. The kinds are listed in `_KINDS`.
 
 Every field table is built by `declare` and read by `decode_object`, so
 each value is range-checked as it is decoded, and the first field in
-declaration order that fails is the one named. A record is then checked
-across fields. A violation aborts the load naming the line, record id and
-field (a knowledge-base entry or causal fixture names its index). A
-classification line is decoded by the same kinds. Loaded records are
-never mutated.
+declaration order that fails is the one named. `decode_object` is strict:
+a key that is neither declared nor named by its reader as skipped is an
+error. A record is then checked across fields. A violation aborts the load
+naming the line, record id and field (a knowledge-base entry or causal
+fixture names its index). A classification line is decoded by the same
+kinds. Loaded records are never mutated. The package reads these input
+formats and writes none of them.
 
-The CLI's other input files are decoded the same way. `read_json` parses
-a whole JSON file. `read_json_chunked` reads the file in chunks and hands
-each element of one top-level array to a function as soon as it is
-parsed, which decodes it: a knowledge base's entries and an outcomes
-file's outcomes are read that way, so neither file is held as one string
-or as one tree of parsed values.
+The CLI's other input files are decoded the same way, each by the module
+that owns its format, as the `cli` docstring lists: outcomes.json by
+`registry` and risk_report.json by `risk`, beside their writers.
+`read_json` parses a whole JSON file. `read_json_chunked` reads the file
+in chunks and hands each element of one top-level array to a function as
+soon as it is parsed, which decodes it: a knowledge base's entries and an
+outcomes file's outcomes are read that way, so neither file is held as
+one string or as one tree of parsed values.
 """
 
 import json
@@ -59,8 +63,6 @@ class RecordValidationError(CorpusError):
             prefix.append(f"field {field_name!r}")
         full = (": ".join([", ".join(prefix), message]) if prefix else message)
         super().__init__(full)
-        self.record_id = record_id
-        self.field_name = field_name
 
 
 # --- decoders: one JSON type each, converted; a ValueError otherwise ---------
@@ -271,30 +273,29 @@ def declare(*declared):
                  for name, kind, *mandatory in declared)
 
 
-def decode_object(decoders, obj, where, id_name="id", ignored=None):
+def decode_object(decoders, obj, where, id_name="id", ignored=()):
     """{name: decoded value} of the fields of the JSON object `obj` that
-    `decoders` declares; absent and null ones are left out. With `ignored`
-    (a tuple of keys) `obj` is strict: a key neither declared nor ignored,
-    or a null value, is an error. An error names `where`, the object's
-    `id_name` field once decoded, and the field."""
+    `decoders` declares; absent ones are left out. `obj` is strict: a key
+    that is neither declared nor in `ignored` (the keys its reader skips)
+    is an error, and so is a null value of a declared key. An error names
+    `where`, the object's `id_name` field once decoded, and the field."""
     if type(obj) is not dict:
         raise RecordValidationError(str(_bad("a JSON object", obj)),
                                     where=where)
     out = {}
     try:
         for name, decode, mandatory in decoders:
-            value = obj.get(name)
-            if value is not None or (ignored is not None and name in obj):
-                out[name] = decode(value)
+            if name in obj:
+                out[name] = decode(obj[name])
             elif mandatory:
                 raise ValueError("missing mandatory field")
     except (ValueError, OverflowError) as exc:
         # OverflowError: an int too large for a float
         raise RecordValidationError(str(exc), out.get(id_name), name,
                                     where) from None
-    # when strict, every declared key of obj is in out by now, so any
-    # other key is either ignored or unknown
-    if ignored is not None and len(out) < len(obj):
+    # every declared key of obj is in out by now, so any other key is
+    # either ignored or unknown
+    if len(out) < len(obj):
         for name in obj:
             if name not in out and name not in ignored:
                 raise RecordValidationError("unknown field", out.get(id_name),
@@ -308,7 +309,7 @@ def _decode_record(decoders, obj, where, id_name="id"):
     field reads as unset, like an absent one."""
     if type(obj) is dict and any(v is None for v in obj.values()):
         obj = {k: v for k, v in obj.items() if v is not None}
-    return decode_object(decoders, obj, where, id_name, ignored=())
+    return decode_object(decoders, obj, where, id_name)
 
 
 def read_json(path):
@@ -443,27 +444,6 @@ def read_json_chunked(path, array_name, item):
     return read_json(path)
 
 
-def _json_value(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
-    if isinstance(value, dict):
-        return dict(value)
-    return value
-
-
-def _encode(obj):
-    """The JSON object of a record or fixture: every declared field that is
-    set, an empty annotation map counting as unset."""
-    out = {}
-    for name, _, _ in obj._decoders:
-        value = getattr(obj, name)
-        if value is not None and not (type(value) is dict and not value):
-            out[name] = _json_value(value)
-    return out
-
-
 @_schema
 class TraceRecord:
     """One generative interaction with precomputed embeddings.
@@ -505,9 +485,6 @@ class TraceRecord:
         rec.validate(where)
         return rec
 
-    def to_json_dict(self):
-        return _encode(self)
-
     def validate(self, where=None):
         """The checks across fields: every content-space embedding has
         the input's length, and the claims are nonempty and of one length.
@@ -541,7 +518,6 @@ class KnowledgeBase:
     against. Entity ids are unique; all embeddings share one length."""
 
     entries: tuple
-    source_tag: str = ""
     entity_ids: frozenset = field(init=False, repr=False)
     _vectors: dict = field(init=False, repr=False)
     _matrix: np.ndarray = field(init=False, repr=False)
@@ -566,11 +542,6 @@ class KnowledgeBase:
 
     def lookup(self, entity_id):
         return self._vectors.get(entity_id)
-
-    def to_json_dict(self):
-        return {"source_tag": self.source_tag,
-                "entries": [{"entity_id": e, "embedding": v.tolist()}
-                            for e, v in self.entries]}
 
 
 @_schema
@@ -613,9 +584,6 @@ class CausalFixture:
         # p(Y) under a uniform prior over the observed X values; the fixture
         # format carries no p(X)
         return self.observational_conditional.mean(axis=0)
-
-    def to_json_dict(self):
-        return _encode(self)
 
 
 SCHEMAS = ("trace", "classification")
@@ -675,13 +643,7 @@ def load_trace_corpus(path, schema="trace", record=None):
     return records
 
 
-def save_trace_corpus(path, records):
-    with open(path, "w", encoding="utf-8") as handle:
-        for rec in records:
-            handle.write(json.dumps(rec.to_json_dict(), sort_keys=True))
-            handle.write("\n")
-
-
+# the file's source_tag is checked as a string and not kept
 _KB_FILE = declare(("source_tag", "string"), ("entries", "array", True))
 _KB_ENTRY = declare(("entity_id", "string", True),
                     ("embedding", "vector", True))
@@ -698,12 +660,12 @@ def load_knowledge_base(path):
     """Load a knowledge base from a JSON object {"source_tag": string,
     "entries": [{"entity_id": string, "embedding": vector}, ...]}, read in
     chunks; each entry is decoded as it is parsed, so an entry's error
-    comes before the file's own."""
+    comes before the file's own. The optional source_tag must be a string;
+    nothing reads it."""
     obj = _decode_record(_KB_FILE,
                          read_json_chunked(path, "entries", _kb_entry),
                          "knowledge base")
-    return KnowledgeBase(entries=tuple(obj["entries"]),
-                         source_tag=obj.get("source_tag", ""))
+    return KnowledgeBase(entries=tuple(obj["entries"]))
 
 
 def load_causal_fixtures(path):

@@ -17,13 +17,15 @@ with its scorer and threshold in `discriminative._DETECTORS`.
 The outcome format is written and read here alone. outcomes.json is
 `AuditResult.to_json_dict`, the object {"outcomes": [...], "skipped":
 {detector: reason}, "dropped": {detector: {unit: reason}}} for either
-family. Each outcome's object is `DetectorOutcome.to_json_dict`, with
-exactly the keys pathology, record_ids, severity, threshold and evidence,
-and `DetectorOutcome.from_json_dict` decodes one. Nothing derived is
-written: an outcome fired where severity >= threshold, its family is the
-table that holds its pathology, and its severity is the loss sample the
-risk engine folds. Evidence is written for readers; risk and report do
-not read it.
+family, and `load_outcome_files` reads it back for risk and report: it
+decodes the outcomes and skips the other two keys. Each outcome's object
+is `DetectorOutcome.to_json_dict`, with exactly the keys pathology,
+record_ids, severity, threshold and evidence, and
+`DetectorOutcome.from_json_dict` decodes one. Any other key, at either
+level, is an error. Nothing derived is written: an outcome fired where
+severity >= threshold, its family is the table that holds its pathology,
+and its severity is the loss sample the risk engine folds. Evidence is
+written for readers; risk and report do not read it.
 
 The pair {semantic_reheating, semantic_warming} is one alias group, so
 reports count 34 distinct pathologies.
@@ -35,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .records import CorpusError, declare, decode_object
+from .records import declare, decode_object, read_json_chunked
 
 # detector id -> the record fields it requires; "annotations.k" is the key
 # k of the record's annotations
@@ -166,23 +168,20 @@ class DetectorOutcome:
     @classmethod
     def from_json_dict(cls, obj, where):
         """The outcome of a JSON object that `to_json_dict` wrote; an error
-        names `where`. The object has exactly the keys that it writes, each
-        decoded by its kind. Evidence must be present but is not kept,
-        since risk and report never read it: the outcome gets an empty
-        read-only one."""
-        if type(obj) is not dict or obj.keys() != _OUTCOME_KEYS:
-            raise CorpusError(f"{where} is not an object with exactly the "
-                              f"keys {', '.join(sorted(_OUTCOME_KEYS))}")
-        return cls(**decode_object(_OUTCOME_FIELDS, obj, where),
-                   evidence=_NO_EVIDENCE)
+        names `where` and the field. Every key that it writes is mandatory
+        and decoded by its kind, and any other key is an error. Evidence
+        must be an object but is not kept, since risk and report never
+        read it: the outcome gets an empty read-only one."""
+        fields = decode_object(_OUTCOME_FIELDS, obj, where)
+        fields["evidence"] = _NO_EVIDENCE
+        return cls(**fields)
 
 
-# the keys of DetectorOutcome.to_json_dict but evidence, with their kinds
+# the keys of DetectorOutcome.to_json_dict, with their kinds
 _OUTCOME_FIELDS = declare(
     ("pathology", "id", True), ("record_ids", "strings", True),
-    ("severity", "number", True), ("threshold", "number", True))
-_OUTCOME_KEYS = frozenset(
-    [name for name, _, _ in _OUTCOME_FIELDS] + ["evidence"])
+    ("severity", "number", True), ("threshold", "number", True),
+    ("evidence", "object", True))
 # one shared read-only mapping stands for the evidence that is not kept
 _NO_EVIDENCE = MappingProxyType({})
 
@@ -203,6 +202,33 @@ class AuditResult:
         return {"outcomes": self.outcomes,
                 "skipped": dict(sorted(self.skipped.items())),
                 "dropped": self.dropped}
+
+
+# the keys of AuditResult.to_json_dict that `load_outcome_files` decodes,
+# and those it skips: risk and report read only the outcomes
+_OUTCOMES_FILE = declare(("outcomes", "array", True))
+_OUTCOMES_SKIPPED = ("skipped", "dropped")
+
+
+def load_outcome_files(paths):
+    """The outcomes of each outcomes.json in `paths`, in file order.
+
+    Each file is read in chunks by `records.read_json_chunked`, and each
+    element of its "outcomes" array is decoded by
+    `DetectorOutcome.from_json_dict` as soon as it is parsed, so neither a
+    string of the whole file nor a dict tree of it is held, and every
+    loaded outcome has empty evidence. A key that `AuditResult` does not
+    write is an error naming the file, the outcome and the key.
+    """
+    outcomes = []
+    for path in paths:
+        def outcome(i, obj):
+            return DetectorOutcome.from_json_dict(obj,
+                                                  f"{path}: outcomes[{i}]")
+        outcomes.extend(decode_object(
+            _OUTCOMES_FILE, read_json_chunked(path, "outcomes", outcome),
+            str(path), ignored=_OUTCOMES_SKIPPED)["outcomes"])
+    return outcomes
 
 
 # each kind of corpus -> the table of the detectors that read it

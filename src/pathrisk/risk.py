@@ -17,6 +17,10 @@ Economics 2014).
 
 The one gate is `deployment_gate`: `risk_report` and the delegation
 game's leader loop both call it, on thresholds from `resolve_eps`.
+
+risk_report.json is `RiskReport.to_json_dict`, and `read_risk_report`
+reads it back for the report subcommand here alone: it decodes the keys
+report uses, skips the ones it lists, and rejects any other.
 """
 
 import json
@@ -26,7 +30,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .records import decode_number
+from .records import declare, decode_number, decode_object, read_json
 from .registry import (ALIAS_GROUPS, distinct_pathology_count, group_by,
                        pathology_ids)
 
@@ -170,6 +174,38 @@ def decode_eps(value):
     except (ValueError, OverflowError):
         pass
     raise ValueError(f'must be a number or "inf", not {json.dumps(value)}')
+
+
+# the keys of RiskReport.to_json_dict that `read_risk_report` decodes, and
+# those it skips
+_REPORT_FIELDS = declare(("feasible", "boolean", True),
+                         ("tau", "number", True),
+                         ("total_ids", "integer", True),
+                         ("distinct_pathologies", "integer", True),
+                         ("entries", "array", True))
+_REPORT_SKIPPED = ("available", "unavailable", "alias_groups")
+# the keys of RiskEntry.to_json_dict that it decodes, in the column order
+# of report's summary.csv, and those it skips
+_ENTRY_FIELDS = declare(("pathology", "id", True), ("n", "integer", True),
+                        ("expectile", "number", True)) + (
+    ("eps", decode_eps, True),) + declare(("ok", "boolean", True))
+_ENTRY_SKIPPED = ("tau", "mean", "fired_rate")
+
+
+def read_risk_report(path):
+    """(the decoded top-level fields of the risk_report.json at `path`
+    but its entries, the entries as they are, and each entry's decoded
+    fields as a tuple in `_ENTRY_FIELDS` order). An error names the file,
+    the entry and the field."""
+    where = f"risk report {path}"
+    fields = decode_object(_REPORT_FIELDS, read_json(path), where,
+                           ignored=_REPORT_SKIPPED)
+    entries = fields.pop("entries")
+    rows = [tuple(decode_object(_ENTRY_FIELDS, entry,
+                                f"{where}: entries[{i}]",
+                                ignored=_ENTRY_SKIPPED).values())
+            for i, entry in enumerate(entries)]
+    return fields, entries, rows
 
 
 def resolve_eps(spec, names, where=None):

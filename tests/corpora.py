@@ -1,13 +1,15 @@
 """Deterministic synthetic test corpora: per-pathology positive/negative
 corpora built by inverting each detector predicate, a small demo bundle
 for the CLI, a seeded corpus with 0/1 pathologies planted at a known rate,
-and a game scenario builder.
+and a game scenario builder. `write_input` writes each as the input file
+the loaders read; the package itself writes no input format.
 
 Embeddings live in d_e = 4; `_E[i]` are the basis vectors. A positive
 fixture satisfies its predicate with slack, the matched negative violates
 it with slack, so threshold jitter cannot flip the golden verdicts.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -15,7 +17,7 @@ import random
 import numpy as np
 
 from pathrisk.fixtures import D_E, _E
-from pathrisk.classification import ClassificationCorpus
+from pathrisk import classification
 from pathrisk.records import CausalFixture, KnowledgeBase, TraceRecord
 from pathrisk.registry import DISCRIMINATIVE_DETECTORS, \
     GENERATIVE_DETECTORS, pathology_ids
@@ -24,10 +26,48 @@ from pathrisk.registry import DISCRIMINATIVE_DETECTORS, \
 _ANTI_KB = -(_E[0] + _E[1] + _E[2]) / math.sqrt(3.0)
 
 
+def json_value(value):
+    """What a test input file holds for `value`: a TraceRecord or
+    CausalFixture as the object of its fields that are set (an empty
+    annotation map counting as unset), a KnowledgeBase as {"entries":
+    [...]}, arrays and tuples as lists; anything else as it is."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [json_value(v) for v in value]
+    if isinstance(value, KnowledgeBase):
+        return {"entries": [{"entity_id": e, "embedding": v.tolist()}
+                            for e, v in value.entries]}
+    if isinstance(value, (TraceRecord, CausalFixture)):
+        fields = ((f.name, getattr(value, f.name))
+                  for f in dataclasses.fields(value))
+        return {name: json_value(v) for name, v in fields
+                if v is not None and not (type(v) is dict and not v)}
+    return value
+
+
+def write_input(path, value):
+    """Write the input file that holds `value` at path: a list as JSON
+    lines, one line per item, and anything else as one JSON document, each
+    value as `json_value` gives it."""
+    with open(path, "w", encoding="utf-8") as handle:
+        if isinstance(value, list):
+            for item in value:
+                handle.write(json.dumps(json_value(item), sort_keys=True)
+                             + "\n")
+        else:
+            json.dump(json_value(value), handle)
+
+
+def classification_corpus(rows):
+    """The classification corpus of JSON objects, the i-th read as line i
+    of a file."""
+    return classification.from_lines(enumerate(rows, start=1))
+
+
 def standard_kb():
     return KnowledgeBase(entries=(("fact_a", _E[0]), ("fact_b", _E[1]),
-                                  ("expert_style_centroid", _E[2])),
-                         source_tag="fixture")
+                                  ("expert_style_centroid", _E[2])))
 
 
 def _trace(rid, **kwargs):
@@ -35,7 +75,7 @@ def _trace(rid, **kwargs):
     kwargs.setdefault("output_embedding", _E[1])
     # through the decoders, which range-check each field, then validate
     return TraceRecord.from_json_dict(
-        TraceRecord(id=rid, **kwargs).to_json_dict())
+        json_value(TraceRecord(id=rid, **kwargs)))
 
 
 def _direction(raw_sim, anchor=0, ortho=1):
@@ -286,13 +326,6 @@ def _cls(rid, predicted, true, confidence=0.9, **fields):
             **fields}
 
 
-def save_rows(path, rows):
-    """Write JSON objects to path, one line each."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-
-
 def _fx_overfitting(positive):
     tag = "pos" if positive else "neg"
     recs = []
@@ -503,8 +536,7 @@ def discriminative_rows(pathology, positive):
 
 def discriminative_fixture(pathology, positive):
     """Classification corpus for one detector polarity (>= 20 records)."""
-    return ClassificationCorpus.from_json_dicts(
-        discriminative_rows(pathology, positive))
+    return classification_corpus(discriminative_rows(pathology, positive))
 
 
 assert set(_GENERATIVE_FIXTURES) == set(GENERATIVE_DETECTORS)

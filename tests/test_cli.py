@@ -12,9 +12,10 @@ import pytest
 
 import corpora
 from pathrisk import cli, discriminative, generative, holonorm, jsonio
+from pathrisk import registry
 from pathrisk import risk as risk_mod
 from pathrisk.records import (load_causal_fixtures, load_knowledge_base,
-                              load_trace_corpus, save_trace_corpus)
+                              load_trace_corpus)
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                DetectorOutcome, pathology_ids)
 
@@ -26,12 +27,11 @@ def _outputs(directory):
 
 def _trace_audit(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
-    save_trace_corpus(corpus, corpora.demo_trace_corpus())
+    corpora.write_input(corpus, corpora.demo_trace_corpus())
     kb = tmp_path / "kb.json"
-    kb.write_text(json.dumps(corpora.standard_kb().to_json_dict()))
+    corpora.write_input(kb, corpora.standard_kb())
     causal = tmp_path / "fixtures.json"
-    causal.write_text(json.dumps(
-        corpora.demo_causal_fixture().to_json_dict()))
+    corpora.write_input(causal, corpora.demo_causal_fixture())
     return ["audit", "--corpus", str(corpus), "--kb", str(kb),
             "--fixtures", str(causal)]
 
@@ -63,7 +63,7 @@ def _argv(tmp_path, subcommand):
         return _trace_audit(tmp_path)
     if subcommand == "audit-classification":
         corpus = tmp_path / "corpus.jsonl"
-        corpora.save_rows(corpus, corpora.demo_classification_rows())
+        corpora.write_input(corpus, corpora.demo_classification_rows())
         return ["audit", "--corpus", str(corpus),
                 "--schema", "classification"]
     if subcommand == "risk-gate":
@@ -263,7 +263,7 @@ def test_no_subcommand_loads_openssl_or_numpy_random(tmp_path):
     argv = _trace_audit(tmp_path)
     # 80 records: enough for bluffing to draw its MI projections
     corpus = tmp_path / "bluffing.jsonl"
-    save_trace_corpus(
+    corpora.write_input(
         corpus, corpora.generative_fixture("bluffing", True)["records"])
     argv[argv.index("--corpus") + 1] = str(corpus)
     audited, risked = tmp_path / "audited", tmp_path / "risked"
@@ -332,10 +332,11 @@ def _fixture_audit(tmp_path, pathology, config):
     corpus = tmp_path / "corpus.jsonl"
     argv = ["audit", "--corpus", str(corpus)]
     if pathology in GENERATIVE_DETECTORS:
-        save_trace_corpus(
+        corpora.write_input(
             corpus, corpora.generative_fixture(pathology, True)["records"])
     else:
-        corpora.save_rows(corpus, corpora.discriminative_rows(pathology, True))
+        corpora.write_input(corpus,
+                            corpora.discriminative_rows(pathology, True))
         argv += ["--schema", "classification"]
     if config is not None:
         path = tmp_path / "config.json"
@@ -550,7 +551,7 @@ def test_loaded_outcomes_give_the_in_memory_risk_report(tmp_path,
                                                         subcommand):
     out = tmp_path / "out"
     assert cli.main(_argv(tmp_path, subcommand) + ["--out", str(out)]) == 0
-    loaded = cli._load_outcome_files([out / "outcomes.json"])
+    loaded = registry.load_outcome_files([out / "outcomes.json"])
     result = _in_memory_audit(tmp_path, subcommand)
     assert len(loaded) == len(result.outcomes) > 0
     for got, want in zip(loaded, result.outcomes):
@@ -614,9 +615,74 @@ def test_outcomes_hold_only_the_values_that_determine_them(
                   "--outcomes", str(old)]):
         assert cli.main(argv + ["--out", str(tmp_path / "old_out")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {old}: outcomes[0] is not an object with exactly the "
-            f"keys evidence, pathology, record_ids, severity, threshold\n")
+            f"error: {old}: outcomes[0], field 'family': unknown field\n")
         assert not (tmp_path / "old_out").exists()
+
+
+def _levels(tmp_path):
+    """{level: (the file, its path, the objects of that level in it, the
+    fields its reader decodes, the keys it skips)} of a real audit and
+    risk run, for each level of outcomes.json and risk_report.json."""
+    risk_report, outcomes = _risked(tmp_path)
+    audit = json.loads(Path(outcomes).read_text())
+    report = json.loads(Path(risk_report).read_text())
+    return {
+        "outcomes-file": (audit, outcomes, [audit], registry._OUTCOMES_FILE,
+                          registry._OUTCOMES_SKIPPED),
+        "outcome": (audit, outcomes, audit["outcomes"],
+                    registry._OUTCOME_FIELDS, ()),
+        "risk-file": (report, risk_report, [report], risk_mod._REPORT_FIELDS,
+                      risk_mod._REPORT_SKIPPED),
+        "entry": (report, risk_report, report["entries"],
+                  risk_mod._ENTRY_FIELDS, risk_mod._ENTRY_SKIPPED)}
+
+
+def test_each_reader_decodes_or_skips_every_key_its_writer_writes(
+        tmp_path):
+    for _, _, objects, fields, skipped in _levels(tmp_path).values():
+        decoded = {name for name, _, _ in fields}
+        assert not decoded & set(skipped)
+        assert objects
+        assert all(obj.keys() == decoded | set(skipped) for obj in objects)
+
+
+@pytest.mark.parametrize("level,named", [
+    ("outcomes-file", "{path}, field 'extra': unknown field"),
+    ("outcome", "{path}: outcomes[0], field 'extra': unknown field"),
+    ("risk-file", "risk report {path}, field 'extra': unknown field"),
+    ("entry", "risk report {path}: entries[0], field 'extra': unknown field")])
+def test_a_key_its_writer_does_not_write_exits_2(tmp_path, capsys, level,
+                                                 named):
+    doc, path, objects, _, _ = _levels(tmp_path)[level]
+    objects[0]["extra"] = 1
+    Path(path).write_text(json.dumps(doc))
+    argv = (["risk", "--outcomes", path] if level.startswith("outcome")
+            else ["report", "--risk", path])
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {named.replace('{path}', path)}\n"
+    assert not (tmp_path / "bad").exists()
+
+
+def test_an_empty_knowledge_base_drops_each_claim_matcher_alike(tmp_path):
+    # confabulation and semiotic_frankenstein both match the claims
+    # against the knowledge base, which has no entry
+    corpus, kb = tmp_path / "corpus.jsonl", tmp_path / "kb.json"
+    corpora.write_input(corpus, [{
+        "id": "r1", "input_embedding": [1.0, 0.0],
+        "output_embedding": [0.0, 1.0], "prob_output_given_input": 0.9,
+        "claim_embeddings": [[1.0, 0.0]]}])
+    corpora.write_input(kb, {"entries": []})
+    out = tmp_path / "out"
+    assert cli.main(["audit", "--corpus", str(corpus), "--kb", str(kb),
+                     "--out", str(out)]) == 0
+    doc = json.loads((out / "outcomes.json").read_text())
+    reason = "coherence against an empty knowledge base"
+    assert doc["dropped"] == {"confabulation": {"r1": reason},
+                              "semiotic_frankenstein": {"r1": reason}}
+    assert doc["skipped"]["confabulation"] == \
+        doc["skipped"]["semiotic_frankenstein"] == reason
 
 
 def _binomial_bounds(n, p, alpha=1e-6):
@@ -637,7 +703,7 @@ def test_planted_zero_one_pathologies_have_their_known_risks(tmp_path, p,
     lo, hi = _binomial_bounds(n, p)
     assert all(lo <= count <= hi for count in planted.values())
     corpus = tmp_path / "corpus.jsonl"
-    save_trace_corpus(corpus, records)
+    corpora.write_input(corpus, records)
     audited = tmp_path / "audited"
     assert cli.main(["audit", "--corpus", str(corpus),
                      "--out", str(audited)]) == 0
@@ -660,14 +726,22 @@ _GOOD_OUTCOME = {"pathology": "delusion", "record_ids": ["r1"],
                  "evidence": {"ratio": "3"}}
 
 
+def _change(label, change, message):
+    # the test id holds `label` and the message, not the row's position
+    return pytest.param(change, message, id=f"{label}-{message}")
+
+
 @pytest.mark.parametrize("change,message", [
-    ({"pathology": "nonsense"}, "error: unknown pathology 'nonsense'\n"),
-    ({"severity": 1.5}, "error: severity 1.5 outside [0,1]\n"),
-    ({"severity": "nan"},
-     "outcomes[1], field 'severity': expected a number, got \"nan\""),
-    ({"threshold": None},
-     "outcomes[1] is not an object with exactly the keys"),
-    ({"extra": 1}, "outcomes[1] is not an object with exactly the keys")])
+    _change("change0", {"pathology": "nonsense"},
+            "error: unknown pathology 'nonsense'\n"),
+    _change("change1", {"severity": 1.5},
+            "error: severity 1.5 outside [0,1]\n"),
+    _change("change2", {"severity": "nan"},
+            "outcomes[1], field 'severity': expected a number, got \"nan\""),
+    _change("change3", {"threshold": None},
+            "outcomes[1], field 'threshold': missing mandatory field"),
+    _change("change4", {"extra": 1},
+            "outcomes[1], field 'extra': unknown field")])
 @pytest.mark.parametrize("subcommand", ["risk", "report"])
 def test_bad_outcomes_exit_2(tmp_path, capsys, subcommand, change, message):
     item = {k: v for k, v in (_GOOD_OUTCOME | change).items()
@@ -724,204 +798,233 @@ _SCENARIO = {"kappa": 1.0, "cloud_cap": 4.0,
 _RISK_ENTRY = {"pathology": "delusion", "n": 1, "expectile": 0.1,
                "eps": "inf", "ok": True}
 _BAD = "{where}, record 'bad', field "
-_NOT_AN_OUTCOME = ("{where}: outcomes[1] is not an object with exactly the "
-                   "keys evidence, pathology, record_ids, severity, "
-                   "threshold")
+
+
+def _row(label, target, bad, message):
+    """A row of _MALFORMED, its test id made of the input, `label` and the
+    message, so that adding or deleting a row renames no other test."""
+    return pytest.param(target, bad, message,
+                        id=f"{target}-{label}-{message}")
+
+
 _MALFORMED = [
-    ("trace", [1, 2], "{where}: expected a JSON object, got [1, 2]"),
-    ("trace", {"id": ""},
-     "{where}, field 'id': expected a nonempty string, got \"\""),
-    ("trace", {"output_embedding": None},
-     _BAD + "'output_embedding': missing mandatory field"),
-    ("trace", {"input_embedding": [1.0, "x", 0.0, 0.0]},
-     _BAD + "'input_embedding': expected a nonempty vector of numbers"),
-    ("trace", {"context_vectors": [[1.0, 0.0, 0.0, 0.0], "x"]},
-     _BAD + "'context_vectors': expected a nonempty vector of numbers, "
-            "got \"x\""),
-    ("trace", {"claim_embeddings": 5},
-     _BAD + "'claim_embeddings': expected an array of vectors, got 5"),
-    ("trace", {"output_token_logprobs": ["x"]},
-     _BAD + "'output_token_logprobs': expected an array of numbers"),
-    ("trace", {"output_token_logprobs": [-0.5, 0.1]},
-     _BAD + "'output_token_logprobs': log-probability 0.1 must be finite "
-            "and <= 0"),
-    ("trace", {"prob_output_given_input": "0.5"},
-     _BAD + "'prob_output_given_input': expected a number, got \"0.5\""),
-    ("trace", {"discomfort_score": True},
-     _BAD + "'discomfort_score': expected a number, got true"),
-    ("trace", {"prob_truth_given_input": 1.5},
-     _BAD + "'prob_truth_given_input': probability 1.5 outside [0,1]"),
-    ("trace", {"output_magnitude": -1},
-     _BAD + "'output_magnitude': -1.0 must be finite and >= 0"),
-    ("trace", {"in_real_manifold": "false"},
-     _BAD + "'in_real_manifold': expected true or false, got \"false\""),
-    ("trace", {"referenced_entities": [7, None]},
-     _BAD + "'referenced_entities': expected an array of strings"),
-    ("trace", {"latent_dim": 2.5},
-     _BAD + "'latent_dim': expected an integer, got 2.5"),
-    ("trace", {"input_dim": 0},
-     _BAD + "'input_dim': 0 must be a positive integer"),
-    ("trace", {"annotations": ["x"]},
-     _BAD + "'annotations': expected an object of strings"),
-    ("trace", {"annotations": {"conversation_id": 3}},
-     _BAD + "'annotations': expected an object of strings"),
-    ("classification", {"predicted_label": 0.7},
-     _BAD + "'predicted_label': expected an integer, got 0.7"),
-    ("classification", {"true_label": None},
-     _BAD + "'true_label': missing mandatory field"),
-    ("classification", {"is_ood": "no"},
-     _BAD + "'is_ood': expected true or false, got \"no\""),
-    ("classification", {"group": 3},
-     _BAD + "'group': expected a string, got 3"),
-    ("classification", {"noise_pair_id": 7},
-     _BAD + "'noise_pair_id': expected a string, got 7"),
-    ("classification", {"segment_bounds": [1.5, 2]},
-     _BAD + "'segment_bounds': expected an array of integers"),
-    ("classification", {"ref_segment_bounds": [5, 1]},
-     _BAD + "'ref_segment_bounds': bounds [5, 1] must be an ordered pair"),
-    ("classification", {"plausible_labels": [True, 1]},
-     _BAD + "'plausible_labels': expected an array of integers"),
-    ("classification", {"class_probabilities": [0.6, None]},
-     _BAD + "'class_probabilities': expected a nonempty vector of numbers"),
-    ("kb", "x", "{where}: expected a JSON object, got \"x\""),
-    ("kb", {"entity_id": 7},
-     "{where}, field 'entity_id': expected a string, got 7"),
-    ("kb", {"embedding": [0.0, "x", 0.0, 0.0]},
-     _BAD + "'embedding': expected a nonempty vector of numbers"),
-    ("kb-file", {"source_tag": 5},
-     "knowledge base, field 'source_tag': expected a string, got 5"),
-    ("kb-file", {"entries": {}},
-     "knowledge base, field 'entries': expected an array, got {}"),
-    ("fixtures", 5, "{where}: expected a JSON object, got 5"),
-    ("fixtures", {"y_name": None},
-     "{where}, field 'y_name': missing mandatory field"),
-    ("fixtures", {"x_name": 3}, "{where}, field 'x_name': expected a string"),
-    ("fixtures", {"edge_x_to_y": "false"},
-     "{where}, field 'edge_x_to_y': expected true or false, got \"false\""),
-    ("fixtures", {"interventional_table": [[0.5, "0.5"]]},
-     "{where}, field 'interventional_table': expected a nonempty vector "
-     "of numbers"),
-    ("fixtures", {"observational_conditional": [[1.0], [0.5, 0.5]]},
-     "{where}, field 'observational_conditional': expected a nonempty "
-     "array of rows of one length"),
-    ("eps", {"default": "nan"},
-     "key 'default' must be a number or \"inf\", not \"nan\""),
-    ("eps", {"default": math.nan},
-     "key 'default' must be a number or \"inf\", not NaN"),
-    ("eps", {"default": True},
-     "key 'default' must be a number or \"inf\", not true"),
-    ("eps", {"delusion": "0.5"},
-     "key 'delusion' must be a number or \"inf\", not \"0.5\""),
-    ("eps", [True] * 35, "key 0 must be a number or \"inf\", not true"),
+    _row("bad0", "trace", [1, 2],
+         "{where}: expected a JSON object, got [1, 2]"),
+    _row("bad1", "trace", {"id": ""},
+         "{where}, field 'id': expected a nonempty string, got \"\""),
+    _row("bad2", "trace", {"output_embedding": None},
+         _BAD + "'output_embedding': missing mandatory field"),
+    _row("bad3", "trace", {"input_embedding": [1.0, "x", 0.0, 0.0]},
+         _BAD + "'input_embedding': expected a nonempty vector of numbers"),
+    _row("bad4", "trace", {"context_vectors": [[1.0, 0.0, 0.0, 0.0], "x"]},
+         _BAD + "'context_vectors': expected a nonempty vector of numbers, "
+                "got \"x\""),
+    _row("bad5", "trace", {"claim_embeddings": 5},
+         _BAD + "'claim_embeddings': expected an array of vectors, got 5"),
+    _row("bad6", "trace", {"output_token_logprobs": ["x"]},
+         _BAD + "'output_token_logprobs': expected an array of numbers"),
+    _row("bad7", "trace", {"output_token_logprobs": [-0.5, 0.1]},
+         _BAD + "'output_token_logprobs': log-probability 0.1 must be "
+                "finite and <= 0"),
+    _row("bad8", "trace", {"prob_output_given_input": "0.5"},
+         _BAD + "'prob_output_given_input': expected a number, got \"0.5\""),
+    _row("bad9", "trace", {"discomfort_score": True},
+         _BAD + "'discomfort_score': expected a number, got true"),
+    _row("bad10", "trace", {"prob_truth_given_input": 1.5},
+         _BAD + "'prob_truth_given_input': probability 1.5 outside [0,1]"),
+    _row("bad11", "trace", {"output_magnitude": -1},
+         _BAD + "'output_magnitude': -1.0 must be finite and >= 0"),
+    _row("bad12", "trace", {"in_real_manifold": "false"},
+         _BAD + "'in_real_manifold': expected true or false, got \"false\""),
+    _row("bad13", "trace", {"referenced_entities": [7, None]},
+         _BAD + "'referenced_entities': expected an array of strings"),
+    _row("bad14", "trace", {"latent_dim": 2.5},
+         _BAD + "'latent_dim': expected an integer, got 2.5"),
+    _row("bad15", "trace", {"input_dim": 0},
+         _BAD + "'input_dim': 0 must be a positive integer"),
+    _row("bad16", "trace", {"annotations": ["x"]},
+         _BAD + "'annotations': expected an object of strings"),
+    _row("bad17", "trace", {"annotations": {"conversation_id": 3}},
+         _BAD + "'annotations': expected an object of strings"),
+    _row("bad18", "classification", {"predicted_label": 0.7},
+         _BAD + "'predicted_label': expected an integer, got 0.7"),
+    _row("bad19", "classification", {"true_label": None},
+         _BAD + "'true_label': missing mandatory field"),
+    _row("bad20", "classification", {"is_ood": "no"},
+         _BAD + "'is_ood': expected true or false, got \"no\""),
+    _row("bad21", "classification", {"group": 3},
+         _BAD + "'group': expected a string, got 3"),
+    _row("bad22", "classification", {"noise_pair_id": 7},
+         _BAD + "'noise_pair_id': expected a string, got 7"),
+    _row("bad23", "classification", {"segment_bounds": [1.5, 2]},
+         _BAD + "'segment_bounds': expected an array of integers"),
+    _row("bad24", "classification", {"ref_segment_bounds": [5, 1]},
+         _BAD + "'ref_segment_bounds': bounds [5, 1] must be an ordered pair"),
+    _row("bad25", "classification", {"plausible_labels": [True, 1]},
+         _BAD + "'plausible_labels': expected an array of integers"),
+    _row("bad26", "classification", {"class_probabilities": [0.6, None]},
+         _BAD + "'class_probabilities': expected a nonempty vector of "
+                "numbers"),
+    _row("x", "kb", "x", "{where}: expected a JSON object, got \"x\""),
+    _row("bad28", "kb", {"entity_id": 7},
+         "{where}, field 'entity_id': expected a string, got 7"),
+    _row("bad29", "kb", {"embedding": [0.0, "x", 0.0, 0.0]},
+         _BAD + "'embedding': expected a nonempty vector of numbers"),
+    _row("bad30", "kb-file", {"source_tag": 5},
+         "knowledge base, field 'source_tag': expected a string, got 5"),
+    _row("bad31", "kb-file", {"entries": {}},
+         "knowledge base, field 'entries': expected an array, got {}"),
+    _row("5", "fixtures", 5, "{where}: expected a JSON object, got 5"),
+    _row("bad33", "fixtures", {"y_name": None},
+         "{where}, field 'y_name': missing mandatory field"),
+    _row("bad34", "fixtures", {"x_name": 3},
+         "{where}, field 'x_name': expected a string"),
+    _row("bad35", "fixtures", {"edge_x_to_y": "false"},
+         "{where}, field 'edge_x_to_y': expected true or false, "
+         "got \"false\""),
+    _row("bad36", "fixtures", {"interventional_table": [[0.5, "0.5"]]},
+         "{where}, field 'interventional_table': expected a nonempty vector "
+         "of numbers"),
+    _row("bad37", "fixtures",
+         {"observational_conditional": [[1.0], [0.5, 0.5]]},
+         "{where}, field 'observational_conditional': expected a nonempty "
+         "array of rows of one length"),
+    _row("bad38", "eps", {"default": "nan"},
+         "key 'default' must be a number or \"inf\", not \"nan\""),
+    _row("bad39", "eps", {"default": math.nan},
+         "key 'default' must be a number or \"inf\", not NaN"),
+    _row("bad40", "eps", {"default": True},
+         "key 'default' must be a number or \"inf\", not true"),
+    _row("bad41", "eps", {"delusion": "0.5"},
+         "key 'delusion' must be a number or \"inf\", not \"0.5\""),
+    _row("bad42", "eps", [True] * 35,
+         "key 0 must be a number or \"inf\", not true"),
     # the risk report would write it as "-inf", which report cannot read
-    ("eps", {"default": -math.inf},
-     "key 'default' must be a number or \"inf\", not -Infinity"),
+    _row("bad43", "eps", {"default": -math.inf},
+         "key 'default' must be a number or \"inf\", not -Infinity"),
     # a label indexes class_probabilities, which has two entries here
-    ("classification", {"true_label": 5},
-     _BAD + "'true_label': label 5 outside [0, 2)"),
-    ("classification", {"true_label": -1},
-     _BAD + "'true_label': label -1 outside [0, 2)"),
-    ("classification", {"plausible_labels": [0, 2]},
-     _BAD + "'plausible_labels': label 2 outside [0, 2)"),
+    _row("bad44", "classification", {"true_label": 5},
+         _BAD + "'true_label': label 5 outside [0, 2)"),
+    _row("bad45", "classification", {"true_label": -1},
+         _BAD + "'true_label': label -1 outside [0, 2)"),
+    _row("bad46", "classification", {"plausible_labels": [0, 2]},
+         _BAD + "'plausible_labels': label 2 outside [0, 2)"),
     # {where} is the file; the message names the entry
-    ("scenario", {"lamda": 5}, "scenario {where}: field 'lamda': unknown "
-                               "field"),
-    ("scenario", {"share_weights": [1.0, 2.0]},
-     "scenario {where}: field 'share_weights': unknown field"),
-    ("scenario", {"cloud_cap": "1e9"},
-     "scenario {where}: field 'cloud_cap': expected a number, got \"1e9\""),
-    ("scenario", {"seed": 1.5},
-     "scenario {where}: field 'seed': expected an integer, got 1.5"),
-    ("scenario", {"agents": {}},
-     "scenario {where}: field 'agents': expected an array, got {}"),
-    ("scenario", {"agents": [_AGENT, {"pathology": 7, "target": [0.5]}]},
-     "scenario {where}: agents[1], field 'pathology': expected a nonempty "
-     "string, got 7"),
-    ("scenario", {"agents": [_AGENT | {"target": ["x"]}]},
-     "scenario {where}: agents[0], field 'target': expected a nonempty "
-     "vector of numbers"),
-    ("scenario", {"agents": [_AGENT | {"hi": "1"}]},
-     "scenario {where}: agents[0], field 'hi': expected a number, "
-     "got \"1\""),
-    ("scenario", {"lambda": True},
-     "scenario {where}: field 'lambda': expected a number, got true"),
-    ("scenario", {"agents": [_AGENT | {"tol": 1e-6}]},
-     "scenario {where}: agents[0], field 'tol': unknown field"),
-    ("scenario", {"mean_field": {"a0": {"quality": 1.5}}},
-     "scenario {where}: mean_field[\"a0\"], field 'quality': probability "
-     "1.5 outside [0,1]"),
-    ("scenario", {"mean_field": {"a9": {"quality": 0.5}}},
-     "scenario {where}: mean_field, field 'a9': unknown field"),
-    ("scenario", {"mean_field": {"a0": {"quality": 0.5, "weight": 1}}},
-     "scenario {where}: mean_field[\"a0\"], field 'weight': unknown field"),
-    ("scenario", {"epsilon_schedule": [{"default": "nan"}]},
-     "scenario {where}: epsilon_schedule[0]: key 'default' must be a number "
-     "or \"inf\", not \"nan\""),
-    ("scenario", {"epsilon_schedule": [{"default": 1.0}, {"default": True}]},
-     "scenario {where}: epsilon_schedule[1]: key 'default' must be a number "
-     "or \"inf\", not true"),
-    ("scenario", {"epsilon_schedule": [[0.5]]},
-     "scenario {where}: epsilon_schedule[0]: vector length 1 does not match "
-     "the 2 names"),
-    ("scenario", {"risks": {"a0": "0.1"}},
-     "scenario {where}: risks, field 'a0': expected a number, got \"0.1\""),
-    ("scenario", {"risks": {"a9": 0.1}},
-     "scenario {where}: risks, field 'a9': unknown field"),
-    ("outcomes", {"threshold": True},
-     "{where}: outcomes[1], field 'threshold': expected a number, got true"),
-    ("outcomes", {"record_ids": "r1"},
-     "{where}: outcomes[1], field 'record_ids': expected an array of "
-     "strings, got \"r1\""),
-    ("outcomes", {"pathology": ""},
-     "{where}: outcomes[1], field 'pathology': expected a nonempty string"),
+    _row("bad47", "scenario", {"lamda": 5},
+         "scenario {where}: field 'lamda': unknown field"),
+    _row("bad48", "scenario", {"share_weights": [1.0, 2.0]},
+         "scenario {where}: field 'share_weights': unknown field"),
+    _row("bad49", "scenario", {"cloud_cap": "1e9"},
+         "scenario {where}: field 'cloud_cap': expected a number, "
+         "got \"1e9\""),
+    _row("bad50", "scenario", {"seed": 1.5},
+         "scenario {where}: field 'seed': expected an integer, got 1.5"),
+    _row("bad51", "scenario", {"agents": {}},
+         "scenario {where}: field 'agents': expected an array, got {}"),
+    _row("bad52", "scenario",
+         {"agents": [_AGENT, {"pathology": 7, "target": [0.5]}]},
+         "scenario {where}: agents[1], field 'pathology': expected a nonempty "
+         "string, got 7"),
+    _row("bad53", "scenario", {"agents": [_AGENT | {"target": ["x"]}]},
+         "scenario {where}: agents[0], field 'target': expected a nonempty "
+         "vector of numbers"),
+    _row("bad54", "scenario", {"agents": [_AGENT | {"hi": "1"}]},
+         "scenario {where}: agents[0], field 'hi': expected a number, "
+         "got \"1\""),
+    _row("bad55", "scenario", {"lambda": True},
+         "scenario {where}: field 'lambda': expected a number, got true"),
+    _row("bad56", "scenario", {"agents": [_AGENT | {"tol": 1e-6}]},
+         "scenario {where}: agents[0], field 'tol': unknown field"),
+    _row("bad57", "scenario", {"mean_field": {"a0": {"quality": 1.5}}},
+         "scenario {where}: mean_field[\"a0\"], field 'quality': probability "
+         "1.5 outside [0,1]"),
+    _row("bad58", "scenario", {"mean_field": {"a9": {"quality": 0.5}}},
+         "scenario {where}: mean_field, field 'a9': unknown field"),
+    _row("bad59", "scenario",
+         {"mean_field": {"a0": {"quality": 0.5, "weight": 1}}},
+         "scenario {where}: mean_field[\"a0\"], field 'weight': unknown "
+         "field"),
+    _row("bad60", "scenario", {"epsilon_schedule": [{"default": "nan"}]},
+         "scenario {where}: epsilon_schedule[0]: key 'default' must be a "
+         "number or \"inf\", not \"nan\""),
+    _row("bad61", "scenario",
+         {"epsilon_schedule": [{"default": 1.0}, {"default": True}]},
+         "scenario {where}: epsilon_schedule[1]: key 'default' must be a "
+         "number or \"inf\", not true"),
+    _row("bad62", "scenario", {"epsilon_schedule": [[0.5]]},
+         "scenario {where}: epsilon_schedule[0]: vector length 1 does not "
+         "match the 2 names"),
+    _row("bad63", "scenario", {"risks": {"a0": "0.1"}},
+         "scenario {where}: risks, field 'a0': expected a number, "
+         "got \"0.1\""),
+    _row("bad64", "scenario", {"risks": {"a9": 0.1}},
+         "scenario {where}: risks, field 'a9': unknown field"),
+    _row("bad65", "outcomes", {"threshold": True},
+         "{where}: outcomes[1], field 'threshold': expected a number, "
+         "got true"),
+    _row("bad66", "outcomes", {"record_ids": "r1"},
+         "{where}: outcomes[1], field 'record_ids': expected an array of "
+         "strings, got \"r1\""),
+    _row("bad67", "outcomes", {"pathology": ""},
+         "{where}: outcomes[1], field 'pathology': expected a nonempty "
+         "string"),
     # each key that the 0.3.0 layout wrote as well, which the pathology,
     # severity and threshold determine
-    ("outcomes", {"family": "generative"}, _NOT_AN_OUTCOME),
-    ("outcomes", {"fired": True}, _NOT_AN_OUTCOME),
-    ("outcomes", {"loss": 0.7}, _NOT_AN_OUTCOME),
-    ("outcomes", {"evidence": None}, _NOT_AN_OUTCOME),
-    ("outcomes-file", {"outcomes": None},
-     "{where}, field 'outcomes': missing mandatory field"),
-    ("outcomes-file", {"outcomes": {}},
-     "{where}, field 'outcomes': expected an array, got {}"),
-    ("config", {"generative": {"s_hi": math.nan}},
-     "config {where}: section 'generative', field 's_hi': expected a "
-     "number, got NaN"),
-    ("config", {"generative": {"window": "5"}},
-     "config {where}: section 'generative', field 'window': expected an "
-     "integer, got \"5\""),
-    ("config", {"generative": {"expert_style_id": None}},
-     "config {where}: section 'generative', field 'expert_style_id': "
-     "expected a string, got null"),
-    ("config", {"mi": []},
-     "config {where}, field 'mi': expected an object, got []"),
-    ("risk-report", {"feasible": None},
-     "risk report {where}, field 'feasible': missing mandatory field"),
-    ("risk-report", {"tau": "0.9"},
-     "risk report {where}, field 'tau': expected a number, got \"0.9\""),
-    ("risk-report", {"total_ids": 35.0},
-     "risk report {where}, field 'total_ids': expected an integer"),
-    ("risk-report", {"entries": [_RISK_ENTRY | {"eps": "big"}]},
-     "risk report {where}: entries[0], field 'eps': must be a number or "
-     "\"inf\", not \"big\""),
-    ("risk-report", {"entries": [_RISK_ENTRY | {"ok": 1}]},
-     "risk report {where}: entries[0], field 'ok': expected true or false"),
-    ("risk-report", {"entries": [_RISK_ENTRY | {"pathology": None}]},
-     "risk report {where}: entries[0], field 'pathology': missing "
-     "mandatory field"),
+    _row("bad68", "outcomes", {"family": "generative"},
+         "{where}: outcomes[1], field 'family': unknown field"),
+    _row("bad69", "outcomes", {"fired": True},
+         "{where}: outcomes[1], field 'fired': unknown field"),
+    _row("bad70", "outcomes", {"loss": 0.7},
+         "{where}: outcomes[1], field 'loss': unknown field"),
+    _row("bad71", "outcomes", {"evidence": None},
+         "{where}: outcomes[1], field 'evidence': missing mandatory field"),
+    _row("bad72", "outcomes-file", {"outcomes": None},
+         "{where}, field 'outcomes': missing mandatory field"),
+    _row("bad73", "outcomes-file", {"outcomes": {}},
+         "{where}, field 'outcomes': expected an array, got {}"),
+    _row("bad74", "config", {"generative": {"s_hi": math.nan}},
+         "config {where}: section 'generative', field 's_hi': expected a "
+         "number, got NaN"),
+    _row("bad75", "config", {"generative": {"window": "5"}},
+         "config {where}: section 'generative', field 'window': expected an "
+         "integer, got \"5\""),
+    _row("bad76", "config", {"generative": {"expert_style_id": None}},
+         "config {where}: section 'generative', field 'expert_style_id': "
+         "expected a string, got null"),
+    _row("bad77", "config", {"mi": []},
+         "config {where}, field 'mi': expected an object, got []"),
+    _row("bad78", "risk-report", {"feasible": None},
+         "risk report {where}, field 'feasible': missing mandatory field"),
+    _row("bad79", "risk-report", {"tau": "0.9"},
+         "risk report {where}, field 'tau': expected a number, got \"0.9\""),
+    _row("bad80", "risk-report", {"total_ids": 35.0},
+         "risk report {where}, field 'total_ids': expected an integer"),
+    _row("bad81", "risk-report", {"entries": [_RISK_ENTRY | {"eps": "big"}]},
+         "risk report {where}: entries[0], field 'eps': must be a number or "
+         "\"inf\", not \"big\""),
+    _row("bad82", "risk-report", {"entries": [_RISK_ENTRY | {"ok": 1}]},
+         "risk report {where}: entries[0], field 'ok': expected true or "
+         "false"),
+    # the entry lacks its pathology
+    _row("bad83", "risk-report",
+         {"entries": [{k: v for k, v in _RISK_ENTRY.items()
+                       if k != "pathology"}]},
+         "risk report {where}: entries[0], field 'pathology': missing "
+         "mandatory field"),
     # a key that no field declares, where a misspelt field would drop out
-    ("trace", {"truth_embeding": [1.0, 0.0, 0.0, 0.0]},
-     _BAD + "'truth_embeding': unknown field"),
-    ("classification", {"timestamp": 3}, _BAD + "'timestamp': unknown field"),
-    ("kb", {"embeding": [1.0, 0.0, 0.0, 0.0]},
-     _BAD + "'embeding': unknown field"),
-    ("kb-file", {"source": "x"}, "knowledge base, field 'source': unknown "
-                                 "field"),
-    ("fixtures", {"edge_x_to_z": True},
-     "{where}, field 'edge_x_to_z': unknown field"),
+    _row("bad84", "trace", {"truth_embeding": [1.0, 0.0, 0.0, 0.0]},
+         _BAD + "'truth_embeding': unknown field"),
+    _row("bad85", "classification", {"timestamp": 3},
+         _BAD + "'timestamp': unknown field"),
+    _row("bad86", "kb", {"embeding": [1.0, 0.0, 0.0, 0.0]},
+         _BAD + "'embeding': unknown field"),
+    _row("bad87", "kb-file", {"source": "x"},
+         "knowledge base, field 'source': unknown field"),
+    _row("bad88", "fixtures", {"edge_x_to_z": True},
+         "{where}, field 'edge_x_to_z': unknown field"),
     # a negative lambda makes the cost non-convex
-    ("scenario", {"lambda": -2.0},
-     "scenario {where}: lambda must be non-negative")]
+    _row("bad89", "scenario", {"lambda": -2.0},
+         "scenario {where}: lambda must be non-negative")]
 
 
 def _merged(base, bad):

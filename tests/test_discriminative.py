@@ -6,7 +6,6 @@ from pathrisk.discriminative import (DiscriminativeConfig,
                                      audit_discriminative,
                                      expected_calibration_error,
                                      score_discriminative)
-from pathrisk.classification import ClassificationCorpus
 from pathrisk.records import RecordValidationError, TraceRecord
 from pathrisk.registry import DISCRIMINATIVE_DETECTORS, validate_corpus
 from oracles import ClassificationRecord, loop_validation
@@ -22,7 +21,7 @@ def _cls(rid, predicted, true, confidence=0.9, **fields):
             "true_label": true, "class_probabilities": probs, **fields}
 
 
-_corpus = ClassificationCorpus.from_json_dicts
+_corpus = corpora.classification_corpus
 
 
 class TestFixturePolarity:

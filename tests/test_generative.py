@@ -12,8 +12,7 @@ import corpora
 from pathrisk import generative, metrics, registry
 from pathrisk.generative import (Arity, DetectorError, GenerativeConfig,
                                  audit_generative, score)
-from pathrisk.records import (KnowledgeBase, TraceRecord, load_trace_corpus,
-                              save_trace_corpus)
+from pathrisk.records import KnowledgeBase, TraceRecord, load_trace_corpus
 from pathrisk.registry import (ALIAS_GROUPS, GENERATIVE_DETECTORS,
                                DISCRIMINATIVE_DETECTORS,
                                distinct_pathology_count, pathology_ids,
@@ -225,7 +224,7 @@ def _all_fixture_records():
     out = {}
     for name, records, _, _ in _bundles():
         for rec in records:
-            out.setdefault(f"{name}:{rec.id}", rec.to_json_dict())
+            out.setdefault(f"{name}:{rec.id}", corpora.json_value(rec))
     return [TraceRecord.from_json_dict(dict(row, id=rid))
             for rid, row in out.items()]
 
@@ -239,7 +238,7 @@ def _mutated(seed):
     rng = np.random.default_rng(seed)
     rows = []
     for rec in _all_fixture_records():
-        row = rec.to_json_dict()
+        row = corpora.json_value(rec)
         for name in list(row):
             if name not in ("id", "input_embedding", "output_embedding") \
                     and rng.random() < 0.3:
@@ -290,7 +289,7 @@ class TestRecordStep:
                                            monkeypatch):
         _, records, kb, fixtures = case
         path = tmp_path / "corpus.jsonl"
-        save_trace_corpus(path, records)
+        corpora.write_input(path, records)
         whole = load_trace_corpus(path)
         outcomes, skipped, dropped = oracles.whole_corpus_audit(
             whole, kb, fixtures)
@@ -678,8 +677,7 @@ def _rotate_record(rec, q):
 def _rotate_kb(kb, q):
     if kb is None:
         return None
-    return KnowledgeBase(entries=tuple((e, q @ v) for e, v in kb.entries),
-                         source_tag=kb.source_tag)
+    return KnowledgeBase(entries=tuple((e, q @ v) for e, v in kb.entries))
 
 
 class TestRotationInvariance:

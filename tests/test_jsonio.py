@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import canonical_json
-from pathrisk import cli, jsonio
+from pathrisk import jsonio
 from pathrisk.records import read_json
-from pathrisk.registry import AuditResult, DetectorOutcome, pathology_ids
+from pathrisk.registry import (AuditResult, DetectorOutcome,
+                               load_outcome_files, pathology_ids)
 
 NEAR_12TH_DECIMAL = st.builds(
     lambda k, nudge: (k + 0.5) * 1e-12 + nudge,
@@ -157,7 +158,7 @@ def test_loading_outcomes_holds_no_dict_tree(tmp_path):
     gc.collect()
     tracemalloc.start()
     try:
-        loaded = cli._load_outcome_files([path])
+        loaded = load_outcome_files([path])
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -190,7 +191,7 @@ def test_outcomes_load_alike_in_chunks_of_any_size(tmp_path, monkeypatch,
     monkeypatch.setattr("pathrisk.records.read_json", None)
     for chars in range(1, 8):
         monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", chars)
-        assert cli._load_outcome_files([path]) == whole
+        assert load_outcome_files([path]) == whole
 
 
 def test_csv_cells_name_non_finite_floats(tmp_path):

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 import oracles
 from oracles import ClassificationRecord, loop_validation
 from pathrisk.discriminative import DiscriminativeConfig, audit_discriminative
-from pathrisk.classification import (_CLASSIFICATION, STRING_COLUMNS,
-                                     ClassificationCorpus)
+from pathrisk.classification import _CLASSIFICATION, STRING_COLUMNS
 from pathrisk.records import (_KB_ENTRY, _KINDS, CausalFixture, CorpusError,
                               KnowledgeBase, RecordValidationError,
                               TraceRecord, declare, decode_object,
                               load_causal_fixtures, load_knowledge_base,
-                              load_trace_corpus, read_json, read_json_chunked,
-                              save_trace_corpus)
+                              load_trace_corpus, read_json, read_json_chunked)
 from pathrisk import registry
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                REGISTRY, validate_corpus)
@@ -70,9 +68,9 @@ def test_argmax_consistency_enforced(tmp_path):
 def test_argmax_tie_broken_by_lowest_class():
     # predicted 0 is the tie-broken argmax
     tie = _cls_obj("t", probs=(0.5, 0.5), predicted=0, true=1)
-    assert ClassificationCorpus.from_json_dicts([tie]).ids == ("t",)
+    assert corpora.classification_corpus([tie]).ids == ("t",)
     with pytest.raises(RecordValidationError, match="is not the argmax"):
-        ClassificationCorpus.from_json_dicts([tie | {"predicted_label": 1}])
+        corpora.classification_corpus([tie | {"predicted_label": 1}])
 
 
 def test_malformed_json_names_line(tmp_path):
@@ -210,7 +208,7 @@ _TABLES = {
                     "output_embedding": [0.0, 1.0]},
                    _load_trace_line, "line 1, record 'a'"),
     "causal fixture": (CausalFixture._decoders,
-                       corpora.demo_causal_fixture().to_json_dict(),
+                       corpora.json_value(corpora.demo_causal_fixture()),
                        _load_fixture, "fixture 0"),
     "classification line": (_CLASSIFICATION, _cls_obj("a"),
                             _load_classification_line, "line 1, record 'a'"),
@@ -252,11 +250,11 @@ def test_round_trip_preserves_semantic_content(tmp_path):
     records = (corpora.demo_trace_corpus()
                + corpora.generative_fixture("semantic_drift", True)["records"])
     path = tmp_path / "rt.jsonl"
-    save_trace_corpus(path, records)
+    corpora.write_input(path, records)
     reloaded = load_trace_corpus(path, "trace")
     assert len(reloaded) == len(records)
     for old, new in zip(records, reloaded):
-        assert old.to_json_dict() == new.to_json_dict()
+        assert corpora.json_value(old) == corpora.json_value(new)
 
 
 def test_validation_matrix_missing_field():
@@ -278,7 +276,7 @@ def test_validation_matrix_full_record():
 
 def test_validation_matrix_wrong_record_kind():
     rows = corpora.discriminative_rows("calibration_failure", True)
-    recs = ClassificationCorpus.from_json_dicts(rows)
+    recs = corpora.classification_corpus(rows)
     report = validate_corpus(recs)
     for detector in ("delusion", "hallucination", "bluffing"):
         assert report.available(detector) == ()
@@ -366,7 +364,7 @@ def _gate_shaped_rows(n, seed=0):
 
 
 def _gate_shaped_corpus(n):
-    return ClassificationCorpus.from_json_dicts(_gate_shaped_rows(n))
+    return corpora.classification_corpus(_gate_shaped_rows(n))
 
 
 def _oracle_records(rows):
@@ -387,7 +385,7 @@ def _partly_missing(rows, seed):
 
 
 def _trace_rows(records):
-    return [rec.to_json_dict() for rec in records]
+    return [corpora.json_value(rec) for rec in records]
 
 
 def _regrouped(report, ids):
@@ -444,7 +442,7 @@ def test_grouped_report_equals_the_per_pair_loop(corpus):
     elif corpus.endswith("classification"):
         if corpus.startswith("partly"):
             rows = _partly_missing(rows, 1)
-        records = ClassificationCorpus.from_json_dicts(rows)
+        records = corpora.classification_corpus(rows)
         oracle = _oracle_records(rows)
     else:
         records = oracle = []
@@ -491,7 +489,7 @@ def test_validation_takes_each_record_once(monkeypatch):
 
 def test_report_json_lists_counts_and_ids():
     rows = _partly_missing(_gate_shaped_rows(60), 2)
-    report = validate_corpus(ClassificationCorpus.from_json_dicts(rows))
+    report = validate_corpus(corpora.classification_corpus(rows))
     doc = report.to_json_dict()
     assert doc["record_count"] == 60
     assert list(doc["detectors"]) == list(REGISTRY)
@@ -575,9 +573,9 @@ def test_loaded_records_share_repeated_strings(tmp_path):
     assert values[codes[0]] == values[codes[12]] == "g0"
     assert values[codes[0]] is values[codes[12]]
     trace = tmp_path / "trace.jsonl"
-    save_trace_corpus(trace, corpora.demo_trace_corpus()
-                      + corpora.generative_fixture("semantic_drift",
-                                                   True)["records"])
+    corpora.write_input(trace, corpora.demo_trace_corpus()
+                        + corpora.generative_fixture("semantic_drift",
+                                                     True)["records"])
     shared = {}
     for rec in load_trace_corpus(trace, "trace"):
         for key, value in rec.annotations.items():
@@ -804,9 +802,10 @@ def test_knowledge_base_file_errors(tmp_path, last, error, message):
 def test_knowledge_base_file_round_trip(tmp_path):
     kb = corpora.standard_kb()
     path = tmp_path / "kb.json"
-    path.write_text(json.dumps(kb.to_json_dict()))
+    # a source tag is accepted, and not kept
+    path.write_text(json.dumps(corpora.json_value(kb)
+                               | {"source_tag": "fixture"}))
     loaded = load_knowledge_base(path)
-    assert loaded.source_tag == kb.source_tag
     assert [e for e, _ in loaded.entries] == [e for e, _ in kb.entries]
     assert np.array_equal(loaded.embedding_matrix(), kb.embedding_matrix())
 
@@ -815,12 +814,11 @@ def test_knowledge_base_is_read_in_chunks(tmp_path, monkeypatch):
     # a well-formed file never reaches the whole-file reader
     kb = corpora.standard_kb()
     path = tmp_path / "kb.json"
-    path.write_text(json.dumps(kb.to_json_dict()))
+    corpora.write_input(path, kb)
     monkeypatch.setattr("pathrisk.records.read_json", None)
     for chars in (3, 1 << 16):
         monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", chars)
         loaded = load_knowledge_base(path)
-        assert loaded.source_tag == kb.source_tag
         assert [e for e, _ in loaded.entries] == [e for e, _ in kb.entries]
         assert np.array_equal(loaded.embedding_matrix(),
                               kb.embedding_matrix())
@@ -883,11 +881,11 @@ def test_a_null_field_reads_as_unset(tmp_path):
     _write_jsonl(corpus, [line | {"truth_embedding": None,
                                   "in_train_set": None, "annotations": None}])
     [rec] = load_trace_corpus(corpus)
-    assert rec.to_json_dict() == line and rec.annotations == {}
+    assert corpora.json_value(rec) == line and rec.annotations == {}
     kb = tmp_path / "kb.json"
     kb.write_text(json.dumps({"source_tag": None, "entries": [
         {"entity_id": "e", "embedding": [1.0, 0.0]}]}))
-    assert load_knowledge_base(kb).source_tag == ""
+    assert load_knowledge_base(kb).entity_ids == {"e"}
     table = [[0.5, 0.5]]
     path = tmp_path / "fixtures.json"
     path.write_text(json.dumps({
@@ -1014,18 +1012,17 @@ def test_records_round_trip_through_json(case):
     if kind == "classification":
         # a classification corpus keeps columns, not records: they hold
         # what the per-record decoder makes of the object
-        corpus = ClassificationCorpus.from_json_dicts([obj])
+        corpus = corpora.classification_corpus([obj])
         assert _row(corpus, 0) == _held(
             ClassificationRecord.from_json_dict(obj),
             len(obj["class_probabilities"]))
         return
     rec = TraceRecord.from_json_dict(obj)
-    again = TraceRecord.from_json_dict(
-        json.loads(json.dumps(rec.to_json_dict())))
-    assert again.to_json_dict() == rec.to_json_dict()
+    written = corpora.json_value(rec)
+    again = TraceRecord.from_json_dict(json.loads(json.dumps(written)))
+    assert corpora.json_value(again) == written
     # every field that was given, but an empty annotation map, is written
-    assert set(rec.to_json_dict()) == {k for k, v in obj.items()
-                                       if v != {}}
+    assert set(written) == {k for k, v in obj.items() if v != {}}
 
 
 # --- read_json_chunked: read_json's result, a few characters at a time -------
