@@ -37,11 +37,12 @@ risk_report.json (`risk.RiskReport`), and `report` writes summary.json,
 its decoded fields with the entries as "pathologies", and summary.csv.
 
 `audit --config` reads a JSON object with the optional sections
-"generative", "mi" and "discriminative", such as {"generative": {"delta":
-0.95}}. Their keys are the fields of GenerativeConfig (but `mi`),
-MIEstimatorConfig and DiscriminativeConfig, each decoded by the kind of its
-type; each value applies to every detector that reads it. The MI seed is
---seed, not a config key. A value its config class rejects exits 2 as well.
+"generative" and "discriminative", one per detector family, such as
+{"generative": {"delta": 0.95}}. Their keys are the fields of
+GenerativeConfig and DiscriminativeConfig, each decoded by the kind of its
+type; each value applies to every detector that reads it. GenerativeConfig's
+`seed`, the MI projection seed, is --seed, not a config key. A value its
+config class rejects exits 2 as well.
 `audit` reads its inputs in this order: the config, the knowledge base,
 the causal fixtures, then the corpus. So when two inputs are bad, the
 error of the one read first is reported. A trace corpus comes last because
@@ -89,10 +90,8 @@ def _load_config(path):
         return {}
     from .discriminative import DiscriminativeConfig
     from .generative import GenerativeConfig
-    from .metrics import MIEstimatorConfig
-    # section -> its config class; the MI estimator is configured in its
-    # own section, not as GenerativeConfig's `mi`, and seeded by --seed
-    config_classes = {"generative": GenerativeConfig, "mi": MIEstimatorConfig,
+    # section -> its config class; GenerativeConfig's seed is --seed
+    config_classes = {"generative": GenerativeConfig,
                       "discriminative": DiscriminativeConfig}
     where = f"config {path}"
     config = decode_object(
@@ -102,7 +101,7 @@ def _load_config(path):
         cls, here = config_classes[section], f"{where}: section {section!r}"
         fields = declare(*((f.name, _TYPE_KINDS[f.type])
                            for f in dataclasses.fields(cls)
-                           if f.name not in ("mi", "seed")))
+                           if f.name != "seed"))
         config[section] = decode_object(fields, body, here)
         # the class checks the ranges, whichever schema the audit reads
         try:
@@ -136,14 +135,13 @@ def _cmd_audit(args):
     # freed before the corpus takes its own, so the two do not add up
     cfg_obj = _load_config(args.config)
     if args.schema == "trace":
-        from . import generative, metrics
+        from . import generative
         # the record-level detectors score each record as its line is read,
         # so the knowledge base they match against is read first
         kb = load_knowledge_base(args.kb) if args.kb else None
         causal = load_causal_fixtures(args.fixtures) if args.fixtures else ()
-        mi = metrics.MIEstimatorConfig(**cfg_obj.get("mi", {}), seed=args.seed)
         step = generative.RecordStep(kb, generative.GenerativeConfig(
-            **cfg_obj.get("generative", {}), mi=mi))
+            **cfg_obj.get("generative", {}), seed=args.seed))
         result = generative.audit_generative(
             load_trace_corpus(args.corpus, record=step), fixtures=causal,
             step=step)
@@ -354,9 +352,9 @@ def build_parser():
     p.add_argument("--kb", help="trace corpora only")
     p.add_argument("--fixtures", help="trace corpora only")
     p.add_argument("--config",
-                   help="JSON object with optional sections generative, "
-                        "mi and discriminative, keyed by the fields of "
-                        "GenerativeConfig, MIEstimatorConfig and "
+                   help="JSON object with optional sections generative "
+                        "and discriminative, keyed by the fields of "
+                        "GenerativeConfig (but seed, which is --seed) and "
                         "DiscriminativeConfig")
     p.add_argument("--seed", type=int, default=0)
 

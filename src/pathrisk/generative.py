@@ -24,7 +24,7 @@ cosine scale (1+cos)/2.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from operator import attrgetter
@@ -33,8 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import metrics
-from .metrics import (MIEstimatorConfig, coherence, fluency, sim,
-                      sim_row_blocks)
+from .metrics import coherence, fluency, sim, sim_row_blocks
 from . import registry
 from .records import TraceRecord
 from .registry import (AuditResult, DetectorError, DetectorOutcome,
@@ -58,7 +57,10 @@ class GenerativeConfig:
     """Crisp defaults for every asymptotic symbol in the detector formulas,
     one value for every detector that reads it; `_DETECTORS` reads the
     thresholds from them. `audit --config` sets the fields from its
-    "generative" section, and `mi` from its "mi" section and --seed."""
+    "generative" section, all but `seed`, which `audit` takes from --seed
+    only, so its manifest holds the seed used. `mi_bins` and `seed` are
+    the bins per axis and the projection seed of bluffing's
+    `metrics.mutual_information`."""
 
     s_hi: float = 0.9            # "approximately 1" similarity
     s_lo: float = 0.3            # "weakly related" similarity
@@ -78,7 +80,8 @@ class GenerativeConfig:
     drift_k: int = 3             # contextual drift lag
     entropy_ridge: float = 1e-6  # covariance ridge for entropy series
     expert_style_id: str = "expert_style_centroid"
-    mi: MIEstimatorConfig = field(default_factory=MIEstimatorConfig)
+    mi_bins: int = 4             # MI bins per axis
+    seed: int = 0                # MI projection seed
 
     def __post_init__(self):
         if not (self.margin > 1.0):
@@ -97,7 +100,8 @@ class GenerativeConfig:
         for name in ("s_lo", "mi_lo", "entropy_ridge"):
             if not (getattr(self, name) >= 0.0):
                 raise ValueError(f"{name} must be non-negative")
-        for name, least in (("window", 2), ("drift_k", 1)):
+        for name, least in (("window", 2), ("drift_k", 1), ("mi_bins", 2),
+                            ("seed", 0)):
             value = getattr(self, name)
             if (isinstance(value, bool)
                     or not isinstance(value, (int, np.integer))
@@ -280,7 +284,7 @@ def _score_semantic_drift(records, cfg):
 def _score_bluffing(records, cfg):
     xs = [r.input_embedding for r in records]
     ys = [r.output_embedding for r in records]
-    mi = metrics.mutual_information(xs, ys, cfg.mi)
+    mi = metrics.mutual_information(xs, ys, cfg.mi_bins, cfg.seed)
     mean_fluency = _mean_fluency(records)
     severity = mean_fluency if mi <= cfg.mi_lo else 0.0
     return severity, {"mutual_information": fmt(mi),

@@ -1,7 +1,7 @@
 """Metric primitives the detector formulas are assembled from.
 
 All functions are pure and deterministic (the mutual-information estimator
-is seeded through its config), so they can be mapped over records in
+takes its seed as an argument), so they can be mapped over records in
 parallel without coordination.
 
 Similarity is cosine. Detector thresholds operate on the clamped scale
@@ -13,7 +13,6 @@ row blocks; the scalar `sim` is their reference.
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,33 +25,6 @@ class MetricError(ValueError):
 
 class InsufficientDataError(MetricError):
     """Too few samples for the requested estimate."""
-
-
-@dataclass(frozen=True)
-class MIEstimatorConfig:
-    """One random projection per side followed by equal-width binning and
-    a plug-in estimate. Adequate for the near-zero versus clearly-positive
-    decisions the detectors make; not a calibrated MI estimator. `audit`
-    takes the seed from --seed only, so its manifest holds the seed used.
-
-    The projections are standard normal draws of the standard library's
-    `random.Random(seed).gauss`, first the x side, then the y side.
-    `random` is loaded with numpy already, while `numpy.random` would
-    load its own libraries and, through `secrets`, OpenSSL's. The seed is
-    non-negative: `random.Random` seeds with its absolute value."""
-
-    num_bins_per_axis: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_bins_per_axis < 2:
-            raise MetricError("num_bins_per_axis must be at least 2")
-        if self.seed < 0:
-            raise MetricError(f"seed must be non-negative, got {self.seed}")
-
-    @property
-    def min_samples(self):
-        return 4 * self.num_bins_per_axis ** 2
 
 
 def sim(a, b, clamp=True):
@@ -146,23 +118,31 @@ def _bin_indices(values, bins):
                       bins - 1)
 
 
-def mutual_information(xs, ys, cfg=MIEstimatorConfig()):
-    """Plug-in MI (nats) of jointly binned random projections of paired
-    samples, one projection per side. Nonnegative; deterministic given
-    cfg.seed."""
+def mutual_information(xs, ys, bins, seed):
+    """Plug-in MI (nats) of paired samples: one random projection per
+    side, equal-width binning into `bins` >= 2 bins per axis, and the
+    plug-in estimate over the joint bins. Nonnegative; deterministic given
+    `seed`. Adequate for the near-zero versus clearly-positive decisions
+    the detectors make; not a calibrated MI estimator. Needs
+    4 * bins ** 2 samples.
+
+    The projections are standard normal draws of the standard library's
+    `random.Random(seed).gauss`, first the x side, then the y side.
+    `random` is loaded with numpy already, while `numpy.random` would
+    load its own libraries and, through `secrets`, OpenSSL's. The seed is
+    non-negative: `random.Random` seeds with its absolute value."""
     X = _as_sample_matrix(xs)
     Y = _as_sample_matrix(ys)
     if X.shape[0] != Y.shape[0]:
         raise MetricError("paired samples must have equal length")
     n = X.shape[0]
-    if n < cfg.min_samples:
+    least = 4 * bins ** 2
+    if n < least:
         raise InsufficientDataError(
-            f"need >= {cfg.min_samples} samples for "
-            f"{cfg.num_bins_per_axis} bins per axis, got {n}")
-    rng = random.Random(cfg.seed)
+            f"need >= {least} samples for {bins} bins per axis, got {n}")
+    rng = random.Random(seed)
     px = np.array([rng.gauss(0.0, 1.0) for _ in range(X.shape[1])])
     py = np.array([rng.gauss(0.0, 1.0) for _ in range(Y.shape[1])])
-    bins = cfg.num_bins_per_axis
     iu = _bin_indices(X @ px, bins)
     iv = _bin_indices(Y @ py, bins)
     joint = np.bincount(iu * bins + iv, minlength=bins * bins) / n

@@ -308,9 +308,8 @@ def pareto_scan(candidates, objectives):
     one length. A point dominates another when it is <= in every objective
     and differs in one; equal points do not dominate each other. All pairs
     are compared at once, as an n x n x k array of booleans. Returns a
-    dict with the surviving candidates in ascending index order, all
-    objective values, and whether the scan certifies non-alignment (Pareto
-    set of size >= 2).
+    dict with the surviving candidates in ascending index order and
+    whether the scan certifies non-alignment (Pareto set of size >= 2).
     """
     candidates = list(candidates)
     if len(candidates) < 2:
@@ -327,5 +326,4 @@ def pareto_scan(candidates, objectives):
     pareto_idx = np.flatnonzero(~(below & ~equal).any(axis=0)).tolist()
     return {"pareto_indices": pareto_idx,
             "pareto_candidates": [candidates[i] for i in pareto_idx],
-            "values": values,
             "non_aligned": len(pareto_idx) >= 2}

@@ -276,14 +276,13 @@ def loop_validation(records):
     return out
 
 
-def loop_mutual_information(xs, ys, cfg):
+def loop_mutual_information(xs, ys, bins, seed):
     """metrics.mutual_information by loops: the x projection is the first
-    len(xs[0]) draws of random.Random(cfg.seed).gauss(0, 1), the y
-    projection the next len(ys[0]); each projected value goes to its
-    equal-width bin over [min, max] (the last bin closed), and the
-    plug-in MI is summed over the occupied cells."""
-    rng = random.Random(cfg.seed)
-    bins = cfg.num_bins_per_axis
+    len(xs[0]) draws of random.Random(seed).gauss(0, 1), the y projection
+    the next len(ys[0]); each projected value goes to its equal-width bin
+    of `bins` over [min, max] (the last bin closed), and the plug-in MI is
+    summed over the occupied cells."""
+    rng = random.Random(seed)
 
     def binned(rows):
         p = [rng.gauss(0.0, 1.0) for _ in range(len(rows[0]))]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import corpora
@@ -18,6 +19,7 @@ from pathrisk.records import (load_causal_fixtures, load_knowledge_base,
                               load_trace_corpus)
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                DetectorOutcome, pathology_ids)
+from oracles import loop_mutual_information
 
 
 def _outputs(directory):
@@ -169,17 +171,25 @@ def test_game_reports_one_exact_round(tmp_path):
     assert [sorted(s) for s in steps] == [["accepted", "eps", "gate"]] * 2
 
 
+def _labelled(label, first, *rest):
+    """A table row whose first value is a list or a dict, its test id made
+    of `label` and the other values, so that adding or deleting a row
+    renames no other test."""
+    return pytest.param(first, *rest, id="-".join(map(str, (label, *rest))))
+
+
 @pytest.mark.parametrize("flags,code,stream,shown", [
     # --tol 0: no sample estimate of the density matches it exactly
-    (["--dim", "2", "--tol", "0", "--samples", "10000"], 1, "out",
-     "holonorm-verify: FAIL"),
-    (["--dim", "0"], 2, "err", "error: dimension must be >= 1"),
-    (["--dim", "2", "--tol", "-1"], 2, "err",
-     "error: tolerance -1.0 must be >= 0"),
-    (["--dim", "2", "--tol", "nan"], 2, "err",
-     "error: tolerance nan must be >= 0"),
-    (["--dim", "2", "--seed", "-1"], 2, "err",
-     "error: seed -1 must be a nonnegative integer")])
+    _labelled("flags0", ["--dim", "2", "--tol", "0", "--samples", "10000"],
+              1, "out", "holonorm-verify: FAIL"),
+    _labelled("flags1", ["--dim", "0"], 2, "err",
+              "error: dimension must be >= 1"),
+    _labelled("flags2", ["--dim", "2", "--tol", "-1"], 2, "err",
+              "error: tolerance -1.0 must be >= 0"),
+    _labelled("flags3", ["--dim", "2", "--tol", "nan"], 2, "err",
+              "error: tolerance nan must be >= 0"),
+    _labelled("flags4", ["--dim", "2", "--seed", "-1"], 2, "err",
+              "error: seed -1 must be a nonnegative integer")])
 def test_holonorm_verify_tells_a_failed_identity_from_a_bad_input(
         tmp_path, capsys, flags, code, stream, shown):
     argv = ["holonorm-verify", "--seed", "0", "--out", str(tmp_path / "out")]
@@ -363,46 +373,52 @@ def test_config_sets_a_threshold(tmp_path, pathology, section, key, default,
 
 
 @pytest.mark.parametrize("config,named", [
-    ({"detectors": {}}, "'detectors'"),
-    ({"generative": {"s_high": 0.8}}, "'s_high'"),
-    ({"discriminative": {"ece": 0.2}}, "'ece'"),
-    ({"mi": {"bins": 3}}, "'bins'"),
-    ({"generative_overrides": {"delusion": {"margin": 5.0}}},
-     "'generative_overrides'"),
-    ({"discriminative_overrides": {"overfitting": {"gap_hi": 0.5}}},
-     "'discriminative_overrides'"),
-    ({"discriminative": {"drift_window": [[0, 10], [20, 30]]}},
-     "'drift_window'"),
-    ({"generative": {"mi": {"seed": 3}}, "mi": {"seed": 4}}, "'mi'"),
+    _labelled("config0", {"detectors": {}}, "'detectors'"),
+    _labelled("config1", {"generative": {"s_high": 0.8}}, "'s_high'"),
+    _labelled("config2", {"discriminative": {"ece": 0.2}}, "'ece'"),
+    _labelled("config3", {"generative": {"bins": 3}}, "'bins'"),
+    _labelled("config4", {"generative_overrides": {
+        "delusion": {"margin": 5.0}}}, "'generative_overrides'"),
+    _labelled("config5", {"discriminative_overrides": {
+        "overfitting": {"gap_hi": 0.5}}}, "'discriminative_overrides'"),
+    _labelled("config6", {"discriminative": {
+        "drift_window": [[0, 10], [20, 30]]}}, "'drift_window'"),
+    _labelled("config7", {"generative": {"mi": {"seed": 3}}}, "'mi'"),
     # known keys with a value of the wrong type or out of range
-    ({"generative": {"delta": "0.99"}}, "'delta'"),
-    ({"generative": {"window": 5.5}}, "'window'"),
-    ({"generative": {"expert_style_id": 3}}, "'expert_style_id'"),
-    ({"discriminative": {"ece_hi": True}}, "'ece_hi'"),
-    ({"discriminative": {"n_min": None}}, "'n_min'"),
-    ({"mi": {"seed": 1.0}}, "'seed'"),
-    ({"discriminative": {"ece_bins": 0}}, "ece_bins"),
-    ({"discriminative": {"gap_hi": 1.5}}, "gap_hi"),
-    ({"discriminative": {"tol_t": -1}}, "tol_t"),
-    ({"mi": {"num_bins_per_axis": 1}}, "num_bins_per_axis"),
-    ({"generative": {"s_hi": 2.0}}, "s_hi"),
-    ({"generative": {"s_indep": -0.1}}, "s_indep"),
-    ({"generative": {"gamma": 1.5}}, "gamma"),
-    ({"generative": {"delta": -1}}, "delta"),
-    ({"generative": {"f_hi": 1.01}}, "f_hi"),
-    ({"generative": {"d_hi": -0.5}}, "d_hi"),
-    ({"generative": {"tv_tol": 2}}, "tv_tol"),
-    ({"generative": {"rho": 1.1}}, "rho"),
-    ({"generative": {"s_lo": -0.2}}, "s_lo"),
-    ({"generative": {"mi_lo": -0.01}}, "mi_lo"),
-    ({"generative": {"window": 1}}, "window"),
-    ({"generative": {"drift_k": -1}}, "drift_k"),
-    ({"generative": {"drift_k": 0}}, "drift_k"),
-    ({"generative": {"entropy_ridge": -1e-6}}, "entropy_ridge"),
+    _labelled("config8", {"generative": {"delta": "0.99"}}, "'delta'"),
+    _labelled("config9", {"generative": {"window": 5.5}}, "'window'"),
+    _labelled("config10", {"generative": {"expert_style_id": 3}},
+              "'expert_style_id'"),
+    _labelled("config11", {"discriminative": {"ece_hi": True}}, "'ece_hi'"),
+    _labelled("config12", {"discriminative": {"n_min": None}}, "'n_min'"),
+    _labelled("config13", {"generative": {"seed": 1.0}}, "'seed'"),
+    _labelled("config14", {"discriminative": {"ece_bins": 0}}, "ece_bins"),
+    _labelled("config15", {"discriminative": {"gap_hi": 1.5}}, "gap_hi"),
+    _labelled("config16", {"discriminative": {"tol_t": -1}}, "tol_t"),
+    _labelled("config17", {"generative": {"mi_bins": 1}}, "mi_bins"),
+    _labelled("config18", {"generative": {"s_hi": 2.0}}, "s_hi"),
+    _labelled("config19", {"generative": {"s_indep": -0.1}}, "s_indep"),
+    _labelled("config20", {"generative": {"gamma": 1.5}}, "gamma"),
+    _labelled("config21", {"generative": {"delta": -1}}, "delta"),
+    _labelled("config22", {"generative": {"f_hi": 1.01}}, "f_hi"),
+    _labelled("config23", {"generative": {"d_hi": -0.5}}, "d_hi"),
+    _labelled("config24", {"generative": {"tv_tol": 2}}, "tv_tol"),
+    _labelled("config25", {"generative": {"rho": 1.1}}, "rho"),
+    _labelled("config26", {"generative": {"s_lo": -0.2}}, "s_lo"),
+    _labelled("config27", {"generative": {"mi_lo": -0.01}}, "mi_lo"),
+    _labelled("config28", {"generative": {"window": 1}}, "window"),
+    _labelled("config29", {"generative": {"drift_k": -1}}, "drift_k"),
+    _labelled("config30", {"generative": {"drift_k": 0}}, "drift_k"),
+    _labelled("config31", {"generative": {"entropy_ridge": -1e-6}},
+              "entropy_ridge"),
     # a key of a removed field
-    ({"mi": {"projection_dims": 1}}, "'projection_dims'"),
+    _labelled("config32", {"generative": {"projection_dims": 1}},
+              "'projection_dims'"),
     # turn_boundary_failure divides by tol_t
-    ({"discriminative": {"tol_t": 0}}, "tol_t")])
+    _labelled("config33", {"discriminative": {"tol_t": 0}}, "tol_t"),
+    # the MI seed is --seed, and its bin count a generative field
+    _labelled("config34", {"generative": {"seed": 1}}, "'seed'"),
+    _labelled("config35", {"mi": {"num_bins_per_axis": 4}}, "'mi'")])
 def test_config_rejects_unknown_keys(tmp_path, capsys, config, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -412,6 +428,44 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, config, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "out" / "outcomes.json").exists()
+
+
+def test_config_sets_the_mi_bins_and_seed_the_projections(tmp_path):
+    # bluffing's records with dependent embeddings, so that its estimate
+    # differs between bin counts and between seeds
+    local = np.random.default_rng(3)
+    inputs = local.standard_normal((80, 4))
+    outputs = np.tanh(inputs @ local.standard_normal((4, 4))) \
+        + 0.3 * local.standard_normal((80, 4))
+    records = corpora.generative_fixture("bluffing", True)["records"]
+    corpus = tmp_path / "corpus.jsonl"
+    corpora.write_input(corpus, [
+        dataclasses.replace(r, input_embedding=x, output_embedding=y)
+        for r, x, y in zip(records, inputs, outputs)])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"generative": {"mi_bins": 2}}))
+    out = tmp_path / "out"
+    assert cli.main(["audit", "--corpus", str(corpus), "--config",
+                     str(config), "--seed", "7", "--out", str(out)]) == 0
+    bluffing, = [o for o in json.loads(
+        (out / "outcomes.json").read_text())["outcomes"]
+        if o["pathology"] == "bluffing"]
+    estimate = float(bluffing["evidence"]["mutual_information"])
+    assert estimate == pytest.approx(
+        loop_mutual_information(inputs, outputs, 2, 7), abs=1e-10)
+    for bins, seed in ((4, 7), (2, 0)):
+        assert estimate != pytest.approx(
+            loop_mutual_information(inputs, outputs, bins, seed), abs=1e-3)
+
+
+def test_a_negative_seed_is_reported_before_the_corpus(tmp_path, capsys):
+    argv = _trace_audit(tmp_path)
+    (tmp_path / "corpus.jsonl").write_text(
+        '{"id": "r1", "truth_embeding": [1.0, 0.0, 0.0, 0.0]}\n')
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad_corpus", [False, True],
@@ -503,9 +557,9 @@ def test_removed_settings_exit_2_naming_them(tmp_path, capsys, removed):
                        "--seed", "1"], "unrecognized arguments: --seed 1"
     elif removed == "config mi seed":
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"mi": {"seed": 1}}))
+        config.write_text(json.dumps({"generative": {"seed": 1}}))
         argv = trace + ["--config", str(config)]
-        named = "section 'mi', field 'seed': unknown field"
+        named = "section 'generative', field 'seed': unknown field"
     else:
         # a valid knowledge base and fixture file, which a trace audit reads
         flag = removed.split()[1]
@@ -580,8 +634,10 @@ _OUTCOME_KEYS = {"pathology", "record_ids", "severity", "threshold",
 
 
 @pytest.mark.parametrize("subcommand,family", [
-    ("audit-trace", GENERATIVE_DETECTORS),
-    ("audit-classification", DISCRIMINATIVE_DETECTORS)])
+    pytest.param("audit-trace", GENERATIVE_DETECTORS,
+                 id="audit-trace-family0"),
+    pytest.param("audit-classification", DISCRIMINATIVE_DETECTORS,
+                 id="audit-classification-family1")])
 def test_outcomes_hold_only_the_values_that_determine_them(
         tmp_path, capsys, subcommand, family):
     audited = tmp_path / "audited"
@@ -991,8 +1047,9 @@ _MALFORMED = [
     _row("bad76", "config", {"generative": {"expert_style_id": None}},
          "config {where}: section 'generative', field 'expert_style_id': "
          "expected a string, got null"),
-    _row("bad77", "config", {"mi": []},
-         "config {where}, field 'mi': expected an object, got []"),
+    _row("bad77", "config", {"discriminative": []},
+         "config {where}, field 'discriminative': expected an object, got "
+         "[]"),
     _row("bad78", "risk-report", {"feasible": None},
          "risk report {where}, field 'feasible': missing mandatory field"),
     _row("bad79", "risk-report", {"tau": "0.9"},

@@ -612,6 +612,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             GenerativeConfig(**{name: math.nan})
 
+    @pytest.mark.parametrize("name,value", [
+        ("mi_bins", 1), ("mi_bins", 2.0), ("mi_bins", True), ("seed", -1)])
+    def test_mi_settings_are_integers_in_range(self, name, value):
+        # bluffing's MI estimate needs two bins per axis, and
+        # random.Random would take -1 for the seed 1
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GenerativeConfig(**{name: value})
+
 
 class TestSemanticDrift:
     def _outcomes(self, records):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pathrisk.metrics import (InsufficientDataError, LOG_2PI_E, MetricError,
-                              MIEstimatorConfig,
                               avg_pairwise_similarity, coherence,
                               contextual_distance, fluency,
                               mutual_information, semantic_entropy, sim,
@@ -156,11 +155,11 @@ class TestFluency:
 
 
 class TestMutualInformation:
-    CFG = MIEstimatorConfig(num_bins_per_axis=2, seed=5)
+    BINS, SEED = 2, 5
 
     def test_identical_samples_near_ln2(self, rng):
         xs = rng.uniform(size=1000)
-        estimate = mutual_information(xs, xs, self.CFG)
+        estimate = mutual_information(xs, xs, self.BINS, self.SEED)
         assert estimate >= 0.6
         # oracle: exact plug-in on the known 2-bin contingency of the data;
         # binning a monotone scalar map of xs yields the same partition
@@ -174,23 +173,23 @@ class TestMutualInformation:
     def test_independent_samples_near_zero(self, rng):
         xs = rng.uniform(size=1000)
         ys = rng.uniform(size=1000)
-        assert mutual_information(xs, ys, self.CFG) <= 0.05
+        assert mutual_information(xs, ys, self.BINS, self.SEED) <= 0.05
 
     def test_constant_marginal_zero(self, rng):
         xs = rng.uniform(size=1000)
         ys = np.full(1000, 0.7)
-        assert mutual_information(xs, ys, self.CFG) == 0.0
+        assert mutual_information(xs, ys, self.BINS, self.SEED) == 0.0
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            mutual_information([1.0] * 10, [1.0] * 10, self.CFG)
+            mutual_information([1.0] * 10, [1.0] * 10, self.BINS,
+                               self.SEED)
 
     def test_deterministic_given_seed(self, rng):
         xs = rng.standard_normal((500, 3))
         ys = rng.standard_normal((500, 3))
-        cfg = MIEstimatorConfig(num_bins_per_axis=2, seed=9)
-        assert mutual_information(xs, ys, cfg) == \
-            mutual_information(xs, ys, cfg)
+        assert mutual_information(xs, ys, 2, 9) == \
+            mutual_information(xs, ys, 2, 9)
 
     def test_dependence_beats_shuffle_statistically(self):
         # MI(x, x) >= MI(x, shuffled x) in at least 99 of 100 seeded trials
@@ -199,9 +198,8 @@ class TestMutualInformation:
             local = np.random.default_rng(seed)
             xs = local.uniform(size=1000)
             shuffled = local.permutation(xs)
-            cfg = MIEstimatorConfig(num_bins_per_axis=2, seed=seed)
-            if mutual_information(xs, xs, cfg) >= \
-                    mutual_information(xs, shuffled, cfg):
+            if mutual_information(xs, xs, 2, seed) >= \
+                    mutual_information(xs, shuffled, 2, seed):
                 wins += 1
         assert wins >= 99
 
@@ -214,13 +212,8 @@ class TestMutualInformation:
         # ys depend on xs through a random map, plus noise
         ys = np.tanh(xs @ local.standard_normal((dx, dy))) \
             + 0.3 * local.standard_normal((n, dy))
-        cfg = MIEstimatorConfig(num_bins_per_axis=bins, seed=seed)
-        assert mutual_information(xs, ys, cfg) == pytest.approx(
-            loop_mutual_information(xs, ys, cfg), abs=1e-12)
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(MetricError, match="seed"):
-            MIEstimatorConfig(seed=-1)
+        assert mutual_information(xs, ys, bins, seed) == pytest.approx(
+            loop_mutual_information(xs, ys, bins, seed), abs=1e-12)
 
 
 class TestCoherence:
