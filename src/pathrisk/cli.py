@@ -43,11 +43,14 @@ GenerativeConfig and DiscriminativeConfig, each decoded by the kind of its
 type; each value applies to every detector that reads it. GenerativeConfig's
 `seed`, the MI projection seed, is --seed, not a config key. A value its
 config class rejects exits 2 as well.
-`audit` reads its inputs in this order: the config, the knowledge base,
-the causal fixtures, then the corpus. So when two inputs are bad, the
-error of the one read first is reported. A trace corpus comes last because
-its record-level detectors score each record as its line is read, against
-the knowledge base; only the fields the other detectors read are kept.
+`audit` checks --seed before it reads any file, for either schema, as
+`risk` checks --tau. It then reads its inputs in this order: the config,
+the knowledge base, the causal fixtures, then the corpus. So when two
+inputs are bad, the error of the one read first is reported. A trace
+corpus comes last because its record-level detectors score each record as
+its line is read, against the knowledge base; only the fields the other
+detectors read are kept, and the knowledge base is freed when the corpus
+has been read, before the other detectors run.
 
 Importing this module loads only `records`, `registry` and `jsonio` of the
 package, which every subcommand runs; each subcommand imports the rest
@@ -127,6 +130,9 @@ def _write(args, files, manifest):
 
 
 def _cmd_audit(args):
+    # a bad --seed is rejected before any file is read, for both schemas
+    if args.seed < 0:
+        raise ValueError("seed must be an integer >= 0")
     for flag in ("kb", "fixtures"):
         if args.schema == "classification" and getattr(args, flag):
             raise ValueError(f"--{flag} applies to trace corpora only")
@@ -137,11 +143,14 @@ def _cmd_audit(args):
     if args.schema == "trace":
         from . import generative
         # the record-level detectors score each record as its line is read,
-        # so the knowledge base they match against is read first
-        kb = load_knowledge_base(args.kb) if args.kb else None
+        # so the knowledge base they match against is read first. The step
+        # holds the only reference to it, which the audit drops once the
+        # load ends
+        step = generative.RecordStep(
+            load_knowledge_base(args.kb) if args.kb else None,
+            generative.GenerativeConfig(**cfg_obj.get("generative", {}),
+                                        seed=args.seed))
         causal = load_causal_fixtures(args.fixtures) if args.fixtures else ()
-        step = generative.RecordStep(kb, generative.GenerativeConfig(
-            **cfg_obj.get("generative", {}), seed=args.seed))
         result = generative.audit_generative(
             load_trace_corpus(args.corpus, record=step), fixtures=causal,
             step=step)

@@ -296,6 +296,16 @@ def _score_bluffing(records, cfg):
 _TILE_ELEMENTS = 1 << 16
 
 
+def _self_similarity_blocks(vectors, rows):
+    """`sim_row_blocks` of the vectors, stacked into one matrix, against
+    themselves. The matrix is stacked when the first block is asked for
+    and freed once the last block is formed."""
+    matrix = np.asarray(vectors, dtype=float)
+    blocks = sim_row_blocks(matrix, matrix, rows)
+    del matrix   # sim_row_blocks holds the only reference
+    yield from blocks
+
+
 def _extreme_output_pair(records, input_bound, none_message, lowest):
     """Lowest (or highest) output similarity over pairs i < j with input
     similarity below input_bound, and its witness ids.
@@ -304,15 +314,23 @@ def _extreme_output_pair(records, input_bound, none_message, lowest):
     at most _TILE_ELEMENTS entries, and never less than one row, so the
     memory is O(_TILE_ELEMENTS + n d), not O(n^2). A block's extreme
     replaces the best so far only when strictly better, so a tie goes to
-    the first pair in row-major (i, j) order, as over the whole matrix."""
+    the first pair in row-major (i, j) order, as over the whole matrix.
+
+    The stacked n x d input matrix lives from the first input block to
+    the last; the output matrix is stacked only after the first input
+    block's mask is formed. So when one block covers every row, the input
+    matrix is freed before the output matrix exists, and at most one
+    stacked matrix and the copy that its block takes are alive at once;
+    with more blocks, both matrices are alive from the first output block
+    to the last input block."""
     n = len(records)
     rows = max(1, _TILE_ELEMENTS // max(n, 1))
-    inputs = np.asarray([r.input_embedding for r in records], dtype=float)
-    outputs = np.asarray([r.output_embedding for r in records], dtype=float)
     fill = np.inf if lowest else -np.inf
     best = (fill, -1, -1)   # (similarity, i, j); i < 0 until a pair counts
-    input_blocks = sim_row_blocks(inputs, inputs, rows)
-    output_blocks = sim_row_blocks(outputs, outputs, rows)
+    input_blocks = _self_similarity_blocks(
+        [r.input_embedding for r in records], rows)
+    output_blocks = _self_similarity_blocks(
+        [r.output_embedding for r in records], rows)
     for start in range(0, n, rows):
         # the input block lives only until its mask is formed
         excluded = next(input_blocks) >= input_bound
@@ -512,7 +530,7 @@ def _units(arity, eligible, fixtures):
             "fewer than 2 eligible records")
 
 
-def _score_units(pathology, units, cfg, kb):
+def _score_units(pathology, units, cfg, kb=None):
     """(the detector's outcomes on the units it scores, {unit ids: reason}
     of those it drops)."""
     arity = _DETECTORS[pathology].arity
@@ -545,7 +563,13 @@ class RecordStep:
     trimmed to the fields the pair, sequence and corpus detectors read
     (`_KEPT`), so a record's other vectors are freed as soon as it is
     scored. `audit_generative` takes the rows, the outcomes and the
-    dropped units from it."""
+    dropped units from it.
+
+    Only record-level detectors read the knowledge base, so the step
+    holds it in `kb` only until the load ends: `audit_generative` sets
+    `kb` to None before it builds the other detectors' units, and a
+    caller that keeps no reference of its own has the knowledge base
+    freed then. A knowledge-base detector absent from `found` had none."""
 
     def __init__(self, kb=None, cfg=GenerativeConfig()):
         self.kb, self.cfg = kb, cfg
@@ -581,6 +605,9 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig(),
     the audit then takes its knowledge base and config from `step`, not
     from `kb` and `cfg`. Without it, each record of `corpus` goes through
     a new RecordStep(kb, cfg) here, so the two give the same result.
+    Either way the step's knowledge base is released once the records
+    have been through it, before the pair, sequence, corpus and fixture
+    detectors run, none of which reads it.
 
     The `validate_corpus` report is built once from the step's presence
     rows, and each other detector takes the records it lists as
@@ -596,13 +623,14 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig(),
     if step is None:
         step = RecordStep(kb, cfg)
         corpus = [step(i, rec) for i, rec in enumerate(corpus)]
+    step.kb = None   # the record-level detectors are done with it
     # looked up on its module, where the traced benchmark run rebinds it
     validation = registry.validate_corpus(corpus, step.rows)
     outcomes = []
     skipped = {}
     dropped = {}
     for pathology, detector in _DETECTORS.items():
-        if detector.needs_kb and step.kb is None:
+        if detector.needs_kb and pathology not in step.found:
             skipped[pathology] = "no knowledge base supplied"
             continue
         if detector.arity is Arity.RECORD:
@@ -612,7 +640,7 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig(),
             eligible = [corpus[i]
                         for i in validation.eligible(pathology).tolist()]
             units, reason = _units(detector.arity, eligible, fixtures)
-            found, lost = _score_units(pathology, units, step.cfg, step.kb)
+            found, lost = _score_units(pathology, units, step.cfg)
         outcomes += found
         if lost:
             dropped[pathology] = lost

@@ -83,10 +83,16 @@ def sim_row_blocks(a, b, rows):
     """`sim_matrix(a, b)` in blocks of `rows` rows of a (the last may be
     shorter), in order. The norms of b are taken once; a block that
     shares memory with b is copied, not b, so the memory beyond the
-    inputs is one block and its rows."""
+    inputs is one block and its rows. It lets go of a and b once the last
+    block is formed, so inputs that only it holds are freed before the
+    caller receives that block."""
     a, b, nb = _columns(a, b)
-    for start in range(0, len(a), rows):
-        yield _sim_block(a[start:start + rows], b, nb, True)
+    n = len(a)
+    for start in range(0, n, rows):
+        block = _sim_block(a[start:start + rows], b, nb, True)
+        if start + rows >= n:
+            a = b = None
+        yield block
 
 
 def fluency(token_logprobs):
@@ -118,6 +124,14 @@ def _bin_indices(values, bins):
                       bins - 1)
 
 
+def _projection(samples, rng):
+    """The samples, stacked, projected on one direction of standard
+    normal draws from rng; the stacked matrix is freed on return."""
+    matrix = _as_sample_matrix(samples)
+    return matrix @ np.array([rng.gauss(0.0, 1.0)
+                              for _ in range(matrix.shape[1])])
+
+
 def mutual_information(xs, ys, bins, seed):
     """Plug-in MI (nats) of paired samples: one random projection per
     side, equal-width binning into `bins` >= 2 bins per axis, and the
@@ -130,21 +144,22 @@ def mutual_information(xs, ys, bins, seed):
     `random.Random(seed).gauss`, first the x side, then the y side.
     `random` is loaded with numpy already, while `numpy.random` would
     load its own libraries and, through `secrets`, OpenSSL's. The seed is
-    non-negative: `random.Random` seeds with its absolute value."""
-    X = _as_sample_matrix(xs)
-    Y = _as_sample_matrix(ys)
-    if X.shape[0] != Y.shape[0]:
+    non-negative: `random.Random` seeds with its absolute value.
+
+    The x samples are stacked, projected and freed before the y samples
+    are stacked, so one stacked sample matrix is alive at a time."""
+    rng = random.Random(seed)
+    u = _projection(xs, rng)
+    v = _projection(ys, rng)
+    if len(u) != len(v):
         raise MetricError("paired samples must have equal length")
-    n = X.shape[0]
+    n = len(u)
     least = 4 * bins ** 2
     if n < least:
         raise InsufficientDataError(
             f"need >= {least} samples for {bins} bins per axis, got {n}")
-    rng = random.Random(seed)
-    px = np.array([rng.gauss(0.0, 1.0) for _ in range(X.shape[1])])
-    py = np.array([rng.gauss(0.0, 1.0) for _ in range(Y.shape[1])])
-    iu = _bin_indices(X @ px, bins)
-    iv = _bin_indices(Y @ py, bins)
+    iu = _bin_indices(u, bins)
+    iv = _bin_indices(v, bins)
     joint = np.bincount(iu * bins + iv, minlength=bins * bins) / n
     pu = joint.reshape(bins, bins).sum(axis=1)
     pv = joint.reshape(bins, bins).sum(axis=0)

@@ -19,6 +19,7 @@ from pathrisk.records import (load_causal_fixtures, load_knowledge_base,
                               load_trace_corpus)
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                DetectorOutcome, pathology_ids)
+from conftest import labelled
 from oracles import loop_mutual_information
 
 
@@ -171,25 +172,18 @@ def test_game_reports_one_exact_round(tmp_path):
     assert [sorted(s) for s in steps] == [["accepted", "eps", "gate"]] * 2
 
 
-def _labelled(label, first, *rest):
-    """A table row whose first value is a list or a dict, its test id made
-    of `label` and the other values, so that adding or deleting a row
-    renames no other test."""
-    return pytest.param(first, *rest, id="-".join(map(str, (label, *rest))))
-
-
 @pytest.mark.parametrize("flags,code,stream,shown", [
     # --tol 0: no sample estimate of the density matches it exactly
-    _labelled("flags0", ["--dim", "2", "--tol", "0", "--samples", "10000"],
-              1, "out", "holonorm-verify: FAIL"),
-    _labelled("flags1", ["--dim", "0"], 2, "err",
-              "error: dimension must be >= 1"),
-    _labelled("flags2", ["--dim", "2", "--tol", "-1"], 2, "err",
-              "error: tolerance -1.0 must be >= 0"),
-    _labelled("flags3", ["--dim", "2", "--tol", "nan"], 2, "err",
-              "error: tolerance nan must be >= 0"),
-    _labelled("flags4", ["--dim", "2", "--seed", "-1"], 2, "err",
-              "error: seed -1 must be a nonnegative integer")])
+    labelled("flags0", ["--dim", "2", "--tol", "0", "--samples", "10000"],
+             1, "out", "holonorm-verify: FAIL"),
+    labelled("flags1", ["--dim", "0"], 2, "err",
+             "error: dimension must be >= 1"),
+    labelled("flags2", ["--dim", "2", "--tol", "-1"], 2, "err",
+             "error: tolerance -1.0 must be >= 0"),
+    labelled("flags3", ["--dim", "2", "--tol", "nan"], 2, "err",
+             "error: tolerance nan must be >= 0"),
+    labelled("flags4", ["--dim", "2", "--seed", "-1"], 2, "err",
+             "error: seed -1 must be a nonnegative integer")])
 def test_holonorm_verify_tells_a_failed_identity_from_a_bad_input(
         tmp_path, capsys, flags, code, stream, shown):
     argv = ["holonorm-verify", "--seed", "0", "--out", str(tmp_path / "out")]
@@ -373,52 +367,52 @@ def test_config_sets_a_threshold(tmp_path, pathology, section, key, default,
 
 
 @pytest.mark.parametrize("config,named", [
-    _labelled("config0", {"detectors": {}}, "'detectors'"),
-    _labelled("config1", {"generative": {"s_high": 0.8}}, "'s_high'"),
-    _labelled("config2", {"discriminative": {"ece": 0.2}}, "'ece'"),
-    _labelled("config3", {"generative": {"bins": 3}}, "'bins'"),
-    _labelled("config4", {"generative_overrides": {
+    labelled("config0", {"detectors": {}}, "'detectors'"),
+    labelled("config1", {"generative": {"s_high": 0.8}}, "'s_high'"),
+    labelled("config2", {"discriminative": {"ece": 0.2}}, "'ece'"),
+    labelled("config3", {"generative": {"bins": 3}}, "'bins'"),
+    labelled("config4", {"generative_overrides": {
         "delusion": {"margin": 5.0}}}, "'generative_overrides'"),
-    _labelled("config5", {"discriminative_overrides": {
+    labelled("config5", {"discriminative_overrides": {
         "overfitting": {"gap_hi": 0.5}}}, "'discriminative_overrides'"),
-    _labelled("config6", {"discriminative": {
+    labelled("config6", {"discriminative": {
         "drift_window": [[0, 10], [20, 30]]}}, "'drift_window'"),
-    _labelled("config7", {"generative": {"mi": {"seed": 3}}}, "'mi'"),
+    labelled("config7", {"generative": {"mi": {"seed": 3}}}, "'mi'"),
     # known keys with a value of the wrong type or out of range
-    _labelled("config8", {"generative": {"delta": "0.99"}}, "'delta'"),
-    _labelled("config9", {"generative": {"window": 5.5}}, "'window'"),
-    _labelled("config10", {"generative": {"expert_style_id": 3}},
-              "'expert_style_id'"),
-    _labelled("config11", {"discriminative": {"ece_hi": True}}, "'ece_hi'"),
-    _labelled("config12", {"discriminative": {"n_min": None}}, "'n_min'"),
-    _labelled("config13", {"generative": {"seed": 1.0}}, "'seed'"),
-    _labelled("config14", {"discriminative": {"ece_bins": 0}}, "ece_bins"),
-    _labelled("config15", {"discriminative": {"gap_hi": 1.5}}, "gap_hi"),
-    _labelled("config16", {"discriminative": {"tol_t": -1}}, "tol_t"),
-    _labelled("config17", {"generative": {"mi_bins": 1}}, "mi_bins"),
-    _labelled("config18", {"generative": {"s_hi": 2.0}}, "s_hi"),
-    _labelled("config19", {"generative": {"s_indep": -0.1}}, "s_indep"),
-    _labelled("config20", {"generative": {"gamma": 1.5}}, "gamma"),
-    _labelled("config21", {"generative": {"delta": -1}}, "delta"),
-    _labelled("config22", {"generative": {"f_hi": 1.01}}, "f_hi"),
-    _labelled("config23", {"generative": {"d_hi": -0.5}}, "d_hi"),
-    _labelled("config24", {"generative": {"tv_tol": 2}}, "tv_tol"),
-    _labelled("config25", {"generative": {"rho": 1.1}}, "rho"),
-    _labelled("config26", {"generative": {"s_lo": -0.2}}, "s_lo"),
-    _labelled("config27", {"generative": {"mi_lo": -0.01}}, "mi_lo"),
-    _labelled("config28", {"generative": {"window": 1}}, "window"),
-    _labelled("config29", {"generative": {"drift_k": -1}}, "drift_k"),
-    _labelled("config30", {"generative": {"drift_k": 0}}, "drift_k"),
-    _labelled("config31", {"generative": {"entropy_ridge": -1e-6}},
-              "entropy_ridge"),
+    labelled("config8", {"generative": {"delta": "0.99"}}, "'delta'"),
+    labelled("config9", {"generative": {"window": 5.5}}, "'window'"),
+    labelled("config10", {"generative": {"expert_style_id": 3}},
+             "'expert_style_id'"),
+    labelled("config11", {"discriminative": {"ece_hi": True}}, "'ece_hi'"),
+    labelled("config12", {"discriminative": {"n_min": None}}, "'n_min'"),
+    labelled("config13", {"generative": {"seed": 1.0}}, "'seed'"),
+    labelled("config14", {"discriminative": {"ece_bins": 0}}, "ece_bins"),
+    labelled("config15", {"discriminative": {"gap_hi": 1.5}}, "gap_hi"),
+    labelled("config16", {"discriminative": {"tol_t": -1}}, "tol_t"),
+    labelled("config17", {"generative": {"mi_bins": 1}}, "mi_bins"),
+    labelled("config18", {"generative": {"s_hi": 2.0}}, "s_hi"),
+    labelled("config19", {"generative": {"s_indep": -0.1}}, "s_indep"),
+    labelled("config20", {"generative": {"gamma": 1.5}}, "gamma"),
+    labelled("config21", {"generative": {"delta": -1}}, "delta"),
+    labelled("config22", {"generative": {"f_hi": 1.01}}, "f_hi"),
+    labelled("config23", {"generative": {"d_hi": -0.5}}, "d_hi"),
+    labelled("config24", {"generative": {"tv_tol": 2}}, "tv_tol"),
+    labelled("config25", {"generative": {"rho": 1.1}}, "rho"),
+    labelled("config26", {"generative": {"s_lo": -0.2}}, "s_lo"),
+    labelled("config27", {"generative": {"mi_lo": -0.01}}, "mi_lo"),
+    labelled("config28", {"generative": {"window": 1}}, "window"),
+    labelled("config29", {"generative": {"drift_k": -1}}, "drift_k"),
+    labelled("config30", {"generative": {"drift_k": 0}}, "drift_k"),
+    labelled("config31", {"generative": {"entropy_ridge": -1e-6}},
+             "entropy_ridge"),
     # a key of a removed field
-    _labelled("config32", {"generative": {"projection_dims": 1}},
-              "'projection_dims'"),
+    labelled("config32", {"generative": {"projection_dims": 1}},
+             "'projection_dims'"),
     # turn_boundary_failure divides by tol_t
-    _labelled("config33", {"discriminative": {"tol_t": 0}}, "tol_t"),
+    labelled("config33", {"discriminative": {"tol_t": 0}}, "tol_t"),
     # the MI seed is --seed, and its bin count a generative field
-    _labelled("config34", {"generative": {"seed": 1}}, "'seed'"),
-    _labelled("config35", {"mi": {"num_bins_per_axis": 4}}, "'mi'")])
+    labelled("config34", {"generative": {"seed": 1}}, "'seed'"),
+    labelled("config35", {"mi": {"num_bins_per_axis": 4}}, "'mi'")])
 def test_config_rejects_unknown_keys(tmp_path, capsys, config, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -462,6 +456,34 @@ def test_a_negative_seed_is_reported_before_the_corpus(tmp_path, capsys):
     argv = _trace_audit(tmp_path)
     (tmp_path / "corpus.jsonl").write_text(
         '{"id": "r1", "truth_embeding": [1.0, 0.0, 0.0, 0.0]}\n')
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("written", [True, False], ids=["valid", "absent"])
+@pytest.mark.parametrize("schema", ["trace", "classification"])
+def test_a_negative_seed_exits_2_before_any_file_is_read(tmp_path, capsys,
+                                                         schema, written):
+    # with every input absent, a file read ahead of the seed check would
+    # be the error reported; a classification audit, which draws nothing,
+    # rejects the seed as a trace audit does
+    corpus, config = tmp_path / "corpus.jsonl", tmp_path / "config.json"
+    argv = ["audit", "--corpus", str(corpus), "--schema", schema,
+            "--config", str(config)]
+    inputs = {config: {}}
+    if schema == "trace":
+        kb, causal = tmp_path / "kb.json", tmp_path / "fixtures.json"
+        argv += ["--kb", str(kb), "--fixtures", str(causal)]
+        inputs |= {corpus: corpora.demo_trace_corpus(),
+                   kb: corpora.standard_kb(),
+                   causal: corpora.demo_causal_fixture()}
+    else:
+        inputs[corpus] = corpora.demo_classification_rows()
+    if written:
+        for path, value in inputs.items():
+            corpora.write_input(path, value)
     out = tmp_path / "out"
     assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: seed must be an integer >= 0\n"

@@ -62,8 +62,9 @@ def test_a_seed_that_is_not_a_nonnegative_integer_is_rejected(seed):
 # 21,845 rows of 3 are the D = 3 row block of the density check's draw:
 # 65,535 values, so the chunks of 4,096 values never line up with it
 @pytest.mark.parametrize("rows, splits", [
-    (1, [1]), (10_000, [1, 3, 4095, 4097, 7]),
-    (65_542, [21_845, 21_845, 21_845])])
+    pytest.param(1, [1], id="1-splits0"),
+    pytest.param(10_000, [1, 3, 4095, 4097, 7], id="10000-splits1"),
+    pytest.param(65_542, [21_845, 21_845, 21_845], id="65542-splits2")])
 @pytest.mark.parametrize("draw", ["uniforms", "normals"])
 def test_a_split_draw_equals_the_one_shot_draw(rows, splits, draw):
     def drawn(rng, count):

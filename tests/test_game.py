@@ -203,11 +203,16 @@ class TestGate:
         assert [s.risk(t) for s, t in zip(specs, state.thetas)] == [0.0, 0.0]
 
     @pytest.mark.parametrize("eps,violators", [
-        ({"default": 0.5}, ["hallucination"]),   # delusion: R == eps
-        ({"default": "inf"}, []),
-        ({"default": 0.25, "hallucination": "inf"}, ["delusion"]),
-        ({"delusion": 0.49, "bluffing": 0.25}, ["delusion"]),
-        ([0.25] * 35, ["hallucination", "delusion"])])
+        # delusion: R == eps
+        pytest.param({"default": 0.5}, ["hallucination"],
+                     id="eps0-violators0"),
+        pytest.param({"default": "inf"}, [], id="eps1-violators1"),
+        pytest.param({"default": 0.25, "hallucination": "inf"}, ["delusion"],
+                     id="eps2-violators2"),
+        pytest.param({"delusion": 0.49, "bluffing": 0.25}, ["delusion"],
+                     id="eps3-violators3"),
+        pytest.param([0.25] * 35, ["hallucination", "delusion"],
+                     id="eps4-violators4")])
     def test_risk_report_and_leader_loop_agree(self, eps, violators):
         risks = {"delusion": 0.5, "bluffing": 0.25, "hallucination": 1.0}
         # the expectile of one loss that is a power of two is that loss,
@@ -265,7 +270,9 @@ class TestScenarioValidation:
         with pytest.raises(GameError, match="a0"):
             load_scenario(_scenario(tmp_path, agents=agents))
 
-    @pytest.mark.parametrize("lo", [[-1.0], [-1.0, -1.0, -1.0]])
+    @pytest.mark.parametrize("lo", [
+        pytest.param([-1.0], id="lo0"),
+        pytest.param([-1.0, -1.0, -1.0], id="lo1")])
     def test_box_length_mismatch_raises(self, tmp_path, lo):
         agents = [{"pathology": "a0", "lo": lo, "hi": 1.0,
                    "target": [0.1, 0.2]}]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import corpora
-from pathrisk import generative, metrics, registry
+from pathrisk import cli, generative, metrics, registry
 from pathrisk.generative import (Arity, DetectorError, GenerativeConfig,
                                  audit_generative, score)
 from pathrisk.records import KnowledgeBase, TraceRecord, load_trace_corpus
@@ -318,6 +319,47 @@ class TestRecordStep:
             assert {f.name for f in dataclasses.fields(rec)
                     if getattr(rec, f.name) is not None} <= _PASSED_ON
 
+    @pytest.mark.parametrize("through", ["audit_generative", "cli"])
+    def test_the_knowledge_base_is_freed_when_the_load_ends(
+            self, through, tmp_path, monkeypatch):
+        # only record-level detectors read the knowledge base, and they
+        # finish during the load: no pair, sequence or corpus unit may be
+        # scored while it is still alive
+        corpus, kb_path = tmp_path / "corpus.jsonl", tmp_path / "kb.json"
+        corpora.write_input(corpus, corpora.demo_trace_corpus())
+        corpora.write_input(kb_path, corpora.standard_kb())
+        refs, alive = [], []
+        real_load, real_score = cli.load_knowledge_base, generative.score
+
+        def loading(path):
+            kb = real_load(path)
+            refs.append(weakref.ref(kb))
+            return kb
+
+        def watched(pathology, unit, *args, **kwargs):
+            if generative._DETECTORS[pathology].arity in (
+                    Arity.PAIR, Arity.SEQUENCE, Arity.CORPUS):
+                alive.append(refs[0]() is not None)
+            return real_score(pathology, unit, *args, **kwargs)
+
+        monkeypatch.setattr(generative, "score", watched)
+        if through == "cli":
+            monkeypatch.setattr(cli, "load_knowledge_base", loading)
+            out = tmp_path / "out"
+            assert cli.main(["audit", "--corpus", str(corpus), "--kb",
+                             str(kb_path), "--out", str(out)]) == 0
+            outcomes = json.loads(
+                (out / "outcomes.json").read_text())["outcomes"]
+            scored = {o["pathology"] for o in outcomes}
+        else:
+            step = generative.RecordStep(loading(kb_path))
+            scored = {o.pathology for o in audit_generative(
+                load_trace_corpus(corpus, record=step), step=step).outcomes}
+        assert alive and not any(alive)
+        # the knowledge base was read: some detector matched against it
+        assert scored & {name for name, detector in
+                         generative._DETECTORS.items() if detector.needs_kb}
+
     def test_mutations_reach_every_kind_of_fault(self):
         # guards the test above: the mutated corpora must leave out fields,
         # and drop contextual_drift and referential_hallucination units
@@ -461,6 +503,25 @@ class TestPairDetectorsAgainstLoops:
             tracemalloc.stop()
         assert 0.0 <= outcome.severity < 0.5
         assert peak < 16_000_000
+
+    def test_one_block_frees_the_inputs_before_the_outputs_are_stacked(self):
+        # 72 records at d = 768 fit one block. The stacked input matrix and
+        # the copy its block takes are freed before the output matrix is
+        # stacked and copied, so at most two matrices coexist; holding the
+        # inputs through the output block made it three
+        n, d = 72, 768
+        rng = np.random.default_rng(0)
+        records = [TraceRecord(id=f"r{i}",
+                               input_embedding=rng.standard_normal(d),
+                               output_embedding=rng.standard_normal(d))
+                   for i in range(n)]
+        tracemalloc.start()
+        try:
+            score("cognitive_stereotypy", records, GenerativeConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * d * 8
 
 
 def _warming_conversation(seed, length, dim, converging):

@@ -185,8 +185,9 @@ def test_density_check_in_blocks_of_a_few_rows(dim, rows, monkeypatch):
     assert density_transform_check(cfg) == whole_sample_density_check(cfg)
 
 
-@pytest.mark.parametrize("dim, widths", [(1, [40, 20, 10, 5, 2]),
-                                         (2, [20, 10, 5, 2])])
+@pytest.mark.parametrize("dim, widths", [
+    pytest.param(1, [40, 20, 10, 5, 2], id="1-widths0"),
+    pytest.param(2, [20, 10, 5, 2], id="2-widths1")])
 @pytest.mark.parametrize("rows", [None, 3])
 def test_widening_draws_the_sample_again(dim, widths, rows, monkeypatch):
     """No bin can hold more samples than were drawn, so the bins halve down

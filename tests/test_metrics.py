@@ -215,6 +215,22 @@ class TestMutualInformation:
         assert mutual_information(xs, ys, bins, seed) == pytest.approx(
             loop_mutual_information(xs, ys, bins, seed), abs=1e-12)
 
+    def test_peak_stays_below_two_stacked_sample_matrices(self):
+        # 72 samples of d = 768 a side, as bluffing hands over on a wide
+        # trace corpus: the x side is stacked, projected and freed before
+        # the y side is stacked, so the two never coexist
+        n, d = 72, 768
+        local = np.random.default_rng(0)
+        xs = [local.standard_normal(d) for _ in range(n)]
+        ys = [local.standard_normal(d) for _ in range(n)]
+        tracemalloc.start()
+        try:
+            mutual_information(xs, ys, 4, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * d * 8
+
 
 class TestCoherence:
     KB = KnowledgeBase(entries=(("a", np.array([1.0, 0.0])),

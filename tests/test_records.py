@@ -22,6 +22,7 @@ from pathrisk import registry
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                REGISTRY, validate_corpus)
 import corpora
+from conftest import labelled
 
 
 def _write_jsonl(path, objs):
@@ -712,30 +713,76 @@ def _assert_loaders_agree(path, lines):
     return got
 
 
-@pytest.mark.parametrize("mutations,error", [
-    ([], None),
-    *[([(7, name)], None) for name in _ROW_MUTATIONS],
-    ([(9, "duplicate-of", 3)], "line 10, record 'x000003', field 'id': "
-                               "duplicate id"),
+# (mutations, the error they cause or None), each row with its own id
+_LOADER_CASES = [
+    labelled("mutations0", [], None),
+    labelled("mutations1", [(7, "wrong-type-label")], None),
+    labelled("mutations2", [(7, "wrong-type-features")], None),
+    labelled("mutations3", [(7, "wrong-type-group")], None),
+    labelled("mutations4", [(7, "nan-probability")], None),
+    labelled("mutations5", [(7, "nan-feature")], None),
+    labelled("mutations6", [(7, "probability-outside")], None),
+    labelled("mutations7", [(7, "sum-off-1e-6")], None),
+    labelled("mutations8", [(7, "sum-off-1e-10")], None),
+    labelled("mutations9", [(7, "argmax-mismatch")], None),
+    labelled("mutations10", [(7, "label-at-count")], None),
+    labelled("mutations11", [(7, "label-negative")], None),
+    labelled("mutations12", [(7, "label-huge")], None),
+    labelled("mutations13", [(7, "plausible-at-count")], None),
+    labelled("mutations14", [(7, "unordered-bounds")], None),
+    labelled("mutations15", [(7, "mixed-feature-widths")], None),
+    labelled("mutations16", [(7, "mixed-class-counts")], None),
+    labelled("mutations17", [(7, "ten-classes-sum-off")], None),
+    labelled("mutations18", [(7, "seventeen-classes")], None),
+    labelled("mutations19", [(7, "median-timestamp")], None),
+    labelled("mutations20", [(7, "unknown-key")], None),
+    labelled("mutations21", [(7, "null-field")], None),
+    labelled("mutations22", [(7, "null-mandatory")], None),
+    labelled("mutations23", [(7, "huge-timestamp")], None),
+    labelled("mutations24", [(7, "relabel")], None),
+    labelled("mutations25", [(7, "no-pair-ids")], None),
+    labelled("mutations26", [(7, "shared-ids")], None),
+    labelled("mutations27", [(7, "new-group")], None),
+    labelled("mutations28", [(7, "malformed-json")], None),
+    labelled("mutations29", [(7, "blank-line")], None),
+    labelled("mutations30", [(9, "duplicate-of", 3)],
+             "line 10, record 'x000003', field 'id': duplicate id"),
     # the first line that fails any check is named, whichever check it is
-    ([(5, "argmax-mismatch"), (9, "malformed-json")], "line 6, "),
-    ([(5, "wrong-type-label"), (9, "argmax-mismatch")], "line 6, "),
-    ([(9, "argmax-mismatch"), (9, "duplicate-of", 3)], "line 10, "),
-    ([(3, "mixed-feature-widths"), (50, "argmax-mismatch")], "line 51, "),
-    ([(5, "unordered-bounds"), (5, "argmax-mismatch")], "field "
-                                                        "'segment_bounds'"),
-    ([(5, "argmax-mismatch"), (5, "label-at-count"), (5, "sum-off-1e-6")],
-     "field 'class_probabilities': probabilities sum 1\\b"),
-    ([(1, "blank-line"), (5, "argmax-mismatch")], "line 6, "),
-    ([(1, "blank-line"), (5, "mixed-class-counts"),
-      (40, "mixed-class-counts")], None),
+    labelled("mutations31", [(5, "argmax-mismatch"), (9, "malformed-json")],
+             "line 6, "),
+    labelled("mutations32", [(5, "wrong-type-label"), (9, "argmax-mismatch")],
+             "line 6, "),
+    labelled("mutations33", [(9, "argmax-mismatch"), (9, "duplicate-of", 3)],
+             "line 10, "),
+    labelled("mutations34",
+             [(3, "mixed-feature-widths"), (50, "argmax-mismatch")],
+             "line 51, "),
+    labelled("mutations35",
+             [(5, "unordered-bounds"), (5, "argmax-mismatch")],
+             "field 'segment_bounds'"),
+    labelled("mutations36", [(5, "argmax-mismatch"), (5, "label-at-count"),
+                             (5, "sum-off-1e-6")],
+             "field 'class_probabilities': probabilities sum 1\\b"),
+    labelled("mutations37", [(1, "blank-line"), (5, "argmax-mismatch")],
+             "line 6, "),
+    labelled("mutations38", [(1, "blank-line"), (5, "mixed-class-counts"),
+                             (40, "mixed-class-counts")], None),
     # six rows to each pair, span and content id: groups of more than two,
     # with each role held by several rows
-    ([(i, "shared-ids") for i in range(36)], None),
-    ([(7, "ten-classes-sum-off"), (9, "seventeen-classes")],
-     "^line 8, record 'x000007', field 'class_probabilities': "
-     "probabilities sum 1$")],
-    ids=lambda v: v if isinstance(v, str) else None)
+    labelled("mutations39", [(i, "shared-ids") for i in range(36)], None),
+    labelled("mutations40",
+             [(7, "ten-classes-sum-off"), (9, "seventeen-classes")],
+             "^line 8, record 'x000007', field 'class_probabilities': "
+             "probabilities sum 1$")]
+
+
+def test_each_row_mutation_has_a_case_of_its_own():
+    alone = {case.values[0][0][1] for case in _LOADER_CASES
+             if len(case.values[0]) == 1}
+    assert alone >= set(_ROW_MUTATIONS)
+
+
+@pytest.mark.parametrize("mutations,error", _LOADER_CASES)
 def test_column_loader_agrees_with_the_per_record_loader(tmp_path, mutations,
                                                         error):
     got = _assert_loaders_agree(tmp_path / "corpus.jsonl",
@@ -779,20 +826,27 @@ def _kb_file(tmp_path, last):
 
 
 @pytest.mark.parametrize("last,error,message", [
-    ({"entity_id": "b"}, RecordValidationError,
-     "entry 1, record 'b', field 'embedding': missing mandatory field"),
-    ({"embedding": [0.0, 1.0]}, RecordValidationError,
-     "entry 1, field 'entity_id': missing mandatory field"),
-    ({"entity_id": "b", "embedding": []}, RecordValidationError,
-     "record 'b', field 'embedding': expected a nonempty vector"),
-    ({"entity_id": "b", "embedding": [[0.0, 1.0]]}, RecordValidationError,
-     "record 'b', field 'embedding': expected a nonempty vector"),
-    ({"entity_id": "b", "embedding": [0.0, math.nan]}, RecordValidationError,
-     "record 'b', field 'embedding': non-finite entries"),
-    ({"entity_id": "b", "embedding": [0.0, "x"]}, RecordValidationError,
-     "record 'b', field 'embedding': expected a nonempty vector of numbers"),
-    ({"entity_id": "b", "embedding": [0.0, 1.0, 2.0]}, CorpusError,
-     r"knowledge base embeddings have mixed lengths \[2, 3\]")])
+    labelled("last0", {"entity_id": "b"}, RecordValidationError,
+             "entry 1, record 'b', field 'embedding': missing mandatory "
+             "field"),
+    labelled("last1", {"embedding": [0.0, 1.0]}, RecordValidationError,
+             "entry 1, field 'entity_id': missing mandatory field"),
+    labelled("last2", {"entity_id": "b", "embedding": []},
+             RecordValidationError,
+             "record 'b', field 'embedding': expected a nonempty vector"),
+    labelled("last3", {"entity_id": "b", "embedding": [[0.0, 1.0]]},
+             RecordValidationError,
+             "record 'b', field 'embedding': expected a nonempty vector"),
+    labelled("last4", {"entity_id": "b", "embedding": [0.0, math.nan]},
+             RecordValidationError,
+             "record 'b', field 'embedding': non-finite entries"),
+    labelled("last5", {"entity_id": "b", "embedding": [0.0, "x"]},
+             RecordValidationError,
+             "record 'b', field 'embedding': expected a nonempty vector of "
+             "numbers"),
+    labelled("last6", {"entity_id": "b", "embedding": [0.0, 1.0, 2.0]},
+             CorpusError,
+             r"knowledge base embeddings have mixed lengths \[2, 3\]")])
 def test_knowledge_base_file_errors(tmp_path, last, error, message):
     with pytest.raises(error, match=message) as info:
         load_knowledge_base(_kb_file(tmp_path, last))
