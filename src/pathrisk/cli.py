@@ -8,8 +8,8 @@ holonorm-verify and pareto (`draws.Generator`) and the MI projections of
 audit, all from the standard library's `random`. game takes it from its
 scenario; risk and report draw none, so they take no --seed and write
 "seed": null. Exit codes: 0 success; 1 a failed identity
-(holonorm-verify); 2 a rejected input or a usage error; 3 an infeasible
-deployment gate (risk --gate).
+(holonorm-verify); 2 a rejected input (such as a path it cannot read or
+write) or a usage error; 3 an infeasible deployment gate (risk --gate).
 
 Every input file is decoded field by field by the `records` kinds: a value
 of the wrong JSON type is rejected, never coerced ("0.5", true and NaN are
@@ -30,8 +30,9 @@ of either.
 `audit` writes outcomes.json (`registry.AuditResult`), one layout for both
 schemas; `risk` folds each outcome's severity as a loss sample, and an
 outcome fired where severity >= threshold. `audit` also writes
-validation.json: which records each detector could score, and why it
-skipped the others (`registry.ValidationReport`). Only trace detectors
+validation.json (`registry.ValidationReport`): each record once, under the
+fields it lacks, and the fields each detector reads, which tell what
+records it could score and why it skipped the others. Only trace detectors
 read --kb and --fixtures, so classification rejects both. `risk` writes
 risk_report.json (`risk.RiskReport`), and `report` writes summary.json,
 its decoded fields with the entries as "pathologies", and summary.csv.
@@ -132,7 +133,7 @@ def _write(args, files, manifest):
 def _cmd_audit(args):
     # a bad --seed is rejected before any file is read, for both schemas
     if args.seed < 0:
-        raise ValueError("seed must be an integer >= 0")
+        raise ValueError(f"seed {args.seed} must be a nonnegative integer")
     for flag in ("kb", "fixtures"):
         if args.schema == "classification" and getattr(args, flag):
             raise ValueError(f"--{flag} applies to trace corpora only")
@@ -402,8 +403,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # every input error is a ValueError, such as CorpusError or GameError
-    except (ValueError, FileNotFoundError, jsonio.OutputExistsError) as exc:
+    # every input error is a ValueError, such as CorpusError or GameError,
+    # and an OSError names the path that could not be read or written
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -389,10 +389,9 @@ def audit_discriminative(corpus, cfg=DiscriminativeConfig()):
     scores the rows it lists as eligible. A detector is skipped when the
     corpus holds fewer than n_min records, when no record carries its
     fields, or when its scorer raises. The no-record reason names the
-    first record and what the report says it lacks: as no record is
-    eligible, the report's first group of lacking fields is the first
-    record's, and a corpus of traces is not applicable as a whole. The
-    result carries the report as `validation`."""
+    first record and the detector's fields that the report says it lacks,
+    or that a corpus of traces is not applicable as a whole. The result
+    carries the report as `validation`."""
     # looked up on its module, where the traced benchmark run rebinds it
     validation = registry.validate_corpus(corpus)
     outcomes = []
@@ -403,13 +402,10 @@ def audit_discriminative(corpus, cfg=DiscriminativeConfig()):
             skipped[pathology] = (f"{pathology}: needs >= n_min = "
                                   f"{cfg.n_min} records, got {len(corpus)}")
         elif not rows.size:
-            if pathology in validation.not_applicable:
-                first = validation.ids[0]
-                lacks = (validation.not_applicable[pathology],)
-            else:
-                lacks, ids = next(iter(validation.missing(pathology).items()))
-                first = ids[0]
-            skipped[pathology] = (f"{pathology}: record {first!r} "
+            lacks = ((validation.not_applicable[pathology],)
+                     if pathology in validation.not_applicable
+                     else validation.lacks(0, pathology))
+            skipped[pathology] = (f"{pathology}: record {validation.ids[0]!r} "
                                   f"lacks {', '.join(lacks)}")
         else:
             try:

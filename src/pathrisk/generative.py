@@ -557,12 +557,12 @@ class RecordStep:
     """The per-record step of a generative audit, called on each record
     with its index as it is read: `load_trace_corpus(path, record=step)`.
 
-    It takes the record's `registry.presence` row, scores each
+    It takes the record's `registry.presence` code, scores each
     record-level detector whose fields the record carries (a
     knowledge-base one only with a knowledge base), and returns the record
     trimmed to the fields the pair, sequence and corpus detectors read
     (`_KEPT`), so a record's other vectors are freed as soon as it is
-    scored. `audit_generative` takes the rows, the outcomes and the
+    scored. `audit_generative` takes the codes, the outcomes and the
     dropped units from it.
 
     Only record-level detectors read the knowledge base, so the step
@@ -573,7 +573,7 @@ class RecordStep:
 
     def __init__(self, kb=None, cfg=GenerativeConfig()):
         self.kb, self.cfg = kb, cfg
-        self.rows = []       # one presence row per record, in corpus order
+        self.rows = []       # one presence code per record, in corpus order
         # each record-level detector it runs -> its outcomes, and
         # {record id: reason} of the records it dropped
         self.found = {name: [] for name, detector in _DETECTORS.items()
@@ -582,10 +582,10 @@ class RecordStep:
         self.lost = {name: {} for name in self.found}
 
     def __call__(self, i, record):
-        row = registry.presence(record)
-        self.rows.append(row)
+        code = registry.presence(record)
+        self.rows.append(code)
         for pathology, found in self.found.items():
-            if registry.carries(row, pathology):
+            if registry.carries(code, pathology):
                 outcomes, lost = _score_units(pathology, (record,), self.cfg,
                                               self.kb)
                 found += outcomes
@@ -610,7 +610,7 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig(),
     detectors run, none of which reads it.
 
     The `validate_corpus` report is built once from the step's presence
-    rows, and each other detector takes the records it lists as
+    codes, and each other detector takes the records it lists as
     available; the result carries the report as `validation`. The
     sequence detectors score each conversation (annotation
     `conversation_id`, whole corpus when absent); misattribution scores

@@ -312,14 +312,21 @@ def _decode_record(decoders, obj, where, id_name="id"):
     return decode_object(decoders, obj, where, id_name)
 
 
+# a JSON value nested deeper than the decoder can recurse
+_TOO_DEEP = "JSON nested too deep to decode"
+
+
 def read_json(path):
-    """The JSON document in the file at `path`; CorpusError if malformed."""
+    """The JSON document in the file at `path`; CorpusError if malformed
+    or nested too deep to decode."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: malformed JSON ({exc.msg}, line "
                               f"{exc.lineno})") from None
+        except RecursionError:
+            raise CorpusError(f"{path}: {_TOO_DEEP}") from None
 
 
 # characters the chunked reader takes from a file at a time
@@ -438,7 +445,7 @@ def read_json_chunked(path, array_name, item):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return _chunked_members(_ChunkedText(handle), array_name, item)
-        except (_Malformed, UnicodeDecodeError):
+        except (_Malformed, UnicodeDecodeError, RecursionError):
             # read_json reports a decoding error at its position in the file
             pass
     return read_json(path)
@@ -598,6 +605,9 @@ def _json_lines(handle):
             except json.JSONDecodeError as exc:
                 raise CorpusError(
                     f"line {line_no}: malformed JSON ({exc.msg})") from None
+            except RecursionError:
+                raise CorpusError(
+                    f"{handle.name}: line {line_no}: {_TOO_DEEP}") from None
 
 
 def load_trace_corpus(path, schema="trace", record=None):

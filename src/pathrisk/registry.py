@@ -5,9 +5,10 @@ two tables, `GENERATIVE_DETECTORS` and `DISCRIMINATIVE_DETECTORS`, each
 mapping an id to the record fields its evidence requires; an id's family
 is the table that holds it. It also holds the types every audit shares
 (outcome, result, errors, validation report), `validate_corpus`, the one
-place that works out which fields a record lacks for a detector (with
-`presence` and `carries`, its row-at-a-time form for a trace record as it
-is read), and the helpers both families call: `fmt` writes an evidence
+place that works out which fields a record lacks, as one presence code per
+record that each detector masks with the bits of its own fields (with
+`presence` and `carries`, its record-at-a-time form for a trace record as
+it is read), and the helpers both families call: `fmt` writes an evidence
 number, `clamp01` clips a severity to [0, 1] and `group_by` groups records
 by a key. How a generative detector is scored (its arity, whether it reads
 the knowledge base, its scorer and threshold) lives beside its scorer in
@@ -237,10 +238,14 @@ _TABLES = {"trace": GENERATIVE_DETECTORS,
 # each detector -> the kind of corpus it reads
 _READS = {name: kind for kind, table in _TABLES.items() for name in table}
 # each kind -> every field that some detector of its table requires, once:
-# the columns of its presence matrix
+# bit b of a record's presence code stands for the b-th
 _FIELDS = {kind: tuple(dict.fromkeys(f for required in table.values()
                                      for f in required))
            for kind, table in _TABLES.items()}
+# each detector -> the bits of its required fields in the presence code of
+# the kind of corpus it reads
+_MASK = {name: sum(1 << _FIELDS[kind].index(f) for f in REGISTRY[name])
+         for name, kind in _READS.items()}
 _ANNOTATION = "annotations."
 
 
@@ -250,143 +255,124 @@ def _wrong_kind(kind):
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Which records each detector can score, and why it cannot score the
-    others.
+    """Which fields each record lacks, and so which records each detector
+    can score.
 
-    `ids` are the corpus's record ids in corpus order, and `patterns[d]`
-    is detector d's missing-field bit pattern over them, one uint8 per
-    record: bit b is set where the record lacks the b-th field of d's
-    table entry. From these, `eligible(d)` gives the row indices of the
-    records d can score (pattern 0), `available(d)` their ids, and
-    `missing(d)` maps each distinct tuple of fields that records lack for
-    d to the ids of the records lacking exactly those fields, in the order
-    each tuple first occurs; all ids are in corpus order, and every record
-    is in exactly one of the two. A detector that reads the other kind of
-    corpus has an empty pattern, and is in `not_applicable` (unless the
-    corpus is empty) with the reason "<requires a trace record>" or
-    "<requires a classification record>". The audits take from the report
-    which records each detector scores, and why a detector scores none.
+    `ids` are the corpus's record ids in corpus order, and `codes` their
+    presence codes, one int64 per record: bit b is set where the record
+    lacks the b-th field of `_FIELDS` of the corpus's kind. `eligible(d)`
+    gives the row indices of the records whose code has none of the bits
+    of d's fields (`_MASK[d]`) set, and `lacks(row, d)` names the fields
+    of d's that the record at `row` lacks. A detector that reads the other
+    kind of corpus has no eligible record, and is in `not_applicable`
+    (unless the corpus is empty) with the reason "<requires a trace
+    record>" or "<requires a classification record>". The audits take
+    from the report which records each detector scores, and why a
+    detector scores none.
 
-    `to_json_dict` is the content of validation.json:
-    {"record_count": N, "detectors": {d: entry}} for all 35 detectors,
-    where entry is either
-    {"available": [ids], "available_count": n,
-     "missing": {"field,field": {"count": m, "ids": [ids]}}}
-    with the missing fields joined by commas, or
-    {"not_applicable": "<requires a trace record>", "count": N}.
+    `to_json_dict` is the content of validation.json, which names what
+    each record lacks once:
+    {"record_count": N, "lacking": {"field,field": {"count": m, "ids":
+    [ids]}}, "detectors": {d: entry}}. Every record is in exactly one
+    `lacking` group, keyed by the fields it lacks in `_FIELDS` order ("" if
+    none), with ids in corpus order. Each of the 35 detectors' entry is
+    either {"reads": [fields], "available_count": n} or
+    {"not_applicable": "<requires a trace record>", "count": N}. Detector
+    d can score record r exactly when r's lacking fields and d's reads do
+    not meet.
     """
 
     ids: tuple
-    patterns: dict        # detector -> uint8 array, one entry per record
+    codes: np.ndarray     # int64, one presence code per record
     not_applicable: dict  # detector -> reason; it reads the other kind
 
     @property
     def record_count(self):
         return len(self.ids)
 
-    def _ids(self, rows):
-        return tuple(self.ids[i] for i in rows.tolist())
-
     def eligible(self, detector):
         """The row indices of the records the detector can score."""
-        return np.flatnonzero(self.patterns[detector] == 0)
+        if detector in self.not_applicable:
+            return np.zeros(0, dtype=np.intp)
+        return np.flatnonzero((self.codes & _MASK[detector]) == 0)
 
-    def available(self, detector):
-        """The ids of the records the detector can score."""
-        return self._ids(self.eligible(detector))
-
-    def missing(self, detector):
-        """{missing-field tuple: ids of the records lacking exactly it}."""
-        pattern = self.patterns[detector]
-        return {tuple(f for bit, f in enumerate(REGISTRY[detector])
-                      if code >> bit & 1):
-                    self._ids(np.flatnonzero(pattern == code))
-                for code in dict.fromkeys(pattern.tolist()) if code}
+    def lacks(self, row, detector):
+        """The fields of a detector of the corpus's kind that the record at
+        `row` lacks, in the detector's order."""
+        fields, code = _FIELDS[_READS[detector]], int(self.codes[row])
+        return tuple(f for f in REGISTRY[detector]
+                     if code >> fields.index(f) & 1)
 
     def to_json_dict(self):
+        groups = {}   # presence code -> the ids of the records that have it
+        for rid, code in zip(self.ids, self.codes.tolist()):
+            groups.setdefault(code, []).append(rid)
+        # the codes' bits stand for the fields of the kind whose detectors
+        # apply (either kind for an empty corpus, which has no code)
+        fields = next(_FIELDS[kind] for name, kind in _READS.items()
+                      if name not in self.not_applicable)
         detectors = {}
         for name in REGISTRY:
             if name in self.not_applicable:
                 detectors[name] = {"not_applicable": self.not_applicable[name],
                                    "count": self.record_count}
                 continue
-            available = self.available(name)
-            detectors[name] = {
-                "available": available, "available_count": len(available),
-                "missing": {",".join(fields): {"count": len(ids), "ids": ids}
-                            for fields, ids in self.missing(name).items()}}
-        return {"record_count": self.record_count, "detectors": detectors}
+            available = sum(len(ids) for code, ids in groups.items()
+                            if not code & _MASK[name])
+            detectors[name] = {"reads": list(REGISTRY[name]),
+                               "available_count": available}
+        return {"record_count": self.record_count,
+                "lacking": {",".join(f for bit, f in enumerate(fields)
+                                     if code >> bit & 1):
+                            {"count": len(ids), "ids": ids}
+                            for code, ids in groups.items()},
+                "detectors": detectors}
 
 
 def presence(record):
-    """A trace record's presence row: whether it carries each field of
-    _FIELDS["trace"], the columns of `validate_corpus`'s presence matrix."""
+    """A trace record's presence code: bit b is set where it lacks the
+    b-th field of _FIELDS["trace"], as in `validate_corpus`'s report."""
     annotations = record.annotations
-    return [f[len(_ANNOTATION):] in annotations if f.startswith(_ANNOTATION)
-            else getattr(record, f) is not None for f in _FIELDS["trace"]]
+    return sum(1 << bit for bit, f in enumerate(_FIELDS["trace"])
+               if (f[len(_ANNOTATION):] not in annotations
+                   if f.startswith(_ANNOTATION)
+                   else getattr(record, f) is None))
 
 
-# each detector -> the columns of its required fields in the presence
-# matrix of the corpus kind it reads
-_COLUMNS = {name: [_FIELDS[kind].index(f) for f in REGISTRY[name]]
-            for name, kind in _READS.items()}
+def carries(code, detector):
+    """Whether a trace record whose `presence` code is `code` carries every
+    field the trace detector requires, so the report lists it as eligible."""
+    return not code & _MASK[detector]
 
 
-def carries(row, detector):
-    """Whether a trace record whose `presence` row is `row` carries every
-    field the trace detector requires, so its missing-field pattern in
-    `validate_corpus` is 0."""
-    return all(row[i] for i in _COLUMNS[detector])
+def validate_corpus(corpus, codes=None):
+    """The `ValidationReport` of a corpus, a list of TraceRecords or a
+    ClassificationCorpus: each record's presence code, with ids in corpus
+    order. It is the one place that works out which fields a record lacks.
+    A detector that reads the other kind of corpus is not applicable, and
+    its fields are not checked record by record. Record ids must be
+    unique, as the report names each record by its id.
 
-
-def _presence_matrix(corpus, rows):
-    """(the corpus's kind, its record ids, and whether each record carries
-    each field of _FIELDS[kind]). A ClassificationCorpus supplies its
-    columns' presence masks; a list of TraceRecords, its `rows`, or else
-    `presence` of each record."""
-    if hasattr(corpus, "present"):   # a ClassificationCorpus
-        columns = [corpus.present[f] for f in _FIELDS["classification"]]
-        return "classification", corpus.ids, np.stack(columns, axis=1)
-    if rows is None:
-        rows = [presence(rec) for rec in corpus]
-    matrix = np.array(rows, dtype=bool)
-    return ("trace", tuple(rec.id for rec in corpus),
-            matrix.reshape(len(corpus), len(_FIELDS["trace"])))
-
-
-def validate_corpus(corpus, rows=None):
-    """Field availability of every detector on a corpus, a list of
-    TraceRecords or a ClassificationCorpus, grouped by the missing fields;
-    deterministic, with ids in corpus order. It is the one place that works
-    out which fields a record lacks for a detector: those of the detector's
-    table entry that the record does not carry. A detector that reads the
-    other kind of corpus is not applicable, and its fields are not checked
-    record by record. Record ids must be unique, as the report names each
-    record by its id.
-
-    It reads one (records x fields) presence matrix of the fields that the
-    detectors of the corpus's kind require. For each detector a record's
-    missing fields are a bit pattern over the detector's columns, which
-    the report keeps; it groups the records by pattern when asked. For a
-    list of TraceRecords, `rows` may give each record's `presence` row,
+    A ClassificationCorpus supplies its columns' presence masks. For a
+    list of TraceRecords, `codes` may give each record's `presence` code,
     taken before the record was trimmed to fewer fields; the records then
     supply only their ids."""
-    kind, ids, present = _presence_matrix(corpus, rows)
+    if hasattr(corpus, "present"):   # a ClassificationCorpus
+        kind, ids = "classification", corpus.ids
+        codes = np.zeros(len(ids), dtype=np.int64)
+        for bit, f in enumerate(_FIELDS[kind]):
+            codes |= (~corpus.present[f]).astype(np.int64) << bit
+    else:
+        kind, ids = "trace", tuple(rec.id for rec in corpus)
+        if codes is None:
+            codes = [presence(rec) for rec in corpus]
+        codes = np.array(codes, dtype=np.int64)
     seen = set()
     for rid in ids:
         if rid in seen:
             raise ValueError(f"duplicate record id {rid!r}")
         seen.add(rid)
-    patterns, not_applicable = {}, {}
-    for name, reads in _READS.items():
-        required = REGISTRY[name]
-        if reads != kind:
-            if ids:
-                not_applicable[name] = _wrong_kind(reads)
-            patterns[name] = np.zeros(0, dtype=np.uint8)
-        else:
-            lacks = ~present[:, _COLUMNS[name]]
-            patterns[name] = (lacks << np.arange(len(required))).sum(
-                axis=1, dtype=np.uint8)
-    return ValidationReport(ids=ids, patterns=patterns,
+    not_applicable = {name: _wrong_kind(reads) for name, reads in
+                      _READS.items() if ids and reads != kind}
+    return ValidationReport(ids=ids, codes=codes,
                             not_applicable=not_applicable)

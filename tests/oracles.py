@@ -17,7 +17,7 @@ scipy. The density-check oracle is the whole-sample check the package ran
 before it drew its Monte-Carlo sample in row blocks. The validation oracle
 is a loop over every (record, detector) pair that checks each required
 field with its own `getattr` or annotation lookup, where validate_corpus
-groups records by the fields they carry. The classification oracle is the
+takes one presence code per record and masks it per detector. The classification oracle is the
 per-record path the package ran before it held a classification corpus
 as field columns: `ClassificationRecord` with its `validate`, the loader
 with its duplicate-id and mixed-width checks, and the 14 discriminative
@@ -364,28 +364,38 @@ def whole_sample_density_check(cfg):
 
 
 def loop_validation_json(records):
-    """validation.json of the records from loop_validation: a detector none
-    of whose records is of its kind is not applicable, unless there are no
-    records; otherwise its ids are listed, the missing ones grouped by the
-    fields they lack."""
+    """validation.json of the records from loop_validation. Each record is
+    listed once, under the fields it lacks for some detector of its kind,
+    in the order in which the kind's table first names them. Each detector
+    lists the fields its table entry names and the count of records that
+    lack none of them, or is not applicable when none of the records is of
+    its kind, unless there are no records."""
+    lacks = loop_validation(records)
+    lacking = {}
+    for rec in records:
+        table = (GENERATIVE_DETECTORS if isinstance(rec, TraceRecord)
+                 else DISCRIMINATIVE_DETECTORS)
+        fields = dict.fromkeys(f for name, required in table.items()
+                               for f in required if f in lacks[name][rec.id])
+        group = lacking.setdefault(",".join(fields), {"count": 0, "ids": []})
+        group["count"] += 1
+        group["ids"].append(rec.id)
     detectors = {}
-    for name, lacks in loop_validation(records).items():
-        kind = "trace" if name in GENERATIVE_DETECTORS else "classification"
+    for name, by_record in lacks.items():
+        kind, table = (("trace", GENERATIVE_DETECTORS)
+                       if name in GENERATIVE_DETECTORS
+                       else ("classification", DISCRIMINATIVE_DETECTORS))
         reason = (f"<requires a {kind} record>",)
-        if records and set(lacks.values()) == {reason}:
+        if records and set(by_record.values()) == {reason}:
             detectors[name] = {"not_applicable": reason[0],
                                "count": len(records)}
-            continue
-        missing = {}
-        for rid, fields in lacks.items():
-            if fields:
-                missing.setdefault(",".join(fields), []).append(rid)
-        available = [rid for rid, fields in lacks.items() if not fields]
-        detectors[name] = {
-            "available": available, "available_count": len(available),
-            "missing": {key: {"count": len(ids), "ids": ids}
-                        for key, ids in missing.items()}}
-    return {"record_count": len(records), "detectors": detectors}
+        else:
+            detectors[name] = {"reads": list(table[name]),
+                               "available_count": sum(
+                                   fields == () for fields in
+                                   by_record.values())}
+    return {"record_count": len(records), "lacking": lacking,
+            "detectors": detectors}
 
 
 @_schema

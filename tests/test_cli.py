@@ -117,13 +117,14 @@ def test_validation_covers_every_detector(tmp_path, subcommand):
             assert entry["count"] == len(records)
             assert entry["not_applicable"].startswith("<requires a ")
             continue
-        assert "not_applicable" not in entry
-        assert entry["available_count"] == len(entry["available"])
-        listed = list(entry["available"])
-        for group in entry["missing"].values():
-            assert group["count"] == len(group["ids"]) > 0
-            listed += group["ids"]
-        assert sorted(listed) == ids
+        assert entry["reads"] == list(registry.REGISTRY[name])
+        assert 0 <= entry["available_count"] <= len(records)
+    # every record is listed once, under the fields it lacks
+    listed = []
+    for group in validation["lacking"].values():
+        assert group["count"] == len(group["ids"]) > 0
+        listed += group["ids"]
+    assert sorted(listed) == ids
 
 
 def test_audit_rejects_an_empty_claim_list(tmp_path, capsys):
@@ -228,16 +229,21 @@ print(json.dumps([sorted(loaded), sorted(added), code]))
 """
 
 
-def _probe(tmp_path, script, args):
-    """The JSON value on the last line `script` prints, run with `args` in
-    a fresh interpreter: this process has imported every module already."""
+def _fresh(tmp_path, *args):
+    """`python *args` in a fresh interpreter that imports this package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", script, *args],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, check=True)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+
+
+def _probe(tmp_path, script, args):
+    """The JSON value on the last line `script` prints, run with `args` in
+    a fresh interpreter: this process has imported every module already."""
+    proc = _fresh(tmp_path, "-c", script, *args)
+    proc.check_returncode()
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -458,8 +464,32 @@ def test_a_negative_seed_is_reported_before_the_corpus(tmp_path, capsys):
         '{"id": "r1", "truth_embeding": [1.0, 0.0, 0.0, 0.0]}\n')
     out = tmp_path / "out"
     assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: seed must be an integer >= 0\n"
+    assert capsys.readouterr().err == \
+        "error: seed -1 must be a nonnegative integer\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["corpus-is-a-directory", "out-is-a-file",
+                                  "line-nested-too-deep"])
+def test_an_input_it_cannot_take_exits_2_without_a_traceback(tmp_path, case):
+    # the console script as a user runs it: an uncaught error would print a
+    # traceback and exit 1, the code of a failed identity
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    corpora.write_input(corpus, corpora.demo_trace_corpus())
+    if case == "corpus-is-a-directory":
+        corpus = named = tmp_path / "corpora"
+        corpus.mkdir()
+    elif case == "out-is-a-file":
+        named = out
+        out.write_text("")
+    else:
+        named = f"{corpus}: line 1: JSON nested too deep to decode"
+        corpus.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    proc = _fresh(tmp_path, "-m", "pathrisk", "audit", "--corpus",
+                  str(corpus), "--out", str(out))
+    assert proc.returncode == 2
+    assert str(named) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("written", [True, False], ids=["valid", "absent"])
@@ -486,7 +516,8 @@ def test_a_negative_seed_exits_2_before_any_file_is_read(tmp_path, capsys,
             corpora.write_input(path, value)
     out = tmp_path / "out"
     assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: seed must be an integer >= 0\n"
+    assert capsys.readouterr().err == \
+        "error: seed -1 must be a nonnegative integer\n"
     assert not out.exists()
 
 

@@ -369,8 +369,10 @@ class TestRecordStep:
             result = audit_generative(_mutated(seed),
                                       kb=corpora.standard_kb())
             dropped |= set(result.dropped)
-            for name in GENERATIVE_DETECTORS:
-                missing |= set(result.validation.missing(name))
+            report = result.validation
+            missing |= {report.lacks(i, name)
+                        for i in range(report.record_count)
+                        for name in GENERATIVE_DETECTORS} - {()}
         assert {"contextual_drift", "referential_hallucination"} <= dropped
         assert len(missing) >= 15
 
@@ -618,8 +620,8 @@ class TestErrors:
         result = audit_generative([rec])
         assert result.skipped["delusion"] == \
             "no record carries the required fields"
-        assert result.validation.missing("delusion") == {
-            ("prob_output_given_input", "prob_truth_given_input"): ("bare",)}
+        assert result.validation.lacks(0, "delusion") == (
+            "prob_output_given_input", "prob_truth_given_input")
 
     def test_kb_detector_without_kb(self):
         bundle = corpora.generative_fixture("confabulation", True)

@@ -263,16 +263,16 @@ def test_validation_matrix_missing_field():
                       output_embedding=np.array([1.0]),
                       prob_output_given_input=0.9)
     report = validate_corpus([rec])
-    assert "a" not in report.available("delusion")
-    assert report.missing("delusion") == {("prob_truth_given_input",): ("a",)}
+    assert report.eligible("delusion").size == 0
+    assert report.lacks(0, "delusion") == ("prob_truth_given_input",)
 
 
 def test_validation_matrix_full_record():
     bundle = corpora.generative_fixture("delusion", True)
     report = validate_corpus(bundle["records"])
-    rid = bundle["records"][0].id
-    assert rid in report.available("delusion")
-    assert rid not in report.available("hallucination")  # no flag
+    assert 0 in report.eligible("delusion")
+    assert 0 not in report.eligible("hallucination")  # no flag
+    assert report.lacks(0, "hallucination") == ("in_real_manifold",)
 
 
 def test_validation_matrix_wrong_record_kind():
@@ -280,17 +280,17 @@ def test_validation_matrix_wrong_record_kind():
     recs = corpora.classification_corpus(rows)
     report = validate_corpus(recs)
     for detector in ("delusion", "hallucination", "bluffing"):
-        assert report.available(detector) == ()
-        assert report.missing(detector) == {}
+        assert report.eligible(detector).size == 0
         assert report.not_applicable[detector] == \
             "<requires a trace record>"
     assert set(report.not_applicable) == set(GENERATIVE_DETECTORS)
-    assert len(report.available("calibration_failure")) == len(recs)
-    # one group per distinct set of missing fields
+    assert report.eligible("calibration_failure").size == len(recs)
+    # one lacking group per distinct profile of what the records lack for
+    # the 14 detectors
     expected = loop_validation(_oracle_records(rows))
-    for name in DISCRIMINATIVE_DETECTORS:
-        distinct = set(expected[name].values()) - {()}
-        assert set(report.missing(name)) == distinct
+    profiles = {tuple(lacks[rid] for lacks in expected.values())
+                for rid in recs.ids}
+    assert len(report.to_json_dict()["lacking"]) == len(profiles)
 
 
 def test_validation_rejects_duplicate_ids():
@@ -310,10 +310,12 @@ def test_validation_order_independent(rng):
     report_b = validate_corpus(shuffled)
     assert report_a.not_applicable == report_b.not_applicable
     for detector in REGISTRY:
-        assert set(report_a.available(detector)) == \
-            set(report_b.available(detector))
-        assert {k: set(v) for k, v in report_a.missing(detector).items()} \
-            == {k: set(v) for k, v in report_b.missing(detector).items()}
+        assert {report_a.ids[i] for i in report_a.eligible(detector)} == \
+            {report_b.ids[i] for i in report_b.eligible(detector)}
+    doc_a, doc_b = report_a.to_json_dict(), report_b.to_json_dict()
+    assert doc_a["detectors"] == doc_b["detectors"]
+    assert {k: set(v["ids"]) for k, v in doc_a["lacking"].items()} == \
+        {k: set(v["ids"]) for k, v in doc_b["lacking"].items()}
 
 
 _PAIR_LAYOUTS = ("perturbation", "noise", "latency", "spurious", "span",
@@ -389,35 +391,55 @@ def _trace_rows(records):
     return [corpora.json_value(rec) for rec in records]
 
 
-def _regrouped(report, ids):
-    """The report as {detector: {record id: lacking fields}}, checking on
-    the way that it accounts for every record exactly once."""
+def _implied(doc, ids):
+    """{detector: {record id: fields it lacks for the detector}} as a
+    validation.json document says it, checking on the way that its
+    `lacking` groups hold every record exactly once, in corpus order, and
+    that each available count is that of the records lacking none of the
+    detector's reads."""
+    lacked = {}
+    for key, group in doc["lacking"].items():
+        members = set(group["ids"])
+        assert group["count"] == len(group["ids"]) == len(members) > 0
+        assert group["ids"] == [rid for rid in ids if rid in members]
+        lacked.update(dict.fromkeys(group["ids"],
+                                    set(key.split(",")) if key else set()))
+    assert doc["record_count"] == len(ids) == len(lacked)
+    assert set(lacked) == set(ids)
     out = {}
-    for name, info in REGISTRY.items():
+    for name, entry in doc["detectors"].items():
+        if "not_applicable" in entry:
+            assert entry == {"not_applicable": entry["not_applicable"],
+                             "count": len(ids)}
+            out[name] = {rid: (entry["not_applicable"],) for rid in ids}
+            continue
+        assert set(entry) == {"reads", "available_count"}
+        out[name] = {rid: tuple(f for f in entry["reads"] if f in lacked[rid])
+                     for rid in ids}
+        assert entry["available_count"] == sum(
+            fields == () for fields in out[name].values())
+    return out
+
+
+def _assert_report_is(report, expected, ids):
+    """The report, and the validation.json it writes, say what the per-pair
+    loop's `expected` says of the records `ids`: which records each
+    detector can score, and what each record lacks for it."""
+    assert list(report.ids) == ids
+    for name in REGISTRY:
+        assert [ids[i] for i in report.eligible(name)] == \
+            [rid for rid in ids if expected[name][rid] == ()]
         if name in report.not_applicable:
             kind = "trace" if name in GENERATIVE_DETECTORS \
                 else "classification"
             assert report.not_applicable[name] == f"<requires a {kind} record>"
-            assert report.available(name) == () and not report.missing(name)
-            assert report.eligible(name).size == 0
-            out[name] = {rid: (report.not_applicable[name],) for rid in ids}
-            continue
-        table = dict.fromkeys(report.available(name), ())
-        # ids keep corpus order within each list
-        for group in (report.available(name), *report.missing(name).values()):
-            members = set(group)
-            assert list(group) == [rid for rid in ids if rid in members]
-        # the eligible rows are those of the available ids
-        assert [ids[i] for i in report.eligible(name)] == \
-            list(report.available(name))
-        for fields, group in report.missing(name).items():
-            assert fields and group
-            table.update(dict.fromkeys(group, fields))
-        assert len(report.available(name)) + sum(
-            map(len, report.missing(name).values())) == len(ids)
-        assert set(table) == set(ids)
-        out[name] = table
-    return out
+            assert {expected[name][rid] for rid in ids} == \
+                {(report.not_applicable[name],)}
+        else:
+            assert [report.lacks(i, name) for i in range(len(ids))] == \
+                [expected[name][rid] for rid in ids]
+    assert _implied(json.loads(json.dumps(report.to_json_dict())), ids) == \
+        expected
 
 
 def _trace_fixture_records():
@@ -448,13 +470,9 @@ def test_grouped_report_equals_the_per_pair_loop(corpus):
     else:
         records = oracle = []
     report = validate_corpus(records)
-    expected = loop_validation(oracle)
-    ids = [rec.id for rec in oracle]
     assert report.record_count == len(oracle)
-    assert _regrouped(report, ids) == expected
-    for name in REGISTRY:
-        for rid, fields in expected[name].items():
-            assert (rid in report.available(name)) == (fields == ())
+    _assert_report_is(report, loop_validation(oracle),
+                      [rec.id for rec in oracle])
     # not applicable exactly when the corpus is of the other kind
     assert set(report.not_applicable) == (
         set() if not oracle
@@ -465,7 +483,7 @@ def test_grouped_report_equals_the_per_pair_loop(corpus):
 
 
 def test_validation_takes_each_record_once(monkeypatch):
-    # one presence row per trace record, where the per-pair loop checked
+    # one presence code per trace record, where the per-pair loop checked
     # the fields once per (detector, record) pair; a classification corpus
     # supplies its presence masks, so no record is visited
     calls = []
@@ -484,14 +502,15 @@ def test_validation_takes_each_record_once(monkeypatch):
     validate_corpus(_gate_shaped_corpus(60))
     assert calls == []
     monkeypatch.undo()
-    assert _regrouped(report, [r.id for r in records]) == \
-        loop_validation(records)
+    _assert_report_is(report, loop_validation(records),
+                      [r.id for r in records])
 
 
 def test_report_json_lists_counts_and_ids():
     rows = _partly_missing(_gate_shaped_rows(60), 2)
     report = validate_corpus(corpora.classification_corpus(rows))
     doc = report.to_json_dict()
+    assert set(doc) == {"record_count", "lacking", "detectors"}
     assert doc["record_count"] == 60
     assert list(doc["detectors"]) == list(REGISTRY)
     for name, entry in doc["detectors"].items():
@@ -499,11 +518,21 @@ def test_report_json_lists_counts_and_ids():
             assert entry == {"not_applicable": "<requires a trace record>",
                              "count": 60}
             continue
-        assert entry["available"] == report.available(name)
-        assert entry["available_count"] == len(entry["available"])
-        assert entry["missing"] == {
-            ",".join(fields): {"count": len(ids), "ids": ids}
-            for fields, ids in report.missing(name).items()}
+        assert entry == {"reads": list(REGISTRY[name]),
+                         "available_count": report.eligible(name).size}
+    # each group is keyed by what its records lack for the detectors that
+    # read those fields, named in the order the detectors first read them
+    fields = list(dict.fromkeys(f for name in DISCRIMINATIVE_DETECTORS
+                                for f in REGISTRY[name]))
+    grouped = {}
+    for i, rid in enumerate(report.ids):
+        lacked = {f for name in DISCRIMINATIVE_DETECTORS
+                  for f in report.lacks(i, name)}
+        grouped.setdefault(",".join(f for f in fields if f in lacked),
+                           []).append(rid)
+    assert doc["lacking"] == {key: {"count": len(ids), "ids": ids}
+                              for key, ids in grouped.items()}
+    assert len(grouped) > 1
 
 
 def _retained(build):
@@ -530,8 +559,8 @@ def gate_corpus(tmp_path_factory):
 def test_validation_report_memory(gate_corpus):
     records = load_trace_corpus(gate_corpus, "classification")
     report, held = _retained(lambda: validate_corpus(records))
-    # the corpus's ids, held once, and one byte per record for each of
-    # the 14 discriminative detectors: 74 KB on Python 3.11
+    # the corpus's ids, held once, and one int64 presence code per record:
+    # 42 KB on Python 3.11
     assert held < 250_000
     assert len(report.not_applicable) == 21
 
@@ -710,6 +739,8 @@ def _assert_loaders_agree(path, lines):
         == oracles.audit_classification_records(want, cfg)
     assert json.loads(json.dumps(result.validation.to_json_dict())) == \
         oracles.loop_validation_json(want)
+    _assert_report_is(result.validation, loop_validation(want),
+                      [rec.id for rec in want])
     return got
 
 
@@ -1189,6 +1220,37 @@ def test_chunked_reader_reports_malformed_json_as_read_json_does(
     with pytest.raises(CorpusError) as chunked:
         read_json_chunked(path, "outcomes", _indexed)
     assert str(chunked.value) == str(whole.value)
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text", ['{"outcomes": ' + _DEEP + '}',
+                                  '{"outcomes": [1, ' + _DEEP + ']}'],
+                         ids=["member", "element"])
+def test_json_nested_too_deep_is_a_corpus_error(tmp_path, monkeypatch,
+                                                 text):
+    # json's decoder raises RecursionError past the interpreter's limit
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", 1000)
+    for read in (read_json, lambda p: read_json_chunked(p, "outcomes",
+                                                        _indexed)):
+        with pytest.raises(CorpusError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: JSON nested too deep to decode"
+
+
+@pytest.mark.parametrize("schema", ["trace", "classification"])
+def test_a_line_nested_too_deep_is_a_corpus_error(tmp_path, schema):
+    path = tmp_path / "deep.jsonl"
+    first = (corpora.demo_trace_corpus()[0] if schema == "trace"
+             else corpora.demo_classification_rows()[0])
+    path.write_text(json.dumps(corpora.json_value(first)) + "\n\n" + _DEEP)
+    with pytest.raises(CorpusError) as exc:
+        load_trace_corpus(path, schema)
+    assert str(exc.value) == \
+        f"{path}: line 3: JSON nested too deep to decode"
 
 
 def test_chunked_reader_counts_lines_from_the_start_of_the_file(
