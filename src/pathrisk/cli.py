@@ -9,7 +9,9 @@ audit, all from the standard library's `random`. game takes it from its
 scenario; risk and report draw none, so they take no --seed and write
 "seed": null. Exit codes: 0 success; 1 a failed identity
 (holonorm-verify); 2 a rejected input (such as a path it cannot read or
-write) or a usage error; 3 an infeasible deployment gate (risk --gate).
+write, or a file that is not UTF-8) or a usage error; 3 an infeasible
+deployment gate (risk --gate); 4 an internal error, a bug, whose
+traceback the console script prints.
 
 Every input file is decoded field by field by the `records` kinds: a value
 of the wrong JSON type is rejected, never coerced ("0.5", true and NaN are
@@ -28,14 +30,17 @@ and their readers sit beside their writers, so this module names no key
 of either.
 
 `audit` writes outcomes.json (`registry.AuditResult`), one layout for both
-schemas; `risk` folds each outcome's severity as a loss sample, and an
-outcome fired where severity >= threshold. `audit` also writes
-validation.json (`registry.ValidationReport`): each record once, under the
-fields it lacks, and the fields each detector reads, which tell what
-records it could score and why it skipped the others. Only trace detectors
-read --kb and --fixtures, so classification rejects both. `risk` writes
-risk_report.json (`risk.RiskReport`), and `report` writes summary.json,
-its decoded fields with the entries as "pathologies", and summary.csv.
+schemas, whose outcomes hold only the values that determine them; `risk`
+folds each outcome's severity as a loss sample, and an outcome fired where
+severity >= threshold. Their evidence goes to evidence.json, each
+detector's list in the order of its outcomes, which no subcommand reads.
+`audit` also writes validation.json (`registry.ValidationReport`): each
+record once, under the fields it lacks, and the fields each detector
+reads, which tell what records it could score and why it skipped the
+others. Only trace detectors read --kb and --fixtures, so classification
+rejects both. `risk` writes risk_report.json (`risk.RiskReport`), and
+`report` writes summary.json, its decoded fields with the entries as
+"pathologies", and summary.csv.
 
 `audit --config` reads a JSON object with the optional sections
 "generative" and "discriminative", one per detector family, such as
@@ -167,6 +172,7 @@ def _cmd_audit(args):
             for group in group_by(result.outcomes, attrgetter("pathology"))]
     out = _write(args, {
         "outcomes.json": result.to_json_dict(),
+        "evidence.json": result.evidence_json_dict(),
         "validation.json": result.validation.to_json_dict(),
         "audit_summary.csv": (("pathology", "n", "fired_rate",
                                "mean_severity"), rows)},
@@ -411,7 +417,15 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    """The console script. An exception that `main` does not map to a
+    verdict is a bug: its traceback is printed and the exit code is 4."""
+    try:
+        code = main()
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        code = 4
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -316,12 +316,21 @@ def _decode_record(decoders, obj, where, id_name="id"):
 _TOO_DEEP = "JSON nested too deep to decode"
 
 
+def _not_utf8(where, exc):
+    return CorpusError(f"{where}: not UTF-8 ({exc})")
+
+
 def read_json(path):
-    """The JSON document in the file at `path`; CorpusError if malformed
-    or nested too deep to decode."""
+    """The JSON document in the file at `path`; CorpusError if it is not
+    UTF-8, malformed or nested too deep to decode."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
+        except UnicodeDecodeError as exc:
+            # the whole file is decoded at once, so the position counts
+            # from its first byte
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise _not_utf8(f"{path}: line {line}", exc) from None
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: malformed JSON ({exc.msg}, line "
                               f"{exc.lineno})") from None
@@ -597,17 +606,25 @@ SCHEMAS = ("trace", "classification")
 
 
 def _json_lines(handle):
-    """(line number, parsed JSON value) of each line that is not blank."""
+    """(line number, parsed JSON value) of each line that is not blank, of
+    a file opened with errors="surrogateescape": a byte that is not UTF-8
+    is read as a lone surrogate, and its line is an error naming the file
+    and the line."""
     for line_no, line in enumerate(handle, start=1):
-        if line.strip():
-            try:
+        try:
+            if not line.isascii():
+                # the line's own bytes, decoded strictly
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            if line.strip():
                 yield line_no, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(
-                    f"line {line_no}: malformed JSON ({exc.msg})") from None
-            except RecursionError:
-                raise CorpusError(
-                    f"{handle.name}: line {line_no}: {_TOO_DEEP}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(f"{handle.name}: line {line_no}", exc) from None
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{handle.name}: line {line_no}: malformed "
+                              f"JSON ({exc.msg})") from None
+        except RecursionError:
+            raise CorpusError(
+                f"{handle.name}: line {line_no}: {_TOO_DEEP}") from None
 
 
 def load_trace_corpus(path, schema="trace", record=None):
@@ -629,7 +646,8 @@ def load_trace_corpus(path, schema="trace", record=None):
     if schema not in SCHEMAS:
         raise CorpusError(f"unknown corpus schema {schema!r}; "
                           f"expected one of {SCHEMAS}")
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8",
+              errors="surrogateescape") as handle:
         if schema == "classification":
             # only a classification load compiles the column corpus
             from . import classification

@@ -15,18 +15,24 @@ the knowledge base, its scorer and threshold) lives beside its scorer in
 `generative._DETECTORS`; a discriminative one folds the whole corpus,
 with its scorer and threshold in `discriminative._DETECTORS`.
 
-The outcome format is written and read here alone. outcomes.json is
-`AuditResult.to_json_dict`, the object {"outcomes": [...], "skipped":
-{detector: reason}, "dropped": {detector: {unit: reason}}} for either
-family, and `load_outcome_files` reads it back for risk and report: it
-decodes the outcomes and skips the other two keys. Each outcome's object
-is `DetectorOutcome.to_json_dict`, with exactly the keys pathology,
-record_ids, severity, threshold and evidence, and
+The outcome formats are written and read here alone. An audit writes two
+files. outcomes.json is `AuditResult.to_json_dict`, the object
+{"outcomes": [...], "skipped": {detector: reason}, "dropped": {detector:
+{unit: reason}}} for either family, and `load_outcome_files` reads it
+back for risk and report: it decodes the outcomes and skips the other two
+keys. Each outcome's object is `DetectorOutcome.to_json_dict`, with
+exactly the keys pathology, record_ids, severity and threshold, and
 `DetectorOutcome.from_json_dict` decodes one. Any other key, at either
-level, is an error. Nothing derived is written: an outcome fired where
+level, is an error, so an outcome that carries its evidence, as 0.5.0
+wrote it, is rejected. Nothing derived is written: an outcome fired where
 severity >= threshold, its family is the table that holds its pathology,
-and its severity is the loss sample the risk engine folds. Evidence is
-written for readers; risk and report do not read it.
+and its severity is the loss sample the risk engine folds.
+
+evidence.json is `AuditResult.evidence_json_dict`, {detector: [evidence
+objects]}: the k-th object of a detector's list is the evidence of its
+k-th outcome in outcomes.json, and a detector with no outcome has no
+entry. Evidence is written for readers; nothing in the package reads
+evidence.json, so risk and report never parse it.
 
 The pair {semantic_reheating, semantic_warming} is one alias group, so
 reports count 34 distinct pathologies.
@@ -160,30 +166,29 @@ class DetectorOutcome:
         return (self.pathology, ",".join(self.record_ids))
 
     def to_json_dict(self):
+        """The outcome's object in outcomes.json; its evidence goes to
+        evidence.json."""
         return {"pathology": self.pathology,
                 "record_ids": list(self.record_ids),
                 "severity": self.severity,
-                "threshold": self.threshold,
-                "evidence": dict(self.evidence)}
+                "threshold": self.threshold}
 
     @classmethod
     def from_json_dict(cls, obj, where):
         """The outcome of a JSON object that `to_json_dict` wrote; an error
         names `where` and the field. Every key that it writes is mandatory
-        and decoded by its kind, and any other key is an error. Evidence
-        must be an object but is not kept, since risk and report never
-        read it: the outcome gets an empty read-only one."""
-        fields = decode_object(_OUTCOME_FIELDS, obj, where)
-        fields["evidence"] = _NO_EVIDENCE
-        return cls(**fields)
+        and decoded by its kind, and any other key is an error. The file
+        holds no evidence, so the outcome gets an empty read-only one."""
+        return cls(**decode_object(_OUTCOME_FIELDS, obj, where),
+                   evidence=_NO_EVIDENCE)
 
 
 # the keys of DetectorOutcome.to_json_dict, with their kinds
 _OUTCOME_FIELDS = declare(
     ("pathology", "id", True), ("record_ids", "strings", True),
-    ("severity", "number", True), ("threshold", "number", True),
-    ("evidence", "object", True))
-# one shared read-only mapping stands for the evidence that is not kept
+    ("severity", "number", True), ("threshold", "number", True))
+# one shared read-only mapping stands for the evidence a loaded outcome
+# does not have
 _NO_EVIDENCE = MappingProxyType({})
 
 
@@ -203,6 +208,17 @@ class AuditResult:
         return {"outcomes": self.outcomes,
                 "skipped": dict(sorted(self.skipped.items())),
                 "dropped": self.dropped}
+
+    def evidence_json_dict(self):
+        """The content of evidence.json: each detector's list of the
+        evidence objects of its outcomes, in outcome order. The lists hold
+        the outcomes' own evidence dicts, which the writer encodes as they
+        are."""
+        evidence = {}
+        for outcome in self.outcomes:
+            evidence.setdefault(outcome.pathology, []).append(
+                outcome.evidence)
+        return evidence
 
 
 # the keys of AuditResult.to_json_dict that `load_outcome_files` decodes,

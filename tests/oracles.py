@@ -30,6 +30,8 @@ eligible.
 The mutual-information oracle bins the projections of the same
 standard-library normal draws in a plain Python loop and sums the plug-in
 terms over a dict of cell counts.
+The outcome oracle writes an outcome as 0.5.0 did, with its evidence,
+and regroups such objects into evidence.json by one filter per pathology.
 """
 
 import json
@@ -168,6 +170,20 @@ def canonical_json(obj):
     object with to_json_dict() is copied as that dict."""
     return json.dumps(_canon(obj), sort_keys=True, indent=1,
                       separators=(",", ": "))
+
+
+def outcome_row(outcome):
+    """An outcome's object as 0.5.0 wrote it in outcomes.json: the values
+    that determine it and its evidence."""
+    return outcome.to_json_dict() | {"evidence": dict(outcome.evidence)}
+
+
+def regrouped_evidence(rows):
+    """evidence.json of the `outcome_row` objects of an audit: for each
+    pathology that has a row, the evidence of its rows in row order."""
+    return {name: [row["evidence"] for row in rows
+                   if row["pathology"] == name]
+            for name in {row["pathology"] for row in rows}}
 
 
 def _loop_output_pair(records, input_bound, better):
@@ -469,8 +485,8 @@ def load_classification_records(path):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(
-                    f"line {line_no}: malformed JSON ({exc.msg})") from None
+                raise CorpusError(f"{path}: line {line_no}: malformed JSON "
+                                  f"({exc.msg})") from None
             where = f"line {line_no}"
             rec = ClassificationRecord.from_json_dict(obj, where)
             if rec.id in seen:
@@ -777,9 +793,9 @@ assert set(_DETECTORS) == set(DISCRIMINATIVE_DETECTORS)
 
 
 def audit_classification_records(records, cfg):
-    """(outcome dicts sorted as the audit sorts them, skip reasons) of the
-    14 detectors over records, each scoring the records loop_validation
-    finds eligible, with the n_min floor and skip reasons of
+    """(`outcome_row` objects sorted as the audit sorts them, skip
+    reasons) of the 14 detectors over records, each scoring the records
+    loop_validation finds eligible, with the n_min floor and skip reasons of
     audit_discriminative."""
     lacks = loop_validation(records)
     outcomes, skipped = [], {}
@@ -802,12 +818,12 @@ def audit_classification_records(records, cfg):
                 pathology=name, record_ids=(), severity=severity,
                 threshold=threshold(cfg), evidence=evidence))
     outcomes.sort(key=lambda o: o.sort_key())
-    return [o.to_json_dict() for o in outcomes], skipped
+    return [outcome_row(o) for o in outcomes], skipped
 
 
 def whole_corpus_audit(records, kb=None, fixtures=(),
                        cfg=generative.GenerativeConfig()):
-    """(outcome dicts sorted as the audit sorts them, skip reasons,
+    """(`outcome_row` objects sorted as the audit sorts them, skip reasons,
     dropped units) of the 21 generative detectors over whole records."""
     lacks = loop_validation(records)
     outcomes, skipped, dropped = [], {}, {}
@@ -833,4 +849,4 @@ def whole_corpus_audit(records, kb=None, fixtures=(),
         if not any(o.pathology == name for o in outcomes):
             skipped[name] = next(iter(lost.values()), reason)
     outcomes.sort(key=lambda o: o.sort_key())
-    return [o.to_json_dict() for o in outcomes], skipped, dropped
+    return [outcome_row(o) for o in outcomes], skipped, dropped

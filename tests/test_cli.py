@@ -20,7 +20,8 @@ from pathrisk.records import (load_causal_fixtures, load_knowledge_base,
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                DetectorOutcome, pathology_ids)
 from conftest import labelled
-from oracles import loop_mutual_information
+from oracles import (canonical_json, loop_mutual_information, outcome_row,
+                     regrouped_evidence)
 
 
 def _outputs(directory):
@@ -95,8 +96,8 @@ def test_reruns_are_byte_identical(tmp_path, subcommand):
     assert codes == ([3, 3] if subcommand == "risk-gate" else [0, 0])
     assert first == second
     assert "manifest.json" in first
-    assert len(first) == {"game": 2, "audit-trace": 4,
-                          "audit-classification": 4}.get(subcommand, 3)
+    assert len(first) == {"game": 2, "audit-trace": 5,
+                          "audit-classification": 5}.get(subcommand, 3)
 
 
 @pytest.mark.parametrize("subcommand", ["audit-trace", "audit-classification"])
@@ -291,10 +292,9 @@ def test_no_subcommand_loads_openssl_or_numpy_random(tmp_path):
     for runs in (trace, [classification], drawn):
         assert _probe(tmp_path, _HEAVY_IMPORT_PROBE,
                       [json.dumps(a) for a in runs]) == [[0] * len(runs), []]
-    bluffing, = [o for o in json.loads(
-        (audited / "outcomes.json").read_text())["outcomes"]
-        if o["pathology"] == "bluffing"]
-    assert "mutual_information" in bluffing["evidence"]
+    bluffing, = json.loads(
+        (audited / "evidence.json").read_text())["bluffing"]
+    assert "mutual_information" in bluffing
 
 
 @pytest.mark.skipif(shutil.which("b2sum") is None,
@@ -447,10 +447,8 @@ def test_config_sets_the_mi_bins_and_seed_the_projections(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["audit", "--corpus", str(corpus), "--config",
                      str(config), "--seed", "7", "--out", str(out)]) == 0
-    bluffing, = [o for o in json.loads(
-        (out / "outcomes.json").read_text())["outcomes"]
-        if o["pathology"] == "bluffing"]
-    estimate = float(bluffing["evidence"]["mutual_information"])
+    bluffing, = json.loads((out / "evidence.json").read_text())["bluffing"]
+    estimate = float(bluffing["mutual_information"])
     assert estimate == pytest.approx(
         loop_mutual_information(inputs, outputs, 2, 7), abs=1e-10)
     for bins, seed in ((4, 7), (2, 0)):
@@ -470,26 +468,54 @@ def test_a_negative_seed_is_reported_before_the_corpus(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["corpus-is-a-directory", "out-is-a-file",
-                                  "line-nested-too-deep"])
+                                  "line-nested-too-deep", "corpus-not-utf-8",
+                                  "kb-not-utf-8", "outcomes-not-utf-8"])
 def test_an_input_it_cannot_take_exits_2_without_a_traceback(tmp_path, case):
     # the console script as a user runs it: an uncaught error would print a
-    # traceback and exit 1, the code of a failed identity
+    # traceback and exit 4, the code of a bug
     corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
     corpora.write_input(corpus, corpora.demo_trace_corpus())
+    argv = ["audit", "--corpus", str(corpus)]
+    # a string holding the byte 0xff, which no UTF-8 text holds
+    not_utf8 = b'{"id": "r\xff1"}\n'
     if case == "corpus-is-a-directory":
-        corpus = named = tmp_path / "corpora"
-        corpus.mkdir()
+        argv[2] = named = tmp_path / "corpora"
+        named.mkdir()
     elif case == "out-is-a-file":
         named = out
         out.write_text("")
-    else:
+    elif case == "line-nested-too-deep":
         named = f"{corpus}: line 1: JSON nested too deep to decode"
         corpus.write_text("[" * 100_000 + "]" * 100_000 + "\n")
-    proc = _fresh(tmp_path, "-m", "pathrisk", "audit", "--corpus",
-                  str(corpus), "--out", str(out))
+    elif case == "corpus-not-utf-8":
+        named = f"{corpus}: line 2: not UTF-8"
+        corpus.write_bytes(b"\n" + not_utf8)
+    else:
+        path = tmp_path / "input.json"
+        path.write_bytes(not_utf8)
+        named = f"{path}: line 1: not UTF-8"
+        argv = (argv + ["--kb", str(path)] if case == "kb-not-utf-8"
+                else ["risk", "--outcomes", str(path)])
+    proc = _fresh(tmp_path, "-m", "pathrisk", *argv, "--out", str(out))
     assert proc.returncode == 2
     assert str(named) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_an_internal_error_prints_its_traceback_and_exits_4(tmp_path):
+    # a bug is no verdict: exit 1 is a failed identity, 2 a rejected input
+    script = ("import pathrisk.cli as cli\n"
+              "def broken(args):\n"
+              "    raise RuntimeError('a bug')\n"
+              "cli._cmd_pareto = broken\n"
+              "cli.entry()\n")
+    out = tmp_path / "out"
+    proc = _fresh(tmp_path, "-c", script, "pareto", "--seed", "0",
+                  "--out", str(out))
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.endswith("RuntimeError: a bug\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("written", [True, False], ids=["valid", "absent"])
@@ -682,8 +708,7 @@ def test_loaded_outcomes_give_the_in_memory_risk_report(tmp_path,
         assert got.mean == pytest.approx(want.mean, abs=1e-12)
 
 
-_OUTCOME_KEYS = {"pathology", "record_ids", "severity", "threshold",
-                 "evidence"}
+_OUTCOME_KEYS = {"pathology", "record_ids", "severity", "threshold"}
 
 
 @pytest.mark.parametrize("subcommand,family", [
@@ -712,20 +737,69 @@ def test_outcomes_hold_only_the_values_that_determine_them(
     for entry in report["entries"]:
         mine = [o for o in outcomes if o["pathology"] == entry["pathology"]]
         assert entry["fired_rate"] == sum(map(_fired, mine)) / len(mine)
-    # the 0.3.0 layout also wrote each outcome's family, fired and loss
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps(doc | {"outcomes": [
-        o | {"family": "generative" if family is GENERATIVE_DETECTORS
-             else "discriminative", "fired": _fired(o),
-             "loss": o["severity"]} for o in outcomes]}))
-    capsys.readouterr()
-    for argv in (["risk", "--outcomes", str(old)],
-                 ["report", "--risk", str(risked / "risk_report.json"),
-                  "--outcomes", str(old)]):
-        assert cli.main(argv + ["--out", str(tmp_path / "old_out")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {old}: outcomes[0], field 'family': unknown field\n")
-        assert not (tmp_path / "old_out").exists()
+    # the evidence is in evidence.json, one list entry per outcome
+    evidence = json.loads((audited / "evidence.json").read_text())
+    assert {name: len(column) for name, column in evidence.items()} == \
+        {name: sum(o["pathology"] == name for o in outcomes)
+         for name in {o["pathology"] for o in outcomes}}
+    # the 0.3.0 layout also wrote each outcome's family, fired and loss,
+    # and the 0.5.0 layout its evidence
+    columns = {name: iter(column) for name, column in evidence.items()}
+    for label, extra, key in [
+            ("0.3.0", lambda o: {
+                "family": "generative" if family is GENERATIVE_DETECTORS
+                else "discriminative", "fired": _fired(o),
+                "loss": o["severity"]}, "family"),
+            ("0.5.0", lambda o: {"evidence": next(columns[o["pathology"]])},
+             "evidence")]:
+        old = tmp_path / f"{label}.json"
+        old.write_text(json.dumps(doc | {"outcomes": [
+            o | extra(o) for o in outcomes]}))
+        capsys.readouterr()
+        for argv in (["risk", "--outcomes", str(old)],
+                     ["report", "--risk", str(risked / "risk_report.json"),
+                      "--outcomes", str(old)]):
+            assert cli.main(argv + ["--out", str(tmp_path / "old_out")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {old}: outcomes[0], field {key!r}: unknown field\n")
+            assert not (tmp_path / "old_out").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["audit-trace", "audit-classification"])
+def test_evidence_json_regroups_the_evidence_each_outcome_held(tmp_path,
+                                                               subcommand):
+    out = tmp_path / "out"
+    assert cli.main(_argv(tmp_path, subcommand) + ["--out", str(out)]) == 0
+    result = _in_memory_audit(tmp_path, subcommand)
+    # the outcomes as 0.5.0 wrote them, each with its evidence
+    rows = [outcome_row(o) for o in result.outcomes]
+    assert rows and all(row["evidence"] for row in rows)
+    assert (out / "evidence.json").read_text() == \
+        canonical_json(regrouped_evidence(rows)) + "\n"
+    # outcomes.json is the 0.5.0 file with each evidence key removed
+    old = json.loads(canonical_json(
+        {"outcomes": rows, "skipped": result.skipped,
+         "dropped": result.dropped}))
+    for row in old["outcomes"]:
+        del row["evidence"]
+    assert json.loads((out / "outcomes.json").read_text()) == old
+
+
+def test_risk_and_report_never_read_evidence_json(tmp_path):
+    audited = Path(_audited(tmp_path)).parent
+    risked, reported = tmp_path / "risked", tmp_path / "reported"
+
+    def downstream():
+        assert cli.main(["risk", "--outcomes", str(audited / "outcomes.json"),
+                         "--out", str(risked), "--force"]) == 0
+        assert cli.main(["report", "--risk", str(risked / "risk_report.json"),
+                         "--outcomes", str(audited / "outcomes.json"),
+                         "--out", str(reported), "--force"]) == 0
+        return _outputs(risked), _outputs(reported)
+
+    first = downstream()
+    (audited / "evidence.json").unlink()
+    assert downstream() == first
 
 
 def _levels(tmp_path):
@@ -831,8 +905,7 @@ def test_planted_zero_one_pathologies_have_their_known_risks(tmp_path, p,
 
 
 _GOOD_OUTCOME = {"pathology": "delusion", "record_ids": ["r1"],
-                 "severity": 0.7, "threshold": 0.5,
-                 "evidence": {"ratio": "3"}}
+                 "severity": 0.7, "threshold": 0.5}
 
 
 def _change(label, change, message):
@@ -850,7 +923,10 @@ def _change(label, change, message):
     _change("change3", {"threshold": None},
             "outcomes[1], field 'threshold': missing mandatory field"),
     _change("change4", {"extra": 1},
-            "outcomes[1], field 'extra': unknown field")])
+            "outcomes[1], field 'extra': unknown field"),
+    # the 0.5.0 layout held each outcome's evidence
+    _change("change5", {"evidence": {"ratio": "3"}},
+            "outcomes[1], field 'evidence': unknown field")])
 @pytest.mark.parametrize("subcommand", ["risk", "report"])
 def test_bad_outcomes_exit_2(tmp_path, capsys, subcommand, change, message):
     item = {k: v for k, v in (_GOOD_OUTCOME | change).items()
@@ -1085,8 +1161,9 @@ _MALFORMED = [
          "{where}: outcomes[1], field 'fired': unknown field"),
     _row("bad70", "outcomes", {"loss": 0.7},
          "{where}: outcomes[1], field 'loss': unknown field"),
-    _row("bad71", "outcomes", {"evidence": None},
-         "{where}: outcomes[1], field 'evidence': missing mandatory field"),
+    # the evidence that the 0.5.0 layout wrote in each outcome
+    _row("bad71", "outcomes", {"evidence": {"ratio": "3"}},
+         "{where}: outcomes[1], field 'evidence': unknown field"),
     _row("bad72", "outcomes-file", {"outcomes": None},
          "{where}, field 'outcomes': missing mandatory field"),
     _row("bad73", "outcomes-file", {"outcomes": {}},

@@ -8,7 +8,7 @@ from pathrisk.discriminative import (DiscriminativeConfig,
                                      score_discriminative)
 from pathrisk.records import RecordValidationError, TraceRecord
 from pathrisk.registry import DISCRIMINATIVE_DETECTORS, validate_corpus
-from oracles import ClassificationRecord, loop_validation
+from oracles import ClassificationRecord, loop_validation, outcome_row
 
 DIS_IDS = sorted(DISCRIMINATIVE_DETECTORS)
 
@@ -61,7 +61,7 @@ class TestEligibility:
             self, pathology):
         # the audit decides eligibility, so the outcome is the audit's
         def outcome(rows):
-            return [o.to_json_dict()
+            return [outcome_row(o)
                     for o in audit_discriminative(_corpus(rows)).outcomes
                     if o.pathology == pathology]
 
@@ -228,7 +228,7 @@ class TestAudit:
 
         # detectors that read a field bare records carry score them too
         def lacking(outcomes):
-            return [o.to_json_dict() for o in outcomes
+            return [outcome_row(o) for o in outcomes
                     if _BARE_LACKS[o.pathology]]
 
         assert lacking(full.outcomes) == \

@@ -21,7 +21,7 @@ from pathrisk.registry import (ALIAS_GROUPS, GENERATIVE_DETECTORS,
 import oracles
 from conftest import random_orthogonal
 from oracles import (every_prefix_semantic_warming, loop_cognitive_stereotypy,
-                     loop_hypersignification)
+                     loop_hypersignification, outcome_row)
 
 GEN_IDS = sorted(GENERATIVE_DETECTORS)
 
@@ -115,8 +115,8 @@ class TestAudit:
         kwargs = dict(kb=bundle["kb"], fixtures=bundle["causal_fixtures"])
         a = audit_generative(bundle["records"], **kwargs)
         b = audit_generative(bundle["records"], **kwargs)
-        assert [o.to_json_dict() for o in a.outcomes] == \
-            [o.to_json_dict() for o in b.outcomes]
+        assert [outcome_row(o) for o in a.outcomes] == \
+            [outcome_row(o) for o in b.outcomes]
 
     def test_result_carries_the_validation_report(self):
         records = corpora.demo_trace_corpus()
@@ -259,7 +259,7 @@ def _audit_documents(result):
     """The audit's outcomes, skipped, dropped and validation.json, as JSON
     reads them back."""
     return json.loads(json.dumps(
-        [[o.to_json_dict() for o in result.outcomes], result.skipped,
+        [[outcome_row(o) for o in result.outcomes], result.skipped,
          result.dropped, result.validation.to_json_dict()]))
 
 
@@ -687,7 +687,7 @@ class TestConfig:
 class TestSemanticDrift:
     def _outcomes(self, records):
         result = audit_generative(records)
-        return ([o.to_json_dict() for o in result.outcomes
+        return ([outcome_row(o) for o in result.outcomes
                  if o.pathology == "semantic_drift"],
                 result.dropped.get("semantic_drift", {}))
 

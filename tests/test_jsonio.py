@@ -132,27 +132,36 @@ def _audit_result(n):
 
 
 def test_audit_outcomes_are_converted_as_they_are_written(tmp_path):
-    # the audit hands its outcomes to the writer as they are; only the one
-    # being written exists as a dict
-    result = _audit_result(21_000)
-    path = tmp_path / "outcomes.json"
-    tracemalloc.start()
-    try:
-        jsonio.write_json(path, result.to_json_dict())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    written = path.stat().st_size
-    assert written >= 5_000_000
-    assert peak < written / 20
-    assert path.read_text() == canonical_json(result) + "\n"
+    # the audit hands its outcomes to the writer as they are, and their
+    # evidence dicts by reference: only the outcome being written exists
+    # as a dict, and no evidence is copied
+    result = _audit_result(33_000)
+    evidence = result.evidence_json_dict()
+    columns = {name: iter(column) for name, column in evidence.items()}
+    assert all(next(columns[o.pathology]) is o.evidence
+               for o in result.outcomes)
+    assert all(next(column, None) is None for column in columns.values())
+    for name, doc, least in (("outcomes.json", result.to_json_dict(),
+                              5_000_000),
+                             ("evidence.json", evidence, 2_000_000)):
+        path = tmp_path / name
+        tracemalloc.start()
+        try:
+            jsonio.write_json(path, doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        written = path.stat().st_size
+        assert written >= least
+        assert peak < written / 20
+        assert path.read_text() == canonical_json(doc) + "\n"
 
 
 def test_loading_outcomes_holds_no_dict_tree(tmp_path):
-    # each outcome is built as it is parsed and keeps no evidence, and the
-    # file (4.9 MB) is read in 64 KiB chunks: the peak is the outcomes
-    # (about 1.6x the file's size) plus a few chunks, where the whole text
-    # alone takes 1x and json.load of the file with the evidence 4.4x
+    # each outcome is built as it is parsed, and the file (3.1 MB) is read
+    # in 64 KiB chunks: the peak is the outcomes (about 2.4x the file's
+    # size) plus a few chunks, where the whole text alone takes 1x and
+    # json.load of the file 4.3x
     path = tmp_path / "outcomes.json"
     jsonio.write_json(path, _audit_result(20_000).to_json_dict())
     gc.collect()
@@ -170,10 +179,11 @@ def test_loading_outcomes_holds_no_dict_tree(tmp_path):
 @pytest.mark.parametrize("compact", [False, True])
 def test_outcomes_load_alike_in_chunks_of_any_size(tmp_path, monkeypatch,
                                                    compact):
-    # evidence with escapes and non-ASCII text is parsed and dropped
+    # record ids with escapes and non-ASCII text are parsed alike
     result = _audit_result(60)
-    outcomes = [DetectorOutcome(o.pathology, o.record_ids, o.severity,
-                                o.threshold, {"note": f"é \"{i}\"\\ 😀\n"})
+    outcomes = [DetectorOutcome(o.pathology,
+                                (f"é \"{i}\"\\ 😀\n",) + o.record_ids,
+                                o.severity, o.threshold)
                 for i, o in enumerate(result.outcomes)]
     doc = AuditResult(outcomes=tuple(outcomes), skipped={"x": "ü"},
                       dropped={}).to_json_dict()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import ClassificationRecord, loop_validation
+from oracles import ClassificationRecord, loop_validation, outcome_row
 from pathrisk.discriminative import DiscriminativeConfig, audit_discriminative
 from pathrisk.classification import _CLASSIFICATION, STRING_COLUMNS
 from pathrisk.records import (_KB_ENTRY, _KINDS, CausalFixture, CorpusError,
@@ -735,7 +735,7 @@ def _assert_loaders_agree(path, lines):
         [_held(rec, classes) for rec in want]
     cfg = DiscriminativeConfig()
     result = audit_discriminative(got, cfg)
-    assert ([o.to_json_dict() for o in result.outcomes], result.skipped) \
+    assert ([outcome_row(o) for o in result.outcomes], result.skipped) \
         == oracles.audit_classification_records(want, cfg)
     assert json.loads(json.dumps(result.validation.to_json_dict())) == \
         oracles.loop_validation_json(want)
@@ -1272,13 +1272,60 @@ def test_chunked_reader_reports_bad_utf8_as_read_json_does(tmp_path,
     # the byte's position counts from the start of the file, not the chunk
     path = tmp_path / "bad.json"
     path.write_bytes(b'{"outcomes": [' + b'1, ' * 5000 + b'"\xff"]}')
-    with pytest.raises(UnicodeDecodeError) as whole:
+    with pytest.raises(CorpusError) as whole:
         read_json(path)
     monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", 5)
-    with pytest.raises(UnicodeDecodeError) as chunked:
+    with pytest.raises(CorpusError) as chunked:
         read_json_chunked(path, "outcomes", _indexed)
-    assert str(chunked.value) == str(whole.value)
-    assert "position 15015" in str(whole.value)
+    assert str(chunked.value) == str(whole.value) == (
+        f"{path}: line 1: not UTF-8 ('utf-8' codec can't decode byte 0xff "
+        f"in position 15015: invalid start byte)")
+
+
+@pytest.mark.parametrize("bad,reason", [
+    (b"\xff", "byte 0xff in position {}: invalid start byte"),
+    # a surrogate code point, which UTF-8 does not encode
+    (b"\xed\xa0\x80", "byte 0xed in position {}: invalid continuation byte")],
+    ids=["0xff", "surrogate"])
+@pytest.mark.parametrize("schema", ["trace", "classification", "json"])
+def test_bytes_that_are_not_utf8_name_the_file_and_the_line(tmp_path,
+                                                           schema, bad,
+                                                           reason):
+    # the first line is valid UTF-8 but not ASCII, the third holds the bad
+    # bytes in a string; a corpus line's position counts from the start of
+    # the line
+    first = corpora.json_value({
+        "trace": corpora.demo_trace_corpus()[0],
+        "classification": corpora.demo_classification_rows()[0],
+        "json": {"entries": []}}[schema])
+    first["id"] = "é"
+    head = json.dumps(first, ensure_ascii=False).encode() + b"\n\n"
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(head + b'{"id": "r' + bad + b'1"}\n')
+    with pytest.raises(CorpusError) as exc:
+        if schema == "json":
+            read_json(path)
+        else:
+            load_trace_corpus(path, schema)
+    # read_json decodes the whole file at once
+    position = (len(head) if schema == "json" else 0) + 9
+    assert str(exc.value) == (f"{path}: line 3: not UTF-8 ('utf-8' codec "
+                              f"can't decode {reason.format(position)})")
+
+
+@pytest.mark.parametrize("schema", ["trace", "classification"])
+def test_a_carriage_return_ends_a_corpus_line(tmp_path, schema):
+    # "\r\n" and a lone "\r" end a line, as "\n" does
+    rows = [corpora.json_value(row) for row in (
+        corpora.demo_trace_corpus() if schema == "trace"
+        else corpora.demo_classification_rows())[:3]]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"\r\n".join(json.dumps(r).encode() for r in rows)
+                     + b"\r" + json.dumps(rows[0]).encode() + b"\r")
+    with pytest.raises(CorpusError) as exc:
+        load_trace_corpus(path, schema)
+    assert str(exc.value).startswith(
+        f"line 4, record {rows[0]['id']!r}, field 'id': duplicate id")
 
 
 def test_chunked_reader_gives_a_top_level_array_as_is(tmp_path, monkeypatch):
