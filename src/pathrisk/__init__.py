@@ -5,4 +5,4 @@ holonorm transformer verification, and a constrained delegation game.
 The package imports no submodule: import the one you use, such as
 `pathrisk.risk` or `pathrisk.cli`, and only it and what it needs load."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

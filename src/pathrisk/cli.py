@@ -30,10 +30,17 @@ and their readers sit beside their writers, so this module names no key
 of either.
 
 `audit` writes outcomes.json (`registry.AuditResult`), one layout for both
-schemas, whose outcomes hold only the values that determine them; `risk`
-folds each outcome's severity as a loss sample, and an outcome fired where
-severity >= threshold. Their evidence goes to evidence.json, each
-detector's list in the order of its outcomes, which no subcommand reads.
+schemas. At 0.7.0 it holds one firing threshold per detector with
+outcomes, under "firing_thresholds", and outcomes that hold only their
+pathology, severity and unit. The unit is one string: a record's id, a
+pair's two ids sorted and joined by ",", a conversation's id ("" without
+one), "x->y" for a causal fixture, and "" for a corpus detector and every
+discriminative one; `dropped` keys the units it drops by the same string.
+`risk` folds each outcome's severity as a loss sample, and an outcome
+fired where severity >= its detector's threshold. A 0.6.0 file, whose
+outcomes carry `record_ids` and `threshold`, exits 2 naming the field.
+The evidence goes to evidence.json, each detector's list in the order of
+its outcomes, which no subcommand reads.
 `audit` also writes validation.json (`registry.ValidationReport`): each
 record once, under the fields it lacks, and the fields each detector
 reads, which tell what records it could score and why it skipped the

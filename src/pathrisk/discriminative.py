@@ -378,7 +378,7 @@ def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig(),
     scorer, threshold = _DETECTORS[pathology]
     rows = np.arange(len(corpus)) if rows is None else rows
     severity, evidence = scorer(corpus, rows, cfg)
-    return DetectorOutcome(pathology=pathology, record_ids=(),
+    return DetectorOutcome(pathology=pathology, unit="",
                            severity=severity, threshold=threshold(cfg),
                            evidence=evidence)
 

@@ -320,9 +320,9 @@ def _extreme_output_pair(records, input_bound, none_message, lowest):
     the last; the output matrix is stacked only after the first input
     block's mask is formed. So when one block covers every row, the input
     matrix is freed before the output matrix exists, and at most one
-    stacked matrix and the copy that its block takes are alive at once;
-    with more blocks, both matrices are alive from the first output block
-    to the last input block."""
+    stacked matrix is alive at once, as no block copies its rows; with
+    more blocks, both matrices are alive from the first output block to
+    the last input block."""
     n = len(records)
     rows = max(1, _TILE_ELEMENTS // max(n, 1))
     fill = np.inf if lowest else -np.inf
@@ -470,18 +470,21 @@ _DETECTORS = {
 assert list(_DETECTORS) == list(GENERATIVE_DETECTORS)
 
 
-def _unit_ids(arity, data):
-    """The record ids of the outcome scored on one unit of that arity."""
+def _unit(arity, data):
+    """The unit id of the outcome scored on one unit of that arity, the
+    key its `dropped` entry has if it is dropped: a record's id; the ids
+    of a pair, sorted and joined by ","; a conversation's id, or "" where
+    its records have none; "x->y" for a causal fixture; "" for the
+    corpus."""
     if arity is Arity.FIXTURE:
-        return (f"{data.x_name}->{data.y_name}",)
+        return f"{data.x_name}->{data.y_name}"
     if arity is Arity.RECORD:
-        return (data.id,)
+        return data.id
     if arity is Arity.PAIR:
-        return tuple(sorted(r.id for r in data))
+        return ",".join(sorted(r.id for r in data))
     if arity is Arity.SEQUENCE:
-        cid = data[0].annotations.get("conversation_id", "")
-        return (cid,) if cid else ()
-    return ()
+        return data[0].annotations.get("conversation_id", "")
+    return ""
 
 
 def score(pathology, data, cfg=GenerativeConfig(), kb=None):
@@ -495,7 +498,7 @@ def score(pathology, data, cfg=GenerativeConfig(), kb=None):
     severity, evidence = detector.scorer(
         data, cfg, *((kb,) if detector.needs_kb else ()))
     return DetectorOutcome(pathology=pathology,
-                           record_ids=_unit_ids(detector.arity, data),
+                           unit=_unit(detector.arity, data),
                            severity=severity,
                            threshold=detector.threshold(cfg),
                            evidence=evidence)
@@ -531,15 +534,15 @@ def _units(arity, eligible, fixtures):
 
 
 def _score_units(pathology, units, cfg, kb=None):
-    """(the detector's outcomes on the units it scores, {unit ids: reason}
-    of those it drops)."""
+    """(the detector's outcomes on the units it scores, {unit: reason} of
+    those it drops)."""
     arity = _DETECTORS[pathology].arity
     outcomes, lost = [], {}
     for unit in units:
         try:
             outcomes.append(score(pathology, unit, cfg, kb=kb))
         except (DetectorError, metrics.MetricError) as exc:
-            lost[",".join(_unit_ids(arity, unit))] = str(exc)
+            lost[_unit(arity, unit)] = str(exc)
     return outcomes, lost
 
 
@@ -618,7 +621,7 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig(),
     scores each fixture. Each unit is scored on its own: one that fails is
     listed in `dropped` with its reason, and the detector's other units
     are still scored. A detector that scores nothing is reported as
-    skipped. Outcomes are sorted by (pathology, record ids).
+    skipped. Outcomes are sorted by (pathology, unit).
     """
     if step is None:
         step = RecordStep(kb, cfg)

@@ -59,11 +59,21 @@ def _columns(a, b):
 
 
 def _sim_block(a, b, nb, clamp):
-    if np.may_share_memory(a, b):
-        # a @ a.T runs syrk, whose blocks can round equal entries apart
-        a = a.copy()
     na = _row_norms(a)
-    s = a @ b.T
+    if a.shape != b.shape or not np.may_share_memory(a, b):
+        s = a @ b.T
+    elif len(a) >= 4:
+        # a @ a.T runs syrk, whose blocks can round equal entries apart.
+        # The product of each half of a's rows with b.T runs gemm, and
+        # needs no copy of a
+        s = np.empty((len(a), len(b)))
+        half = len(a) // 2
+        np.matmul(a[:half], b.T, out=s[:half])
+        np.matmul(a[half:], b.T, out=s[half:])
+    else:
+        # a half of one row would run gemv, which rounds apart from gemm;
+        # a copy of at most 3 rows runs one gemm
+        s = a.copy() @ b.T
     for row, norm in zip(s, na):
         row /= norm * nb   # as in sim: one division by the norm product
     np.clip(s, -1.0, 1.0, out=s)
@@ -81,11 +91,10 @@ def sim_matrix(a, b, clamp=True):
 
 def sim_row_blocks(a, b, rows):
     """`sim_matrix(a, b)` in blocks of `rows` rows of a (the last may be
-    shorter), in order. The norms of b are taken once; a block that
-    shares memory with b is copied, not b, so the memory beyond the
-    inputs is one block and its rows. It lets go of a and b once the last
-    block is formed, so inputs that only it holds are freed before the
-    caller receives that block."""
+    shorter), in order. The norms of b are taken once, and no block is
+    copied, so the memory beyond the inputs is one block. It lets go of a
+    and b once the last block is formed, so inputs that only it holds are
+    freed before the caller receives that block."""
     a, b, nb = _columns(a, b)
     n = len(a)
     for start in range(0, n, rows):

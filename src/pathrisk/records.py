@@ -406,9 +406,10 @@ class _ChunkedText:
                 return obj
 
 
-def _chunked_members(text, array_name, item):
+def _chunked_members(text, array_name, item, member):
     # the members of the top-level object, each element of array_name
-    # handed to item as it is parsed; the end of the file must follow it
+    # handed to item as it is parsed and each other member to member; the
+    # end of the file must follow it
     members = {}
     text.expect("{")
     if text.peek() == "}":
@@ -429,7 +430,7 @@ def _chunked_members(text, array_name, item):
                     while text.expect(",]") == ",":
                         items.append(item(len(items), text.value()))
             else:
-                members[key] = text.value()
+                members[key] = member(key, text.value())
             if text.expect(",}") == "}":
                 break
     if text.peek():
@@ -437,23 +438,30 @@ def _chunked_members(text, array_name, item):
     return members
 
 
-def read_json_chunked(path, array_name, item):
+def _as_read(key, value):
+    return value
+
+
+def read_json_chunked(path, array_name, item, member=_as_read):
     """What `read_json(path)` returns, read _CHUNK_CHARS characters at a
     time, so no string of the whole file is formed, and with each element
     x of the top-level member `array_name` replaced by item(i, x), i its
-    index.
+    index, and the value v of each other member by member(key, v).
 
     The top-level object is decoded member by member. When its member
     `array_name` is an array, each element is decoded alone and handed to
     `item` as soon as it is parsed, so an error `item` raises ends the
-    read there; every other member is decoded whole. A file that is not one
-    well-formed JSON object in UTF-8 is read again by `read_json`, so its
-    error (the message and the line counted from the start of the file),
-    or its value when that is not an object, is exactly `read_json`'s.
+    read there; every other member is decoded whole and handed to
+    `member` at once, so `item` can use what `member` made of the members
+    ahead of the array. A file that is not one well-formed JSON object in
+    UTF-8 is read again by `read_json`, so its error (the message and the
+    line counted from the start of the file), or its value when that is
+    not an object, is exactly `read_json`'s.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return _chunked_members(_ChunkedText(handle), array_name, item)
+            return _chunked_members(_ChunkedText(handle), array_name, item,
+                                    member)
         except (_Malformed, UnicodeDecodeError, RecursionError):
             # read_json reports a decoding error at its position in the file
             pass

@@ -16,17 +16,26 @@ the knowledge base, its scorer and threshold) lives beside its scorer in
 with its scorer and threshold in `discriminative._DETECTORS`.
 
 The outcome formats are written and read here alone. An audit writes two
-files. outcomes.json is `AuditResult.to_json_dict`, the object
-{"outcomes": [...], "skipped": {detector: reason}, "dropped": {detector:
-{unit: reason}}} for either family, and `load_outcome_files` reads it
-back for risk and report: it decodes the outcomes and skips the other two
-keys. Each outcome's object is `DetectorOutcome.to_json_dict`, with
-exactly the keys pathology, record_ids, severity and threshold, and
-`DetectorOutcome.from_json_dict` decodes one. Any other key, at either
-level, is an error, so an outcome that carries its evidence, as 0.5.0
-wrote it, is rejected. Nothing derived is written: an outcome fired where
-severity >= threshold, its family is the table that holds its pathology,
-and its severity is the loss sample the risk engine folds.
+files. outcomes.json (0.7.0) is `AuditResult.to_json_dict`, the object
+{"dropped": {detector: {unit: reason}}, "firing_thresholds": {detector:
+threshold}, "outcomes": [...], "skipped": {detector: reason}} for either
+family. `firing_thresholds` holds one threshold for each detector that has
+outcomes, and sorts ahead of `outcomes`, so a canonical file gives each
+threshold before the outcomes that need it. Each outcome's object is
+`DetectorOutcome.to_json_dict`, with exactly the keys pathology, severity
+and unit. The unit is one string, the one that `dropped` uses as its key:
+a record's id; the ids of a pair, sorted and joined by ","; a
+conversation's id, or "" for records without one; "x->y" for a causal
+fixture; and "" for a corpus detector and for every discriminative one.
+`load_outcome_files` reads the file back for risk and report: it decodes
+the thresholds and the outcomes, in either member order, and skips the
+other two keys. Any other key, at either level, is an error, so an outcome
+as 0.6.0 wrote it, with `record_ids` and `threshold`, is rejected, and so
+is 0.5.0's with its evidence. So are an outcome whose pathology has no
+threshold and a threshold that no outcome uses. Nothing derived is
+written: an outcome fired where severity >= its detector's threshold, its
+family is the table that holds its pathology, and its severity is the loss
+sample the risk engine folds.
 
 evidence.json is `AuditResult.evidence_json_dict`, {detector: [evidence
 objects]}: the k-th object of a detector's list is the evidence of its
@@ -38,13 +47,15 @@ The pair {semantic_reheating, semantic_warming} is one alias group, so
 reports count 34 distinct pathologies.
 """
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
-from .records import declare, decode_object, read_json_chunked
+from .records import (RecordValidationError, declare, decode_object,
+                      read_json_chunked)
 
 # detector id -> the record fields it requires; "annotations.k" is the key
 # k of the record's annotations
@@ -141,13 +152,13 @@ def group_by(records, key):
 
 @dataclass(frozen=True, slots=True)
 class DetectorOutcome:
-    """Verdict of one detector evaluation. Its severity is the loss sample
-    handed to the risk engine, and it fired where severity >= threshold.
-    Slotted: an audit holds one per (detector, unit), so no instance
-    carries a __dict__."""
+    """Verdict of one detector evaluation on one unit. Its severity is the
+    loss sample handed to the risk engine, and it fired where severity >=
+    threshold, the one firing threshold of its detector. Slotted: an audit
+    holds one per (detector, unit), so no instance carries a __dict__."""
 
     pathology: str
-    record_ids: tuple
+    unit: str
     severity: float
     threshold: float
     evidence: dict = field(default_factory=dict)
@@ -163,49 +174,79 @@ class DetectorOutcome:
         return self.severity >= self.threshold
 
     def sort_key(self):
-        return (self.pathology, ",".join(self.record_ids))
+        return (self.pathology, self.unit)
 
     def to_json_dict(self):
-        """The outcome's object in outcomes.json; its evidence goes to
-        evidence.json."""
-        return {"pathology": self.pathology,
-                "record_ids": list(self.record_ids),
-                "severity": self.severity,
-                "threshold": self.threshold}
+        """The outcome's object in outcomes.json; its threshold goes to the
+        file's firing_thresholds, and its evidence to evidence.json."""
+        return {"pathology": self.pathology, "severity": self.severity,
+                "unit": self.unit}
 
     @classmethod
-    def from_json_dict(cls, obj, where):
+    def from_json_dict(cls, obj, where, thresholds=None):
         """The outcome of a JSON object that `to_json_dict` wrote; an error
         names `where` and the field. Every key that it writes is mandatory
-        and decoded by its kind, and any other key is an error. The file
-        holds no evidence, so the outcome gets an empty read-only one."""
-        return cls(**decode_object(_OUTCOME_FIELDS, obj, where),
-                   evidence=_NO_EVIDENCE)
+        and decoded by its kind, and any other key is an error. The
+        threshold is `thresholds[pathology]`, which every outcome of the
+        pathology shares, as it shares the interned pathology string; it
+        is None while `thresholds` is (the file's thresholds not read
+        yet). The file holds no evidence, so the outcome gets an empty
+        read-only one."""
+        fields = decode_object(_OUTCOME_FIELDS, obj, where)
+        # unit is checked after the unknown keys, so that a 0.6.0 outcome
+        # is named by its record_ids, not by the unit it lacks
+        if "unit" not in fields:
+            raise RecordValidationError("missing mandatory field",
+                                        field_name="unit", where=where)
+        pathology = sys.intern(fields["pathology"])
+        outcome = cls(pathology, fields["unit"], fields["severity"],
+                      None if thresholds is None
+                      else thresholds.get(pathology), _NO_EVIDENCE)
+        if thresholds is not None and outcome.threshold is None:
+            raise _no_threshold(outcome, where)
+        return outcome
 
 
 # the keys of DetectorOutcome.to_json_dict, with their kinds
-_OUTCOME_FIELDS = declare(
-    ("pathology", "id", True), ("record_ids", "strings", True),
-    ("severity", "number", True), ("threshold", "number", True))
+_OUTCOME_FIELDS = declare(("pathology", "id", True),
+                          ("severity", "number", True), ("unit", "string"))
 # one shared read-only mapping stands for the evidence a loaded outcome
 # does not have
 _NO_EVIDENCE = MappingProxyType({})
+
+
+def _no_threshold(outcome, where):
+    return RecordValidationError(
+        f"{outcome.pathology!r} has no entry in firing_thresholds",
+        field_name="pathology", where=where)
 
 
 @dataclass(frozen=True)
 class AuditResult:
     outcomes: tuple
     skipped: dict   # detector -> reason
-    # detector -> {unit ids: reason}; empty where no unit was dropped, as
+    # detector -> {unit: reason}; empty where no unit was dropped, as
     # where each detector has one unit
     dropped: dict = field(default_factory=dict)
     # which records each detector could score; written as validation.json
     validation: Optional["ValidationReport"] = None
 
+    def firing_thresholds(self):
+        """{detector: its firing threshold} for each detector with
+        outcomes; ValueError if two of a detector's outcomes disagree."""
+        thresholds = {}
+        for outcome in self.outcomes:
+            if thresholds.setdefault(outcome.pathology,
+                                     outcome.threshold) != outcome.threshold:
+                raise ValueError(f"{outcome.pathology}: outcomes with two "
+                                 f"firing thresholds")
+        return thresholds
+
     def to_json_dict(self):
         # the outcomes as they are: the writer converts each one as it
         # writes it, so their dicts never all exist at once
-        return {"outcomes": self.outcomes,
+        return {"firing_thresholds": self.firing_thresholds(),
+                "outcomes": self.outcomes,
                 "skipped": dict(sorted(self.skipped.items())),
                 "dropped": self.dropped}
 
@@ -222,9 +263,47 @@ class AuditResult:
 
 
 # the keys of AuditResult.to_json_dict that `load_outcome_files` decodes,
-# and those it skips: risk and report read only the outcomes
-_OUTCOMES_FILE = declare(("outcomes", "array", True))
+# and those it skips: risk and report read only the thresholds and the
+# outcomes
+_OUTCOMES_FILE = declare(("firing_thresholds", "object", True),
+                         ("outcomes", "array", True))
 _OUTCOMES_SKIPPED = ("skipped", "dropped")
+# the keys of firing_thresholds: any detector id, with a number
+_THRESHOLD_FIELDS = declare(*((name, "number") for name in REGISTRY))
+
+
+def _load_outcome_file(path):
+    """The outcomes of one outcomes.json, as `load_outcome_files` reads
+    them."""
+    thresholds = None   # {detector: threshold}, once that member is read
+
+    def member(key, value):
+        nonlocal thresholds
+        if key == "firing_thresholds":
+            thresholds = value = decode_object(
+                _THRESHOLD_FIELDS, value, f"{path}: firing_thresholds")
+        return value
+
+    def outcome(i, obj):
+        return DetectorOutcome.from_json_dict(obj, f"{path}: outcomes[{i}]",
+                                              thresholds)
+
+    outcomes = decode_object(
+        _OUTCOMES_FILE, read_json_chunked(path, "outcomes", outcome, member),
+        path, ignored=_OUTCOMES_SKIPPED)["outcomes"]
+    # outcomes read ahead of the thresholds get theirs now, each replaced
+    # in place, so the list never holds two copies
+    for i, got in enumerate(outcomes):
+        if got.threshold is None:
+            if got.pathology not in thresholds:
+                raise _no_threshold(got, f"{path}: outcomes[{i}]")
+            outcomes[i] = replace(got, threshold=thresholds[got.pathology])
+    unused = thresholds.keys() - {got.pathology for got in outcomes}
+    if unused:
+        raise RecordValidationError("no outcome has this pathology",
+                                    field_name=min(unused),
+                                    where=f"{path}: firing_thresholds")
+    return outcomes
 
 
 def load_outcome_files(paths):
@@ -234,17 +313,16 @@ def load_outcome_files(paths):
     element of its "outcomes" array is decoded by
     `DetectorOutcome.from_json_dict` as soon as it is parsed, so neither a
     string of the whole file nor a dict tree of it is held, and every
-    loaded outcome has empty evidence. A key that `AuditResult` does not
-    write is an error naming the file, the outcome and the key.
+    loaded outcome has empty evidence. In a canonical file the thresholds
+    come first, and each outcome is built whole as it is parsed; an
+    outcome parsed before them is completed once the file is read. A key
+    that `AuditResult` does not write is an error naming the file, the
+    outcome and the key, and so are an outcome whose pathology has no
+    threshold and a threshold of a pathology with no outcome.
     """
     outcomes = []
     for path in paths:
-        def outcome(i, obj):
-            return DetectorOutcome.from_json_dict(obj,
-                                                  f"{path}: outcomes[{i}]")
-        outcomes.extend(decode_object(
-            _OUTCOMES_FILE, read_json_chunked(path, "outcomes", outcome),
-            str(path), ignored=_OUTCOMES_SKIPPED)["outcomes"])
+        outcomes += _load_outcome_file(str(path))
     return outcomes
 
 

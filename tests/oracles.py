@@ -30,8 +30,12 @@ eligible.
 The mutual-information oracle bins the projections of the same
 standard-library normal draws in a plain Python loop and sums the plug-in
 terms over a dict of cell counts.
-The outcome oracle writes an outcome as 0.5.0 did, with its evidence,
-and regroups such objects into evidence.json by one filter per pathology.
+The outcome oracle gives an outcome's values with its threshold and
+evidence, and regroups such rows into evidence.json by one filter per
+pathology. The unit oracle gives the record ids of a unit as 0.6.0 held
+them, a tuple that outcomes.json wrote as a list and `dropped` joined by
+","; the layout oracle rewrites a 0.6.0 outcomes.json into 0.7.0's, each
+unit that join and each detector's threshold written once.
 """
 
 import json
@@ -173,9 +177,43 @@ def canonical_json(obj):
 
 
 def outcome_row(outcome):
-    """An outcome's object as 0.5.0 wrote it in outcomes.json: the values
-    that determine it and its evidence."""
-    return outcome.to_json_dict() | {"evidence": dict(outcome.evidence)}
+    """An outcome's values: its object in outcomes.json, its firing
+    threshold and its evidence."""
+    return outcome.to_json_dict() | {"threshold": outcome.threshold,
+                                     "evidence": dict(outcome.evidence)}
+
+
+def record_ids_060(arity, data):
+    """The record ids of the outcome scored on one generative unit of that
+    arity, as 0.6.0 held them: a tuple of one record's id, of a pair's ids
+    in sorted order, of a conversation's id if it has one, or of a causal
+    fixture's "x->y"; empty for a corpus unit."""
+    if arity is generative.Arity.RECORD:
+        return (data.id,)
+    if arity is generative.Arity.PAIR:
+        return tuple(sorted([data[0].id, data[1].id]))
+    if arity is generative.Arity.SEQUENCE:
+        conversation = data[0].annotations.get("conversation_id", "")
+        return (conversation,) if conversation else ()
+    if arity is generative.Arity.FIXTURE:
+        return (data.x_name + "->" + data.y_name,)
+    return ()
+
+
+def rewrite_060(document):
+    """A 0.6.0 outcomes.json document, as json.load gives it, in the 0.7.0
+    layout: each outcome's record_ids joined by "," as its unit, and each
+    detector's threshold moved to firing_thresholds. Every outcome of a
+    detector must carry the same threshold. Other keys, of the document
+    and of each outcome, are kept as they are."""
+    thresholds, outcomes = {}, []
+    for old in document["outcomes"]:
+        new = dict(old)
+        threshold = new.pop("threshold")
+        assert thresholds.setdefault(new["pathology"], threshold) == threshold
+        new["unit"] = ",".join(new.pop("record_ids"))
+        outcomes.append(new)
+    return document | {"firing_thresholds": thresholds, "outcomes": outcomes}
 
 
 def regrouped_evidence(rows):
@@ -815,7 +853,7 @@ def audit_classification_records(records, cfg):
                 skipped[name] = str(exc)
                 continue
             outcomes.append(DetectorOutcome(
-                pathology=name, record_ids=(), severity=severity,
+                pathology=name, unit="", severity=severity,
                 threshold=threshold(cfg), evidence=evidence))
     outcomes.sort(key=lambda o: o.sort_key())
     return [outcome_row(o) for o in outcomes], skipped
@@ -823,10 +861,12 @@ def audit_classification_records(records, cfg):
 
 def whole_corpus_audit(records, kb=None, fixtures=(),
                        cfg=generative.GenerativeConfig()):
-    """(`outcome_row` objects sorted as the audit sorts them, skip reasons,
-    dropped units) of the 21 generative detectors over whole records."""
+    """(`outcome_row` objects sorted as 0.6.0 sorted them, skip reasons,
+    dropped units) of the 21 generative detectors over whole records. Each
+    row's unit and each dropped key is the unit's `record_ids_060` joined
+    by ",", and the rows are sorted by pathology, then that join."""
     lacks = loop_validation(records)
-    outcomes, skipped, dropped = [], {}, {}
+    rows, skipped, dropped = [], {}, {}
     for name, detector in generative._DETECTORS.items():
         if detector.needs_kb and kb is None:
             skipped[name] = "no knowledge base supplied"
@@ -839,14 +879,16 @@ def whole_corpus_audit(records, kb=None, fixtures=(),
                                               fixtures)
         lost = {}
         for unit in units:
+            joined = ",".join(record_ids_060(detector.arity, unit))
             try:
-                outcomes.append(generative.score(name, unit, cfg, kb=kb))
+                outcome = generative.score(name, unit, cfg, kb=kb)
             except (DetectorError, MetricError) as exc:
-                lost[",".join(generative._unit_ids(detector.arity,
-                                                   unit))] = str(exc)
+                lost[joined] = str(exc)
+                continue
+            rows.append(outcome_row(outcome) | {"unit": joined})
         if lost:
             dropped[name] = lost
-        if not any(o.pathology == name for o in outcomes):
+        if not any(row["pathology"] == name for row in rows):
             skipped[name] = next(iter(lost.values()), reason)
-    outcomes.sort(key=lambda o: o.sort_key())
-    return [outcome_row(o) for o in outcomes], skipped, dropped
+    rows.sort(key=lambda row: (row["pathology"], row["unit"]))
+    return rows, skipped, dropped

@@ -332,13 +332,15 @@ def test_manifests_hold_the_b2sum_digest_of_each_input(tmp_path):
 
 
 def _fired(outcome):
-    """Whether an outcome object of outcomes.json fired."""
+    """Whether an outcome object of outcomes.json, with its detector's
+    firing threshold added as "threshold", fired."""
     return outcome["severity"] >= outcome["threshold"]
 
 
 def _fixture_audit(tmp_path, pathology, config):
     """The outcomes.json entries of `pathology` after an audit of its
-    positive fixture, with `config` (a dict, or None) as --config."""
+    positive fixture, with `config` (a dict, or None) as --config, each
+    with the detector's firing threshold added as "threshold"."""
     corpus = tmp_path / "corpus.jsonl"
     argv = ["audit", "--corpus", str(corpus)]
     if pathology in GENERATIVE_DETECTORS:
@@ -354,8 +356,10 @@ def _fixture_audit(tmp_path, pathology, config):
         argv += ["--config", str(path)]
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out), "--force"]) == 0
-    outcomes = json.loads((out / "outcomes.json").read_text())["outcomes"]
-    return [o for o in outcomes if o["pathology"] == pathology]
+    doc = json.loads((out / "outcomes.json").read_text())
+    threshold = doc["firing_thresholds"][pathology]
+    return [o | {"threshold": threshold} for o in doc["outcomes"]
+            if o["pathology"] == pathology]
 
 
 @pytest.mark.parametrize("pathology,section,key,default,raised", [
@@ -691,8 +695,8 @@ def test_loaded_outcomes_give_the_in_memory_risk_report(tmp_path,
         # slotted: no per-instance __dict__
         assert isinstance(got, DetectorOutcome)
         assert not hasattr(got, "__dict__")
-        assert (got.pathology, got.record_ids, got.threshold, got.fired) == \
-            (want.pathology, want.record_ids, want.threshold, want.fired)
+        assert (got.pathology, got.unit, got.threshold, got.fired) == \
+            (want.pathology, want.unit, want.threshold, want.fired)
         # the file holds severities rounded to 12 decimals
         assert got.severity == pytest.approx(want.severity, abs=5e-13)
         assert got.evidence == {}
@@ -708,7 +712,7 @@ def test_loaded_outcomes_give_the_in_memory_risk_report(tmp_path,
         assert got.mean == pytest.approx(want.mean, abs=1e-12)
 
 
-_OUTCOME_KEYS = {"pathology", "record_ids", "severity", "threshold"}
+_OUTCOME_KEYS = {"pathology", "severity", "unit"}
 
 
 @pytest.mark.parametrize("subcommand,family", [
@@ -724,9 +728,13 @@ def test_outcomes_hold_only_the_values_that_determine_them(
     path = audited / "outcomes.json"
     doc = json.loads(path.read_text())
     # one layout for both schemas
-    assert doc.keys() == {"outcomes", "skipped", "dropped"}
+    assert doc.keys() == {"firing_thresholds", "outcomes", "skipped",
+                          "dropped"}
     outcomes = doc["outcomes"]
     assert outcomes and all(o.keys() == _OUTCOME_KEYS for o in outcomes)
+    # one threshold for each detector that has outcomes
+    thresholds = doc["firing_thresholds"]
+    assert thresholds.keys() == {o["pathology"] for o in outcomes}
     # the family is the registry table that holds the id
     assert all(o["pathology"] in family for o in outcomes)
     risked = tmp_path / "risked"
@@ -735,7 +743,8 @@ def test_outcomes_hold_only_the_values_that_determine_them(
     report = json.loads((risked / "risk_report.json").read_text())
     assert report["entries"]
     for entry in report["entries"]:
-        mine = [o for o in outcomes if o["pathology"] == entry["pathology"]]
+        mine = [o | {"threshold": thresholds[o["pathology"]]}
+                for o in outcomes if o["pathology"] == entry["pathology"]]
         assert entry["fired_rate"] == sum(map(_fired, mine)) / len(mine)
     # the evidence is in evidence.json, one list entry per outcome
     evidence = json.loads((audited / "evidence.json").read_text())
@@ -743,26 +752,43 @@ def test_outcomes_hold_only_the_values_that_determine_them(
         {name: sum(o["pathology"] == name for o in outcomes)
          for name in {o["pathology"] for o in outcomes}}
     # the 0.3.0 layout also wrote each outcome's family, fired and loss,
-    # and the 0.5.0 layout its evidence
+    # the 0.5.0 layout its evidence, and the 0.6.0 layout its record ids
+    # and its threshold, with no firing_thresholds
     columns = {name: iter(column) for name, column in evidence.items()}
     for label, extra, key in [
             ("0.3.0", lambda o: {
                 "family": "generative" if family is GENERATIVE_DETECTORS
-                else "discriminative", "fired": _fired(o),
+                else "discriminative",
+                "fired": o["severity"] >= thresholds[o["pathology"]],
                 "loss": o["severity"]}, "family"),
             ("0.5.0", lambda o: {"evidence": next(columns[o["pathology"]])},
              "evidence")]:
         old = tmp_path / f"{label}.json"
         old.write_text(json.dumps(doc | {"outcomes": [
             o | extra(o) for o in outcomes]}))
-        capsys.readouterr()
-        for argv in (["risk", "--outcomes", str(old)],
-                     ["report", "--risk", str(risked / "risk_report.json"),
-                      "--outcomes", str(old)]):
-            assert cli.main(argv + ["--out", str(tmp_path / "old_out")]) == 2
-            assert capsys.readouterr().err == (
-                f"error: {old}: outcomes[0], field {key!r}: unknown field\n")
-            assert not (tmp_path / "old_out").exists()
+        _assert_rejected(tmp_path, capsys, old, risked, key)
+    old = tmp_path / "0.6.0.json"
+    old.write_text(json.dumps(
+        {"dropped": doc["dropped"], "outcomes": [
+            {"pathology": o["pathology"],
+             "record_ids": o["unit"].split(",") if o["unit"] else [],
+             "severity": o["severity"],
+             "threshold": thresholds[o["pathology"]]} for o in outcomes],
+         "skipped": doc["skipped"]}))
+    _assert_rejected(tmp_path, capsys, old, risked, "record_ids")
+
+
+def _assert_rejected(tmp_path, capsys, old, risked, key):
+    """risk and report each exit 2 on the outcomes file `old`, naming the
+    unknown field `key` of its first outcome, and write nothing."""
+    capsys.readouterr()
+    for argv in (["risk", "--outcomes", str(old)],
+                 ["report", "--risk", str(risked / "risk_report.json"),
+                  "--outcomes", str(old)]):
+        assert cli.main(argv + ["--out", str(tmp_path / "old_out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {old}: outcomes[0], field {key!r}: unknown field\n")
+        assert not (tmp_path / "old_out").exists()
 
 
 @pytest.mark.parametrize("subcommand", ["audit-trace", "audit-classification"])
@@ -771,18 +797,20 @@ def test_evidence_json_regroups_the_evidence_each_outcome_held(tmp_path,
     out = tmp_path / "out"
     assert cli.main(_argv(tmp_path, subcommand) + ["--out", str(out)]) == 0
     result = _in_memory_audit(tmp_path, subcommand)
-    # the outcomes as 0.5.0 wrote them, each with its evidence
+    # the outcomes, each with its threshold and evidence
     rows = [outcome_row(o) for o in result.outcomes]
     assert rows and all(row["evidence"] for row in rows)
     assert (out / "evidence.json").read_text() == \
         canonical_json(regrouped_evidence(rows)) + "\n"
-    # outcomes.json is the 0.5.0 file with each evidence key removed
-    old = json.loads(canonical_json(
-        {"outcomes": rows, "skipped": result.skipped,
-         "dropped": result.dropped}))
-    for row in old["outcomes"]:
+    # outcomes.json holds the rows without their evidence, and each
+    # detector's threshold once
+    thresholds = {row["pathology"]: row.pop("threshold") for row in rows}
+    for row in rows:
         del row["evidence"]
-    assert json.loads((out / "outcomes.json").read_text()) == old
+    assert json.loads((out / "outcomes.json").read_text()) == \
+        json.loads(canonical_json(
+            {"firing_thresholds": thresholds, "outcomes": rows,
+             "skipped": result.skipped, "dropped": result.dropped}))
 
 
 def test_risk_and_report_never_read_evidence_json(tmp_path):
@@ -904,8 +932,8 @@ def test_planted_zero_one_pathologies_have_their_known_risks(tmp_path, p,
                 risk_mod.bernoulli_expectile(share, tau), rel=0, abs=1e-12)
 
 
-_GOOD_OUTCOME = {"pathology": "delusion", "record_ids": ["r1"],
-                 "severity": 0.7, "threshold": 0.5}
+_GOOD_OUTCOME = {"pathology": "delusion", "severity": 0.7, "unit": "r1"}
+_THRESHOLDS = {"delusion": 0.5}
 
 
 def _change(label, change, message):
@@ -920,19 +948,28 @@ def _change(label, change, message):
             "error: severity 1.5 outside [0,1]\n"),
     _change("change2", {"severity": "nan"},
             "outcomes[1], field 'severity': expected a number, got \"nan\""),
-    _change("change3", {"threshold": None},
-            "outcomes[1], field 'threshold': missing mandatory field"),
+    _change("change3", {"unit": None},
+            "outcomes[1], field 'unit': missing mandatory field"),
     _change("change4", {"extra": 1},
             "outcomes[1], field 'extra': unknown field"),
     # the 0.5.0 layout held each outcome's evidence
     _change("change5", {"evidence": {"ratio": "3"}},
-            "outcomes[1], field 'evidence': unknown field")])
+            "outcomes[1], field 'evidence': unknown field"),
+    # the 0.6.0 layout held each outcome's record ids and threshold
+    _change("change6", {"record_ids": ["r1"], "unit": None},
+            "outcomes[1], field 'record_ids': unknown field"),
+    _change("change7", {"threshold": 0.5},
+            "outcomes[1], field 'threshold': unknown field"),
+    _change("change8", {"pathology": "illusion"},
+            "outcomes[1], field 'pathology': 'illusion' has no entry in "
+            "firing_thresholds")])
 @pytest.mark.parametrize("subcommand", ["risk", "report"])
 def test_bad_outcomes_exit_2(tmp_path, capsys, subcommand, change, message):
     item = {k: v for k, v in (_GOOD_OUTCOME | change).items()
             if v is not None}
     path = tmp_path / "outcomes.json"
-    path.write_text(json.dumps({"outcomes": [_GOOD_OUTCOME, item],
+    path.write_text(json.dumps({"firing_thresholds": _THRESHOLDS,
+                                "outcomes": [_GOOD_OUTCOME, item],
                                 "skipped": {}}))
     if subcommand == "risk":
         argv = ["risk", "--outcomes", str(path)]
@@ -1144,12 +1181,12 @@ _MALFORMED = [
          "got \"0.1\""),
     _row("bad64", "scenario", {"risks": {"a9": 0.1}},
          "scenario {where}: risks, field 'a9': unknown field"),
-    _row("bad65", "outcomes", {"threshold": True},
-         "{where}: outcomes[1], field 'threshold': expected a number, "
-         "got true"),
-    _row("bad66", "outcomes", {"record_ids": "r1"},
-         "{where}: outcomes[1], field 'record_ids': expected an array of "
-         "strings, got \"r1\""),
+    # the threshold and record ids that each 0.6.0 outcome held
+    _row("bad65", "outcomes", {"threshold": 0.5},
+         "{where}: outcomes[1], field 'threshold': unknown field"),
+    _row("bad66", "outcomes", {"unit": ["r1"]},
+         "{where}: outcomes[1], field 'unit': expected a string, got "
+         "[\"r1\"]"),
     _row("bad67", "outcomes", {"pathology": ""},
          "{where}: outcomes[1], field 'pathology': expected a nonempty "
          "string"),
@@ -1211,7 +1248,28 @@ _MALFORMED = [
          "{where}, field 'edge_x_to_z': unknown field"),
     # a negative lambda makes the cost non-convex
     _row("bad89", "scenario", {"lambda": -2.0},
-         "scenario {where}: lambda must be non-negative")]
+         "scenario {where}: lambda must be non-negative"),
+    # one threshold for each pathology with outcomes, and no other
+    _row("bad90", "outcomes-file", {"firing_thresholds": None},
+         "{where}, field 'firing_thresholds': missing mandatory field"),
+    _row("bad91", "outcomes-file", {"firing_thresholds": []},
+         "{where}: firing_thresholds: expected a JSON object, got []"),
+    _row("bad92", "outcomes-file",
+         {"firing_thresholds": {"delusion": "0.5"}},
+         "{where}: firing_thresholds, field 'delusion': expected a number, "
+         "got \"0.5\""),
+    _row("bad93", "outcomes-file",
+         {"firing_thresholds": {"delusion": 0.5, "illusion": 0.9}},
+         "{where}: firing_thresholds, field 'illusion': no outcome has this "
+         "pathology"),
+    _row("bad94", "outcomes-file",
+         {"firing_thresholds": {"delusion": 0.5, "nonsense": 0.9}},
+         "{where}: firing_thresholds, field 'nonsense': unknown field"),
+    _row("bad95", "outcomes", {"pathology": "illusion"},
+         "{where}: outcomes[1], field 'pathology': 'illusion' has no entry "
+         "in firing_thresholds"),
+    _row("bad96", "outcomes", {"record_ids": ["r1"], "unit": None},
+         "{where}: outcomes[1], field 'record_ids': unknown field")]
 
 
 def _merged(base, bad):
@@ -1242,12 +1300,15 @@ def _with_malformed(tmp_path, target, bad):
         path.write_text(json.dumps(_merged(_SCENARIO, bad)))
         return ["game", "--scenario", str(path)], path
     if target == "outcomes":
-        path.write_text(json.dumps({"outcomes": [
-            _GOOD_OUTCOME, _merged(_GOOD_OUTCOME, bad)], "skipped": {}}))
+        path.write_text(json.dumps({"firing_thresholds": _THRESHOLDS,
+                                    "outcomes": [_GOOD_OUTCOME,
+                                                 _merged(_GOOD_OUTCOME, bad)],
+                                    "skipped": {}}))
         return ["risk", "--outcomes", str(path)], path
     if target == "outcomes-file":
-        path.write_text(json.dumps(_merged({"outcomes": [_GOOD_OUTCOME]},
-                                           bad)))
+        path.write_text(json.dumps(_merged(
+            {"firing_thresholds": _THRESHOLDS, "outcomes": [_GOOD_OUTCOME]},
+            bad)))
         return ["risk", "--outcomes", str(path)], path
     if target == "config":
         path.write_text(json.dumps(bad))
@@ -1282,4 +1343,20 @@ def test_malformed_inputs_exit_2_naming_the_field(tmp_path, capsys, target,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message.replace("{where}", str(where)) in err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("target,bad,message", [
+    row for row in _MALFORMED if row.values[0].startswith("outcomes")])
+def test_outcomes_ahead_of_their_thresholds_fail_alike(tmp_path, capsys,
+                                                       target, bad, message):
+    # the same file with its members in another order: outcomes parsed
+    # before the thresholds are checked once the file is read
+    argv, where = _with_malformed(tmp_path, target, bad)
+    doc = json.loads(where.read_text())
+    where.write_text(json.dumps(
+        {k: doc[k] for k in sorted(doc, key=lambda k: k != "outcomes")}))
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "bad")]) == 2
+    assert message.replace("{where}", str(where)) in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()

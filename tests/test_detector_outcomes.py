@@ -1,11 +1,15 @@
 """Every detector's outcome on its positive and negative fixture, pinned.
 
 `detector_outcomes.json` holds, for each of the 35 detectors and each
-fixture polarity, the outcomes as pathology, record ids, severity,
-threshold, fired and every evidence string. A generative fixture is
-audited whole, keeping the detector's own outcomes; a discriminative one
-is folded by `score_discriminative`. The file is data, not a rerun of the
-code under test: a detector that changes a digit of any of these fails.
+fixture polarity, the outcomes in the 0.7.0 layout of outcomes.json: the
+detector's firing threshold under "firing_thresholds", and each outcome's
+pathology, unit, severity, fired and every evidence string. The file was
+re-pinned from its 0.6.0 form by `oracles.rewrite_060`, each record_ids
+list joined into a unit and the threshold written once. A generative
+fixture is audited whole, keeping the detector's own outcomes; a
+discriminative one is folded by `score_discriminative`. The file is data,
+not a rerun of the code under test: a detector that changes a digit of
+any of these fails.
 
 semantic_warming's slopes come from eigenvalues and Gram sums whose last
 digits depend on the LAPACK/BLAS build, so they are compared as floats
@@ -27,10 +31,13 @@ PINNED = json.loads((Path(__file__).parent / "detector_outcomes.json")
 FLOAT_EVIDENCE = {"semantic_warming": ("redundancy_slope", "entropy_slope")}
 
 
-def _row(o):
-    return {"pathology": o.pathology, "record_ids": list(o.record_ids),
-            "severity": o.severity, "threshold": o.threshold,
-            "fired": o.fired, "evidence": dict(o.evidence)}
+def _document(outcomes):
+    """The outcomes as the pinned file holds them, as a one-detector
+    outcomes.json with each outcome's fired and evidence added."""
+    return {"firing_thresholds": {o.pathology: o.threshold for o in outcomes},
+            "outcomes": [o.to_json_dict() | {"fired": o.fired,
+                                             "evidence": dict(o.evidence)}
+                         for o in outcomes]}
 
 
 def _outcomes(pathology, positive):
@@ -38,9 +45,10 @@ def _outcomes(pathology, positive):
         bundle = corpora.generative_fixture(pathology, positive)
         result = audit_generative(bundle["records"], kb=bundle["kb"],
                                   fixtures=bundle["causal_fixtures"])
-        return [_row(o) for o in result.outcomes if o.pathology == pathology]
-    return [_row(score_discriminative(
-        pathology, corpora.discriminative_fixture(pathology, positive)))]
+        return _document([o for o in result.outcomes
+                          if o.pathology == pathology])
+    return _document([score_discriminative(
+        pathology, corpora.discriminative_fixture(pathology, positive))])
 
 
 def test_every_detector_is_pinned():
@@ -52,8 +60,9 @@ def test_every_detector_is_pinned():
 def test_fixture_outcomes_match_the_pinned_file(pathology, polarity):
     got = _outcomes(pathology, polarity == "positive")
     want = PINNED[pathology][polarity]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+    assert got["firing_thresholds"] == want["firing_thresholds"]
+    assert len(got["outcomes"]) == len(want["outcomes"])
+    for g, w in zip(got["outcomes"], want["outcomes"]):
         g_ev, w_ev = dict(g.pop("evidence")), dict(w["evidence"])
         w = {k: v for k, v in w.items() if k != "evidence"}
         for key in FLOAT_EVIDENCE.get(pathology, ()):

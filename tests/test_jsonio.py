@@ -123,7 +123,7 @@ def test_write_holds_no_copy_of_the_document(tmp_path):
 def _audit_result(n):
     outcomes = tuple(
         DetectorOutcome(pathology=pathology_ids()[i % 21],
-                        record_ids=(f"conv-{i // 8:05d}", f"rec-{i:06d}"),
+                        unit=f"conv-{i // 8:05d},rec-{i:06d}",
                         severity=(i % 997) / 997, threshold=0.5,
                         evidence={"ratio": f"{i / 7:.12g}",
                                   "note": "similarity above s_hi"})
@@ -135,7 +135,7 @@ def test_audit_outcomes_are_converted_as_they_are_written(tmp_path):
     # the audit hands its outcomes to the writer as they are, and their
     # evidence dicts by reference: only the outcome being written exists
     # as a dict, and no evidence is copied
-    result = _audit_result(33_000)
+    result = _audit_result(46_000)
     evidence = result.evidence_json_dict()
     columns = {name: iter(column) for name, column in evidence.items()}
     assert all(next(columns[o.pathology]) is o.evidence
@@ -158,10 +158,12 @@ def test_audit_outcomes_are_converted_as_they_are_written(tmp_path):
 
 
 def test_loading_outcomes_holds_no_dict_tree(tmp_path):
-    # each outcome is built as it is parsed, and the file (3.1 MB) is read
-    # in 64 KiB chunks: the peak is the outcomes (about 2.4x the file's
+    # each outcome is built as it is parsed, and the file (2.2 MB) is read
+    # in 64 KiB chunks: the peak is the outcomes (about 1.6x the file's
     # size) plus a few chunks, where the whole text alone takes 1x and
-    # json.load of the file 4.3x
+    # json.load of the file 4.3x. The outcomes share one pathology string
+    # and one threshold per detector, so each holds only its unit and
+    # severity
     path = tmp_path / "outcomes.json"
     jsonio.write_json(path, _audit_result(20_000).to_json_dict())
     gc.collect()
@@ -174,18 +176,32 @@ def test_loading_outcomes_holds_no_dict_tree(tmp_path):
     assert len(loaded) == 20_000
     assert peak < 3 * path.stat().st_size
     assert peak - retained < 1 << 20
+    assert len({id(o.pathology) for o in loaded}) == 21
+    assert len({id(o.threshold) for o in loaded}) == 21
+
+
+def _escaped_outcomes(n):
+    """The outcomes of _audit_result(n), each unit led by escapes and
+    non-ASCII text, which the reader must parse alike."""
+    return tuple(
+        DetectorOutcome(o.pathology, f"é \"{i}\"\\ 😀\n{o.unit}",
+                        o.severity, o.threshold)
+        for i, o in enumerate(_audit_result(n).outcomes))
+
+
+def _loaded_in_chunks(path, monkeypatch, want):
+    # a well-formed file is never read whole
+    monkeypatch.setattr("pathrisk.records.read_json", None)
+    for chars in range(1, 8):
+        monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", chars)
+        assert load_outcome_files([path]) == want
 
 
 @pytest.mark.parametrize("compact", [False, True])
 def test_outcomes_load_alike_in_chunks_of_any_size(tmp_path, monkeypatch,
                                                    compact):
-    # record ids with escapes and non-ASCII text are parsed alike
-    result = _audit_result(60)
-    outcomes = [DetectorOutcome(o.pathology,
-                                (f"é \"{i}\"\\ 😀\n",) + o.record_ids,
-                                o.severity, o.threshold)
-                for i, o in enumerate(result.outcomes)]
-    doc = AuditResult(outcomes=tuple(outcomes), skipped={"x": "ü"},
+    outcomes = _escaped_outcomes(60)
+    doc = AuditResult(outcomes=outcomes, skipped={"x": "ü"},
                       dropped={}).to_json_dict()
     path = tmp_path / "outcomes.json"
     if compact:
@@ -194,14 +210,30 @@ def test_outcomes_load_alike_in_chunks_of_any_size(tmp_path, monkeypatch,
             separators=(",", ":"), ensure_ascii=False), encoding="utf-8")
     else:
         jsonio.write_json(path, doc)
-    whole = [DetectorOutcome.from_json_dict(obj, f"outcomes[{i}]")
-             for i, obj in enumerate(read_json(path)["outcomes"])]
-    assert len(whole) == 60
-    # a well-formed file is never read whole
-    monkeypatch.setattr("pathrisk.records.read_json", None)
-    for chars in range(1, 8):
-        monkeypatch.setattr("pathrisk.records._CHUNK_CHARS", chars)
-        assert load_outcome_files([path]) == whole
+    whole = read_json(path)
+    thresholds = whole["firing_thresholds"]
+    want = [DetectorOutcome.from_json_dict(obj, f"outcomes[{i}]", thresholds)
+            for i, obj in enumerate(whole["outcomes"])]
+    assert len(want) == 60
+    _loaded_in_chunks(path, monkeypatch, want)
+
+
+def test_outcomes_load_alike_in_either_member_order(tmp_path, monkeypatch):
+    # the thresholds after the outcomes: each outcome is completed once
+    # the file is read, and the loaded outcomes still share one pathology
+    # string and one threshold per detector
+    outcomes = _escaped_outcomes(60)
+    doc = AuditResult(outcomes=outcomes, skipped={}, dropped={}).to_json_dict()
+    path = tmp_path / "outcomes.json"
+    path.write_text(json.dumps(
+        {"outcomes": [o.to_json_dict() for o in outcomes],
+         "firing_thresholds": doc["firing_thresholds"], "skipped": {},
+         "dropped": {}}), encoding="utf-8")
+    loaded = load_outcome_files([path])
+    assert loaded == list(outcomes)
+    assert len({id(o.pathology) for o in loaded}) == 21
+    assert len({id(o.threshold) for o in loaded}) == 21
+    _loaded_in_chunks(path, monkeypatch, loaded)
 
 
 def test_csv_cells_name_non_finite_floats(tmp_path):

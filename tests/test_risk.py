@@ -186,7 +186,7 @@ class TestBinaryMonotonicity:
 
 
 def _outcome(pathology, severity, threshold=0.5):
-    return DetectorOutcome(pathology=pathology, record_ids=("r",),
+    return DetectorOutcome(pathology=pathology, unit="r",
                            severity=severity, threshold=threshold)
 
 
