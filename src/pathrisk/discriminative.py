@@ -24,6 +24,12 @@ from .registry import (DISCRIMINATIVE_DETECTORS, AuditResult, DetectorError,
                        DetectorOutcome, clamp01, fmt)
 
 
+# the most bins of ECE and of the concept-drift histograms: each estimate
+# takes time or memory in proportion to its bins, and beyond this count
+# most bins of a corpus of any size hold too few records to estimate from
+_MOST_BINS = 10_000
+
+
 @dataclass(frozen=True)
 class DiscriminativeConfig:
     """Firing levels and estimator settings, one value for every detector
@@ -50,6 +56,9 @@ class DiscriminativeConfig:
             if (isinstance(value, bool)
                     or not isinstance(value, (int, np.integer)) or value < 1):
                 raise ValueError(f"{name} must be a positive integer")
+        for name in ("ece_bins", "tv_bins"):
+            if getattr(self, name) > _MOST_BINS:
+                raise ValueError(f"{name} must be at most {_MOST_BINS}")
         for name in ("gap_hi", "amp_hi", "ece_hi", "tv_hi", "c_hi",
                      "frac_hi", "flip_hi", "margin_hi"):
             if not (0.0 <= getattr(self, name) <= 1.0):

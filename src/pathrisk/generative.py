@@ -268,9 +268,9 @@ def _score_misattribution(pair, cfg):
 def _score_semantic_drift(records, cfg):
     if len(records) < 3:
         raise DetectorError("semantic_drift: needs >= 3 records in sequence")
-    # every turn carries the conversation's intent; the first one's is used.
-    # The slope reads only the last window similarities, so only they are
-    # formed
+    # the conversation's intent is its first turn's: RecordStep keeps it on
+    # that turn only. The slope reads only the last window similarities, so
+    # only they are formed
     intent = records[0].intent_embedding
     series = [sim(r.output_embedding, intent)
               for r in records[-cfg.window:]]
@@ -483,7 +483,7 @@ def _unit(arity, data):
     if arity is Arity.PAIR:
         return ",".join(sorted(r.id for r in data))
     if arity is Arity.SEQUENCE:
-        return data[0].annotations.get("conversation_id", "")
+        return _conversation(data[0])
     return ""
 
 
@@ -517,6 +517,12 @@ def _source_pairs(records):
                 != b.annotations.get("source_id"))]
 
 
+def _conversation(record):
+    """The conversation a record is a turn of: its annotation
+    `conversation_id`, or "" where it has none."""
+    return record.annotations.get("conversation_id", "")
+
+
 def _units(arity, eligible, fixtures):
     """The units a pair, fixture, sequence or corpus detector scores; the
     reason if none."""
@@ -526,9 +532,7 @@ def _units(arity, eligible, fixtures):
     if arity is Arity.FIXTURE:
         return list(fixtures), "no causal fixtures supplied"
     if arity is Arity.SEQUENCE:
-        return (group_by(eligible,
-                         lambda r: r.annotations.get("conversation_id", "")),
-                "no conversation long enough")
+        return group_by(eligible, _conversation), "no conversation long enough"
     return ([eligible] if len(eligible) >= 2 else [],
             "fewer than 2 eligible records")
 
@@ -548,7 +552,9 @@ def _score_units(pathology, units, cfg, kb=None):
 
 # the fields that the pair, sequence and corpus detectors require, with the
 # id and the annotations, which name and group their units: all that
-# RecordStep keeps of a record
+# RecordStep keeps of a record. Of these, only semantic_drift reads the
+# intent, and only its conversation's first turn's, so the step keeps the
+# intent on that turn alone
 _KEPT = tuple(dict.fromkeys(
     ["id", "annotations"]
     + [f.split(".")[0] for name, detector in _DETECTORS.items()
@@ -565,18 +571,24 @@ class RecordStep:
     knowledge-base one only with a knowledge base), and returns the record
     trimmed to the fields the pair, sequence and corpus detectors read
     (`_KEPT`), so a record's other vectors are freed as soon as it is
-    scored. `audit_generative` takes the codes, the outcomes and the
-    dropped units from it.
+    scored. A conversation's intent is kept once: on its first record in
+    corpus order that carries semantic_drift's fields, the one record
+    whose intent that detector reads; every other record is returned
+    with no intent. `audit_generative` takes the codes, the outcomes and
+    the dropped units from it.
 
     Only record-level detectors read the knowledge base, so the step
     holds it in `kb` only until the load ends: `audit_generative` sets
     `kb` to None before it builds the other detectors' units, and a
     caller that keeps no reference of its own has the knowledge base
-    freed then. A knowledge-base detector absent from `found` had none."""
+    freed then. It drops `intents`, the conversations whose intent is
+    kept, at the same point. A knowledge-base detector absent from
+    `found` had none."""
 
     def __init__(self, kb=None, cfg=GenerativeConfig()):
         self.kb, self.cfg = kb, cfg
         self.rows = []       # one presence code per record, in corpus order
+        self.intents = set()   # the conversations whose intent is kept
         # each record-level detector it runs -> its outcomes, and
         # {record id: reason} of the records it dropped
         self.found = {name: [] for name, detector in _DETECTORS.items()
@@ -593,7 +605,14 @@ class RecordStep:
                                               self.kb)
                 found += outcomes
                 self.lost[pathology].update(lost)
-        return TraceRecord(**{name: getattr(record, name) for name in _KEPT})
+        kept = {name: getattr(record, name) for name in _KEPT}
+        conversation = _conversation(record)
+        if (registry.carries(code, "semantic_drift")
+                and conversation not in self.intents):
+            self.intents.add(conversation)
+        else:
+            kept["intent_embedding"] = None
+        return TraceRecord(**kept)
 
 
 def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig(),
@@ -626,7 +645,9 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig(),
     if step is None:
         step = RecordStep(kb, cfg)
         corpus = [step(i, rec) for i, rec in enumerate(corpus)]
-    step.kb = None   # the record-level detectors are done with it
+    # the record-level detectors are done with the knowledge base, and
+    # every conversation's intent is kept
+    step.kb = step.intents = None
     # looked up on its module, where the traced benchmark run rebinds it
     validation = registry.validate_corpus(corpus, step.rows)
     outcomes = []

@@ -116,13 +116,22 @@ def decode_number(value):
     return float(value)
 
 
+# the largest magnitude of a vector's entry: the squared norms, distances
+# and Gram entries that the detectors form from such entries stay finite
+# for any vector length and corpus size, while one entry near the largest
+# float overflows its vector's norm
+_LARGEST_ENTRY = 1e100
+
+
 def _vector(value):
     if (type(value) is not list or not value
             or not _NUMBER.issuperset(map(type, value))):
         raise _bad("a nonempty vector of numbers", value)
     vec = np.array(value, dtype=float)
-    if not np.isfinite(vec).all():
-        raise ValueError("non-finite entries")
+    if not (np.abs(vec) <= _LARGEST_ENTRY).all():   # NaN fails it too
+        if not np.isfinite(vec).all():
+            raise ValueError("non-finite entries")
+        raise ValueError(f"an entry exceeds {_LARGEST_ENTRY:g} in magnitude")
     return vec
 
 
@@ -228,7 +237,8 @@ _KINDS = {
     "number": decode_number,      # a number, not NaN
     "probability": _probability,  # a number in [0, 1]
     "magnitude": _magnitude,      # a number, finite and >= 0
-    # a nonempty array of finite numbers, kept as a float array
+    # a nonempty array of finite numbers of magnitude at most
+    # _LARGEST_ENTRY, kept as a float array
     "vector": _vector,
     "bound": _bound,              # a number, or a vector
     "vectors": _vectors,          # an array of vectors
@@ -273,12 +283,23 @@ def declare(*declared):
                  for name, kind, *mandatory in declared)
 
 
+def _unknown_key(decoders, obj, ignored):
+    """The first key of `obj` that is neither declared nor ignored; None
+    if there is none."""
+    declared = {name for name, _, _ in decoders}
+    return next((key for key in obj
+                 if key not in declared and key not in ignored), None)
+
+
 def decode_object(decoders, obj, where, id_name="id", ignored=()):
     """{name: decoded value} of the fields of the JSON object `obj` that
     `decoders` declares; absent ones are left out. `obj` is strict: a key
     that is neither declared nor in `ignored` (the keys its reader skips)
-    is an error, and so is a null value of a declared key. An error names
-    `where`, the object's `id_name` field once decoded, and the field."""
+    is an error, and so is a null value of a declared key. An absent
+    mandatory key is named as missing only where `obj` has no unknown
+    key, which is then named instead, as a misspelt mandatory key is both.
+    An error names `where`, the object's `id_name` field once decoded,
+    and the field."""
     if type(obj) is not dict:
         raise RecordValidationError(str(_bad("a JSON object", obj)),
                                     where=where)
@@ -288,6 +309,11 @@ def decode_object(decoders, obj, where, id_name="id", ignored=()):
             if name in obj:
                 out[name] = decode(obj[name])
             elif mandatory:
+                # a misspelt mandatory key is named as the unknown key it is
+                unknown = _unknown_key(decoders, obj, ignored)
+                if unknown is not None:
+                    name = unknown
+                    raise ValueError("unknown field")
                 raise ValueError("missing mandatory field")
     except (ValueError, OverflowError) as exc:
         # OverflowError: an int too large for a float
@@ -296,10 +322,10 @@ def decode_object(decoders, obj, where, id_name="id", ignored=()):
     # every declared key of obj is in out by now, so any other key is
     # either ignored or unknown
     if len(out) < len(obj):
-        for name in obj:
-            if name not in out and name not in ignored:
-                raise RecordValidationError("unknown field", out.get(id_name),
-                                            name, where)
+        unknown = _unknown_key(decoders, obj, ignored)
+        if unknown is not None:
+            raise RecordValidationError("unknown field", out.get(id_name),
+                                        unknown, where)
     return out
 
 

@@ -193,11 +193,6 @@ class DetectorOutcome:
         yet). The file holds no evidence, so the outcome gets an empty
         read-only one."""
         fields = decode_object(_OUTCOME_FIELDS, obj, where)
-        # unit is checked after the unknown keys, so that a 0.6.0 outcome
-        # is named by its record_ids, not by the unit it lacks
-        if "unit" not in fields:
-            raise RecordValidationError("missing mandatory field",
-                                        field_name="unit", where=where)
         pathology = sys.intern(fields["pathology"])
         outcome = cls(pathology, fields["unit"], fields["severity"],
                       None if thresholds is None
@@ -209,7 +204,8 @@ class DetectorOutcome:
 
 # the keys of DetectorOutcome.to_json_dict, with their kinds
 _OUTCOME_FIELDS = declare(("pathology", "id", True),
-                          ("severity", "number", True), ("unit", "string"))
+                          ("severity", "number", True),
+                          ("unit", "string", True))
 # one shared read-only mapping stands for the evidence a loaded outcome
 # does not have
 _NO_EVIDENCE = MappingProxyType({})

@@ -1269,7 +1269,22 @@ _MALFORMED = [
          "{where}: outcomes[1], field 'pathology': 'illusion' has no entry "
          "in firing_thresholds"),
     _row("bad96", "outcomes", {"record_ids": ["r1"], "unit": None},
-         "{where}: outcomes[1], field 'record_ids': unknown field")]
+         "{where}: outcomes[1], field 'record_ids': unknown field"),
+    # a misspelt mandatory key is named as the unknown key it is, not as
+    # the field it leaves out
+    _row("bad97", "trace",
+         {"input_embedding": None, "input_embeding": [1.0, 0.0, 0.0, 0.0]},
+         _BAD + "'input_embeding': unknown field"),
+    _row("bad98", "kb", {"embedding": None, "embeding": [1.0, 0.0, 0.0, 0.0]},
+         _BAD + "'embeding': unknown field"),
+    _row("bad99", "outcomes", {"severity": None, "severty": 0.5},
+         "{where}: outcomes[1], field 'severty': unknown field"),
+    # its squared norm overflows
+    _row("bad100", "trace", {"input_embedding": [1e308, 0.0, 0.0, 0.0]},
+         _BAD + "'input_embedding': an entry exceeds 1e+100 in magnitude"),
+    _row("bad101", "config", {"discriminative": {"ece_bins": 10 ** 400}},
+         "{where}: section 'discriminative': ece_bins must be at most "
+         "10000")]
 
 
 def _merged(base, bad):

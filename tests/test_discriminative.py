@@ -289,6 +289,14 @@ class TestConfigRanges:
             DiscriminativeConfig(**{name: value})
         assert getattr(DiscriminativeConfig(**{name: 1}), name) == 1
 
+    @pytest.mark.parametrize("name", ["ece_bins", "tv_bins"])
+    @pytest.mark.parametrize("value", [10_001, 10 ** 400])
+    def test_bin_counts_are_bounded(self, name, value):
+        # each estimate's time or memory grows with its bins
+        with pytest.raises(ValueError, match=f"{name} must be at most 10000"):
+            DiscriminativeConfig(**{name: value})
+        assert getattr(DiscriminativeConfig(**{name: 10_000}), name) == 10_000
+
     @pytest.mark.parametrize("name", ["gap_hi", "amp_hi", "ece_hi", "tv_hi",
                                       "c_hi", "frac_hi", "flip_hi",
                                       "margin_hi"])

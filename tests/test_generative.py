@@ -269,9 +269,29 @@ _PASSED_ON = {"id", "annotations", "input_embedding", "output_embedding",
               "intent_embedding", "style_embedding", "output_token_logprobs"}
 
 
+def _interleaved_conversations():
+    """Turns of conversations "a", "b" and "c" interleaved in corpus order,
+    with turns that carry no conversation_id, or an empty one, between
+    them. Each turn has its own intent, or none: the first turn of "a"
+    has none, and the one turn of "c" has none."""
+    rng = np.random.default_rng(7)
+    turns = [("a0", "a", False), ("b0", "b", True), ("n0", None, True),
+             ("a1", "a", True), ("b1", "b", True), ("a2", "a", True),
+             ("c0", "c", False), ("n1", "", True), ("b2", "b", True),
+             ("a3", "a", True), ("n2", None, True), ("b3", "b", True)]
+    return [TraceRecord(
+        id=rid, input_embedding=rng.standard_normal(4),
+        output_embedding=rng.standard_normal(4),
+        intent_embedding=rng.standard_normal(4) if intent else None,
+        annotations={} if conversation is None
+        else {"conversation_id": conversation})
+        for rid, conversation, intent in turns]
+
+
 def _differential_cases():
     for name, records, kb, fixtures in _bundles():
         yield name, records, kb, fixtures
+    yield "interleaved-conversations", _interleaved_conversations(), None, ()
     for seed in range(6):
         records = _mutated(seed)
         yield f"mutated-{seed}", records, corpora.standard_kb(), \
@@ -318,6 +338,31 @@ class TestRecordStep:
         for rec in handed + read:
             assert {f.name for f in dataclasses.fields(rec)
                     if getattr(rec, f.name) is not None} <= _PASSED_ON
+
+    def test_keeps_one_intent_per_conversation(self, tmp_path):
+        # semantic_drift reads the intent of a conversation's first turn
+        # that carries its fields, and no other
+        records = _interleaved_conversations()
+        path = tmp_path / "corpus.jsonl"
+        corpora.write_input(path, records)
+        step = generative.RecordStep()
+        read = load_trace_corpus(path, record=step)
+        first = {}
+        for rec in records:
+            if rec.intent_embedding is not None:
+                first.setdefault(rec.annotations.get("conversation_id", ""),
+                                 rec)
+        assert sorted(first) == ["", "a", "b"]
+        # first is in corpus order, as read is
+        held = [rec for rec in read if rec.intent_embedding is not None]
+        assert [rec.id for rec in held] == [rec.id for rec in first.values()]
+        for kept, rec in zip(held, first.values()):
+            assert np.array_equal(kept.intent_embedding, rec.intent_embedding)
+        # the audit drops the conversations seen once the load ends
+        result = audit_generative(read, step=step)
+        assert step.intents is None
+        assert sorted(o.unit for o in result.outcomes
+                      if o.pathology == "semantic_drift") == ["", "a", "b"]
 
     @pytest.mark.parametrize("through", ["audit_generative", "cli"])
     def test_the_knowledge_base_is_freed_when_the_load_ends(
@@ -379,8 +424,9 @@ class TestRecordStep:
     def test_peak_stays_below_the_record_only_vectors(self, tmp_path):
         # 72 records at d = 768 with 8 claims and 4 context vectors each:
         # those vectors alone decode to 5.3 MB. The audit keeps only the
-        # input, output, intent and style vectors (1.8 MB) and peaks at
-        # 3.4 MB on Python 3.11; holding every record whole until the last
+        # input, output and style vectors and one intent per conversation
+        # (1.4 MB) and peaks at 2.7 MB on Python 3.11 (3.1 MB while it kept
+        # every turn's intent); holding every record whole until the last
         # detector ran, it peaked at 9.2 MB
         n, d, claims, context = 72, 768, 8, 4
         rng = np.random.default_rng(0)

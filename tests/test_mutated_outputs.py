@@ -1,16 +1,19 @@
-"""risk and report on mutated copies of the two files they read.
+"""audit, risk and report on mutated copies of the files they read.
 
-A valid outcomes.json and risk_report.json come from one audit and one
-risk run of the demo corpus. Each example mutates one value of one of
-them: it deletes it, gives it another JSON type, nests it one level
-deeper, or makes it a huge or non-finite number; or it cuts the file's
-bytes short. The console script must then give a verdict, exit 0, 2 or
-3, and print no traceback: every mutation is either still a valid file
-or a rejected input. Hypothesis runs derandomized with a fixed example
+The audit reads a trace corpus with its knowledge base, causal fixtures
+and config, or a classification corpus; a valid outcomes.json and
+risk_report.json come from one audit and one risk run of the demo corpus.
+Each example mutates one value of one of these files (of one line of a
+corpus): it deletes it, gives it another JSON type, nests it one level
+deeper, or makes it a huge or non-finite number; or it cuts the bytes
+short. The console script must then give a verdict, exit 0, 2 or 3, and
+print no traceback: every mutation is either still a valid file or a
+rejected input. Hypothesis runs derandomized with a fixed example
 budget, so each run tries the same mutations.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -22,6 +25,8 @@ from hypothesis import strategies as st
 
 import corpora
 from pathrisk import cli
+from pathrisk.discriminative import DiscriminativeConfig
+from pathrisk.generative import GenerativeConfig
 
 _SETTINGS = settings(derandomize=True, max_examples=120, deadline=None,
                      database=None,
@@ -33,20 +38,49 @@ _REPLACEMENTS = (None, True, False, 0, -1, 0.5, 1.5, "", "x", "inf", [], {},
                  float("-inf"), float("nan"))
 
 
+def _config():
+    """A config that sets every field of both sections to its default."""
+    return {section: {f.name: getattr(cls(), f.name)
+                      for f in dataclasses.fields(cls) if f.name != "seed"}
+            for section, cls in (("generative", GenerativeConfig),
+                                 ("discriminative", DiscriminativeConfig))}
+
+
 @pytest.fixture(scope="module")
-def valid(tmp_path_factory):
+def inputs(tmp_path_factory):
+    """{schema: {flag: path}} of the valid inputs of an audit of the demo
+    trace corpus and of the demo classification corpus; both read one
+    config."""
+    root = tmp_path_factory.mktemp("inputs")
+    config = root / "config.json"
+    config.write_text(json.dumps(_config()))
+    trace = {"--corpus": root / "corpus.jsonl", "--kb": root / "kb.json",
+             "--fixtures": root / "fixtures.json", "--config": config}
+    classification = {"--corpus": root / "classification.jsonl",
+                      "--config": config}
+    corpora.write_input(trace["--corpus"], corpora.demo_trace_corpus())
+    corpora.write_input(trace["--kb"], corpora.standard_kb())
+    corpora.write_input(trace["--fixtures"], corpora.demo_causal_fixture())
+    corpora.write_input(classification["--corpus"],
+                        corpora.demo_classification_rows())
+    return {"trace": trace, "classification": classification}
+
+
+def _audit(schema, paths):
+    """The argv of an audit of `schema` that reads {flag: path}."""
+    return ["audit", "--schema", schema,
+            *(arg for flag, path in paths.items()
+              for arg in (flag, str(path)))]
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory, inputs):
     """(outcomes.json, risk_report.json, eps.json) of the demo corpus."""
     root = tmp_path_factory.mktemp("valid")
-    corpus, kb, causal = (root / "corpus.jsonl", root / "kb.json",
-                          root / "fixtures.json")
-    corpora.write_input(corpus, corpora.demo_trace_corpus())
-    corpora.write_input(kb, corpora.standard_kb())
-    corpora.write_input(causal, corpora.demo_causal_fixture())
     eps = root / "eps.json"
     eps.write_text(json.dumps({"default": 0.5}))
-    assert cli.main(["audit", "--corpus", str(corpus), "--kb", str(kb),
-                     "--fixtures", str(causal),
-                     "--out", str(root / "audited")]) == 0
+    assert cli.main(_audit("trace", inputs["trace"])
+                    + ["--out", str(root / "audited")]) == 0
     outcomes = root / "audited" / "outcomes.json"
     assert cli.main(["risk", "--outcomes", str(outcomes), "--eps", str(eps),
                      "--gate", "--out", str(root / "risked")]) == 3
@@ -88,6 +122,16 @@ def _mutated(draw, text):
     return json.dumps(doc)
 
 
+@st.composite
+def _mutated_line(draw, text):
+    """The text of a JSON lines file with one line mutated as `_mutated`
+    mutates a file."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i] = draw(_mutated(lines[i]))
+    return "\n".join(lines) + "\n"
+
+
 def _console_script(argv):
     """(exit code, standard error) of the console script run on argv."""
     stderr = io.StringIO()
@@ -101,9 +145,10 @@ def _console_script(argv):
     raise AssertionError("the console script did not exit")
 
 
-def _run(tmp_path_factory, text, argv):
+def _run(tmp_path_factory, text, argv, verdicts=(0, 2, 3)):
     """Write `text` as the mutated file and run argv with it in place of
-    {mutated}; the verdict must be a pass, a rejected input or a gate."""
+    {mutated}; the verdict must be one of `verdicts`: a pass, a rejected
+    input or a gate."""
     root = tmp_path_factory.mktemp("mutated", numbered=True)
     path = root / "mutated.json"
     path.write_text(text, encoding="utf-8")
@@ -111,7 +156,24 @@ def _run(tmp_path_factory, text, argv):
         [str(path) if arg == "{mutated}" else arg for arg in argv]
         + ["--out", str(root / "out")])
     assert "Traceback" not in err
-    assert code in (0, 2, 3), err
+    assert code in verdicts, err
+
+
+@pytest.mark.parametrize("schema, flag", [
+    ("trace", "--corpus"), ("trace", "--kb"), ("trace", "--fixtures"),
+    ("trace", "--config"), ("classification", "--corpus"),
+    ("classification", "--config")])
+@given(data=st.data())
+@_SETTINGS
+def test_audit_on_a_mutated_input_gives_a_verdict(inputs, tmp_path_factory,
+                                                  schema, flag, data):
+    # one line of a corpus, or the whole of any other input
+    path = inputs[schema][flag]
+    mutation = _mutated_line if flag == "--corpus" else _mutated
+    argv = [arg if arg != str(path) else "{mutated}"
+            for arg in _audit(schema, inputs[schema])]
+    _run(tmp_path_factory, data.draw(mutation(path.read_text())), argv,
+         verdicts=(0, 2))
 
 
 @given(data=st.data())

@@ -160,6 +160,34 @@ def test_declare_reads_the_mandatory_flag():
         decode_object(declare(("x", "number", True)), {}, "obj")
 
 
+@pytest.mark.parametrize("kind, value", [
+    ("vector", [1.0, -1.0000001e100]), ("vectors", [[1e101, 0.0]]),
+    ("table", [[0.5, 0.5], [0.0, 1e300]]), ("bound", [1e308])],
+    ids=["vector", "vectors", "table", "bound"])
+def test_a_vector_entry_beyond_1e100_is_rejected(kind, value):
+    # its square, or its vector's squared norm, could overflow
+    [(_, decode, _)] = declare(("x", kind))
+    with pytest.raises(ValueError,
+                       match=r"^an entry exceeds 1e\+100 in magnitude$"):
+        decode(value)
+    assert decode(np.clip(value, -1e100, 1e100).tolist()) is not None
+
+
+@pytest.mark.parametrize("obj, ignored, message", [
+    # a misspelt mandatory key is named as the unknown key it is
+    ({"xx": 1}, (), "obj, field 'xx': unknown field"),
+    ({"y": 1, "xx": 1}, (), "obj, field 'xx': unknown field"),
+    # a key the reader skips is not unknown, so the field is missing
+    ({"skip": 1}, ("skip",), "obj, field 'x': missing mandatory field"),
+    ({"y": 1}, (), "obj, field 'x': missing mandatory field")],
+    ids=["misspelt", "misspelt-after-a-declared-key", "ignored", "absent"])
+def test_an_absent_mandatory_key_is_named_after_any_unknown_key(
+        obj, ignored, message):
+    decoders = declare(("x", "number", True), ("y", "number"))
+    with pytest.raises(RecordValidationError, match=f"^{message}$"):
+        decode_object(decoders, obj, "obj", ignored=ignored)
+
+
 @pytest.mark.parametrize("schema, line, message", [
     ("trace", {"id": "a", "input_embedding": [1.0],
                "output_embedding": [1.0], "prob_output_given_input": 1.5,
@@ -988,8 +1016,8 @@ def test_unknown_schema_rejected(tmp_path):
         load_trace_corpus(path, "audio")
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_NUMBER = _FINITE | st.integers(-10**6, 10**6)
+# a vector entry: a number of magnitude at most 1e100
+_NUMBER = st.floats(-1e100, 1e100) | st.integers(-10**6, 10**6)
 _PROBABILITY = st.floats(0.0, 1.0) | st.integers(0, 1)
 _MAGNITUDE = st.floats(0.0, allow_infinity=False) | st.integers(0, 10**6)
 _LOG_PROBS = st.lists(st.floats(max_value=0.0, allow_infinity=False)
