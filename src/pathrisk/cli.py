@@ -61,9 +61,11 @@ config class rejects exits 2 as well.
 the knowledge base, the causal fixtures, then the corpus. So when two
 inputs are bad, the error of the one read first is reported. A trace
 corpus comes last because its record-level detectors score each record as
-its line is read, against the knowledge base; only the fields the other
-detectors read are kept, and the knowledge base is freed when the corpus
-has been read, before the other detectors run.
+its line is read, against the knowledge base. A line's parse tree is freed
+before its record is scored, and the full record before the next line is
+read; only the fields the other detectors read are kept, and the knowledge
+base is freed when the corpus has been read, before the other detectors
+run.
 
 Importing this module loads only `records`, `registry` and `jsonio` of the
 package, which every subcommand runs; each subcommand imports the rest

@@ -570,12 +570,15 @@ class RecordStep:
     record-level detector whose fields the record carries (a
     knowledge-base one only with a knowledge base), and returns the record
     trimmed to the fields the pair, sequence and corpus detectors read
-    (`_KEPT`), so a record's other vectors are freed as soon as it is
-    scored. A conversation's intent is kept once: on its first record in
-    corpus order that carries semantic_drift's fields, the one record
-    whose intent that detector reads; every other record is returned
-    with no intent. `audit_generative` takes the codes, the outcomes and
-    the dropped units from it.
+    (`_KEPT`). `load_trace_corpus` frees a line's parse tree before the
+    step scores its record, and the full record, with every vector the
+    step does not keep, before it reads the next line; so the load holds
+    what the steps returned plus one line. A conversation's intent is kept
+    once: on its first record in corpus order that carries
+    semantic_drift's fields, the one record whose intent that detector
+    reads; every other record is returned with no intent.
+    `audit_generative` takes the codes, the outcomes and the dropped units
+    from it.
 
     Only record-level detectors read the knowledge base, so the step
     holds it in `kb` only until the load ends: `audit_generative` sets

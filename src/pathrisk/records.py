@@ -672,10 +672,11 @@ def load_trace_corpus(path, schema="trace", record=None):
 
     With `record` (read by a trace load only), the list holds
     record(i, rec) in place of each record rec, i its index, called as
-    soon as the record is decoded and checked; so a record's fields that
-    `record` does not keep are freed line by line. `generative.RecordStep`
-    is such a function: it scores the record-level detectors and keeps
-    only what the other detectors read.
+    soon as the record is decoded and checked. A line's parse tree is
+    freed before `record` is called, and the full record before the next
+    line is read, so the fields that `record` does not keep live for one
+    line only. `generative.RecordStep` is such a function: it scores the
+    record-level detectors and keeps only what the other detectors read.
     """
     if schema not in SCHEMAS:
         raise CorpusError(f"unknown corpus schema {schema!r}; "
@@ -692,6 +693,10 @@ def load_trace_corpus(path, schema="trace", record=None):
         for line_no, obj in _json_lines(handle):
             where = f"line {line_no}"
             rec = TraceRecord.from_json_dict(obj, where)
+            # the loop would hold each name until the next line is parsed:
+            # the parse tree goes before `record` scores the record, and the
+            # full record before the next line is read
+            del obj
             if rec.id in seen:
                 raise RecordValidationError("duplicate id", rec.id, "id",
                                             where)
@@ -699,6 +704,7 @@ def load_trace_corpus(path, schema="trace", record=None):
             dims.add(rec.input_embedding.size)
             records.append(rec if record is None
                            else record(len(records), rec))
+            del rec
     if len(dims) > 1:
         raise CorpusError(f"mixed embedding dimensions in corpus: "
                           f"{sorted(dims)}")

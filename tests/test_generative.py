@@ -421,14 +421,10 @@ class TestRecordStep:
         assert {"contextual_drift", "referential_hallucination"} <= dropped
         assert len(missing) >= 15
 
-    def test_peak_stays_below_the_record_only_vectors(self, tmp_path):
-        # 72 records at d = 768 with 8 claims and 4 context vectors each:
-        # those vectors alone decode to 5.3 MB. The audit keeps only the
-        # input, output and style vectors and one intent per conversation
-        # (1.4 MB) and peaks at 2.7 MB on Python 3.11 (3.1 MB while it kept
-        # every turn's intent); holding every record whole until the last
-        # detector ran, it peaked at 9.2 MB
-        n, d, claims, context = 72, 768, 8, 4
+    @staticmethod
+    def _wide_corpus(path, n=72, d=768, claims=8, context=4):
+        """Write n records at dimension d that carry every vector field,
+        in conversations of 8 turns; return a 16-entry knowledge base."""
         rng = np.random.default_rng(0)
 
         def vec():
@@ -436,7 +432,6 @@ class TestRecordStep:
 
         kb = KnowledgeBase(entries=tuple(
             (f"kb{i}", rng.standard_normal(d)) for i in range(16)))
-        path = tmp_path / "wide.jsonl"
         with open(path, "w", encoding="utf-8") as handle:
             for i in range(n):
                 handle.write(json.dumps({
@@ -449,6 +444,19 @@ class TestRecordStep:
                     "output_token_logprobs": [-0.5, -0.1],
                     "prob_output_given_input": 0.5,
                     "annotations": {"conversation_id": f"c{i // 8}"}}) + "\n")
+        return kb
+
+    def test_peak_stays_below_the_record_only_vectors(self, tmp_path):
+        # 72 records at d = 768 with 8 claims and 4 context vectors each:
+        # those vectors alone decode to 5.3 MB. The audit keeps only the
+        # input, output and style vectors and one intent per conversation
+        # (1.4 MB) and peaks at 2.3 MB on Python 3.11 (2.7 MB while each
+        # line's parse tree lived until the next line was parsed, 3.1 MB
+        # while it kept every turn's intent); holding every record whole
+        # until the last detector ran, it peaked at 9.2 MB
+        n, d, claims, context = 72, 768, 8, 4
+        path = tmp_path / "wide.jsonl"
+        kb = self._wide_corpus(path, n, d, claims, context)
         record_only = n * (claims + context) * d * 8
         tracemalloc.start()
         try:
@@ -460,6 +468,57 @@ class TestRecordStep:
             tracemalloc.stop()
         assert len(result.outcomes) > 3 * n
         assert peak < record_only
+
+    def test_the_load_holds_one_line_beyond_what_it_keeps(self, tmp_path):
+        # the load peaks above what it returns and what the step holds by
+        # about one line: its text, its parse tree or full record, and the
+        # step's scoring. On Python 3.11, parsing and decoding one line
+        # alone peaks at 0.55 MB and the load's excess is 1.2 times that;
+        # it was 2.0 times while each line's parse tree and full record
+        # lived until the next line had been parsed
+        path = tmp_path / "wide.jsonl"
+        kb = self._wide_corpus(path)
+        with open(path, encoding="utf-8") as handle:
+            line = handle.readline()
+        tracemalloc.start()
+        try:
+            TraceRecord.from_json_dict(json.loads(line))
+            _, one_line = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            step = generative.RecordStep(kb)
+            records = load_trace_corpus(path, record=step)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 72
+        assert peak - held < 1.5 * one_line
+
+    def test_a_record_is_freed_before_the_next_line_is_parsed(
+            self, tmp_path, monkeypatch):
+        # the step keeps no truth embedding, so each record's is freed with
+        # the record; the parse-tree bound above is too coarse to see the
+        # full record outlive its line
+        path = tmp_path / "wide.jsonl"
+        kb = self._wide_corpus(path, n=4, d=8)
+        truths = []
+        parse = json.loads
+
+        def loads(line):
+            assert all(truth() is None for truth in truths)
+            return parse(line)
+
+        step = generative.RecordStep(kb)
+
+        def record(i, rec):
+            truths.append(weakref.ref(rec.truth_embedding))
+            return step(i, rec)
+
+        monkeypatch.setattr(json, "loads", loads)
+        assert len(load_trace_corpus(path, record=record)) == 4
+        assert len(truths) == 4
 
 
 def _pair_corpus(seed, kind):
