@@ -643,14 +643,16 @@ def _json_lines(handle):
     """(line number, parsed JSON value) of each line that is not blank, of
     a file opened with errors="surrogateescape": a byte that is not UTF-8
     is read as a lone surrogate, and its line is an error naming the file
-    and the line."""
-    for line_no, line in enumerate(handle, start=1):
+    and the line. Each line's text is held in a list of one, which
+    enumerate keeps until the next line, and is taken out of it as it is
+    parsed, so no text is held across the yield."""
+    for line_no, line in enumerate(map(lambda text: [text], handle), 1):
         try:
-            if not line.isascii():
+            if not line[0].isascii():
                 # the line's own bytes, decoded strictly
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            if line.strip():
-                yield line_no, json.loads(line)
+                line[0].encode("utf-8", "surrogateescape").decode("utf-8")
+            if line[0].strip():
+                yield line_no, json.loads(line.pop())
         except UnicodeDecodeError as exc:
             raise _not_utf8(f"{handle.name}: line {line_no}", exc) from None
         except json.JSONDecodeError as exc:
@@ -672,10 +674,10 @@ def load_trace_corpus(path, schema="trace", record=None):
 
     With `record` (read by a trace load only), the list holds
     record(i, rec) in place of each record rec, i its index, called as
-    soon as the record is decoded and checked. A line's parse tree is
-    freed before `record` is called, and the full record before the next
-    line is read, so the fields that `record` does not keep live for one
-    line only. `generative.RecordStep` is such a function: it scores the
+    soon as the record is decoded and checked. A line's text is freed as
+    it is parsed, its parse tree before `record` is called, and the full
+    record before the next line is read, so the fields that `record` does
+    not keep live for one line only. `generative.RecordStep` is such a function: it scores the
     record-level detectors and keeps only what the other detectors read.
     """
     if schema not in SCHEMAS:
@@ -687,9 +689,7 @@ def load_trace_corpus(path, schema="trace", record=None):
             # only a classification load compiles the column corpus
             from . import classification
             return classification.from_lines(_json_lines(handle))
-        records = []
-        seen = set()
-        dims = set()
+        records, seen, dims = [], set(), set()
         for line_no, obj in _json_lines(handle):
             where = f"line {line_no}"
             rec = TraceRecord.from_json_dict(obj, where)

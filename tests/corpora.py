@@ -1,6 +1,6 @@
 """Deterministic synthetic test corpora: per-pathology positive/negative
 corpora built by inverting each detector predicate, a small demo bundle
-for the CLI, a seeded corpus with 0/1 pathologies planted at a known rate,
+for the CLI, seeded corpora with 0/1 pathologies planted at a known rate,
 and a game scenario builder. `write_input` writes each as the input file
 the loaders read; the package itself writes no input format.
 
@@ -588,6 +588,23 @@ def planted_trace_corpus(n, p, seed):
         planted["semantic_reheating"] += reheated
         records.append(_trace(f"planted-{i:04d}", in_real_manifold=not unreal,
                               in_train_set=reheated))
+    return records, planted
+
+
+def expectile_flip_corpus(n=1000, p=0.02, seed=3):
+    """(n trace records, the number planted with hallucination): a rare
+    0/1 failure beside a constant low-grade degradation. Each record is
+    planted with hallucination (`in_real_manifold` false) with probability
+    p, drawn from `random.Random(seed)`, and every record has
+    semantic_compression 1 - 98/100 = 0.02 (`latent_dim` 98 of
+    `input_dim` 100)."""
+    rng = random.Random(seed)
+    records, planted = [], 0
+    for i in range(n):
+        unreal = rng.random() < p
+        planted += unreal
+        records.append(_trace(f"flip-{i:04d}", in_real_manifold=not unreal,
+                              latent_dim=98, input_dim=100))
     return records, planted
 
 

@@ -932,6 +932,42 @@ def test_planted_zero_one_pathologies_have_their_known_risks(tmp_path, p,
                 risk_mod.bernoulli_expectile(share, tau), rel=0, abs=1e-12)
 
 
+def test_the_expectile_ranks_a_rare_failure_above_a_frequent_small_one(
+        tmp_path, capsys):
+    # the paper's claim for expectile risks: hallucination, a 0/1 failure
+    # on 16 of 1,000 records, has the lower mean, and the higher risk at
+    # tau = 0.9, than semantic_compression, 0.02 on every record
+    records, planted = corpora.expectile_flip_corpus()
+    share = planted / len(records)
+    assert 0.0 < share < 0.02
+    corpus, eps = tmp_path / "corpus.jsonl", tmp_path / "eps.json"
+    corpora.write_input(corpus, records)
+    eps.write_text(json.dumps({"hallucination": 0.05,
+                               "semantic_compression": 0.05}))
+    audited = tmp_path / "audited"
+    assert cli.main(["audit", "--corpus", str(corpus),
+                     "--out", str(audited)]) == 0
+    risks = {}
+    for tau, verdict, violators in ((0.5, 0, ""),
+                                    (0.9, 3, "gate: infeasible "
+                                     "(hallucination)\n")):
+        risked = tmp_path / f"risked-{tau}"
+        capsys.readouterr()
+        assert cli.main(["risk", "--outcomes", str(audited / "outcomes.json"),
+                         "--tau", str(tau), "--eps", str(eps), "--gate",
+                         "--out", str(risked)]) == verdict
+        assert capsys.readouterr().err == violators
+        report = json.loads((risked / "risk_report.json").read_text())
+        risks[tau] = {e["pathology"]: e["expectile"]
+                      for e in report["entries"]}
+        assert risks[tau]["hallucination"] == pytest.approx(
+            risk_mod.bernoulli_expectile(share, tau), rel=0, abs=1e-12)
+        assert risks[tau]["semantic_compression"] == pytest.approx(
+            1.0 - 98 / 100, rel=0, abs=1e-12)
+    assert risks[0.5]["hallucination"] < risks[0.5]["semantic_compression"]
+    assert risks[0.9]["hallucination"] > risks[0.9]["semantic_compression"]
+
+
 _GOOD_OUTCOME = {"pathology": "delusion", "severity": 0.7, "unit": "r1"}
 _THRESHOLDS = {"delusion": 0.5}
 

@@ -13,7 +13,8 @@ import corpora
 from pathrisk import cli, generative, metrics, registry
 from pathrisk.generative import (Arity, DetectorError, GenerativeConfig,
                                  audit_generative, score)
-from pathrisk.records import KnowledgeBase, TraceRecord, load_trace_corpus
+from pathrisk.records import (KnowledgeBase, TraceRecord, _json_lines,
+                              load_trace_corpus)
 from pathrisk.registry import (ALIAS_GROUPS, GENERATIVE_DETECTORS,
                                DISCRIMINATIVE_DETECTORS,
                                distinct_pathology_count, pathology_ids,
@@ -450,10 +451,11 @@ class TestRecordStep:
         # 72 records at d = 768 with 8 claims and 4 context vectors each:
         # those vectors alone decode to 5.3 MB. The audit keeps only the
         # input, output and style vectors and one intent per conversation
-        # (1.4 MB) and peaks at 2.3 MB on Python 3.11 (2.7 MB while each
-        # line's parse tree lived until the next line was parsed, 3.1 MB
-        # while it kept every turn's intent); holding every record whole
-        # until the last detector ran, it peaked at 9.2 MB
+        # (1.4 MB) and peaks at 2.2 MB on Python 3.11 (2.3 MB while each
+        # line's text lived until the next line was read, 2.7 MB while its
+        # parse tree did, 3.1 MB while it kept every turn's intent);
+        # holding every record whole until the last detector ran, it
+        # peaked at 9.2 MB
         n, d, claims, context = 72, 768, 8, 4
         path = tmp_path / "wide.jsonl"
         kb = self._wide_corpus(path, n, d, claims, context)
@@ -473,9 +475,9 @@ class TestRecordStep:
         # the load peaks above what it returns and what the step holds by
         # about one line: its text, its parse tree or full record, and the
         # step's scoring. On Python 3.11, parsing and decoding one line
-        # alone peaks at 0.55 MB and the load's excess is 1.2 times that;
-        # it was 2.0 times while each line's parse tree and full record
-        # lived until the next line had been parsed
+        # alone peaks at 0.55 MB and the load's excess is 1.0 times that;
+        # it was 1.2 times while each line's text lived until the next line
+        # was read, and 2.0 times while its parse tree and full record did
         path = tmp_path / "wide.jsonl"
         kb = self._wide_corpus(path)
         with open(path, encoding="utf-8") as handle:
@@ -519,6 +521,28 @@ class TestRecordStep:
         monkeypatch.setattr(json, "loads", loads)
         assert len(load_trace_corpus(path, record=record)) == 4
         assert len(truths) == 4
+
+    def test_no_line_is_held_across_the_yield(self, tmp_path):
+        # with each parsed line dropped as soon as it is handed over, the
+        # reader holds only its file buffers at each yield: at most 15 kB
+        # on Python 3.11, and 150 kB while each line's text (136 kB) lived
+        # until the next line was read
+        path = tmp_path / "wide.jsonl"
+        self._wide_corpus(path)
+        text = len(path.read_text().splitlines()[0])
+        held = []
+        with open(path, encoding="utf-8",
+                  errors="surrogateescape") as handle:
+            lines = _json_lines(handle)
+            tracemalloc.start()
+            try:
+                for _, obj in lines:
+                    del obj
+                    held.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        assert len(held) == 72
+        assert max(held) < text / 2
 
 
 def _pair_corpus(seed, kind):

@@ -596,11 +596,29 @@ def test_validation_report_memory(gate_corpus):
 def test_loaded_corpus_memory(gate_corpus):
     # the 5,000 records held one object each, with their arrays, strings,
     # sets and annotation dicts, took 4.86 MB; as columns they take less
-    # than half of that (2.0 MB measured on Python 3.11)
+    # than half of that (1.96 MB measured on Python 3.11)
     corpus, held = _retained(
         lambda: load_trace_corpus(gate_corpus, "classification"))
     assert len(corpus) == 5000
     assert held < 4_860_000 / 2
+
+
+def test_the_load_peaks_little_above_what_it_keeps(gate_corpus):
+    # each line's values go straight into typed buffers, so the load's
+    # peak exceeds what it keeps only by the checks' temporaries: 0.25 MB
+    # on Python 3.11, against 1.11 MB while the columns were lists of
+    # Python ints, bound tuples and sorted label lists until the last line
+    # was read
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = load_trace_corpus(gate_corpus, "classification")
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 5000
+    assert peak - held < 500_000
 
 
 def test_audit_memory(gate_corpus):
@@ -705,7 +723,15 @@ _ROW_MUTATIONS = {
     "unknown-key": lambda r: r | {"timestamp": 3},
     "null-field": lambda r: r | {"group": None, "annotations": None},
     "null-mandatory": lambda r: r | {"true_label": None},
+    # an int too large for int64: a timestamp or bound is held as a Python
+    # int, and a label is rejected
     "huge-timestamp": lambda r: r | {"timestamp_index": 2 ** 64},
+    "huge-segment-bounds": lambda r: r | {"segment_bounds": [0, 2 ** 64]},
+    "huge-ref-segment-bounds": lambda r: r | {
+        "ref_segment_bounds": [0, 2 ** 64]},
+    "huge-true-label": lambda r: r | {"true_label": 2 ** 64},
+    "huge-predicted-label": lambda r: r | {"predicted_label": 2 ** 64},
+    "huge-plausible-label": lambda r: r | {"plausible_labels": [1, 2 ** 64]},
     "relabel": lambda r: r | {"true_label": (r["true_label"] + 1) % 4},
     "no-pair-ids": lambda r: {k: v for k, v in r.items()
                               if not k.endswith("_pair_id")},
@@ -721,7 +747,8 @@ _ROW_MUTATIONS = {
 }
 # the mutations that leave a corpus valid
 _ACCEPTED = ("sum-off-1e-10", "mixed-class-counts", "seventeen-classes",
-             "null-field", "huge-timestamp", "median-timestamp", "relabel",
+             "null-field", "huge-timestamp", "huge-segment-bounds",
+             "huge-ref-segment-bounds", "median-timestamp", "relabel",
              "no-pair-ids", "shared-ids", "new-group", "blank-line")
 
 
@@ -832,7 +859,20 @@ _LOADER_CASES = [
     labelled("mutations40",
              [(7, "ten-classes-sum-off"), (9, "seventeen-classes")],
              "^line 8, record 'x000007', field 'class_probabilities': "
-             "probabilities sum 1$")]
+             "probabilities sum 1$"),
+    # row 8 is the wide row of a span pair, and row 5 has both bounds
+    labelled("mutations41", [(8, "huge-segment-bounds")], None),
+    labelled("mutations42", [(5, "huge-ref-segment-bounds")], None),
+    labelled("mutations43", [(7, "huge-true-label")],
+             "^line 8, record 'x000007', field 'true_label': label "
+             "18446744073709551616 outside \\[0, 4\\)$"),
+    labelled("mutations44", [(7, "huge-predicted-label")],
+             "^line 8, record 'x000007', field 'predicted_label': "
+             "predicted_label 18446744073709551616 is not the argmax of "
+             "class_probabilities$"),
+    labelled("mutations45", [(7, "huge-plausible-label")],
+             "^line 8, record 'x000007', field 'plausible_labels': label "
+             "18446744073709551616 outside \\[0, 4\\)$")]
 
 
 def test_each_row_mutation_has_a_case_of_its_own():
