@@ -1,9 +1,11 @@
 """The 14 discriminative pathology detectors over classification corpora.
 
-Every detector folds a whole corpus into one outcome. Each scorer is a
-column kernel over a `classification.ClassificationCorpus`: it reads the
-columns at the eligible row indices it is handed, in corpus order, and
-groups rows by the codes of a string column. Rate severities are exactly
+Each is a row of `registry.REGISTRY`; its scorer is `_score_<id>` here,
+which `_SCORERS` finds by name. Every detector folds a whole corpus into
+one outcome. Each scorer is a column kernel over a
+`classification.ClassificationCorpus`: it reads the columns at the
+eligible row indices it is handed, in corpus order, and groups rows by the
+codes of a string column. Rate severities are exactly
 (#events)/(#eligible), each folded by `_event_rate`; accuracy-gap
 severities are the clamped gap, and group metrics are symmetric under
 relabeling. All detectors are invariant to permutations of the corpus
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import registry
-from .registry import (DISCRIMINATIVE_DETECTORS, AuditResult, DetectorError,
-                       DetectorOutcome, clamp01, fmt)
+from .registry import (DISCRIMINATIVE_DETECTORS, REGISTRY, AuditResult,
+                       DetectorError, DetectorOutcome, clamp01, fmt)
 
 
 # the most bins of ECE and of the concept-drift histograms: each estimate
@@ -33,8 +35,9 @@ _MOST_BINS = 10_000
 @dataclass(frozen=True)
 class DiscriminativeConfig:
     """Firing levels and estimator settings, one value for every detector
-    that reads it; `_DETECTORS` reads the thresholds from them. `audit
-    --config` sets the fields from its "discriminative" section."""
+    that reads it; each detector's `registry.REGISTRY` row reads its
+    threshold from them. `audit --config` sets the fields from its
+    "discriminative" section."""
 
     gap_hi: float = 0.2      # accuracy-gap firing level
     amp_hi: float = 0.2      # group rate / accuracy disparity
@@ -185,7 +188,7 @@ def _score_spurious_correlation(c, rows, cfg):
         "spurious_correlation: needs clean and resampled roles")
 
 
-def _score_adversarial(c, rows, cfg):
+def _score_adversarial_vulnerability(c, rows, cfg):
     a, b = (rows[k] for k in _pairs(_codes(c, "perturbation_pair_id", rows),
                                     size=2))
     near = np.linalg.norm(c.features[a] - c.features[b], axis=1) \
@@ -212,7 +215,7 @@ def expected_calibration_error(confidence, correct, bins=10):
     return float(ece)
 
 
-def _score_calibration(c, rows, cfg):
+def _score_calibration_failure(c, rows, cfg):
     ece = expected_calibration_error(c.confidence[rows], c.correct[rows],
                                      cfg.ece_bins)
     return clamp01(ece), {"ece": fmt(ece), "bins": str(cfg.ece_bins)}
@@ -236,7 +239,7 @@ def _feature_tv(features, ref, cur, bins):
     return float(np.mean(tvs))
 
 
-def _score_concept_drift(c, rows, cfg):
+def _score_concept_drift_sensitivity(c, rows, cfg):
     if len(rows) < 4:
         raise DetectorError("concept_drift_sensitivity: needs >= 4 "
                             "timestamped records")
@@ -255,7 +258,7 @@ def _score_concept_drift(c, rows, cfg):
                       "feature_tv": fmt(tv)}
 
 
-def _score_misclassification_uncertainty(c, rows, cfg):
+def _score_misclassification_under_uncertainty(c, rows, cfg):
     ood = rows[c.is_ood[rows]]
     rate, events, n = _event_rate(
         (c.confidence[ood] >= cfg.c_hi) & ~c.correct[ood],
@@ -263,7 +266,7 @@ def _score_misclassification_uncertainty(c, rows, cfg):
     return rate, {"confident_wrong": events, "ood_records": n}
 
 
-def _score_prosodic(c, rows, cfg):
+def _score_prosodic_misclassification(c, rows, cfg):
     # the pairs of one content id whose prosody differs
     a, b = _pairs(_codes(c, "annotations.content_id", rows))
     prosody = _codes(c, "annotations.prosody", rows)
@@ -299,7 +302,7 @@ def _score_accent_bias(c, rows, cfg):
                             "witness_groups": ",".join(witness)}
 
 
-def _score_turn_boundary(c, rows, cfg):
+def _score_turn_boundary_failure(c, rows, cfg):
     offsets = np.abs(c.segment_bounds[rows]
                      - c.ref_segment_bounds[rows]).max(axis=1)
     # offset == tol_t lands at severity 0.5, the firing point
@@ -308,7 +311,7 @@ def _score_turn_boundary(c, rows, cfg):
                       "records": str(len(rows))}
 
 
-def _score_semantic_boundary(c, rows, cfg):
+def _score_semantic_boundary_confusion(c, rows, cfg):
     wide, narrow = _role_pairs(c, rows, "annotations.span_pair_id",
                                "annotations.span_role", ("wide", "narrow"))
     (w0, w1), (n0, n1) = c.segment_bounds[wide].T, c.segment_bounds[narrow].T
@@ -332,7 +335,7 @@ def _score_noise_overfitting(c, rows, cfg):
     return rate, {"events": events, "eligible_pairs": n}
 
 
-def _score_latency_drift(c, rows, cfg):
+def _score_latency_induced_decision_drift(c, rows, cfg):
     a, b = _pairs(_codes(c, "latency_pair_id", rows), size=2)
     rate, events, n = _event_rate(
         _disagree(c, rows[a], rows[b]),
@@ -355,28 +358,9 @@ def _score_ambiguity_collapse(c, rows, cfg):
     return rate, {"collapses": events, "eligible_records": n}
 
 
-# detector -> (scorer, its firing threshold under a config)
-_DETECTORS = {
-    "overfitting": (_score_overfitting, lambda c: c.gap_hi),
-    "bias_amplification": (_score_bias_amplification, lambda c: c.amp_hi),
-    "spurious_correlation": (_score_spurious_correlation,
-                             lambda c: c.gap_hi),
-    "adversarial_vulnerability": (_score_adversarial, lambda c: c.flip_hi),
-    "calibration_failure": (_score_calibration, lambda c: c.ece_hi),
-    "concept_drift_sensitivity": (_score_concept_drift, lambda c: c.gap_hi),
-    "misclassification_under_uncertainty": (
-        _score_misclassification_uncertainty, lambda c: c.frac_hi),
-    "prosodic_misclassification": (_score_prosodic, lambda c: c.frac_hi),
-    "accent_bias": (_score_accent_bias, lambda c: c.amp_hi),
-    "turn_boundary_failure": (_score_turn_boundary, lambda c: 0.5),
-    "semantic_boundary_confusion": (_score_semantic_boundary,
-                                    lambda c: c.gap_hi),
-    "noise_overfitting": (_score_noise_overfitting, lambda c: c.flip_hi),
-    "latency_induced_decision_drift": (_score_latency_drift,
-                                       lambda c: c.flip_hi),
-    "ambiguity_collapse": (_score_ambiguity_collapse, lambda c: c.frac_hi),
-}
-assert set(_DETECTORS) == set(DISCRIMINATIVE_DETECTORS)
+# each detector -> its scorer: (corpus, rows, cfg)
+_SCORERS = {name: globals()[f"_score_{name}"]
+            for name in DISCRIMINATIVE_DETECTORS}
 
 
 def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig(),
@@ -384,11 +368,11 @@ def score_discriminative(pathology, corpus, cfg=DiscriminativeConfig(),
     """Fold the rows `audit_discriminative` hands over, those carrying the
     detector's fields, into one outcome for `pathology`; all rows of the
     ClassificationCorpus when `rows` is None."""
-    scorer, threshold = _DETECTORS[pathology]
     rows = np.arange(len(corpus)) if rows is None else rows
-    severity, evidence = scorer(corpus, rows, cfg)
+    severity, evidence = _SCORERS[pathology](corpus, rows, cfg)
     return DetectorOutcome(pathology=pathology, unit="",
-                           severity=severity, threshold=threshold(cfg),
+                           severity=severity,
+                           threshold=REGISTRY[pathology].threshold(cfg),
                            evidence=evidence)
 
 

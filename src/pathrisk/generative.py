@@ -1,8 +1,8 @@
 """The 21 generative pathology detectors over trace records.
 
-`_DETECTORS` defines each one in a row: its arity (what one scored unit
-is), its scorer, its firing threshold under the config, and whether it
-reads the knowledge base; the registry holds only its required fields.
+Each is a row of `registry.REGISTRY`, with its arity, loss kind, fields,
+threshold under a `GenerativeConfig` and whether it reads the knowledge
+base; its scorer is `_score_<id>` here, which `_SCORERS` finds by name.
 
 `audit_generative` and its per-record step `RecordStep` alone decide what
 a detector scores. The step scores the record-level detectors on each
@@ -25,10 +25,8 @@ cosine scale (1+cos)/2.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from operator import attrgetter
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,31 +34,20 @@ from . import metrics
 from .metrics import coherence, fluency, sim, sim_row_blocks
 from . import registry
 from .records import TraceRecord
-from .registry import (AuditResult, DetectorError, DetectorOutcome,
-                       GENERATIVE_DETECTORS, clamp01, fmt, group_by)
-
-# Severity floor for existential predicates ("some entity unknown", "both a
-# true and a false claim present"): any positive fraction fires.
-EXISTENTIAL_EPS = 1e-9
-
-
-class Arity(str, Enum):
-    RECORD = "record"        # one TraceRecord
-    PAIR = "pair"            # two linked records
-    SEQUENCE = "sequence"    # an ordered conversation of records
-    CORPUS = "corpus"        # an unordered record set
-    FIXTURE = "fixture"      # a CausalFixture
+from .registry import (REGISTRY, Arity, AuditResult, DetectorError,
+                       DetectorOutcome, GENERATIVE_DETECTORS, clamp01, fmt,
+                       group_by)
 
 
 @dataclass(frozen=True)
 class GenerativeConfig:
     """Crisp defaults for every asymptotic symbol in the detector formulas,
-    one value for every detector that reads it; `_DETECTORS` reads the
-    thresholds from them. `audit --config` sets the fields from its
-    "generative" section, all but `seed`, which `audit` takes from --seed
-    only, so its manifest holds the seed used. `mi_bins` and `seed` are
-    the bins per axis and the projection seed of bluffing's
-    `metrics.mutual_information`."""
+    one value for every detector that reads it; each detector's
+    `registry.REGISTRY` row reads its threshold from them. `audit
+    --config` sets the fields from its "generative" section, all but
+    `seed`, which `audit` takes from --seed only, so its manifest holds the
+    seed used. `mi_bins` and `seed` are the bins per axis and the
+    projection seed of bluffing's `metrics.mutual_information`."""
 
     s_hi: float = 0.9            # "approximately 1" similarity
     s_lo: float = 0.3            # "weakly related" similarity
@@ -393,7 +380,7 @@ def _tv(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def _score_causal_failure(fixture, cfg):
+def _score_causal_inference_failure(fixture, cfg):
     stats = {}
     candidates = []
     if fixture.edge_x_to_y:
@@ -413,61 +400,10 @@ def _score_causal_failure(fixture, cfg):
     return severity, stats
 
 
-class _Detector(NamedTuple):
-    arity: Arity          # what one scored unit is
-    scorer: Callable      # (unit, cfg), then the knowledge base if needs_kb
-    threshold: Callable   # cfg -> the firing threshold
-    needs_kb: bool = False
-
-
-_DETECTORS = {
-    "delusion": _Detector(Arity.RECORD, _score_delusion, lambda c: 0.5),
-    "illusion": _Detector(Arity.RECORD, _score_illusion, lambda c: c.s_hi),
-    "hallucination": _Detector(Arity.RECORD, _score_hallucination,
-                               lambda c: 0.5),
-    "confabulation": _Detector(Arity.RECORD, _score_confabulation,
-                               lambda c: 1.0 - c.tau_c, needs_kb=True),
-    "misattribution": _Detector(Arity.PAIR, _score_misattribution,
-                                lambda c: c.s_hi),
-    "semantic_drift": _Detector(Arity.SEQUENCE, _score_semantic_drift,
-                                lambda c: 1.0 - c.s_lo),
-    "semantic_compression": _Detector(Arity.RECORD,
-                                      _score_semantic_compression,
-                                      lambda c: 1.0 - c.rho),
-    "exaggeration": _Detector(Arity.RECORD, _score_exaggeration,
-                              lambda c: 0.5),
-    "causal_inference_failure": _Detector(Arity.FIXTURE,
-                                          _score_causal_failure,
-                                          lambda c: 1.0 - c.tv_tol),
-    "uncanny_valley": _Detector(Arity.RECORD, _score_uncanny_valley,
-                                lambda c: c.s_hi),
-    "bluffing": _Detector(Arity.CORPUS, _score_bluffing, lambda c: c.f_hi),
-    "cognitive_stereotypy": _Detector(Arity.CORPUS,
-                                      _score_cognitive_stereotypy,
-                                      lambda c: c.s_hi),
-    "pragmatic_misunderstanding": _Detector(
-        Arity.RECORD, _score_pragmatic_misunderstanding,
-        lambda c: 1.0 - c.s_indep),
-    "hypersignification": _Detector(Arity.CORPUS, _score_hypersignification,
-                                    lambda c: c.gamma),
-    "semantic_reheating": _Detector(Arity.RECORD, _score_semantic_reheating,
-                                    lambda c: 0.5),
-    "semantic_warming": _Detector(Arity.SEQUENCE, _score_semantic_warming,
-                                  lambda c: c.f_hi),
-    "simulated_authority": _Detector(Arity.RECORD, _score_simulated_authority,
-                                     lambda c: 1.0 - c.tau_c, needs_kb=True),
-    "abductive_leap": _Detector(Arity.RECORD, _score_abductive_leap,
-                                lambda c: c.delta),
-    "contextual_drift": _Detector(Arity.RECORD, _score_contextual_drift,
-                                  lambda c: 0.5),
-    "referential_hallucination": _Detector(
-        Arity.RECORD, _score_referential_hallucination,
-        lambda c: EXISTENTIAL_EPS, needs_kb=True),
-    "semiotic_frankenstein": _Detector(
-        Arity.RECORD, _score_semiotic_frankenstein,
-        lambda c: EXISTENTIAL_EPS, needs_kb=True),
-}
-assert list(_DETECTORS) == list(GENERATIVE_DETECTORS)
+# each detector -> its scorer: (unit, cfg), then the knowledge base if the
+# detector's row says it needs one
+_SCORERS = {name: globals()[f"_score_{name}"]
+            for name in GENERATIVE_DETECTORS}
 
 
 def _unit(arity, data):
@@ -494,8 +430,8 @@ def score(pathology, data, cfg=GenerativeConfig(), kb=None):
     misattribution, a record list for the corpus/sequence detectors, and a
     CausalFixture for causal_inference_failure. No field, shape or count
     is checked here."""
-    detector = _DETECTORS[pathology]
-    severity, evidence = detector.scorer(
+    detector = REGISTRY[pathology]
+    severity, evidence = _SCORERS[pathology](
         data, cfg, *((kb,) if detector.needs_kb else ()))
     return DetectorOutcome(pathology=pathology,
                            unit=_unit(detector.arity, data),
@@ -540,7 +476,7 @@ def _units(arity, eligible, fixtures):
 def _score_units(pathology, units, cfg, kb=None):
     """(the detector's outcomes on the units it scores, {unit: reason} of
     those it drops)."""
-    arity = _DETECTORS[pathology].arity
+    arity = REGISTRY[pathology].arity
     outcomes, lost = [], {}
     for unit in units:
         try:
@@ -557,9 +493,9 @@ def _score_units(pathology, units, cfg, kb=None):
 # intent on that turn alone
 _KEPT = tuple(dict.fromkeys(
     ["id", "annotations"]
-    + [f.split(".")[0] for name, detector in _DETECTORS.items()
-       if detector.arity in (Arity.PAIR, Arity.SEQUENCE, Arity.CORPUS)
-       for f in GENERATIVE_DETECTORS[name]]))
+    + [f.split(".")[0] for name in GENERATIVE_DETECTORS
+       if REGISTRY[name].arity in (Arity.PAIR, Arity.SEQUENCE, Arity.CORPUS)
+       for f in REGISTRY[name].fields]))
 
 
 class RecordStep:
@@ -594,9 +530,9 @@ class RecordStep:
         self.intents = set()   # the conversations whose intent is kept
         # each record-level detector it runs -> its outcomes, and
         # {record id: reason} of the records it dropped
-        self.found = {name: [] for name, detector in _DETECTORS.items()
-                      if detector.arity is Arity.RECORD
-                      and (kb is not None or not detector.needs_kb)}
+        self.found = {name: [] for name in GENERATIVE_DETECTORS
+                      if REGISTRY[name].arity is Arity.RECORD
+                      and (kb is not None or not REGISTRY[name].needs_kb)}
         self.lost = {name: {} for name in self.found}
 
     def __call__(self, i, record):
@@ -656,7 +592,8 @@ def audit_generative(corpus, kb=None, fixtures=(), cfg=GenerativeConfig(),
     outcomes = []
     skipped = {}
     dropped = {}
-    for pathology, detector in _DETECTORS.items():
+    for pathology in GENERATIVE_DETECTORS:
+        detector = REGISTRY[pathology]
         if detector.needs_kb and pathology not in step.found:
             skipped[pathology] = "no knowledge base supplied"
             continue

@@ -1,19 +1,24 @@
-"""Pathology registry: what both detector families share.
+"""Pathology registry: the one table of detectors, and what both families
+share.
 
-It names the 21 generative + 14 discriminative detector ids (35 total) in
-two tables, `GENERATIVE_DETECTORS` and `DISCRIMINATIVE_DETECTORS`, each
-mapping an id to the record fields its evidence requires; an id's family
-is the table that holds it. It also holds the types every audit shares
-(outcome, result, errors, validation report), `validate_corpus`, the one
-place that works out which fields a record lacks, as one presence code per
-record that each detector masks with the bits of its own fields (with
-`presence` and `carries`, its record-at-a-time form for a trace record as
-it is read), and the helpers both families call: `fmt` writes an evidence
-number, `clamp01` clips a severity to [0, 1] and `group_by` groups records
-by a key. How a generative detector is scored (its arity, whether it reads
-the knowledge base, its scorer and threshold) lives beside its scorer in
-`generative._DETECTORS`; a discriminative one folds the whole corpus,
-with its scorer and threshold in `discriminative._DETECTORS`.
+`REGISTRY` holds one `Detector` row for each of the 35 detector ids, the 21
+generative ones first: the kind of corpus it reads ("trace" or
+"classification"), its arity (what one scored unit is; `Arity.CORPUS` for
+every discriminative detector), its loss kind, the record fields it
+requires, its firing threshold under its family's config, and whether it
+reads the knowledge base. Its scorer is the function `_score_<id>` of its
+family's module, which collects it by name into `_SCORERS` at import, so a
+row without a scorer fails the import, naming the function.
+`GENERATIVE_DETECTORS` and `DISCRIMINATIVE_DETECTORS` are {id: fields}
+views of each kind's rows; an id's family is the view that holds it.
+
+It also holds the types every audit shares (outcome, result, errors,
+validation report), `validate_corpus`, the one place that works out which
+fields a record lacks, as one presence code per record that each detector
+masks with the bits of its own fields (with `presence` and `carries`, its
+record-at-a-time form for a trace record as it is read), and the helpers
+both families call: `fmt` writes an evidence number, `clamp01` clips a
+severity to [0, 1] and `group_by` groups records by a key.
 
 The outcome formats are written and read here alone. An audit writes two
 files. outcomes.json (0.7.0) is `AuditResult.to_json_dict`, the object
@@ -23,97 +28,169 @@ family. `firing_thresholds` holds one threshold for each detector that has
 outcomes, and sorts ahead of `outcomes`, so a canonical file gives each
 threshold before the outcomes that need it. Each outcome's object is
 `DetectorOutcome.to_json_dict`, with exactly the keys pathology, severity
-and unit. The unit is one string, the one that `dropped` uses as its key:
-a record's id; the ids of a pair, sorted and joined by ","; a
-conversation's id, or "" for records without one; "x->y" for a causal
-fixture; and "" for a corpus detector and for every discriminative one.
+and unit. The unit is one string, the one that `dropped` uses as its key
+(`generative._unit` forms it; "" for every discriminative outcome).
 `load_outcome_files` reads the file back for risk and report: it decodes
 the thresholds and the outcomes, in either member order, and skips the
 other two keys. Any other key, at either level, is an error, so an outcome
 as 0.6.0 wrote it, with `record_ids` and `threshold`, is rejected, and so
 is 0.5.0's with its evidence. So are an outcome whose pathology has no
 threshold and a threshold that no outcome uses. Nothing derived is
-written: an outcome fired where severity >= its detector's threshold, its
-family is the table that holds its pathology, and its severity is the loss
-sample the risk engine folds.
+written: an outcome fired where severity >= its detector's threshold, and
+its family is its pathology's row's.
 
 evidence.json is `AuditResult.evidence_json_dict`, {detector: [evidence
 objects]}: the k-th object of a detector's list is the evidence of its
 k-th outcome in outcomes.json, and a detector with no outcome has no
 entry. Evidence is written for readers; nothing in the package reads
 evidence.json, so risk and report never parse it.
-
-The pair {semantic_reheating, semantic_warming} is one alias group, so
-reports count 34 distinct pathologies.
 """
 
 import sys
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from types import MappingProxyType
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .records import (RecordValidationError, declare, decode_object,
                       read_json_chunked)
 
-# detector id -> the record fields it requires; "annotations.k" is the key
-# k of the record's annotations
-GENERATIVE_DETECTORS = {
-    "delusion": ("prob_output_given_input", "prob_truth_given_input"),
-    "illusion": ("output_embedding", "truth_embedding", "in_real_manifold"),
-    "hallucination": ("in_real_manifold",),
-    "confabulation": ("prob_output_given_input", "claim_embeddings"),
-    "misattribution": ("output_embedding", "annotations.content_id",
-                       "annotations.source_id"),
-    "semantic_drift": ("output_embedding", "intent_embedding"),
-    "semantic_compression": ("latent_dim", "input_dim"),
-    "exaggeration": ("output_magnitude", "truth_magnitude"),
-    "causal_inference_failure": (),
-    "uncanny_valley": ("output_embedding", "truth_embedding",
-                       "discomfort_score"),
-    "bluffing": ("input_embedding", "output_embedding",
-                 "output_token_logprobs"),
-    "cognitive_stereotypy": ("input_embedding", "output_embedding"),
-    "pragmatic_misunderstanding": ("output_embedding", "intent_embedding"),
-    "hypersignification": ("input_embedding", "output_embedding"),
-    "semantic_reheating": ("in_train_set",),
-    "semantic_warming": ("style_embedding", "output_token_logprobs"),
-    "simulated_authority": ("style_embedding", "claim_embeddings"),
-    "abductive_leap": ("prob_output_given_input", "has_inference_path"),
-    "contextual_drift": ("context_vectors",),
-    "referential_hallucination": ("referenced_entities",),
-    "semiotic_frankenstein": ("claim_embeddings",),
+# Severity floor for existential predicates ("some entity unknown", "both a
+# true and a false claim present"): any positive fraction fires.
+EXISTENTIAL_EPS = 1e-9
+
+
+class Arity(str, Enum):
+    RECORD = "record"        # one TraceRecord
+    PAIR = "pair"            # two linked records
+    SEQUENCE = "sequence"    # an ordered conversation of records
+    CORPUS = "corpus"        # an unordered record set
+    FIXTURE = "fixture"      # a CausalFixture
+
+
+# A loss kind says what a severity, the loss sample that the risk engine
+# folds, is: "event", 0 or 1; "graded", in [0, 1] and growing with the
+# slack of the unit's predicate; "extreme", the extreme output similarity
+# over a corpus's pairs; "rate", the fraction of a corpus's units with an
+# event, as `discriminative._event_rate` folds it; "statistic", another
+# statistic of a corpus, such as an accuracy gap, a group disparity or a
+# calibration error.
+class Detector(NamedTuple):
+    corpus: str           # the kind of corpus it reads
+    arity: Arity          # what one scored unit is
+    loss: str             # its loss kind
+    fields: tuple         # the record fields it requires; "annotations.k"
+                          # is the key k of the record's annotations
+    threshold: Callable   # its family's config -> the firing threshold
+    needs_kb: bool = False
+
+
+def _generative(arity, loss, threshold, *fields, needs_kb=False):
+    return Detector("trace", Arity(arity), loss, fields, threshold, needs_kb)
+
+
+def _discriminative(loss, threshold, *fields):
+    return Detector("classification", Arity.CORPUS, loss, fields, threshold)
+
+
+REGISTRY = {
+    "delusion": _generative("record", "graded", lambda c: 0.5,
+                            "prob_output_given_input",
+                            "prob_truth_given_input"),
+    "illusion": _generative("record", "graded", lambda c: c.s_hi,
+                            "output_embedding", "truth_embedding",
+                            "in_real_manifold"),
+    "hallucination": _generative("record", "event", lambda c: 0.5,
+                                 "in_real_manifold"),
+    "confabulation": _generative("record", "graded", lambda c: 1.0 - c.tau_c,
+                                 "prob_output_given_input",
+                                 "claim_embeddings", needs_kb=True),
+    "misattribution": _generative("pair", "graded", lambda c: c.s_hi,
+                                  "output_embedding", "annotations.content_id",
+                                  "annotations.source_id"),
+    "semantic_drift": _generative("sequence", "graded", lambda c: 1.0 - c.s_lo,
+                                  "output_embedding", "intent_embedding"),
+    "semantic_compression": _generative(
+        "record", "graded", lambda c: 1.0 - c.rho, "latent_dim", "input_dim"),
+    "exaggeration": _generative("record", "graded", lambda c: 0.5,
+                                "output_magnitude", "truth_magnitude"),
+    "causal_inference_failure": _generative("fixture", "graded",
+                                            lambda c: 1.0 - c.tv_tol),
+    "uncanny_valley": _generative("record", "graded", lambda c: c.s_hi,
+                                  "output_embedding", "truth_embedding",
+                                  "discomfort_score"),
+    "bluffing": _generative("corpus", "statistic", lambda c: c.f_hi,
+                            "input_embedding", "output_embedding",
+                            "output_token_logprobs"),
+    "cognitive_stereotypy": _generative("corpus", "extreme", lambda c: c.s_hi,
+                                        "input_embedding", "output_embedding"),
+    "pragmatic_misunderstanding": _generative(
+        "record", "graded", lambda c: 1.0 - c.s_indep,
+        "output_embedding", "intent_embedding"),
+    "hypersignification": _generative("corpus", "extreme", lambda c: c.gamma,
+                                      "input_embedding", "output_embedding"),
+    "semantic_reheating": _generative("record", "event", lambda c: 0.5,
+                                      "in_train_set"),
+    "semantic_warming": _generative(
+        "sequence", "graded", lambda c: c.f_hi, "style_embedding",
+        "output_token_logprobs"),
+    "simulated_authority": _generative(
+        "record", "graded", lambda c: 1.0 - c.tau_c, "style_embedding",
+        "claim_embeddings", needs_kb=True),
+    "abductive_leap": _generative("record", "graded", lambda c: c.delta,
+                                  "prob_output_given_input",
+                                  "has_inference_path"),
+    "contextual_drift": _generative("record", "graded", lambda c: 0.5,
+                                    "context_vectors"),
+    "referential_hallucination": _generative(
+        "record", "graded", lambda c: EXISTENTIAL_EPS, "referenced_entities",
+        needs_kb=True),
+    "semiotic_frankenstein": _generative(
+        "record", "graded", lambda c: EXISTENTIAL_EPS, "claim_embeddings",
+        needs_kb=True),
+    "overfitting": _discriminative("statistic", lambda c: c.gap_hi,
+                                   "annotations.in_train_set"),
+    "bias_amplification": _discriminative("statistic", lambda c: c.amp_hi,
+                                          "group"),
+    "spurious_correlation": _discriminative(
+        "statistic", lambda c: c.gap_hi, "annotations.spurious_pair_id",
+        "annotations.spurious_role"),
+    "adversarial_vulnerability": _discriminative(
+        "rate", lambda c: c.flip_hi, "perturbation_pair_id", "features"),
+    "calibration_failure": _discriminative("statistic", lambda c: c.ece_hi,
+                                           "class_probabilities"),
+    "concept_drift_sensitivity": _discriminative(
+        "statistic", lambda c: c.gap_hi, "timestamp_index", "features"),
+    "misclassification_under_uncertainty": _discriminative(
+        "rate", lambda c: c.frac_hi, "is_ood"),
+    "prosodic_misclassification": _discriminative(
+        "rate", lambda c: c.frac_hi, "annotations.content_id",
+        "annotations.prosody"),
+    "accent_bias": _discriminative("statistic", lambda c: c.amp_hi,
+                                   "group", "annotations.content_id"),
+    "turn_boundary_failure": _discriminative(
+        "statistic", lambda c: 0.5, "segment_bounds", "ref_segment_bounds"),
+    "semantic_boundary_confusion": _discriminative(
+        "statistic", lambda c: c.gap_hi, "annotations.span_pair_id",
+        "annotations.span_role", "segment_bounds"),
+    "noise_overfitting": _discriminative("rate", lambda c: c.flip_hi,
+                                         "noise_pair_id",
+                                         "annotations.noise_role"),
+    "latency_induced_decision_drift": _discriminative(
+        "rate", lambda c: c.flip_hi, "latency_pair_id"),
+    "ambiguity_collapse": _discriminative("rate", lambda c: c.frac_hi,
+                                          "plausible_labels"),
 }
+# {id: its fields} of the detectors of each kind of corpus
+GENERATIVE_DETECTORS, DISCRIMINATIVE_DETECTORS = (
+    {name: row.fields for name, row in REGISTRY.items() if row.corpus == kind}
+    for kind in ("trace", "classification"))
 
-DISCRIMINATIVE_DETECTORS = {
-    "overfitting": ("annotations.in_train_set",),
-    "bias_amplification": ("group",),
-    "spurious_correlation": ("annotations.spurious_pair_id",
-                             "annotations.spurious_role"),
-    "adversarial_vulnerability": ("perturbation_pair_id", "features"),
-    "calibration_failure": ("class_probabilities",),
-    "concept_drift_sensitivity": ("timestamp_index", "features"),
-    "misclassification_under_uncertainty": ("is_ood",),
-    "prosodic_misclassification": ("annotations.content_id",
-                                   "annotations.prosody"),
-    "accent_bias": ("group", "annotations.content_id"),
-    "turn_boundary_failure": ("segment_bounds", "ref_segment_bounds"),
-    "semantic_boundary_confusion": ("annotations.span_pair_id",
-                                    "annotations.span_role",
-                                    "segment_bounds"),
-    "noise_overfitting": ("noise_pair_id", "annotations.noise_role"),
-    "latency_induced_decision_drift": ("latency_pair_id",),
-    "ambiguity_collapse": ("plausible_labels",),
-}
-
-REGISTRY = {**GENERATIVE_DETECTORS, **DISCRIMINATIVE_DETECTORS}
-
-# semantic reheating and warming are two detectors for one pathology
+# semantic reheating and warming are two detectors for one pathology, so
+# reports count 34 distinct pathologies
 ALIAS_GROUPS = (("semantic_reheating", "semantic_warming"),)
-
-assert len(GENERATIVE_DETECTORS) == 21
-assert len(DISCRIMINATIVE_DETECTORS) == 14
 
 
 def pathology_ids():
@@ -322,20 +399,16 @@ def load_outcome_files(paths):
     return outcomes
 
 
-# each kind of corpus -> the table of the detectors that read it
-_TABLES = {"trace": GENERATIVE_DETECTORS,
-           "classification": DISCRIMINATIVE_DETECTORS}
-# each detector -> the kind of corpus it reads
-_READS = {name: kind for kind, table in _TABLES.items() for name in table}
-# each kind -> every field that some detector of its table requires, once:
-# bit b of a record's presence code stands for the b-th
-_FIELDS = {kind: tuple(dict.fromkeys(f for required in table.values()
-                                     for f in required))
-           for kind, table in _TABLES.items()}
+# each kind of corpus -> every field that some detector reading it
+# requires, once: bit b of a record's presence code stands for the b-th
+_FIELDS = {kind: tuple(dict.fromkeys(f for row in REGISTRY.values()
+                                     if row.corpus == kind
+                                     for f in row.fields))
+           for kind in ("trace", "classification")}
 # each detector -> the bits of its required fields in the presence code of
 # the kind of corpus it reads
-_MASK = {name: sum(1 << _FIELDS[kind].index(f) for f in REGISTRY[name])
-         for name, kind in _READS.items()}
+_MASK = {name: sum(1 << _FIELDS[row.corpus].index(f) for f in row.fields)
+         for name, row in REGISTRY.items()}
 _ANNOTATION = "annotations."
 
 
@@ -389,8 +462,8 @@ class ValidationReport:
     def lacks(self, row, detector):
         """The fields of a detector of the corpus's kind that the record at
         `row` lacks, in the detector's order."""
-        fields, code = _FIELDS[_READS[detector]], int(self.codes[row])
-        return tuple(f for f in REGISTRY[detector]
+        code, fields = int(self.codes[row]), _FIELDS[REGISTRY[detector].corpus]
+        return tuple(f for f in REGISTRY[detector].fields
                      if code >> fields.index(f) & 1)
 
     def to_json_dict(self):
@@ -399,7 +472,7 @@ class ValidationReport:
             groups.setdefault(code, []).append(rid)
         # the codes' bits stand for the fields of the kind whose detectors
         # apply (either kind for an empty corpus, which has no code)
-        fields = next(_FIELDS[kind] for name, kind in _READS.items()
+        fields = next(_FIELDS[row.corpus] for name, row in REGISTRY.items()
                       if name not in self.not_applicable)
         detectors = {}
         for name in REGISTRY:
@@ -409,7 +482,7 @@ class ValidationReport:
                 continue
             available = sum(len(ids) for code, ids in groups.items()
                             if not code & _MASK[name])
-            detectors[name] = {"reads": list(REGISTRY[name]),
+            detectors[name] = {"reads": list(REGISTRY[name].fields),
                                "available_count": available}
         return {"record_count": self.record_count,
                 "lacking": {",".join(f for bit, f in enumerate(fields)
@@ -462,7 +535,7 @@ def validate_corpus(corpus, codes=None):
         if rid in seen:
             raise ValueError(f"duplicate record id {rid!r}")
         seen.add(rid)
-    not_applicable = {name: _wrong_kind(reads) for name, reads in
-                      _READS.items() if ids and reads != kind}
+    not_applicable = {name: _wrong_kind(row.corpus) for name, row in
+                      REGISTRY.items() if ids and row.corpus != kind}
     return ValidationReport(ids=ids, codes=codes,
                             not_applicable=not_applicable)

@@ -309,6 +309,47 @@ def generative_fixture(pathology, positive):
     return _GENERATIVE_FIXTURES[pathology](positive)
 
 
+def graded_fixtures():
+    """{pathology: bundle} of one record each with a known severity strictly
+    inside (0, 1), for the graded detectors whose two fixtures score only
+    0 or 1, and for delusion. Delusion, exaggeration and contextual_drift
+    sit at their firing point, severity 0.5, at the default config."""
+    def one(rid, kb=None, **fields):
+        return _bundle([_trace(f"graded-{rid}", **fields)], kb=kb)
+
+    return {
+        # raw cosine 3/5 between output and truth: (1 + 3/5) / 2
+        "illusion": one("illusion", output_embedding=_E[0],
+                        truth_embedding=np.array([3.0, 4.0, 0.0, 0.0]),
+                        in_real_manifold=False),
+        # probability ratio 0.625 / 0.0625 = margin
+        "delusion": one("delusion", output_embedding=_E[0],
+                        truth_embedding=_E[1], prob_output_given_input=0.625,
+                        prob_truth_given_input=0.0625),
+        # magnitude ratio 3 / 1.5 = alpha
+        "exaggeration": one("exaggeration", output_magnitude=3.0,
+                            truth_magnitude=1.5),
+        # discomfort above d_hi, raw cosine -3/5: (1 - 3/5) / 2
+        "uncanny_valley": one("uncanny", output_embedding=_E[0],
+                              truth_embedding=np.array([-3.0, 4.0, 0.0, 0.0]),
+                              discomfort_score=0.8),
+        # distance drift_k = 3 turns back |0 - e_0| = 1 = epsilon
+        "contextual_drift": one("ctxdrift", context_vectors=(
+            _E[0], _E[1], _E[2], np.zeros(D_E))),
+        # one of four entities in neither the KB nor the train entities
+        "referential_hallucination": one(
+            "referential", kb=standard_kb(),
+            referenced_entities=("fact_a", "fact_b", "ghost_source",
+                                 "seen_in_training"),
+            annotations={"train_entities": "seen_in_training"}),
+        # of five claims, one matches the KB (e_0), one is unmatched (anti)
+        # and three lie between (e_3, similarity 0.5): 2 * 1 / 5
+        "semiotic_frankenstein": one(
+            "franken", kb=standard_kb(),
+            claim_embeddings=(_E[0], _ANTI_KB, _E[3], _E[3], _E[3])),
+    }
+
+
 # --- discriminative fixtures ---------------------------------------------------
 
 def _probs_for(label, confidence, n_classes=2):

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from pathrisk import generative
+from pathrisk import generative, registry
 from pathrisk.metrics import MetricError
 from pathrisk.records import (CorpusError, RecordValidationError, TraceRecord,
                               _decode_record, _field, _schema)
@@ -867,7 +867,8 @@ def whole_corpus_audit(records, kb=None, fixtures=(),
     by ",", and the rows are sorted by pathology, then that join."""
     lacks = loop_validation(records)
     rows, skipped, dropped = [], {}, {}
-    for name, detector in generative._DETECTORS.items():
+    for name in GENERATIVE_DETECTORS:
+        detector = registry.REGISTRY[name]
         if detector.needs_kb and kb is None:
             skipped[name] = "no knowledge base supplied"
             continue

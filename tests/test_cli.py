@@ -118,7 +118,7 @@ def test_validation_covers_every_detector(tmp_path, subcommand):
             assert entry["count"] == len(records)
             assert entry["not_applicable"].startswith("<requires a ")
             continue
-        assert entry["reads"] == list(registry.REGISTRY[name])
+        assert entry["reads"] == list(registry.REGISTRY[name].fields)
         assert 0 <= entry["available_count"] <= len(records)
     # every record is listed once, under the fields it lacks
     listed = []
@@ -339,13 +339,22 @@ def _fired(outcome):
 
 def _fixture_audit(tmp_path, pathology, config):
     """The outcomes.json entries of `pathology` after an audit of its
-    positive fixture, with `config` (a dict, or None) as --config, each
-    with the detector's firing threshold added as "threshold"."""
+    positive fixture, with its knowledge base and causal fixtures if it has
+    any, and `config` (a dict, or None) as --config, each with the
+    detector's firing threshold added as "threshold". The audit writes to
+    tmp_path / "out"."""
     corpus = tmp_path / "corpus.jsonl"
     argv = ["audit", "--corpus", str(corpus)]
     if pathology in GENERATIVE_DETECTORS:
-        corpora.write_input(
-            corpus, corpora.generative_fixture(pathology, True)["records"])
+        bundle = corpora.generative_fixture(pathology, True)
+        corpora.write_input(corpus, bundle["records"])
+        for flag, value in (("--kb", bundle["kb"]),
+                            ("--fixtures", bundle["causal_fixtures"])):
+            if value:
+                path = tmp_path / f"{flag[2:]}.json"
+                corpora.write_input(path, value if flag == "--kb"
+                                    else value[0])
+                argv += [flag, str(path)]
     else:
         corpora.write_input(corpus,
                             corpora.discriminative_rows(pathology, True))
@@ -362,18 +371,73 @@ def _fixture_audit(tmp_path, pathology, config):
             if o["pathology"] == pathology]
 
 
-@pytest.mark.parametrize("pathology,section,key,default,raised", [
-    # the fixture's output probability is 0.95
-    ("abductive_leap", "generative", "delta", 0.9, 0.99),
-    # the fixture's ECE is 0.5
-    ("calibration_failure", "discriminative", "ece_hi", 0.1, 0.9)])
-def test_config_sets_a_threshold(tmp_path, pathology, section, key, default,
-                                 raised):
-    before = _fixture_audit(tmp_path, pathology, None)
-    after = _fixture_audit(tmp_path, pathology, {section: {key: raised}})
-    assert [(o["threshold"], _fired(o)) for o in before] == [(default, True)]
-    assert [(o["threshold"], _fired(o)) for o in after] == [(raised, False)]
-    assert after[0]["severity"] == before[0]["severity"]
+# every config field that some firing threshold reads, each set to a value
+# that no other field has, and so that no two fields give the same
+# threshold: a threshold that reads the wrong field gives a value that the
+# maps below do not hold. A field read as 1 - value is a multiple of 2**-5,
+# so the difference is exact
+_DISTINCT_FIELDS = {
+    "generative": {"s_hi": 0.91, "s_lo": 0.25, "rho": 0.125,
+                   "tv_tol": 0.03125, "tau_c": 0.4375, "f_hi": 0.47,
+                   "s_indep": 0.625, "gamma": 0.83, "delta": 0.79},
+    "discriminative": {"gap_hi": 0.21, "amp_hi": 0.23, "flip_hi": 0.11,
+                       "ece_hi": 0.13, "frac_hi": 0.33}}
+# the firing threshold under _DISTINCT_FIELDS of each detector whose
+# threshold reads a config field, from the formulas of the detectors
+_CONFIGURED_THRESHOLDS = {
+    "illusion": 0.91, "confabulation": 0.5625, "misattribution": 0.91,
+    "semantic_drift": 0.75, "semantic_compression": 0.875,
+    "causal_inference_failure": 0.96875, "uncanny_valley": 0.91,
+    "bluffing": 0.47, "cognitive_stereotypy": 0.91,
+    "pragmatic_misunderstanding": 0.375, "hypersignification": 0.83,
+    "semantic_warming": 0.47, "simulated_authority": 0.5625,
+    "abductive_leap": 0.79, "overfitting": 0.21, "bias_amplification": 0.23,
+    "spurious_correlation": 0.21, "adversarial_vulnerability": 0.11,
+    "calibration_failure": 0.13, "concept_drift_sensitivity": 0.21,
+    "misclassification_under_uncertainty": 0.33,
+    "prosodic_misclassification": 0.33, "accent_bias": 0.23,
+    "semantic_boundary_confusion": 0.21, "noise_overfitting": 0.11,
+    "latency_induced_decision_drift": 0.11, "ambiguity_collapse": 0.33}
+# the thresholds that read no config field
+_CONSTANT_THRESHOLDS = {
+    "delusion": 0.5, "hallucination": 0.5, "exaggeration": 0.5,
+    "semantic_reheating": 0.5, "contextual_drift": 0.5,
+    "referential_hallucination": 1e-9, "semiotic_frankenstein": 1e-9,
+    "turn_boundary_failure": 0.5}
+# (section, field, default, raised value) of two thresholds raised above
+# the severity of their fixture, which then stops firing: abductive_leap's
+# output probability is 0.95, and calibration_failure's ECE is 0.5
+_RAISED = {"abductive_leap": ("generative", "delta", 0.9, 0.99),
+           "calibration_failure": ("discriminative", "ece_hi", 0.1, 0.9)}
+
+
+def test_every_threshold_is_either_configured_or_constant():
+    assert (_CONFIGURED_THRESHOLDS.keys() | _CONSTANT_THRESHOLDS.keys()
+            == set(pathology_ids()))
+    assert not _CONFIGURED_THRESHOLDS.keys() & _CONSTANT_THRESHOLDS.keys()
+
+
+@pytest.mark.parametrize("pathology", [
+    # a raised threshold's id also names its section, field and values
+    pytest.param(name, id="-".join(map(str, (name, *_RAISED.get(name, ())))))
+    for name in sorted(_CONFIGURED_THRESHOLDS)])
+def test_config_sets_a_threshold(tmp_path, pathology):
+    if pathology in _RAISED:
+        section, key, default, raised = _RAISED[pathology]
+        before = _fixture_audit(tmp_path, pathology, None)
+        after = _fixture_audit(tmp_path, pathology, {section: {key: raised}})
+        assert [(o["threshold"], _fired(o))
+                for o in before] == [(default, True)]
+        assert [(o["threshold"], _fired(o))
+                for o in after] == [(raised, False)]
+        assert after[0]["severity"] == before[0]["severity"]
+    # each threshold of the audit reads its own field
+    assert _fixture_audit(tmp_path, pathology, _DISTINCT_FIELDS)
+    thresholds = json.loads((tmp_path / "out" / "outcomes.json").read_text(
+        encoding="utf-8"))["firing_thresholds"]
+    assert pathology in thresholds
+    expected = _CONFIGURED_THRESHOLDS | _CONSTANT_THRESHOLDS
+    assert thresholds == {name: expected[name] for name in thresholds}
 
 
 @pytest.mark.parametrize("config,named", [

@@ -103,6 +103,36 @@ class TestKnownSeverities:
         [outcome] = run_fixture("hallucination", False)
         assert outcome.severity == 0.0
 
+    @pytest.mark.parametrize("pathology,severity", [
+        ("illusion", (1 + 3 / 5) / 2),
+        ("uncanny_valley", (1 - 3 / 5) / 2),
+        ("referential_hallucination", 1 / 4),
+        ("semiotic_frankenstein", 2 * 1 / 5),
+        # log(ratio) / (2 log bound) and distance / (2 epsilon), each at
+        # its default bound
+        ("delusion", math.log(0.625 / 0.0625) / (2 * math.log(10.0))),
+        ("exaggeration", math.log(3.0 / 1.5) / (2 * math.log(2.0))),
+        ("contextual_drift", 1.0 / (2 * 1.0))])
+    def test_graded_fixture_scores_its_closed_form(self, pathology, severity):
+        bundle = corpora.graded_fixtures()[pathology]
+        result = audit_generative(bundle["records"], kb=bundle["kb"])
+        assert [o.severity for o in result.outcomes
+                if o.pathology == pathology] == [severity]
+        assert 0.0 < severity < 1.0
+
+    @pytest.mark.parametrize("pathology", ["delusion", "exaggeration",
+                                           "contextual_drift"])
+    def test_ratio_or_distance_at_its_bound_fires_at_one_half(self, pathology):
+        # the module docstring's firing point: a log-ratio at its bound, and
+        # contextual drift at distance epsilon, score exactly 0.5, their
+        # firing threshold
+        bundle = corpora.graded_fixtures()[pathology]
+        [outcome] = [o for o in audit_generative(
+            bundle["records"], kb=bundle["kb"]).outcomes
+            if o.pathology == pathology]
+        assert (outcome.severity, outcome.threshold, outcome.fired) == (
+            0.5, 0.5, True)
+
 
 class TestAudit:
     def test_empty_corpus_all_skipped(self):
@@ -326,7 +356,7 @@ class TestRecordStep:
         real = generative.score
 
         def watched(pathology, unit, *args, **kwargs):
-            if generative._DETECTORS[pathology].arity in (
+            if registry.REGISTRY[pathology].arity in (
                     Arity.PAIR, Arity.SEQUENCE, Arity.CORPUS):
                 handed.extend(unit)
             return real(pathology, unit, *args, **kwargs)
@@ -383,7 +413,7 @@ class TestRecordStep:
             return kb
 
         def watched(pathology, unit, *args, **kwargs):
-            if generative._DETECTORS[pathology].arity in (
+            if registry.REGISTRY[pathology].arity in (
                     Arity.PAIR, Arity.SEQUENCE, Arity.CORPUS):
                 alive.append(refs[0]() is not None)
             return real_score(pathology, unit, *args, **kwargs)
@@ -403,8 +433,8 @@ class TestRecordStep:
                 load_trace_corpus(corpus, record=step), step=step).outcomes}
         assert alive and not any(alive)
         # the knowledge base was read: some detector matched against it
-        assert scored & {name for name, detector in
-                         generative._DETECTORS.items() if detector.needs_kb}
+        assert scored & {name for name in GENERATIVE_DETECTORS
+                         if registry.REGISTRY[name].needs_kb}
 
     def test_mutations_reach_every_kind_of_fault(self):
         # guards the test above: the mutated corpora must leave out fields,

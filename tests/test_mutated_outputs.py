@@ -11,8 +11,10 @@ bytes short. The console script must then give a verdict, exit 0, 2 or 3,
 and print no traceback: every mutation is either still a valid file or a
 rejected input. Hypothesis runs derandomized with a fixed example
 budget, so each run tries the same mutations. A drawn example hits a given
-one-value mutation rarely, so one line of each corpus is also swept: each
-of its values replaced by each replacement in turn.
+one-value mutation rarely, so one line of each corpus, the config under
+either schema, the knowledge base and the causal fixtures are also swept:
+each of their values replaced by each replacement, deleted and nested in
+turn.
 """
 
 import contextlib
@@ -185,43 +187,63 @@ def test_audit_on_a_mutated_input_gives_a_verdict(inputs, tmp_path_factory,
          verdicts=(0, 2))
 
 
-def _replaced(doc, path, value):
-    """The JSON text of `doc` with the value at `path` replaced by
-    `value`; `doc` itself is left as it was."""
-    if not path:
-        return json.dumps(value)
-    parent, key = _parent(doc, path)
-    kept, parent[key] = parent[key], value
-    try:
-        return json.dumps(doc)
-    finally:
-        parent[key] = kept
+def _one_value_mutations(doc):
+    """(path, mutation, JSON text) of each one-value mutation of the JSON
+    document `doc`: each value replaced by each of _REPLACEMENTS and,
+    below the root, deleted and nested one level deeper in a list and in
+    an object. `doc` itself is left as it was."""
+    text = json.dumps(doc)
+    for path in list(_paths(doc)):
+        changes = [("replace", value) for value in _REPLACEMENTS]
+        if path:
+            changes += [("delete", None), ("nest", list), ("nest", dict)]
+        for how, value in changes:
+            if not path:
+                yield path, value, json.dumps(value)
+                continue
+            mutated = json.loads(text)
+            parent, key = _parent(mutated, path)
+            if how == "delete":
+                del parent[key]
+            elif how == "replace":
+                parent[key] = value
+            else:
+                parent[key] = ([parent[key]] if value is list
+                               else {"x": parent[key]})
+            yield path, (how, value), json.dumps(mutated)
 
 
-@pytest.mark.parametrize("schema", ["trace", "classification"])
+@pytest.mark.parametrize("schema, flag", [
+    pytest.param("trace", "--corpus", id="trace"),
+    pytest.param("classification", "--corpus", id="classification"),
+    pytest.param("trace", "--config", id="trace-config"),
+    pytest.param("classification", "--config", id="classification-config"),
+    pytest.param("trace", "--kb", id="trace-kb"),
+    pytest.param("trace", "--fixtures", id="trace-fixtures")])
 def test_every_one_value_mutation_of_a_line_gives_a_verdict(inputs, tmp_path,
-                                                            schema):
+                                                            schema, flag):
     # the examples above draw a given one-value mutation near 1 % of the
-    # time; this tries each: every value of one line, replaced by each of
-    # _REPLACEMENTS, in one audit apiece. The trace line is the last one
-    # of the demo corpus, given the fields of every other line as well
+    # time; this tries each: every value of one corpus line, or of the whole
+    # config, knowledge base or causal fixtures, replaced by each of
+    # _REPLACEMENTS, deleted and nested, in one audit apiece. The trace line
+    # is the last one of the demo corpus, given the fields of every other
+    # line as well
     paths = dict(inputs[schema])
-    lines = paths["--corpus"].read_text().splitlines()
-    if schema == "trace":
+    lines = paths[flag].read_text().splitlines()
+    if (schema, flag) == ("trace", "--corpus"):
         doc = {}
         for line in lines:
             doc.update(json.loads(line))
         i = len(lines) - 1
     else:
         doc, i = json.loads(lines[0]), 0
-    paths["--corpus"] = tmp_path / "mutated.jsonl"
+    paths[flag] = tmp_path / f"mutated{paths[flag].suffix}"
     argv = _audit(schema, paths) + ["--out", str(tmp_path / "out"),
                                     "--force"]
 
     def audit(text):
         lines[i] = text
-        paths["--corpus"].write_text("\n".join(lines) + "\n",
-                                     encoding="utf-8")
+        paths[flag].write_text("\n".join(lines) + "\n", encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             try:
@@ -231,11 +253,10 @@ def test_every_one_value_mutation_of_a_line_gives_a_verdict(inputs, tmp_path,
 
     assert audit(json.dumps(doc)) == 0
     faults = []
-    for path in list(_paths(doc)):
-        for value in _REPLACEMENTS:
-            code = audit(_replaced(doc, path, value))
-            if code not in (0, 2):
-                faults.append((path, value, code))
+    for path, mutation, text in _one_value_mutations(doc):
+        code = audit(text)
+        if code not in (0, 2):
+            faults.append((path, mutation, code))
     assert not faults, faults[:3]
 
 
