@@ -21,7 +21,6 @@ import os
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import numpy as np
 from _blake2 import blake2b
 
 
@@ -42,11 +41,11 @@ def _scalar(obj):
         return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         r = _round(float(obj))
         return f'"{r}"' if isinstance(r, str) else repr(r)
     raise TypeError(f"Object of type {type(obj).__name__} "
@@ -54,7 +53,7 @@ def _scalar(obj):
 
 
 # values written as one token; anything else goes through _encode
-_LEAVES = (str, int, float, type(None), np.generic)
+_LEAVES = (str, int, float, type(None))
 
 
 def _encode(obj, level=0):
@@ -62,7 +61,7 @@ def _encode(obj, level=0):
     (",", ": "), keys str(k) and sorted (the last of two keys with the same
     string wins), tuples and arrays as lists, an object with to_json_dict()
     as that dict."""
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):   # a numpy array or scalar
         obj = obj.tolist()
     elif hasattr(obj, "to_json_dict"):
         obj = obj.to_json_dict()
@@ -119,9 +118,11 @@ def write_json(path, obj, force=False):
 
 
 def _csv_cell(v):
-    if isinstance(v, (bool, np.bool_)):
+    if hasattr(v, "tolist"):
+        v = v.tolist()
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):
         r = _round(float(v))
         return r if isinstance(r, str) else f"{r:.12g}"
     return str(v)

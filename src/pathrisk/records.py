@@ -38,13 +38,16 @@ outcomes file's outcomes are read that way, so neither file is held as
 one string or as one tree of parsed values.
 """
 
+from __future__ import annotations
+
 import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:   # numpy loads when a vector or table is decoded
+    import numpy as np
 
 
 class CorpusError(ValueError):
@@ -127,6 +130,7 @@ def _vector(value):
     if (type(value) is not list or not value
             or not _NUMBER.issuperset(map(type, value))):
         raise _bad("a nonempty vector of numbers", value)
+    import numpy as np
     vec = np.array(value, dtype=float)
     if not (np.abs(vec) <= _LARGEST_ENTRY).all():   # NaN fails it too
         if not np.isfinite(vec).all():
@@ -149,6 +153,7 @@ def _table(value):
     rows = _vectors(value)
     if len({row.size for row in rows}) != 1:
         raise _bad("a nonempty array of rows of one length", value)
+    import numpy as np
     return np.array(rows)
 
 
@@ -573,6 +578,7 @@ class KnowledgeBase:
     _matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        import numpy as np
         ids = [e for e, _ in self.entries]
         if len(set(ids)) != len(ids):
             raise CorpusError("knowledge base entity ids are not unique")
@@ -624,7 +630,7 @@ class CausalFixture:
                 if abs(float(s) - 1.0) > 1e-9:
                     raise CorpusError(
                         f"{name} row {i} sums to {float(s):.6g}, expected 1")
-            if np.any(table < 0):
+            if (table < 0).any():
                 raise CorpusError(f"{name}: negative probability")
         if len(widths) > 1:
             raise CorpusError(

@@ -46,13 +46,16 @@ entry. Evidence is written for readers; nothing in the package reads
 evidence.json, so risk and report never parse it.
 """
 
+from __future__ import annotations
+
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-import numpy as np
+if TYPE_CHECKING:   # numpy loads when a validation report is built or read
+    import numpy as np
 
 from .records import (RecordValidationError, declare, decode_object,
                       read_json_chunked)
@@ -455,6 +458,7 @@ class ValidationReport:
 
     def eligible(self, detector):
         """The row indices of the records the detector can score."""
+        import numpy as np
         if detector in self.not_applicable:
             return np.zeros(0, dtype=np.intp)
         return np.flatnonzero((self.codes & _MASK[detector]) == 0)
@@ -520,6 +524,7 @@ def validate_corpus(corpus, codes=None):
     list of TraceRecords, `codes` may give each record's `presence` code,
     taken before the record was trimmed to fewer fields; the records then
     supply only their ids."""
+    import numpy as np
     if hasattr(corpus, "present"):   # a ClassificationCorpus
         kind, ids = "classification", corpus.ids
         codes = np.zeros(len(ids), dtype=np.int64)

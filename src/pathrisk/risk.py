@@ -28,8 +28,6 @@ import math
 from dataclasses import asdict, dataclass
 from operator import attrgetter
 
-import numpy as np
-
 from .records import declare, decode_number, decode_object, read_json
 from .registry import (ALIAS_GROUPS, distinct_pathology_count, group_by,
                        pathology_ids)
@@ -64,6 +62,7 @@ class ExpectileConfig:
 
 def expectile_foc_residual(losses, r, tau):
     """Scale-relative imbalance of the first-order condition at r."""
+    import numpy as np
     L = np.asarray(losses, dtype=float)
     up = tau * float(np.maximum(L - r, 0.0).mean())
     down = (1.0 - tau) * float(np.maximum(r - L, 0.0).mean())
@@ -73,6 +72,7 @@ def expectile_foc_residual(losses, r, tau):
 
 def expectile(losses, cfg=ExpectileConfig()):
     """Empirical expectile of a nonempty finite loss sample."""
+    import numpy as np
     L = np.asarray(losses, dtype=float).ravel()
     if L.size == 0:
         raise RiskError("expectile of an empty loss sample")
@@ -280,6 +280,7 @@ def risk_report(outcomes, eps=None, cfg=ExpectileConfig()):
     with no loss samples are reported as unavailable and are not gated;
     the others go through `deployment_gate`.
     """
+    import numpy as np
     ids = pathology_ids()
     eps_map = resolve_eps({} if eps is None else eps, ids)
     grouped = {group[0].pathology: group
@@ -311,6 +312,7 @@ def pareto_scan(candidates, objectives):
     dict with the surviving candidates in ascending index order and
     whether the scan certifies non-alignment (Pareto set of size >= 2).
     """
+    import numpy as np
     candidates = list(candidates)
     if len(candidates) < 2:
         raise RiskError("pareto scan needs >= 2 candidates")

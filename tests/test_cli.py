@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -19,7 +18,7 @@ from pathrisk.records import (load_causal_fixtures, load_knowledge_base,
                               load_trace_corpus)
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                DetectorOutcome, pathology_ids)
-from conftest import labelled
+from conftest import fresh_json, labelled, run_fresh
 from oracles import (canonical_json, loop_mutual_information, outcome_row,
                      regrouped_evidence)
 
@@ -210,8 +209,8 @@ def test_holonorm_verify_writes_a_failed_density_check_without_a_full_bin(
     assert [c["passed"] for c in report["checks"][1:]] == [True] * 4
 
 
-# the package modules a fresh interpreter loads to import pathrisk.cli, and
-# those each subcommand adds when it runs
+# the package modules a fresh interpreter loads to import pathrisk.cli (and
+# no numpy), and those each subcommand adds when it runs
 _CLI_IMPORTS = {"pathrisk", "pathrisk.cli", "pathrisk.jsonio",
                 "pathrisk.records", "pathrisk.registry"}
 _SUBCOMMAND_IMPORTS = {
@@ -223,39 +222,60 @@ _SUBCOMMAND_IMPORTS = {
 _IMPORT_PROBE = """\
 import json, sys
 import pathrisk.cli
-loaded = {m for m in sys.modules if m.split(".")[0] == "pathrisk"}
+loaded = {m for m in sys.modules if m.split(".")[0] in ("pathrisk", "numpy")}
 code = pathrisk.cli.main(sys.argv[1:])
 added = {m for m in sys.modules if m.split(".")[0] == "pathrisk"} - loaded
-print(json.dumps([sorted(loaded), sorted(added), code]))
+print(json.dumps([sorted(loaded), sorted(added), code,
+                  "numpy" in sys.modules]))
 """
-
-
-def _fresh(tmp_path, *args):
-    """`python *args` in a fresh interpreter that imports this package."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(cli.__file__).parents[1])]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
-
-
-def _probe(tmp_path, script, args):
-    """The JSON value on the last line `script` prints, run with `args` in
-    a fresh interpreter: this process has imported every module already."""
-    proc = _fresh(tmp_path, "-c", script, *args)
-    proc.check_returncode()
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("subcommand", sorted(_SUBCOMMAND_IMPORTS))
 def test_each_subcommand_imports_only_its_own_modules(tmp_path, subcommand):
     argv = _argv(tmp_path, subcommand) + ["--out", str(tmp_path / "probe")]
-    loaded, added, code = _probe(tmp_path, _IMPORT_PROBE, argv)
+    loaded, added, code, numpy = fresh_json(_IMPORT_PROBE, *argv,
+                                            cwd=tmp_path)
     assert set(loaded) == _CLI_IMPORTS
     assert set(added) == {f"pathrisk.{m}"
                           for m in _SUBCOMMAND_IMPORTS[subcommand]}
     assert code == (3 if subcommand == "risk-gate" else 0)
+    # numpy loads with the first array a subcommand computes; report
+    # computes none
+    assert numpy == (subcommand != "report")
+
+
+# each argument is one argv, as JSON, run in turn in one interpreter; after
+# each run, whether numpy has loaded
+_NUMPY_PROBE = """\
+import json, sys
+import pathrisk.cli
+codes, numpy = [], []
+for argv in sys.argv[1:]:
+    try:
+        codes.append(pathrisk.cli.main(json.loads(argv)))
+    except SystemExit as exc:   # --help
+        codes.append(exc.code)
+    numpy.append("numpy" in sys.modules)
+print(json.dumps([codes, numpy]))
+"""
+
+
+def test_no_numpy_loads_without_an_array_to_compute(tmp_path):
+    risk_report, outcomes = _risked(tmp_path)
+    runs = [["report", "--risk", risk_report],
+            ["report", "--risk", risk_report, "--outcomes", outcomes]]
+    runs = [argv + ["--out", str(tmp_path / f"report{i}")]
+            for i, argv in enumerate(runs)]
+    runs += [[sub, "--help"] for sub in ("audit", "risk", "holonorm-verify",
+                                         "game", "pareto", "report")]
+    # inputs rejected before any array is built
+    runs += [["risk", "--outcomes", outcomes, "--tau", "0.3"],
+             _trace_audit(tmp_path) + ["--seed", "-1"],
+             ["risk", "--outcomes", str(tmp_path / "absent.json")]]
+    codes, numpy = fresh_json(_NUMPY_PROBE, *map(json.dumps, runs),
+                              cwd=tmp_path)
+    assert codes == [0, 0] + [0] * 6 + [2, 2, 2]
+    assert numpy == [False] * len(runs)
 
 
 # each argument is one argv, as JSON, run in turn in one interpreter
@@ -290,8 +310,8 @@ def test_no_subcommand_loads_openssl_or_numpy_random(tmp_path):
     drawn = [_argv(tmp_path, sub) + ["--out", str(tmp_path / sub)]
              for sub in ("holonorm-verify", "game", "pareto")]
     for runs in (trace, [classification], drawn):
-        assert _probe(tmp_path, _HEAVY_IMPORT_PROBE,
-                      [json.dumps(a) for a in runs]) == [[0] * len(runs), []]
+        assert fresh_json(_HEAVY_IMPORT_PROBE, *map(json.dumps, runs),
+                          cwd=tmp_path) == [[0] * len(runs), []]
     bluffing, = json.loads(
         (audited / "evidence.json").read_text())["bluffing"]
     assert "mutual_information" in bluffing
@@ -564,7 +584,7 @@ def test_an_input_it_cannot_take_exits_2_without_a_traceback(tmp_path, case):
         named = f"{path}: line 1: not UTF-8"
         argv = (argv + ["--kb", str(path)] if case == "kb-not-utf-8"
                 else ["risk", "--outcomes", str(path)])
-    proc = _fresh(tmp_path, "-m", "pathrisk", *argv, "--out", str(out))
+    proc = run_fresh("-m", "pathrisk", *argv, "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 2
     assert str(named) in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -578,8 +598,8 @@ def test_an_internal_error_prints_its_traceback_and_exits_4(tmp_path):
               "cli._cmd_pareto = broken\n"
               "cli.entry()\n")
     out = tmp_path / "out"
-    proc = _fresh(tmp_path, "-c", script, "pareto", "--seed", "0",
-                  "--out", str(out))
+    proc = run_fresh("-c", script, "pareto", "--seed", "0",
+                     "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 4
     assert proc.stderr.startswith("Traceback (most recent call last):")
     assert proc.stderr.endswith("RuntimeError: a bug\n")

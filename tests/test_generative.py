@@ -13,14 +13,13 @@ import corpora
 from pathrisk import cli, generative, metrics, registry
 from pathrisk.generative import (Arity, DetectorError, GenerativeConfig,
                                  audit_generative, score)
-from pathrisk.records import (KnowledgeBase, TraceRecord, _json_lines,
-                              load_trace_corpus)
+from pathrisk.records import KnowledgeBase, TraceRecord, load_trace_corpus
 from pathrisk.registry import (ALIAS_GROUPS, GENERATIVE_DETECTORS,
                                DISCRIMINATIVE_DETECTORS,
                                distinct_pathology_count, pathology_ids,
                                validate_corpus)
 import oracles
-from conftest import random_orthogonal
+from conftest import fresh_json, random_orthogonal
 from oracles import (every_prefix_semantic_warming, loop_cognitive_stereotypy,
                      loop_hypersignification, outcome_row)
 
@@ -330,6 +329,56 @@ def _differential_cases():
         yield f"mutated-{seed}-no-kb", records, None, ()
 
 
+# The TestRecordStep memory figures of a load of the wide corpus at
+# sys.argv[1] against the knowledge base at sys.argv[2], each measured in a
+# fresh interpreter (see conftest.fresh_json) with the modules imported
+# before its tracemalloc window opens
+_AUDIT_PEAK = """
+import sys, tracemalloc
+from pathrisk import generative
+from pathrisk.records import load_knowledge_base, load_trace_corpus
+kb = load_knowledge_base(sys.argv[2])
+tracemalloc.start()
+step = generative.RecordStep(kb)
+result = generative.audit_generative(
+    load_trace_corpus(sys.argv[1], record=step), step=step)
+print([len(result.outcomes), tracemalloc.get_traced_memory()[1]])
+"""
+
+_LOAD_EXCESS = """
+import json, sys, tracemalloc
+from pathrisk import generative
+from pathrisk.records import (TraceRecord, load_knowledge_base,
+                              load_trace_corpus)
+kb = load_knowledge_base(sys.argv[2])
+with open(sys.argv[1], encoding="utf-8") as handle:
+    line = handle.readline()
+tracemalloc.start()
+TraceRecord.from_json_dict(json.loads(line))
+one_line = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+tracemalloc.start()
+step = generative.RecordStep(kb)
+records = load_trace_corpus(sys.argv[1], record=step)
+held, peak = tracemalloc.get_traced_memory()
+print([len(records), one_line, held, peak])
+"""
+
+_HELD_AT_YIELD = """
+import sys, tracemalloc
+from pathrisk.records import _json_lines
+held = []
+with open(sys.argv[1], encoding="utf-8", errors="surrogateescape") as handle:
+    lines = _json_lines(handle)
+    tracemalloc.start()
+    for _, obj in lines:
+        del obj
+        held.append(tracemalloc.get_traced_memory()[0])
+    tracemalloc.stop()
+print(held)
+"""
+
+
 class TestRecordStep:
     """The audit scores the record-level detectors on each record as it
     is read and keeps only what the other detectors read; it must give
@@ -477,6 +526,17 @@ class TestRecordStep:
                     "annotations": {"conversation_id": f"c{i // 8}"}}) + "\n")
         return kb
 
+    @classmethod
+    def _wide_files(cls, tmp_path):
+        """The paths of the default wide corpus and of its knowledge base,
+        each written to a file."""
+        path, kb_path = tmp_path / "wide.jsonl", tmp_path / "kb.json"
+        kb = cls._wide_corpus(path)
+        kb_path.write_text(json.dumps({"entries": [
+            {"entity_id": e, "embedding": v.tolist()}
+            for e, v in kb.entries]}))
+        return str(path), str(kb_path)
+
     def test_peak_stays_below_the_record_only_vectors(self, tmp_path):
         # 72 records at d = 768 with 8 claims and 4 context vectors each:
         # those vectors alone decode to 5.3 MB. The audit keeps only the
@@ -486,20 +546,10 @@ class TestRecordStep:
         # parse tree did, 3.1 MB while it kept every turn's intent);
         # holding every record whole until the last detector ran, it
         # peaked at 9.2 MB
-        n, d, claims, context = 72, 768, 8, 4
-        path = tmp_path / "wide.jsonl"
-        kb = self._wide_corpus(path, n, d, claims, context)
-        record_only = n * (claims + context) * d * 8
-        tracemalloc.start()
-        try:
-            step = generative.RecordStep(kb)
-            result = audit_generative(load_trace_corpus(path, record=step),
-                                      step=step)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(result.outcomes) > 3 * n
-        assert peak < record_only
+        n, claims, context = 72, 8, 4
+        outcomes, peak = fresh_json(_AUDIT_PEAK, *self._wide_files(tmp_path))
+        assert outcomes > 3 * n
+        assert peak < n * (claims + context) * 768 * 8
 
     def test_the_load_holds_one_line_beyond_what_it_keeps(self, tmp_path):
         # the load peaks above what it returns and what the step holds by
@@ -508,24 +558,9 @@ class TestRecordStep:
         # alone peaks at 0.55 MB and the load's excess is 1.0 times that;
         # it was 1.2 times while each line's text lived until the next line
         # was read, and 2.0 times while its parse tree and full record did
-        path = tmp_path / "wide.jsonl"
-        kb = self._wide_corpus(path)
-        with open(path, encoding="utf-8") as handle:
-            line = handle.readline()
-        tracemalloc.start()
-        try:
-            TraceRecord.from_json_dict(json.loads(line))
-            _, one_line = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        tracemalloc.start()
-        try:
-            step = generative.RecordStep(kb)
-            records = load_trace_corpus(path, record=step)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(records) == 72
+        records, one_line, held, peak = fresh_json(
+            _LOAD_EXCESS, *self._wide_files(tmp_path))
+        assert records == 72
         assert peak - held < 1.5 * one_line
 
     def test_a_record_is_freed_before_the_next_line_is_parsed(
@@ -557,23 +592,12 @@ class TestRecordStep:
         # reader holds only its file buffers at each yield: at most 15 kB
         # on Python 3.11, and 150 kB while each line's text (136 kB) lived
         # until the next line was read
-        path = tmp_path / "wide.jsonl"
-        self._wide_corpus(path)
-        text = len(path.read_text().splitlines()[0])
-        held = []
-        with open(path, encoding="utf-8",
-                  errors="surrogateescape") as handle:
-            lines = _json_lines(handle)
-            tracemalloc.start()
-            try:
-                for _, obj in lines:
-                    del obj
-                    held.append(tracemalloc.get_traced_memory()[0])
-            finally:
-                tracemalloc.stop()
+        path, _ = self._wide_files(tmp_path)
+        with open(path, encoding="utf-8") as handle:
+            text = len(handle.readline())
+        held = fresh_json(_HELD_AT_YIELD, path)
         assert len(held) == 72
         assert max(held) < text / 2
-
 
 def _pair_corpus(seed, kind):
     """Records whose input/output pairs the pair detectors scan. "basis"

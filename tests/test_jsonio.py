@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import fresh_json
 from oracles import canonical_json
 from pathrisk import jsonio
 from pathrisk.records import read_json
@@ -240,9 +241,34 @@ def test_csv_cells_name_non_finite_floats(tmp_path):
     path = tmp_path / "cells.csv"
     jsonio.write_csv(path, ("x",), [(math.nan,), (np.float64("nan"),),
                                     (math.inf,), (-math.inf,), (-0.0,),
-                                    (0.1 + 4e-13,), (np.bool_(True),)])
+                                    (0.1 + 4e-13,), (np.bool_(True),),
+                                    (np.float32("-inf"),), (np.float32(0.5),),
+                                    (np.int64(-7),), (np.array(math.nan),),
+                                    (np.array(-0.0),)])
     assert path.read_text().splitlines() == [
-        "x", "nan", "nan", "inf", "-inf", "0", "0.1", "true"]
+        "x", "nan", "nan", "inf", "-inf", "0", "0.1", "true",
+        "-inf", "0.5", "-7", "nan", "0"]
+
+
+# writes a JSON document and a CSV of plain Python values into the
+# directory sys.argv[1], and prints whether numpy has loaded
+_PLAIN_WRITE = """
+import sys
+from pathrisk import jsonio
+jsonio.write_json(sys.argv[1] + "/doc.json", {
+    "a": [1, 2.5, None, True, "x", (float("nan"), -0.0)], "b": {3: {}}})
+jsonio.write_csv(sys.argv[1] + "/rows.csv", ("x", "y"),
+                 [(1, float("inf")), (False, "s")])
+print("true" if "numpy" in sys.modules else "false")
+"""
+
+
+def test_plain_values_are_written_without_numpy(tmp_path):
+    assert fresh_json(_PLAIN_WRITE, str(tmp_path)) is False
+    assert (tmp_path / "doc.json").read_text() == canonical_json(
+        {"a": [1, 2.5, None, True, "x", [math.nan, 0.0]], "b": {"3": {}}}
+    ) + "\n"
+    assert (tmp_path / "rows.csv").read_text() == "x,y\n1,inf\nfalse,s\n"
 
 
 def test_file_digest_is_blake2b_512(tmp_path):

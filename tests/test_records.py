@@ -1,12 +1,8 @@
 import gc
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +22,7 @@ from pathrisk import registry
 from pathrisk.registry import (DISCRIMINATIVE_DETECTORS, GENERATIVE_DETECTORS,
                                REGISTRY, validate_corpus)
 import corpora
-from conftest import labelled
+from conftest import fresh_json, labelled
 
 
 def _write_jsonl(path, objs):
@@ -598,15 +594,17 @@ def test_validation_report_memory(gate_corpus):
 
 
 # what the load of the corpus at sys.argv[1] allocates and still holds:
-# `_retained` in a fresh interpreter
+# `_retained` in a fresh interpreter. numpy is imported first, as in the
+# test process, so that its import is not counted as held
 _LOAD_HELD = """
 import gc, sys, tracemalloc
+import numpy
 from pathrisk.records import load_trace_corpus
 gc.collect()
 tracemalloc.start()
 corpus = load_trace_corpus(sys.argv[1], "classification")
 gc.collect()
-print(len(corpus), tracemalloc.get_traced_memory()[0])
+print([len(corpus), tracemalloc.get_traced_memory()[0]])
 """
 
 
@@ -618,14 +616,7 @@ def test_loaded_corpus_memory(gate_corpus):
     # process that has run other tests the interpreter may rebuild its
     # table of interned strings (1.9 MB) during the load, depending on how
     # many strings those tests interned and freed
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(registry.__file__).parents[1])]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    printed = subprocess.run(
-        [sys.executable, "-c", _LOAD_HELD, str(gate_corpus)], env=env,
-        check=True, capture_output=True, text=True).stdout
-    records, held = map(int, printed.split())
+    records, held = fresh_json(_LOAD_HELD, str(gate_corpus))
     assert records == 5000
     assert held < 4_860_000 / 2
 
